@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"sync/atomic"
+
 	"faultyrank/internal/par"
 )
 
@@ -28,72 +30,64 @@ type Bidirected struct {
 }
 
 // NewBidirected builds both CSR orientations and classifies every edge as
-// paired or unpaired, all in parallel.
+// paired or unpaired, all in parallel: the forward CSR from the edge
+// list, its transpose by counting, and the pairing by one merge-join per
+// vertex — each edge is touched a constant number of times.
 func NewBidirected(n int, edges []Edge, workers int) *Bidirected {
-	fwd := BuildCSR(n, edges, true, workers)
-	rev := BuildCSR(n, ReverseEdges(edges), true, workers)
-	return newBidirectedFromCSR(fwd, rev, workers)
+	return newBidirected(BuildCSR(n, edges, true, workers), workers)
 }
 
 // NewBidirectedUntyped is NewBidirected for kind-less benchmark graphs;
 // it skips the per-edge kind arrays (one byte per edge per orientation).
 func NewBidirectedUntyped(n int, edges []Edge, workers int) *Bidirected {
-	fwd := BuildCSR(n, edges, false, workers)
-	rev := BuildCSR(n, ReverseEdges(edges), false, workers)
-	return newBidirectedFromCSR(fwd, rev, workers)
+	return newBidirected(BuildCSR(n, edges, false, workers), workers)
 }
 
-func newBidirectedFromCSR(fwd, rev *CSR, workers int) *Bidirected {
+func newBidirected(fwd *CSR, workers int) *Bidirected {
+	rev := fwd.Transpose(workers)
+	n := fwd.N
 	b := &Bidirected{
 		Fwd:        fwd,
 		Rev:        rev,
 		FwdPaired:  make([]uint8, fwd.NumEdges()),
 		RevPaired:  make([]uint8, rev.NumEdges()),
-		PairedIn:   make([]int32, fwd.N),
-		UnpairedIn: make([]int32, fwd.N),
+		PairedIn:   make([]int32, n),
+		UnpairedIn: make([]int32, n),
 	}
-	n := fwd.N
-	// Classify forward edges: u->v is paired iff v->u exists. Sharded by
-	// source vertex, so writes to FwdPaired never race.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			u := uint32(v)
-			s, e := fwd.EdgeRange(u)
-			for i := s; i < e; i++ {
-				if fwd.HasEdge(fwd.Targets[i], u) {
-					b.FwdPaired[i] = 1
+	// v->t is paired iff t->v exists, i.e. iff t is also a source of one
+	// of v's in-edges; s->v is paired iff s is also one of v's targets.
+	// Both rows are sorted, so one merge-join of Fwd.Neighbors(v) against
+	// Rev.Neighbors(v) marks every run of equal IDs on both sides and
+	// counts v's paired in-edges. Vertices are split by the edges the
+	// join walks; each vertex writes only its own rows and counters.
+	parts := workerCount(workers, n)
+	cuts := balancedCuts(n, parts, func(v int) int64 { return fwd.Offsets[v] + rev.Offsets[v] })
+	par.ForEach(parts, parts, func(w int) {
+		for v := cuts[w]; v < cuts[w+1]; v++ {
+			fs, fe := fwd.Offsets[v], fwd.Offsets[v+1]
+			rs, re := rev.Offsets[v], rev.Offsets[v+1]
+			out, in := fwd.Targets[fs:fe], rev.Targets[rs:re]
+			outPaired, inPaired := b.FwdPaired[fs:fe], b.RevPaired[rs:re]
+			var paired int32
+			for i, j := 0, 0; i < len(out) && j < len(in); {
+				id := out[i]
+				switch {
+				case id < in[j]:
+					i++
+				case id > in[j]:
+					j++
+				default:
+					for ; i < len(out) && out[i] == id; i++ {
+						outPaired[i] = 1
+					}
+					for ; j < len(in) && in[j] == id; j++ {
+						inPaired[j] = 1
+						paired++
+					}
 				}
 			}
-		}
-	})
-	// Classify reversed edges: rev edge a->b mirrors forward b->a and is
-	// paired iff forward a->b also exists.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			a := uint32(v)
-			s, e := rev.EdgeRange(a)
-			for i := s; i < e; i++ {
-				if fwd.HasEdge(a, rev.Targets[i]) {
-					b.RevPaired[i] = 1
-				}
-			}
-		}
-	})
-	// Per-vertex paired/unpaired in-edge counts = classification of the
-	// vertex's out-edges in G_R.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s, e := rev.EdgeRange(uint32(v))
-			var p, up int32
-			for i := s; i < e; i++ {
-				if b.RevPaired[i] == 1 {
-					p++
-				} else {
-					up++
-				}
-			}
-			b.PairedIn[v] = p
-			b.UnpairedIn[v] = up
+			b.PairedIn[v] = paired
+			b.UnpairedIn[v] = int32(len(in)) - paired
 		}
 	})
 	return b
@@ -153,60 +147,36 @@ func (b *Bidirected) UnpairedIncoming(v uint32) []uint32 {
 	return out
 }
 
-// Stats computes summary statistics in parallel.
+// Stats computes summary statistics from the per-vertex arrays in O(N):
+// every forward edge is exactly one vertex's in-edge, so the paired and
+// unpaired edge totals are the sums of PairedIn and UnpairedIn.
 func (b *Bidirected) Stats(workers int) Stats {
-	n := b.N()
-	st := Stats{Vertices: n, Edges: b.Fwd.NumEdges()}
-	type partial struct {
-		paired, unpaired int64
-		sinks, sources   int
-	}
-	parts := make([]partial, 0, 64)
-	// Single sequential pass over vertices is fine for stats, but reuse
-	// the chunked reduction for large graphs.
-	workersN := workers
-	if workersN <= 0 {
-		workersN = par.DefaultWorkers()
-	}
-	if workersN > n {
-		workersN = n
-	}
-	if workersN < 1 {
-		workersN = 1
-	}
-	chunk := (n + workersN - 1) / workersN
-	for lo := 0; lo < n; lo += chunk {
-		parts = append(parts, partial{})
-	}
-	par.ForRange(n, workersN, func(lo, hi int) {
-		slot := lo / chunk
-		var p partial
+	var paired, unpaired, sinks, sources atomic.Int64
+	par.ForRange(b.N(), workers, func(lo, hi int) {
+		var p, u, sk, sr int64
 		for v := lo; v < hi; v++ {
-			u := uint32(v)
-			s, e := b.Fwd.EdgeRange(u)
-			if s == e {
-				p.sinks++
+			p += int64(b.PairedIn[v])
+			u += int64(b.UnpairedIn[v])
+			if b.Fwd.Offsets[v] == b.Fwd.Offsets[v+1] {
+				sk++
 			}
-			if b.Rev.Degree(u) == 0 {
-				p.sources++
-			}
-			for i := s; i < e; i++ {
-				if b.FwdPaired[i] == 1 {
-					p.paired++
-				} else {
-					p.unpaired++
-				}
+			if b.Rev.Offsets[v] == b.Rev.Offsets[v+1] {
+				sr++
 			}
 		}
-		parts[slot] = p
+		paired.Add(p)
+		unpaired.Add(u)
+		sinks.Add(sk)
+		sources.Add(sr)
 	})
-	for _, p := range parts {
-		st.PairedEdges += p.paired
-		st.UnpairedEdges += p.unpaired
-		st.Sinks += p.sinks
-		st.Sources += p.sources
+	return Stats{
+		Vertices:      b.N(),
+		Edges:         b.Fwd.NumEdges(),
+		PairedEdges:   paired.Load(),
+		UnpairedEdges: unpaired.Load(),
+		Sinks:         int(sinks.Load()),
+		Sources:       int(sources.Load()),
 	}
-	return st
 }
 
 // MemoryBytes estimates the total footprint of the bidirected structure,

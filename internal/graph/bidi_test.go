@@ -167,3 +167,198 @@ func TestUntypedBidirected(t *testing.T) {
 		t.Error("MemoryBytes should be positive")
 	}
 }
+
+// referenceCSR builds a CSR the slow obvious way — sort the whole edge
+// list by (src, dst, kind), then lay rows out in order — sharing no code
+// with BuildCSR or Transpose.
+func referenceCSR(n int, edges []Edge, keepKinds bool) *CSR {
+	c := &CSR{N: n, Offsets: make([]int64, n+1)}
+	if len(edges) == 0 {
+		return c
+	}
+	c.Targets = make([]uint32, len(edges))
+	if keepKinds {
+		c.Kinds = make([]EdgeKind, len(edges))
+	}
+	for i, e := range sortedEdges(edges) {
+		c.Offsets[e.Src+1]++
+		c.Targets[i] = e.Dst
+		if keepKinds {
+			c.Kinds[i] = e.Kind
+		}
+	}
+	for v := 0; v < n; v++ {
+		c.Offsets[v+1] += c.Offsets[v]
+	}
+	return c
+}
+
+// referenceBidirected is the builder NewBidirected replaced, kept as the
+// test oracle: a CSR of the edge list, a CSR of the reversed edge list,
+// and one HasEdge binary search per edge and orientation.
+func referenceBidirected(n int, edges []Edge, keepKinds bool) *Bidirected {
+	reversed := make([]Edge, len(edges))
+	for i, e := range edges {
+		reversed[i] = Edge{Src: e.Dst, Dst: e.Src, Kind: e.Kind}
+	}
+	fwd, rev := referenceCSR(n, edges, keepKinds), referenceCSR(n, reversed, keepKinds)
+	b := &Bidirected{
+		Fwd:        fwd,
+		Rev:        rev,
+		FwdPaired:  make([]uint8, len(edges)),
+		RevPaired:  make([]uint8, len(edges)),
+		PairedIn:   make([]int32, n),
+		UnpairedIn: make([]int32, n),
+	}
+	for v := 0; v < n; v++ {
+		u := uint32(v)
+		s, e := fwd.EdgeRange(u)
+		for i := s; i < e; i++ {
+			if fwd.HasEdge(fwd.Targets[i], u) {
+				b.FwdPaired[i] = 1
+			}
+		}
+		s, e = rev.EdgeRange(u)
+		for i := s; i < e; i++ {
+			if fwd.HasEdge(u, rev.Targets[i]) {
+				b.RevPaired[i] = 1
+				b.PairedIn[v]++
+			} else {
+				b.UnpairedIn[v]++
+			}
+		}
+	}
+	return b
+}
+
+// edgeWalkStats is Stats computed the long way, from the per-edge flags.
+func edgeWalkStats(b *Bidirected) Stats {
+	st := Stats{Vertices: b.N(), Edges: b.Fwd.NumEdges()}
+	for _, p := range b.FwdPaired {
+		if p == 1 {
+			st.PairedEdges++
+		} else {
+			st.UnpairedEdges++
+		}
+	}
+	for v := 0; v < b.N(); v++ {
+		if b.OutDegree(uint32(v)) == 0 {
+			st.Sinks++
+		}
+		if b.InDegree(uint32(v)) == 0 {
+			st.Sources++
+		}
+	}
+	return st
+}
+
+// matchesReference reports whether both constructors reproduce the
+// reference structure exactly at every worker count, and Stats agrees
+// with the edge walk.
+func matchesReference(n int, edges []Edge) bool {
+	typed, untyped := referenceBidirected(n, edges, true), referenceBidirected(n, edges, false)
+	want := edgeWalkStats(typed)
+	for _, w := range []int{1, 2, 3, 8} {
+		b := NewBidirected(n, edges, w)
+		if !reflect.DeepEqual(b, typed) || !reflect.DeepEqual(NewBidirectedUntyped(n, edges, w), untyped) {
+			return false
+		}
+		if b.Stats(w) != want {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBidirectedMatchesReferenceMultigraphs: random multigraphs with
+// parallel edges of equal and of different kinds, self-loops, isolated
+// vertices, and the n = 0 and n = 1 corners.
+func TestBidirectedMatchesReferenceMultigraphs(t *testing.T) {
+	if !matchesReference(0, nil) || !matchesReference(1, nil) || !matchesReference(5, nil) {
+		t.Fatal("edgeless graph diverges from reference")
+	}
+	if !matchesReference(1, []Edge{{0, 0, KindDirent}, {0, 0, KindDirent}, {0, 0, KindLinkEA}}) {
+		t.Fatal("single-vertex self-loops diverge from reference")
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(40)
+		// Endpoints come from the lower part of the ID space only, so the
+		// rest stays isolated; a small space also makes reciprocal pairs,
+		// self-loops and equal-kind duplicates common.
+		edges := randomEdges(r, 1+r.Intn(n), r.Intn(250))
+		for i := r.Intn(20); i > 0 && len(edges) > 0; i-- {
+			e := edges[r.Intn(len(edges))]
+			edges = append(edges, e, Edge{e.Src, e.Dst, e.Kind.Counterpart()}, Edge{e.Src, e.Src, e.Kind})
+		}
+		return matchesReference(n, edges)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBidirectedMatchesReferenceShapes: the degree shapes that steer the
+// build down its different paths.
+func TestBidirectedMatchesReferenceShapes(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+
+	// R-MAT scale 10, edge factor 8: hub rows far longer than
+	// insertionSortMax, so the long-run sorts (plain and packed-key) run.
+	const scale = 10
+	rmat := make([]Edge, 8<<scale)
+	for i := range rmat {
+		var src, dst uint32
+		for bit := 0; bit < scale; bit++ {
+			switch p := r.Float64(); {
+			case p < 0.57:
+			case p < 0.76:
+				dst |= 1 << bit
+			case p < 0.95:
+				src |= 1 << bit
+			default:
+				src |= 1 << bit
+				dst |= 1 << bit
+			}
+		}
+		rmat[i] = Edge{src, dst, EdgeKind(r.Intn(5))}
+	}
+	if hub := BuildCSR(1<<scale, rmat, false, 1).Degree(0); hub <= insertionSortMax {
+		t.Fatalf("R-MAT hub degree %d does not exercise the long-run sort", hub)
+	}
+
+	// Fully symmetric: every edge answered, nothing unpaired.
+	var symmetric []Edge
+	for i := 0; i < 400; i++ {
+		u, v := uint32(r.Intn(120)), uint32(r.Intn(120))
+		symmetric = append(symmetric, Edge{u, v, KindDirent}, Edge{v, u, KindLinkEA})
+	}
+
+	// Star: vertex 0 owns every edge, so every edge-balanced split
+	// degenerates to one loaded range and the rest empty.
+	var star []Edge
+	for v := 0; v < 300; v++ {
+		star = append(star, Edge{0, uint32(v), KindLOVEA})
+	}
+	star = append(star, star[17], star[17])
+
+	for _, g := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"rmat", 1 << scale, rmat},
+		{"symmetric", 120, symmetric},
+		{"star", 300, star},
+	} {
+		if !matchesReference(g.n, g.edges) {
+			t.Errorf("%s: build diverges from reference", g.name)
+		}
+	}
+	if st := NewBidirected(120, symmetric, 3).Stats(3); st.UnpairedEdges != 0 || st.PairedEdges != int64(len(symmetric)) {
+		t.Errorf("symmetric graph: %+v, want every edge paired", st)
+	}
+	if got := len(NewBidirected(300, star, 8).Fwd.Neighbors(0)); got != len(star) {
+		t.Errorf("star: hub keeps %d of %d parallel edges", got, len(star))
+	}
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"faultyrank/internal/par"
@@ -45,29 +46,6 @@ func (c *CSR) HasEdge(u, v uint32) bool {
 	return i < len(adj) && adj[i] == v
 }
 
-// EdgeIndex returns the index into Targets of the first u->v edge, or -1.
-func (c *CSR) EdgeIndex(u, v uint32) int64 {
-	lo, hi := c.EdgeRange(u)
-	adj := c.Targets[lo:hi]
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	if i < len(adj) && adj[i] == v {
-		return lo + int64(i)
-	}
-	return -1
-}
-
-// EdgeMultiplicity returns how many parallel u->v edges exist.
-func (c *CSR) EdgeMultiplicity(u, v uint32) int {
-	lo, hi := c.EdgeRange(u)
-	adj := c.Targets[lo:hi]
-	first := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	n := 0
-	for i := first; i < len(adj) && adj[i] == v; i++ {
-		n++
-	}
-	return n
-}
-
 // Edges materialises the CSR back into an edge list (mostly for tests and
 // small tooling; it allocates the full list).
 func (c *CSR) Edges() []Edge {
@@ -94,41 +72,88 @@ func (c *CSR) MemoryBytes() int64 {
 }
 
 // csrCountBudget bounds the total size of the per-worker count arrays
-// BuildCSR allocates (bytes). With very large vertex counts the worker
-// count is reduced so W*n*8 stays under the budget; counting then runs
-// on fewer cores but never touches an atomic.
+// BuildCSR and Transpose allocate (bytes). With very large vertex counts
+// the worker count is reduced so W*n*8 stays under the budget; counting
+// then runs on fewer cores but never touches an atomic.
 const csrCountBudget = 2 << 30
+
+// workerCount resolves a worker request (<= 0 means par.DefaultWorkers)
+// against the number of independent work items.
+func workerCount(workers, items int) int {
+	if workers <= 0 {
+		workers = par.DefaultWorkers()
+	}
+	return max(1, min(workers, items))
+}
 
 // csrCountWorkers picks the number of counting/scatter workers for a
 // build over n vertices and m edges.
 func csrCountWorkers(n, m, workers int) int {
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	if workers > m {
-		workers = m
-	}
+	workers = workerCount(workers, m)
 	if n > 0 {
-		if cap := csrCountBudget / (8 * n); workers > cap {
-			workers = cap
-		}
-	}
-	if workers < 1 {
-		workers = 1
+		workers = max(1, min(workers, csrCountBudget/(8*n)))
 	}
 	return workers
 }
 
+// balancedCuts splits vertices [0, n) into parts contiguous ranges of
+// near-equal weight and returns their parts+1 boundaries. prefix(v) is
+// the weight of vertices [0, v) — an Offsets array, so the split is by
+// edge count: GID order front-loads degree on both R-MAT and metadata
+// graphs, and equal vertex counts would leave the first worker with
+// most of the edges. A vertex is never split, so ranges may be empty.
+func balancedCuts(n, parts int, prefix func(v int) int64) []int {
+	cuts := make([]int, parts+1)
+	total := prefix(n)
+	for k := 1; k < parts; k++ {
+		want := total * int64(k) / int64(parts)
+		cuts[k] = sort.Search(n, func(v int) bool { return prefix(v) >= want })
+	}
+	cuts[parts] = n
+	return cuts
+}
+
+// scatterCursors turns W private per-vertex count arrays (counts[w*n+v],
+// worker w's edges landing in row v) into row offsets and private scatter
+// cursors, and returns the edge total: offsets[v] becomes the start of
+// row v, and counts[w*n+v] the first slot worker w writes in it —
+// offsets[v] + Σ_{w'<w} counts[w'][v]. Rows therefore hold worker 0's
+// edges, then worker 1's, ..., each in that worker's own walk order.
+func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
+	par.ForRange(n, workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			var t int64
+			for w := 0; w < W; w++ {
+				t += counts[w*n+v]
+			}
+			offsets[v] = t
+		}
+	})
+	total := par.ExclusivePrefixSum64(offsets[:n])
+	offsets[n] = total
+	par.ForRange(n, workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			run := offsets[v]
+			for w := 0; w < W; w++ {
+				cw := counts[w*n+v]
+				counts[w*n+v] = run
+				run += cw
+			}
+		}
+	})
+	return total
+}
+
 // BuildCSR builds a CSR over n vertices from an edge list, in parallel
 // and without write contention: each worker counts out-degrees of its
-// contiguous edge range into a private count array, the per-worker
-// counts are reduced into global offsets via par.ExclusivePrefixSum64
-// plus a column-wise scan that yields every worker a private scatter
-// cursor per vertex, and the scatter pass then writes disjoint slots —
-// no atomics anywhere, and slot assignment is deterministic (edge input
-// order per vertex). Each vertex's adjacency is finally sorted so
-// lookups can binary-search. Edges referencing vertices >= n cause a
-// panic — callers (the aggregator) densify IDs first.
+// contiguous edge range into a private count array, scatterCursors
+// reduces the counts into global offsets plus a private scatter cursor
+// per worker and vertex, and the scatter pass then writes disjoint slots
+// — no atomics anywhere. Each vertex's adjacency is finally sorted by
+// (target, kind), so the layout is independent of the worker count and
+// lookups can binary-search. An edge referencing a vertex >= n panics on
+// the calling goroutine, naming the lowest such edge — callers (the
+// aggregator) densify IDs first.
 //
 // keepKinds controls whether the per-edge kind array is retained; pure
 // benchmark graphs drop it to save a byte per edge.
@@ -147,50 +172,31 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 	W := csrCountWorkers(n, m, workers)
 	chunk := (m + W - 1) / W
 
-	// Pass 1: private per-worker out-degree counts. counts[w*n+v] is the
-	// number of edges with source v in worker w's range.
+	// Pass 1: private per-worker out-degree counts, and the range check
+	// that guards the scatter. A worker goroutine must not panic (no
+	// caller could recover it), so each records its first bad edge and
+	// the panic is raised below, after the join.
 	counts := make([]int64, W*n)
+	bad := make([]int, W)
 	par.ForEach(W, W, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m {
-			hi = m
-		}
+		lo, hi := w*chunk, min((w+1)*chunk, m)
 		cnt := counts[w*n : (w+1)*n]
+		bad[w] = -1
 		for i := lo; i < hi; i++ {
 			src := edges[i].Src
 			if int(src) >= n || int(edges[i].Dst) >= n {
-				panic(fmt.Sprintf("graph: edge %d (%d->%d) out of range n=%d", i, edges[i].Src, edges[i].Dst, n))
+				bad[w] = i
+				return
 			}
 			cnt[src]++
 		}
 	})
-
-	// Reduce: per-vertex totals -> exclusive prefix sum -> offsets.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var t int64
-			for w := 0; w < W; w++ {
-				t += counts[w*n+v]
-			}
-			c.Offsets[v] = t
+	for _, i := range bad { // worker ranges ascend, so the first hit is the lowest
+		if i >= 0 {
+			panic(fmt.Sprintf("graph: edge %d (%d->%d) out of range n=%d", i, edges[i].Src, edges[i].Dst, n))
 		}
-	})
-	total := par.ExclusivePrefixSum64(c.Offsets[:n])
-	c.Offsets[n] = total
-
-	// Column-wise exclusive scan turns each worker's count into its
-	// private start cursor: worker w's slots for vertex v begin at
-	// Offsets[v] + Σ_{w'<w} counts[w'][v].
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			run := c.Offsets[v]
-			for w := 0; w < W; w++ {
-				cw := counts[w*n+v]
-				counts[w*n+v] = run
-				run += cw
-			}
-		}
-	})
+	}
+	total := scatterCursors(counts, c.Offsets, n, W, workers)
 
 	// Pass 2: scatter. Worker w re-walks its edge range bumping only its
 	// own cursors, so every Targets slot is written exactly once.
@@ -199,10 +205,7 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 		c.Kinds = make([]EdgeKind, total)
 	}
 	par.ForEach(W, W, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m {
-			hi = m
-		}
+		lo, hi := w*chunk, min((w+1)*chunk, m)
 		cur := counts[w*n : (w+1)*n]
 		for i := lo; i < hi; i++ {
 			e := edges[i]
@@ -215,84 +218,101 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 		}
 	})
 
-	// Pass 3: sort each adjacency (targets ascending, kind as tiebreak)
-	// so that HasEdge/EdgeIndex can binary-search and iteration order is
-	// deterministic regardless of scatter interleaving.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+	// Pass 3: sort each adjacency, vertices split by edge count.
+	parts := workerCount(workers, n)
+	cuts := balancedCuts(n, parts, func(v int) int64 { return c.Offsets[v] })
+	par.ForEach(parts, parts, func(w int) {
+		var keys []uint64
+		for v := cuts[w]; v < cuts[w+1]; v++ {
 			s, e := c.Offsets[v], c.Offsets[v+1]
 			if e-s < 2 {
 				continue
 			}
-			sortAdjacency(c.Targets[s:e], kindsSlice(c.Kinds, s, e))
+			if c.Kinds == nil {
+				slices.Sort(c.Targets[s:e])
+			} else {
+				keys = sortTargetsKinds(c.Targets[s:e], c.Kinds[s:e], keys)
+			}
 		}
 	})
 	return c
 }
 
-func kindsSlice(kinds []EdgeKind, s, e int64) []EdgeKind {
-	if kinds == nil {
-		return nil
+// Transpose returns the CSR of the reversed graph: row t lists the
+// sources of t's in-edges, each carrying the kind of its forward edge so
+// provenance survives. It counts in-degrees straight from Targets with
+// the same private counts + cursors as BuildCSR, and needs no sort:
+// worker w owns the w-th contiguous source range and walks it in
+// ascending order, and a row holds the workers' edges in worker order,
+// so every row comes out ascending by source — and, because c's rows are
+// (target, kind)-sorted, by kind among parallel edges. That is exactly
+// what sorting after the scatter would produce, for any worker count.
+func (c *CSR) Transpose(workers int) *CSR {
+	n := c.N
+	t := &CSR{N: n, Offsets: make([]int64, n+1)}
+	m := len(c.Targets)
+	if m == 0 {
+		return t
 	}
-	return kinds[s:e]
-}
+	W := csrCountWorkers(n, m, workers)
+	cuts := balancedCuts(n, W, func(v int) int64 { return c.Offsets[v] })
 
-// sortAdjacency sorts targets ascending, permuting kinds alongside when
-// present. Adjacency lists are typically tiny (PFS metadata graphs have
-// bounded fan-out), so insertion sort wins for short runs; longer runs
-// fall back to sort.Sort.
-func sortAdjacency(targets []uint32, kinds []EdgeKind) {
-	if len(targets) <= 32 {
-		for i := 1; i < len(targets); i++ {
-			t := targets[i]
-			var k EdgeKind
-			if kinds != nil {
-				k = kinds[i]
-			}
-			j := i - 1
-			for j >= 0 && (targets[j] > t || (targets[j] == t && kinds != nil && kinds[j] > k)) {
-				targets[j+1] = targets[j]
-				if kinds != nil {
-					kinds[j+1] = kinds[j]
+	counts := make([]int64, W*n)
+	par.ForEach(W, W, func(w int) {
+		cnt := counts[w*n : (w+1)*n]
+		for _, dst := range c.Targets[c.Offsets[cuts[w]]:c.Offsets[cuts[w+1]]] {
+			cnt[dst]++
+		}
+	})
+	total := scatterCursors(counts, t.Offsets, n, W, workers)
+
+	t.Targets = make([]uint32, total)
+	if c.Kinds != nil {
+		t.Kinds = make([]EdgeKind, total)
+	}
+	par.ForEach(W, W, func(w int) {
+		cur := counts[w*n : (w+1)*n]
+		for v := cuts[w]; v < cuts[w+1]; v++ {
+			for i := c.Offsets[v]; i < c.Offsets[v+1]; i++ {
+				dst := c.Targets[i]
+				at := cur[dst]
+				cur[dst] = at + 1
+				t.Targets[at] = uint32(v)
+				if t.Kinds != nil {
+					t.Kinds[at] = c.Kinds[i]
 				}
-				j--
-			}
-			targets[j+1] = t
-			if kinds != nil {
-				kinds[j+1] = k
 			}
 		}
-		return
-	}
-	sort.Sort(&adjSorter{targets, kinds})
+	})
+	return t
 }
 
-type adjSorter struct {
-	targets []uint32
-	kinds   []EdgeKind
-}
+// insertionSortMax is the longest typed adjacency sorted by insertion.
+// PFS metadata graphs have bounded fan-out, so most rows are this short.
+const insertionSortMax = 32
 
-func (a *adjSorter) Len() int { return len(a.targets) }
-func (a *adjSorter) Less(i, j int) bool {
-	if a.targets[i] != a.targets[j] {
-		return a.targets[i] < a.targets[j]
+// sortTargetsKinds sorts an adjacency by (target, kind), permuting kinds
+// alongside. Long runs are sorted as packed target<<8|kind keys in the
+// caller's scratch buffer, which is returned for reuse.
+func sortTargetsKinds(targets []uint32, kinds []EdgeKind, keys []uint64) []uint64 {
+	if len(targets) > insertionSortMax {
+		keys = keys[:0]
+		for i, t := range targets {
+			keys = append(keys, uint64(t)<<8|uint64(kinds[i]))
+		}
+		slices.Sort(keys)
+		for i, key := range keys {
+			targets[i], kinds[i] = uint32(key>>8), EdgeKind(key)
+		}
+		return keys
 	}
-	return a.kinds != nil && a.kinds[i] < a.kinds[j]
-}
-func (a *adjSorter) Swap(i, j int) {
-	a.targets[i], a.targets[j] = a.targets[j], a.targets[i]
-	if a.kinds != nil {
-		a.kinds[i], a.kinds[j] = a.kinds[j], a.kinds[i]
+	for i := 1; i < len(targets); i++ {
+		t, k := targets[i], kinds[i]
+		j := i
+		for ; j > 0 && (targets[j-1] > t || (targets[j-1] == t && kinds[j-1] > k)); j-- {
+			targets[j], kinds[j] = targets[j-1], kinds[j-1]
+		}
+		targets[j], kinds[j] = t, k
 	}
-}
-
-// ReverseEdges returns the edge list of the transposed graph. Edge kinds
-// are preserved (the reversed edge keeps the kind of its forward edge so
-// provenance survives transposition).
-func ReverseEdges(edges []Edge) []Edge {
-	out := make([]Edge, len(edges))
-	for i, e := range edges {
-		out[i] = Edge{Src: e.Dst, Dst: e.Src, Kind: e.Kind}
-	}
-	return out
+	return keys
 }

@@ -73,11 +73,8 @@ func TestBuildCSRSmall(t *testing.T) {
 	if !c.HasEdge(0, 1) || !c.HasEdge(1, 0) || c.HasEdge(1, 2) {
 		t.Errorf("HasEdge wrong")
 	}
-	if got := c.EdgeMultiplicity(0, 1); got != 2 {
-		t.Errorf("multiplicity(0,1) = %d, want 2", got)
-	}
-	if got := c.EdgeMultiplicity(0, 2); got != 1 {
-		t.Errorf("multiplicity(0,2) = %d, want 1", got)
+	if got := c.Neighbors(0); !reflect.DeepEqual(got, []uint32{1, 1, 2}) {
+		t.Errorf("neighbors(0) = %v, want [1 1 2] (parallel edge kept)", got)
 	}
 	// adjacency sorted with kind tiebreak
 	adj := c.Neighbors(0)
@@ -96,6 +93,25 @@ func TestBuildCSROutOfRangePanics(t *testing.T) {
 		}
 	}()
 	BuildCSR(2, []Edge{{Src: 0, Dst: 5}}, false, 1)
+}
+
+// TestBuildCSROutOfRangePanicsOnCaller: with several workers the range
+// check runs on worker goroutines, where a panic would kill the process;
+// it must surface on the calling goroutine, naming the lowest bad edge
+// whichever worker met one first.
+func TestBuildCSROutOfRangePanicsOnCaller(t *testing.T) {
+	edges := []Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 5}, {Src: 1, Dst: 0}, {Src: 7, Dst: 0}}
+	for _, w := range []int{1, 2, 3, 4, 8} {
+		func() {
+			defer func() {
+				want := "graph: edge 1 (0->5) out of range n=2"
+				if got := recover(); got != want {
+					t.Errorf("workers=%d: recovered %v, want %q", w, got, want)
+				}
+			}()
+			BuildCSR(2, edges, false, w)
+		}()
+	}
 }
 
 // TestCSRRoundTripProperty: building a CSR preserves the edge multiset.
@@ -140,13 +156,29 @@ func TestCSRHasEdgeMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestReverseInvolution: reversing twice restores the edge multiset.
-func TestReverseInvolution(t *testing.T) {
+// TestTransposeInvolution: transposing twice restores the CSR exactly
+// (rows sorted by (target, kind) transpose to rows sorted by (source,
+// kind) and back), and one transposition reverses the edge multiset.
+func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		edges := randomEdges(r, 1+r.Intn(40), r.Intn(200))
-		back := ReverseEdges(ReverseEdges(edges))
-		return reflect.DeepEqual(sortedEdges(edges), sortedEdges(back))
+		n := 1 + r.Intn(40)
+		edges := randomEdges(r, n, r.Intn(200))
+		reversed := make([]Edge, len(edges))
+		for i, e := range edges {
+			reversed[i] = Edge{Src: e.Dst, Dst: e.Src, Kind: e.Kind}
+		}
+		for _, keepKinds := range []bool{true, false} {
+			c := BuildCSR(n, edges, keepKinds, 1+r.Intn(4))
+			tr := c.Transpose(1 + r.Intn(4))
+			if !reflect.DeepEqual(tr, BuildCSR(n, reversed, keepKinds, 1)) {
+				return false
+			}
+			if !reflect.DeepEqual(tr.Transpose(1+r.Intn(4)), c) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
