@@ -9,7 +9,6 @@ import (
 	"faultyrank/internal/core"
 	"faultyrank/internal/graph"
 	"faultyrank/internal/inject"
-	"faultyrank/internal/par"
 	"faultyrank/internal/telemetry"
 	"faultyrank/internal/wire"
 )
@@ -60,9 +59,9 @@ type RankManifest struct {
 	Steps []core.SuperstepStats `json:"steps,omitempty"`
 }
 
-// runRank executes the rank iteration: the legacy single-process kernel
-// for RankWorkers <= 1 (the degenerate case every pre-existing caller
-// stays on), the partitioned BSP execution otherwise.
+// runRank executes the rank iteration: the single-process sweep
+// (core.Run or core.RunIncremental) for RankWorkers <= 1, the
+// partitioned BSP execution of the same kernel otherwise.
 func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	k := opt.RankWorkers
 	if k <= 1 {
@@ -110,7 +109,11 @@ func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	if tcpRank {
 		rank, rep, err = rankOverTCP(ctx, plan, opt, obs, man)
 	} else {
-		rank, rep, err = rankInProcess(ctx, plan, opt)
+		// Goroutine workers on channel link pairs — same protocol, same
+		// frames, no sockets.
+		rank, rep, err = core.RunPartitioned(plan, opt.Core, func(p int, wopt core.Options, link core.Link) error {
+			return workerLoop(ctx, plan, p, wopt, opt, link)
+		})
 	}
 	if rep != nil {
 		man.Supersteps = len(rep.Supersteps)
@@ -162,24 +165,6 @@ func journalIterations(obs *runObs, kind string, prev func(int, float64)) func(i
 	}
 }
 
-// partOptions divides the run's worker budget across partitions
-// (minimum 1 each), mirroring core.RunPartitioned's split.
-func partOptions(opt Options, k int) core.Options {
-	wopt := opt.Core
-	w := wopt.Workers
-	if w <= 0 {
-		w = opt.Workers
-	}
-	if w <= 0 {
-		w = par.DefaultWorkers()
-	}
-	wopt.Workers = w / k
-	if wopt.Workers < 1 {
-		wopt.Workers = 1
-	}
-	return wopt
-}
-
 // workerLoop is one rank worker's lifetime under its own telemetry
 // span, with any injected fault interposed on the link.
 func workerLoop(ctx context.Context, plan *graph.Plan, p int, wopt core.Options, opt Options, link core.Link) error {
@@ -189,34 +174,6 @@ func workerLoop(ctx context.Context, plan *graph.Plan, p int, wopt core.Options,
 		link = f.WrapLink(link)
 	}
 	return core.RunPartition(core.NewPartState(plan.Parts[p], wopt), link)
-}
-
-// rankInProcess runs the workers as goroutines on channel link pairs —
-// same protocol, same frames, no sockets.
-func rankInProcess(ctx context.Context, plan *graph.Plan, opt Options) (*core.Result, *core.ExchangeReport, error) {
-	wopt := partOptions(opt, plan.K)
-	links := make([]core.Link, plan.K)
-	workers := make([]*core.LocalLink, plan.K)
-	var wg sync.WaitGroup
-	for p := 0; p < plan.K; p++ {
-		coord, worker := core.LinkPair()
-		links[p], workers[p] = coord, worker
-		wg.Add(1)
-		go func(p int, worker *core.LocalLink) {
-			defer wg.Done()
-			// A worker death tears its pair down, so the coordinator's
-			// next wait on this partition returns a named PartError.
-			if err := workerLoop(ctx, plan, p, wopt, opt, worker); err != nil {
-				worker.Close()
-			}
-		}(p, worker)
-	}
-	rank, rep, err := core.Coordinate(plan, links, opt.Core)
-	for _, w := range workers {
-		w.Close()
-	}
-	wg.Wait()
-	return rank, rep, err
 }
 
 // rankRemote reports whether the rank workers are separate processes:
@@ -289,7 +246,7 @@ func rankOverTCP(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs
 		})
 	}
 
-	wopt := partOptions(opt, plan.K)
+	wopt := opt.Core.PerPartition(plan.K)
 	var wg sync.WaitGroup
 	var procs *spawnedWorkers
 	if opt.rankRemote() {

@@ -28,6 +28,20 @@ type FrontierStats struct {
 	Saturated bool `json:"saturated"`
 }
 
+// sweep picks the rows of one phase — the frontier, or every row of the
+// graph when full — and accounts for them.
+func (st *FrontierStats) sweep(frontier *vertSet, full bool, n int) rowSet {
+	rows := listRows(frontier.list)
+	if full {
+		rows = allRows(n)
+		st.FullSweeps++
+	} else if rows.n > st.MaxActive {
+		st.MaxActive = rows.n
+	}
+	st.Touched += int64(rows.n)
+	return rows
+}
+
 // vertSet is an O(1)-membership set with a dense iteration list. Marking
 // is sequential; the list is consumed by parallel phase kernels (reads
 // only). Order of the list never affects results: phase updates write
@@ -102,8 +116,7 @@ func (s *blkSet) reset() {
 // empty graph) it delegates to Run, returning a nil Frontier.
 func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	n := b.N()
-	sigma := opt.Smoothing
-	blend := 1 - sigma
+	blend := 1 - opt.Smoothing
 	if n == 0 || blend <= 0 || len(opt.InitialID) != n || len(opt.InitialProp) != n {
 		return Run(b, opt)
 	}
@@ -116,16 +129,12 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		satCap = int(f * float64(n))
 	}
 
-	res := &Result{
-		IDRank:   append([]float64(nil), opt.InitialID...),
-		PropRank: append([]float64(nil), opt.InitialProp...),
-		Frontier: &FrontierStats{},
-	}
-	rescaleMass(res.IDRank)
-	rescaleMass(res.PropRank)
+	res := &Result{Frontier: &FrontierStats{}}
+	res.IDRank, res.PropRank = seedRanks(n, opt)
 	id, prop := res.IDRank, res.PropRank
 	st := res.Frontier
-	invOut, invW := rankDivisors(b, opt, workers)
+	k := graphKernel(b, opt)
+	invOut, invW := k.invOut, k.invW
 
 	// Cached canonical sink partials (see sinkBlockSum). partA sums prop
 	// over phase-A sinks; partB sums id over phase-B sinks. dirtyA/dirtyB
@@ -191,96 +200,41 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		}
 	}
 
-	var allVerts []uint32 // lazily built full-sweep "active" list
-	allList := func() []uint32 {
-		if allVerts == nil {
-			allVerts = make([]uint32, n)
-			par.ForRange(n, workers, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					allVerts[v] = uint32(v)
-				}
-			})
-		}
-		return allVerts
-	}
-
-	// scratch[v] holds this phase's raw delta for every v it recomputed;
-	// entries outside the active list are stale and never read.
+	// A phase writes its rows' new values through scratch (the kernel's
+	// next vector); commit then folds them into rank in the one
+	// sequential pass that walks the swept rows anyway. Entries outside
+	// the swept rows are stale and never read.
 	scratch := make([]float64, n)
 
-	phaseA := func(active []uint32, baseA, perSinkA float64) float64 {
-		par.ForRange(len(active), workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				v := active[k]
-				s, e := b.Rev.EdgeRange(v)
-				acc := baseA
-				for i := s; i < e; i++ {
-					src := b.Rev.Targets[i]
-					acc += prop[src] * invOut[src]
-				}
-				if perSinkA != 0 && invOut[v] == 0 && b.Fwd.Degree(v) == 0 {
-					// SinkToOthers: a sink does not credit itself.
-					acc -= prop[v] * perSinkA
-				}
-				nv := sigma*id[v] + blend*acc
-				scratch[v] = nv - id[v]
-				id[v] = nv
-			}
-		})
+	// commit stores the swept rows' new values, marks their sink blocks
+	// stale for the *other* phase's cached partial, re-activates the
+	// dependents of vertices that moved more than theta, and returns the
+	// max-abs movement. dep lists the consumers of the written value:
+	// after phase A (id changed) that is Rev targets — the sources of
+	// edges into v, whose phase-B gathers read id[v] — and after phase B
+	// (prop changed) it is Fwd targets, whose phase-A gathers read
+	// prop[v]. The vertex itself is re-marked too: its own next-phase
+	// equation reads the written value through the sink self-exclusion
+	// terms, and cheap over-marking is always sound. Sequential by
+	// design: set marking is not race-safe.
+	commit := func(rows rowSet, rank []float64, dep *graph.CSR, next *vertSet, blks *blkSet) float64 {
 		var maxD float64
-		for _, v := range active {
-			if d := math.Abs(scratch[v]); d > maxD {
+		for i := 0; i < rows.n; i++ {
+			v := rows.at(i)
+			d := math.Abs(scratch[v] - rank[v])
+			rank[v] = scratch[v]
+			if d > maxD {
 				maxD = d
+			}
+			blks.mark(int(v) / sinkBlock)
+			if d > theta {
+				next.mark(v)
+				for _, u := range dep.Neighbors(v) {
+					next.mark(u)
+				}
 			}
 		}
 		return maxD
-	}
-
-	phaseB := func(active []uint32, baseB, perSinkB float64) {
-		par.ForRange(len(active), workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				v := active[k]
-				s, e := b.Fwd.EdgeRange(v)
-				acc := baseB
-				for i := s; i < e; i++ {
-					dst := b.Fwd.Targets[i]
-					w := opt.UnpairedWeight
-					if b.FwdPaired[i] == 1 {
-						w = 1
-					}
-					acc += id[dst] * w * invW[dst]
-				}
-				if perSinkB != 0 && invW[v] == 0 {
-					acc -= id[v] * perSinkB
-				}
-				nv := sigma*prop[v] + blend*acc
-				scratch[v] = nv - prop[v]
-				prop[v] = nv
-			}
-		})
-	}
-
-	// propagate re-activates the dependents of vertices that moved more
-	// than theta, and marks the rewritten vertices' sink blocks stale for
-	// the *other* phase's cached partial. dep lists the consumers of the
-	// written value: after phase A (id changed) that is Rev targets —
-	// the sources of edges into v, whose phase-B gathers read id[v] —
-	// and after phase B (prop changed) it is Fwd targets, whose phase-A
-	// gathers read prop[v]. The vertex itself is re-marked too: its own
-	// next-phase equation reads the written value through the sink
-	// self-exclusion terms, and cheap over-marking is always sound.
-	// Sequential by design: set marking is not race-safe.
-	propagate := func(active []uint32, dep *graph.CSR, next *vertSet, blks *blkSet) {
-		for _, v := range active {
-			blks.mark(int(v) / sinkBlock)
-			if math.Abs(scratch[v]) > theta {
-				next.mark(v)
-				s, e := dep.EdgeRange(v)
-				for i := s; i < e; i++ {
-					next.mark(dep.Targets[i])
-				}
-			}
-		}
 	}
 
 	var prevBaseA, prevBaseB float64
@@ -300,17 +254,10 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		// the frontier's: when it shifts materially, sweep everyone once.
 		fullA := full || verify || (haveBase && math.Abs(baseA-prevBaseA) > theta)
 		prevBaseA = baseA
-		activeA := curA.list
-		if fullA {
-			activeA = allList()
-			st.FullSweeps++
-		} else if len(activeA) > st.MaxActive {
-			st.MaxActive = len(activeA)
-		}
-		maxDA := phaseA(activeA, baseA, perSinkA)
-		st.Touched += int64(len(activeA))
+		rowsA := st.sweep(curA, fullA, n)
+		k.phaseA(rowsA, prop, id, scratch, baseA, perSinkA)
+		maxDA := commit(rowsA, id, b.Rev, curB, dirtyB)
 		curA.clear()
-		propagate(activeA, b.Rev, curB, dirtyB)
 		if fullA {
 			dirtyB.all = true
 		}
@@ -320,37 +267,17 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
 		fullB := full || verify || (haveBase && math.Abs(baseB-prevBaseB) > theta)
 		prevBaseB = baseB
-		activeB := curB.list
-		if fullB {
-			activeB = allList()
-			st.FullSweeps++
-		} else if len(activeB) > st.MaxActive {
-			st.MaxActive = len(activeB)
-		}
-		phaseB(activeB, baseB, perSinkB)
-		st.Touched += int64(len(activeB))
+		rowsB := st.sweep(curB, fullB, n)
+		k.phaseB(rowsB, id, prop, scratch, baseB, perSinkB)
+		commit(rowsB, prop, b.Fwd, curA, dirtyA)
 		curB.clear()
-		propagate(activeB, b.Fwd, curA, dirtyA)
 		if fullB {
 			dirtyA.all = true
 		}
 		haveBase = true
 
 		// ---- Convergence (cold criterion on phase-A diff) ----------
-		diff := maxDA / blend
-		res.Diffs = append(res.Diffs, diff)
-		if opt.ConvergenceTrace && len(res.Trace) < opt.traceCap() {
-			res.Trace = append(res.Trace, IterStats{
-				MaxDelta:     diff,
-				SinkMassID:   sinkA,
-				SinkMassProp: sinkB,
-			})
-		}
-		res.Iterations = iter + 1
-		if opt.OnIteration != nil {
-			opt.OnIteration(res.Iterations, diff)
-		}
-		if diff < opt.Epsilon {
+		if res.recordIteration(opt, maxDA, sinkA, sinkB) {
 			if fullA && fullB {
 				// This iteration WAS a cold iteration over the whole
 				// graph; the cold stopping criterion holds exactly.

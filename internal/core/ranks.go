@@ -69,126 +69,37 @@ func normalized(xs []float64) []float64 {
 //
 // where w is 1 for paired edges and Options.UnpairedWeight for unpaired
 // ones, and W(v) is the total weight of v's reversed-graph out-edges
-// (§III-D's weighted distribution). Both phases are pull-style gathers
-// over CSR adjacency — race-free and deterministic under parallelism.
-// Sink mass is redistributed according to Options.SinkPolicy.
+// (§III-D's weighted distribution). Both phases are the kernel's
+// pull-style gathers (kernel.go), swept densely over the whole graph —
+// race-free and deterministic under parallelism. Sink mass is folded
+// locally in the canonical block order and redistributed according to
+// Options.SinkPolicy.
 func Run(b *graph.Bidirected, opt Options) *Result {
 	n := b.N()
-	res := &Result{
-		IDRank:   make([]float64, n),
-		PropRank: make([]float64, n),
-	}
+	res := &Result{}
+	res.IDRank, res.PropRank = seedRanks(n, opt)
 	if n == 0 {
 		res.Converged = true
 		return res
 	}
-	workers := opt.workers()
-
-	// Initial ranks: 1.0 per vertex (paper §III-C), unless the caller
-	// seeds from a previous result (Options.InitialID/InitialProp — the
-	// online warm start). A seed of the wrong length is ignored: the
-	// graph changed shape and positional ranks would be meaningless.
-	// Seeds are rescaled to total mass N — the invariant the uniform
-	// start establishes and the iteration conserves. A warm seed
-	// assembled from a *different* graph's ranks (vertices added or
-	// removed since) carries the wrong total, and an off-mass seed
-	// converges to an off-mass scale while the slow mass-redistribution
-	// modes crawl; rescaling puts the seed back on the manifold the
-	// cold start iterates on.
-	if len(opt.InitialID) == n {
-		copy(res.IDRank, opt.InitialID)
-		rescaleMass(res.IDRank)
-	} else {
-		for i := 0; i < n; i++ {
-			res.IDRank[i] = 1
-		}
-	}
-	if len(opt.InitialProp) == n {
-		copy(res.PropRank, opt.InitialProp)
-		rescaleMass(res.PropRank)
-	} else {
-		for i := 0; i < n; i++ {
-			res.PropRank[i] = 1
-		}
-	}
-
-	invOut, invW := rankDivisors(b, opt, workers)
-
+	k := graphKernel(b, opt)
+	rows := allRows(n)
 	newID := make([]float64, n)
 	newProp := make([]float64, n)
-	sigma := opt.Smoothing
-	blend := 1 - sigma
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
-		// ---- Phase A: gather property mass along forward edges ------
-		// (pull form: iterate u's in-neighbours via the reversed CSR).
-		sinkA := sinkMass(res.PropRank, invOut, workers)
+		sinkA := sinkMass(res.PropRank, k.invOut, k.workers)
 		baseA, perSinkA := sinkShares(sinkA, n, opt.SinkPolicy)
-		par.ForRange(n, workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				u := uint32(v)
-				s, e := b.Rev.EdgeRange(u)
-				acc := baseA
-				for i := s; i < e; i++ {
-					src := b.Rev.Targets[i]
-					acc += res.PropRank[src] * invOut[src]
-				}
-				if perSinkA != 0 && invOut[v] == 0 && b.Fwd.Degree(u) == 0 {
-					// SinkToOthers: a sink does not credit itself.
-					acc -= res.PropRank[v] * perSinkA
-				}
-				newID[v] = sigma*res.IDRank[v] + blend*acc
-			}
-		})
+		k.phaseA(rows, res.PropRank, res.IDRank, newID, baseA, perSinkA)
 
-		// ---- Phase B: gather ID mass along reversed edges -----------
-		// (pull form: u's in-neighbours in Gᵣ are its out-neighbours in
-		// G; the edge weight depends on whether u→v is paired).
-		sinkB := sinkMass(newID, invW, workers)
+		sinkB := sinkMass(newID, k.invW, k.workers)
 		baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
-		par.ForRange(n, workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				u := uint32(v)
-				s, e := b.Fwd.EdgeRange(u)
-				acc := baseB
-				for i := s; i < e; i++ {
-					dst := b.Fwd.Targets[i]
-					w := opt.UnpairedWeight
-					if b.FwdPaired[i] == 1 {
-						w = 1
-					}
-					acc += newID[dst] * w * invW[dst]
-				}
-				if perSinkB != 0 && invW[v] == 0 {
-					acc -= newID[v] * perSinkB
-				}
-				newProp[v] = sigma*res.PropRank[v] + blend*acc
-			}
-		})
+		k.phaseB(rows, newID, res.PropRank, newProp, baseB, perSinkB)
 
-		// ---- Convergence: max |Δ id_rank| ---------------------------
-		// The smoothing blend scales every step by (1-σ); dividing it
-		// back out keeps Epsilon comparable to the paper's unsmoothed
-		// criterion regardless of σ.
-		diff := maxAbsDiff(res.IDRank, newID, workers)
-		if blend > 0 {
-			diff /= blend
-		}
-		res.Diffs = append(res.Diffs, diff)
-		if opt.ConvergenceTrace && len(res.Trace) < opt.traceCap() {
-			res.Trace = append(res.Trace, IterStats{
-				MaxDelta:     diff,
-				SinkMassID:   sinkA,
-				SinkMassProp: sinkB,
-			})
-		}
+		diff := maxAbsDiff(res.IDRank, newID, k.workers)
 		res.IDRank, newID = newID, res.IDRank
 		res.PropRank, newProp = newProp, res.PropRank
-		res.Iterations = iter + 1
-		if opt.OnIteration != nil {
-			opt.OnIteration(res.Iterations, diff)
-		}
-		if diff < opt.Epsilon {
+		if res.recordIteration(opt, diff, sinkA, sinkB) {
 			res.Converged = true
 			break
 		}
@@ -196,36 +107,58 @@ func Run(b *graph.Bidirected, opt Options) *Result {
 	return res
 }
 
-// rankDivisors computes the two per-vertex inverse divisors the phase
-// gathers multiply by:
-//
-//	invOut[v] = 1/outdeg_G(v), 0 for sinks: phase A divisor.
-//	invW[v]   = 1/W(v) with W(v) = paired_in(v) + w·unpaired_in(v),
-//	            0 when v has no in-edges (a reversed-graph sink).
-func rankDivisors(b *graph.Bidirected, opt Options, workers int) (invOut, invW []float64) {
-	n := b.N()
-	invOut = make([]float64, n)
-	invW = make([]float64, n)
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if d := b.Fwd.Degree(uint32(v)); d > 0 {
-				invOut[v] = 1 / float64(d)
-			}
-			if opt.LeakyDistribution {
-				// Ablation: divide by the raw in-degree; unpaired
-				// edges leak (1 - UnpairedWeight) of their share.
-				if d := b.PairedIn[v] + b.UnpairedIn[v]; d > 0 {
-					invW[v] = 1 / float64(d)
-				}
-			} else {
-				w := float64(b.PairedIn[v]) + opt.UnpairedWeight*float64(b.UnpairedIn[v])
-				if w > 0 {
-					invW[v] = 1 / w
-				}
+// seedRanks returns the initial rank vectors: 1.0 per vertex (paper
+// §III-C), unless the caller seeds from a previous result
+// (Options.InitialID/InitialProp — the online warm start). A seed of the
+// wrong length is ignored: the graph changed shape and positional ranks
+// would be meaningless. Seeds are rescaled to total mass N — the
+// invariant the uniform start establishes and the iteration conserves.
+// A warm seed assembled from a *different* graph's ranks (vertices added
+// or removed since) carries the wrong total, and an off-mass seed
+// converges to an off-mass scale while the slow mass-redistribution
+// modes crawl; rescaling puts the seed back on the manifold the cold
+// start iterates on.
+func seedRanks(n int, opt Options) (id, prop []float64) {
+	seed := func(warm []float64) []float64 {
+		xs := make([]float64, n)
+		if len(warm) == n {
+			copy(xs, warm)
+			rescaleMass(xs)
+		} else {
+			for i := range xs {
+				xs[i] = 1
 			}
 		}
-	})
-	return invOut, invW
+		return xs
+	}
+	return seed(opt.InitialID), seed(opt.InitialProp)
+}
+
+// recordIteration closes one iteration's books: it appends the
+// convergence diff (and, when enabled, the trace record), counts the
+// iteration, fires OnIteration, and reports whether the stopping
+// criterion max |Δ id_rank| < Epsilon is met. rawDiff is the max-abs
+// ID-rank change as written; the smoothing blend scales every step by
+// (1-σ), and dividing it back out keeps Epsilon comparable to the
+// paper's unsmoothed criterion regardless of σ.
+func (r *Result) recordIteration(opt Options, rawDiff, sinkA, sinkB float64) bool {
+	diff := rawDiff
+	if blend := 1 - opt.Smoothing; blend > 0 {
+		diff /= blend
+	}
+	r.Diffs = append(r.Diffs, diff)
+	if opt.ConvergenceTrace && len(r.Trace) < opt.traceCap() {
+		r.Trace = append(r.Trace, IterStats{
+			MaxDelta:     diff,
+			SinkMassID:   sinkA,
+			SinkMassProp: sinkB,
+		})
+	}
+	r.Iterations++
+	if opt.OnIteration != nil {
+		opt.OnIteration(r.Iterations, diff)
+	}
+	return diff < opt.Epsilon
 }
 
 // rescaleMass scales xs so it sums to len(xs), the mass-N scale of the

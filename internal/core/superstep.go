@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"faultyrank/internal/graph"
-	"faultyrank/internal/par"
 )
 
 // Partitioned rank execution. Run's two-phase sweep decomposes into a
@@ -28,8 +26,9 @@ import (
 // The protocol is framed by Init (seed scatter) and Done (rank gather).
 //
 // The decomposition is exact, not approximate: every float operation of
-// the single-process kernel happens in the same order with the same
-// operands. The per-vertex gathers preserve global CSR row order
+// the single-process sweep happens in the same order with the same
+// operands. The per-vertex gathers are the same kernel (kernel.go) over
+// rows that preserve global CSR row order
 // (graph.SubGraph's construction invariant); the only cross-partition
 // reductions are the sink-mass sums, whose canonical fixed-block order
 // (see sinkBlock in ranks.go) the coordinator reproduces term for term
@@ -132,35 +131,13 @@ type PartError struct {
 func (e *PartError) Error() string { return fmt.Sprintf("rank partition %d: %v", e.Part, e.Err) }
 func (e *PartError) Unwrap() error { return e.Err }
 
-// phaseASinkCol reports whether a column is a phase-A sink (no forward
-// out-edges; invOut would be 0). Must stay equivalent to the invOut
-// construction in both Run and NewPartState.
-func phaseASinkCol(sub *graph.SubGraph, col int) bool { return sub.OutDeg[col] <= 0 }
-
-// phaseBSinkCol reports whether a column is a phase-B sink (zero
-// reversed-distribution weight; invW would be 0), using the exact float
-// expression of the invW construction.
-func phaseBSinkCol(sub *graph.SubGraph, opt Options, col int) bool {
-	if opt.LeakyDistribution {
-		return sub.PairedIn[col]+sub.UnpairedIn[col] <= 0
-	}
-	w := float64(sub.PairedIn[col]) + opt.UnpairedWeight*float64(sub.UnpairedIn[col])
-	return !(w > 0)
-}
-
-// PartState is one rank worker's mutable state: the divisor vectors and
-// the double-buffered column-sized rank arrays (locals in [0, NLocal),
-// ghosts above).
+// PartState is one rank worker's mutable state around the shard's
+// kernel: the sink index lists and the double-buffered column-sized
+// rank arrays (locals in [0, NLocal), ghosts above).
 type PartState struct {
 	Sub *graph.SubGraph
 
-	opt     Options
-	workers int
-	sigma   float64
-	blend   float64
-
-	invOut []float64 // per column: 1/outdeg, 0 for sinks
-	invW   []float64 // per column: 1/W(v), 0 for reversed-graph sinks
+	k *kernel
 
 	// sinkALoc/sinkBLoc list the local indices that are phase A/B
 	// sinks, ascending; their values feed the coordinator's canonical
@@ -173,47 +150,22 @@ type PartState struct {
 }
 
 // NewPartState prepares a worker for RunPartition. opt.Workers bounds
-// this partition's sweep parallelism (the checker divides its worker
-// budget across partitions).
+// this partition's sweep parallelism (see Options.PerPartition).
 func NewPartState(sub *graph.SubGraph, opt Options) *PartState {
 	nCols := sub.NCols()
 	st := &PartState{
 		Sub:      sub,
-		opt:      opt,
-		workers:  opt.workers(),
-		sigma:    opt.Smoothing,
-		blend:    1 - opt.Smoothing,
-		invOut:   make([]float64, nCols),
-		invW:     make([]float64, nCols),
+		k:        shardKernel(sub, opt),
 		idCur:    make([]float64, nCols),
 		idNext:   make([]float64, nCols),
 		propCur:  make([]float64, nCols),
 		propNext: make([]float64, nCols),
 	}
-	// Same expressions as Run's divisor construction, fed from the
-	// replicated per-column metadata.
-	par.ForRange(nCols, st.workers, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			if d := sub.OutDeg[c]; d > 0 {
-				st.invOut[c] = 1 / float64(d)
-			}
-			if opt.LeakyDistribution {
-				if d := sub.PairedIn[c] + sub.UnpairedIn[c]; d > 0 {
-					st.invW[c] = 1 / float64(d)
-				}
-			} else {
-				w := float64(sub.PairedIn[c]) + opt.UnpairedWeight*float64(sub.UnpairedIn[c])
-				if w > 0 {
-					st.invW[c] = 1 / w
-				}
-			}
-		}
-	})
 	for l := 0; l < sub.NLocal(); l++ {
-		if phaseASinkCol(sub, l) {
+		if st.k.invOut[l] == 0 {
 			st.sinkALoc = append(st.sinkALoc, uint32(l))
 		}
-		if phaseBSinkCol(sub, opt, l) {
+		if st.k.invW[l] == 0 {
 			st.sinkBLoc = append(st.sinkBLoc, uint32(l))
 		}
 	}
@@ -233,6 +185,7 @@ func gatherAt(dst []float64, src []float64, idx []uint32) []float64 {
 func RunPartition(st *PartState, link Link) error {
 	sub := st.Sub
 	nLocal := sub.NLocal()
+	rows := allRows(nLocal)
 
 	init, err := link.Recv()
 	if err != nil {
@@ -289,25 +242,8 @@ func RunPartition(st *PartState, link Link) error {
 		}
 		copy(st.propCur[nLocal:], downA.Ghost)
 
-		// ---- phase A: gather property mass along forward edges ------
-		baseA, perSinkA := downA.Base, downA.PerSink
-		par.ForRange(nLocal, st.workers, func(lo, hi int) {
-			for l := lo; l < hi; l++ {
-				s, e := sub.RevOff[l], sub.RevOff[l+1]
-				acc := baseA
-				for i := s; i < e; i++ {
-					src := sub.RevCol[i]
-					acc += st.propCur[src] * st.invOut[src]
-				}
-				if perSinkA != 0 && st.invOut[l] == 0 && sub.OutDeg[l] == 0 {
-					acc -= st.propCur[l] * perSinkA
-				}
-				st.idNext[l] = st.sigma*st.idCur[l] + st.blend*acc
-			}
-		})
-		localDiff := par.MapReduceMaxFloat64(nLocal, st.workers, func(l int) float64 {
-			return math.Abs(st.idCur[l] - st.idNext[l])
-		})
+		st.k.phaseA(rows, st.propCur, st.idCur, st.idNext, downA.Base, downA.PerSink)
+		localDiff := maxAbsDiff(st.idCur[:nLocal], st.idNext[:nLocal], st.k.workers)
 
 		// ---- superstep B ---------------------------------------------
 		upB.Iter = iter
@@ -331,26 +267,7 @@ func RunPartition(st *PartState, link Link) error {
 		}
 		copy(st.idNext[nLocal:], downB.Ghost)
 
-		// ---- phase B: gather ID mass along reversed edges -----------
-		baseB, perSinkB := downB.Base, downB.PerSink
-		par.ForRange(nLocal, st.workers, func(lo, hi int) {
-			for l := lo; l < hi; l++ {
-				s, e := sub.FwdOff[l], sub.FwdOff[l+1]
-				acc := baseB
-				for i := s; i < e; i++ {
-					dst := sub.FwdCol[i]
-					w := st.opt.UnpairedWeight
-					if sub.FwdPaired[i] == 1 {
-						w = 1
-					}
-					acc += st.idNext[dst] * w * st.invW[dst]
-				}
-				if perSinkB != 0 && st.invW[l] == 0 {
-					acc -= st.idNext[l] * perSinkB
-				}
-				st.propNext[l] = st.sigma*st.propCur[l] + st.blend*acc
-			}
-		})
+		st.k.phaseB(rows, st.idNext, st.propCur, st.propNext, downB.Base, downB.PerSink)
 
 		st.idCur, st.idNext = st.idNext, st.idCur
 		st.propCur, st.propNext = st.propNext, st.propCur
@@ -493,10 +410,9 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 		return nil, nil, fmt.Errorf("core: %d links for %d partitions", len(links), plan.K)
 	}
 	n := plan.N
-	res := &Result{
-		IDRank:   make([]float64, n),
-		PropRank: make([]float64, n),
-	}
+	// res holds the seeds until the final gather overwrites them.
+	res := &Result{}
+	res.IDRank, res.PropRank = seedRanks(n, opt)
 	rep := &ExchangeReport{K: plan.K}
 	for _, sub := range plan.Parts {
 		rep.Partitions = append(rep.Partitions, PartSummary{
@@ -505,27 +421,6 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 			Ghosts:   len(sub.Ghosts),
 			CutEdges: sub.CutEdges,
 		})
-	}
-
-	// Initial ranks: exactly Run's seeding (uniform 1.0, or the warm
-	// seed rescaled by the same sequential rescaleMass).
-	id0 := make([]float64, n)
-	prop0 := make([]float64, n)
-	if len(opt.InitialID) == n && n > 0 {
-		copy(id0, opt.InitialID)
-		rescaleMass(id0)
-	} else {
-		for i := range id0 {
-			id0[i] = 1
-		}
-	}
-	if len(opt.InitialProp) == n && n > 0 {
-		copy(prop0, opt.InitialProp)
-		rescaleMass(prop0)
-	} else {
-		for i := range prop0 {
-			prop0[i] = 1
-		}
 	}
 
 	scatter := func(global []float64, sub *graph.SubGraph) []float64 {
@@ -543,8 +438,8 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 			Kind: RankInit,
 			Part: uint32(p),
 			Halt: haltNow,
-			ID:   scatter(id0, sub),
-			Prop: scatter(prop0, sub),
+			ID:   scatter(res.IDRank, sub),
+			Prop: scatter(res.PropRank, sub),
 		}
 		rep.DownBytes += int64(inits[p].WireSize())
 	}
@@ -552,14 +447,19 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 		return nil, rep, err
 	}
 
-	refsA := buildSinkRefs(plan, phaseASinkCol)
+	// The phase-A sinks (no forward out-edges) and phase-B sinks (no
+	// reversed-distribution weight) are the columns whose inverse divisor
+	// the workers' kernels set to zero; the fold is scheduled from the
+	// same integers without building divisors here.
+	refsA := buildSinkRefs(plan, func(sub *graph.SubGraph, l int) bool {
+		return sub.OutDeg[l] <= 0
+	})
 	refsB := buildSinkRefs(plan, func(sub *graph.SubGraph, l int) bool {
-		return phaseBSinkCol(sub, opt, l)
+		return !(opt.inWeight(sub.PairedIn[l], sub.UnpairedIn[l]) > 0)
 	})
 	nb := (n + sinkBlock - 1) / sinkBlock
 	partial := make([]float64, nb)
 	cursors := make([]int, plan.K)
-	blend := 1 - opt.Smoothing
 
 	downs := make([]*RankDelta, plan.K)
 	for p, sub := range plan.Parts {
@@ -629,19 +529,7 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 					diff = u.Diff
 				}
 			}
-			if blend > 0 {
-				diff /= blend
-			}
-			res.Diffs = append(res.Diffs, diff)
-			if opt.ConvergenceTrace && len(res.Trace) < opt.traceCap() {
-				res.Trace = append(res.Trace, IterStats{
-					MaxDelta:     diff,
-					SinkMassID:   sinkA,
-					SinkMassProp: sinkB,
-				})
-			}
-			res.Iterations = int(iter) + 1
-			converged := diff < opt.Epsilon
+			converged := res.recordIteration(opt, diff, sinkA, sinkB)
 			last := res.Iterations >= opt.MaxIterations
 
 			routeGhosts(ups)
@@ -655,7 +543,7 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 
 			rep.Supersteps = append(rep.Supersteps, SuperstepStats{
 				Iter:         int(iter),
-				MaxDelta:     diff,
+				MaxDelta:     res.Diffs[iter],
 				SinkMassID:   sinkA,
 				SinkMassProp: sinkB,
 				UpBytes:      stepUp,
@@ -663,9 +551,6 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 			})
 			rep.UpBytes += stepUp
 			rep.DownBytes += stepDown
-			if opt.OnIteration != nil {
-				opt.OnIteration(res.Iterations, diff)
-			}
 			if converged {
 				res.Converged = true
 			}
@@ -781,37 +666,46 @@ func (l *LocalLink) Close() error {
 	return nil
 }
 
-// RunPartitioned executes a partitioned rank run entirely in-process:
-// one goroutine per partition worker, channel links, the calling
-// goroutine as coordinator. The per-partition sweep parallelism is
-// opt.Workers divided across partitions (minimum 1 each).
-func RunPartitioned(plan *graph.Plan, opt Options) (*Result, *ExchangeReport, error) {
-	wopt := opt
-	wopt.Workers = opt.workers() / plan.K
-	if wopt.Workers < 1 {
-		wopt.Workers = 1
-	}
+// PerPartition returns the options one of k partition workers sweeps
+// with: the run's worker budget divided across the partitions (minimum 1
+// each), everything else unchanged.
+func (o Options) PerPartition(k int) Options {
+	o.Workers = max(o.workers()/k, 1)
+	return o
+}
 
+// RunPartitioned executes a partitioned rank run entirely in-process:
+// one goroutine per partition worker on a channel link pair, the calling
+// goroutine as coordinator. Each worker runs worker(p, wopt, link) with
+// the PerPartition options; nil means the plain
+// RunPartition(NewPartState(plan.Parts[p], wopt), link). The checker
+// passes its own to put a span and injected faults around the same call.
+func RunPartitioned(plan *graph.Plan, opt Options, worker func(p int, wopt Options, link Link) error) (*Result, *ExchangeReport, error) {
+	if worker == nil {
+		worker = func(p int, wopt Options, link Link) error {
+			return RunPartition(NewPartState(plan.Parts[p], wopt), link)
+		}
+	}
+	wopt := opt.PerPartition(plan.K)
 	links := make([]Link, plan.K)
-	workers := make([]*LocalLink, plan.K)
+	ends := make([]*LocalLink, plan.K)
 	var wg sync.WaitGroup
 	for p := 0; p < plan.K; p++ {
-		coord, worker := LinkPair()
-		links[p], workers[p] = coord, worker
-		st := NewPartState(plan.Parts[p], wopt)
+		coord, end := LinkPair()
+		links[p], ends[p] = coord, end
 		wg.Add(1)
-		go func(st *PartState, link *LocalLink) {
+		go func(p int, end *LocalLink) {
 			defer wg.Done()
 			// A worker error breaks the protocol; closing the pair turns
 			// the coordinator's next wait into a named PartError.
-			if err := RunPartition(st, link); err != nil {
-				link.Close()
+			if err := worker(p, wopt, end); err != nil {
+				end.Close()
 			}
-		}(st, worker)
+		}(p, end)
 	}
 	res, rep, err := Coordinate(plan, links, opt)
-	for _, w := range workers {
-		w.Close()
+	for _, end := range ends {
+		end.Close()
 	}
 	wg.Wait()
 	return res, rep, err

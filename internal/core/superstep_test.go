@@ -121,7 +121,7 @@ func TestPartitionedMatchesRunExact(t *testing.T) {
 			for _, k := range []int{1, 2, 3, 8} {
 				owners := testOwners(b.N(), k, int64(k)*31+int64(len(gname)))
 				plan := graph.PartitionPlan(b, owners, k, 4)
-				got, rep, err := RunPartitioned(plan, opt)
+				got, rep, err := RunPartitioned(plan, opt, nil)
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", gname, oname, k, err)
 				}
@@ -157,7 +157,7 @@ func TestPartitionedWarmStartExact(t *testing.T) {
 	want := Run(b, opt)
 	for _, k := range []int{2, 3} {
 		plan := graph.PartitionPlan(b, testOwners(b.N(), k, 99), k, 4)
-		got, _, err := RunPartitioned(plan, opt)
+		got, _, err := RunPartitioned(plan, opt, nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -174,7 +174,7 @@ func TestPartitionedZeroIterations(t *testing.T) {
 	opt.MaxIterations = 0
 	want := Run(b, opt)
 	plan := graph.PartitionPlan(b, testOwners(b.N(), 3, 5), 3, 4)
-	got, rep, err := RunPartitioned(plan, opt)
+	got, rep, err := RunPartitioned(plan, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

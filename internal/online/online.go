@@ -562,19 +562,17 @@ func (t *Tracker) Watch(ctx context.Context, opt WatchOptions) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for round := 1; opt.Rounds <= 0 || round <= opt.Rounds; round++ {
-		if round == 1 {
-			// Still honour a cancellation that predates the loop.
+		if round > 1 {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
 			case <-ticker.C:
 			}
+		}
+		// Cancellation always wins: with a tick already pending, the
+		// select above picks a ready case at random, and the first round
+		// must honour a cancellation that predates the loop.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		res, err := t.gatedCheck(ctx, opt)
 		if err != nil {

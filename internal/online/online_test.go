@@ -719,6 +719,11 @@ func TestWatchLoopWithLiveMutator(t *testing.T) {
 	if !reflect.DeepEqual(rounds, []int{1, 2, 3, 4, 5}) {
 		t.Fatalf("rounds observed: %v", rounds)
 	}
+	// The mutator kept creating files after round 5's update; with it
+	// stopped, one more update folds that tail in before the comparison.
+	if _, err := tr.Update(); err != nil {
+		t.Fatal(err)
+	}
 	assertSnapshotMatchesFullScan(t, tr, c)
 }
 
@@ -1058,5 +1063,32 @@ func TestWatchCancelMidRun(t *testing.T) {
 	}
 	if rounds != 2 {
 		t.Fatalf("watch ran %d rounds after mid-run cancel", rounds)
+	}
+}
+
+// TestWatchCancelBeatsPendingTick: a context cancelled while a tick is
+// already pending must end the watch without another round. With a 1 ns
+// interval the tick is due long before round 1 returns, so both select
+// cases are ready every time; the loop used to pick between them at
+// random and ran a round after cancellation about half the time.
+func TestWatchCancelBeatsPendingTick(t *testing.T) {
+	c := newCluster(t)
+	tr := newTracker(t, c)
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		rounds := 0
+		err := tr.Watch(ctx, WatchOptions{
+			Interval: time.Nanosecond,
+			OnRound: func(int, *CheckResult) {
+				rounds++
+				cancel()
+			},
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("attempt %d: want context.Canceled, got %v", i, err)
+		}
+		if rounds != 1 {
+			t.Fatalf("attempt %d: watch ran %d rounds, want 1 (a round ran after cancellation)", i, rounds)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"faultyrank/internal/core"
@@ -216,7 +217,13 @@ type RankExchange struct {
 	ln        net.Listener
 	opTimeout time.Duration
 	metrics   *Metrics
-	conns     []*RankConn
+
+	// mu guards conns and closed: AcceptWorkers' context watcher closes
+	// the exchange from its own goroutine while the accept loop is still
+	// adding links.
+	mu     sync.Mutex
+	conns  []*RankConn
+	closed bool
 }
 
 // NewRankExchange listens for rank workers on bind ("" defaults to
@@ -296,16 +303,13 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]co
 
 	links := make([]core.Link, spec.K)
 	for accepted := 0; accepted < spec.K; accepted++ {
-		conn, err := x.ln.Accept()
+		rc, err := x.accept(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				err = ctx.Err()
 			}
 			return nil, fmt.Errorf("wire: rank exchange accept (%d/%d workers): %w", accepted, spec.K, err)
 		}
-		rc := NewRankConn(ctx, conn, x.opTimeout)
-		rc.Observe(x.metrics)
-		x.conns = append(x.conns, rc)
 		hello, err := rc.Recv()
 		if err != nil {
 			return nil, fmt.Errorf("wire: rank hello: %w", err)
@@ -341,10 +345,35 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]co
 	return links, nil
 }
 
-// Close shuts the listener and every accepted link.
+// accept takes the next worker connection and records its link for
+// Close; once the exchange is closed it refuses, so a connection
+// accepted just before the listener shut cannot outlive it.
+func (x *RankExchange) accept(ctx context.Context) (*RankConn, error) {
+	conn, err := x.ln.Accept()
+	if err != nil {
+		return nil, err
+	}
+	rc := NewRankConn(ctx, conn, x.opTimeout)
+	rc.Observe(x.metrics)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.closed {
+		rc.Close()
+		return nil, net.ErrClosed
+	}
+	x.conns = append(x.conns, rc)
+	return rc, nil
+}
+
+// Close shuts the listener and every accepted link. It is safe to call
+// more than once and from any goroutine.
 func (x *RankExchange) Close() error {
+	x.mu.Lock()
+	conns := x.conns
+	x.conns, x.closed = nil, true
+	x.mu.Unlock()
 	err := x.ln.Close()
-	for _, c := range x.conns {
+	for _, c := range conns {
 		_ = c.Close()
 	}
 	return err

@@ -255,8 +255,8 @@ func TestRankExchangeRejectsHelloMismatch(t *testing.T) {
 		sum  uint64
 		spec WorkerSpec
 	}{
-		"wrong K":            {k: 4, sum: 7, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
-		"wrong fingerprint":  {k: 2, sum: 9, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
+		"wrong K":           {k: 4, sum: 7, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
+		"wrong fingerprint": {k: 2, sum: 9, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
 		"no shard, no ship": {k: 0, sum: 0, spec: WorkerSpec{K: 2}},
 	}
 	for name, tc := range cases {
@@ -348,5 +348,62 @@ func TestRankShardShipping(t *testing.T) {
 		if sub, err := graph.DecodeSubGraph(j.blob); err != nil || sub.Part != j.p {
 			t.Fatalf("worker %d: shipped blob decode: %v", j.p, err)
 		}
+	}
+}
+
+// TestRankExchangeCancelMidDial: cancelling the handshake context while
+// workers are still dialing in closes the exchange from the context
+// watcher's goroutine while the accept loop is adding links. That used
+// to be an unsynchronised read and append of the link list (a -race
+// failure), and a link accepted after the close was never closed. Every
+// dialed link must observe the teardown, and closing twice is safe.
+func TestRankExchangeCancelMidDial(t *testing.T) {
+	const k = 9 // one more than ever dials, so the accept cannot complete
+	x, addr, err := NewRankExchange("", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	dialed := make(chan *RankConn, k-1)
+	for p := 0; p < k-1; p++ {
+		go func(p int) {
+			// The workers outlive the handshake context on purpose: their
+			// links must be closed by the exchange, not by their own ctx.
+			link, err := DialRankLink(context.Background(), addr, p, k, 1, RetryPolicy{}, 5*time.Second)
+			if err != nil {
+				link = nil // refused: the listener was already closed
+			}
+			dialed <- link
+		}(p)
+	}
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := x.AcceptWorkers(ctx, WorkerSpec{K: k})
+		accepted <- err
+	}()
+
+	first := <-dialed
+	cancel()
+	if err := <-accepted; err == nil {
+		t.Fatal("accept succeeded with a worker missing and its context cancelled")
+	}
+	// The failed handshake's owner closes the exchange (as the checker
+	// does), possibly a second time after the context watcher.
+	x.Close()
+	for i, link := 0, first; i < k-1; i++ {
+		if i > 0 {
+			link = <-dialed
+		}
+		if link == nil {
+			continue
+		}
+		if _, err := link.Recv(); err == nil {
+			t.Error("a dialed link received a frame from a cancelled exchange")
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("a dialed link was left open by the closed exchange: %v", err)
+		}
+		link.Close()
 	}
 }

@@ -392,45 +392,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// SendPartialTo ships one encoded partial graph to a collector address
-// and waits for the ack — FaultyRank's single bulk transfer per server.
-func SendPartialTo(addr string, payload []byte) error {
-	_, err := SendPartialToContext(context.Background(), addr, payload, RetryPolicy{}, 0)
-	return err
-}
-
-// SendPartialToContext is SendPartialTo under a context: the dial is
-// retried per policy, and opTimeout bounds the payload write and the
-// ack read (0 = the ctx deadline only). Retry covers connection
-// establishment only — once any payload byte is on the wire a failure
-// is returned, not replayed, because the collector may already hold the
-// transfer (at-most-once delivery). The retry count is returned for the
-// caller's counters.
-func SendPartialToContext(ctx context.Context, addr string, payload []byte, policy RetryPolicy, opTimeout time.Duration) (int, error) {
-	conn, retries, err := dialRetry(ctx, addr, policy)
-	if err != nil {
-		return retries, err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(ioDeadline(ctx, opTimeout)); err != nil {
-		return retries, err
-	}
-	if err := WriteFrame(conn, MsgPartial, payload); err != nil {
-		return retries, err
-	}
-	typ, body, err := ReadFrame(conn)
-	if err != nil {
-		return retries, err
-	}
-	if err := AsError(typ, body); err != nil {
-		return retries, err
-	}
-	if typ != MsgAck {
-		return retries, fmt.Errorf("wire: unexpected ack type %d", typ)
-	}
-	return retries, nil
-}
-
 // Collector receives partial graphs over TCP (the MDS-side aggregator
 // endpoint).
 type Collector struct {
@@ -453,35 +414,6 @@ func NewCollector() (*Collector, string, error) {
 		return nil, "", err
 	}
 	return &Collector{ln: ln}, ln.Addr().String(), nil
-}
-
-// CollectRaw accepts exactly n partial-graph payloads and returns them
-// in arrival order (the caller decodes and re-orders by label).
-func (c *Collector) CollectRaw(n int) ([][]byte, error) {
-	out := make([][]byte, 0, n)
-	for len(out) < n {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return nil, err
-		}
-		typ, payload, err := ReadFrame(conn)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if typ != MsgPartial {
-			_ = WriteError(conn, fmt.Errorf("expected partial, got %d", typ))
-			conn.Close()
-			continue
-		}
-		if err := WriteFrame(conn, MsgAck, nil); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		conn.Close()
-		out = append(out, payload)
-	}
-	return out, nil
 }
 
 // Close stops the collector's listener.

@@ -1,8 +1,10 @@
 // Package wire is the network layer shared by both checkers. It defines
-// a length-prefixed binary framing over TCP, a bulk codec for scanner
-// partial graphs (FaultyRank ships each server's whole partial graph in
-// one message — the paper's §V-C explanation for its low network cost),
-// and a per-object metadata RPC (StatFID) with which the LFSCK baseline
+// a length-prefixed binary framing over TCP; the chunk stream on which
+// each scanner ships its partial graph to the collector in a few large
+// frames (the paper's §V-C explanation for FaultyRank's low network
+// cost), followed by its telemetry and journal trailers; the versioned
+// rank-delta codec and exchange of the partitioned rank supersteps; and
+// a per-object metadata RPC (StatFID) with which the LFSCK baseline
 // performs its one-round-trip-per-object cross-checks, reproducing the
 // high fan-out that makes the original LFSCK slow.
 package wire
@@ -18,9 +20,11 @@ var le = binary.LittleEndian
 
 // Message types.
 const (
-	// MsgPartial carries one encoded scanner.Partial (bulk transfer).
-	MsgPartial byte = iota + 1
-	// MsgAck acknowledges a bulk transfer.
+	// Frame type 1 was the whole-partial bulk transfer the chunk stream
+	// superseded; it stays reserved so every later type keeps its wire
+	// value.
+	_ byte = iota + 1
+	// MsgAck acknowledges a completed chunk stream.
 	MsgAck
 	// MsgStatFID requests the metadata of one FID (16-byte payload).
 	MsgStatFID

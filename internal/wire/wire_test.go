@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
@@ -21,14 +20,14 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, MsgPartial, payload); err != nil {
+	if err := WriteFrame(&buf, MsgChunk, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, MsgAck, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := ReadFrame(&buf)
-	if err != nil || typ != MsgPartial || !bytes.Equal(got, payload) {
+	if err != nil || typ != MsgChunk || !bytes.Equal(got, payload) {
 		t.Fatalf("frame 1: %d %q %v", typ, got, err)
 	}
 	typ, got, err = ReadFrame(&buf)
@@ -42,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, MsgPartial, []byte("0123456789"))
+	WriteFrame(&buf, MsgChunk, []byte("0123456789"))
 	short := buf.Bytes()[:8]
 	if _, _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Error("truncated frame accepted")
@@ -78,11 +77,11 @@ func TestReadFrameLyingHeader(t *testing.T) {
 	// A frame larger than one batch still round-trips.
 	big := bytes.Repeat([]byte{0xAB}, 3<<20)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgPartial, big); err != nil {
+	if err := WriteFrame(&buf, MsgChunk, big); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := ReadFrame(&buf)
-	if err != nil || typ != MsgPartial || !bytes.Equal(got, big) {
+	if err != nil || typ != MsgChunk || !bytes.Equal(got, big) {
 		t.Fatalf("multi-batch frame: type %d, %d bytes, %v", typ, len(got), err)
 	}
 }
@@ -127,32 +126,6 @@ func randomPartial(r *rand.Rand) *scanner.Partial {
 		InodesScanned: r.Int63(), DirentsRead: r.Int63(), EdgesEmitted: r.Int63(),
 	}
 	return p
-}
-
-func TestPartialCodecRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randomPartial(r)
-		got, err := DecodePartial(EncodePartial(p))
-		return err == nil && reflect.DeepEqual(p, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodePartialRejectsCorruption(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	enc := EncodePartial(randomPartial(r))
-	if _, err := DecodePartial(enc[:len(enc)/2]); err == nil {
-		t.Error("truncated partial decoded")
-	}
-	if _, err := DecodePartial(append(enc, 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if _, err := DecodePartial(nil); err == nil {
-		t.Error("nil decoded")
-	}
 }
 
 func TestFIDInfoCodec(t *testing.T) {
@@ -352,55 +325,6 @@ func TestDecodeStatBatchErrors(t *testing.T) {
 	}
 	if _, err := decodeStatBatch([]byte{2, 0, 0, 0, 1}); err == nil {
 		t.Error("size mismatch accepted")
-	}
-}
-
-func TestCollectorBulkTransfer(t *testing.T) {
-	col, addr, err := NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-
-	r := rand.New(rand.NewSource(2))
-	want := [][]byte{
-		EncodePartial(randomPartial(r)),
-		EncodePartial(randomPartial(r)),
-		EncodePartial(randomPartial(r)),
-	}
-	errCh := make(chan error, len(want))
-	for _, payload := range want {
-		go func(p []byte) { errCh <- SendPartialTo(addr, p) }(payload)
-	}
-	got, err := col.CollectRaw(len(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range want {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("collected %d", len(got))
-	}
-	// Arrival order is arbitrary; match by content.
-	for _, g := range got {
-		found := false
-		for _, w := range want {
-			if bytes.Equal(g, w) {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("unexpected payload collected")
-		}
-	}
-	// Decoded payloads are valid partials.
-	for _, g := range got {
-		if _, err := DecodePartial(g); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
