@@ -355,8 +355,8 @@ func BenchmarkOnlineVsOfflineCheck(b *testing.B) {
 // BenchmarkIngestion times the streaming scan→merge→CSR span of the
 // checker at several worker counts on one shared aged cluster. On a
 // multi-core host the 8-worker run lands measurably below 1 worker
-// (chunked scans, the sharded interner and the contention-free CSR
-// build all scale); every run yields the identical GID space.
+// (chunked scans, the merge's edge translation and the contention-free
+// CSR build all scale); every run yields the identical GID space.
 func BenchmarkIngestion(b *testing.B) {
 	c := table6Cluster(b, 8000)
 	images := checker.ClusterImages(c)

@@ -57,8 +57,8 @@ func usage() {
 }
 
 // cmdIngest times the streaming ingestion pipeline on a cluster image
-// directory: chunked parallel scan (plus transfer, with -tcp), sharded
-// merge and CSR build — the per-stage wall times behind Table VI's
+// directory: chunked parallel scan (plus transfer, with -tcp), merge
+// and CSR build — the per-stage wall times behind Table VI's
 // T_scan and T_graph columns.
 func cmdIngest(args []string) {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)

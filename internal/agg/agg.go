@@ -4,15 +4,16 @@
 // GIDs, and builds the in-DRAM CSR the iterative algorithm runs on.
 //
 // Because FIDs are cluster-unique, merging never conflicts. The remap
-// runs on all cores via a hash-sharded interner (intern.go) whose
-// renumbering pass reproduces the sequential first-appearance order, so
-// the same set of partials always yields the same GID space regardless
-// of worker count. A Builder accepts the scanners' chunk streams
+// goes through one flat open-addressed FID table (fidtable.go): GIDs are
+// assigned in first-appearance order of the canonical stream, so the
+// same set of partials always yields the same GID space regardless of
+// worker count. A Builder accepts the scanners' chunk streams
 // incrementally, which lets aggregation overlap transfer.
 package agg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,10 +49,10 @@ type Unified struct {
 	// Issues carries forward the scanners' structural parse problems.
 	Issues []string
 
-	byFID fidShards
+	byFID *fidTable
 	// gidFn, when non-nil, overrides byFID lookups. Incremental
 	// producers (DeltaBuilder) resolve GIDs through their persistent
-	// interner instead of rebuilding per-run lookup maps.
+	// interner instead of rebuilding a per-run index.
 	gidFn func(lustre.FID) (uint32, bool)
 }
 
@@ -63,7 +64,7 @@ func (u *Unified) GID(f lustre.FID) (uint32, bool) {
 	if u.gidFn != nil {
 		return u.gidFn(f)
 	}
-	return u.byFID.gid(f)
+	return u.byFID.get(f)
 }
 
 // FID returns the FID of a GID (zero value when out of range).
@@ -76,102 +77,119 @@ func (u *Unified) FID(g uint32) lustre.FID {
 
 // Merge combines partial graphs into a unified graph. Partials must be
 // passed in a fixed order (conventionally MDT first, then OSTs by index)
-// for a deterministic GID space. Merging is parallel (all cores); use
+// for a deterministic GID space. Edge translation uses all cores; use
 // MergeWorkers to bound it.
 func Merge(parts []*scanner.Partial) *Unified {
 	return MergeWorkers(parts, 0)
 }
 
 // MergeWorkers is Merge with explicit parallelism (<= 0 = GOMAXPROCS).
-// The result is identical for every worker count: the sharded interner
-// renumbers FIDs into the sequential first-appearance order (intern.go)
-// and every fill pass below is partitioned so writes never race and
-// ordering follows the canonical stream.
+// The result is identical for every worker count: GIDs are assigned
+// sequentially in first-appearance order of the canonical stream (every
+// part's Objects in part order, then every part's Edges, Src before
+// Dst), and the one parallel pass writes disjoint slots.
 func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
 	return MergeWorkersObserved(parts, workers, nil)
 }
 
-// MergeWorkersObserved is MergeWorkers with instrumentation: each fill
-// pass reports per-worker busy time and item counts through m, and the
+// unresolved marks an edge endpoint whose FID no object claims. It can
+// never be a GID: the table's ids stop at 2^32-2.
+const unresolved = ^uint32(0)
+
+// MergeWorkersObserved is MergeWorkers with instrumentation: each pass
+// reports per-worker busy time and item counts through m, and the
 // interner's final size lands on the agg_interned_fids gauge. A nil m
 // observes nothing and adds no overhead beyond one branch per pass.
 func MergeWorkersObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
-	u := &Unified{}
-	u.FIDs, u.byFID = internSharded(parts, workers)
+	var nObj, nEdge int
+	edgeOff := make([]int, len(parts))
+	for i, p := range parts {
+		edgeOff[i] = nEdge
+		nObj += len(p.Objects)
+		nEdge += len(p.Edges)
+	}
+	tab := newFIDTable(nObj)
+	u := &Unified{byFID: tab, Edges: make([]graph.Edge, nEdge)}
+
+	// (1) Objects claim their FIDs in canonical order — one worker, whose
+	// busy time and item count observedRange still reports.
+	objGID := make([]uint32, 0, nObj)
+	observedRange(nObj, 1, m, m.mergeObjects(), func(int, int) {
+		for _, p := range parts {
+			for i := range p.Objects {
+				g, _ := tab.intern(p.Objects[i].FID)
+				objGID = append(objGID, g)
+			}
+		}
+	})
+
+	// (2) Edge translation, parallel over read-only lookups: order-
+	// preserving, each slot written once.
+	for i, p := range parts {
+		out := u.Edges[edgeOff[i]:]
+		observedRange(len(p.Edges), workers, m, m.mergeEdges(), func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				e := p.Edges[k]
+				src, ok := tab.get(e.Src)
+				if !ok {
+					src = unresolved
+				}
+				dst, ok := tab.get(e.Dst)
+				if !ok {
+					dst = unresolved
+				}
+				out[k] = graph.Edge{Src: src, Dst: dst, Kind: e.Kind}
+			}
+		})
+	}
+
+	// (3) The unresolved endpoints are exactly the phantoms (none on a
+	// clean cluster). Every object precedes every edge in the canonical
+	// stream, so interning them in edge order completes the first-
+	// appearance numbering.
+	for i, p := range parts {
+		out := u.Edges[edgeOff[i]:]
+		for k := range p.Edges {
+			if e := &out[k]; e.Src == unresolved || e.Dst == unresolved {
+				e.Src, _ = tab.intern(p.Edges[k].Src)
+				e.Dst, _ = tab.intern(p.Edges[k].Dst)
+			}
+		}
+	}
+	u.FIDs = tab.fids
 	n := len(u.FIDs)
 	if m != nil {
 		m.InternedFIDs.Set(int64(n))
 		m.Journal.Record("agg", "interned", "fids", fmt.Sprintf("%d", n))
 	}
+
+	// (4) Present/Types/Claims in one pass over the recorded object
+	// GIDs: the first claim in canonical order fixes the type.
 	u.Present = make([]bool, n)
 	u.Types = make([]ldiskfs.FileType, n) // zero value is TypeFree
-	u.Claims = make([][]ObjectLoc, n)
-
-	// Object stream GIDs, translated once in parallel (the sharded index
-	// is read-only from here on).
-	var nObj int
-	objOff := make([]int, len(parts))
-	for i, p := range parts {
-		objOff[i] = nObj
-		nObj += len(p.Objects)
+	counts := make([]uint32, n)
+	for _, g := range objGID {
+		counts[g]++
 	}
-	objGID := make([]uint32, nObj)
-	for i, p := range parts {
-		off := objOff[i]
-		observedRange(len(p.Objects), workers, m, m.mergeObjects(), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				g, _ := u.byFID.gid(p.Objects[k].FID)
-				objGID[off+k] = g
-			}
-		})
-	}
-
-	// Present/Types/Claims: workers own disjoint GID ranges and each
-	// walks the object stream in canonical order, so the first claim
-	// wins and Claims order matches the sequential merge exactly.
-	observedRange(n, workers, m, nil, func(glo, ghi int) {
-		for i, p := range parts {
-			off := objOff[i]
-			for k, o := range p.Objects {
-				g := int(objGID[off+k])
-				if g < glo || g >= ghi {
-					continue
-				}
-				if !u.Present[g] {
-					u.Present[g] = true
-					u.Types[g] = o.Type
-				}
-				u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
-			}
-		}
-	})
+	u.Claims = claimSlots(counts)
+	k := 0
 	for _, p := range parts {
+		for i := range p.Objects {
+			o := &p.Objects[i]
+			g := objGID[k]
+			k++
+			if !u.Present[g] {
+				u.Present[g] = true
+				u.Types[g] = o.Type
+			}
+			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
+		}
 		for _, is := range p.Issues {
 			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", p.ServerLabel, is))
 		}
-	}
-
-	// Edge translation: order-preserving, each slot written once.
-	var nEdge int
-	edgeOff := make([]int, len(parts))
-	for i, p := range parts {
-		edgeOff[i] = nEdge
-		nEdge += len(p.Edges)
-	}
-	u.Edges = make([]graph.Edge, nEdge)
-	for i, p := range parts {
-		off := edgeOff[i]
-		observedRange(len(p.Edges), workers, m, m.mergeEdges(), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				e := p.Edges[k]
-				src, _ := u.byFID.gid(e.Src)
-				dst, _ := u.byFID.gid(e.Dst)
-				u.Edges[off+k] = graph.Edge{Src: src, Dst: dst, Kind: e.Kind}
-			}
-		})
 	}
 	if m != nil {
 		m.Journal.Record("agg", "merge-done",
@@ -182,25 +200,44 @@ func MergeWorkersObserved(parts []*scanner.Partial, workers int, m *Metrics) *Un
 	return u
 }
 
+// claimSlots carves one backing array into a cap-limited, empty claim
+// list per vertex, so appending the counted claims neither reallocates
+// nor spills into a neighbour. Unclaimed vertices keep a nil list.
+func claimSlots(counts []uint32) [][]ObjectLoc {
+	var total int
+	for _, c := range counts {
+		total += int(c)
+	}
+	backing := make([]ObjectLoc, total)
+	claims := make([][]ObjectLoc, len(counts))
+	off := 0
+	for g, c := range counts {
+		if c > 0 {
+			claims[g] = backing[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
+	return claims
+}
+
 // mergeReference is the original single-threaded first-appearance merge,
-// kept as the executable specification the sharded merge is tested
-// against (and nothing else should call).
+// kept as the executable specification MergeWorkers is tested against
+// (and nothing else should call). It indexes with a plain map so the
+// comparison also covers the FID table.
 func mergeReference(parts []*scanner.Partial) *Unified {
 	var nObj, nEdge int
 	for _, p := range parts {
 		nObj += len(p.Objects)
 		nEdge += len(p.Edges)
 	}
-	u := &Unified{
-		byFID: newFIDShards(),
-		Edges: make([]graph.Edge, 0, nEdge),
-	}
+	u := &Unified{Edges: make([]graph.Edge, 0, nEdge)}
+	byFID := make(map[lustre.FID]uint32)
 	gid := func(f lustre.FID) uint32 {
-		if g, ok := u.byFID.gid(f); ok {
+		if g, ok := byFID[f]; ok {
 			return g
 		}
 		g := uint32(len(u.FIDs))
-		u.byFID[shardOf(f)][f] = g
+		byFID[f] = g
 		u.FIDs = append(u.FIDs, f)
 		u.Present = append(u.Present, false)
 		u.Types = append(u.Types, ldiskfs.TypeFree)
@@ -239,7 +276,10 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 // space, no matter how chunks arrived.
 //
 // Builder implements scanner.Sink, so in-process scanners stream into
-// it directly; the wire collector feeds it decoded chunks.
+// it directly; the wire collector feeds it decoded chunks. Under the
+// Sink ownership rule it retains each chunk without copying and never
+// writes to it; the partials are concatenated once, at exact size, when
+// first asked for.
 type Builder struct {
 	mu      sync.Mutex
 	order   []string
@@ -248,9 +288,10 @@ type Builder struct {
 }
 
 type builderAcc struct {
-	p    scanner.Partial
-	next int
-	done bool
+	label  string
+	chunks []*scanner.Chunk // retained in Seq order until assembled
+	done   bool
+	p      *scanner.Partial // the assembled stream, once asked for
 }
 
 // NewBuilder fixes the canonical server order (conventionally MDTs
@@ -258,7 +299,7 @@ type builderAcc struct {
 func NewBuilder(labels []string) *Builder {
 	b := &Builder{order: labels, accs: make(map[string]*builderAcc, len(labels))}
 	for _, l := range labels {
-		b.accs[l] = &builderAcc{p: scanner.Partial{ServerLabel: l}}
+		b.accs[l] = &builderAcc{label: l}
 	}
 	return b
 }
@@ -291,34 +332,51 @@ func (b *Builder) Emit(c *scanner.Chunk) error {
 	if acc.done {
 		return fmt.Errorf("agg: chunk after final for server %q", c.ServerLabel)
 	}
-	if c.Seq != acc.next {
-		return fmt.Errorf("agg: server %q chunk out of order: got seq %d, want %d", c.ServerLabel, c.Seq, acc.next)
+	if c.Seq != len(acc.chunks) {
+		return fmt.Errorf("agg: server %q chunk out of order: got seq %d, want %d", c.ServerLabel, c.Seq, len(acc.chunks))
 	}
-	acc.next++
-	acc.p.Objects = append(acc.p.Objects, c.Objects...)
-	acc.p.Edges = append(acc.p.Edges, c.Edges...)
-	acc.p.Issues = append(acc.p.Issues, c.Issues...)
-	acc.p.Stats.InodesScanned += c.Stats.InodesScanned
-	acc.p.Stats.DirentsRead += c.Stats.DirentsRead
-	acc.p.Stats.EdgesEmitted += c.Stats.EdgesEmitted
-	if c.Final {
-		acc.done = true
-	}
+	acc.chunks = append(acc.chunks, c)
+	acc.done = c.Final
 	return nil
+}
+
+// partial concatenates a completed stream's chunks into one Partial,
+// once, and lets the chunks go.
+func (a *builderAcc) partial() *scanner.Partial {
+	if a.p != nil {
+		return a.p
+	}
+	var nObj, nEdge, nIssue int
+	for _, c := range a.chunks {
+		nObj += len(c.Objects)
+		nEdge += len(c.Edges)
+		nIssue += len(c.Issues)
+	}
+	// slices.Grow keeps an empty stream's slices nil, as appending would.
+	p := &scanner.Partial{
+		ServerLabel: a.label,
+		Objects:     slices.Grow([]scanner.Object(nil), nObj),
+		Edges:       slices.Grow([]scanner.FIDEdge(nil), nEdge),
+		Issues:      slices.Grow([]scanner.Issue(nil), nIssue),
+	}
+	for _, c := range a.chunks {
+		p.Objects = append(p.Objects, c.Objects...)
+		p.Edges = append(p.Edges, c.Edges...)
+		p.Issues = append(p.Issues, c.Issues...)
+		p.Stats.InodesScanned += c.Stats.InodesScanned
+		p.Stats.DirentsRead += c.Stats.DirentsRead
+		p.Stats.EdgesEmitted += c.Stats.EdgesEmitted
+	}
+	a.p, a.chunks = p, nil
+	return p
 }
 
 // Partials returns the reassembled per-server partial graphs in
 // canonical order. It errors if any stream is still open.
 func (b *Builder) Partials() ([]*scanner.Partial, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	parts := make([]*scanner.Partial, 0, len(b.order))
-	for _, l := range b.order {
-		acc := b.accs[l]
-		if !acc.done {
-			return nil, fmt.Errorf("agg: server %q stream incomplete", l)
-		}
-		parts = append(parts, &acc.p)
+	parts, missing := b.CompletedPartials()
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("agg: server %q stream incomplete", missing[0])
 	}
 	return parts, nil
 }
@@ -347,7 +405,7 @@ func (b *Builder) CompletedPartials() ([]*scanner.Partial, []string) {
 	var missing []string
 	for _, l := range b.order {
 		if acc := b.accs[l]; acc.done {
-			parts = append(parts, &acc.p)
+			parts = append(parts, acc.partial())
 		} else {
 			missing = append(missing, l)
 		}

@@ -38,9 +38,8 @@ type DeltaBuilder struct {
 	labels  []string
 	servers []*deltaServer
 
-	// Persistent interner: FID -> IID, append-only.
-	iidOf fidShards
-	fids  []lustre.FID // IID -> FID
+	// Persistent interner: FID <-> IID, append-only.
+	iids *fidTable
 
 	// dirty accumulates the IIDs whose cached contribution changed since
 	// the last ResetDirty — the seed set for frontier-based incremental
@@ -49,6 +48,10 @@ type DeltaBuilder struct {
 	// seeds always mean "changed since the ranks we would warm-start
 	// from", even across failed or unconverged checks in between.
 	dirty map[uint32]struct{}
+
+	// claimCount is Materialize's per-IID claim counter, kept between
+	// checks so a round allocates nothing for it.
+	claimCount []uint32
 }
 
 // deltaServer caches one server's per-inode contributions plus a lazily
@@ -121,7 +124,7 @@ type Materialized struct {
 func NewDeltaBuilder(labels []string) *DeltaBuilder {
 	b := &DeltaBuilder{
 		labels: labels,
-		iidOf:  newFIDShards(),
+		iids:   newFIDTable(0),
 		dirty:  make(map[uint32]struct{}),
 	}
 	for _, l := range labels {
@@ -136,12 +139,7 @@ func NewDeltaBuilder(labels []string) *DeltaBuilder {
 
 // intern resolves (or assigns) the stable IID of a FID.
 func (b *DeltaBuilder) intern(f lustre.FID) uint32 {
-	if iid, ok := b.iidOf.gid(f); ok {
-		return iid
-	}
-	iid := uint32(len(b.fids))
-	b.iidOf[shardOf(f)][f] = iid
-	b.fids = append(b.fids, f)
+	iid, _ := b.iids.intern(f)
 	return iid
 }
 
@@ -245,14 +243,17 @@ func (s *deltaServer) fold() {
 // Unified in the canonical (server order, ascending inode) walk — the
 // same walk a cold merge over full scans performs.
 func (b *DeltaBuilder) Materialize() *Materialized {
-	nIID := len(b.fids)
+	nIID := len(b.iids.fids)
 	live := make([]bool, nIID)
+	nClaims := append(b.claimCount[:0], make([]uint32, nIID)...)
+	b.claimCount = nClaims
 	var nEdge int
 	for _, s := range b.servers {
 		s.fold()
 		for _, c := range s.contrib {
 			for _, o := range c.objs {
 				live[o.iid] = true
+				nClaims[o.iid]++
 			}
 			for _, e := range c.edges {
 				live[e.src] = true
@@ -276,12 +277,13 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 		FIDs:    make([]lustre.FID, n),
 		Present: make([]bool, n),
 		Types:   make([]ldiskfs.FileType, n),
-		Claims:  make([][]ObjectLoc, n),
 		Edges:   make([]graph.Edge, 0, nEdge),
 	}
 	for g, iid := range iidOfGID {
-		u.FIDs[g] = b.fids[iid]
+		u.FIDs[g] = b.iids.fids[iid]
+		nClaims[g] = nClaims[iid] // g <= iid and ascending: compacts in place
 	}
+	u.Claims = claimSlots(nClaims[:n])
 
 	// Pass 1: objects claim their FIDs; first claim in canonical order
 	// fixes Present and Types, exactly as the batch merge does. Issues
@@ -319,7 +321,7 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 	// (and merely miss FIDs interned by later deltas) after the builder
 	// moves on.
 	u.gidFn = func(f lustre.FID) (uint32, bool) {
-		iid, ok := b.iidOf.gid(f)
+		iid, ok := b.iids.get(f)
 		if !ok || int(iid) >= len(live) || !live[iid] {
 			return 0, false
 		}
@@ -378,12 +380,12 @@ func (b *DeltaBuilder) ServerPartial(server int) *scanner.Partial {
 		c := s.contrib[ino]
 		for _, o := range c.objs {
 			out.Objects = append(out.Objects, scanner.Object{
-				FID: b.fids[o.iid], Ino: ino, Type: o.typ,
+				FID: b.iids.fids[o.iid], Ino: ino, Type: o.typ,
 			})
 		}
 		for _, e := range c.edges {
 			out.Edges = append(out.Edges, scanner.FIDEdge{
-				Src: b.fids[e.src], Dst: b.fids[e.dst], Kind: e.kind,
+				Src: b.iids.fids[e.src], Dst: b.iids.fids[e.dst], Kind: e.kind,
 			})
 		}
 		out.Issues = append(out.Issues, c.issues...)

@@ -4,36 +4,38 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
+	"faultyrank/internal/workload"
 )
 
 // assertUnifiedIdentical compares every externally observable field of
 // two unified graphs: the GID space (FIDs), the translated edge list,
-// presence, types, claim order and issues.
+// presence, types, claim order and issues. Fields compare with
+// reflect.DeepEqual, except that a nil and an empty field are the same
+// (an empty merge says "no vertices" either way).
 func assertUnifiedIdentical(t *testing.T, label string, want, got *Unified) {
 	t.Helper()
-	if !reflect.DeepEqual(want.FIDs, got.FIDs) {
-		t.Fatalf("%s: FID table (GID space) diverges", label)
-	}
-	if !reflect.DeepEqual(want.Edges, got.Edges) {
-		t.Fatalf("%s: edge list diverges", label)
-	}
-	if !reflect.DeepEqual(want.Present, got.Present) {
-		t.Fatalf("%s: Present diverges", label)
-	}
-	if !reflect.DeepEqual(want.Types, got.Types) {
-		t.Fatalf("%s: Types diverges", label)
-	}
-	if !reflect.DeepEqual(want.Claims, got.Claims) {
-		t.Fatalf("%s: Claims diverges", label)
-	}
-	if !reflect.DeepEqual(want.Issues, got.Issues) {
-		t.Fatalf("%s: Issues diverges", label)
+	for _, f := range []struct {
+		name      string
+		want, got any
+	}{
+		{"FID table (GID space)", want.FIDs, got.FIDs},
+		{"edge list", want.Edges, got.Edges},
+		{"Present", want.Present, got.Present},
+		{"Types", want.Types, got.Types},
+		{"Claims", want.Claims, got.Claims},
+		{"Issues", want.Issues, got.Issues},
+	} {
+		bothEmpty := reflect.ValueOf(f.want).Len() == 0 && reflect.ValueOf(f.got).Len() == 0
+		if !bothEmpty && !reflect.DeepEqual(f.want, f.got) {
+			t.Fatalf("%s: %s diverges", label, f.name)
+		}
 	}
 	for g, f := range want.FIDs {
 		gg, ok := got.GID(f)
@@ -73,51 +75,106 @@ func randomPartials(seed int64, nParts, nObj, nEdge int) []*scanner.Partial {
 	return parts
 }
 
-// TestMergeShardedMatchesReference: the parallel sharded merge yields a
-// Unified identical to the single-threaded reference merge — same FID
-// table, edges, presence, types and claims order — across worker counts
-// 1/2/8 and across shuffled-but-fixed partial orders.
-func TestMergeShardedMatchesReference(t *testing.T) {
-	base := randomPartials(42, 5, 300, 900)
+// assertMergeMatchesReference: MergeWorkers yields a Unified identical
+// to the single-threaded reference merge — same FID table, edges,
+// presence, types, claims order, issues and lookups — at every worker
+// count.
+func assertMergeMatchesReference(t *testing.T, label string, parts []*scanner.Partial) {
+	t.Helper()
+	ref := mergeReference(parts)
+	for _, w := range []int{1, 2, 3, 8} {
+		assertUnifiedIdentical(t, fmt.Sprintf("%s workers %d", label, w), ref, MergeWorkers(parts, w))
+	}
+}
 
-	orders := [][]*scanner.Partial{base}
-	// Shuffled-but-fixed orders: both merges see the same permutation,
-	// so outputs must still be identical (the GID space legitimately
-	// changes with partial order — but identically for both).
+// TestMergeMatchesReference: random partials with heavy cross-server
+// overlap, in shuffled-but-fixed part orders.
+func TestMergeMatchesReference(t *testing.T) {
+	base := randomPartials(42, 5, 300, 900)
+	assertMergeMatchesReference(t, "order 0", base)
+	// Both merges see the same permutation, so outputs must still be
+	// identical (the GID space legitimately changes with partial order
+	// — but identically for both).
 	for _, seed := range []int64{1, 7} {
 		perm := rand.New(rand.NewSource(seed)).Perm(len(base))
 		shuffled := make([]*scanner.Partial, len(base))
 		for i, j := range perm {
 			shuffled[i] = base[j]
 		}
-		orders = append(orders, shuffled)
+		assertMergeMatchesReference(t, fmt.Sprintf("shuffle seed %d", seed), shuffled)
 	}
+}
 
-	for oi, parts := range orders {
-		ref := mergeReference(parts)
-		for _, w := range []int{1, 2, 8} {
-			got := MergeWorkers(parts, w)
-			assertUnifiedIdentical(t, fmt.Sprintf("order %d workers %d", oi, w), ref, got)
+// TestMergeMatchesReferenceCluster: same property on real scanner
+// output from a simulated cluster, where FIDs have realistic sequence
+// structure — whole, and as a degraded run that lost the MDT, where
+// every file FID an OST object points back at is a phantom.
+func TestMergeMatchesReferenceCluster(t *testing.T) {
+	parts := scanCluster(t, smallCluster(t))
+	assertMergeMatchesReference(t, "cluster", parts)
+	assertMergeMatchesReference(t, "OSTs only", parts[1:])
+	if u := Merge(parts[1:]); len(u.Phantoms()) == 0 {
+		t.Fatal("OST-only merge has no phantoms: the test lost its point")
+	}
+}
+
+// TestMergeMatchesReferenceAllPhantom: no part has an object, so the
+// table starts at its minimum size and every vertex is interned — and
+// the table grown — by the sequential resolve pass, in edge order.
+func TestMergeMatchesReferenceAllPhantom(t *testing.T) {
+	parts := randomPartials(5, 4, 200, 700)
+	for _, p := range parts {
+		p.Objects = nil
+	}
+	assertMergeMatchesReference(t, "edges only", parts)
+	u := MergeWorkers(parts, 3)
+	if u.N() <= minFIDSlots || len(u.Phantoms()) != u.N() {
+		t.Fatalf("want an all-phantom graph past the minimum table size, got N=%d phantoms=%d", u.N(), len(u.Phantoms()))
+	}
+	for g, c := range u.Claims {
+		if c != nil {
+			t.Fatalf("phantom %d has claims %v", g, c)
 		}
 	}
 }
 
-// TestMergeShardedMatchesReferenceCluster: same property on real
-// scanner output from a simulated cluster, where FIDs have realistic
-// sequence structure.
-func TestMergeShardedMatchesReferenceCluster(t *testing.T) {
-	c := smallCluster(t)
-	parts := scanCluster(t, c)
-	ref := mergeReference(parts)
-	for _, w := range []int{1, 2, 8} {
-		got := MergeWorkers(parts, w)
-		assertUnifiedIdentical(t, fmt.Sprintf("cluster workers %d", w), ref, got)
+// TestMergeCrossServerDuplicateClaims: one FID claimed on three servers
+// (twice on one of them) keeps every claim in canonical order, takes the
+// first claimant's type, and no claim list can grow into its
+// neighbour's backing array.
+func TestMergeCrossServerDuplicateClaims(t *testing.T) {
+	shared, other := lustre.FID{Seq: 9, Oid: 1}, lustre.FID{Seq: 9, Oid: 2}
+	parts := []*scanner.Partial{
+		{ServerLabel: "mdt0", Objects: []scanner.Object{
+			{FID: other, Ino: 3, Type: ldiskfs.TypeDir},
+			{FID: shared, Ino: 4, Type: ldiskfs.TypeFile},
+		}},
+		{ServerLabel: "ost0"},
+		{ServerLabel: "ost1", Objects: []scanner.Object{
+			{FID: shared, Ino: 7, Type: ldiskfs.TypeObject},
+			{FID: shared, Ino: 8, Type: ldiskfs.TypeObject},
+		}},
+		{ServerLabel: "ost2", Objects: []scanner.Object{{FID: shared, Ino: 2, Type: ldiskfs.TypeDir}}},
+	}
+	assertMergeMatchesReference(t, "duplicates", parts)
+	u := MergeWorkers(parts, 2)
+	g, _ := u.GID(shared)
+	want := []ObjectLoc{{"mdt0", 4}, {"ost1", 7}, {"ost1", 8}, {"ost2", 2}}
+	if !reflect.DeepEqual(u.Claims[g], want) || u.Types[g] != ldiskfs.TypeFile {
+		t.Fatalf("claims %v type %v", u.Claims[g], u.Types[g])
+	}
+	for g, c := range u.Claims {
+		if len(c) != cap(c) {
+			t.Fatalf("claims[%d]: len %d cap %d — an append would write into another vertex's claims", g, len(c), cap(c))
+		}
 	}
 }
 
-// TestMergeEmpty: no partials and empty partials degrade gracefully.
+// TestMergeEmpty: no partials, and empty partials between full ones,
+// degrade gracefully.
 func TestMergeEmpty(t *testing.T) {
-	for _, parts := range [][]*scanner.Partial{nil, {{ServerLabel: "mdt0"}}} {
+	for _, parts := range [][]*scanner.Partial{nil, {}, {{ServerLabel: "mdt0"}}} {
+		assertMergeMatchesReference(t, "empty", parts)
 		u := MergeWorkers(parts, 4)
 		if u.N() != 0 || len(u.Edges) != 0 {
 			t.Fatalf("empty merge: N=%d edges=%d", u.N(), len(u.Edges))
@@ -125,5 +182,60 @@ func TestMergeEmpty(t *testing.T) {
 		if _, ok := u.GID(lustre.RootFID); ok {
 			t.Fatal("GID hit on empty unified graph")
 		}
+	}
+	full := randomPartials(8, 2, 50, 120)
+	assertMergeMatchesReference(t, "empty parts interleaved", []*scanner.Partial{
+		{ServerLabel: "e0"}, full[0], {ServerLabel: "e1", Issues: []scanner.Issue{{Ino: 1, What: "only an issue"}}}, full[1], {ServerLabel: "e2"},
+	})
+}
+
+// TestMergeAllocsIndependentOfSize: the merge allocates per part and per
+// output array, never per object, edge or vertex.
+func TestMergeAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(nObj int) float64 {
+		parts := randomPartials(1, 3, nObj, 2*nObj)
+		return testing.AllocsPerRun(5, func() { MergeWorkers(parts, 2) })
+	}
+	small, large := allocs(500), allocs(16000)
+	if large > small+8 { // slack for the 32x size: none of it is per item
+		t.Fatalf("MergeWorkers allocations grow with input size: %v at 500 objects/part, %v at 16000", small, large)
+	}
+}
+
+// BenchmarkMerge times the reference merge against MergeWorkers at one
+// worker and at GOMAXPROCS on the benchmark's cold_check_tcp cluster
+// shape (24 000 MDT inodes, aged).
+func BenchmarkMerge(b *testing.B) {
+	c, err := lustre.NewCluster(lustre.Config{
+		NumOSTs: 8, StripeSize: 64 << 10, StripeCount: -1,
+		Geometry: ldiskfs.CompactGeometry(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := workload.Age(c, workload.AgeSpec{TargetMDTInodes: 24000, ChurnFraction: 0.15, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	var parts []*scanner.Partial
+	for _, img := range clusterImages(c) {
+		p, err := scanner.ScanImage(img, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			mergeReference(parts)
+		}
+	})
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				MergeWorkers(parts, w)
+			}
+		})
 	}
 }

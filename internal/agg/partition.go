@@ -6,13 +6,13 @@ import (
 	"faultyrank/internal/par"
 )
 
-// PartitionOf maps a FID onto one of k rank partitions. It reuses the
-// interner's shard hash (shardOf), so the partition key is the same
-// pure function of the FID the aggregation pipeline already shards by —
-// deterministic across runs, machines, and worker counts, and
-// independent of the GID numbering.
+// PartitionOf maps a FID onto one of k rank partitions by folding the
+// interner's full 64-bit FID hash (hashFID), so the partition key is a
+// pure function of the FID — deterministic across runs, machines, and
+// worker counts, independent of the GID numbering — and spreads evenly
+// over any k.
 func PartitionOf(f lustre.FID, k int) int {
-	return shardOf(f) % k
+	return int(hashFID(f) % uint64(k))
 }
 
 // PartitionOwners computes the owners map of the unified graph's GID

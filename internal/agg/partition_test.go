@@ -2,6 +2,8 @@ package agg
 
 import (
 	"testing"
+
+	"faultyrank/internal/lustre"
 )
 
 // TestPartitionOwnersDeterministic: the owners map is a pure function
@@ -49,5 +51,25 @@ func TestBuildPartitioned(t *testing.T) {
 	}
 	if total != u.N() {
 		t.Fatalf("partitions own %d of %d vertices", total, u.N())
+	}
+}
+
+// TestPartitionOfBalanced: the partition key folds the full FID hash,
+// so every partition gets its share for any k — including k that does
+// not divide a power of two and k above 64, which a reduced 6-bit shard
+// index loaded double or left empty.
+func TestPartitionOfBalanced(t *testing.T) {
+	const n = 10000
+	for _, k := range []int{3, 48, 128} {
+		load := make([]int, k)
+		for i := 0; i < n; i++ {
+			// OST-object-shaped FIDs: a few sequences, dense object ids.
+			load[PartitionOf(lustre.FID{Seq: lustre.OSTSeqBase + uint64(i%8), Oid: uint32(i / 8)}, k)]++
+		}
+		for p, c := range load {
+			if c < n/(2*k) || c > 2*n/k {
+				t.Fatalf("k=%d: partition %d holds %d of %d FIDs (mean %d)", k, p, c, n, n/k)
+			}
+		}
 	}
 }

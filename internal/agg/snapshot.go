@@ -66,8 +66,8 @@ func (b *DeltaBuilder) AppendBinary(buf []byte) []byte {
 		buf = append(buf, l...)
 	}
 
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.fids)))
-	for _, f := range b.fids {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.iids.fids)))
+	for _, f := range b.iids.fids {
 		buf = binary.LittleEndian.AppendUint64(buf, f.Seq)
 		buf = binary.LittleEndian.AppendUint32(buf, f.Oid)
 		buf = binary.LittleEndian.AppendUint32(buf, f.Ver)
@@ -196,7 +196,7 @@ const (
 )
 
 // DecodeDeltaBuilder reconstructs a builder from an EncodeBinary blob.
-// The sharded FID index is rebuilt from the interner table; the blob is
+// The FID index is rebuilt from the interner table; the blob is
 // rejected (never panicked on) when truncated, when counts are
 // implausible for the remaining payload, when any IID reference or
 // canonical order is violated, or when the version does not match.
@@ -230,17 +230,15 @@ func DecodeDeltaBuilder(blob []byte) (*DeltaBuilder, error) {
 	if d.err == nil && uint64(nFIDs)*deltaMinFID > uint64(d.remaining()) {
 		return nil, errDelta("implausible FID count %d", nFIDs)
 	}
-	b.fids = make([]lustre.FID, 0, nFIDs)
+	b.iids = newFIDTable(int(nFIDs))
 	for i := uint32(0); i < nFIDs && d.err == nil; i++ {
 		f := lustre.FID{Seq: d.u64(), Oid: d.u32(), Ver: d.u32()}
 		if d.err != nil {
 			break
 		}
-		if _, dup := b.iidOf.gid(f); dup {
+		if _, added := b.iids.intern(f); !added {
 			return nil, errDelta("duplicate FID %v in interner table", f)
 		}
-		b.iidOf[shardOf(f)][f] = uint32(len(b.fids))
-		b.fids = append(b.fids, f)
 	}
 
 	nDirty := d.u32()

@@ -337,8 +337,9 @@ func (r *Result) HasFinding(k FindingKind, fid lustre.FID) bool {
 // ordered MDT first, then OSTs by index (the label order also used for
 // deterministic GID assignment). Scanners stream bounded chunks into
 // the aggregator's Builder — directly or over TCP — so T_scan covers
-// scan plus transfer, and T_graph covers the parallel sharded merge
-// plus the CSR build.
+// scan plus transfer, and T_graph covers the merge (partials
+// concatenated, FIDs interned into one flat table, edges translated in
+// parallel) plus the CSR build.
 func Run(images []*ldiskfs.Image, opt Options) (*Result, error) {
 	return RunContext(context.Background(), images, opt)
 }
@@ -392,7 +393,7 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 	res.TScan = time.Since(t0)
 	res.Cluster = BuildClusterManifest(labels, ships)
 
-	// ---- Stage 2: sharded merge + CSR build (T_graph) ----------------
+	// ---- Stage 2: merge + CSR build (T_graph) -------------------------
 	t1 := time.Now()
 	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")
 	_, mergeSpan := telemetry.StartSpan(aggCtx, "merge")

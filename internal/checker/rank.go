@@ -15,8 +15,8 @@ import (
 
 // Partitioned rank orchestration: when Options.RankWorkers > 1, the
 // checker shards the CSR by the aggregator's FID hash (the same hash
-// that sharded the interner, so the owners map is a pure function of
-// the FID table), spawns one rank worker per partition, and drives the
+// the interner probes by, so the owners map is a pure function of the
+// FID table), spawns one rank worker per partition, and drives the
 // BSP superstep protocol as coordinator. The decomposition is exact, so
 // the only observable differences from the single-process kernel are
 // the per-partition spans, the exchange counters and the rank manifest.

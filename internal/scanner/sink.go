@@ -40,6 +40,13 @@ func (c *Chunk) Entries() int { return len(c.Objects) + len(c.Edges) + len(c.Iss
 // Sink consumes a scan's chunk stream. Emit is called sequentially per
 // server stream; a sink shared by several concurrent scans must
 // serialise internally (agg.Builder does).
+//
+// Ownership: once Emit returns, the chunk and its slices belong to the
+// sink. The emitter hands over freshly allocated slices and must not
+// touch them again (chunkEmitter.flush and the wire decoder both do
+// so); a sink may retain the chunk without copying, but a sink that
+// retains it must not mutate it — the same chunk may be replayed into
+// other sinks.
 type Sink interface {
 	Emit(*Chunk) error
 }
