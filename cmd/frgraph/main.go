@@ -24,7 +24,6 @@ import (
 	"faultyrank/internal/edgelist"
 	"faultyrank/internal/graph"
 	"faultyrank/internal/imgdir"
-	"faultyrank/internal/par"
 	"faultyrank/internal/rmat"
 	"faultyrank/internal/workload"
 )
@@ -109,9 +108,10 @@ func cmdStats(args []string) {
 	fmt.Printf("sinks %d, sources %d\n", st.Sinks, st.Sources)
 
 	// out-degree percentiles via counting sort
-	maxDeg := int(par.MapReduceMaxFloat64(n, 0, func(v int) float64 {
-		return float64(b.OutDegree(uint32(v)))
-	}))
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, b.OutDegree(uint32(v)))
+	}
 	hist := make([]int, maxDeg+1)
 	for v := 0; v < n; v++ {
 		hist[b.OutDegree(uint32(v))]++

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"faultyrank/internal/graph"
-	"faultyrank/internal/par"
 )
 
 // FrontierStats records what RunIncremental actually recomputed — the
@@ -67,17 +66,15 @@ func (s *vertSet) clear() {
 	s.list = s.list[:0]
 }
 
-// blkSet tracks which canonical sink blocks contain rewritten vertices
-// since their cached partial was last refreshed. all short-circuits the
-// bookkeeping after a full sweep.
+// blkSet tracks which canonical sink blocks hold rows a list sweep
+// rewrote since their cached partial was last refreshed.
 type blkSet struct {
 	in   []bool
 	list []int32
-	all  bool
 }
 
 func (s *blkSet) mark(blk int) {
-	if !s.all && !s.in[blk] {
+	if !s.in[blk] {
 		s.in[blk] = true
 		s.list = append(s.list, int32(blk))
 	}
@@ -88,7 +85,6 @@ func (s *blkSet) reset() {
 		s.in[b] = false
 	}
 	s.list = s.list[:0]
-	s.all = false
 }
 
 // RunIncremental executes the FaultyRank iteration recomputing only the
@@ -120,7 +116,6 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	if n == 0 || blend <= 0 || len(opt.InitialID) != n || len(opt.InitialProp) != n {
 		return Run(b, opt)
 	}
-	workers := opt.workers()
 	// theta is on the raw rank scale: Diffs divide by blend before the
 	// Epsilon comparison, so the comparable per-write bound scales back.
 	theta := opt.Epsilon * opt.frontierSlack() * blend
@@ -131,45 +126,27 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 
 	res := &Result{Frontier: &FrontierStats{}}
 	res.IDRank, res.PropRank = seedRanks(n, opt)
-	id, prop := res.IDRank, res.PropRank
 	st := res.Frontier
+	// The run holds five n-vectors — id, prop, the kernel's sID, sProp and
+	// invW — plus three n-byte arrays: the moved marks and the two
+	// frontiers' membership.
 	k := graphKernel(b, opt)
-	invOut, invW := k.invOut, k.invW
+	k.theta, k.moved = theta, make([]uint8, n)
+	k.seed(res.IDRank, res.PropRank)
 
-	// Cached canonical sink partials (see sinkBlockSum). partA sums prop
-	// over phase-A sinks; partB sums id over phase-B sinks. dirtyA/dirtyB
-	// are the blocks whose partial is stale.
-	nb := (n + sinkBlock - 1) / sinkBlock
-	partA := make([]float64, nb)
-	partB := make([]float64, nb)
-	refreshAll := func(part, rank, invDiv []float64) {
-		par.ForRange(nb, workers, func(lo, hi int) {
-			for blk := lo; blk < hi; blk++ {
-				part[blk] = sinkBlockSum(rank, invDiv, blk)
-			}
-		})
-	}
-	refreshAll(partA, prop, invOut)
-	refreshAll(partB, id, invW)
+	// The kernel's partA/partB double as the cached canonical sink
+	// partials: a dense sweep rewrites the other phase's in full, a list
+	// sweep leaves them alone and dirtyA/dirtyB collect the blocks whose
+	// partial went stale, to be recomputed whole before the next fold.
+	nb := len(k.partA)
 	dirtyA := &blkSet{in: make([]bool, nb)}
 	dirtyB := &blkSet{in: make([]bool, nb)}
-	refresh := func(part, rank, invDiv []float64, blks *blkSet) float64 {
-		if blks.all {
-			refreshAll(part, rank, invDiv)
-		} else {
-			par.ForRange(len(blks.list), workers, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					blk := int(blks.list[k])
-					part[blk] = sinkBlockSum(rank, invDiv, blk)
-				}
-			})
+	refresh := func(part []float64, blks *blkSet) float64 {
+		for _, blk := range blks.list {
+			k.scale(int(blk))
 		}
 		blks.reset()
-		var sum float64
-		for _, p := range part {
-			sum += p
-		}
-		return sum
+		return foldBlocks(part)
 	}
 
 	curA, curB := newVertSet(n), newVertSet(n)
@@ -178,63 +155,57 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	// divisors or reading its (re)moved edges — its neighbours in either
 	// orientation. Marking the full two-sided union into both phases is
 	// slightly generous but always sound.
-	seeded := newVertSet(n)
 	for _, d := range dirty {
 		if int(d) < n {
-			seeded.mark(d)
+			curA.mark(d)
 		}
 	}
-	st.Seeds = len(seeded.list)
-	for _, d := range seeded.list {
-		curA.mark(d)
+	st.Seeds = len(curA.list)
+	for _, d := range curA.list[:st.Seeds] {
 		curB.mark(d)
-		s, e := b.Fwd.EdgeRange(d)
-		for i := s; i < e; i++ {
-			curA.mark(b.Fwd.Targets[i])
-			curB.mark(b.Fwd.Targets[i])
+		for _, u := range b.Fwd.Neighbors(d) {
+			curA.mark(u)
+			curB.mark(u)
 		}
-		s, e = b.Rev.EdgeRange(d)
-		for i := s; i < e; i++ {
-			curA.mark(b.Rev.Targets[i])
-			curB.mark(b.Rev.Targets[i])
+		for _, u := range b.Rev.Neighbors(d) {
+			curA.mark(u)
+			curB.mark(u)
 		}
 	}
 
-	// A phase writes its rows' new values through scratch (the kernel's
-	// next vector); commit then folds them into rank in the one
-	// sequential pass that walks the swept rows anyway. Entries outside
-	// the swept rows are stale and never read.
-	scratch := make([]float64, n)
-
-	// commit stores the swept rows' new values, marks their sink blocks
-	// stale for the *other* phase's cached partial, re-activates the
-	// dependents of vertices that moved more than theta, and returns the
-	// max-abs movement. dep lists the consumers of the written value:
-	// after phase A (id changed) that is Rev targets — the sources of
-	// edges into v, whose phase-B gathers read id[v] — and after phase B
-	// (prop changed) it is Fwd targets, whose phase-A gathers read
-	// prop[v]. The vertex itself is re-marked too: its own next-phase
-	// equation reads the written value through the sink self-exclusion
-	// terms, and cheap over-marking is always sound. Sequential by
-	// design: set marking is not race-safe.
-	commit := func(rows rowSet, rank []float64, dep *graph.CSR, next *vertSet, blks *blkSet) float64 {
-		var maxD float64
-		for i := 0; i < rows.n; i++ {
-			v := rows.at(i)
-			d := math.Abs(scratch[v] - rank[v])
-			rank[v] = scratch[v]
-			if d > maxD {
-				maxD = d
-			}
-			blks.mark(int(v) / sinkBlock)
-			if d > theta {
-				next.mark(v)
-				for _, u := range dep.Neighbors(v) {
-					next.mark(u)
-				}
-			}
+	// commit closes a sweep's books in the one sequential pass set marking
+	// needs anyway: it marks the swept rows' sink blocks stale for the
+	// *other* phase's cached partial (a dense sweep emitted them fresh
+	// instead) and re-activates the dependents of the rows the kernel
+	// marked as moved by more than theta. dep lists the consumers of the
+	// written value: after phase A (id changed) that is Rev targets — the
+	// sources of edges into v, whose phase-B gathers read id[v] — and
+	// after phase B (prop changed) it is Fwd targets, whose phase-A
+	// gathers read prop[v]. The vertex itself is re-marked too: its own
+	// next-phase equation reads the written value through the sink
+	// self-exclusion terms, and cheap over-marking is always sound.
+	react := func(v uint32, dep *graph.CSR, next *vertSet) {
+		if k.moved[v] == 0 {
+			return
 		}
-		return maxD
+		k.moved[v] = 0
+		next.mark(v)
+		for _, u := range dep.Neighbors(v) {
+			next.mark(u)
+		}
+	}
+	commit := func(rows rowSet, dep *graph.CSR, next *vertSet, blks *blkSet) {
+		if rows.dense {
+			blks.reset()
+			for v := range k.moved {
+				react(uint32(v), dep, next)
+			}
+			return
+		}
+		for _, v := range rows.list {
+			blks.mark(int(v) / sinkBlock)
+			react(v, dep, next)
+		}
 	}
 
 	var prevBaseA, prevBaseB float64
@@ -248,32 +219,26 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		}
 
 		// ---- Phase A (ID ranks) ------------------------------------
-		sinkA := refresh(partA, prop, invOut, dirtyA)
+		sinkA := refresh(k.partA, dirtyA)
 		baseA, perSinkA := sinkShares(sinkA, n, opt.SinkPolicy)
 		// A shifted redistribution base moves *every* equation, not just
 		// the frontier's: when it shifts materially, sweep everyone once.
 		fullA := full || verify || (haveBase && math.Abs(baseA-prevBaseA) > theta)
 		prevBaseA = baseA
 		rowsA := st.sweep(curA, fullA, n)
-		k.phaseA(rowsA, prop, id, scratch, baseA, perSinkA)
-		maxDA := commit(rowsA, id, b.Rev, curB, dirtyB)
+		maxDA := k.phaseA(rowsA, baseA, perSinkA)
+		commit(rowsA, b.Rev, curB, dirtyB)
 		curA.clear()
-		if fullA {
-			dirtyB.all = true
-		}
 
 		// ---- Phase B (Prop ranks) ----------------------------------
-		sinkB := refresh(partB, id, invW, dirtyB)
+		sinkB := refresh(k.partB, dirtyB)
 		baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
 		fullB := full || verify || (haveBase && math.Abs(baseB-prevBaseB) > theta)
 		prevBaseB = baseB
 		rowsB := st.sweep(curB, fullB, n)
-		k.phaseB(rowsB, id, prop, scratch, baseB, perSinkB)
-		commit(rowsB, prop, b.Fwd, curA, dirtyA)
+		k.phaseB(rowsB, baseB, perSinkB)
+		commit(rowsB, b.Fwd, curA, dirtyA)
 		curB.clear()
-		if fullB {
-			dirtyA.all = true
-		}
 		haveBase = true
 
 		// ---- Convergence (cold criterion on phase-A diff) ----------

@@ -140,15 +140,18 @@ func TestIncrementalTightEpsilon(t *testing.T) {
 }
 
 // TestIncrementalWorkerDeterminism: the frontier kernel keeps the
-// canonical sink fold, so results are bit-identical for any worker count.
+// canonical sink fold, so results are bit-identical for any worker
+// count. The delta is wide and saturation is off, so the list sweeps
+// span several blocks of frontier rows and run on several workers.
 func TestIncrementalWorkerDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	n := 300
-	edges := randomEdges(r, n, 900)
+	n := 3 * sinkBlock
+	edges := randomEdges(r, n, 3*n)
 	g1 := graph.NewBidirected(n, edges, 0)
 	opt := DefaultOptions()
+	opt.FrontierSaturation = 1
 	prev := Run(g1, opt)
-	edges2, dirty := mutateEdges(r, n, edges, 4)
+	edges2, dirty := mutateEdges(r, n, edges, n/8)
 	g2 := graph.NewBidirected(n, edges2, 0)
 
 	var ref *Result
@@ -158,55 +161,43 @@ func TestIncrementalWorkerDeterminism(t *testing.T) {
 		wopt.InitialID = prev.IDRank
 		wopt.InitialProp = prev.PropRank
 		got := RunIncremental(g2, wopt, dirty)
+		if got.Frontier.Saturated || got.Frontier.MaxActive <= sinkBlock {
+			t.Fatalf("workers=%d: list sweeps never spanned two blocks: %+v", w, got.Frontier)
+		}
 		if ref == nil {
 			ref = got
 			continue
 		}
-		if got.Iterations != ref.Iterations || got.Converged != ref.Converged {
-			t.Fatalf("workers=%d: iterations %d/%v, want %d/%v",
-				w, got.Iterations, got.Converged, ref.Iterations, ref.Converged)
-		}
-		for v := range ref.IDRank {
-			if got.IDRank[v] != ref.IDRank[v] || got.PropRank[v] != ref.PropRank[v] {
-				t.Fatalf("workers=%d: vertex %d ranks differ bitwise", w, v)
-			}
-		}
+		assertSameResult(t, got, ref)
 	}
 }
 
 // TestIncrementalSaturationFallback: a delta touching more than the
-// saturation fraction makes the run fall back to full sweeps — and a
-// fully saturated incremental run is bit-identical to the plain warm
-// Run it replaces.
+// saturation fraction makes the run fall back to full sweeps — and an
+// incremental run forced to full sweeps from its first iteration is
+// bit-identical to the plain warm Run it replaces, over several row
+// blocks and workers: a full sweep IS a Run iteration.
 func TestIncrementalSaturationFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	n := 200
-	edges := randomEdges(r, n, 600)
+	n := sinkBlock + 200
+	edges := randomEdges(r, n, 3*n)
 	g1 := graph.NewBidirected(n, edges, 0)
 	opt := DefaultOptions()
+	opt.Workers = 3
 	opt.FrontierSaturation = 0.05
 	prev := Run(g1, opt)
-	edges2, dirty := mutateEdges(r, n, edges, 80)
+	edges2, dirty := mutateEdges(r, n, edges, n/10)
 	g2 := graph.NewBidirected(n, edges2, 0)
 
 	warmOpt := opt
 	warmOpt.InitialID = prev.IDRank
 	warmOpt.InitialProp = prev.PropRank
 	inc := RunIncremental(g2, warmOpt, dirty)
-	if !inc.Frontier.Saturated {
-		t.Fatalf("expected saturation with %d dirty vertices over cap %g·%d",
-			len(dirty), opt.FrontierSaturation, n)
+	if !inc.Frontier.Saturated || inc.Frontier.FullSweeps != 2*inc.Iterations {
+		t.Fatalf("expected full sweeps throughout with %d dirty vertices over cap %g·%d, got %+v",
+			len(dirty), opt.FrontierSaturation, n, inc.Frontier)
 	}
-	full := Run(g2, warmOpt)
-	if inc.Iterations != full.Iterations || inc.Converged != full.Converged {
-		t.Fatalf("saturated run: %d iterations/%v, full warm run: %d/%v",
-			inc.Iterations, inc.Converged, full.Iterations, full.Converged)
-	}
-	for v := range full.IDRank {
-		if inc.IDRank[v] != full.IDRank[v] || inc.PropRank[v] != full.PropRank[v] {
-			t.Fatalf("saturated run diverges bitwise from warm Run at vertex %d", v)
-		}
-	}
+	assertSameResult(t, inc, Run(g2, warmOpt))
 }
 
 // TestIncrementalEmptyDelta: with no dirty vertices and an already

@@ -1,20 +1,38 @@
 package core
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
+
 	"faultyrank/internal/graph"
-	"faultyrank/internal/par"
 )
 
 // kernel is the one phase-A/B gather of Alg. 1. Run, RunIncremental and
 // RunPartition differ only in which rows they sweep, which column space
 // the rows index, and where the redistributed sink mass comes from; the
-// per-vertex equation and its float operation order live here and
-// nowhere else.
+// per-vertex equation, its float operation order and the rank state it
+// updates live here and nowhere else.
 //
 // The row slices alias the storage of a whole graph.Bidirected or of one
 // graph.SubGraph — nothing is copied. Columns are vertex IDs for the
-// whole graph and locals-then-ghosts for a shard; invOut and invW are
-// indexed by column.
+// whole graph and locals-then-ghosts for a shard; the rows are the first
+// len(id) columns.
+//
+// An iteration is two sweeps, each one fan-out and one join. A gather
+// reads only a premultiplied vector — sProp[c] = prop[c]·invOut(c) in
+// phase A, sID[c] = id[c]·invW[c] in phase B — so it costs one random
+// load per edge, and because no gather reads id or prop, each phase
+// rewrites its rank vector in place. The invariant is that whoever
+// writes a rank entry writes its scaled twin in the same breath: scale
+// for the seeds, phase A for id, phase B for prop, RunPartition for the
+// ghost columns it receives.
+//
+// A sweep is cut into sinkBlock-wide blocks handed to the workers from
+// an atomic counter. Every output is per row or per block — the row's
+// rank and scaled entries, its moved mark, the block's max |Δ| and, on
+// dense sweeps, the block's canonical sink partial for the *next* phase
+// — so no bit depends on which worker ran a block or in what order.
 type kernel struct {
 	revOff    []int64
 	revCol    []uint32
@@ -22,38 +40,82 @@ type kernel struct {
 	fwdCol    []uint32
 	fwdPaired []uint8
 
-	// invOut[c] = 1/outdeg_G(c), 0 for sinks: the phase-A divisor.
 	// invW[c] = 1/W(c) with W the in-weight (Options.inWeight), 0 when c
-	// has none (a reversed-graph sink): the phase-B divisor.
-	invOut []float64
-	invW   []float64
+	// has none (a reversed-graph sink): the phase-B divisor, per column.
+	// The phase-A divisor invOut(c) = inverse(outdeg_G(c)) is not stored: a
+	// row's out-degree is the length of the forward row phase B has in hand.
+	invW []float64
 
-	sigma, blend   float64 // Smoothing and 1-Smoothing
-	unpairedWeight float64
-	workers        int
+	// Rank state: id and prop per row, their scaled twins per column.
+	id, prop   []float64
+	sID, sProp []float64
+
+	// Per-block outputs. partA[b] sums prop over block b's phase-A sinks
+	// and partB[b] sums id over its phase-B sinks, both sequentially in
+	// ascending row order — the canonical partials of sinkBlock. A dense
+	// phase A emits partB, a dense phase B partA, scale both. blkMax[b] is
+	// the max |Δ| of the last sweep's block b (a block of list positions
+	// on a list sweep).
+	partA, partB []float64
+	blkMax       []float64
+
+	// moved[v] is set when a sweep moves row v by more than theta, for
+	// RunIncremental's frontier; theta is +Inf (and moved nil) elsewhere.
+	theta float64
+	moved []uint8
+
+	sigma, blend float64    // Smoothing and 1-Smoothing
+	weight       [2]float64 // by paired flag: UnpairedWeight, 1
+	workers      int
+
+	// The sweep in flight, read by the workers.
+	block         func(k *kernel, blk int)
+	rows          rowSet
+	base, perSink float64
+	nblk          int
+	next          atomic.Int64
+	wg            sync.WaitGroup
+	help          func() // one helper goroutine's body, built once
 }
 
-// graphKernel views the whole graph; the out-degrees come straight from
-// the forward offsets.
-func graphKernel(b *graph.Bidirected, opt Options) *kernel {
+func newKernel(nRows int, pairedIn, unpairedIn []int32, opt Options) *kernel {
+	nCols := len(pairedIn)
+	nb := (nRows + sinkBlock - 1) / sinkBlock
 	k := &kernel{
-		revOff: b.Rev.Offsets, revCol: b.Rev.Targets,
-		fwdOff: b.Fwd.Offsets, fwdCol: b.Fwd.Targets, fwdPaired: b.FwdPaired,
+		invW:  make([]float64, nCols),
+		sID:   make([]float64, nCols),
+		sProp: make([]float64, nCols),
+		partA: make([]float64, nb), partB: make([]float64, nb), blkMax: make([]float64, nb),
+		theta: math.Inf(1),
+		sigma: opt.Smoothing, blend: 1 - opt.Smoothing,
+		weight:  [2]float64{opt.UnpairedWeight, 1},
+		workers: opt.workers(),
 	}
-	off := b.Fwd.Offsets
-	k.setDivisors(b.N(), func(c int) int64 { return off[c+1] - off[c] }, b.PairedIn, b.UnpairedIn, opt)
+	for c := range k.invW {
+		k.invW[c] = inverse(opt.inWeight(pairedIn[c], unpairedIn[c]))
+	}
+	k.help = func() {
+		k.drain()
+		k.wg.Done()
+	}
+	return k
+}
+
+// graphKernel views the whole graph.
+func graphKernel(b *graph.Bidirected, opt Options) *kernel {
+	k := newKernel(b.N(), b.PairedIn, b.UnpairedIn, opt)
+	k.revOff, k.revCol = b.Rev.Offsets, b.Rev.Targets
+	k.fwdOff, k.fwdCol, k.fwdPaired = b.Fwd.Offsets, b.Fwd.Targets, b.FwdPaired
 	return k
 }
 
 // shardKernel views one partition's local rows over its locals+ghosts
-// column space; ghost columns have no rows, so the degrees come from the
-// replicated per-column metadata.
+// column space; the in-weights come from the replicated per-column
+// metadata.
 func shardKernel(sub *graph.SubGraph, opt Options) *kernel {
-	k := &kernel{
-		revOff: sub.RevOff, revCol: sub.RevCol,
-		fwdOff: sub.FwdOff, fwdCol: sub.FwdCol, fwdPaired: sub.FwdPaired,
-	}
-	k.setDivisors(sub.NCols(), func(c int) int64 { return int64(sub.OutDeg[c]) }, sub.PairedIn, sub.UnpairedIn, opt)
+	k := newKernel(sub.NLocal(), sub.PairedIn, sub.UnpairedIn, opt)
+	k.revOff, k.revCol = sub.RevOff, sub.RevCol
+	k.fwdOff, k.fwdCol, k.fwdPaired = sub.FwdOff, sub.FwdCol, sub.FwdPaired
 	return k
 }
 
@@ -68,24 +130,12 @@ func (o Options) inWeight(pairedIn, unpairedIn int32) float64 {
 	return float64(pairedIn) + o.UnpairedWeight*float64(unpairedIn)
 }
 
-func (k *kernel) setDivisors(nCols int, outDeg func(col int) int64, pairedIn, unpairedIn []int32, opt Options) {
-	k.sigma, k.blend = opt.Smoothing, 1-opt.Smoothing
-	k.unpairedWeight = opt.UnpairedWeight
-	k.workers = opt.workers()
-	k.invOut = make([]float64, nCols)
-	k.invW = make([]float64, nCols)
-	inverse := func(x float64) float64 {
-		if x > 0 {
-			return 1 / x
-		}
-		return 0
+// inverse is a rank divisor: 1/x, and 0 for the sinks' x <= 0.
+func inverse(x float64) float64 {
+	if x > 0 {
+		return 1 / x
 	}
-	par.ForRange(nCols, k.workers, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			k.invOut[c] = inverse(float64(outDeg(c)))
-			k.invW[c] = inverse(opt.inWeight(pairedIn[c], unpairedIn[c]))
-		}
-	})
+	return 0
 }
 
 // rowSet names the rows a phase evaluates: every row in [0, n) or an
@@ -100,69 +150,204 @@ type rowSet struct {
 func allRows(n int) rowSet          { return rowSet{dense: true, n: n} }
 func listRows(list []uint32) rowSet { return rowSet{n: len(list), list: list} }
 
-// at returns the i'th row of the set.
-func (r rowSet) at(i int) uint32 {
-	if r.dense {
-		return uint32(i)
-	}
-	return r.list[i]
-}
-
-// phaseA evaluates the ID-rank equation for every row v of rows:
-//
-//	next[v] = σ·cur[v] + (1-σ)·(base + Σ_{c→v∈G} src[c]·invOut[c])
-//
-// a pull-style gather over v's in-neighbours via the reversed CSR, src
-// being the property ranks. Under SinkToOthers (perSink != 0) a sink
-// does not credit itself. The float operation order is the contract the
-// bit-identity tests hold: accumulate from base in row order, subtract
-// the self share, then blend. next must not alias src; writes touch
-// only the swept rows.
-func (k *kernel) phaseA(rows rowSet, src, cur, next []float64, base, perSink float64) {
-	off, col, inv := k.revOff, k.revCol, k.invOut
-	sigma, blend := k.sigma, k.blend
-	par.ForRange(rows.n, k.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := rows.at(i)
-			acc := base
-			for _, c := range col[off[v]:off[v+1]] {
-				acc += src[c] * inv[c]
-			}
-			if perSink != 0 && inv[v] == 0 {
-				acc -= src[v] * perSink
-			}
-			next[v] = sigma*cur[v] + blend*acc
+// sweep runs block over every sinkBlock-wide block of rows: the caller
+// and up to workers-1 helpers take block indices from the counter until
+// it runs out.
+func (k *kernel) sweep(block func(*kernel, int), rows rowSet, base, perSink float64) {
+	k.block, k.rows, k.base, k.perSink = block, rows, base, perSink
+	k.nblk = (rows.n + sinkBlock - 1) / sinkBlock
+	k.next.Store(0)
+	if helpers := min(k.workers, k.nblk) - 1; helpers > 0 {
+		k.wg.Add(helpers)
+		for ; helpers > 0; helpers-- {
+			go k.help()
 		}
-	})
+	}
+	k.drain()
+	k.wg.Wait()
 }
 
-// phaseB evaluates the property-rank equation for every row v of rows:
+func (k *kernel) drain() {
+	for {
+		blk := int(k.next.Add(1)) - 1
+		if blk >= k.nblk {
+			return
+		}
+		k.block(k, blk)
+	}
+}
+
+// blockSpan is block blk's half-open range of the n row positions.
+func blockSpan(blk, n int) (lo, hi int) {
+	lo = blk * sinkBlock
+	return lo, min(lo+sinkBlock, n)
+}
+
+// seed adopts the initial rank vectors (one entry per row) and derives
+// everything the first sweep reads from them.
+func (k *kernel) seed(id, prop []float64) {
+	k.id, k.prop = id, prop
+	k.sweep((*kernel).scale, allRows(len(id)), 0, 0)
+}
+
+// scale recomputes block blk's scaled entries and both of its sink
+// partials from its rank entries. It is idempotent, so RunIncremental
+// also uses it to refresh the partials of blocks a list sweep rewrote.
+func (k *kernel) scale(blk int) {
+	lo, hi := blockSpan(blk, len(k.id))
+	var pa, pb float64
+	for v := lo; v < hi; v++ {
+		deg := k.fwdOff[v+1] - k.fwdOff[v]
+		k.sProp[v] = k.prop[v] * inverse(float64(deg))
+		if deg == 0 {
+			pa += k.prop[v]
+		}
+		k.sID[v] = k.id[v] * k.invW[v]
+		if k.invW[v] == 0 {
+			pb += k.id[v]
+		}
+	}
+	k.partA[blk], k.partB[blk] = pa, pb
+}
+
+// phaseA evaluates the ID-rank equation for every row v of rows, in
+// place:
 //
-//	next[v] = σ·cur[v] + (1-σ)·(base + Σ_{v→c∈G} src[c]·w(v→c)·invW[c])
+//	id[v] = σ·id[v] + (1-σ)·(base + Σ_{c→v∈G} sProp[c])
+//
+// a pull-style gather over v's in-neighbours via the reversed CSR. Under
+// SinkToOthers (perSink != 0) a sink does not credit itself. The float
+// operation order is the contract the bit-identity tests hold: accumulate
+// from base in row order, subtract the self share, then blend. It
+// returns max |Δ id| over the swept rows; a dense sweep leaves the
+// phase-B sink partials of the new id in partB.
+func (k *kernel) phaseA(rows rowSet, base, perSink float64) float64 {
+	k.sweep((*kernel).blockA, rows, base, perSink)
+	var maxDelta float64
+	for _, d := range k.blkMax[:k.nblk] {
+		maxDelta = max(maxDelta, d)
+	}
+	return maxDelta
+}
+
+// gatherA adds one reversed row's premultiplied property ranks to acc, in
+// row order: one random load per edge.
+func gatherA(acc float64, col []uint32, src []float64) float64 {
+	for _, c := range col {
+		acc += src[c]
+	}
+	return acc
+}
+
+// gatherB adds one forward row's premultiplied ID ranks, each times its
+// edge's weight (indexed by the paired flag), to acc in row order.
+func gatherB(acc float64, col []uint32, paired []uint8, src []float64, weight *[2]float64) float64 {
+	paired = paired[:len(col)]
+	for i, c := range col {
+		acc += float64(src[c] * weight[paired[i]&1])
+	}
+	return acc
+}
+
+func (k *kernel) blockA(blk int) {
+	lo, hi := blockSpan(blk, k.rows.n)
+	off, col, src := k.revOff, k.revCol, k.sProp
+	id, sID, invW, prop, fwdOff, moved := k.id, k.sID, k.invW, k.prop, k.fwdOff, k.moved
+	base, perSink, sigma, blend, theta := k.base, k.perSink, k.sigma, k.blend, k.theta
+	var part, maxD float64
+	if k.rows.dense {
+		for v := lo; v < hi; v++ {
+			acc := gatherA(base, col[off[v]:off[v+1]], src)
+			if perSink != 0 && fwdOff[v] == fwdOff[v+1] {
+				acc -= prop[v] * perSink
+			}
+			x := sigma*id[v] + blend*acc
+			d := math.Abs(x - id[v])
+			if d > maxD {
+				maxD = d
+			}
+			if d > theta {
+				moved[v] = 1
+			}
+			id[v] = x
+			sID[v] = x * invW[v]
+			if invW[v] == 0 {
+				part += x
+			}
+		}
+		k.partB[blk] = part
+	} else {
+		for _, v := range k.rows.list[lo:hi] {
+			acc := gatherA(base, col[off[v]:off[v+1]], src)
+			if perSink != 0 && fwdOff[v] == fwdOff[v+1] {
+				acc -= prop[v] * perSink
+			}
+			x := sigma*id[v] + blend*acc
+			d := math.Abs(x - id[v])
+			if d > maxD {
+				maxD = d
+			}
+			if d > theta {
+				moved[v] = 1
+			}
+			id[v] = x
+			sID[v] = x * invW[v]
+		}
+	}
+	k.blkMax[blk] = maxD
+}
+
+// phaseB evaluates the property-rank equation for every row v of rows,
+// in place:
+//
+//	prop[v] = σ·prop[v] + (1-σ)·(base + Σ_{v→c∈G} sID[c]·w(v→c))
 //
 // v's in-neighbours in Gᵣ are its out-neighbours in G, so the gather
 // walks the forward CSR; w is 1 for a paired edge and UnpairedWeight
-// otherwise, src the ID ranks phase A just produced. Same contract as
-// phaseA.
-func (k *kernel) phaseB(rows rowSet, src, cur, next []float64, base, perSink float64) {
-	off, col, paired, inv := k.fwdOff, k.fwdCol, k.fwdPaired, k.invW
-	sigma, blend, unpaired := k.sigma, k.blend, k.unpairedWeight
-	par.ForRange(rows.n, k.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := rows.at(i)
-			acc := base
-			for e := off[v]; e < off[v+1]; e++ {
-				c := col[e]
-				w := unpaired
-				if paired[e] == 1 {
-					w = 1
-				}
-				acc += src[c] * w * inv[c]
+// otherwise, and the product is (id·invW)·w in that order. Same contract
+// as phaseA; a dense sweep leaves the phase-A sink partials of the new
+// prop in partA.
+func (k *kernel) phaseB(rows rowSet, base, perSink float64) {
+	k.sweep((*kernel).blockB, rows, base, perSink)
+}
+
+func (k *kernel) blockB(blk int) {
+	lo, hi := blockSpan(blk, k.rows.n)
+	off, col, paired, src := k.fwdOff, k.fwdCol, k.fwdPaired, k.sID
+	id, prop, sProp, invW, moved := k.id, k.prop, k.sProp, k.invW, k.moved
+	base, perSink, sigma, blend, theta, weight := k.base, k.perSink, k.sigma, k.blend, k.theta, k.weight
+	var part float64
+	if k.rows.dense {
+		for v := lo; v < hi; v++ {
+			s, e := off[v], off[v+1]
+			acc := gatherB(base, col[s:e], paired[s:e], src, &weight)
+			if perSink != 0 && invW[v] == 0 {
+				acc -= id[v] * perSink
 			}
-			if perSink != 0 && inv[v] == 0 {
-				acc -= src[v] * perSink
+			x := sigma*prop[v] + blend*acc
+			if math.Abs(x-prop[v]) > theta {
+				moved[v] = 1
 			}
-			next[v] = sigma*cur[v] + blend*acc
+			prop[v] = x
+			sProp[v] = x * inverse(float64(e-s))
+			if e == s {
+				part += x
+			}
 		}
-	})
+		k.partA[blk] = part
+	} else {
+		for _, v := range k.rows.list[lo:hi] {
+			s, e := off[v], off[v+1]
+			acc := gatherB(base, col[s:e], paired[s:e], src, &weight)
+			if perSink != 0 && invW[v] == 0 {
+				acc -= id[v] * perSink
+			}
+			x := sigma*prop[v] + blend*acc
+			if math.Abs(x-prop[v]) > theta {
+				moved[v] = 1
+			}
+			prop[v] = x
+			sProp[v] = x * inverse(float64(e-s))
+		}
+	}
 }

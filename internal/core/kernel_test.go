@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"faultyrank/internal/graph"
+	"faultyrank/internal/rmat"
 )
 
 // kernelTestGraph is a 12-vertex multigraph with everything the phase
@@ -28,6 +30,29 @@ func kernelTestGraph() *graph.Bidirected {
 	return graph.NewBidirected(12, edges, 1)
 }
 
+// UnpairedSinkGraph is a random n-vertex graph with one unpaired edge in
+// three and every seventh vertex isolated, so each row block holds sinks
+// of both orientations. Exported for the external matrix test.
+func UnpairedSinkGraph(n int) *graph.Bidirected {
+	r := rand.New(rand.NewSource(int64(n)))
+	var edges []graph.Edge
+	for i := 0; i < 2*n; i++ {
+		src, dst := uint32(r.Intn(n)), uint32(r.Intn(n))
+		if src%7 == 0 || dst%7 == 0 {
+			continue
+		}
+		edges = append(edges, graph.Edge{Src: src, Dst: dst})
+		if r.Intn(3) != 0 {
+			edges = append(edges, graph.Edge{Src: dst, Dst: src})
+		}
+	}
+	return graph.NewBidirected(n, edges, 0)
+}
+
+// blockSpanningGraph is neither below sinkBlock nor a multiple of it:
+// three row blocks, the last one short.
+func blockSpanningGraph() *graph.Bidirected { return UnpairedSinkGraph(2*sinkBlock + 517) }
+
 // testVector returns n positive values with no two equal, so a gather
 // that picks the wrong column or order changes the sum's bits.
 func testVector(r *rand.Rand, n int) []float64 {
@@ -38,66 +63,58 @@ func testVector(r *rand.Rand, n int) []float64 {
 	return xs
 }
 
-// TestKernelSweepsAgree: the same phase over the same inputs yields
-// bit-identical next values whether the rows are swept densely, as an
-// explicit list in shuffled order, or shard by shard over K local column
-// spaces — for both phases, every sink policy and both distributions.
-// This is the property that lets Run, RunIncremental and RunPartition
-// share the kernel.
+// TestKernelSweepsAgree: one iteration over the same seeds leaves
+// bit-identical state whether both phases sweep densely or walk an
+// explicit row list in shuffled order — rank and scaled vectors, max |Δ|,
+// and the sink partials, which the dense sweep emits and the list path
+// recomputes block by block. For every sink policy and both
+// distributions. This is the property that lets Run and RunIncremental
+// share the kernel; the partition matrix holds the shards to it.
 func TestKernelSweepsAgree(t *testing.T) {
-	b := kernelTestGraph()
-	n := b.N()
-	phases := []struct {
-		name string
-		run  func(k *kernel, rows rowSet, src, cur, next []float64, base, perSink float64)
-		inv  func(k *kernel) []float64
-	}{
-		{"A", (*kernel).phaseA, func(k *kernel) []float64 { return k.invOut }},
-		{"B", (*kernel).phaseB, func(k *kernel) []float64 { return k.invW }},
-	}
-	for _, policy := range []SinkPolicy{SinkToOthers, SinkToAll, SinkDrop} {
-		for _, leaky := range []bool{false, true} {
-			for _, ph := range phases {
-				t.Run(fmt.Sprintf("%s/%v/leaky=%v", ph.name, policy, leaky), func(t *testing.T) {
+	for gname, b := range map[string]*graph.Bidirected{"small": kernelTestGraph(), "blocks": blockSpanningGraph()} {
+		n := b.N()
+		for _, policy := range []SinkPolicy{SinkToOthers, SinkToAll, SinkDrop} {
+			for _, leaky := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/leaky=%v", gname, policy, leaky), func(t *testing.T) {
 					opt := DefaultOptions()
 					opt.SinkPolicy, opt.LeakyDistribution, opt.Workers = policy, leaky, 3
 					r := rand.New(rand.NewSource(7))
-					src, cur := testVector(r, n), testVector(r, n)
-					k := graphKernel(b, opt)
-					base, perSink := sinkShares(sinkMass(src, ph.inv(k), 1), n, policy)
-					if policy == SinkToOthers && perSink == 0 {
-						t.Fatal("fixture has no sink mass: the self-exclusion term is not exercised")
-					}
-
-					dense := make([]float64, n)
-					ph.run(k, allRows(n), src, cur, dense, base, perSink)
-
-					unset := math.NaN()
-					listed := filled(n, unset)
+					id0, prop0 := testVector(r, n), testVector(r, n)
 					order := make([]uint32, n)
 					for i, v := range r.Perm(n) {
 						order[i] = uint32(v)
 					}
-					ph.run(k, listRows(order), src, cur, listed, base, perSink)
-					exactlyEqual(t, "row-list sweep", listed, dense)
 
-					for _, parts := range []int{2, 3} {
-						plan := graph.PartitionPlan(b, testOwners(n, parts, int64(parts)), parts, 1)
-						union := filled(n, unset)
-						for _, sub := range plan.Parts {
-							cols := append(append([]uint32(nil), sub.Local...), sub.Ghosts...)
-							srcCols, curCols := make([]float64, len(cols)), make([]float64, len(cols))
-							for c, g := range cols {
-								srcCols[c], curCols[c] = src[g], cur[g]
-							}
-							next := make([]float64, len(cols))
-							ph.run(shardKernel(sub, opt), allRows(sub.NLocal()), srcCols, curCols, next, base, perSink)
-							for l, g := range sub.Local {
-								union[g] = next[l]
+					iterate := func(rows rowSet) (*kernel, float64) {
+						k := graphKernel(b, opt)
+						k.seed(slices.Clone(id0), slices.Clone(prop0))
+						rescale := func() {
+							if !rows.dense {
+								for blk := range k.partA {
+									k.scale(blk)
+								}
 							}
 						}
-						exactlyEqual(t, fmt.Sprintf("union of %d shard sweeps", parts), union, dense)
+						base, perSink := sinkShares(foldBlocks(k.partA), n, policy)
+						if policy == SinkToOthers && perSink == 0 {
+							t.Fatal("fixture has no sink mass: the self-exclusion term is not exercised")
+						}
+						maxDelta := k.phaseA(rows, base, perSink)
+						rescale()
+						base, perSink = sinkShares(foldBlocks(k.partB), n, policy)
+						k.phaseB(rows, base, perSink)
+						rescale()
+						return k, maxDelta
 					}
+					dense, denseMax := iterate(allRows(n))
+					listed, listedMax := iterate(listRows(order))
+					exactlyEqual(t, "max delta", []float64{listedMax}, []float64{denseMax})
+					exactlyEqual(t, "id", listed.id, dense.id)
+					exactlyEqual(t, "prop", listed.prop, dense.prop)
+					exactlyEqual(t, "sID", listed.sID, dense.sID)
+					exactlyEqual(t, "sProp", listed.sProp, dense.sProp)
+					exactlyEqual(t, "partA", listed.partA, dense.partA)
+					exactlyEqual(t, "partB", listed.partB, dense.partB)
 				})
 			}
 		}
@@ -121,20 +138,14 @@ func TestKernelEmptyRowList(t *testing.T) {
 	n := b.N()
 	opt := DefaultOptions()
 	k := graphKernel(b, opt)
-	src, cur := filled(n, 1), filled(n, 1)
+	k.seed(filled(n, 1), filled(n, 1))
 	empty := newVertSet(n) // never marked: its list is nil
-	for name, run := range map[string]func(rowSet, []float64){
-		"A": func(rows rowSet, next []float64) { k.phaseA(rows, src, cur, next, 0.5, 0.25) },
-		"B": func(rows rowSet, next []float64) { k.phaseB(rows, src, cur, next, 0.5, 0.25) },
-	} {
-		next := filled(n, -1)
-		run(listRows(empty.list), next)
-		for v, x := range next {
-			if x != -1 {
-				t.Fatalf("phase %s over an empty row list rewrote row %d", name, v)
-			}
-		}
+	if d := k.phaseA(listRows(empty.list), 0.5, 0.25); d != 0 {
+		t.Fatalf("phase A over an empty row list reports max delta %v", d)
 	}
+	k.phaseB(listRows(empty.list), 0.5, 0.25)
+	exactlyEqual(t, "id", k.id, filled(n, 1))
+	exactlyEqual(t, "prop", k.prop, filled(n, 1))
 
 	tight := opt
 	tight.Epsilon = 1e-12
@@ -151,5 +162,89 @@ func TestKernelEmptyRowList(t *testing.T) {
 	}
 	if !res.Converged || res.Iterations != 2 {
 		t.Fatalf("empty delta: converged=%v after %d iterations, want the quiet round plus its verification", res.Converged, res.Iterations)
+	}
+}
+
+// TestRunRepeatsEqual: blocks go to whichever worker asks first, so the
+// assignment differs from run to run; the result must not. Run it under
+// -race — it is also the test that the hand-out shares nothing but the
+// counter.
+func TestRunRepeatsEqual(t *testing.T) {
+	b := blockSpanningGraph()
+	opt := DefaultOptions()
+	opt.Workers = 1
+	want := Run(b, opt)
+	opt.Workers = 4
+	for i := 0; i < 20; i++ {
+		assertSameResult(t, Run(b, opt), want)
+	}
+}
+
+// TestRunAllocsIndependentOfIterations: an iteration, fan-out included,
+// allocates nothing but Result.Diffs' growth — and 33 and 64 iterations
+// grow it through the same append steps, so the two counts must be
+// equal, not merely close.
+func TestRunAllocsIndependentOfIterations(t *testing.T) {
+	b := blockSpanningGraph()
+	opt := DefaultOptions()
+	opt.Epsilon = 0 // never converges: the cap decides the count
+	opt.Workers = 3
+	allocs := func(iters int) float64 {
+		opt.MaxIterations = iters
+		return testing.AllocsPerRun(5, func() {
+			if r := Run(b, opt); r.Iterations != iters {
+				t.Fatalf("ran %d iterations, want %d", r.Iterations, iters)
+			}
+		})
+	}
+	if short, long := allocs(33), allocs(64); short != long {
+		t.Fatalf("Run allocates %v objects over 33 iterations and %v over 64", short, long)
+	}
+}
+
+// metadataShapedGraph mimics the unified metadata graph: the first fifth
+// of the vertices are MDT inodes in an 8-ary namespace tree, the rest
+// are stripe objects of those inodes, and every relation is a typed,
+// paired point-to/point-back — two edges per vertex, three fifths of
+// them leaving the first fifth of the rows.
+func metadataShapedGraph(n int) *graph.Bidirected {
+	r := rand.New(rand.NewSource(1))
+	mdt := n / 5
+	edges := make([]graph.Edge, 0, 2*n)
+	for v := 1; v < n; v++ {
+		owner, to, back := uint32((v-1)/8), graph.KindDirent, graph.KindLinkEA
+		if v >= mdt {
+			owner, to, back = uint32(r.Intn(mdt)), graph.KindLOVEA, graph.KindFilterFID
+		}
+		edges = append(edges, graph.Edge{Src: owner, Dst: uint32(v), Kind: to}, graph.Edge{Src: uint32(v), Dst: owner, Kind: back})
+	}
+	return graph.NewBidirected(n, edges, 0)
+}
+
+// BenchmarkKernel times Run alone — the CSR is built outside the timer —
+// for a fixed 32 iterations on the two degree regimes the spine's
+// workloads have: R-MAT scale 16 with edge factor 8, and a typed
+// metadata-shaped graph with two edges per vertex.
+func BenchmarkKernel(b *testing.B) {
+	graphs := []struct {
+		name string
+		g    *graph.Bidirected
+	}{
+		{"rmat16x8", graph.NewBidirectedUntyped(1<<16, rmat.Generate(rmat.Graph500(16, 8, 1), 0), 0)},
+		{"metadata120k", metadataShapedGraph(120000)},
+	}
+	for _, tc := range graphs {
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(b *testing.B) {
+				opt := DefaultOptions()
+				opt.Workers, opt.Epsilon, opt.MaxIterations = w, 0, 32
+				b.ReportAllocs()
+				for b.Loop() {
+					Run(tc.g, opt)
+				}
+				edgeIters := float64(tc.g.Fwd.NumEdges()) * float64(opt.MaxIterations)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edgeIters, "ns/edge-iter")
+			})
+		}
 	}
 }

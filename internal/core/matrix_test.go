@@ -1,0 +1,107 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"faultyrank/internal/core"
+	"faultyrank/internal/graph"
+	"faultyrank/internal/wire"
+)
+
+// runOverTCP is core.RunPartitioned with the channel links replaced by
+// dialed wire.RankConn links: every frame crosses the versioned codec.
+func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	x, addr, err := wire.NewRankExchange("", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	sums := make([]uint64, plan.K)
+	for p, sub := range plan.Parts {
+		sums[p] = sub.Fingerprint()
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < plan.K; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			link, err := wire.DialRankLink(ctx, addr, p, plan.K, sums[p], wire.DefaultRetryPolicy(), 5*time.Second)
+			if err != nil {
+				t.Errorf("worker %d dial: %v", p, err)
+				return
+			}
+			defer link.Close()
+			if err := core.RunPartition(core.NewPartState(plan.Parts[p], opt.PerPartition(plan.K)), link); err != nil {
+				t.Errorf("worker %d: %v", p, err)
+			}
+		}(p)
+	}
+	links, err := x.AcceptWorkers(ctx, wire.WorkerSpec{K: plan.K, Sums: sums})
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	got, _, err := core.Coordinate(plan, links, opt)
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	wg.Wait()
+	return got
+}
+
+// TestBitIdentityMatrix: however the iteration is run — any worker count
+// over the dynamically handed-out blocks, the whole graph or K
+// partitions, channel links or TCP — it returns the ranks, the
+// convergence series and the iteration count of the Workers: 1 Run, bit
+// for bit. The two graphs sit below one kernel block (4096 rows) and
+// across one with a ragged second; the options cover every sink policy
+// under both distributions. The small graph runs to convergence, the
+// large one is cut off after 16 iterations (the cap's halt path).
+func TestBitIdentityMatrix(t *testing.T) {
+	for _, n := range []int{300, 4096 + 517} {
+		b := core.UnpairedSinkGraph(n)
+		var plans []*graph.Plan
+		for _, k := range []int{1, 2, 3} {
+			owners := make([]uint16, n)
+			r := rand.New(rand.NewSource(int64(k)))
+			for g := range owners {
+				owners[g] = uint16(r.Intn(k))
+			}
+			plans = append(plans, graph.PartitionPlan(b, owners, k, 0))
+		}
+		for _, policy := range []core.SinkPolicy{core.SinkToOthers, core.SinkToAll, core.SinkDrop} {
+			for _, leaky := range []bool{false, true} {
+				t.Run(fmt.Sprintf("n=%d/%v/leaky=%v", n, policy, leaky), func(t *testing.T) {
+					opt := core.DefaultOptions()
+					opt.SinkPolicy, opt.LeakyDistribution, opt.Workers = policy, leaky, 1
+					if n > 4096 {
+						opt.MaxIterations = 16
+					}
+					want := core.Run(b, opt)
+					for _, workers := range []int{1, 2, 3, 8} {
+						opt.Workers = workers
+						same := func(how string, got *core.Result) {
+							t.Run(fmt.Sprintf("workers=%d/%s", workers, how), func(t *testing.T) { core.AssertSameResult(t, got, want) })
+						}
+						same("Run", core.Run(b, opt))
+						for _, plan := range plans {
+							got, _, err := core.RunPartitioned(plan, opt, nil)
+							if err != nil {
+								t.Fatalf("workers=%d K=%d LinkPair: %v", workers, plan.K, err)
+							}
+							same(fmt.Sprintf("K=%d/LinkPair", plan.K), got)
+							same(fmt.Sprintf("K=%d/TCP", plan.K), runOverTCP(t, plan, opt))
+						}
+					}
+				})
+			}
+		}
+	}
+}

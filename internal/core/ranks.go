@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"faultyrank/internal/graph"
-	"faultyrank/internal/par"
-)
+import "faultyrank/internal/graph"
 
 // Result holds the converged credibility scores of a FaultyRank run.
 // IDRank and PropRank are on the paper's scale: every vertex starts at
@@ -71,9 +66,9 @@ func normalized(xs []float64) []float64 {
 // ones, and W(v) is the total weight of v's reversed-graph out-edges
 // (§III-D's weighted distribution). Both phases are the kernel's
 // pull-style gathers (kernel.go), swept densely over the whole graph —
-// race-free and deterministic under parallelism. Sink mass is folded
-// locally in the canonical block order and redistributed according to
-// Options.SinkPolicy.
+// race-free and deterministic under parallelism. Each sweep also emits
+// the next phase's sink mass as canonical block partials, which are
+// folded here and redistributed according to Options.SinkPolicy.
 func Run(b *graph.Bidirected, opt Options) *Result {
 	n := b.N()
 	res := &Result{}
@@ -83,22 +78,18 @@ func Run(b *graph.Bidirected, opt Options) *Result {
 		return res
 	}
 	k := graphKernel(b, opt)
+	k.seed(res.IDRank, res.PropRank)
 	rows := allRows(n)
-	newID := make([]float64, n)
-	newProp := make([]float64, n)
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
-		sinkA := sinkMass(res.PropRank, k.invOut, k.workers)
+		sinkA := foldBlocks(k.partA)
 		baseA, perSinkA := sinkShares(sinkA, n, opt.SinkPolicy)
-		k.phaseA(rows, res.PropRank, res.IDRank, newID, baseA, perSinkA)
+		diff := k.phaseA(rows, baseA, perSinkA)
 
-		sinkB := sinkMass(newID, k.invW, k.workers)
+		sinkB := foldBlocks(k.partB)
 		baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
-		k.phaseB(rows, newID, res.PropRank, newProp, baseB, perSinkB)
+		k.phaseB(rows, baseB, perSinkB)
 
-		diff := maxAbsDiff(res.IDRank, newID, k.workers)
-		res.IDRank, newID = newID, res.IDRank
-		res.PropRank, newProp = newProp, res.PropRank
 		if res.recordIteration(opt, diff, sinkA, sinkB) {
 			res.Converged = true
 			break
@@ -181,54 +172,25 @@ func rescaleMass(xs []float64) {
 	}
 }
 
-// sinkBlock is the fixed width of the canonical sink-mass summation
-// blocks. Float64 addition is not associative, so the fold order IS the
-// definition of the sum: per-block partials accumulate sequentially in
-// ascending vertex order, and the partials fold sequentially in
-// ascending block order. That order depends only on the vertex
-// numbering — never on the worker count or on how the vertices are
-// partitioned — which is what lets the distributed coordinator
-// (superstep.go) reproduce the single-process ranks bit for bit.
+// sinkBlock is the fixed width of the kernel's row blocks and of the
+// canonical sink-mass summation. Float64 addition is not associative, so
+// the fold order IS the definition of the sum: per-block partials
+// accumulate sequentially in ascending vertex order (the kernel emits
+// them as it sweeps), and the partials fold sequentially in ascending
+// block order. That order depends only on the vertex numbering — never
+// on the worker count or on how the vertices are partitioned — which is
+// what lets the distributed coordinator (superstep.go) reproduce the
+// single-process ranks bit for bit.
 const sinkBlock = 1 << 12
 
-// sinkMass sums rank[v] over vertices whose inverse divisor is zero,
-// i.e. the sinks of the graph orientation the divisor belongs to. The
-// blocks are independent, so they compute in parallel; the fold order
-// is canonical (see sinkBlock).
-func sinkMass(rank, invDiv []float64, workers int) float64 {
-	n := len(rank)
-	if n == 0 {
-		return 0
-	}
-	nb := (n + sinkBlock - 1) / sinkBlock
-	partial := make([]float64, nb)
-	par.ForRange(nb, workers, func(lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			partial[blk] = sinkBlockSum(rank, invDiv, blk)
-		}
-	})
+// foldBlocks is the second half of the canonical sum: the block partials
+// in ascending block order.
+func foldBlocks(partial []float64) float64 {
 	var sum float64
 	for _, p := range partial {
 		sum += p
 	}
 	return sum
-}
-
-// sinkBlockSum is one block's partial of the canonical sink-mass sum:
-// sequential, ascending vertex order within the block. The incremental
-// kernel caches these per block and recomputes only blocks containing
-// touched vertices — a whole-block sequential recompute is bit-identical
-// to the cold kernel's partial, so the canonical fold is preserved.
-func sinkBlockSum(rank, invDiv []float64, blk int) float64 {
-	s := blk * sinkBlock
-	e := min(s+sinkBlock, len(rank))
-	var acc float64
-	for i := s; i < e; i++ {
-		if invDiv[i] == 0 {
-			acc += rank[i]
-		}
-	}
-	return acc
 }
 
 // sinkShares converts total sink mass into the per-vertex additive base
@@ -249,10 +211,4 @@ func sinkShares(mass float64, n int, policy SinkPolicy) (base, perSink float64) 
 		per := 1 / float64(n-1)
 		return mass * per, per
 	}
-}
-
-func maxAbsDiff(a, b []float64, workers int) float64 {
-	return par.MapReduceMaxFloat64(len(a), workers, func(i int) float64 {
-		return math.Abs(a[i] - b[i])
-	})
 }

@@ -131,9 +131,9 @@ type PartError struct {
 func (e *PartError) Error() string { return fmt.Sprintf("rank partition %d: %v", e.Part, e.Err) }
 func (e *PartError) Unwrap() error { return e.Err }
 
-// PartState is one rank worker's mutable state around the shard's
-// kernel: the sink index lists and the double-buffered column-sized
-// rank arrays (locals in [0, NLocal), ghosts above).
+// PartState is one rank worker's state: the shard's kernel — which holds
+// the rank vectors, locals per row and scaled ghosts per column — and
+// the sink index lists.
 type PartState struct {
 	Sub *graph.SubGraph
 
@@ -144,25 +144,14 @@ type PartState struct {
 	// sink-mass fold.
 	sinkALoc []uint32
 	sinkBLoc []uint32
-
-	idCur, idNext     []float64
-	propCur, propNext []float64
 }
 
 // NewPartState prepares a worker for RunPartition. opt.Workers bounds
 // this partition's sweep parallelism (see Options.PerPartition).
 func NewPartState(sub *graph.SubGraph, opt Options) *PartState {
-	nCols := sub.NCols()
-	st := &PartState{
-		Sub:      sub,
-		k:        shardKernel(sub, opt),
-		idCur:    make([]float64, nCols),
-		idNext:   make([]float64, nCols),
-		propCur:  make([]float64, nCols),
-		propNext: make([]float64, nCols),
-	}
+	st := &PartState{Sub: sub, k: shardKernel(sub, opt)}
 	for l := 0; l < sub.NLocal(); l++ {
-		if st.k.invOut[l] == 0 {
+		if sub.FwdOff[l] == sub.FwdOff[l+1] {
 			st.sinkALoc = append(st.sinkALoc, uint32(l))
 		}
 		if st.k.invW[l] == 0 {
@@ -183,7 +172,7 @@ func gatherAt(dst []float64, src []float64, idx []uint32) []float64 {
 // RunPartition executes one worker's side of the superstep protocol
 // until the coordinator halts it or the link breaks.
 func RunPartition(st *PartState, link Link) error {
-	sub := st.Sub
+	sub, k := st.Sub, st.k
 	nLocal := sub.NLocal()
 	rows := allRows(nLocal)
 
@@ -197,20 +186,23 @@ func RunPartition(st *PartState, link Link) error {
 	if len(init.ID) != nLocal || len(init.Prop) != nLocal {
 		return fmt.Errorf("rank worker %d: Init seed length %d/%d, want %d", sub.Part, len(init.ID), len(init.Prop), nLocal)
 	}
-	copy(st.idCur, init.ID)
-	copy(st.propCur, init.Prop)
+	// The Init frame is this worker's alone; its seed vectors become the
+	// rank vectors.
+	k.seed(init.ID, init.Prop)
 
 	done := func() error {
-		return link.Send(&RankDelta{
-			Kind: RankDone,
-			Part: uint32(sub.Part),
-			ID:   st.idCur[:nLocal],
-			Prop: st.propCur[:nLocal],
-		})
+		return link.Send(&RankDelta{Kind: RankDone, Part: uint32(sub.Part), ID: k.id, Prop: k.prop})
 	}
 	if init.Halt {
 		return done()
 	}
+
+	// Ghost values travel unscaled, as the peers' rank entries; gathers
+	// read only the scaled vectors, so a ghost column is scaled on receipt
+	// by its own divisor — exactly what its owner wrote into its own
+	// scaled entry — and its unscaled value is not kept.
+	ghostOut, ghostW := sub.OutDeg[nLocal:], k.invW[nLocal:]
+	sPropGhost, sIDGhost := k.sProp[nLocal:], k.sID[nLocal:]
 
 	// Reused frame buffers: values are copied into the frames (gathers
 	// are non-contiguous), so the compute arrays stay private.
@@ -223,9 +215,9 @@ func RunPartition(st *PartState, link Link) error {
 	for iter := uint32(0); ; iter++ {
 		// ---- superstep A: ship sinks+boundary, recv shares+ghosts ---
 		upA.Iter = iter
-		upA.Sink = gatherAt(upA.Sink, st.propCur, st.sinkALoc)
+		upA.Sink = gatherAt(upA.Sink, k.prop, st.sinkALoc)
 		for q, sched := range sub.SendTo {
-			upA.Bound[q] = gatherAt(upA.Bound[q], st.propCur, sched)
+			upA.Bound[q] = gatherAt(upA.Bound[q], k.prop, sched)
 		}
 		if err := link.Send(upA); err != nil {
 			return err
@@ -240,17 +232,16 @@ func RunPartition(st *PartState, link Link) error {
 		if len(downA.Ghost) != len(sub.Ghosts) {
 			return fmt.Errorf("rank worker %d: DownA ghost count %d, want %d", sub.Part, len(downA.Ghost), len(sub.Ghosts))
 		}
-		copy(st.propCur[nLocal:], downA.Ghost)
-
-		st.k.phaseA(rows, st.propCur, st.idCur, st.idNext, downA.Base, downA.PerSink)
-		localDiff := maxAbsDiff(st.idCur[:nLocal], st.idNext[:nLocal], st.k.workers)
+		for i, g := range downA.Ghost {
+			sPropGhost[i] = g * inverse(float64(ghostOut[i]))
+		}
 
 		// ---- superstep B ---------------------------------------------
 		upB.Iter = iter
-		upB.Diff = localDiff
-		upB.Sink = gatherAt(upB.Sink, st.idNext, st.sinkBLoc)
+		upB.Diff = k.phaseA(rows, downA.Base, downA.PerSink)
+		upB.Sink = gatherAt(upB.Sink, k.id, st.sinkBLoc)
 		for q, sched := range sub.SendTo {
-			upB.Bound[q] = gatherAt(upB.Bound[q], st.idNext, sched)
+			upB.Bound[q] = gatherAt(upB.Bound[q], k.id, sched)
 		}
 		if err := link.Send(upB); err != nil {
 			return err
@@ -265,12 +256,11 @@ func RunPartition(st *PartState, link Link) error {
 		if len(downB.Ghost) != len(sub.Ghosts) {
 			return fmt.Errorf("rank worker %d: DownB ghost count %d, want %d", sub.Part, len(downB.Ghost), len(sub.Ghosts))
 		}
-		copy(st.idNext[nLocal:], downB.Ghost)
+		for i, g := range downB.Ghost {
+			sIDGhost[i] = g * ghostW[i]
+		}
 
-		st.k.phaseB(rows, st.idNext, st.propCur, st.propNext, downB.Base, downB.PerSink)
-
-		st.idCur, st.idNext = st.idNext, st.idCur
-		st.propCur, st.propNext = st.propNext, st.propCur
+		k.phaseB(rows, downB.Base, downB.PerSink)
 		if downB.Halt {
 			return done()
 		}
@@ -332,11 +322,11 @@ func buildSinkRefs(plan *graph.Plan, pick func(sub *graph.SubGraph, l int) bool)
 	return refs
 }
 
-// foldSinks reproduces sinkMass's canonical blocked sum from the raw
-// sink values the partitions shipped: terms land in their fixed
-// 4096-wide block in ascending-gid order, and the block partials fold
-// in ascending block order — the exact term sequence of the
-// single-process reduction.
+// foldSinks reproduces the kernel's canonical blocked sum (sinkBlock)
+// from the raw sink values the partitions shipped: terms land in their
+// fixed 4096-wide block in ascending-gid order, and the block partials
+// fold in ascending block order — the exact term sequence of the
+// single-process sweep's partials and foldBlocks.
 func foldSinks(refs []sinkRef, ups []*RankDelta, partial []float64, cursors []int) float64 {
 	for i := range partial {
 		partial[i] = 0
@@ -348,11 +338,7 @@ func foldSinks(refs []sinkRef, ups []*RankDelta, partial []float64, cursors []in
 		partial[int(r.gid)/sinkBlock] += ups[r.part].Sink[cursors[r.part]]
 		cursors[r.part]++
 	}
-	var sum float64
-	for _, p := range partial {
-		sum += p
-	}
-	return sum
+	return foldBlocks(partial)
 }
 
 func sendAll(links []Link, frames []*RankDelta) error {

@@ -25,6 +25,9 @@ func exactlyEqual(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// AssertSameResult exports assertSameResult to the external matrix test.
+var AssertSameResult = assertSameResult
+
 func assertSameResult(t *testing.T, got, want *Result) {
 	t.Helper()
 	exactlyEqual(t, "IDRank", got.IDRank, want.IDRank)
@@ -181,29 +184,6 @@ func TestPartitionedZeroIterations(t *testing.T) {
 	assertSameResult(t, got, want)
 	if len(rep.Supersteps) != 0 {
 		t.Fatalf("zero-iteration run recorded %d supersteps", len(rep.Supersteps))
-	}
-}
-
-// TestSinkMassWorkerIndependent: the canonical blocked reduction must
-// not depend on the worker count (this is what anchors the distributed
-// fold).
-func TestSinkMassWorkerIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 3*sinkBlock + 17
-	rank := make([]float64, n)
-	invDiv := make([]float64, n)
-	for i := range rank {
-		rank[i] = rng.Float64()
-		if rng.Intn(3) == 0 {
-			invDiv[i] = rng.Float64()
-		}
-	}
-	want := sinkMass(rank, invDiv, 1)
-	for _, w := range []int{2, 3, 7, 16} {
-		got := sinkMass(rank, invDiv, w)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("workers=%d: sinkMass %v != %v", w, got, want)
-		}
 	}
 }
 

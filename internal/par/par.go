@@ -1,10 +1,12 @@
-// Package par provides small deterministic parallel-for and reduction
-// helpers used throughout the FaultyRank code base.
+// Package par provides the small deterministic parallel-for helpers used
+// throughout the FaultyRank code base.
 //
 // The helpers intentionally favour static range partitioning over work
 // stealing: every exported function splits its index space into at most
 // `workers` contiguous chunks, which keeps the memory-access pattern of
-// CSR kernels sequential per worker and makes results reproducible.
+// the CSR builders sequential per worker and makes results reproducible.
+// (The rank kernel hands out its own fixed-width blocks; see
+// internal/core/kernel.go.)
 package par
 
 import (
@@ -68,146 +70,6 @@ func ForEach(n, workers int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// SumFloat64 computes the sum of xs in parallel. Each worker accumulates a
-// local sum over its contiguous chunk; partial sums are combined in chunk
-// order so the result is deterministic for a fixed worker count.
-func SumFloat64(xs []float64, workers int) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			partial[slot] = s
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}
-
-// MapReduceFloat64 evaluates fn(i) for i in [0, n) and returns the sum of
-// the results, computed with the same deterministic chunking as SumFloat64.
-func MapReduceFloat64(n, workers int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += fn(i)
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += fn(i)
-			}
-			partial[slot] = s
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}
-
-// MapReduceMaxFloat64 evaluates fn(i) for i in [0, n) and returns the
-// maximum of the results, 0 when n <= 0 (callers reduce non-negative
-// magnitudes; an empty input has no deviation). Each worker keeps a
-// local maximum over its contiguous chunk; chunk maxima are combined in
-// chunk order, so the result is independent of goroutine interleaving.
-func MapReduceMaxFloat64(n, workers int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		var m float64
-		for i := 0; i < n; i++ {
-			if v := fn(i); v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			var m float64
-			for i := lo; i < hi; i++ {
-				if v := fn(i); v > m {
-					m = v
-				}
-			}
-			partial[slot] = m
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	var m float64
-	for _, p := range partial {
-		if p > m {
-			m = p
-		}
-	}
-	return m
 }
 
 // ExclusivePrefixSum64 converts counts (length n) into exclusive prefix

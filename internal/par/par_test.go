@@ -1,11 +1,8 @@
 package par
 
 import (
-	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForRangeCoversAll(t *testing.T) {
@@ -48,56 +45,6 @@ func TestForEach(t *testing.T) {
 	ForEach(0, 4, func(int) { t.Fatal("called for empty range") })
 }
 
-func TestSumFloat64MatchesSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		xs := make([]float64, r.Intn(5000))
-		for i := range xs {
-			xs[i] = r.Float64() - 0.5
-		}
-		var want float64
-		for _, x := range xs {
-			want += x
-		}
-		for _, w := range []int{1, 3, 16} {
-			if math.Abs(SumFloat64(xs, w)-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSumFloat64Deterministic(t *testing.T) {
-	xs := make([]float64, 10000)
-	r := rand.New(rand.NewSource(1))
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	a := SumFloat64(xs, 4)
-	for i := 0; i < 10; i++ {
-		if SumFloat64(xs, 4) != a {
-			t.Fatal("nondeterministic for fixed worker count")
-		}
-	}
-}
-
-func TestMapReduceFloat64(t *testing.T) {
-	got := MapReduceFloat64(100, 5, func(i int) float64 { return float64(i) })
-	if got != 4950 {
-		t.Fatalf("got %f", got)
-	}
-	if MapReduceFloat64(0, 5, func(int) float64 { return 1 }) != 0 {
-		t.Fatal("empty range nonzero")
-	}
-	if MapReduceFloat64(3, 1, func(i int) float64 { return 2 }) != 6 {
-		t.Fatal("sequential path wrong")
-	}
-}
-
 func TestExclusivePrefixSum64(t *testing.T) {
 	counts := []int64{3, 0, 5, 2}
 	total := ExclusivePrefixSum64(counts)
@@ -118,39 +65,5 @@ func TestExclusivePrefixSum64(t *testing.T) {
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")
-	}
-}
-
-func TestMapReduceMaxFloat64(t *testing.T) {
-	xs := []float64{0.5, 3.25, 1.0, 3.24999, 2.0, 0.0, 3.25}
-	for _, w := range []int{1, 2, 3, 8, 100} {
-		got := MapReduceMaxFloat64(len(xs), w, func(i int) float64 { return xs[i] })
-		if got != 3.25 {
-			t.Fatalf("workers=%d: got %v, want 3.25", w, got)
-		}
-	}
-	if MapReduceMaxFloat64(0, 4, func(int) float64 { return 9 }) != 0 {
-		t.Fatal("empty range nonzero")
-	}
-	if MapReduceMaxFloat64(-1, 4, func(int) float64 { return 9 }) != 0 {
-		t.Fatal("negative range nonzero")
-	}
-	// The maximum at the last index must not be lost to chunk-slot
-	// bookkeeping errors.
-	n := 1001
-	got := MapReduceMaxFloat64(n, 7, func(i int) float64 { return float64(i) })
-	if got != float64(n-1) {
-		t.Fatalf("last-index max: got %v, want %d", got, n-1)
-	}
-}
-
-func TestMapReduceMaxFloat64Deterministic(t *testing.T) {
-	n := 5000
-	fn := func(i int) float64 { return float64((i*2654435761)%997) / 997 }
-	want := MapReduceMaxFloat64(n, 1, fn)
-	for _, w := range []int{2, 3, 8, 16} {
-		if got := MapReduceMaxFloat64(n, w, fn); got != want {
-			t.Fatalf("workers=%d: %v != %v", w, got, want)
-		}
 	}
 }
