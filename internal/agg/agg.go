@@ -89,18 +89,18 @@ func Merge(parts []*scanner.Partial) *Unified {
 // part's Objects in part order, then every part's Edges, Src before
 // Dst), and the one parallel pass writes disjoint slots.
 func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
-	return MergeWorkersObserved(parts, workers, nil)
+	return mergeObserved(parts, workers, nil)
 }
 
 // unresolved marks an edge endpoint whose FID no object claims. It can
 // never be a GID: the table's ids stop at 2^32-2.
 const unresolved = ^uint32(0)
 
-// MergeWorkersObserved is MergeWorkers with instrumentation: each pass
+// mergeObserved is MergeWorkers with instrumentation: each pass
 // reports per-worker busy time and item counts through m, and the
 // interner's final size lands on the agg_interned_fids gauge. A nil m
 // observes nothing and adds no overhead beyond one branch per pass.
-func MergeWorkersObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
+func mergeObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
@@ -388,7 +388,7 @@ func (b *Builder) Finish(workers int) (*Unified, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MergeWorkersObserved(parts, workers, b.metrics), nil
+	return mergeObserved(parts, workers, b.metrics), nil
 }
 
 // CompletedPartials returns the partials of every stream that has seen
@@ -422,7 +422,7 @@ func (b *Builder) FinishCompleted(workers int) (*Unified, []string, error) {
 	if len(parts) == 0 {
 		return nil, missing, fmt.Errorf("agg: no scanner stream completed (missing: %v)", missing)
 	}
-	return MergeWorkersObserved(parts, workers, b.metrics), missing, nil
+	return mergeObserved(parts, workers, b.metrics), missing, nil
 }
 
 // DuplicateClaims returns the GIDs claimed by more than one inode —

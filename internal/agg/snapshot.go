@@ -3,9 +3,9 @@ package agg
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 
+	"faultyrank/internal/bincodec"
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
@@ -32,7 +32,7 @@ import (
 // Bump on any incompatible change.
 const DeltaCodecVersion = 1
 
-var deltaMagic = [4]byte{'F', 'R', 'D', 'B'}
+const deltaMagic = "FRDB"
 
 // ErrDeltaSnapshot is wrapped by every decode failure caused by a
 // malformed blob (truncation, corruption, non-canonical form).
@@ -43,9 +43,7 @@ var ErrDeltaSnapshot = errors.New("malformed delta snapshot")
 // handles by falling back to a cold rescan.
 var ErrDeltaSnapshotVersion = errors.New("unsupported delta snapshot version")
 
-func errDelta(format string, args ...any) error {
-	return fmt.Errorf("agg: %s: %w", fmt.Sprintf(format, args...), ErrDeltaSnapshot)
-}
+var deltaFormat = bincodec.Format{Name: "agg", Malformed: ErrDeltaSnapshot, Version: ErrDeltaSnapshotVersion}
 
 // EncodeBinary renders the builder's full state as a versioned blob.
 // Equal builder states always produce identical bytes: membership
@@ -57,20 +55,20 @@ func (b *DeltaBuilder) EncodeBinary() []byte {
 
 // AppendBinary appends EncodeBinary's blob to buf.
 func (b *DeltaBuilder) AppendBinary(buf []byte) []byte {
-	buf = append(buf, deltaMagic[:]...)
+	le := binary.LittleEndian
+	buf = append(buf, deltaMagic...)
 	buf = append(buf, DeltaCodecVersion)
 
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.labels)))
+	buf = le.AppendUint16(buf, uint16(len(b.labels)))
 	for _, l := range b.labels {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(l)))
-		buf = append(buf, l...)
+		buf = bincodec.AppendStr16(buf, l)
 	}
 
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.iids.fids)))
+	buf = le.AppendUint32(buf, uint32(len(b.iids.fids)))
 	for _, f := range b.iids.fids {
-		buf = binary.LittleEndian.AppendUint64(buf, f.Seq)
-		buf = binary.LittleEndian.AppendUint32(buf, f.Oid)
-		buf = binary.LittleEndian.AppendUint32(buf, f.Ver)
+		buf = le.AppendUint64(buf, f.Seq)
+		buf = le.AppendUint32(buf, f.Oid)
+		buf = le.AppendUint32(buf, f.Ver)
 	}
 
 	dirty := make([]uint32, 0, len(b.dirty))
@@ -78,111 +76,39 @@ func (b *DeltaBuilder) AppendBinary(buf []byte) []byte {
 		dirty = append(dirty, iid)
 	}
 	slices.Sort(dirty)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dirty)))
+	buf = le.AppendUint32(buf, uint32(len(dirty)))
 	for _, iid := range dirty {
-		buf = binary.LittleEndian.AppendUint32(buf, iid)
+		buf = le.AppendUint32(buf, iid)
 	}
 
 	for _, s := range b.servers {
 		s.fold()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.sorted)))
+		buf = le.AppendUint32(buf, uint32(len(s.sorted)))
 		for _, ino := range s.sorted {
 			c := s.contrib[ino]
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(ino))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.objs)))
+			buf = le.AppendUint64(buf, uint64(ino))
+			buf = le.AppendUint32(buf, uint32(len(c.objs)))
 			for _, o := range c.objs {
-				buf = binary.LittleEndian.AppendUint32(buf, o.iid)
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(o.typ))
+				buf = le.AppendUint32(buf, o.iid)
+				buf = le.AppendUint16(buf, uint16(o.typ))
 			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.edges)))
+			buf = le.AppendUint32(buf, uint32(len(c.edges)))
 			for _, e := range c.edges {
-				buf = binary.LittleEndian.AppendUint32(buf, e.src)
-				buf = binary.LittleEndian.AppendUint32(buf, e.dst)
+				buf = le.AppendUint32(buf, e.src)
+				buf = le.AppendUint32(buf, e.dst)
 				buf = append(buf, byte(e.kind))
 			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.issues)))
+			buf = le.AppendUint32(buf, uint32(len(c.issues)))
 			for _, is := range c.issues {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(is.Ino))
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(len(is.What)))
-				buf = append(buf, is.What...)
+				buf = le.AppendUint64(buf, uint64(is.Ino))
+				buf = bincodec.AppendStr16(buf, is.What)
 			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.stats.InodesScanned))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.stats.DirentsRead))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.stats.EdgesEmitted))
+			buf = le.AppendUint64(buf, uint64(c.stats.InodesScanned))
+			buf = le.AppendUint64(buf, uint64(c.stats.DirentsRead))
+			buf = le.AppendUint64(buf, uint64(c.stats.EdgesEmitted))
 		}
 	}
 	return buf
-}
-
-// ddec is the bounded decoder for delta blobs.
-type ddec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *ddec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.err = errDelta("truncated at offset %d", d.off)
-		return false
-	}
-	return true
-}
-
-func (d *ddec) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *ddec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *ddec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *ddec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *ddec) str() string {
-	n := int(d.u16())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *ddec) remaining() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.b) - d.off
 }
 
 // Minimum on-wire record sizes, the allocation bounds for hostile
@@ -201,147 +127,83 @@ const (
 // implausible for the remaining payload, when any IID reference or
 // canonical order is violated, or when the version does not match.
 func DecodeDeltaBuilder(blob []byte) (*DeltaBuilder, error) {
-	d := &ddec{b: blob}
-	if !d.need(5) {
-		return nil, d.err
-	}
-	if [4]byte(blob[:4]) != deltaMagic {
-		return nil, fmt.Errorf("agg: bad delta snapshot magic %q: %w", blob[:4], ErrDeltaSnapshotVersion)
-	}
-	if v := blob[4]; v != DeltaCodecVersion {
-		return nil, fmt.Errorf("agg: delta snapshot version %d (have %d): %w", v, DeltaCodecVersion, ErrDeltaSnapshotVersion)
-	}
-	d.off = 5
+	d := bincodec.NewReader(&deltaFormat, blob)
+	d.Header(deltaMagic, DeltaCodecVersion)
 
-	nLabels := int(d.u16())
-	if d.err == nil && nLabels*2 > d.remaining() {
-		return nil, errDelta("implausible server count %d", nLabels)
-	}
+	// Each label needs at least its 2-byte length.
+	nLabels := d.Count(uint64(d.U16()), 2)
 	labels := make([]string, 0, nLabels)
-	for i := 0; i < nLabels && d.err == nil; i++ {
-		labels = append(labels, d.str())
+	for i := 0; i < nLabels && d.Err() == nil; i++ {
+		labels = append(labels, d.Str16())
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	b := NewDeltaBuilder(labels)
 
-	nFIDs := d.u32()
-	if d.err == nil && uint64(nFIDs)*deltaMinFID > uint64(d.remaining()) {
-		return nil, errDelta("implausible FID count %d", nFIDs)
-	}
-	b.iids = newFIDTable(int(nFIDs))
-	for i := uint32(0); i < nFIDs && d.err == nil; i++ {
-		f := lustre.FID{Seq: d.u64(), Oid: d.u32(), Ver: d.u32()}
-		if d.err != nil {
-			break
-		}
+	nFIDs := d.Count(uint64(d.U32()), deltaMinFID)
+	b.iids = newFIDTable(nFIDs)
+	for i := 0; i < nFIDs && d.Err() == nil; i++ {
+		f := lustre.FID{Seq: d.U64(), Oid: d.U32(), Ver: d.U32()}
 		if _, added := b.iids.intern(f); !added {
-			return nil, errDelta("duplicate FID %v in interner table", f)
+			d.Failf("duplicate FID %v in interner table", f)
 		}
 	}
-
-	nDirty := d.u32()
-	if d.err == nil && uint64(nDirty)*4 > uint64(d.remaining()) {
-		return nil, errDelta("implausible dirty count %d", nDirty)
+	// iid reads one IID reference and range-checks it against the table.
+	iid := func(what string) uint32 {
+		v := d.U32()
+		if v >= uint32(nFIDs) {
+			d.Failf("%s IID %d out of range (%d FIDs)", what, v, nFIDs)
+		}
+		return v
 	}
+
+	nDirty := d.Count(uint64(d.U32()), 4)
 	prevDirty := uint32(0)
-	for i := uint32(0); i < nDirty && d.err == nil; i++ {
-		iid := d.u32()
-		if d.err != nil {
-			break
+	for i := 0; i < nDirty && d.Err() == nil; i++ {
+		v := iid("dirty")
+		if i > 0 && v <= prevDirty {
+			d.Failf("dirty set not strictly ascending at IID %d", v)
 		}
-		if iid >= nFIDs {
-			return nil, errDelta("dirty IID %d out of range (%d FIDs)", iid, nFIDs)
-		}
-		if i > 0 && iid <= prevDirty {
-			return nil, errDelta("dirty set not strictly ascending at IID %d", iid)
-		}
-		prevDirty = iid
-		b.dirty[iid] = struct{}{}
+		prevDirty = v
+		b.dirty[v] = struct{}{}
 	}
 
-	for si := 0; si < nLabels && d.err == nil; si++ {
-		s := b.servers[si]
-		nInodes := d.u32()
-		if d.err == nil && uint64(nInodes)*deltaMinInode > uint64(d.remaining()) {
-			return nil, errDelta("implausible inode count %d for server %q", nInodes, s.label)
-		}
+	for _, s := range b.servers {
+		nInodes := d.Count(uint64(d.U32()), deltaMinInode)
 		s.sorted = make([]ldiskfs.Ino, 0, nInodes)
 		var prevIno ldiskfs.Ino
-		for i := uint32(0); i < nInodes && d.err == nil; i++ {
-			ino := ldiskfs.Ino(d.u64())
-			if d.err != nil {
-				break
-			}
+		for i := 0; i < nInodes && d.Err() == nil; i++ {
+			ino := ldiskfs.Ino(d.U64())
 			if i > 0 && ino <= prevIno {
-				return nil, errDelta("server %q inodes not strictly ascending at %d", s.label, ino)
+				d.Failf("server %q inodes not strictly ascending at %d", s.label, ino)
 			}
 			prevIno = ino
 			c := &inoContrib{}
 
-			nObjs := d.u32()
-			if d.err == nil && uint64(nObjs)*deltaMinObj > uint64(d.remaining()) {
-				return nil, errDelta("implausible object count %d for ino %d", nObjs, ino)
+			nObjs := d.Count(uint64(d.U32()), deltaMinObj)
+			for j := 0; j < nObjs && d.Err() == nil; j++ {
+				c.objs = append(c.objs, contribObj{iid: iid("object"), typ: ldiskfs.FileType(d.U16())})
 			}
-			for j := uint32(0); j < nObjs && d.err == nil; j++ {
-				iid := d.u32()
-				typ := ldiskfs.FileType(d.u16())
-				if d.err != nil {
-					break
-				}
-				if iid >= nFIDs {
-					return nil, errDelta("object IID %d out of range (%d FIDs)", iid, nFIDs)
-				}
-				c.objs = append(c.objs, contribObj{iid: iid, typ: typ})
+			nEdges := d.Count(uint64(d.U32()), deltaMinEdge)
+			for j := 0; j < nEdges && d.Err() == nil; j++ {
+				c.edges = append(c.edges, contribEdge{src: iid("edge"), dst: iid("edge"), kind: graph.EdgeKind(d.U8())})
 			}
+			nIssues := d.Count(uint64(d.U32()), deltaMinIssue)
+			for j := 0; j < nIssues && d.Err() == nil; j++ {
+				c.issues = append(c.issues, scanner.Issue{Ino: ldiskfs.Ino(d.U64()), What: d.Str16()})
+			}
+			c.stats.InodesScanned = int64(d.U64())
+			c.stats.DirentsRead = int64(d.U64())
+			c.stats.EdgesEmitted = int64(d.U64())
 
-			nEdges := d.u32()
-			if d.err == nil && uint64(nEdges)*deltaMinEdge > uint64(d.remaining()) {
-				return nil, errDelta("implausible edge count %d for ino %d", nEdges, ino)
-			}
-			for j := uint32(0); j < nEdges && d.err == nil; j++ {
-				src := d.u32()
-				dst := d.u32()
-				kind := graph.EdgeKind(d.u8())
-				if d.err != nil {
-					break
-				}
-				if src >= nFIDs || dst >= nFIDs {
-					return nil, errDelta("edge IID %d->%d out of range (%d FIDs)", src, dst, nFIDs)
-				}
-				c.edges = append(c.edges, contribEdge{src: src, dst: dst, kind: kind})
-			}
-
-			nIssues := d.u32()
-			if d.err == nil && uint64(nIssues)*deltaMinIssue > uint64(d.remaining()) {
-				return nil, errDelta("implausible issue count %d for ino %d", nIssues, ino)
-			}
-			for j := uint32(0); j < nIssues && d.err == nil; j++ {
-				isIno := ldiskfs.Ino(d.u64())
-				what := d.str()
-				if d.err != nil {
-					break
-				}
-				c.issues = append(c.issues, scanner.Issue{Ino: isIno, What: what})
-			}
-
-			c.stats.InodesScanned = int64(d.u64())
-			c.stats.DirentsRead = int64(d.u64())
-			c.stats.EdgesEmitted = int64(d.u64())
-			if d.err != nil {
-				break
-			}
 			s.sorted = append(s.sorted, ino)
 			s.contrib[ino] = c
 		}
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(blob) {
-		return nil, errDelta("%d trailing bytes", len(blob)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

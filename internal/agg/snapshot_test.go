@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"faultyrank/internal/bincodec/bincodectest"
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
@@ -135,6 +136,12 @@ func TestDeltaSnapshotRejectsDamage(t *testing.T) {
 	if _, err := DecodeDeltaBuilder(append(append([]byte(nil), blob...), 0)); !errors.Is(err, ErrDeltaSnapshot) {
 		t.Fatalf("trailing byte: %v", err)
 	}
+	// A lying count: 65535 server labels in a blob that cannot hold them.
+	bad = append([]byte(nil), blob...)
+	bad[5], bad[6] = 0xFF, 0xFF
+	if _, err := DecodeDeltaBuilder(bad); !errors.Is(err, ErrDeltaSnapshot) {
+		t.Fatalf("lying label count: %v", err)
+	}
 
 	// Random single-byte corruption: either rejected or — when the flip
 	// lands in free-form content like an issue string — still canonical,
@@ -215,17 +222,7 @@ func FuzzDecodeDeltaSnapshot(f *testing.F) {
 	}
 	f.Add(NewDeltaBuilder(nil).EncodeBinary())
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		b, err := DecodeDeltaBuilder(blob)
-		if err != nil {
-			if b != nil {
-				t.Fatal("decode returned both a builder and an error")
-			}
-			return
-		}
-		if re := b.EncodeBinary(); !bytes.Equal(re, blob) {
-			t.Fatalf("decode accepted a non-canonical blob (%d bytes, re-encodes to %d)",
-				len(blob), len(re))
-		}
+		bincodectest.RoundTrip(t, blob, DecodeDeltaBuilder, (*DeltaBuilder).EncodeBinary)
 	})
 }
 

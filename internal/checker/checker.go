@@ -424,33 +424,6 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 	return res, err
 }
 
-// Analyze runs the pipeline's post-scan stages — aggregation, CSR
-// build, ranking and classification — over already-produced partial
-// graphs, filling the timing and result fields of res. It exists
-// separately from Run so incremental producers (package online) can
-// feed maintained partials through the identical analysis path.
-func Analyze(res *Result, images []*ldiskfs.Image, parts []*scanner.Partial, opt Options) error {
-	if opt.Core.MaxIterations == 0 {
-		opt.Core = core.DefaultOptions()
-	}
-	obs := newRunObs(opt.Metrics, opt.Journal)
-	ctx, root := telemetry.StartSpan(context.Background(), "analyze")
-	// ---- Stage 2: aggregate + CSR build (T_graph) --------------------
-	t1 := time.Now()
-	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")
-	_, mergeSpan := telemetry.StartSpan(aggCtx, "merge")
-	res.Unified = agg.MergeWorkersObserved(parts, opt.Workers, obs.aggM)
-	mergeSpan.End()
-	_, buildSpan := telemetry.StartSpan(aggCtx, "build")
-	res.Graph = res.Unified.Build(opt.Workers)
-	buildSpan.End()
-	aggSpan.End()
-	res.TGraph = time.Since(t1)
-	err := rankAndClassify(ctx, res, images, opt, obs)
-	obs.finish(res, root)
-	return err
-}
-
 // AnalyzeUnified runs the post-merge stages — CSR build, ranking and
 // classification — over an already-materialised unified graph. It is
 // the online checker's per-check entry point: the incremental

@@ -1,11 +1,13 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"os"
+
+	"faultyrank/internal/bincodec"
 )
 
 // This file is the SubGraph's wire/disk form: a deterministic, versioned
@@ -29,7 +31,7 @@ import (
 // on any incompatible change.
 const SubGraphCodecVersion = 1
 
-var subGraphMagic = [4]byte{'F', 'R', 'S', 'G'}
+const subGraphMagic = "FRSG"
 
 // ErrSubGraphCodec is wrapped by every decode failure caused by a
 // malformed blob (truncation, corruption, non-canonical form).
@@ -40,9 +42,7 @@ var ErrSubGraphCodec = errors.New("malformed subgraph shard")
 // refusing the shard instead of computing garbage on it.
 var ErrSubGraphVersion = errors.New("unsupported subgraph shard version")
 
-func errShard(format string, args ...any) error {
-	return fmt.Errorf("graph: %s: %w", fmt.Sprintf(format, args...), ErrSubGraphCodec)
-}
+var subGraphFormat = bincodec.Format{Name: "graph", Malformed: ErrSubGraphCodec, Version: ErrSubGraphVersion}
 
 // EncodeSubGraph renders one partition's shard as a versioned FRSG blob.
 // Equal shards always produce identical bytes (every array encodes in
@@ -54,7 +54,7 @@ func EncodeSubGraph(s *SubGraph) []byte {
 // AppendSubGraph appends EncodeSubGraph's blob to buf.
 func AppendSubGraph(buf []byte, s *SubGraph) []byte {
 	le := binary.LittleEndian
-	buf = append(buf, subGraphMagic[:]...)
+	buf = append(buf, subGraphMagic...)
 	buf = append(buf, SubGraphCodecVersion)
 	buf = le.AppendUint32(buf, uint32(s.Part))
 	buf = le.AppendUint16(buf, uint16(len(s.SendTo)))
@@ -124,161 +124,73 @@ func FingerprintShard(blob []byte) uint64 {
 	return 1
 }
 
-// sdec is the bounded decoder for FRSG blobs.
-type sdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *sdec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.err = errShard("truncated at offset %d", d.off)
-		return false
-	}
-	return true
-}
-
-func (d *sdec) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *sdec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *sdec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *sdec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *sdec) remaining() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.b) - d.off
-}
-
-// ascending32 decodes a strictly-ascending u32 vector (count already
-// read and bounded). Empty decodes nil — the canonical form.
-func (d *sdec) ascending32(n int, what string) []uint32 {
-	if n == 0 || d.err != nil {
+// ascending32 decodes a strictly-ascending vector of n u32s (n already
+// bounded by Count). Empty decodes nil — the canonical form.
+func ascending32(d *bincodec.Reader, n int, what string) []uint32 {
+	if n == 0 {
 		return nil
 	}
-	out := make([]uint32, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		v := d.u32()
-		if d.err != nil {
-			break
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = d.U32()
+		if i > 0 && out[i] <= out[i-1] {
+			d.Failf("%s not strictly ascending at entry %d", what, i)
 		}
-		if i > 0 && v <= out[i-1] {
-			d.err = errShard("%s not strictly ascending at entry %d", what, i)
-			break
-		}
-		out = append(out, v)
 	}
 	return out
 }
 
 // offsets decodes an nRows+1 offset array: starts at 0, never
-// decreases, and its final entry (the edge count) is bounded so the
-// column array it sizes cannot out-allocate the payload.
-func (d *sdec) offsets(nRows int, what string) []int64 {
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, nRows+1)
+// decreases, and every entry is bounded so the column array the last
+// one sizes can be checked against the payload.
+func offsets(d *bincodec.Reader, nRows int, what string) []int64 {
+	out := make([]int64, d.Count(uint64(nRows)+1, 8))
 	for i := range out {
-		v := d.u64()
-		if d.err != nil {
-			return nil
-		}
+		v := d.U64()
 		if i == 0 && v != 0 {
-			d.err = errShard("%s offsets start at %d, want 0", what, v)
-			return nil
+			d.Failf("%s offsets start at %d, want 0", what, v)
 		}
 		if v > uint64(1)<<62 || (i > 0 && int64(v) < out[i-1]) {
-			d.err = errShard("%s offsets not monotone at row %d", what, i)
-			return nil
+			d.Failf("%s offsets not monotone at row %d", what, i)
 		}
 		out[i] = int64(v)
 	}
 	return out
 }
 
-// columns decodes an edge-column array of n entries, each < nCols.
-func (d *sdec) columns(n int64, nCols int, what string) []uint32 {
-	if d.err != nil {
+// columns decodes the edge-column array an offset array sizes (one
+// entry per edge of its last offset), each entry < nCols.
+func columns(d *bincodec.Reader, off []int64, nCols int, what string) []uint32 {
+	if d.Err() != nil {
 		return nil
 	}
-	if uint64(n)*4 > uint64(d.remaining()) {
-		d.err = errShard("implausible %s column count %d", what, n)
-		return nil
-	}
+	n := d.Count(uint64(off[len(off)-1]), 4)
 	if n == 0 {
 		return nil
 	}
-	out := make([]uint32, 0, n)
-	for i := int64(0); i < n && d.err == nil; i++ {
-		c := d.u32()
-		if d.err != nil {
-			break
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = d.U32()
+		if int(out[i]) >= nCols {
+			d.Failf("%s column %d out of range (%d columns)", what, out[i], nCols)
 		}
-		if int(c) >= nCols {
-			d.err = errShard("%s column %d out of range (%d columns)", what, c, nCols)
-			break
-		}
-		out = append(out, c)
 	}
 	return out
 }
 
-// counts32 decodes an implied-length int32 metadata vector, rejecting
-// negative values (degrees and in-edge counts are tallies).
-func (d *sdec) counts32(n int, what string) []int32 {
-	if d.err != nil {
-		return nil
-	}
+// counts32 decodes an n-entry int32 metadata vector (n already bounded
+// by Count), rejecting negative values: degrees and in-edge counts are
+// tallies.
+func counts32(d *bincodec.Reader, n int, what string) []int32 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]int32, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		v := int32(d.u32())
-		if d.err != nil {
-			break
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(d.U32())
+		if out[i] < 0 {
+			d.Failf("negative %s %d at column %d", what, out[i], i)
 		}
-		if v < 0 {
-			d.err = errShard("negative %s %d at column %d", what, v, i)
-			break
-		}
-		out = append(out, v)
 	}
 	return out
 }
@@ -289,117 +201,72 @@ func (d *sdec) counts32(n int, what string) []int32 {
 // index is out of range, when any canonical order is violated, or when
 // the version does not match.
 func DecodeSubGraph(blob []byte) (*SubGraph, error) {
-	d := &sdec{b: blob}
-	if !d.need(5) {
-		return nil, d.err
-	}
-	if [4]byte(blob[:4]) != subGraphMagic {
-		return nil, fmt.Errorf("graph: bad subgraph shard magic %q: %w", blob[:4], ErrSubGraphVersion)
-	}
-	if v := blob[4]; v != SubGraphCodecVersion {
-		return nil, fmt.Errorf("graph: subgraph shard version %d (have %d): %w", v, SubGraphCodecVersion, ErrSubGraphVersion)
-	}
-	d.off = 5
+	d := bincodec.NewReader(&subGraphFormat, blob)
+	d.Header(subGraphMagic, SubGraphCodecVersion)
 
-	s := &SubGraph{Part: int(d.u32())}
-	k := int(d.u16())
-	s.CutEdges = int64(d.u64())
-	if d.err == nil && s.CutEdges < 0 {
-		return nil, errShard("negative cut-edge count %d", s.CutEdges)
+	s := &SubGraph{Part: int(d.U32())}
+	k := int(d.U16())
+	s.CutEdges = int64(d.U64())
+	if s.CutEdges < 0 {
+		d.Failf("negative cut-edge count %d", s.CutEdges)
 	}
-	if d.err == nil && s.Part >= max(k, 1) {
-		return nil, errShard("partition %d out of range k=%d", s.Part, k)
+	if s.Part >= max(k, 1) {
+		d.Failf("partition %d out of range k=%d", s.Part, k)
 	}
 
-	nLocal := int(d.u32())
-	if d.err == nil && uint64(nLocal)*4 > uint64(d.remaining()) {
-		return nil, errShard("implausible local count %d", nLocal)
-	}
-	s.Local = d.ascending32(nLocal, "locals")
-	nGhost := int(d.u32())
-	if d.err == nil && uint64(nGhost)*4 > uint64(d.remaining()) {
-		return nil, errShard("implausible ghost count %d", nGhost)
-	}
-	s.Ghosts = d.ascending32(nGhost, "ghosts")
-	if d.err == nil {
-		// Both lists ascend, so a single merge walk proves disjointness —
-		// a ghost aliasing a local would make two columns one vertex.
-		for i, j := 0, 0; i < nLocal && j < nGhost; {
-			switch {
-			case s.Local[i] < s.Ghosts[j]:
-				i++
-			case s.Local[i] > s.Ghosts[j]:
-				j++
-			default:
-				return nil, errShard("vertex %d is both local and ghost", s.Local[i])
-			}
+	nLocal := d.Count(uint64(d.U32()), 4)
+	s.Local = ascending32(d, nLocal, "locals")
+	nGhost := d.Count(uint64(d.U32()), 4)
+	s.Ghosts = ascending32(d, nGhost, "ghosts")
+	// Both lists ascend, so a single merge walk proves disjointness —
+	// a ghost aliasing a local would make two columns one vertex.
+	for i, j := 0, 0; i < nLocal && j < nGhost && d.Err() == nil; {
+		switch {
+		case s.Local[i] < s.Ghosts[j]:
+			i++
+		case s.Local[i] > s.Ghosts[j]:
+			j++
+		default:
+			d.Failf("vertex %d is both local and ghost", s.Local[i])
 		}
 	}
 	nCols := nLocal + nGhost
 
-	if d.err == nil && uint64(nLocal+1)*8 > uint64(d.remaining()) {
-		return nil, errShard("truncated rev offsets")
-	}
-	s.RevOff = d.offsets(nLocal, "rev")
-	if d.err == nil {
-		s.RevCol = d.columns(s.RevOff[nLocal], nCols, "rev")
-	}
-	if d.err == nil && uint64(nLocal+1)*8 > uint64(d.remaining()) {
-		return nil, errShard("truncated fwd offsets")
-	}
-	s.FwdOff = d.offsets(nLocal, "fwd")
-	if d.err == nil {
-		s.FwdCol = d.columns(s.FwdOff[nLocal], nCols, "fwd")
-	}
-	if d.err == nil {
-		nFwd := int(s.FwdOff[nLocal])
-		if !d.need(nFwd) {
-			return nil, d.err
-		}
-		if nFwd > 0 {
-			s.FwdPaired = make([]uint8, nFwd)
-			copy(s.FwdPaired, d.b[d.off:d.off+nFwd])
-			d.off += nFwd
-			for i, p := range s.FwdPaired {
-				if p > 1 {
-					return nil, errShard("paired flag %d at edge %d", p, i)
-				}
+	s.RevOff = offsets(d, nLocal, "rev")
+	s.RevCol = columns(d, s.RevOff, nCols, "rev")
+	s.FwdOff = offsets(d, nLocal, "fwd")
+	s.FwdCol = columns(d, s.FwdOff, nCols, "fwd")
+	if paired := d.Bytes(len(s.FwdCol)); len(paired) > 0 {
+		s.FwdPaired = bytes.Clone(paired)
+		for i, p := range s.FwdPaired {
+			if p > 1 {
+				d.Failf("paired flag %d at edge %d", p, i)
 			}
 		}
 	}
 
-	if d.err == nil && uint64(nCols)*12 > uint64(d.remaining()) {
-		return nil, errShard("truncated column metadata (%d columns)", nCols)
-	}
-	s.OutDeg = d.counts32(nCols, "out-degree")
-	s.PairedIn = d.counts32(nCols, "paired-in count")
-	s.UnpairedIn = d.counts32(nCols, "unpaired-in count")
+	// Three int32 vectors of nCols entries follow.
+	nMeta := d.Count(uint64(nCols), 12)
+	s.OutDeg = counts32(d, nMeta, "out-degree")
+	s.PairedIn = counts32(d, nMeta, "paired-in count")
+	s.UnpairedIn = counts32(d, nMeta, "unpaired-in count")
 
-	if k > 0 && d.err == nil {
-		if uint64(k)*4 > uint64(d.remaining()) {
-			return nil, errShard("implausible partition count %d", k)
-		}
+	// Each send schedule needs at least its 4-byte count.
+	if k = d.Count(uint64(k), 4); k > 0 {
 		s.SendTo = make([][]uint32, k)
-		for q := 0; q < k && d.err == nil; q++ {
-			n := int(d.u32())
-			if d.err == nil && uint64(n)*4 > uint64(d.remaining()) {
-				return nil, errShard("implausible send schedule %d for partition %d", n, q)
-			}
-			sched := d.ascending32(n, "send schedule")
+		for q := range s.SendTo {
+			sched := ascending32(d, d.Count(uint64(d.U32()), 4), "send schedule")
 			for _, l := range sched {
 				if int(l) >= nLocal {
-					return nil, errShard("send schedule entry %d out of range (%d locals)", l, nLocal)
+					d.Failf("send schedule entry %d out of range (%d locals)", l, nLocal)
 				}
 			}
 			s.SendTo[q] = sched
 		}
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(blob) {
-		return nil, errShard("%d trailing bytes", len(blob)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -408,11 +275,7 @@ func DecodeSubGraph(blob []byte) (*SubGraph, error) {
 // + rename, the WriteJSON discipline), so a worker loading it can never
 // observe a torn write.
 func WriteShardFile(path string, s *SubGraph) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, EncodeSubGraph(s), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return bincodec.WriteFileAtomic(path, EncodeSubGraph(s))
 }
 
 // ReadShardFile reads and decodes an FRSG shard file.

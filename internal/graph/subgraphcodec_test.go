@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"faultyrank/internal/bincodec/bincodectest"
 )
 
 // codecShards builds real shards (every k, every partition) from a
@@ -187,12 +189,6 @@ func FuzzDecodeSubGraph(f *testing.F) {
 	f.Add([]byte("FRSG"))
 	f.Add([]byte{'F', 'R', 'S', 'G', 1, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		sub, err := DecodeSubGraph(blob)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(EncodeSubGraph(sub), blob) {
-			t.Fatalf("accepted blob does not re-encode byte-identically")
-		}
+		bincodectest.RoundTrip(t, blob, DecodeSubGraph, EncodeSubGraph)
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"faultyrank/internal/agg"
 	"faultyrank/internal/checker"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/lustre"
@@ -43,7 +44,7 @@ func coldFindings(t *testing.T, sm *soakMember) []checker.Finding {
 		parts[i] = p
 	}
 	res := &checker.Result{}
-	if err := checker.Analyze(res, images, parts, checker.DefaultOptions()); err != nil {
+	if err := checker.AnalyzeUnified(res, images, agg.MergeWorkers(parts, 0), checker.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	return res.Findings

@@ -20,7 +20,7 @@
 // yields exactly the findings of a full offline rescan — is what makes
 // the online mode trustworthy, and is enforced by property tests
 // (FID-space graph equivalence plus finding-for-finding agreement with
-// a cold checker.Analyze).
+// a cold merge and checker.AnalyzeUnified over fresh scans).
 //
 // Silent corruption (byte flips that bypass the metadata API) does not
 // appear in the change feed, exactly as it would not appear in a real

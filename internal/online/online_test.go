@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"faultyrank/internal/agg"
 	"faultyrank/internal/checker"
 	"faultyrank/internal/core"
 	"faultyrank/internal/inject"
@@ -432,7 +433,7 @@ func coldAnalyze(t *testing.T, c *lustre.Cluster) *checker.Result {
 		parts[i] = p
 	}
 	res := &checker.Result{}
-	if err := checker.Analyze(res, images, parts, checker.DefaultOptions()); err != nil {
+	if err := checker.AnalyzeUnified(res, images, agg.MergeWorkers(parts, 0), checker.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -508,7 +509,7 @@ func assertFindingsMatch(t *testing.T, online, cold *checker.Result, exactScores
 // arbitrary mutation batches — deletes, re-creates of just-freed paths
 // (inode-number reuse), live fault injection — the incremental snapshot
 // plus warm-started ranking produce exactly the findings of a cold
-// checker.Analyze over fresh full scans.
+// merge and checker.AnalyzeUnified over fresh full scans.
 func TestOnlineCheckMatchesColdAnalyze(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		c := newCluster(t)

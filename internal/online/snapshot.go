@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"faultyrank/internal/agg"
+	"faultyrank/internal/bincodec"
 	"faultyrank/internal/checker"
 	"faultyrank/internal/core"
 	"faultyrank/internal/ldiskfs"
@@ -35,7 +36,7 @@ import (
 // v2 added the inodesDropped and rescans lifetime counters.
 const TrackerCodecVersion = 2
 
-var trackerMagic = [4]byte{'F', 'R', 'S', 'N'}
+const trackerMagic = "FRSN"
 
 // ErrTrackerSnapshot is wrapped by every decode failure caused by a
 // malformed blob (truncation, corruption, non-canonical form).
@@ -50,9 +51,7 @@ var ErrTrackerSnapshotVersion = errors.New("unsupported tracker snapshot version
 // restoring mdt0's state onto ost1 must fail loudly, not corrupt both.
 var ErrTrackerSnapshotLabels = errors.New("tracker snapshot does not match images")
 
-func errTracker(format string, args ...any) error {
-	return fmt.Errorf("online: %s: %w", fmt.Sprintf(format, args...), ErrTrackerSnapshot)
-}
+var trackerFormat = bincodec.Format{Name: "online", Malformed: ErrTrackerSnapshot, Version: ErrTrackerSnapshotVersion}
 
 // trackerSnapshot is the decoded durable state, independent of any
 // image set — what the codec (and its fuzz target) round-trips.
@@ -69,11 +68,11 @@ type trackerSnapshot struct {
 }
 
 func encodeTrackerSnapshot(s *trackerSnapshot) []byte {
-	buf := append([]byte(nil), trackerMagic[:]...)
-	buf = append(buf, TrackerCodecVersion)
+	le := binary.LittleEndian
+	buf := append([]byte(trackerMagic), TrackerCodecVersion)
 
 	deltaBlob := s.delta.EncodeBinary()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(deltaBlob)))
+	buf = le.AppendUint32(buf, uint32(len(deltaBlob)))
 	buf = append(buf, deltaBlob...)
 
 	if s.haveWarm {
@@ -81,145 +80,73 @@ func encodeTrackerSnapshot(s *trackerSnapshot) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.lastIters))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.checks))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.updates))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.inodesRescan))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.inodesDropped))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.warmFallbacks))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.rescans))
+	buf = le.AppendUint64(buf, uint64(s.lastIters))
+	buf = le.AppendUint64(buf, uint64(s.checks))
+	buf = le.AppendUint64(buf, uint64(s.updates))
+	buf = le.AppendUint64(buf, uint64(s.inodesRescan))
+	buf = le.AppendUint64(buf, uint64(s.inodesDropped))
+	buf = le.AppendUint64(buf, uint64(s.warmFallbacks))
+	buf = le.AppendUint64(buf, uint64(s.rescans))
 
 	if s.haveWarm {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.prevID)))
+		buf = le.AppendUint32(buf, uint32(len(s.prevID)))
 		for _, v := range s.prevID {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			buf = le.AppendUint64(buf, math.Float64bits(v))
 		}
 		for _, v := range s.prevProp {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			buf = le.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	return buf
 }
 
-// sdec is the bounded decoder for tracker blobs.
-type sdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *sdec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.err = errTracker("truncated at offset %d", d.off)
-		return false
-	}
-	return true
-}
-
-func (d *sdec) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *sdec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *sdec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *sdec) remaining() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.b) - d.off
-}
-
 func decodeTrackerSnapshot(blob []byte) (*trackerSnapshot, error) {
-	d := &sdec{b: blob}
-	if !d.need(5) {
-		return nil, d.err
-	}
-	if [4]byte(blob[:4]) != trackerMagic {
-		return nil, fmt.Errorf("online: bad tracker snapshot magic %q: %w", blob[:4], ErrTrackerSnapshotVersion)
-	}
-	if v := blob[4]; v != TrackerCodecVersion {
-		return nil, fmt.Errorf("online: tracker snapshot version %d (have %d): %w", v, TrackerCodecVersion, ErrTrackerSnapshotVersion)
-	}
-	d.off = 5
+	d := bincodec.NewReader(&trackerFormat, blob)
+	d.Header(trackerMagic, TrackerCodecVersion)
 
-	deltaLen := int(d.u32())
-	if !d.need(deltaLen) {
-		return nil, d.err
+	deltaBlob := d.Bytes(int(d.U32()))
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	delta, err := agg.DecodeDeltaBuilder(blob[d.off : d.off+deltaLen])
+	delta, err := agg.DecodeDeltaBuilder(deltaBlob)
 	if err != nil {
 		// The nested delta codec has its own named errors; wrap them
 		// under ours so callers can treat the whole blob uniformly. A
-		// version mismatch inside an FRSN v1 envelope is corruption, not
-		// a mixed-version deployment.
-		return nil, errTracker("delta section: %v", err)
+		// version mismatch inside an FRSN envelope is corruption, not a
+		// mixed-version deployment.
+		d.Failf("delta section: %v", err)
 	}
-	d.off += deltaLen
 
 	s := &trackerSnapshot{delta: delta}
-	switch d.u8() {
+	switch d.U8() {
 	case 0:
 	case 1:
 		s.haveWarm = true
 	default:
-		if d.err == nil {
-			return nil, errTracker("warm flag is neither 0 nor 1")
-		}
+		d.Failf("warm flag is neither 0 nor 1")
 	}
-	s.lastIters = int(d.u64())
-	s.checks = int64(d.u64())
-	s.updates = int64(d.u64())
-	s.inodesRescan = int64(d.u64())
-	s.inodesDropped = int64(d.u64())
-	s.warmFallbacks = int64(d.u64())
-	s.rescans = int64(d.u64())
-	if d.err != nil {
-		return nil, d.err
-	}
+	s.lastIters = int(d.U64())
+	s.checks = int64(d.U64())
+	s.updates = int64(d.U64())
+	s.inodesRescan = int64(d.U64())
+	s.inodesDropped = int64(d.U64())
+	s.warmFallbacks = int64(d.U64())
+	s.rescans = int64(d.U64())
 
 	if s.haveWarm {
-		n := d.u32()
-		if d.err == nil && uint64(n)*16 > uint64(d.remaining()) {
-			return nil, errTracker("implausible warm vector length %d", n)
+		// Two vectors of n floats follow.
+		n := d.Count(uint64(d.U32()), 16)
+		s.prevID = make([]float64, n)
+		for i := range s.prevID {
+			s.prevID[i] = d.F64()
 		}
-		s.prevID = make([]float64, 0, n)
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			s.prevID = append(s.prevID, math.Float64frombits(d.u64()))
-		}
-		s.prevProp = make([]float64, 0, n)
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			s.prevProp = append(s.prevProp, math.Float64frombits(d.u64()))
+		s.prevProp = make([]float64, n)
+		for i := range s.prevProp {
+			s.prevProp[i] = d.F64()
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(blob) {
-		return nil, errTracker("%d trailing bytes", len(blob)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -265,10 +192,6 @@ func RestoreTracker(blob []byte, images []*ldiskfs.Image, opt checker.Options) (
 				i, labels[i], img.Label(), ErrTrackerSnapshotLabels)
 		}
 	}
-	if s.haveWarm && len(s.prevID) != len(s.prevProp) {
-		return nil, errTracker("warm vectors disagree in length (%d vs %d)",
-			len(s.prevID), len(s.prevProp))
-	}
 	if opt.Core.MaxIterations == 0 {
 		opt.Core = core.DefaultOptions()
 	}
@@ -303,11 +226,7 @@ func (t *Tracker) SaveState(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("online: save state: %w", err)
 	}
-	tmp := filepath.Join(dir, stateFileName+".tmp")
-	if err := os.WriteFile(tmp, t.EncodeSnapshot(), 0o644); err != nil {
-		return fmt.Errorf("online: save state: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, stateFileName)); err != nil {
+	if err := bincodec.WriteFileAtomic(filepath.Join(dir, stateFileName), t.EncodeSnapshot()); err != nil {
 		return fmt.Errorf("online: save state: %w", err)
 	}
 	t.opt.Journal.Record("online", "snapshot-save", "dir", dir)

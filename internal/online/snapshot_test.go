@@ -2,12 +2,14 @@ package online
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"reflect"
 	"testing"
 
+	"faultyrank/internal/bincodec/bincodectest"
 	"faultyrank/internal/checker"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
@@ -87,6 +89,16 @@ func TestTrackerSnapshotRejectsDamage(t *testing.T) {
 	}
 	if _, err := RestoreTracker(append(append([]byte(nil), blob...), 0), images, opt); !errors.Is(err, ErrTrackerSnapshot) {
 		t.Fatalf("trailing byte: %v", err)
+	}
+	// A lying count: the warm-vector length, which sits just before the
+	// two vectors that end the blob.
+	if !tr.haveWarm || len(tr.prevID) == 0 {
+		t.Fatal("tracker has no warm vectors after a check")
+	}
+	bad = append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(bad[len(bad)-16*len(tr.prevID)-4:], 1<<31)
+	if _, err := RestoreTracker(bad, images, opt); !errors.Is(err, ErrTrackerSnapshot) {
+		t.Fatalf("lying warm-vector length: %v", err)
 	}
 
 	// Stomp the nested delta section's magic: the envelope is fine, the
@@ -248,16 +260,6 @@ func FuzzDecodeTrackerSnapshot(f *testing.F) {
 	f.Add(tr.EncodeSnapshot())
 	f.Add(tr.EncodeSnapshot()[:40])
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		s, err := decodeTrackerSnapshot(blob)
-		if err != nil {
-			if s != nil {
-				t.Fatal("decode returned both a snapshot and an error")
-			}
-			return
-		}
-		if re := encodeTrackerSnapshot(s); !bytes.Equal(re, blob) {
-			t.Fatalf("decode accepted a non-canonical blob (%d bytes, re-encodes to %d)",
-				len(blob), len(re))
-		}
+		bincodectest.RoundTrip(t, blob, decodeTrackerSnapshot, encodeTrackerSnapshot)
 	})
 }

@@ -166,19 +166,14 @@ func (e *chunkEmitter) add(p *Partial) error {
 // chunk's entry count (<= 0 = DefaultChunkEntries). Exactly one Final
 // chunk ends the stream, even for an empty image.
 func ScanImageToSink(img *ldiskfs.Image, workers, chunkEntries int, sink Sink) error {
-	return ScanImageToSinkContext(context.Background(), img, workers, chunkEntries, sink)
+	return ScanImageToSinkInstr(context.Background(), img, workers, chunkEntries, sink)
 }
 
-// ScanImageToSinkContext is ScanImageToSink under a context: the scan
-// stops emitting at the first group boundary after ctx is done and
-// returns ctx.Err(), so a checker deadline cancels an in-flight sweep
-// instead of letting it ship chunks nobody will collect.
-func ScanImageToSinkContext(ctx context.Context, img *ldiskfs.Image, workers, chunkEntries int, sink Sink) error {
-	return ScanImageToSinkInstr(ctx, img, workers, chunkEntries, sink)
-}
-
-// ScanImageToSinkInstr is ScanImageToSinkContext with instrumentation:
-// each ins's counters (inodes, dirents, edges, parse issues, chunks)
+// ScanImageToSinkInstr is ScanImageToSink under a context and with
+// instrumentation. The scan stops emitting at the first group boundary
+// after ctx is done and returns ctx.Err(), so a checker deadline cancels
+// an in-flight sweep instead of letting it ship chunks nobody will
+// collect. Each ins's counters (inodes, dirents, edges, parse issues, chunks)
 // are updated as groups are released — batched per group, so the
 // per-inode sweep stays free of atomics. The cluster path passes two
 // instruments, the run-wide one and the per-server set a telemetry

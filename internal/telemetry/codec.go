@@ -2,10 +2,11 @@ package telemetry
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 	"time"
+
+	"faultyrank/internal/bincodec"
 )
 
 // This file is the cluster side of the telemetry package: a
@@ -41,28 +42,26 @@ const (
 	codecKindSpan     = 2
 )
 
-var codecMagic = [4]byte{'F', 'R', 'T', 'M'}
+const codecMagic = "FRTM"
 
-// headerLen is magic + version + kind.
-const headerLen = 6
+var (
+	snapshotFormat = bincodec.Format{Name: "telemetry: snapshot"}
+	spanFormat     = bincodec.Format{Name: "telemetry: span"}
+)
+
+var le = binary.LittleEndian
 
 func appendHeader(b []byte, kind byte) []byte {
-	b = append(b, codecMagic[:]...)
+	b = append(b, codecMagic...)
 	return append(b, CodecVersion, kind)
 }
 
-func cputU16(b []byte, v uint16) []byte {
-	return binary.LittleEndian.AppendUint16(b, v)
-}
-func cputU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-func cputU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-func cputStr(b []byte, s string) []byte {
-	b = cputU16(b, uint16(len(s)))
-	return append(b, s...)
+// header reads magic | version | kind.
+func header(d *bincodec.Reader, kind byte) {
+	d.Header(codecMagic, CodecVersion)
+	if k := d.U8(); k != kind {
+		d.Failf("blob kind %d, want %d", k, kind)
+	}
 }
 
 // EncodeSnapshot renders s as a versioned binary blob. Instruments are
@@ -78,29 +77,29 @@ func AppendSnapshot(b []byte, s Snapshot) []byte {
 
 	cs := append([]CounterValue(nil), s.Counters...)
 	sort.Slice(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name })
-	b = cputU32(b, uint32(len(cs)))
+	b = le.AppendUint32(b, uint32(len(cs)))
 	for _, c := range cs {
-		b = cputStr(b, c.Name)
-		b = cputU64(b, uint64(c.Value))
+		b = bincodec.AppendStr16(b, c.Name)
+		b = le.AppendUint64(b, uint64(c.Value))
 	}
 
 	gs := append([]GaugeValue(nil), s.Gauges...)
 	sort.Slice(gs, func(i, j int) bool { return gs[i].Name < gs[j].Name })
-	b = cputU32(b, uint32(len(gs)))
+	b = le.AppendUint32(b, uint32(len(gs)))
 	for _, g := range gs {
-		b = cputStr(b, g.Name)
-		b = cputStr(b, g.Label)
-		b = cputU64(b, uint64(g.Value))
+		b = bincodec.AppendStr16(b, g.Name)
+		b = bincodec.AppendStr16(b, g.Label)
+		b = le.AppendUint64(b, uint64(g.Value))
 	}
 
 	hs := append([]HistogramValue(nil), s.Histograms...)
 	sort.Slice(hs, func(i, j int) bool { return hs[i].Name < hs[j].Name })
-	b = cputU32(b, uint32(len(hs)))
+	b = le.AppendUint32(b, uint32(len(hs)))
 	for _, h := range hs {
-		b = cputStr(b, h.Name)
-		b = cputU32(b, uint32(len(h.Bounds)))
+		b = bincodec.AppendStr16(b, h.Name)
+		b = le.AppendUint32(b, uint32(len(h.Bounds)))
 		for _, ub := range h.Bounds {
-			b = cputU64(b, math.Float64bits(ub))
+			b = le.AppendUint64(b, math.Float64bits(ub))
 		}
 		// Always len(bounds)+1 counts on the wire; a hand-built value
 		// with a short Counts slice encodes missing buckets as zero.
@@ -109,95 +108,12 @@ func AppendSnapshot(b []byte, s Snapshot) []byte {
 			if i < len(h.Counts) {
 				n = h.Counts[i]
 			}
-			b = cputU64(b, uint64(n))
+			b = le.AppendUint64(b, uint64(n))
 		}
-		b = cputU64(b, math.Float64bits(h.Sum))
-		b = cputU64(b, uint64(h.Count))
+		b = le.AppendUint64(b, math.Float64bits(h.Sum))
+		b = le.AppendUint64(b, uint64(h.Count))
 	}
 	return b
-}
-
-// tdec is the telemetry-side bounded decoder (the package cannot import
-// wire's, as wire imports telemetry).
-type tdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *tdec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.err = fmt.Errorf("telemetry: truncated blob at offset %d", d.off)
-		return false
-	}
-	return true
-}
-
-func (d *tdec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *tdec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *tdec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *tdec) str() string {
-	n := int(d.u16())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// remaining reports the undecoded byte count (0 once errored).
-func (d *tdec) remaining() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.b) - d.off
-}
-
-func (d *tdec) header(kind byte) {
-	if !d.need(headerLen) {
-		return
-	}
-	if [4]byte(d.b[d.off:d.off+4]) != codecMagic {
-		d.err = fmt.Errorf("telemetry: bad blob magic %q", d.b[d.off:d.off+4])
-		return
-	}
-	if v := d.b[d.off+4]; v != CodecVersion {
-		d.err = fmt.Errorf("telemetry: unsupported codec version %d (have %d)", v, CodecVersion)
-		return
-	}
-	if k := d.b[d.off+5]; k != kind {
-		d.err = fmt.Errorf("telemetry: blob kind %d, want %d", k, kind)
-		return
-	}
-	d.off += headerLen
 }
 
 // DecodeSnapshot parses an encoded snapshot. Counts are sanity-bounded
@@ -205,88 +121,71 @@ func (d *tdec) header(kind byte) {
 // strictly ascending instrument names — is enforced, which is what
 // makes the codec bijective.
 func DecodeSnapshot(b []byte) (Snapshot, error) {
-	d := &tdec{b: b}
-	d.header(codecKindSnapshot)
+	d := bincodec.NewReader(&snapshotFormat, b)
+	header(d, codecKindSnapshot)
 	var s Snapshot
 
-	nC := d.u32()
 	// Minimum counter record: 2-byte name length + 8-byte value.
-	if d.err == nil && uint64(nC)*10 > uint64(d.remaining()) {
-		return s, fmt.Errorf("telemetry: implausible counter count %d", nC)
-	}
+	nC := d.Count(uint64(d.U32()), 10)
 	prev := ""
-	for i := uint32(0); i < nC && d.err == nil; i++ {
-		name := d.str()
-		v := int64(d.u64())
-		if d.err == nil && i > 0 && name <= prev {
-			return s, fmt.Errorf("telemetry: counters not in canonical order at %q", name)
+	for i := 0; i < nC && d.Err() == nil; i++ {
+		name := d.Str16()
+		v := int64(d.U64())
+		if i > 0 && name <= prev {
+			d.Failf("counters not in canonical order at %q", name)
 		}
 		prev = name
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: v})
 	}
 
-	nG := d.u32()
-	if d.err == nil && uint64(nG)*12 > uint64(d.remaining()) {
-		return s, fmt.Errorf("telemetry: implausible gauge count %d", nG)
-	}
+	nG := d.Count(uint64(d.U32()), 12)
 	prev = ""
-	for i := uint32(0); i < nG && d.err == nil; i++ {
-		name := d.str()
-		label := d.str()
-		v := int64(d.u64())
-		if d.err == nil && i > 0 && name <= prev {
-			return s, fmt.Errorf("telemetry: gauges not in canonical order at %q", name)
+	for i := 0; i < nG && d.Err() == nil; i++ {
+		name := d.Str16()
+		label := d.Str16()
+		v := int64(d.U64())
+		if i > 0 && name <= prev {
+			d.Failf("gauges not in canonical order at %q", name)
 		}
 		prev = name
 		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Label: label, Value: v})
 	}
 
-	nH := d.u32()
 	// Minimum histogram record: name len + bound count + one (+Inf)
 	// bucket + sum + count.
-	if d.err == nil && uint64(nH)*30 > uint64(d.remaining()) {
-		return s, fmt.Errorf("telemetry: implausible histogram count %d", nH)
-	}
+	nH := d.Count(uint64(d.U32()), 30)
 	prev = ""
-	for i := uint32(0); i < nH && d.err == nil; i++ {
-		name := d.str()
-		nB := d.u32()
-		if d.err == nil && uint64(nB)*16 > uint64(d.remaining()) {
-			return s, fmt.Errorf("telemetry: implausible bound count %d in %q", nB, name)
-		}
-		if d.err != nil {
+	for i := 0; i < nH && d.Err() == nil; i++ {
+		hv := HistogramValue{Name: d.Str16()}
+		// Each bound brings its own 8 bytes and an 8-byte bucket count.
+		nB := d.Count(uint64(d.U32()), 16)
+		if d.Err() != nil {
 			break
 		}
-		hv := HistogramValue{Name: name}
 		if nB > 0 {
 			hv.Bounds = make([]float64, nB)
 		}
-		for j := uint32(0); j < nB; j++ {
-			hv.Bounds[j] = math.Float64frombits(d.u64())
-		}
-		for j := uint32(1); d.err == nil && j < nB; j++ {
-			if !(hv.Bounds[j-1] < hv.Bounds[j]) {
-				return s, fmt.Errorf("telemetry: histogram %q bounds not ascending", name)
+		for j := range hv.Bounds {
+			hv.Bounds[j] = d.F64()
+			if j > 0 && !(hv.Bounds[j-1] < hv.Bounds[j]) {
+				d.Failf("histogram %q bounds not ascending", hv.Name)
 			}
 		}
 		hv.Counts = make([]int64, nB+1)
 		for j := range hv.Counts {
-			hv.Counts[j] = int64(d.u64())
+			hv.Counts[j] = int64(d.U64())
 		}
-		hv.Sum = math.Float64frombits(d.u64())
-		hv.Count = int64(d.u64())
-		if d.err == nil && i > 0 && name <= prev {
-			return s, fmt.Errorf("telemetry: histograms not in canonical order at %q", name)
+		hv.Sum = d.F64()
+		hv.Count = int64(d.U64())
+		if i > 0 && hv.Name <= prev {
+			d.Failf("histograms not in canonical order at %q", hv.Name)
 		}
-		prev = name
+		prev = hv.Name
 		s.Histograms = append(s.Histograms, hv)
 	}
 
-	if d.err != nil {
-		return Snapshot{}, d.err
-	}
-	if d.off != len(b) {
-		return Snapshot{}, fmt.Errorf("telemetry: %d trailing bytes in snapshot", len(b)-d.off)
+	if err := d.Finish(); err != nil {
+		return Snapshot{}, err
 	}
 	return s, nil
 }
@@ -306,11 +205,11 @@ func appendSpanBody(b []byte, n *SpanNode) []byte {
 	if n == nil {
 		n = &SpanNode{}
 	}
-	b = cputStr(b, n.Name)
-	b = cputU64(b, uint64(n.StartOffset))
-	b = cputU64(b, uint64(n.Duration))
-	b = cputU64(b, math.Float64bits(n.Seconds))
-	b = cputU32(b, uint32(len(n.Children)))
+	b = bincodec.AppendStr16(b, n.Name)
+	b = le.AppendUint64(b, uint64(n.StartOffset))
+	b = le.AppendUint64(b, uint64(n.Duration))
+	b = le.AppendUint64(b, math.Float64bits(n.Seconds))
+	b = le.AppendUint32(b, uint32(len(n.Children)))
 	for i := range n.Children {
 		b = appendSpanBody(b, &n.Children[i])
 	}
@@ -327,34 +226,27 @@ const maxSpanDepth = 1024
 // DecodeSpanNode parses an encoded span tree, bounding child counts
 // against the remaining payload and the nesting depth.
 func DecodeSpanNode(b []byte) (*SpanNode, error) {
-	d := &tdec{b: b}
-	d.header(codecKindSpan)
+	d := bincodec.NewReader(&spanFormat, b)
+	header(d, codecKindSpan)
 	n := decodeSpanBody(d, 0)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("telemetry: %d trailing bytes in span", len(b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
 
-func decodeSpanBody(d *tdec, depth int) *SpanNode {
+func decodeSpanBody(d *bincodec.Reader, depth int) *SpanNode {
 	if depth > maxSpanDepth {
-		d.err = fmt.Errorf("telemetry: span tree deeper than %d", maxSpanDepth)
+		d.Failf("span tree deeper than %d", maxSpanDepth)
 		return nil
 	}
 	n := &SpanNode{}
-	n.Name = d.str()
-	n.StartOffset = time.Duration(d.u64())
-	n.Duration = time.Duration(d.u64())
-	n.Seconds = math.Float64frombits(d.u64())
-	nKids := d.u32()
-	if d.err == nil && uint64(nKids)*spanMinRecord > uint64(d.remaining()) {
-		d.err = fmt.Errorf("telemetry: implausible span child count %d", nKids)
-		return nil
-	}
-	for i := uint32(0); i < nKids && d.err == nil; i++ {
+	n.Name = d.Str16()
+	n.StartOffset = time.Duration(d.U64())
+	n.Duration = time.Duration(d.U64())
+	n.Seconds = d.F64()
+	nKids := d.Count(uint64(d.U32()), spanMinRecord)
+	for i := 0; i < nKids && d.Err() == nil; i++ {
 		if c := decodeSpanBody(d, depth+1); c != nil {
 			n.Children = append(n.Children, *c)
 		}

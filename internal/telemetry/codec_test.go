@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"faultyrank/internal/bincodec"
 )
 
 func sampleSnapshot() Snapshot {
@@ -114,42 +116,42 @@ func TestSnapshotDecodeRejectsNonCanonical(t *testing.T) {
 	unsorted := Snapshot{Counters: []CounterValue{{Name: "b", Value: 1}, {Name: "a", Value: 2}}}
 	// Build the wire form by hand so sorting in Encode can't save it.
 	raw := appendHeader(nil, codecKindSnapshot)
-	raw = cputU32(raw, 2)
+	raw = le.AppendUint32(raw, 2)
 	for _, c := range unsorted.Counters {
-		raw = cputStr(raw, c.Name)
-		raw = cputU64(raw, uint64(c.Value))
+		raw = bincodec.AppendStr16(raw, c.Name)
+		raw = le.AppendUint64(raw, uint64(c.Value))
 	}
-	raw = cputU32(raw, 0)
-	raw = cputU32(raw, 0)
+	raw = le.AppendUint32(raw, 0)
+	raw = le.AppendUint32(raw, 0)
 	if _, err := DecodeSnapshot(raw); err == nil {
 		t.Error("decode accepted out-of-order counters")
 	}
 
 	dup := appendHeader(nil, codecKindSnapshot)
-	dup = cputU32(dup, 2)
+	dup = le.AppendUint32(dup, 2)
 	for i := 0; i < 2; i++ {
-		dup = cputStr(dup, "same")
-		dup = cputU64(dup, 7)
+		dup = bincodec.AppendStr16(dup, "same")
+		dup = le.AppendUint64(dup, 7)
 	}
-	dup = cputU32(dup, 0)
-	dup = cputU32(dup, 0)
+	dup = le.AppendUint32(dup, 0)
+	dup = le.AppendUint32(dup, 0)
 	if _, err := DecodeSnapshot(dup); err == nil {
 		t.Error("decode accepted duplicate counter names")
 	}
 
 	badBounds := appendHeader(nil, codecKindSnapshot)
-	badBounds = cputU32(badBounds, 0)
-	badBounds = cputU32(badBounds, 0)
-	badBounds = cputU32(badBounds, 1)
-	badBounds = cputStr(badBounds, "h")
-	badBounds = cputU32(badBounds, 2)
-	badBounds = cputU64(badBounds, math.Float64bits(2.0))
-	badBounds = cputU64(badBounds, math.Float64bits(1.0)) // descending
+	badBounds = le.AppendUint32(badBounds, 0)
+	badBounds = le.AppendUint32(badBounds, 0)
+	badBounds = le.AppendUint32(badBounds, 1)
+	badBounds = bincodec.AppendStr16(badBounds, "h")
+	badBounds = le.AppendUint32(badBounds, 2)
+	badBounds = le.AppendUint64(badBounds, math.Float64bits(2.0))
+	badBounds = le.AppendUint64(badBounds, math.Float64bits(1.0)) // descending
 	for i := 0; i < 3; i++ {
-		badBounds = cputU64(badBounds, 0)
+		badBounds = le.AppendUint64(badBounds, 0)
 	}
-	badBounds = cputU64(badBounds, 0)
-	badBounds = cputU64(badBounds, 0)
+	badBounds = le.AppendUint64(badBounds, 0)
+	badBounds = le.AppendUint64(badBounds, 0)
 	if _, err := DecodeSnapshot(badBounds); err == nil {
 		t.Error("decode accepted descending histogram bounds")
 	}
@@ -161,15 +163,15 @@ func TestSnapshotDecodeBoundedAllocation(t *testing.T) {
 	lies := [][]byte{
 		func() []byte { // huge counter count, no payload behind it
 			b := appendHeader(nil, codecKindSnapshot)
-			return cputU32(b, 0xFFFFFFFF)
+			return le.AppendUint32(b, 0xFFFFFFFF)
 		}(),
 		func() []byte { // huge histogram bound count
 			b := appendHeader(nil, codecKindSnapshot)
-			b = cputU32(b, 0)
-			b = cputU32(b, 0)
-			b = cputU32(b, 1)
-			b = cputStr(b, "h")
-			return cputU32(b, 0x10000000)
+			b = le.AppendUint32(b, 0)
+			b = le.AppendUint32(b, 0)
+			b = le.AppendUint32(b, 1)
+			b = bincodec.AppendStr16(b, "h")
+			return le.AppendUint32(b, 0x10000000)
 		}(),
 	}
 	var before, after runtime.MemStats
@@ -220,11 +222,11 @@ func TestSpanDecodeRejects(t *testing.T) {
 	}
 	// Lying child count.
 	lie := appendHeader(nil, codecKindSpan)
-	lie = cputStr(lie, "n")
-	lie = cputU64(lie, 0)
-	lie = cputU64(lie, 0)
-	lie = cputU64(lie, 0)
-	lie = cputU32(lie, 0xFFFFFF)
+	lie = bincodec.AppendStr16(lie, "n")
+	lie = le.AppendUint64(lie, 0)
+	lie = le.AppendUint64(lie, 0)
+	lie = le.AppendUint64(lie, 0)
+	lie = le.AppendUint32(lie, 0xFFFFFF)
 	if _, err := DecodeSpanNode(lie); err == nil {
 		t.Error("decode accepted lying child count")
 	}

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"faultyrank/internal/bincodec"
+	"faultyrank/internal/bincodec/bincodectest"
 )
 
 // TestJournalRecordSnapshot: events come back oldest-first with their
@@ -226,18 +229,18 @@ func TestJournalCodecRejects(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "trailing"},
 		{"truncated", good[:len(good)-3], "truncated"},
 		{"implausible sections", func() []byte {
-			b := append([]byte(nil), journalMagic[:]...)
+			b := []byte(journalMagic)
 			b = append(b, JournalCodecVersion)
-			return cputU32(b, 0xFFFFFF)
+			return le.AppendUint32(b, 0xFFFFFF)
 		}(), "implausible"},
 		{"implausible events", func() []byte {
-			b := append([]byte(nil), journalMagic[:]...)
+			b := []byte(journalMagic)
 			b = append(b, JournalCodecVersion)
-			b = cputU32(b, 1)
-			b = cputStr(b, "s")
-			b = cputU64(b, 0)
-			b = cputU64(b, 0)
-			b = cputU32(b, 0xFFFFFF) // event count far beyond payload
+			b = le.AppendUint32(b, 1)
+			b = bincodec.AppendStr16(b, "s")
+			b = le.AppendUint64(b, 0)
+			b = le.AppendUint64(b, 0)
+			b = le.AppendUint32(b, 0xFFFFFF) // event count far beyond payload
 			return append(b, make([]byte, 64)...)
 		}(), "implausible"},
 		{"sections out of order", func() []byte {
@@ -248,17 +251,17 @@ func TestJournalCodecRejects(t *testing.T) {
 				[]byte("a"), []byte("z"), 1), []byte("b"), []byte("a"), 1), []byte("z"), []byte("b"), 1)
 		}(), "canonical order"},
 		{"events out of order", func() []byte {
-			b := append([]byte(nil), journalMagic[:]...)
+			b := []byte(journalMagic)
 			b = append(b, JournalCodecVersion)
-			b = cputU32(b, 1)
-			b = cputStr(b, "s")
-			b = cputU64(b, 0)
-			b = cputU64(b, 0)
-			b = cputU32(b, 2)
+			b = le.AppendUint32(b, 1)
+			b = bincodec.AppendStr16(b, "s")
+			b = le.AppendUint64(b, 0)
+			b = le.AppendUint64(b, 0)
+			b = le.AppendUint32(b, 2)
 			for _, ts := range []uint64{50, 10} { // descending T
-				b = cputU64(b, ts)
-				b = cputStr(b, "c")
-				b = cputStr(b, "k")
+				b = le.AppendUint64(b, ts)
+				b = bincodec.AppendStr16(b, "c")
+				b = bincodec.AppendStr16(b, "k")
 				b = append(b, 0)
 			}
 			return b
@@ -302,26 +305,12 @@ func FuzzDecodeJournal(f *testing.F) {
 	}
 	f.Add(EncodeJournal([]JournalSnapshot{j.Snapshot()}))
 	// Implausible section count.
-	hostile := append([]byte(nil), journalMagic[:]...)
+	hostile := []byte(journalMagic)
 	hostile = append(hostile, JournalCodecVersion)
-	f.Add(cputU32(hostile, 0xFFFFFFFF))
+	f.Add(le.AppendUint32(hostile, 0xFFFFFFFF))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		secs, err := DecodeJournal(b)
-		if err != nil {
-			return
-		}
-		re := EncodeJournal(secs)
-		if !bytes.Equal(re, b) {
-			t.Fatalf("decode-ok blob did not re-encode byte-identically:\n in %x\nout %x", b, re)
-		}
-		again, err := DecodeJournal(re)
-		if err != nil {
-			t.Fatalf("re-encoded blob failed to decode: %v", err)
-		}
-		if len(again) != len(secs) {
-			t.Fatalf("re-decode section count %d != %d", len(again), len(secs))
-		}
+		bincodectest.RoundTrip(t, b, DecodeJournal, EncodeJournal)
 	})
 }
 

@@ -1,10 +1,11 @@
 package telemetry
 
 import (
-	"fmt"
 	"os"
 	"sort"
 	"time"
+
+	"faultyrank/internal/bincodec"
 )
 
 // FRJR v1: the versioned canonical binary codec for journal snapshots —
@@ -34,10 +35,9 @@ import (
 // incompatible change.
 const JournalCodecVersion = 1
 
-var journalMagic = [4]byte{'F', 'R', 'J', 'R'}
+const journalMagic = "FRJR"
 
-// journalHeaderLen is magic + version.
-const journalHeaderLen = 5
+var journalFormat = bincodec.Format{Name: "telemetry: journal"}
 
 // Minimum encoded sizes, the allocation bounds for hostile counts.
 const (
@@ -55,25 +55,24 @@ func EncodeJournal(sections []JournalSnapshot) []byte {
 	ss := append([]JournalSnapshot(nil), sections...)
 	sort.SliceStable(ss, func(i, j int) bool { return ss[i].Server < ss[j].Server })
 
-	b := append([]byte(nil), journalMagic[:]...)
-	b = append(b, JournalCodecVersion)
-	b = cputU32(b, uint32(len(ss)))
+	b := append([]byte(journalMagic), JournalCodecVersion)
+	b = le.AppendUint32(b, uint32(len(ss)))
 	for _, s := range ss {
-		b = cputStr(b, s.Server)
-		b = cputU64(b, uint64(s.Base))
-		b = cputU64(b, uint64(s.Dropped))
-		b = cputU32(b, uint32(len(s.Events)))
+		b = bincodec.AppendStr16(b, s.Server)
+		b = le.AppendUint64(b, uint64(s.Base))
+		b = le.AppendUint64(b, uint64(s.Dropped))
+		b = le.AppendUint32(b, uint32(len(s.Events)))
 		for _, e := range s.Events {
-			b = cputU64(b, uint64(e.T))
-			b = cputStr(b, e.Component)
-			b = cputStr(b, e.Kind)
+			b = le.AppendUint64(b, uint64(e.T))
+			b = bincodec.AppendStr16(b, e.Component)
+			b = bincodec.AppendStr16(b, e.Kind)
 			if len(e.Attrs) > 255 {
 				e.Attrs = e.Attrs[:255]
 			}
 			b = append(b, byte(len(e.Attrs)))
 			for _, a := range e.Attrs {
-				b = cputStr(b, a.K)
-				b = cputStr(b, a.V)
+				b = bincodec.AppendStr16(b, a.K)
+				b = bincodec.AppendStr16(b, a.V)
 			}
 		}
 	}
@@ -84,71 +83,44 @@ func EncodeJournal(sections []JournalSnapshot) []byte {
 // sections in non-descending server order, events in non-decreasing T.
 // Counts are bounded against the payload before allocation.
 func DecodeJournal(b []byte) ([]JournalSnapshot, error) {
-	d := &tdec{b: b}
-	if d.need(journalHeaderLen) {
-		if [4]byte(d.b[:4]) != journalMagic {
-			return nil, fmt.Errorf("telemetry: bad journal magic %q", b[:4])
-		}
-		if v := d.b[4]; v != JournalCodecVersion {
-			return nil, fmt.Errorf("telemetry: unsupported journal version %d (have %d)", v, JournalCodecVersion)
-		}
-		d.off = journalHeaderLen
-	}
+	d := bincodec.NewReader(&journalFormat, b)
+	d.Header(journalMagic, JournalCodecVersion)
 
-	nS := d.u32()
-	if d.err == nil && uint64(nS)*journalMinSection > uint64(d.remaining()) {
-		return nil, fmt.Errorf("telemetry: implausible journal section count %d", nS)
-	}
+	nS := d.Count(uint64(d.U32()), journalMinSection)
 	var out []JournalSnapshot
-	for si := uint32(0); si < nS && d.err == nil; si++ {
+	for si := 0; si < nS && d.Err() == nil; si++ {
 		var s JournalSnapshot
-		s.Server = d.str()
-		s.Base = int64(d.u64())
-		s.Dropped = int64(d.u64())
-		if d.err == nil && si > 0 && s.Server < out[si-1].Server {
-			return nil, fmt.Errorf("telemetry: journal sections not in canonical order at %q", s.Server)
+		s.Server = d.Str16()
+		s.Base = int64(d.U64())
+		s.Dropped = int64(d.U64())
+		if si > 0 && s.Server < out[si-1].Server {
+			d.Failf("sections not in canonical order at %q", s.Server)
 		}
-		nE := d.u32()
-		if d.err == nil && uint64(nE)*journalMinEvent > uint64(d.remaining()) {
-			return nil, fmt.Errorf("telemetry: implausible journal event count %d in %q", nE, s.Server)
-		}
-		if d.err != nil {
-			break
-		}
+		nE := d.Count(uint64(d.U32()), journalMinEvent)
 		if nE > 0 {
 			s.Events = make([]Event, 0, nE)
 		}
-		for ei := uint32(0); ei < nE && d.err == nil; ei++ {
+		for ei := 0; ei < nE && d.Err() == nil; ei++ {
 			var e Event
-			e.T = time.Duration(d.u64())
-			e.Component = d.str()
-			e.Kind = d.str()
-			if d.err == nil && ei > 0 && e.T < s.Events[ei-1].T {
-				return nil, fmt.Errorf("telemetry: journal events not in time order in %q", s.Server)
+			e.T = time.Duration(d.U64())
+			e.Component = d.Str16()
+			e.Kind = d.Str16()
+			if ei > 0 && e.T < s.Events[ei-1].T {
+				d.Failf("events not in time order in %q", s.Server)
 			}
-			if !d.need(1) {
-				break
-			}
-			nA := int(d.b[d.off])
-			d.off++
-			if nA*journalMinAttr > d.remaining() {
-				return nil, fmt.Errorf("telemetry: implausible attr count %d in %q", nA, s.Server)
-			}
+			nA := d.Count(uint64(d.U8()), journalMinAttr)
 			if nA > 0 {
 				e.Attrs = make([]Attr, 0, nA)
 			}
-			for ai := 0; ai < nA && d.err == nil; ai++ {
-				e.Attrs = append(e.Attrs, Attr{K: d.str(), V: d.str()})
+			for ai := 0; ai < nA && d.Err() == nil; ai++ {
+				e.Attrs = append(e.Attrs, Attr{K: d.Str16(), V: d.Str16()})
 			}
 			s.Events = append(s.Events, e)
 		}
 		out = append(out, s)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("telemetry: %d trailing bytes in journal", len(b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -156,11 +128,7 @@ func DecodeJournal(b []byte) ([]JournalSnapshot, error) {
 // WriteJournalFile atomically writes the sections as an FRJR blob
 // (temp file + rename, like WriteJSON).
 func WriteJournalFile(path string, sections []JournalSnapshot) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, EncodeJournal(sections), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return bincodec.WriteFileAtomic(path, EncodeJournal(sections))
 }
 
 // ReadJournalFile reads and decodes an FRJR file.

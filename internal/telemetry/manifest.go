@@ -2,7 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"os"
+
+	"faultyrank/internal/bincodec"
 )
 
 // ManifestSchema identifies the RunManifest JSON layout. Bump on any
@@ -36,10 +37,5 @@ func WriteJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return bincodec.WriteFileAtomic(path, append(data, '\n'))
 }

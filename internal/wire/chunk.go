@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"faultyrank/internal/bincodec"
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/scanner"
@@ -29,99 +30,93 @@ import (
 
 const chunkFlagFinal = 1
 
+// Encoded record sizes (an issue's is its minimum, with empty text): the
+// encoder's exact size and the decoder's allocation bounds.
+const (
+	chunkMinObject = 16 + 8 + 2
+	chunkMinEdge   = 16 + 16 + 1
+	chunkMinIssue  = 8 + 2
+)
+
 // EncodeChunk serializes one scanner chunk for streamed transfer.
 func EncodeChunk(c *scanner.Chunk) []byte {
-	size := 2 + len(c.ServerLabel) + 5 + 4 + len(c.Objects)*26 + 4 + len(c.Edges)*33 + 4 + 24
+	size := 2 + len(c.ServerLabel) + 5 + 4 + len(c.Objects)*chunkMinObject + 4 + len(c.Edges)*chunkMinEdge + 4 + 24
 	for _, is := range c.Issues {
-		size += 10 + len(is.What)
+		size += chunkMinIssue + len(is.What)
 	}
 	buf := make([]byte, 0, size)
-	buf = appendU16(buf, uint16(len(c.ServerLabel)))
-	buf = append(buf, c.ServerLabel...)
-	buf = appendU32(buf, uint32(c.Seq))
+	buf = bincodec.AppendStr16(buf, c.ServerLabel)
+	buf = le.AppendUint32(buf, uint32(c.Seq))
 	var flags byte
 	if c.Final {
 		flags |= chunkFlagFinal
 	}
 	buf = append(buf, flags)
-	buf = appendU32(buf, uint32(len(c.Objects)))
+	buf = le.AppendUint32(buf, uint32(len(c.Objects)))
 	for _, o := range c.Objects {
 		fb := o.FID.Bytes()
 		buf = append(buf, fb[:]...)
-		buf = appendU64(buf, uint64(o.Ino))
-		buf = appendU16(buf, uint16(o.Type))
+		buf = le.AppendUint64(buf, uint64(o.Ino))
+		buf = le.AppendUint16(buf, uint16(o.Type))
 	}
-	buf = appendU32(buf, uint32(len(c.Edges)))
+	buf = le.AppendUint32(buf, uint32(len(c.Edges)))
 	for _, e := range c.Edges {
 		sb, db := e.Src.Bytes(), e.Dst.Bytes()
 		buf = append(buf, sb[:]...)
 		buf = append(buf, db[:]...)
 		buf = append(buf, byte(e.Kind))
 	}
-	buf = appendU32(buf, uint32(len(c.Issues)))
+	buf = le.AppendUint32(buf, uint32(len(c.Issues)))
 	for _, is := range c.Issues {
-		buf = appendU64(buf, uint64(is.Ino))
-		buf = appendU16(buf, uint16(len(is.What)))
-		buf = append(buf, is.What...)
+		buf = le.AppendUint64(buf, uint64(is.Ino))
+		buf = bincodec.AppendStr16(buf, is.What)
 	}
-	buf = appendU64(buf, uint64(c.Stats.InodesScanned))
-	buf = appendU64(buf, uint64(c.Stats.DirentsRead))
-	buf = appendU64(buf, uint64(c.Stats.EdgesEmitted))
+	buf = le.AppendUint64(buf, uint64(c.Stats.InodesScanned))
+	buf = le.AppendUint64(buf, uint64(c.Stats.DirentsRead))
+	buf = le.AppendUint64(buf, uint64(c.Stats.EdgesEmitted))
 	return buf
 }
 
-// DecodeChunk parses an encoded chunk. Counts are sanity-bounded against
-// the payload length before any allocation sized from them.
+// DecodeChunk parses an encoded chunk. Counts are bounded against the
+// bytes left before anything is sized from them.
 func DecodeChunk(b []byte) (*scanner.Chunk, error) {
-	d := &decoder{b: b}
+	d := bincodec.NewReader(&chunkFormat, b)
 	c := &scanner.Chunk{}
-	c.ServerLabel = d.str16()
-	c.Seq = int(d.u32())
-	flags := d.u8()
-	if d.err == nil && flags&^byte(chunkFlagFinal) != 0 {
-		return nil, fmt.Errorf("wire: unknown chunk flags %#x", flags)
+	c.ServerLabel = d.Str16()
+	c.Seq = int(d.U32())
+	flags := d.U8()
+	if flags&^byte(chunkFlagFinal) != 0 {
+		d.Failf("unknown flags %#x", flags)
 	}
 	c.Final = flags&chunkFlagFinal != 0
-	nObj := d.u32()
-	if d.err == nil && uint64(nObj)*26 > uint64(len(b)) {
-		return nil, fmt.Errorf("wire: implausible chunk object count %d", nObj)
-	}
-	for i := uint32(0); i < nObj && d.err == nil; i++ {
+	nObj := d.Count(uint64(d.U32()), chunkMinObject)
+	for i := 0; i < nObj && d.Err() == nil; i++ {
 		var o scanner.Object
-		o.FID = d.fid()
-		o.Ino = ldiskfs.Ino(d.u64())
-		o.Type = ldiskfs.FileType(d.u16())
+		o.FID = fid(d)
+		o.Ino = ldiskfs.Ino(d.U64())
+		o.Type = ldiskfs.FileType(d.U16())
 		c.Objects = append(c.Objects, o)
 	}
-	nEdge := d.u32()
-	if d.err == nil && uint64(nEdge)*33 > uint64(len(b)) {
-		return nil, fmt.Errorf("wire: implausible chunk edge count %d", nEdge)
-	}
-	for i := uint32(0); i < nEdge && d.err == nil; i++ {
+	nEdge := d.Count(uint64(d.U32()), chunkMinEdge)
+	for i := 0; i < nEdge && d.Err() == nil; i++ {
 		var e scanner.FIDEdge
-		e.Src = d.fid()
-		e.Dst = d.fid()
-		e.Kind = graph.EdgeKind(d.u8())
+		e.Src = fid(d)
+		e.Dst = fid(d)
+		e.Kind = graph.EdgeKind(d.U8())
 		c.Edges = append(c.Edges, e)
 	}
-	nIssue := d.u32()
-	if d.err == nil && uint64(nIssue)*10 > uint64(len(b)) {
-		return nil, fmt.Errorf("wire: implausible chunk issue count %d", nIssue)
-	}
-	for i := uint32(0); i < nIssue && d.err == nil; i++ {
+	nIssue := d.Count(uint64(d.U32()), chunkMinIssue)
+	for i := 0; i < nIssue && d.Err() == nil; i++ {
 		var is scanner.Issue
-		is.Ino = ldiskfs.Ino(d.u64())
-		is.What = d.str16()
+		is.Ino = ldiskfs.Ino(d.U64())
+		is.What = d.Str16()
 		c.Issues = append(c.Issues, is)
 	}
-	c.Stats.InodesScanned = int64(d.u64())
-	c.Stats.DirentsRead = int64(d.u64())
-	c.Stats.EdgesEmitted = int64(d.u64())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes in chunk", len(b)-d.off)
+	c.Stats.InodesScanned = int64(d.U64())
+	c.Stats.DirentsRead = int64(d.U64())
+	c.Stats.EdgesEmitted = int64(d.U64())
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -164,12 +159,6 @@ type ChunkStream struct {
 // backpressure or a stalling peer, fast enough to fire well before the
 // op timeout kills the stream.
 const SlowFrameThreshold = 250 * time.Millisecond
-
-// DialChunkStream connects one scanner stream to a collector with no
-// deadline and no retry (the in-process tests' path).
-func DialChunkStream(addr string) (*ChunkStream, error) {
-	return DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
-}
 
 // DialChunkStreamContext connects one scanner stream to a collector
 // under ctx, retrying the dial per policy. opTimeout bounds each
@@ -369,7 +358,7 @@ func (s *ChunkStream) setDeadline(set func(net.Conn, time.Time) error) {
 // Close releases the connection.
 func (s *ChunkStream) Close() error { return s.conn.Close() }
 
-// CollectResult reports what one CollectChunks run received: the
+// CollectResult reports what one CollectChunksContext run received: the
 // per-stage transfer counters frbench surfaces, the labels whose
 // streams completed, and a human-readable account of every stream
 // failure (empty on a clean run).
@@ -395,21 +384,13 @@ type CollectResult struct {
 	Journals []telemetry.JournalSnapshot
 }
 
-// CollectChunks accepts nStreams chunk-stream connections and delivers
-// every decoded chunk until each stream has sent its final chunk.
-// Streams are handled concurrently, so deliver must be safe for
-// concurrent use (agg.Builder.Emit is). The first error — network,
-// decode, or from deliver — is returned after all stream handlers stop;
-// a stream error aborts the sibling streams and the accept wait.
-func (c *Collector) CollectChunks(nStreams int, deliver func(*scanner.Chunk) error) error {
-	_, err := c.CollectChunksContext(context.Background(), nStreams, false, deliver)
-	return err
-}
-
-// CollectChunksContext is CollectChunks under a context. When ctx
-// expires or is cancelled, the accept wait and every in-flight stream
-// read are unblocked (listener closed, connection deadlines forced), so
-// a crashed or stalled scanner can never hang the aggregator.
+// CollectChunksContext accepts nStreams chunk-stream connections and
+// delivers every decoded chunk until each stream has sent its final
+// chunk. Streams are handled concurrently, so deliver must be safe for
+// concurrent use (agg.Builder.Emit is). When ctx expires or is
+// cancelled, the accept wait and every in-flight stream read are
+// unblocked (listener closed, connection deadlines forced), so a crashed
+// or stalled scanner can never hang the aggregator.
 //
 // With degraded=false the first failure — stream error, accept error,
 // or ctx expiry — aborts the sibling streams and is returned. With

@@ -61,11 +61,11 @@ func TestDecodeChunkRejectsCorruption(t *testing.T) {
 
 	// A huge count in the header must error on the sanity bound, not
 	// allocate or loop.
-	huge := appendU16(nil, 0)       // empty label
-	huge = appendU32(huge, 0)       // seq
-	huge = append(huge, 0)          // flags
-	huge = appendU32(huge, 1<<32-1) // object count from hostile header
-	huge = append(huge, 1, 2, 3, 4) // a few junk bytes
+	huge := le.AppendUint16(nil, 0)       // empty label
+	huge = le.AppendUint32(huge, 0)       // seq
+	huge = append(huge, 0)                // flags
+	huge = le.AppendUint32(huge, 1<<32-1) // object count from hostile header
+	huge = append(huge, 1, 2, 3, 4)       // a few junk bytes
 	if _, err := DecodeChunk(huge); err == nil {
 		t.Error("implausible object count accepted")
 	}
@@ -124,7 +124,7 @@ func TestChunkStreamsIntoBuilder(t *testing.T) {
 	for _, p := range parts {
 		go func(p *scanner.Partial) {
 			errCh <- func() error {
-				cs, err := DialChunkStream(addr)
+				cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 				if err != nil {
 					return err
 				}
@@ -138,7 +138,7 @@ func TestChunkStreamsIntoBuilder(t *testing.T) {
 			}()
 		}(p)
 	}
-	if err := col.CollectChunks(len(parts), builder.Emit); err != nil {
+	if _, err := col.CollectChunksContext(context.Background(), len(parts), false, builder.Emit); err != nil {
 		t.Fatal(err)
 	}
 	for range parts {
@@ -175,7 +175,7 @@ func TestCollectChunksSenderKilled(t *testing.T) {
 		sendErr := make(chan error, 1)
 		go func() {
 			sendErr <- func() error {
-				cs, err := DialChunkStream(addr)
+				cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 				if err != nil {
 					return err
 				}
@@ -230,7 +230,7 @@ func TestCollectChunksAbortsSiblings(t *testing.T) {
 
 	// Sibling: connects, sends one non-final chunk, then idles forever
 	// (no final chunk, connection held open).
-	sibling, err := DialChunkStream(addr)
+	sibling, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCollectChunksAbortsSiblings(t *testing.T) {
 	}
 
 	// Offender: sends a corrupt frame mid-stream.
-	offender, err := DialChunkStream(addr)
+	offender, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCollectChunksAbortsSiblings(t *testing.T) {
 }
 
 // TestCollectChunksDeliverError: a deliver failure surfaces on both
-// sides — CollectChunks returns it and the sender sees an error frame
+// sides — CollectChunksContext returns it and the sender sees an error frame
 // in place of the final ack.
 func TestCollectChunksDeliverError(t *testing.T) {
 	col, addr, err := NewCollector()
@@ -284,7 +284,7 @@ func TestCollectChunksDeliverError(t *testing.T) {
 	sendErr := make(chan error, 1)
 	go func() {
 		sendErr <- func() error {
-			cs, err := DialChunkStream(addr)
+			cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 			if err != nil {
 				return err
 			}
@@ -300,8 +300,8 @@ func TestCollectChunksDeliverError(t *testing.T) {
 
 	// Builder expecting a different server rejects every chunk.
 	builder := agg.NewBuilder([]string{"ost0"})
-	if err := col.CollectChunks(1, builder.Emit); err == nil {
-		t.Fatal("CollectChunks swallowed deliver error")
+	if _, err := col.CollectChunksContext(context.Background(), 1, false, builder.Emit); err == nil {
+		t.Fatal("CollectChunksContext swallowed deliver error")
 	}
 	if err := <-sendErr; err == nil {
 		t.Fatal("sender saw no error")

@@ -1,22 +1,20 @@
 package wire
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
+	"faultyrank/internal/bincodec/bincodectest"
 	"faultyrank/internal/core"
 	"faultyrank/internal/scanner"
 	"faultyrank/internal/telemetry"
 )
 
-// FuzzDecodeChunk drives the streamed-chunk decoder with hostile bytes.
-// The invariant is bijectivity: any payload either fails to decode, or
-// decodes to a chunk whose re-encoding is byte-identical to the input
-// and decodes again to the same chunk. Count fields must be bounded
-// before allocation, so implausible headers fail fast instead of OOMing.
+// FuzzDecodeChunk drives the streamed-chunk decoder with hostile bytes
+// under the shared codec contract (bincodectest.RoundTrip). Count fields
+// must be bounded before allocation, so implausible headers fail fast
+// instead of OOMing.
 func FuzzDecodeChunk(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 4; i++ {
@@ -25,10 +23,10 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(EncodeChunk(&scanner.Chunk{ServerLabel: "mdt0", Final: true}))
 
 	// Malformed frame lengths: counts far larger than the payload.
-	huge := appendU16(nil, 0)
-	huge = appendU32(huge, 3)
+	huge := le.AppendUint16(nil, 0)
+	huge = le.AppendUint32(huge, 3)
 	huge = append(huge, 0)
-	huge = appendU32(huge, 0xFFFFFFFF)
+	huge = le.AppendUint32(huge, 0xFFFFFFFF)
 	f.Add(huge)
 
 	// Truncated mid-FID: a valid chunk cut inside an object's FID bytes.
@@ -38,28 +36,12 @@ func FuzzDecodeChunk(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		c, err := DecodeChunk(b)
-		if err != nil {
-			return
-		}
-		enc := EncodeChunk(c)
-		if !bytes.Equal(enc, b) {
-			t.Fatalf("re-encoding diverges from accepted input")
-		}
-		c2, err := DecodeChunk(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(c, c2) {
-			t.Fatal("decode/encode/decode not stable")
-		}
+		bincodectest.RoundTrip(t, b, DecodeChunk, EncodeChunk)
 	})
 }
 
 // FuzzDecodeTelemetry drives the telemetry-trailer decoder with hostile
-// bytes under the same bijectivity invariant as the chunk fuzzing: any
-// payload either fails to decode or re-encodes byte-identically and
-// decodes again to the same trailer. The inner snapshot/span blobs
+// bytes under the shared codec contract. The inner snapshot/span blobs
 // enforce canonical form (sorted names, ascending bounds) and bound
 // every count against the remaining payload, so lying headers fail
 // fast instead of allocating.
@@ -78,9 +60,9 @@ func FuzzDecodeTelemetry(f *testing.F) {
 	f.Add(EncodeTelemetry(&Telemetry{}))
 
 	// Lying snapshot-blob length far past the payload.
-	lie := appendU16(nil, 4)
+	lie := le.AppendUint16(nil, 4)
 	lie = append(lie, "ost0"...)
-	lie = appendU32(lie, 0xFFFFFF00)
+	lie = le.AppendUint32(lie, 0xFFFFFF00)
 	f.Add(lie)
 
 	// Truncated inside the span blob.
@@ -88,31 +70,15 @@ func FuzzDecodeTelemetry(f *testing.F) {
 	f.Add(full[:len(full)-7])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tr, err := DecodeTelemetry(b)
-		if err != nil {
-			return
-		}
-		enc := EncodeTelemetry(tr)
-		if !bytes.Equal(enc, b) {
-			t.Fatalf("re-encoding diverges from accepted input")
-		}
-		tr2, err := DecodeTelemetry(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(tr, tr2) {
-			t.Fatal("decode/encode/decode not stable")
-		}
+		bincodectest.RoundTrip(t, b, DecodeTelemetry, EncodeTelemetry)
 	})
 }
 
 // FuzzDecodeRankDelta drives the superstep-frame decoder with hostile
-// bytes under the family invariant: any payload either fails
-// DecodeRankDelta, or re-encodes byte-identically and decodes again to
-// an equal frame. Counts are bounded against the remaining payload
-// before any vector is allocated, so a lying header costs an error,
-// never an allocation. Float comparisons go through the encoded bytes
-// (NaN bit patterns round-trip but compare unequal as values).
+// bytes under the shared codec contract. Counts are bounded against the
+// remaining payload before any vector is allocated, so a lying header
+// costs an error, never an allocation. Floats cross as raw bit patterns,
+// NaNs included — the reason RoundTrip falls back to comparing encodings.
 func FuzzDecodeRankDelta(f *testing.F) {
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 5; i++ {
@@ -126,13 +92,13 @@ func FuzzDecodeRankDelta(f *testing.F) {
 
 	// Lying sink count far past the payload.
 	lie := []byte{RankDeltaVersion, core.RankUpA}
-	lie = appendU32(lie, 0)
-	lie = appendU32(lie, 0)
-	lie = appendU64(lie, 0)
-	lie = appendU64(lie, 0)
-	lie = appendU64(lie, 0)
+	lie = le.AppendUint32(lie, 0)
+	lie = le.AppendUint32(lie, 0)
+	lie = le.AppendUint64(lie, 0)
+	lie = le.AppendUint64(lie, 0)
+	lie = le.AppendUint64(lie, 0)
 	lie = append(lie, 0)
-	lie = appendU32(lie, 0xFFFFFFFF)
+	lie = le.AppendUint32(lie, 0xFFFFFFFF)
 	f.Add(lie)
 
 	// Truncated mid-vector.
@@ -140,20 +106,6 @@ func FuzzDecodeRankDelta(f *testing.F) {
 	f.Add(full[:len(full)-5])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := DecodeRankDelta(b)
-		if err != nil {
-			return
-		}
-		enc := EncodeRankDelta(d)
-		if !bytes.Equal(enc, b) {
-			t.Fatalf("re-encoding diverges from accepted input")
-		}
-		d2, err := DecodeRankDelta(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(EncodeRankDelta(d2), enc) {
-			t.Fatal("decode/encode/decode not stable")
-		}
+		bincodectest.RoundTrip(t, b, DecodeRankDelta, EncodeRankDelta)
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"faultyrank/internal/bincodec"
 	"faultyrank/internal/core"
 )
 
@@ -48,29 +49,31 @@ const RankDeltaVersion = 2
 func EncodeRankDelta(d *core.RankDelta) []byte {
 	buf := make([]byte, 0, d.WireSize())
 	buf = append(buf, RankDeltaVersion, d.Kind)
-	buf = appendU32(buf, d.Part)
-	buf = appendU32(buf, d.Iter)
-	buf = appendU64(buf, math.Float64bits(d.Base))
-	buf = appendU64(buf, math.Float64bits(d.PerSink))
-	buf = appendU64(buf, math.Float64bits(d.Diff))
-	buf = appendU64(buf, d.Sum)
+	buf = le.AppendUint32(buf, d.Part)
+	buf = le.AppendUint32(buf, d.Iter)
+	buf = le.AppendUint64(buf, math.Float64bits(d.Base))
+	buf = le.AppendUint64(buf, math.Float64bits(d.PerSink))
+	buf = le.AppendUint64(buf, math.Float64bits(d.Diff))
+	buf = le.AppendUint64(buf, d.Sum)
 	if d.Halt {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
 	for _, vec := range [][]float64{d.Sink, d.Ghost, d.ID, d.Prop} {
-		buf = appendU32(buf, uint32(len(vec)))
-		for _, v := range vec {
-			buf = appendU64(buf, math.Float64bits(v))
-		}
+		buf = appendFloats64(buf, vec)
 	}
-	buf = appendU16(buf, uint16(len(d.Bound)))
+	buf = le.AppendUint16(buf, uint16(len(d.Bound)))
 	for _, b := range d.Bound {
-		buf = appendU32(buf, uint32(len(b)))
-		for _, v := range b {
-			buf = appendU64(buf, math.Float64bits(v))
-		}
+		buf = appendFloats64(buf, b)
+	}
+	return buf
+}
+
+func appendFloats64(buf []byte, vec []float64) []byte {
+	buf = le.AppendUint32(buf, uint32(len(vec)))
+	for _, v := range vec {
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
@@ -78,69 +81,53 @@ func EncodeRankDelta(d *core.RankDelta) []byte {
 // floats64 decodes a u32-counted float vector, bounding the count
 // against the remaining payload before allocating. Empty decodes nil
 // (canonical form).
-func (d *decoder) floats64(what string) []float64 {
-	n := int(d.u32())
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	if d.off+8*n > len(d.b) {
-		d.err = fmt.Errorf("wire: rank delta %s count %d exceeds payload", what, n)
+func floats64(d *bincodec.Reader) []float64 {
+	n := d.Count(uint64(d.U32()), 8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = math.Float64frombits(le.Uint64(d.b[d.off:]))
-		d.off += 8
+		out[i] = d.F64()
 	}
 	return out
 }
 
 // DecodeRankDelta parses one superstep frame.
 func DecodeRankDelta(b []byte) (*core.RankDelta, error) {
-	d := &decoder{b: b}
-	if v := d.u8(); d.err == nil && v != RankDeltaVersion {
-		return nil, fmt.Errorf("wire: rank delta version %d, want %d", v, RankDeltaVersion)
-	}
+	d := bincodec.NewReader(&rankDeltaFormat, b)
+	d.Header("", RankDeltaVersion)
 	r := &core.RankDelta{}
-	r.Kind = d.u8()
-	if d.err == nil && (r.Kind < core.RankHello || r.Kind > core.RankDone) {
-		return nil, fmt.Errorf("wire: unknown rank delta kind %d", r.Kind)
+	r.Kind = d.U8()
+	if r.Kind < core.RankHello || r.Kind > core.RankDone {
+		d.Failf("unknown kind %d", r.Kind)
 	}
-	r.Part = d.u32()
-	r.Iter = d.u32()
-	r.Base = math.Float64frombits(d.u64())
-	r.PerSink = math.Float64frombits(d.u64())
-	r.Diff = math.Float64frombits(d.u64())
-	r.Sum = d.u64()
-	switch h := d.u8(); h {
+	r.Part = d.U32()
+	r.Iter = d.U32()
+	r.Base = d.F64()
+	r.PerSink = d.F64()
+	r.Diff = d.F64()
+	r.Sum = d.U64()
+	switch h := d.U8(); h {
 	case 0:
 	case 1:
 		r.Halt = true
 	default:
-		if d.err == nil {
-			return nil, fmt.Errorf("wire: rank delta halt byte %d", h)
-		}
+		d.Failf("halt byte %d", h)
 	}
-	r.Sink = d.floats64("sink")
-	r.Ghost = d.floats64("ghost")
-	r.ID = d.floats64("id")
-	r.Prop = d.floats64("prop")
-	nBound := int(d.u16())
-	if nBound > 0 && d.err == nil {
-		// Each bundle needs at least its 4-byte count.
-		if d.off+4*nBound > len(d.b) {
-			return nil, fmt.Errorf("wire: rank delta bound count %d exceeds payload", nBound)
-		}
+	r.Sink = floats64(d)
+	r.Ghost = floats64(d)
+	r.ID = floats64(d)
+	r.Prop = floats64(d)
+	// Each bundle needs at least its 4-byte count.
+	if nBound := d.Count(uint64(d.U16()), 4); nBound > 0 {
 		r.Bound = make([][]float64, nBound)
 		for q := range r.Bound {
-			r.Bound[q] = d.floats64("bound")
+			r.Bound[q] = floats64(d)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes in rank delta", len(b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

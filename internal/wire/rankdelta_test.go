@@ -88,7 +88,7 @@ func TestRankDeltaRejects(t *testing.T) {
 	}
 	// Lying sink count far past the payload.
 	lie := append([]byte{}, valid[:43]...)
-	lie = appendU32(lie, 0xFFFFFF)
+	lie = le.AppendUint32(lie, 0xFFFFFF)
 	cases["lying count"] = lie
 
 	for name, b := range cases {

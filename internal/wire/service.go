@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"faultyrank/internal/bincodec"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
 )
@@ -38,9 +39,9 @@ func encodeFIDInfo(in FIDInfo) ([]byte, error) {
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = appendU16(buf, uint16(in.Type))
-	buf = appendU64(buf, in.Size)
-	buf = appendU16(buf, uint16(len(in.Xattrs)))
+	buf = le.AppendUint16(buf, uint16(in.Type))
+	buf = le.AppendUint64(buf, in.Size)
+	buf = le.AppendUint16(buf, uint16(len(in.Xattrs)))
 	// deterministic order is unnecessary on the wire; iterate freely
 	for name, val := range in.Xattrs {
 		if len(name) > math.MaxUint8 {
@@ -51,39 +52,32 @@ func encodeFIDInfo(in FIDInfo) ([]byte, error) {
 		}
 		buf = append(buf, byte(len(name)))
 		buf = append(buf, name...)
-		buf = appendU32(buf, uint32(len(val)))
+		buf = le.AppendUint32(buf, uint32(len(val)))
 		buf = append(buf, val...)
 	}
 	return buf, nil
 }
 
 func decodeFIDInfo(b []byte) (FIDInfo, error) {
-	d := &decoder{b: b}
+	d := bincodec.NewReader(&fidInfoFormat, b)
 	var in FIDInfo
-	in.Exists = d.u8() == 1
-	in.Type = ldiskfs.FileType(d.u16())
-	in.Size = d.u64()
-	n := int(d.u16())
+	in.Exists = d.U8() == 1
+	in.Type = ldiskfs.FileType(d.U16())
+	in.Size = d.U64()
+	// Minimum xattr record: empty name and value, u8 + u32 lengths.
+	n := d.Count(uint64(d.U16()), 5)
 	if n > 0 {
 		in.Xattrs = make(map[string][]byte, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		nl := int(d.u8())
-		if !d.need(nl) {
+	for i := 0; i < n; i++ {
+		name := string(d.Bytes(int(d.U8())))
+		val := d.Bytes(int(d.U32()))
+		if d.Err() != nil {
 			break
 		}
-		name := string(d.b[d.off : d.off+nl])
-		d.off += nl
-		vl := int(d.u32())
-		if !d.need(vl) {
-			break
-		}
-		val := make([]byte, vl)
-		copy(val, d.b[d.off:d.off+vl])
-		d.off += vl
-		in.Xattrs[name] = val
+		in.Xattrs[name] = append(make([]byte, 0, len(val)), val...)
 	}
-	return in, d.err
+	return in, d.Err()
 }
 
 // ObjectService answers StatFID RPCs for one server image. It builds a
@@ -245,7 +239,7 @@ func (s *ObjectService) handle(conn net.Conn) {
 					encErr = err
 					break
 				}
-				out = appendU32(out, uint32(len(rec)))
+				out = le.AppendUint32(out, uint32(len(rec)))
 				out = append(out, rec...)
 			}
 			if encErr != nil {
@@ -335,7 +329,7 @@ func (c *Client) StatBatch(fids []lustre.FID) ([]FIDInfo, error) {
 	if err := c.armDeadlines(); err != nil {
 		return nil, err
 	}
-	payload := appendU32(nil, uint32(len(fids)))
+	payload := le.AppendUint32(nil, uint32(len(fids)))
 	for _, f := range fids {
 		fb := f.Bytes()
 		payload = append(payload, fb[:]...)
@@ -354,34 +348,31 @@ func (c *Client) StatBatch(fids []lustre.FID) ([]FIDInfo, error) {
 		return nil, fmt.Errorf("wire: unexpected reply %d", typ)
 	}
 	out := make([]FIDInfo, 0, len(fids))
-	d := &decoder{b: body}
-	for i := 0; i < len(fids); i++ {
-		n := int(d.u32())
-		if !d.need(n) {
+	d := bincodec.NewReader(&statBatchFormat, body)
+	for i := range fids {
+		rec := d.Bytes(int(d.U32()))
+		if d.Err() != nil {
 			return nil, fmt.Errorf("wire: truncated batch reply at record %d", i)
 		}
-		info, err := decodeFIDInfo(d.b[d.off : d.off+n])
+		info, err := decodeFIDInfo(rec)
 		if err != nil {
 			return nil, err
 		}
-		d.off += n
 		out = append(out, info)
 	}
 	return out, nil
 }
 
-// decodeStatBatch parses a MsgStatBatch payload.
+// decodeStatBatch parses a MsgStatBatch payload: a count and exactly
+// that many FIDs.
 func decodeStatBatch(b []byte) ([]lustre.FID, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("wire: short StatBatch")
+	d := bincodec.NewReader(&statBatchFormat, b)
+	fids := make([]lustre.FID, d.Count(uint64(d.U32()), 16))
+	for i := range fids {
+		fids[i] = fid(d)
 	}
-	n := int(le.Uint32(b))
-	if len(b) != 4+16*n {
-		return nil, fmt.Errorf("wire: StatBatch size mismatch (%d fids, %d bytes)", n, len(b))
-	}
-	fids := make([]lustre.FID, n)
-	for i := 0; i < n; i++ {
-		fids[i] = lustre.FIDFromBytes(b[4+16*i:])
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return fids, nil
 }

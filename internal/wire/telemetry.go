@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 
+	"faultyrank/internal/bincodec"
 	"faultyrank/internal/telemetry"
 )
 
@@ -33,15 +34,14 @@ type Telemetry struct {
 func EncodeTelemetry(t *Telemetry) []byte {
 	snap := telemetry.EncodeSnapshot(t.Snapshot)
 	buf := make([]byte, 0, 2+len(t.Server)+8+len(snap)+64)
-	buf = appendU16(buf, uint16(len(t.Server)))
-	buf = append(buf, t.Server...)
-	buf = appendU32(buf, uint32(len(snap)))
+	buf = bincodec.AppendStr16(buf, t.Server)
+	buf = le.AppendUint32(buf, uint32(len(snap)))
 	buf = append(buf, snap...)
 	if t.Span == nil {
-		return appendU32(buf, 0)
+		return le.AppendUint32(buf, 0)
 	}
 	span := telemetry.EncodeSpanNode(t.Span)
-	buf = appendU32(buf, uint32(len(span)))
+	buf = le.AppendUint32(buf, uint32(len(span)))
 	return append(buf, span...)
 }
 
@@ -50,38 +50,26 @@ func EncodeTelemetry(t *Telemetry) []byte {
 // slice is taken, and the inner blobs go through the telemetry codec's
 // own canonical-form and allocation checks.
 func DecodeTelemetry(b []byte) (*Telemetry, error) {
-	d := &decoder{b: b}
+	d := bincodec.NewReader(&telemetryFormat, b)
 	t := &Telemetry{}
-	t.Server = d.str16()
+	t.Server = d.Str16()
 
-	snapLen := int(d.u32())
-	if !d.need(snapLen) {
-		return nil, fmt.Errorf("wire: telemetry snapshot blob truncated")
+	snapBlob := d.Bytes(int(d.U32()))
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	snap, err := telemetry.DecodeSnapshot(d.b[d.off : d.off+snapLen])
+	snap, err := telemetry.DecodeSnapshot(snapBlob)
 	if err != nil {
 		return nil, fmt.Errorf("wire: telemetry trailer: %w", err)
 	}
 	t.Snapshot = snap
-	d.off += snapLen
-
-	spanLen := int(d.u32())
-	if spanLen > 0 {
-		if !d.need(spanLen) {
-			return nil, fmt.Errorf("wire: telemetry span blob truncated")
-		}
-		node, err := telemetry.DecodeSpanNode(d.b[d.off : d.off+spanLen])
-		if err != nil {
+	if spanBlob := d.Bytes(int(d.U32())); len(spanBlob) > 0 {
+		if t.Span, err = telemetry.DecodeSpanNode(spanBlob); err != nil {
 			return nil, fmt.Errorf("wire: telemetry trailer: %w", err)
 		}
-		t.Span = node
-		d.off += spanLen
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes in telemetry trailer", len(b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -58,9 +58,9 @@ func TestDecodeTelemetryRejects(t *testing.T) {
 		t.Error("trailing bytes accepted")
 	}
 	// Lying snapshot length far past the payload must fail fast.
-	lie := appendU16(nil, 4)
+	lie := le.AppendUint16(nil, 4)
 	lie = append(lie, "ost0"...)
-	lie = appendU32(lie, 0xFFFFFF00)
+	lie = le.AppendUint32(lie, 0xFFFFFF00)
 	if _, err := DecodeTelemetry(lie); err == nil {
 		t.Error("lying snapshot length accepted")
 	}
@@ -90,7 +90,7 @@ func TestChunkStreamShipsTrailer(t *testing.T) {
 	for i, p := range parts {
 		go func(i int, p *scanner.Partial) {
 			errCh <- func() error {
-				cs, err := DialChunkStream(addr)
+				cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 				if err != nil {
 					return err
 				}
@@ -155,7 +155,7 @@ func TestSendTelemetryMidStream(t *testing.T) {
 	sendErr := make(chan error, 1)
 	go func() {
 		sendErr <- func() error {
-			cs, err := DialChunkStream(addr)
+			cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 			if err != nil {
 				return err
 			}
@@ -207,7 +207,7 @@ func TestTrailerMalformedTolerated(t *testing.T) {
 	sendErr := make(chan error, 1)
 	go func() {
 		sendErr <- func() error {
-			cs, err := DialChunkStream(addr)
+			cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
 			if err != nil {
 				return err
 			}
