@@ -14,6 +14,7 @@ package agg
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -89,27 +90,48 @@ func Merge(parts []*scanner.Partial) *Unified {
 // part's Objects in part order, then every part's Edges, Src before
 // Dst), and the one parallel pass writes disjoint slots.
 func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
-	return mergeObserved(parts, workers, nil)
+	segs := make([]segment, len(parts))
+	for i, p := range parts {
+		segs[i] = segment{label: p.ServerLabel, objects: p.Objects, edges: p.Edges, issues: p.Issues}
+	}
+	return mergeObserved(segs, workers, nil)
+}
+
+// segment is one piece of the canonical stream as the merge reads it: a
+// whole Partial, or one chunk a Builder retained. A server's segments
+// are adjacent and in stream order, so walking the segments walks each
+// section of the canonical stream in order without concatenating it.
+// The merge only reads the slices.
+type segment struct {
+	label   string
+	objects []scanner.Object
+	edges   []scanner.FIDEdge
+	issues  []scanner.Issue
+	edgeOff int // index of edges[0] in the merged edge list; set by the merge
 }
 
 // unresolved marks an edge endpoint whose FID no object claims. It can
 // never be a GID: the table's ids stop at 2^32-2.
 const unresolved = ^uint32(0)
 
-// mergeObserved is MergeWorkers with instrumentation: each pass
-// reports per-worker busy time and item counts through m, and the
-// interner's final size lands on the agg_interned_fids gauge. A nil m
-// observes nothing and adds no overhead beyond one branch per pass.
-func mergeObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
+// mergeObserved merges the canonical stream held in segs, with
+// instrumentation: each pass reports per-worker busy time and item
+// counts through m, and the interner's final size lands on the
+// agg_interned_fids gauge. A nil m observes nothing and adds no
+// overhead beyond one branch per pass.
+func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
-	var nObj, nEdge int
-	edgeOff := make([]int, len(parts))
-	for i, p := range parts {
-		edgeOff[i] = nEdge
-		nObj += len(p.Objects)
-		nEdge += len(p.Edges)
+	var nObj, nEdge, servers int
+	for i := range segs {
+		s := &segs[i]
+		s.edgeOff = nEdge
+		nObj += len(s.objects)
+		nEdge += len(s.edges)
+		if i == 0 || s.label != segs[i-1].label {
+			servers++
+		}
 	}
 	tab := newFIDTable(nObj)
 	u := &Unified{byFID: tab, Edges: make([]graph.Edge, nEdge)}
@@ -118,21 +140,23 @@ func mergeObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
 	// busy time and item count observedRange still reports.
 	objGID := make([]uint32, 0, nObj)
 	observedRange(nObj, 1, m, m.mergeObjects(), func(int, int) {
-		for _, p := range parts {
-			for i := range p.Objects {
-				g, _ := tab.intern(p.Objects[i].FID)
+		for _, s := range segs {
+			for i := range s.objects {
+				g, _ := tab.intern(s.objects[i].FID)
 				objGID = append(objGID, g)
 			}
 		}
 	})
 
 	// (2) Edge translation, parallel over read-only lookups: order-
-	// preserving, each slot written once.
-	for i, p := range parts {
-		out := u.Edges[edgeOff[i]:]
-		observedRange(len(p.Edges), workers, m, m.mergeEdges(), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				e := p.Edges[k]
+	// preserving, each slot written once. A worker's share of the merged
+	// edge list starts inside some segment and may span several.
+	observedRange(nEdge, workers, m, m.mergeEdges(), func(lo, hi int) {
+		i := sort.Search(len(segs), func(i int) bool { return segs[i].edgeOff+len(segs[i].edges) > lo })
+		for ; i < len(segs) && segs[i].edgeOff < hi; i++ {
+			s := &segs[i]
+			for k := max(lo, s.edgeOff); k < min(hi, s.edgeOff+len(s.edges)); k++ {
+				e := s.edges[k-s.edgeOff]
 				src, ok := tab.get(e.Src)
 				if !ok {
 					src = unresolved
@@ -141,21 +165,21 @@ func mergeObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
 				if !ok {
 					dst = unresolved
 				}
-				out[k] = graph.Edge{Src: src, Dst: dst, Kind: e.Kind}
+				u.Edges[k] = graph.Edge{Src: src, Dst: dst, Kind: e.Kind}
 			}
-		})
-	}
+		}
+	})
 
 	// (3) The unresolved endpoints are exactly the phantoms (none on a
 	// clean cluster). Every object precedes every edge in the canonical
 	// stream, so interning them in edge order completes the first-
 	// appearance numbering.
-	for i, p := range parts {
-		out := u.Edges[edgeOff[i]:]
-		for k := range p.Edges {
+	for _, s := range segs {
+		out := u.Edges[s.edgeOff:]
+		for k := range s.edges {
 			if e := &out[k]; e.Src == unresolved || e.Dst == unresolved {
-				e.Src, _ = tab.intern(p.Edges[k].Src)
-				e.Dst, _ = tab.intern(p.Edges[k].Dst)
+				e.Src, _ = tab.intern(s.edges[k].Src)
+				e.Dst, _ = tab.intern(s.edges[k].Dst)
 			}
 		}
 	}
@@ -176,24 +200,24 @@ func mergeObserved(parts []*scanner.Partial, workers int, m *Metrics) *Unified {
 	}
 	u.Claims = claimSlots(counts)
 	k := 0
-	for _, p := range parts {
-		for i := range p.Objects {
-			o := &p.Objects[i]
+	for _, s := range segs {
+		for i := range s.objects {
+			o := &s.objects[i]
 			g := objGID[k]
 			k++
 			if !u.Present[g] {
 				u.Present[g] = true
 				u.Types[g] = o.Type
 			}
-			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
+			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: s.label, Ino: o.Ino})
 		}
-		for _, is := range p.Issues {
-			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", p.ServerLabel, is))
+		for _, is := range s.issues {
+			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", s.label, is))
 		}
 	}
 	if m != nil {
 		m.Journal.Record("agg", "merge-done",
-			"servers", fmt.Sprintf("%d", len(parts)),
+			"servers", fmt.Sprintf("%d", servers),
 			"vertices", fmt.Sprintf("%d", n),
 			"edges", fmt.Sprintf("%d", nEdge))
 	}
@@ -220,55 +244,6 @@ func claimSlots(counts []uint32) [][]ObjectLoc {
 	return claims
 }
 
-// mergeReference is the original single-threaded first-appearance merge,
-// kept as the executable specification MergeWorkers is tested against
-// (and nothing else should call). It indexes with a plain map so the
-// comparison also covers the FID table.
-func mergeReference(parts []*scanner.Partial) *Unified {
-	var nObj, nEdge int
-	for _, p := range parts {
-		nObj += len(p.Objects)
-		nEdge += len(p.Edges)
-	}
-	u := &Unified{Edges: make([]graph.Edge, 0, nEdge)}
-	byFID := make(map[lustre.FID]uint32)
-	gid := func(f lustre.FID) uint32 {
-		if g, ok := byFID[f]; ok {
-			return g
-		}
-		g := uint32(len(u.FIDs))
-		byFID[f] = g
-		u.FIDs = append(u.FIDs, f)
-		u.Present = append(u.Present, false)
-		u.Types = append(u.Types, ldiskfs.TypeFree)
-		u.Claims = append(u.Claims, nil)
-		return g
-	}
-	// Pass 1: physically present objects claim their FIDs.
-	for _, p := range parts {
-		for _, o := range p.Objects {
-			g := gid(o.FID)
-			if !u.Present[g] {
-				u.Present[g] = true
-				u.Types[g] = o.Type
-			}
-			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
-		}
-		for _, is := range p.Issues {
-			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", p.ServerLabel, is))
-		}
-	}
-	// Pass 2: edges; unseen destinations become phantom vertices.
-	for _, p := range parts {
-		for _, e := range p.Edges {
-			u.Edges = append(u.Edges, graph.Edge{
-				Src: gid(e.Src), Dst: gid(e.Dst), Kind: e.Kind,
-			})
-		}
-	}
-	return u
-}
-
 // Builder accepts the scanners' chunk streams — in any interleaving
 // across servers — and reassembles them into per-server partials so
 // aggregation can overlap transfer. The canonical server order is fixed
@@ -278,8 +253,8 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 // Builder implements scanner.Sink, so in-process scanners stream into
 // it directly; the wire collector feeds it decoded chunks. Under the
 // Sink ownership rule it retains each chunk without copying and never
-// writes to it; the partials are concatenated once, at exact size, when
-// first asked for.
+// writes to it: Finish merges straight from the retained chunks, and
+// only a caller that asks for Partials pays for their concatenation.
 type Builder struct {
 	mu      sync.Mutex
 	order   []string
@@ -289,9 +264,8 @@ type Builder struct {
 
 type builderAcc struct {
 	label  string
-	chunks []*scanner.Chunk // retained in Seq order until assembled
+	chunks []*scanner.Chunk // retained in Seq order
 	done   bool
-	p      *scanner.Partial // the assembled stream, once asked for
 }
 
 // NewBuilder fixes the canonical server order (conventionally MDTs
@@ -340,12 +314,9 @@ func (b *Builder) Emit(c *scanner.Chunk) error {
 	return nil
 }
 
-// partial concatenates a completed stream's chunks into one Partial,
-// once, and lets the chunks go.
+// partial concatenates a completed stream's chunks into a fresh Partial
+// at exact size.
 func (a *builderAcc) partial() *scanner.Partial {
-	if a.p != nil {
-		return a.p
-	}
 	var nObj, nEdge, nIssue int
 	for _, c := range a.chunks {
 		nObj += len(c.Objects)
@@ -363,12 +334,39 @@ func (a *builderAcc) partial() *scanner.Partial {
 		p.Objects = append(p.Objects, c.Objects...)
 		p.Edges = append(p.Edges, c.Edges...)
 		p.Issues = append(p.Issues, c.Issues...)
-		p.Stats.InodesScanned += c.Stats.InodesScanned
-		p.Stats.DirentsRead += c.Stats.DirentsRead
-		p.Stats.EdgesEmitted += c.Stats.EdgesEmitted
+		p.Stats.Add(c.Stats)
 	}
-	a.p, a.chunks = p, nil
 	return p
+}
+
+// completed returns the streams that have seen their final chunk, in
+// canonical order, and the labels of those still open. Chunks already
+// received on an incomplete stream are left out wholesale: merging a
+// prefix would make the unified graph depend on where in the stream
+// the failure landed, and degraded runs must stay deterministic for a
+// given set of surviving servers.
+func (b *Builder) completed() (done []*builderAcc, missing []string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, l := range b.order {
+		if acc := b.accs[l]; acc.done {
+			done = append(done, acc)
+		} else {
+			missing = append(missing, l)
+		}
+	}
+	return done, missing
+}
+
+// merge merges the given completed streams straight from their chunks.
+func (b *Builder) merge(done []*builderAcc, workers int) *Unified {
+	var segs []segment
+	for _, acc := range done {
+		for _, c := range acc.chunks {
+			segs = append(segs, segment{label: acc.label, objects: c.Objects, edges: c.Edges, issues: c.Issues})
+		}
+	}
+	return mergeObserved(segs, workers, b.metrics)
 }
 
 // Partials returns the reassembled per-server partial graphs in
@@ -381,34 +379,26 @@ func (b *Builder) Partials() ([]*scanner.Partial, error) {
 	return parts, nil
 }
 
-// Finish merges every completed stream into the unified graph using
-// workers cores (<= 0 = GOMAXPROCS).
+// Finish merges every stream into the unified graph using workers cores
+// (<= 0 = GOMAXPROCS). It errors if any stream is still open.
 func (b *Builder) Finish(workers int) (*Unified, error) {
-	parts, err := b.Partials()
-	if err != nil {
-		return nil, err
+	done, missing := b.completed()
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("agg: server %q stream incomplete", missing[0])
 	}
-	return mergeObserved(parts, workers, b.metrics), nil
+	return b.merge(done, workers), nil
 }
 
 // CompletedPartials returns the partials of every stream that has seen
 // its final chunk, in canonical order, plus the labels of the streams
 // still open — the degraded-mode split when a scanner crashed or missed
-// its deadline. Chunks already received on an incomplete stream are
-// dropped wholesale: merging a prefix would make the unified graph
-// depend on where in the stream the failure landed, and degraded runs
-// must stay deterministic for a given set of surviving servers.
+// its deadline. Each call concatenates afresh: the partials are the
+// caller's to modify.
 func (b *Builder) CompletedPartials() ([]*scanner.Partial, []string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	parts := make([]*scanner.Partial, 0, len(b.order))
-	var missing []string
-	for _, l := range b.order {
-		if acc := b.accs[l]; acc.done {
-			parts = append(parts, acc.partial())
-		} else {
-			missing = append(missing, l)
-		}
+	done, missing := b.completed()
+	parts := make([]*scanner.Partial, len(done))
+	for i, acc := range done {
+		parts[i] = acc.partial()
 	}
 	return parts, missing
 }
@@ -418,11 +408,11 @@ func (b *Builder) CompletedPartials() ([]*scanner.Partial, []string) {
 // of the servers whose streams never finished. It errors when no stream
 // completed at all — there is nothing to degrade to.
 func (b *Builder) FinishCompleted(workers int) (*Unified, []string, error) {
-	parts, missing := b.CompletedPartials()
-	if len(parts) == 0 {
+	done, missing := b.completed()
+	if len(done) == 0 {
 		return nil, missing, fmt.Errorf("agg: no scanner stream completed (missing: %v)", missing)
 	}
-	return mergeObserved(parts, workers, b.metrics), missing, nil
+	return b.merge(done, workers), missing, nil
 }
 
 // DuplicateClaims returns the GIDs claimed by more than one inode —

@@ -1,9 +1,12 @@
 package agg
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
@@ -133,5 +136,71 @@ func TestBuilderLeavesChunksUntouched(t *testing.T) {
 	assertUnifiedIdentical(t, "second builder over the same chunks", us[0], us[1])
 	if !reflect.DeepEqual(streams, pristine) {
 		t.Fatal("a Builder modified the chunks it was given")
+	}
+}
+
+// TestFinishAllocs: Finish merges straight from the retained chunks, so
+// beyond the Unified's own arrays and the merge's two index vectors
+// (one GID per object, one claim count per vertex) it allocates nothing
+// that grows with the graph — in particular no concatenated copy of the
+// objects and edges, which alone would be 1.6x the edge array.
+func TestFinishAllocs(t *testing.T) {
+	// A phantom-free graph: every edge joins two scanned objects, so the
+	// FID table is sized once from the object count, as on a clean
+	// cluster.
+	const nParts, nObj, nEdge, perChunk = 4, 6000, 18000, 1500
+	r := rand.New(rand.NewSource(3))
+	parts := make([]*scanner.Partial, nParts)
+	labels := make([]string, nParts)
+	for i := range parts {
+		p := &scanner.Partial{ServerLabel: fmt.Sprintf("srv%d", i)}
+		for k := 0; k < nObj; k++ {
+			p.Objects = append(p.Objects, scanner.Object{FID: lustre.FID{Seq: uint64(i + 1), Oid: uint32(k)}, Ino: ldiskfs.Ino(k + 1), Type: ldiskfs.TypeFile})
+		}
+		for k := 0; k < nEdge; k++ {
+			p.Edges = append(p.Edges, scanner.FIDEdge{
+				Src: p.Objects[r.Intn(nObj)].FID, Dst: lustre.FID{Seq: uint64(r.Intn(nParts) + 1), Oid: uint32(r.Intn(nObj))},
+			})
+		}
+		parts[i], labels[i] = p, p.ServerLabel
+	}
+	b := NewBuilder(labels)
+	for _, p := range parts {
+		seq := 0
+		for lo := 0; lo < nObj; lo += perChunk {
+			c := &scanner.Chunk{ServerLabel: p.ServerLabel, Seq: seq, Objects: p.Objects[lo : lo+perChunk]}
+			c.Edges = p.Edges[3*lo : 3*(lo+perChunk)]
+			if c.Final = lo+perChunk == nObj; c.Final {
+				c.Issues = p.Issues
+			}
+			if err := b.Emit(c); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	u, err := b.Finish(2)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertUnifiedIdentical(t, "merge from chunks", mergeReference(parts), u)
+
+	n, objs := uint64(u.N()), uint64(nParts*nObj)
+	own := uint64(cap(u.FIDs))*uint64(unsafe.Sizeof(lustre.FID{})) +
+		uint64(len(u.byFID.slots))*4 +
+		uint64(cap(u.Edges))*uint64(unsafe.Sizeof(u.Edges[0])) +
+		n*(1+uint64(unsafe.Sizeof(u.Types[0]))+uint64(unsafe.Sizeof(u.Claims[0]))) +
+		objs*uint64(unsafe.Sizeof(ObjectLoc{}))
+	temps := 4*objs + 4*n
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := (own+temps)*21/20 + 64<<10; got > limit {
+		t.Fatalf("Finish allocated %d bytes for a Unified of %d (+%d of index vectors): more than its own arrays", got, own, temps)
+	}
+	concat := objs*uint64(unsafe.Sizeof(scanner.Object{})) + uint64(nParts*nEdge)*uint64(unsafe.Sizeof(scanner.FIDEdge{}))
+	if concat < (own+temps)/4 {
+		t.Fatalf("test lost its point: a concatenation (%d bytes) would hide inside the tolerance of %d", concat, own+temps)
 	}
 }

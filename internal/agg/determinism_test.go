@@ -14,6 +14,55 @@ import (
 	"faultyrank/internal/workload"
 )
 
+// mergeReference is the original single-threaded first-appearance merge,
+// kept as the executable specification MergeWorkers is tested against
+// (and nothing else should call). It indexes with a plain map so the
+// comparison also covers the FID table.
+func mergeReference(parts []*scanner.Partial) *Unified {
+	var nObj, nEdge int
+	for _, p := range parts {
+		nObj += len(p.Objects)
+		nEdge += len(p.Edges)
+	}
+	u := &Unified{Edges: make([]graph.Edge, 0, nEdge)}
+	byFID := make(map[lustre.FID]uint32)
+	gid := func(f lustre.FID) uint32 {
+		if g, ok := byFID[f]; ok {
+			return g
+		}
+		g := uint32(len(u.FIDs))
+		byFID[f] = g
+		u.FIDs = append(u.FIDs, f)
+		u.Present = append(u.Present, false)
+		u.Types = append(u.Types, ldiskfs.TypeFree)
+		u.Claims = append(u.Claims, nil)
+		return g
+	}
+	// Pass 1: physically present objects claim their FIDs.
+	for _, p := range parts {
+		for _, o := range p.Objects {
+			g := gid(o.FID)
+			if !u.Present[g] {
+				u.Present[g] = true
+				u.Types[g] = o.Type
+			}
+			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
+		}
+		for _, is := range p.Issues {
+			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", p.ServerLabel, is))
+		}
+	}
+	// Pass 2: edges; unseen destinations become phantom vertices.
+	for _, p := range parts {
+		for _, e := range p.Edges {
+			u.Edges = append(u.Edges, graph.Edge{
+				Src: gid(e.Src), Dst: gid(e.Dst), Kind: e.Kind,
+			})
+		}
+	}
+	return u
+}
+
 // assertUnifiedIdentical compares every externally observable field of
 // two unified graphs: the GID space (FIDs), the translated edge list,
 // presence, types, claim order and issues. Fields compare with

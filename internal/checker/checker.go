@@ -337,9 +337,9 @@ func (r *Result) HasFinding(k FindingKind, fid lustre.FID) bool {
 // ordered MDT first, then OSTs by index (the label order also used for
 // deterministic GID assignment). Scanners stream bounded chunks into
 // the aggregator's Builder — directly or over TCP — so T_scan covers
-// scan plus transfer, and T_graph covers the merge (partials
-// concatenated, FIDs interned into one flat table, edges translated in
-// parallel) plus the CSR build.
+// scan plus transfer, and T_graph covers the merge (straight from the
+// retained chunks: FIDs interned into one flat table, edges translated
+// in parallel) plus the CSR build.
 func Run(images []*ldiskfs.Image, opt Options) (*Result, error) {
 	return RunContext(context.Background(), images, opt)
 }

@@ -24,13 +24,13 @@ const direntFixed = 8 + 16 + 1 + 1
 
 func (d Dirent) encodedLen() int { return direntFixed + len(d.Name) }
 
-// direntBlocks returns the global block numbers of all dirent blocks of
-// the inode record, resolving the indirect block.
-func (im *Image) direntBlocks(rec []byte) []uint64 {
-	var blocks []uint64
+// forDirentBlocks calls fn with the global block number of every dirent
+// block of the inode record, direct pointers first, then the indirect
+// block's.
+func (im *Image) forDirentBlocks(rec []byte, fn func(blk uint64)) {
 	for i := 0; i < numDirect; i++ {
 		if blk := le.Uint64(rec[inoDirectOff+8*i:]); blk != 0 {
-			blocks = append(blocks, blk)
+			fn(blk)
 		}
 	}
 	if ind := le.Uint64(rec[inoIndirectOff:]); ind != 0 {
@@ -38,11 +38,17 @@ func (im *Image) direntBlocks(rec []byte) []uint64 {
 		if err == nil {
 			for off := 0; off+8 <= len(data); off += 8 {
 				if blk := le.Uint64(data[off:]); blk != 0 {
-					blocks = append(blocks, blk)
+					fn(blk)
 				}
 			}
 		}
 	}
+}
+
+// direntBlocks returns the block numbers forDirentBlocks visits.
+func (im *Image) direntBlocks(rec []byte) []uint64 {
+	var blocks []uint64
+	im.forDirentBlocks(rec, func(blk uint64) { blocks = append(blocks, blk) })
 	return blocks
 }
 
@@ -85,28 +91,35 @@ func (im *Image) appendDirentBlock(ino Ino) (uint64, error) {
 	return 0, fmt.Errorf("%w: directory %d indirect block full", ErrNoSpace, ino)
 }
 
+// walkDirentBlock calls fn with the offset of every well-formed entry
+// of one block, in order. It returns the offset past the last of them
+// and whether the block parsed cleanly to its terminator; a malformed
+// entry ends the walk. Every bounds check of the entry format is here.
+func walkDirentBlock(data []byte, fn func(off int)) (used int, wellFormed bool) {
+	off := 0
+	for off+direntFixed <= len(data) && le.Uint64(data[off:]) != 0 {
+		nl := int(data[off+25])
+		if nl == 0 || off+direntFixed+nl > len(data) {
+			return off, false
+		}
+		fn(off)
+		off += direntFixed + nl
+	}
+	return off, true
+}
+
+func errMalformedDirent(off int) error {
+	return fmt.Errorf("ldiskfs: malformed dirent at offset %d", off)
+}
+
 // parseDirentBlock decodes entries from one block. A malformed entry
 // terminates the scan with an error; already-decoded entries are
 // returned — a checker wants whatever survives corruption.
 func parseDirentBlock(data []byte) ([]Dirent, error) {
 	var out []Dirent
-	off := 0
-	for off+direntFixed <= len(data) {
-		ino := le.Uint64(data[off:])
-		if ino == 0 {
-			return out, nil
-		}
-		var d Dirent
-		d.Ino = Ino(ino)
-		copy(d.Tag[:], data[off+8:off+24])
-		d.Type = FileType(data[off+24])
-		nl := int(data[off+25])
-		if nl == 0 || off+direntFixed+nl > len(data) {
-			return out, fmt.Errorf("ldiskfs: malformed dirent at offset %d", off)
-		}
-		d.Name = string(data[off+direntFixed : off+direntFixed+nl])
-		out = append(out, d)
-		off += direntFixed + nl
+	used, ok := walkDirentBlock(data, func(off int) { out = append(out, decodeDirentAt(data, off)) })
+	if !ok {
+		return out, errMalformedDirent(used)
 	}
 	return out, nil
 }
@@ -117,22 +130,9 @@ func encodeDirentsInto(data []byte, ents []Dirent) {
 	clear(data)
 	off := 0
 	for _, d := range ents {
-		le.PutUint64(data[off:], uint64(d.Ino))
-		copy(data[off+8:], d.Tag[:])
-		data[off+24] = byte(d.Type)
-		data[off+25] = byte(len(d.Name))
-		copy(data[off+direntFixed:], d.Name)
+		writeDirentAt(data, off, d)
 		off += d.encodedLen()
 	}
-}
-
-// direntBlockUsed returns the bytes consumed by a block's live entries.
-func direntBlockUsed(ents []Dirent) int {
-	n := 0
-	for _, d := range ents {
-		n += d.encodedLen()
-	}
-	return n
 }
 
 func (im *Image) requireDir(ino Ino) ([]byte, error) {
@@ -150,33 +150,44 @@ func (im *Image) requireDir(ino Ino) ([]byte, error) {
 	}
 }
 
+// walkDirents calls fn with the block data and offset of every
+// well-formed entry of a directory, in block order. Corrupted blocks
+// contribute their decodable prefix; the first corruption error
+// encountered is returned after the walk.
+func (im *Image) walkDirents(dir Ino, fn func(data []byte, off int)) error {
+	rec, err := im.requireDir(dir)
+	if err != nil {
+		return err
+	}
+	var firstErr error
+	im.forDirentBlocks(rec, func(blk uint64) {
+		data, err := im.blockData(blk)
+		if err == nil {
+			if used, ok := walkDirentBlock(data, func(off int) { fn(data, off) }); !ok {
+				err = errMalformedDirent(used)
+			}
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	})
+	return firstErr
+}
+
 // Dirents lists all entries of a directory, in block order. Corrupted
 // blocks contribute their decodable prefix; the first corruption error
 // encountered is returned alongside the surviving entries.
 func (im *Image) Dirents(dir Ino) ([]Dirent, error) {
-	rec, err := im.requireDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		out      []Dirent
-		firstErr error
-	)
-	for _, blk := range im.direntBlocks(rec) {
-		data, err := im.blockData(blk)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		ents, err := parseDirentBlock(data)
-		out = append(out, ents...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
+	var out []Dirent
+	err := im.walkDirents(dir, func(data []byte, off int) { out = append(out, decodeDirentAt(data, off)) })
+	return out, err
+}
+
+// WalkDirentTags calls fn with the 16-byte tag of every entry Dirents
+// would list, in the same order, without materialising them: tag
+// aliases the image. It returns the error Dirents would.
+func (im *Image) WalkDirentTags(dir Ino, fn func(tag []byte)) error {
+	return im.walkDirents(dir, func(data []byte, off int) { fn(data[off+8 : off+24]) })
 }
 
 // scanDirentBlock walks a block's entries without materialising them.
@@ -186,22 +197,12 @@ func (im *Image) Dirents(dir Ino) ([]Dirent, error) {
 // terminator.
 func scanDirentBlock(data []byte, name string) (used int, foundAt int, wellFormed bool) {
 	foundAt = -1
-	off := 0
-	for off+direntFixed <= len(data) {
-		if le.Uint64(data[off:]) == 0 {
-			return off, foundAt, true
-		}
-		nl := int(data[off+25])
-		if nl == 0 || off+direntFixed+nl > len(data) {
-			return off, foundAt, false // malformed tail
-		}
-		if name != "" && nl == len(name) &&
-			string(data[off+direntFixed:off+direntFixed+nl]) == name {
+	used, wellFormed = walkDirentBlock(data, func(off int) {
+		if name != "" && string(data[off+direntFixed:off+direntFixed+int(data[off+25])]) == name {
 			foundAt = off
 		}
-		off += direntFixed + nl
-	}
-	return off, foundAt, true
+	})
+	return used, foundAt, wellFormed
 }
 
 // decodeDirentAt materialises the single entry starting at off.
@@ -340,23 +341,11 @@ func (im *Image) DirentBlockRanges(dir Ino) ([][2]int64, error) {
 	}
 	var out [][2]int64
 	for _, blk := range im.direntBlocks(rec) {
-		data, err := im.blockData(blk)
-		if err != nil {
-			continue
+		if off, ok := im.blockOffset(blk); ok {
+			out = append(out, [2]int64{int64(off), int64(off + im.geom.BlockSize)})
 		}
-		off := im.blockOffset(blk)
-		out = append(out, [2]int64{off, off + int64(len(data))})
 	}
 	return out, nil
-}
-
-// blockOffset returns the byte offset of a global data block.
-func (im *Image) blockOffset(blk uint64) int64 {
-	idx := int(blk - 1)
-	per := im.geom.dataBlocksPerGroup()
-	g := idx / per
-	slot := idx % per
-	return int64(im.groupBase(g) + im.geom.metaBlocksPerGroup()*im.geom.BlockSize + slot*im.geom.BlockSize)
 }
 
 // AllocatedInodes iterates every allocated inode in the image in

@@ -173,20 +173,32 @@ func (im *Image) inode(ino Ino) ([]byte, error) {
 	return im.buf[off : off+int64(im.geom.InodeSize)], nil
 }
 
-// blockData returns the data of global data-block number blk (1-based
-// position in the global data-block space; 0 is the nil pointer).
+// blockSlot resolves global data-block number blk (1-based; 0 is the
+// nil pointer) to its group and slot. Block pointers are read from
+// possibly corrupted records, so the range check is on the full 64 bits.
+func (im *Image) blockSlot(blk uint64) (g, slot int, ok bool) {
+	per := uint64(im.geom.dataBlocksPerGroup())
+	if blk == 0 || (blk-1)/per >= uint64(im.Groups()) {
+		return 0, 0, false
+	}
+	return int((blk - 1) / per), int((blk - 1) % per), true
+}
+
+// blockOffset returns the byte offset of global data-block number blk.
+func (im *Image) blockOffset(blk uint64) (int, bool) {
+	g, slot, ok := im.blockSlot(blk)
+	return im.groupBase(g) + (im.geom.metaBlocksPerGroup()+slot)*im.geom.BlockSize, ok
+}
+
+// blockData returns the data of global data-block number blk.
 func (im *Image) blockData(blk uint64) ([]byte, error) {
 	if blk == 0 {
 		return nil, fmt.Errorf("ldiskfs: nil block pointer")
 	}
-	idx := int(blk - 1)
-	per := im.geom.dataBlocksPerGroup()
-	g := idx / per
-	slot := idx % per
-	if g >= im.Groups() {
+	off, ok := im.blockOffset(blk)
+	if !ok {
 		return nil, fmt.Errorf("ldiskfs: block %d out of range", blk)
 	}
-	off := im.groupBase(g) + im.geom.metaBlocksPerGroup()*im.geom.BlockSize + slot*im.geom.BlockSize
 	return im.buf[off : off+im.geom.BlockSize], nil
 }
 
@@ -380,17 +392,12 @@ func (im *Image) allocBlock() uint64 {
 }
 
 func (im *Image) freeBlock(blk uint64) {
-	if blk == 0 {
+	g, slot, ok := im.blockSlot(blk)
+	if !ok {
 		return
 	}
-	per := im.geom.dataBlocksPerGroup()
-	idx := int(blk - 1)
-	g := idx / per
-	if g >= im.Groups() {
-		return
-	}
-	if bitmapGet(im.blockBitmap(g), idx%per) {
-		bitmapClear(im.blockBitmap(g), idx%per)
+	if bitmapGet(im.blockBitmap(g), slot) {
+		bitmapClear(im.blockBitmap(g), slot)
 		im.addBlockCount(-1)
 	}
 }

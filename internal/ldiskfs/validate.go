@@ -48,13 +48,12 @@ func (im *Image) Validate() []error {
 		if blk == 0 {
 			return
 		}
-		idx := int(blk - 1)
-		g := idx / dataPer
-		if g >= im.Groups() {
+		g, slot, ok := im.blockSlot(blk)
+		if !ok {
 			report("inode %d: %s block %d out of range", ino, what, blk)
 			return
 		}
-		if !bitmapGet(im.blockBitmap(g), idx%dataPer) {
+		if !bitmapGet(im.blockBitmap(g), slot) {
 			report("inode %d: %s block %d not allocated", ino, what, blk)
 		}
 		if prev, dup := blockOwner[blk]; dup {

@@ -95,19 +95,37 @@ func TestValidateDetectsTypeBitmapDisagreement(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsBadDirentBlockPointer: a block pointer read from a corrupted record is
+// rejected on all 64 bits — one past the image, or with the sign bit of
+// its int conversion set — by the walks that follow it (they skip the
+// block or report the area unreadable) and named by Validate, and
+// freeing the inode does not touch a bitmap outside the image.
 func TestValidateDetectsBadDirentBlockPointer(t *testing.T) {
-	im := newTestImage(t)
-	dir, _ := im.AllocInode(TypeDir)
-	child, _ := im.AllocInode(TypeFile)
-	im.AddDirent(dir, Dirent{Ino: child, Type: TypeFile, Name: "x"})
-	// Point the first direct dirent block somewhere wild.
-	off, _ := im.InodeOffset(dir)
-	wild := make([]byte, 8)
-	wild[0] = 0xFF
-	wild[1] = 0xFF
-	im.CorruptBytes(off+int64(inoDirectOff), wild)
-	if errs := im.Validate(); len(errs) == 0 {
-		t.Fatal("wild block pointer not detected")
+	for _, wild := range []uint64{0xFFFF, 1 << 63, ^uint64(0)} {
+		im := newTestImage(t)
+		dir, _ := im.AllocInode(TypeDir)
+		child, _ := im.AllocInode(TypeFile)
+		im.AddDirent(dir, Dirent{Ino: child, Type: TypeFile, Name: "x"})
+		off, _ := im.InodeOffset(dir)
+		ptr := le.AppendUint64(nil, wild)
+		for _, field := range []int{inoDirectOff, inoIndirectOff, inoXattrBlkOff} {
+			im.CorruptBytes(off+int64(field), ptr)
+		}
+		if errs := im.Validate(); len(errs) == 0 {
+			t.Fatalf("%#x: wild block pointer not detected", wild)
+		}
+		if ents, _ := im.Dirents(dir); len(ents) != 0 {
+			t.Errorf("%#x: dirents read through a wild pointer: %v", wild, ents)
+		}
+		if _, err := im.Xattrs(dir); err == nil {
+			t.Errorf("%#x: EAs read through a wild overflow pointer", wild)
+		}
+		if rs, _ := im.DirentBlockRanges(dir); len(rs) != 0 {
+			t.Errorf("%#x: block ranges %v for a wild pointer", wild, rs)
+		}
+		if err := im.FreeInode(dir); err != nil {
+			t.Errorf("%#x: FreeInode: %v", wild, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ldiskfs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -17,46 +18,77 @@ import (
 
 const xattrNameMax = 255
 
-// xattrArea returns the byte slice currently holding the inode's EAs
-// (inline or overflow) and whether it is the overflow block.
-func (im *Image) xattrArea(rec []byte) ([]byte, bool, error) {
-	if blk := le.Uint64(rec[inoXattrBlkOff:]); blk != 0 {
-		data, err := im.blockData(blk)
-		return data, true, err
+// xattrArea returns the byte slice holding an allocated inode's EAs:
+// the overflow block when the record names one, else the inline area.
+func (im *Image) xattrArea(ino Ino) ([]byte, error) {
+	rec, err := im.inode(ino)
+	if err != nil {
+		return nil, err
 	}
-	return rec[inodeHeaderSize:], false, nil
+	if FileType(le.Uint16(rec[inoModeOff:])) == TypeFree {
+		return nil, ErrNotAllocated
+	}
+	if blk := le.Uint64(rec[inoXattrBlkOff:]); blk != 0 {
+		return im.blockData(blk)
+	}
+	return rec[inodeHeaderSize:], nil
 }
 
-// parseXattrs decodes an EA area. Damaged encodings yield an error —
-// the scanner treats that as "EAs unreadable", exactly how a real
-// checker sees a corrupted xattr region.
-func parseXattrs(area []byte) (map[string][]byte, error) {
+// xattrEntry decodes entry i of an EA area, which starts at off: its
+// name and value as slices of area, and the offset of the next entry.
+// Every bounds check of the entry format is here.
+func xattrEntry(area []byte, off, i int) (name, value []byte, next int, err error) {
+	if off+1 > len(area) {
+		return nil, nil, 0, fmt.Errorf("ldiskfs: truncated xattr entry %d", i)
+	}
+	nl := int(area[off])
+	off++
+	if nl == 0 || off+nl+2 > len(area) {
+		return nil, nil, 0, fmt.Errorf("ldiskfs: bad xattr name (entry %d)", i)
+	}
+	name = area[off : off+nl]
+	off += nl
+	vl := int(le.Uint16(area[off:]))
+	off += 2
+	if off+vl > len(area) {
+		return nil, nil, 0, fmt.Errorf("ldiskfs: truncated xattr value for %q", name)
+	}
+	return name, area[off : off+vl : off+vl], off + vl, nil
+}
+
+// walkXattrs validates an EA area as a whole, then calls fn with every
+// entry's name and value in stored order, both aliasing area. A damaged
+// encoding yields an error and fn sees nothing of it — the scanner
+// treats that as "EAs unreadable", exactly how a real checker sees a
+// corrupted xattr region.
+func walkXattrs(area []byte, fn func(name, value []byte)) error {
 	if len(area) < 2 {
-		return nil, fmt.Errorf("ldiskfs: xattr area too small")
+		return fmt.Errorf("ldiskfs: xattr area too small")
 	}
 	count := int(le.Uint16(area))
-	out := make(map[string][]byte, count)
-	off := 2
-	for i := 0; i < count; i++ {
-		if off+1 > len(area) {
-			return nil, fmt.Errorf("ldiskfs: truncated xattr entry %d", i)
+	for _, yield := range [2]bool{false, true} {
+		off := 2
+		for i := 0; i < count; i++ {
+			name, value, next, err := xattrEntry(area, off, i)
+			if err != nil {
+				return err
+			}
+			if yield {
+				fn(name, value)
+			}
+			off = next
 		}
-		nl := int(area[off])
-		off++
-		if nl == 0 || off+nl+2 > len(area) {
-			return nil, fmt.Errorf("ldiskfs: bad xattr name (entry %d)", i)
-		}
-		name := string(area[off : off+nl])
-		off += nl
-		vl := int(le.Uint16(area[off:]))
-		off += 2
-		if off+vl > len(area) {
-			return nil, fmt.Errorf("ldiskfs: truncated xattr value for %q", name)
-		}
-		val := make([]byte, vl)
-		copy(val, area[off:off+vl])
-		off += vl
-		out[name] = val
+	}
+	return nil
+}
+
+// parseXattrs decodes an EA area into a map of copies (a repeated name
+// keeps its last value).
+func parseXattrs(area []byte) (map[string][]byte, error) {
+	out := make(map[string][]byte)
+	err := walkXattrs(area, func(name, value []byte) { out[string(name)] = bytes.Clone(value) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -96,18 +128,23 @@ func encodeXattrs(xs map[string][]byte) ([]byte, error) {
 
 // Xattrs returns all extended attributes of ino.
 func (im *Image) Xattrs(ino Ino) (map[string][]byte, error) {
-	rec, err := im.inode(ino)
-	if err != nil {
-		return nil, err
-	}
-	if FileType(le.Uint16(rec[inoModeOff:])) == TypeFree {
-		return nil, ErrNotAllocated
-	}
-	area, _, err := im.xattrArea(rec)
+	area, err := im.xattrArea(ino)
 	if err != nil {
 		return nil, err
 	}
 	return parseXattrs(area)
+}
+
+// WalkXattrs calls fn with every extended attribute of ino in stored
+// order, without copying: name and value alias the image and are valid
+// until it is next mutated. It fails exactly when Xattrs does, and then
+// fn has seen nothing.
+func (im *Image) WalkXattrs(ino Ino, fn func(name, value []byte)) error {
+	area, err := im.xattrArea(ino)
+	if err != nil {
+		return err
+	}
+	return walkXattrs(area, fn)
 }
 
 // GetXattr returns one attribute value and whether it exists.
@@ -151,17 +188,11 @@ func (im *Image) RemoveXattr(ino Ino, name string) error {
 // updateXattrs reads, mutates, and rewrites the EA set, migrating
 // between inline and overflow storage as the encoded size dictates.
 func (im *Image) updateXattrs(ino Ino, mutate func(map[string][]byte)) error {
-	rec, err := im.inode(ino)
+	area, err := im.xattrArea(ino)
 	if err != nil {
 		return err
 	}
-	if FileType(le.Uint16(rec[inoModeOff:])) == TypeFree {
-		return ErrNotAllocated
-	}
-	area, _, err := im.xattrArea(rec)
-	if err != nil {
-		return err
-	}
+	rec, _ := im.inode(ino) // xattrArea resolved it already
 	xs, err := parseXattrs(area)
 	if err != nil {
 		// A mutation on top of damaged EAs starts from scratch; repair

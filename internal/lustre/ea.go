@@ -59,29 +59,51 @@ func EncodeLinkEA(entries []LinkEntry) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeLinkEA parses a LinkEA value.
-func DecodeLinkEA(b []byte) ([]LinkEntry, error) {
+// linkEntry decodes LinkEA entry i, which starts at off: the parent
+// FID, the name as a slice of b, and the offset of the next entry.
+func linkEntry(b []byte, off, i int) (parent FID, name []byte, next int, err error) {
+	if off+18 > len(b) {
+		return FID{}, nil, 0, fmt.Errorf("lustre: truncated linkEA entry %d", i)
+	}
+	nl := int(le.Uint16(b[off+16:]))
+	if off+18+nl > len(b) {
+		return FID{}, nil, 0, fmt.Errorf("lustre: truncated linkEA name (entry %d)", i)
+	}
+	return FIDFromBytes(b[off : off+16]), b[off+18 : off+18+nl], off + 18 + nl, nil
+}
+
+// WalkLinkEA validates a LinkEA value as a whole, then calls fn with
+// every entry's parent FID and name (aliasing b) in stored order. A
+// damaged value yields an error and fn sees none of its entries.
+func WalkLinkEA(b []byte, fn func(parent FID, name []byte)) error {
 	if len(b) < 2 {
-		return nil, fmt.Errorf("lustre: linkEA too short")
+		return fmt.Errorf("lustre: linkEA too short")
 	}
 	count := int(le.Uint16(b))
-	out := make([]LinkEntry, 0, count)
-	off := 2
-	for i := 0; i < count; i++ {
-		if off+18 > len(b) {
-			return nil, fmt.Errorf("lustre: truncated linkEA entry %d", i)
+	for _, yield := range [2]bool{false, true} {
+		off := 2
+		for i := 0; i < count; i++ {
+			parent, name, next, err := linkEntry(b, off, i)
+			if err != nil {
+				return err
+			}
+			if yield {
+				fn(parent, name)
+			}
+			off = next
 		}
-		var e LinkEntry
-		e.Parent = FIDFromBytes(b[off : off+16])
-		off += 16
-		nl := int(le.Uint16(b[off:]))
-		off += 2
-		if off+nl > len(b) {
-			return nil, fmt.Errorf("lustre: truncated linkEA name (entry %d)", i)
-		}
-		e.Name = string(b[off : off+nl])
-		off += nl
-		out = append(out, e)
+	}
+	return nil
+}
+
+// DecodeLinkEA parses a LinkEA value.
+func DecodeLinkEA(b []byte) ([]LinkEntry, error) {
+	out := []LinkEntry{}
+	err := WalkLinkEA(b, func(parent FID, name []byte) {
+		out = append(out, LinkEntry{Parent: parent, Name: string(name)})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -121,30 +143,36 @@ func EncodeLOVEA(l Layout) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeLOVEA parses a LOVEA value. A wrong magic is an error: that is
-// precisely how a corrupted layout EA manifests to the scanner.
-func DecodeLOVEA(b []byte) (Layout, error) {
-	var l Layout
+// WalkLOVEA validates a LOVEA value, then calls fn with every stripe's
+// OST index and object FID in stripe order, and returns the stripe
+// size. A wrong magic is an error: that is precisely how a corrupted
+// layout EA manifests to the scanner.
+func WalkLOVEA(b []byte, fn func(ostIndex uint32, object FID)) (stripeSize uint32, err error) {
 	if len(b) < 10 {
-		return l, fmt.Errorf("lustre: LOVEA too short")
+		return 0, fmt.Errorf("lustre: LOVEA too short")
 	}
 	if le.Uint32(b) != LOVMagic {
-		return l, fmt.Errorf("lustre: bad LOVEA magic 0x%x", le.Uint32(b))
+		return 0, fmt.Errorf("lustre: bad LOVEA magic 0x%x", le.Uint32(b))
 	}
-	l.StripeSize = le.Uint32(b[4:])
+	stripeSize = le.Uint32(b[4:])
 	count := int(le.Uint16(b[8:]))
 	if len(b) < 10+20*count {
-		return l, fmt.Errorf("lustre: truncated LOVEA (%d stripes)", count)
+		return stripeSize, fmt.Errorf("lustre: truncated LOVEA (%d stripes)", count)
 	}
-	off := 10
-	for i := 0; i < count; i++ {
-		var s StripeEntry
-		s.OSTIndex = le.Uint32(b[off:])
-		s.ObjectFID = FIDFromBytes(b[off+4 : off+20])
-		off += 20
-		l.Stripes = append(l.Stripes, s)
+	for off := 10; off < 10+20*count; off += 20 {
+		fn(le.Uint32(b[off:]), FIDFromBytes(b[off+4:off+20]))
 	}
-	return l, nil
+	return stripeSize, nil
+}
+
+// DecodeLOVEA parses a LOVEA value.
+func DecodeLOVEA(b []byte) (Layout, error) {
+	var l Layout
+	var err error
+	l.StripeSize, err = WalkLOVEA(b, func(ost uint32, object FID) {
+		l.Stripes = append(l.Stripes, StripeEntry{OSTIndex: ost, ObjectFID: object})
+	})
+	return l, err
 }
 
 // FilterFID is the decoded filter-fid EA of an OST object.

@@ -131,3 +131,59 @@ func TestEAEncodings(t *testing.T) {
 		t.Error("short LMA accepted")
 	}
 }
+
+// TestWalkLinkEAAllOrNothing: every truncation of a three-entry LinkEA
+// fails the walk before fn has seen even the entries that decode — the
+// scanner emits nothing from a LinkEA damaged at any entry — and the
+// intact value yields each parent and name in place.
+func TestWalkLinkEAAllOrNothing(t *testing.T) {
+	links := []LinkEntry{
+		{Parent: FID{Seq: 9, Oid: 8, Ver: 7}, Name: "a"},
+		{Parent: RootFID, Name: ""},
+		{Parent: FID{Seq: 1}, Name: "third"},
+	}
+	enc, err := EncodeLinkEA(links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []LinkEntry
+	err = WalkLinkEA(enc, func(parent FID, name []byte) { got = append(got, LinkEntry{parent, string(name)}) })
+	if err != nil || len(got) != 3 || got[0] != links[0] || got[1] != links[1] || got[2] != links[2] {
+		t.Fatalf("intact LinkEA walks to %+v, %v", got, err)
+	}
+	if dec, err := DecodeLinkEA([]byte{0, 0}); err != nil || dec == nil || len(dec) != 0 {
+		t.Errorf("empty LinkEA decodes to %#v, %v; want an empty, non-nil list", dec, err)
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		calls := 0
+		err := WalkLinkEA(enc[:cut], func(FID, []byte) { calls++ })
+		_, want := DecodeLinkEA(enc[:cut])
+		if err == nil || want == nil || err.Error() != want.Error() || calls != 0 {
+			t.Fatalf("cut at %d: walk %v after %d entries, decode %v", cut, err, calls, want)
+		}
+	}
+}
+
+// TestWalkLOVEA: stripes come out in order with the stripe size, zero
+// object FIDs included (a released slot is the caller's to skip), and a
+// value shorter than its stripe count yields none of them.
+func TestWalkLOVEA(t *testing.T) {
+	layout := Layout{StripeSize: 4096, Stripes: []StripeEntry{
+		{OSTIndex: 2, ObjectFID: FID{Seq: OSTSeqBase + 2, Oid: 5}},
+		{OSTIndex: 0},
+		{OSTIndex: 1, ObjectFID: FID{Seq: OSTSeqBase + 1, Oid: 6}},
+	}}
+	enc, err := EncodeLOVEA(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []StripeEntry
+	size, err := WalkLOVEA(enc, func(ost uint32, object FID) { got = append(got, StripeEntry{ost, object}) })
+	if err != nil || size != 4096 || len(got) != 3 || got[0] != layout.Stripes[0] || got[1] != layout.Stripes[1] || got[2] != layout.Stripes[2] {
+		t.Fatalf("walk: size %d stripes %+v err %v", size, got, err)
+	}
+	calls := 0
+	if _, err := WalkLOVEA(enc[:len(enc)-1], func(uint32, FID) { calls++ }); err == nil || calls != 0 {
+		t.Errorf("truncated LOVEA: %v after %d stripes", err, calls)
+	}
+}

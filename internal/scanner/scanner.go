@@ -10,6 +10,7 @@ package scanner
 
 import (
 	"fmt"
+	"slices"
 
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
@@ -47,6 +48,13 @@ type Stats struct {
 	EdgesEmitted  int64
 }
 
+// Add accumulates d into s.
+func (s *Stats) Add(d Stats) {
+	s.InodesScanned += d.InodesScanned
+	s.DirentsRead += d.DirentsRead
+	s.EdgesEmitted += d.EdgesEmitted
+}
+
 // Partial is the scan result of one server: the partial metadata graph
 // the paper's scanners ship to the MDS aggregator.
 type Partial struct {
@@ -76,20 +84,7 @@ func ScanImage(img *ldiskfs.Image, workers int) (*Partial, error) {
 	if err := ScanImageToSink(img, workers, 0, &ps); err != nil {
 		return nil, err
 	}
-	out := ps.Partial()
-	if out.ServerLabel == "" {
-		out.ServerLabel = img.Label()
-	}
-	return out, nil
-}
-
-// scanGroup sweeps one block group's inode table.
-func scanGroup(img *ldiskfs.Image, g int, p *Partial) error {
-	return img.AllocatedInodesInGroup(g, func(ino ldiskfs.Ino, t ldiskfs.FileType) error {
-		p.Stats.InodesScanned++
-		scanInode(img, ino, t, p)
-		return nil
-	})
+	return ps.Partial(), nil // labelled by the stream's Final chunk at the latest
 }
 
 // ScanInode parses one inode's EAs (and dirents, for directories) into
@@ -110,23 +105,40 @@ func ScanInode(img *ldiskfs.Image, ino ldiskfs.Ino) (*Partial, error) {
 }
 
 // scanInode parses one inode's EAs (and dirents for directories) and
-// emits the corresponding objects and FID edges.
+// appends the corresponding objects, FID edges and issues to p. It
+// reads the image in place — the EA area, the LinkEA and LOVEA values
+// and the dirent blocks are walked as slices of the image — so the only
+// memory it touches beyond p's slices is an issue's text.
 func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Partial) {
-	xs, err := img.Xattrs(ino)
-	if err != nil {
-		p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("unreadable EAs: %v", err)})
-		xs = nil
+	// The four EAs the scanner reads; nil = absent (a present EA is a
+	// non-nil slice of the image even when empty). A repeated name keeps
+	// its last value, as a map of the area would.
+	var lma, link, lov, ff []byte
+	eaErr := img.WalkXattrs(ino, func(name, value []byte) {
+		switch string(name) {
+		case lustre.XattrLMA:
+			lma = value
+		case lustre.XattrLink:
+			link = value
+		case lustre.XattrLOV:
+			lov = value
+		case lustre.XattrFilterFID:
+			ff = value
+		}
+	})
+	if eaErr != nil {
+		p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("unreadable EAs: %v", eaErr)})
 	}
 
 	// Identity: the LMA self-FID.
 	var self lustre.FID
-	if raw, ok := xs[lustre.XattrLMA]; ok {
-		if fid, err := lustre.DecodeLMA(raw); err == nil && !fid.IsZero() {
+	if lma != nil {
+		if fid, err := lustre.DecodeLMA(lma); err == nil && !fid.IsZero() {
 			self = fid
 		} else {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: "corrupt LMA"})
 		}
-	} else if xs != nil {
+	} else if eaErr == nil {
 		p.Issues = append(p.Issues, Issue{Ino: ino, What: "missing LMA"})
 	}
 	if self.IsZero() {
@@ -134,24 +146,22 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 		// graph; record it and move on (LFSCK's oi_scrub territory).
 		return
 	}
-	p.Objects = append(p.Objects, Object{FID: self, Ino: ino, Type: t})
+	p.Objects = append(grow(p.Objects, 1), Object{FID: self, Ino: ino, Type: t})
 
 	emit := func(dst lustre.FID, kind graph.EdgeKind) {
 		if dst.IsZero() {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("zero FID in %v", kind)})
 			return
 		}
-		p.Edges = append(p.Edges, FIDEdge{Src: self, Dst: dst, Kind: kind})
+		p.Edges = append(grow(p.Edges, 1), FIDEdge{Src: self, Dst: dst, Kind: kind})
 		p.Stats.EdgesEmitted++
 	}
 
-	// LinkEA: point-backs to parents (namespace).
-	if raw, ok := xs[lustre.XattrLink]; ok {
-		if links, err := lustre.DecodeLinkEA(raw); err == nil {
-			for _, l := range links {
-				emit(l.Parent, graph.KindLinkEA)
-			}
-		} else {
+	// LinkEA: point-backs to parents (namespace). A LinkEA damaged at
+	// any entry contributes none of them.
+	if link != nil {
+		err := lustre.WalkLinkEA(link, func(parent lustre.FID, _ []byte) { emit(parent, graph.KindLinkEA) })
+		if err != nil {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: "corrupt LinkEA"})
 		}
 	}
@@ -159,23 +169,21 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 	// LOVEA: layout pointers to stripe objects. A zero object FID is a
 	// released stripe slot (kept so later stripes keep their indices),
 	// not corruption.
-	if raw, ok := xs[lustre.XattrLOV]; ok {
-		if layout, err := lustre.DecodeLOVEA(raw); err == nil {
-			for _, s := range layout.Stripes {
-				if s.ObjectFID.IsZero() {
-					continue
-				}
-				emit(s.ObjectFID, graph.KindLOVEA)
+	if lov != nil {
+		_, err := lustre.WalkLOVEA(lov, func(_ uint32, object lustre.FID) {
+			if !object.IsZero() {
+				emit(object, graph.KindLOVEA)
 			}
-		} else {
+		})
+		if err != nil {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: "corrupt LOVEA"})
 		}
 	}
 
 	// filter-fid: layout point-back to the owning file.
-	if raw, ok := xs[lustre.XattrFilterFID]; ok {
-		if ff, err := lustre.DecodeFilterFID(raw); err == nil {
-			emit(ff.ParentFID, graph.KindFilterFID)
+	if ff != nil {
+		if f, err := lustre.DecodeFilterFID(ff); err == nil {
+			emit(f.ParentFID, graph.KindFilterFID)
 		} else {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: "corrupt filter-fid"})
 		}
@@ -183,14 +191,16 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 
 	// Directory entries: namespace pointers to children, read from the
 	// directory's data blocks (the scanner's only non-sequential hop).
+	// Damage is known only once every block has been walked, but its
+	// issue precedes the zero-FID issues of the entries that survive.
 	if t == ldiskfs.TypeDir {
-		ents, err := img.Dirents(ino)
-		if err != nil {
-			p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("dirent damage: %v", err)})
-		}
-		for _, de := range ents {
+		mark := len(p.Issues)
+		err := img.WalkDirentTags(ino, func(tag []byte) {
 			p.Stats.DirentsRead++
-			emit(lustre.FIDFromBytes(de.Tag[:]), graph.KindDirent)
+			emit(lustre.FIDFromBytes(tag), graph.KindDirent)
+		})
+		if err != nil {
+			p.Issues = slices.Insert(p.Issues, mark, Issue{Ino: ino, What: fmt.Sprintf("dirent damage: %v", err)})
 		}
 	}
 }

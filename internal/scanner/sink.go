@@ -3,6 +3,9 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/par"
@@ -66,16 +69,16 @@ func (s *PartialSink) Emit(c *Chunk) error {
 	s.p.Objects = append(s.p.Objects, c.Objects...)
 	s.p.Edges = append(s.p.Edges, c.Edges...)
 	s.p.Issues = append(s.p.Issues, c.Issues...)
-	s.p.Stats.InodesScanned += c.Stats.InodesScanned
-	s.p.Stats.DirentsRead += c.Stats.DirentsRead
-	s.p.Stats.EdgesEmitted += c.Stats.EdgesEmitted
+	s.p.Stats.Add(c.Stats)
 	return nil
 }
 
 // Partial returns the accumulated partial graph.
 func (s *PartialSink) Partial() *Partial { return &s.p }
 
-// chunkEmitter batches scan output into bounded chunks.
+// chunkEmitter batches scan output into bounded chunks. cur is scratch:
+// its slices are refilled for every chunk and never leave the emitter;
+// flush hands the sink copies of exactly the filled length.
 type chunkEmitter struct {
 	label string
 	sink  Sink
@@ -92,69 +95,71 @@ func newChunkEmitter(label string, limit int, sink Sink, ins []*Instr) *chunkEmi
 	return &chunkEmitter{label: label, sink: sink, limit: limit, ins: ins}
 }
 
+// grow makes room for n more entries, at least doubling the capacity
+// when it must reallocate. The reused buffers of a scan (group buffers,
+// the scratch chunk) reach their working size once and stay there;
+// append's 1.25x steps would leave four times that size in garbage on
+// the way.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, 2*cap(s)-len(s)))
+}
+
+// fresh returns a copy of s the sink may own; an empty section stays nil.
+func fresh[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
+}
+
 func (e *chunkEmitter) flush(final bool) error {
-	c := e.cur
-	c.ServerLabel = e.label
-	c.Seq = e.seq
-	c.Final = final
+	c := &Chunk{
+		ServerLabel: e.label, Seq: e.seq, Final: final,
+		Objects: fresh(e.cur.Objects), Edges: fresh(e.cur.Edges), Issues: fresh(e.cur.Issues),
+		Stats: e.cur.Stats,
+	}
 	e.seq++
-	e.cur = Chunk{}
+	e.cur = Chunk{Objects: e.cur.Objects[:0], Edges: e.cur.Edges[:0], Issues: e.cur.Issues[:0]}
 	for _, in := range e.ins {
 		in.chunk()
 	}
-	return e.sink.Emit(&c)
+	return e.sink.Emit(c)
 }
 
-func (e *chunkEmitter) maybeFlush() error {
-	if e.cur.Entries() >= e.limit {
-		return e.flush(false)
+// fill appends one section of a group's output to the matching scratch
+// section (*dst is one of e.cur's slices), flushing at every chunk
+// boundary it crosses.
+func fill[T any](e *chunkEmitter, dst *[]T, src []T) error {
+	for len(src) > 0 {
+		take := min(len(src), e.limit-e.cur.Entries())
+		*dst = append(grow(*dst, take), src[:take]...)
+		src = src[take:]
+		if e.cur.Entries() >= e.limit {
+			if err := e.flush(false); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
 // add appends one group's scan output, splitting at chunk boundaries.
 func (e *chunkEmitter) add(p *Partial) error {
-	for len(p.Objects) > 0 {
-		room := e.limit - e.cur.Entries()
-		take := len(p.Objects)
-		if take > room {
-			take = room
-		}
-		e.cur.Objects = append(e.cur.Objects, p.Objects[:take]...)
-		p.Objects = p.Objects[take:]
-		if err := e.maybeFlush(); err != nil {
-			return err
-		}
+	if err := fill(e, &e.cur.Objects, p.Objects); err != nil {
+		return err
 	}
-	for len(p.Edges) > 0 {
-		room := e.limit - e.cur.Entries()
-		take := len(p.Edges)
-		if take > room {
-			take = room
-		}
-		e.cur.Edges = append(e.cur.Edges, p.Edges[:take]...)
-		p.Edges = p.Edges[take:]
-		if err := e.maybeFlush(); err != nil {
-			return err
-		}
+	if err := fill(e, &e.cur.Edges, p.Edges); err != nil {
+		return err
 	}
-	for len(p.Issues) > 0 {
-		room := e.limit - e.cur.Entries()
-		take := len(p.Issues)
-		if take > room {
-			take = room
-		}
-		e.cur.Issues = append(e.cur.Issues, p.Issues[:take]...)
-		p.Issues = p.Issues[take:]
-		if err := e.maybeFlush(); err != nil {
-			return err
-		}
+	if err := fill(e, &e.cur.Issues, p.Issues); err != nil {
+		return err
 	}
 	// Stats ride on whichever chunk is open when the group lands; the
 	// stream total is what matters.
-	e.cur.Stats.InodesScanned += p.Stats.InodesScanned
-	e.cur.Stats.DirentsRead += p.Stats.DirentsRead
-	e.cur.Stats.EdgesEmitted += p.Stats.EdgesEmitted
+	e.cur.Stats.Add(p.Stats)
 	return nil
 }
 
@@ -170,66 +175,97 @@ func ScanImageToSink(img *ldiskfs.Image, workers, chunkEntries int, sink Sink) e
 }
 
 // ScanImageToSinkInstr is ScanImageToSink under a context and with
-// instrumentation. The scan stops emitting at the first group boundary
-// after ctx is done and returns ctx.Err(), so a checker deadline cancels
-// an in-flight sweep instead of letting it ship chunks nobody will
+// instrumentation. The scan stops at the first group boundary after ctx
+// is done and returns ctx.Err(), so a checker deadline cancels an
+// in-flight sweep instead of letting it ship chunks nobody will
 // collect. Each ins's counters (inodes, dirents, edges, parse issues, chunks)
 // are updated as groups are released — batched per group, so the
 // per-inode sweep stays free of atomics. The cluster path passes two
 // instruments, the run-wide one and the per-server set a telemetry
 // trailer snapshots; none (or nil entries) observe nothing.
 func ScanImageToSinkInstr(ctx context.Context, img *ldiskfs.Image, workers, chunkEntries int, sink Sink, ins ...*Instr) error {
+	_, err := sweep(ctx, img, workers, newChunkEmitter(img.Label(), chunkEntries, sink, ins))
+	return err
+}
+
+// groupBuf is one block group's scan output, recycled through the
+// sweep's ring.
+type groupBuf struct {
+	Partial
+	err error
+}
+
+// sweep scans img into em and reports how many inodes the workers
+// scanned, released or not. Block groups are handed out in ascending
+// order from one counter, to workers that already hold a buffer from a
+// fixed ring of 2 x workers: the groups in flight are therefore always
+// the lowest unreleased ones, each owning a distinct ring slot, and a
+// worker never waits for anything but a buffer. The caller's goroutine
+// releases groups in order into em and returns their buffers. Any exit
+// — end of image, sink error, cancellation — raises stop, so workers
+// finish at most the group they are in, and waits for them.
+func sweep(ctx context.Context, img *ldiskfs.Image, workers int, em *chunkEmitter) (swept int64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	groups := img.Groups()
-	em := newChunkEmitter(img.Label(), chunkEntries, sink, ins)
-	if groups == 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return em.flush(true)
+	if workers <= 0 {
+		workers = par.DefaultWorkers()
 	}
+	workers = max(1, min(workers, groups))
+	ring := 2 * workers
 
-	shards := make([]*Partial, groups)
-	errs := make([]error, groups)
-	ready := make([]chan struct{}, groups)
-	for g := range ready {
-		ready[g] = make(chan struct{})
+	free := make(chan *groupBuf, ring)
+	done := make([]chan *groupBuf, ring) // done[g%ring] carries group g
+	for i := range done {
+		done[i] = make(chan *groupBuf, 1)
+		free <- &groupBuf{}
 	}
-	go par.ForRange(groups, workers, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			p := &Partial{}
-			errs[g] = scanGroup(img, g, p)
-			shards[g] = p
-			close(ready[g])
-		}
-	})
+	var next, scanned atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range free {
+				g := int(next.Add(1)) - 1
+				if g >= groups || stop.Load() {
+					return
+				}
+				b.err = img.AllocatedInodesInGroup(g, func(ino ldiskfs.Ino, t ldiskfs.FileType) error {
+					b.Stats.InodesScanned++
+					scanInode(img, ino, t, &b.Partial)
+					return nil
+				})
+				scanned.Add(b.Stats.InodesScanned)
+				done[g%ring] <- b
+			}
+		}()
+	}
+	defer func() { // on every return below: swept is final only once the workers are gone
+		stop.Store(true)
+		close(free)
+		wg.Wait()
+		swept = scanned.Load()
+	}()
 
-	// Ordered release: groups stream out in index order as they finish,
-	// overlapping the sweep with downstream transfer and aggregation.
-	var firstErr error
 	for g := 0; g < groups; g++ {
-		<-ready[g]
-		if firstErr != nil {
-			continue // drain so the sweep goroutines finish before return
-		}
 		if err := ctx.Err(); err != nil {
-			firstErr = err
-			continue
+			return 0, err
 		}
-		if errs[g] != nil {
-			firstErr = fmt.Errorf("scanner: group %d: %w", g, errs[g])
-			continue
+		b := <-done[g%ring]
+		if b.err != nil {
+			return 0, fmt.Errorf("scanner: group %d: %w", g, b.err)
 		}
-		for _, in := range ins {
-			in.group(shards[g]) // before add: add consumes the group's slices
+		for _, in := range em.ins {
+			in.group(&b.Partial)
 		}
-		if err := em.add(shards[g]); err != nil {
-			firstErr = err
-			continue
+		if err := em.add(&b.Partial); err != nil {
+			return 0, err
 		}
-		shards[g] = nil // release as soon as shipped
+		b.Partial = Partial{Objects: b.Objects[:0], Edges: b.Edges[:0], Issues: b.Issues[:0]}
+		free <- b
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return em.flush(true)
+	return 0, em.flush(true)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -39,12 +40,15 @@ const (
 )
 
 // EncodeChunk serializes one scanner chunk for streamed transfer.
-func EncodeChunk(c *scanner.Chunk) []byte {
+func EncodeChunk(c *scanner.Chunk) []byte { return AppendChunk(nil, c) }
+
+// AppendChunk appends c's encoding to buf, growing it at most once.
+func AppendChunk(buf []byte, c *scanner.Chunk) []byte {
 	size := 2 + len(c.ServerLabel) + 5 + 4 + len(c.Objects)*chunkMinObject + 4 + len(c.Edges)*chunkMinEdge + 4 + 24
 	for _, is := range c.Issues {
 		size += chunkMinIssue + len(is.What)
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size)
 	buf = bincodec.AppendStr16(buf, c.ServerLabel)
 	buf = le.AppendUint32(buf, uint32(c.Seq))
 	var flags byte
@@ -77,8 +81,21 @@ func EncodeChunk(c *scanner.Chunk) []byte {
 	return buf
 }
 
-// DecodeChunk parses an encoded chunk. Counts are bounded against the
-// bytes left before anything is sized from them.
+// sized returns n zeroed entries; an empty section stays nil, which is
+// what keeps decode-then-encode bijective and a decoded chunk DeepEqual
+// to the scanner's.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// DecodeChunk parses an encoded chunk into memory of its own: nothing
+// in the result aliases b. Counts are bounded against the bytes left
+// before the sections are sized from them, so the chunk costs a fixed
+// number of allocations: itself, its label, one per section, and one
+// string all its issue texts are substrings of.
 func DecodeChunk(b []byte) (*scanner.Chunk, error) {
 	d := bincodec.NewReader(&chunkFormat, b)
 	c := &scanner.Chunk{}
@@ -89,28 +106,34 @@ func DecodeChunk(b []byte) (*scanner.Chunk, error) {
 		d.Failf("unknown flags %#x", flags)
 	}
 	c.Final = flags&chunkFlagFinal != 0
-	nObj := d.Count(uint64(d.U32()), chunkMinObject)
-	for i := 0; i < nObj && d.Err() == nil; i++ {
-		var o scanner.Object
+	c.Objects = sized[scanner.Object](d.Count(uint64(d.U32()), chunkMinObject))
+	for i := range c.Objects {
+		o := &c.Objects[i]
 		o.FID = fid(d)
 		o.Ino = ldiskfs.Ino(d.U64())
 		o.Type = ldiskfs.FileType(d.U16())
-		c.Objects = append(c.Objects, o)
 	}
-	nEdge := d.Count(uint64(d.U32()), chunkMinEdge)
-	for i := 0; i < nEdge && d.Err() == nil; i++ {
-		var e scanner.FIDEdge
+	c.Edges = sized[scanner.FIDEdge](d.Count(uint64(d.U32()), chunkMinEdge))
+	for i := range c.Edges {
+		e := &c.Edges[i]
 		e.Src = fid(d)
 		e.Dst = fid(d)
 		e.Kind = graph.EdgeKind(d.U8())
-		c.Edges = append(c.Edges, e)
 	}
-	nIssue := d.Count(uint64(d.U32()), chunkMinIssue)
-	for i := 0; i < nIssue && d.Err() == nil; i++ {
-		var is scanner.Issue
-		is.Ino = ldiskfs.Ino(d.U64())
-		is.What = d.Str16()
-		c.Issues = append(c.Issues, is)
+	c.Issues = sized[scanner.Issue](d.Count(uint64(d.U32()), chunkMinIssue))
+	if len(c.Issues) > 0 {
+		// The issue section (and the 24 stats bytes after it) copied
+		// once; a text is the substring at its own offset.
+		start := len(b) - d.Remaining()
+		texts := string(b[start:])
+		for i := range c.Issues {
+			c.Issues[i].Ino = ldiskfs.Ino(d.U64())
+			n := int(d.U16())
+			at := len(b) - d.Remaining() - start
+			if d.Bytes(n) != nil {
+				c.Issues[i].What = texts[at : at+n]
+			}
+		}
 	}
 	c.Stats.InodesScanned = int64(d.U64())
 	c.Stats.DirentsRead = int64(d.U64())
@@ -151,7 +174,10 @@ type ChunkStream struct {
 	// follows MsgTelemetry. Nil journals no-op and ship an empty blob,
 	// keeping the trailer protocol uniform for every sender.
 	journal *telemetry.Journal
-	err     error
+	// frame is the stream's one send buffer: frameHeader reserved
+	// bytes, then the chunk being shipped, so a frame is one Write.
+	frame []byte
+	err   error
 }
 
 // SlowFrameThreshold is the frame-write latency above which a stream
@@ -208,17 +234,20 @@ func (s *ChunkStream) Sent() (frames, bytes int64) { return s.frames.Value(), s.
 // surfaces either as a write error here or as the error frame read in
 // place of the final ack.
 func (s *ChunkStream) Emit(c *scanner.Chunk) error {
-	return s.emit(EncodeChunk(c), c.Final)
+	s.frame = AppendChunk(append(s.frame[:0], make([]byte, frameHeader)...), c)
+	return s.emit(c.Final)
 }
 
 // EmitRaw ships an already-encoded (possibly deliberately corrupt)
 // chunk payload — the hook fault injection uses to put hostile frames
 // on a live stream.
 func (s *ChunkStream) EmitRaw(payload []byte, final bool) error {
-	return s.emit(payload, final)
+	s.frame = append(append(s.frame[:0], make([]byte, frameHeader)...), payload...)
+	return s.emit(final)
 }
 
-func (s *ChunkStream) emit(payload []byte, final bool) error {
+// emit seals and ships the chunk frame built in s.frame.
+func (s *ChunkStream) emit(final bool) error {
 	if s.err != nil {
 		return s.err
 	}
@@ -233,12 +262,17 @@ func (s *ChunkStream) emit(payload []byte, final bool) error {
 	if len(s.metrics) > 0 || s.journal != nil {
 		t0 = time.Now()
 	}
-	if err := WriteFrame(s.conn, MsgChunk, payload); err != nil {
+	payload := len(s.frame) - frameHeader
+	err := sealFrame(s.frame, MsgChunk, payload)
+	if err == nil {
+		_, err = s.conn.Write(s.frame)
+	}
+	if err != nil {
 		s.err = err
 		return err
 	}
 	s.frames.Inc()
-	s.bytes.Add(int64(len(payload)))
+	s.bytes.Add(int64(payload))
 	var elapsed time.Duration
 	if !t0.IsZero() {
 		elapsed = time.Since(t0)
@@ -247,13 +281,13 @@ func (s *ChunkStream) emit(payload []byte, final bool) error {
 		if m != nil {
 			m.FrameWrite.Observe(elapsed.Seconds())
 			m.FramesSent.Inc()
-			m.BytesSent.Add(int64(len(payload)))
+			m.BytesSent.Add(int64(payload))
 		}
 	}
 	if s.journal != nil && elapsed > SlowFrameThreshold {
 		s.journal.Record("wire", "slow-frame",
 			"seconds", fmt.Sprintf("%.3f", elapsed.Seconds()),
-			"bytes", fmt.Sprintf("%d", len(payload)))
+			"bytes", fmt.Sprintf("%d", payload))
 	}
 	if !final {
 		return nil
@@ -539,11 +573,16 @@ func (c *Collector) CollectChunksContext(ctx context.Context, nStreams int, degr
 // label ("" if no chunk decoded before the failure).
 func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames, bytes *telemetry.Counter, m *Metrics, record func(*Telemetry), recordJournal func([]telemetry.JournalSnapshot)) (string, error) {
 	label := ""
+	// Every frame of the connection is read into one buffer: the chunk
+	// and trailer decoders copy what they keep, so a payload is dead by
+	// the next read.
+	var buf []byte
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := readFrameInto(conn, buf)
 		if err != nil {
 			return label, fmt.Errorf("wire: chunk stream: %w", err)
 		}
+		buf = payload
 		if err := AsError(typ, payload); err != nil {
 			return label, err
 		}
@@ -579,7 +618,7 @@ func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames,
 			// that trailer missing but the ack still goes out — the
 			// graph transfer did complete.
 			for i := 0; i < 2; i++ {
-				typ, payload, err := ReadFrame(conn)
+				typ, payload, err := readFrameInto(conn, buf)
 				if err != nil || (typ != MsgTelemetry && typ != MsgJournal) {
 					break
 				}

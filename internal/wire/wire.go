@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 var le = binary.LittleEndian
@@ -68,14 +69,15 @@ const MaxFrame = 1 << 31
 // ErrFrameTooLarge is returned for frames exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame too large")
 
-// WriteFrame writes one framed message: u8 type | u32 length | payload.
+// frameHeader is the size of a frame's header: u8 type | u32 length.
+const frameHeader = 5
+
+// WriteFrame writes one framed message: header, then payload.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if int64(len(payload)) >= MaxFrame {
-		return ErrFrameTooLarge
+	var hdr [frameHeader]byte
+	if err := sealFrame(hdr[:], typ, len(payload)); err != nil {
+		return err
 	}
-	var hdr [5]byte
-	hdr[0] = typ
-	le.PutUint32(hdr[1:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -83,32 +85,47 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// sealFrame fills in a frame's header. A sender that builds its payload
+// behind frameHeader reserved bytes of one buffer (ChunkStream does)
+// seals that buffer and ships the frame in a single Write.
+func sealFrame(hdr []byte, typ byte, payloadLen int) error {
+	if int64(payloadLen) >= MaxFrame {
+		return ErrFrameTooLarge
+	}
+	hdr[0] = typ
+	le.PutUint32(hdr[1:], uint32(payloadLen))
+	return nil
+}
+
 // readBatch bounds how much payload ReadFrame allocates ahead of the
 // bytes actually arriving.
 const readBatch = 1 << 20
 
-// ReadFrame reads one framed message. The length comes from an
-// untrusted header, so the payload grows in bounded batches as bytes
-// arrive (the edgelist.ReadBinary discipline): a lying header on a
-// short or hostile stream costs at most one batch before the
-// truncation error, never a MaxFrame-sized allocation.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
+// ReadFrame reads one framed message into a payload of its own.
+func ReadFrame(r io.Reader) (byte, []byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one framed message into buf's storage, growing it
+// as needed: the payload returned aliases buf and is valid until the
+// caller reuses it, which is how a connection's reader reads every
+// frame into one buffer. The length comes from an untrusted header, so
+// beyond the capacity buf already has the payload grows in bounded
+// batches as bytes arrive (the edgelist.ReadBinary discipline): a lying
+// header on a short or hostile stream costs at most one batch before
+// the truncation error, never a MaxFrame-sized allocation.
+func readFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := le.Uint32(hdr[1:])
-	if int64(n) >= MaxFrame {
+	n := int64(le.Uint32(hdr[1:]))
+	if n >= MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, 0, min(n, readBatch))
-	for uint32(len(payload)) < n {
-		grow := n - uint32(len(payload))
-		if grow > readBatch {
-			grow = readBatch
-		}
+	payload := buf[:0]
+	for int64(len(payload)) < n {
 		off := len(payload)
-		payload = append(payload, make([]byte, grow)...)
+		end := int(min(n, int64(max(cap(payload), off+readBatch))))
+		payload = slices.Grow(payload, end-off)[:end]
 		if _, err := io.ReadFull(r, payload[off:]); err != nil {
 			return 0, nil, fmt.Errorf("wire: frame truncated at byte %d of %d: %w", off, n, err)
 		}
