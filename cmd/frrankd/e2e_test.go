@@ -1,15 +1,13 @@
 package main
 
-// End-to-end tests of real process separation: a checker coordinator on
-// one side, exec'd frrankd binaries on the other, nothing shared but
-// TCP. These are the acceptance tests of the out-of-process rank stage:
-// spawned runs must be bit-identical to the single kernel, a killed
-// worker must surface as a PartError naming its partition (degrading
-// cleanly when allowed), and pre-loaded shard files must interoperate
-// with the shipped-shard path.
+// End-to-end tests of the one rank worker, over one table of who
+// started it: a goroutine of the checker, or an exec'd frrankd binary
+// with nothing shared but TCP. Either way a K-way run must be
+// bit-identical to the single kernel, a killed worker must surface as a
+// PartError naming its partition (degrading cleanly when allowed), and
+// a spawned worker's reported memory must be its own.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,7 +15,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,11 +22,10 @@ import (
 
 	"faultyrank/internal/checker"
 	"faultyrank/internal/core"
-	"faultyrank/internal/graph"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
-	"faultyrank/internal/wire"
+	"faultyrank/internal/telemetry"
 )
 
 // buildFrrankd compiles this package's binary once per test process.
@@ -98,200 +94,164 @@ func rankEqualBitwise(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
-// TestFrrankdSpawnEquivalence: a K-way check run across K spawned
-// frrankd processes — shards shipped over the link — must produce ranks
-// and findings byte-identical to the single-kernel run, and the
-// manifest must record the remote topology with one peak-RSS sample per
-// process.
-func TestFrrankdSpawnEquivalence(t *testing.T) {
-	bin := buildFrrankd(t)
+// starters is the table's first axis: who starts the K workers of a
+// partitioned check. (The third way — somebody else's exec against
+// RankListen — differs from "spawned" only in who calls exec; the
+// checker package tests what happens when nobody does.)
+var starters = []string{"goroutine", "spawned"}
+
+// partitioned returns the options of a K-way check whose workers are
+// started by starter.
+func partitioned(t *testing.T, starter string, k int) checker.Options {
+	opt := checker.DefaultOptions()
+	opt.RankWorkers = k
+	opt.OpTimeout = 15 * time.Second
+	if starter == "spawned" {
+		opt.RankSpawn = buildFrrankd(t)
+	}
+	return opt
+}
+
+// faultyCluster is e2eCluster with one Fig. 7 fault, and its single
+// kernel check under opt's kernel constants.
+func faultyCluster(t *testing.T, opt checker.Options) (*lustre.Cluster, *checker.Result) {
+	t.Helper()
 	c := e2eCluster(t)
 	if _, err := inject.Inject(c, inject.DanglingObjectID, "/proj1/file2"); err != nil {
 		t.Fatal(err)
 	}
-
-	base, err := checker.RunCluster(c, checker.DefaultOptions())
+	opt.RankWorkers, opt.RankSpawn = 0, ""
+	base, err := checker.RunCluster(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Findings) == 0 {
 		t.Fatal("baseline run found nothing; the equivalence check would be vacuous")
 	}
+	return c, base
+}
 
-	for _, k := range []int{2, 4} {
-		label := fmt.Sprintf("spawn/k=%d", k)
-		opt := checker.DefaultOptions()
-		opt.RankWorkers = k
-		opt.RankSpawn = bin
-		opt.OpTimeout = 15 * time.Second
-		res, err := checker.RunCluster(c, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		rankEqualBitwise(t, label, res.Rank, base.Rank)
-		if !reflect.DeepEqual(res.Findings, base.Findings) {
-			t.Fatalf("%s: findings diverge from single-process run", label)
-		}
-		man := res.RankExec
-		if man == nil || !man.Remote || man.Transport != "tcp" {
-			t.Fatalf("%s: manifest does not record the spawned topology: %+v", label, man)
-		}
-		if man.Fallback != "" {
-			t.Fatalf("%s: unexpected fallback %q", label, man.Fallback)
-		}
-		if len(man.WorkerRSS) != k {
-			t.Fatalf("%s: %d RSS samples for %d workers", label, len(man.WorkerRSS), k)
-		}
-		if runtime.GOOS == "linux" {
-			for p, rss := range man.WorkerRSS {
-				if rss <= 0 {
-					t.Fatalf("%s: no peak RSS recorded for worker %d: %v", label, p, man.WorkerRSS)
+// TestFrrankdSpawnEquivalence: a K-way check — whoever started the
+// workers — must produce ranks and findings byte-identical to the
+// single-kernel run, and the manifest must record who they were, with
+// one self-reported peak-RSS sample per spawned process. The kernel
+// constants reach a spawned worker over the link: a coordinator running
+// non-default ones passes nothing on the worker's command line and still
+// gets the single kernel's bits.
+func TestFrrankdSpawnEquivalence(t *testing.T) {
+	odd := core.DefaultOptions()
+	odd.UnpairedWeight, odd.Smoothing, odd.LeakyDistribution = 0.3, 0.25, true
+	for name, coreOpt := range map[string]core.Options{"default": core.DefaultOptions(), "odd-constants": odd} {
+		ref := checker.DefaultOptions()
+		ref.Core = coreOpt
+		c, base := faultyCluster(t, ref)
+		for _, starter := range starters {
+			for _, k := range []int{2, 3} {
+				label := fmt.Sprintf("%s/%s/k=%d", name, starter, k)
+				opt := partitioned(t, starter, k)
+				opt.Core = coreOpt
+				res, err := checker.RunCluster(c, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				rankEqualBitwise(t, label, res.Rank, base.Rank)
+				if !reflect.DeepEqual(res.Findings, base.Findings) {
+					t.Fatalf("%s: findings diverge from single-process run", label)
+				}
+				man := res.RankExec
+				if man == nil || man.Fallback != "" {
+					t.Fatalf("%s: no clean rank manifest: %+v", label, man)
+				}
+				spawned := starter == "spawned"
+				if man.Remote != spawned || (len(man.WorkerRSS) == k) != spawned {
+					t.Fatalf("%s: manifest does not record who the workers were: %+v", label, man)
 				}
 			}
 		}
 	}
 }
 
-// TestFrrankdWorkerKill: an frrankd process dying mid-superstep (the
-// injected crash crosses the process boundary as -fail-after-ups) must
-// fail a strict run with a PartError naming its partition, and degrade
-// an AllowDegraded run into the single-kernel fallback with identical
-// findings.
+// TestFrrankdWorkerKill: a worker dying mid-superstep (for a process,
+// the injected crash crosses the boundary as -fail-after-ups) must fail
+// a strict run with a PartError naming its partition, and degrade an
+// AllowDegraded run into the single-kernel fallback with identical
+// findings. A goroutine worker that cannot even dial still names its
+// partition.
 func TestFrrankdWorkerKill(t *testing.T) {
-	bin := buildFrrankd(t)
-	c := e2eCluster(t)
-	if _, err := inject.Inject(c, inject.DanglingObjectID, "/proj1/file2"); err != nil {
-		t.Fatal(err)
+	c, base := faultyCluster(t, checker.DefaultOptions())
+	namesPartition := func(label string, err error, part int) {
+		t.Helper()
+		var pe *core.PartError
+		if err == nil {
+			t.Fatalf("%s: strict run completed despite a lost worker", label)
+		} else if !errors.As(err, &pe) || pe.Part != part {
+			t.Fatalf("%s: error does not name partition %d: %v", label, part, err)
+		}
+	}
+	for _, starter := range starters {
+		for _, k := range []int{2, 3} {
+			label := fmt.Sprintf("%s/k=%d", starter, k)
+			opt := partitioned(t, starter, k)
+			opt.OpTimeout = 5 * time.Second
+			opt.RankFaults = map[int]*inject.RankFault{1: {CrashAfterUps: 1}}
+
+			_, err := checker.RunCluster(c, opt)
+			namesPartition(label, err, 1)
+
+			opt.AllowDegraded = true
+			res, err := checker.RunCluster(c, opt)
+			if err != nil {
+				t.Fatalf("%s: degraded run failed outright: %v", label, err)
+			}
+			man := res.RankExec
+			if man == nil || !strings.Contains(man.Fallback, "rank partition 1") {
+				t.Fatalf("%s: fallback missing or anonymous: %+v", label, man)
+			}
+			rankEqualBitwise(t, label+" degraded", res.Rank, base.Rank)
+			if !reflect.DeepEqual(res.Findings, base.Findings) {
+				t.Fatalf("%s: degraded findings diverge from the undisturbed run", label)
+			}
+		}
 	}
 
-	base, err := checker.RunCluster(c, checker.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := checker.DefaultOptions()
-	opt.RankWorkers = 3
-	opt.RankSpawn = bin
-	opt.OpTimeout = 5 * time.Second
-	opt.RankFaults = map[int]*inject.RankFault{1: {CrashAfterUps: 1}}
-
-	_, err = checker.RunCluster(c, opt)
-	if err == nil {
-		t.Fatal("strict run completed despite a killed worker process")
-	}
-	var pe *core.PartError
-	if !errors.As(err, &pe) {
-		t.Fatalf("killed process does not attribute a partition: %v", err)
-	}
-	if pe.Part != 1 {
-		t.Fatalf("error names partition %d, want 1: %v", pe.Part, err)
-	}
-
-	opt.AllowDegraded = true
-	res, err := checker.RunCluster(c, opt)
-	if err != nil {
-		t.Fatalf("degraded run failed outright: %v", err)
-	}
-	man := res.RankExec
-	if man == nil || !strings.Contains(man.Fallback, "rank partition 1") {
-		t.Fatalf("fallback missing or anonymous: %+v", man)
-	}
-	rankEqualBitwise(t, "spawn degraded", res.Rank, base.Rank)
-	if !reflect.DeepEqual(res.Findings, base.Findings) {
-		t.Fatal("degraded findings diverge from the undisturbed run")
+	opt := partitioned(t, "goroutine", 3)
+	opt.RankFaults = map[int]*inject.RankFault{2: {FailDial: true}}
+	_, err := checker.RunCluster(c, opt)
+	namesPartition("goroutine dial fault", err, 2)
+	if !errors.Is(err, inject.ErrRankDialFault) {
+		t.Fatalf("root dial cause lost from the error chain: %v", err)
 	}
 }
 
-// TestFrrankdShardFileMode: workers pre-loaded from FRSG shard files —
-// fingerprint-validated Hellos, no shipping — interoperate with a plain
-// wire coordinator and reproduce the single-kernel ranks bit for bit.
-func TestFrrankdShardFileMode(t *testing.T) {
-	bin := buildFrrankd(t)
-	dir := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	// A random graph large enough that every partition has ghosts.
-	n := 300
-	var edges []graph.Edge
-	for i := 0; i < 900; i++ {
-		edges = append(edges, graph.Edge{Src: uint32((i * 37) % n), Dst: uint32((i * 101) % n)})
+// TestWorkerRSSIsTheWorkers is the regression test for the inherited
+// high-water mark: WorkerRSS used to be wait4's ru_maxrss, and because
+// Go execs through clone(CLONE_VM|CLONE_VFORK) Linux starts the child's
+// high-water mark at the parent's — so every worker "peaked" at whatever
+// the checker had touched. With the checker holding a quarter GiB of
+// ballast, a worker ranking a forty-vertex shard must report less.
+func TestWorkerRSSIsTheWorkers(t *testing.T) {
+	if telemetry.PeakRSS() == 0 {
+		t.Skip("no /proc/self/status on this platform: workers report no peak RSS")
 	}
-	b := graph.NewBidirected(n, edges, 4)
-	opt := core.DefaultOptions()
-	want := core.Run(b, opt)
-
-	const k = 3
-	owners := make([]uint16, n)
-	for g := range owners {
-		owners[g] = uint16(g % k)
+	const ballastBytes = 256 << 20
+	ballast := make([]byte, ballastBytes)
+	for i := 0; i < len(ballast); i += 4096 {
+		ballast[i] = 1
 	}
-	plan := graph.PartitionPlan(b, owners, k, 4)
-	sums := make([]uint64, k)
-	paths := make([]string, k)
-	for p, sub := range plan.Parts {
-		sums[p] = sub.Fingerprint()
-		paths[p] = filepath.Join(dir, fmt.Sprintf("p%d.frsg", p))
-		if err := graph.WriteShardFile(paths[p], sub); err != nil {
-			t.Fatal(err)
-		}
+	if telemetry.PeakRSS() < ballastBytes {
+		t.Fatalf("ballast not resident: own peak %d", telemetry.PeakRSS())
 	}
 
-	x, addr, err := wire.NewRankExchange("", 10*time.Second)
+	res, err := checker.RunCluster(e2eCluster(t), partitioned(t, "spawned", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer x.Close()
-
-	procs := make([]*exec.Cmd, k)
-	for p := 0; p < k; p++ {
-		procs[p] = exec.CommandContext(ctx, bin,
-			"-connect", addr, "-shard", paths[p], "-op-timeout", "10s", "-v")
-		procs[p].Stderr = os.Stderr
-		if err := procs[p].Start(); err != nil {
-			t.Fatal(err)
+	for p, rss := range res.RankExec.WorkerRSS {
+		if rss <= 0 || rss >= ballastBytes {
+			t.Fatalf("worker %d reports peak RSS %d: not its own (ballast %d)", p, rss, ballastBytes)
 		}
 	}
-
-	links, err := x.AcceptWorkers(ctx, wire.WorkerSpec{K: k, Sums: sums, HandshakeTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	got, rep, err := core.Coordinate(plan, links, opt)
-	if err != nil {
-		t.Fatalf("coordinate: %v", err)
-	}
-	x.Close()
-	for p, cmd := range procs {
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("worker %d exit: %v", p, err)
-		}
-	}
-
-	rankEqualBitwise(t, "shard-file", got, want)
-	if len(rep.Supersteps) != want.Iterations {
-		t.Fatalf("%d supersteps for %d iterations", len(rep.Supersteps), want.Iterations)
-	}
-
-	// A worker pointed at the wrong shard file must be refused by the
-	// fingerprint handshake — and say so.
-	x2, addr2, err := wire.NewRankExchange("", 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x2.Close()
-	wrong := exec.CommandContext(ctx, bin, "-connect", addr2, "-shard", paths[1], "-op-timeout", "5s")
-	var wrongOut strings.Builder
-	wrong.Stderr = &wrongOut
-	if err := wrong.Start(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = x2.AcceptWorkers(ctx, wire.WorkerSpec{K: k, Sums: []uint64{1, 2, 3}, HandshakeTimeout: 15 * time.Second})
-	if !errors.Is(err, wire.ErrHelloMismatch) {
-		t.Fatalf("mis-pointed worker accepted: %v", err)
-	}
-	x2.Close()
-	if wrong.Wait() == nil {
-		t.Fatalf("mis-pointed worker exited cleanly: %s", wrongOut.String())
+	if ballast[4096] != 1 { // keep the ballast live across the run
+		t.Fatal("ballast lost")
 	}
 }

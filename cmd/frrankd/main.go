@@ -1,22 +1,18 @@
-// Command frrankd is one out-of-process rank worker: it dials a
-// checker's rank exchange, announces its partition with the versioned
-// Hello handshake, obtains its graph.SubGraph shard — shipped over the
-// link by default, or pre-loaded from an FRSG file with -shard — and
-// runs the worker side of the BSP superstep protocol
-// (core.RunPartition) until the coordinator's Done. Process separation
-// is the point: K frrankd workers hold 1/K of the CSR each, which is
-// the ROADMAP's path past one process's memory, and they can live on
-// other hosts when the checker binds its exchange beyond localhost
-// (faultyrank -rank-listen).
+// Command frrankd is the rank worker (wire.ServeRankWorker) as a
+// process of its own: it dials a checker's rank exchange, announces its
+// partition, is shipped its graph.SubGraph shard and the kernel
+// constants of the run it serves, and runs the worker side of the BSP
+// superstep protocol until the coordinator's Done. Process separation
+// is the point: K frrankd workers hold 1/K of the CSR each, and they
+// can live on other hosts when the checker binds its exchange beyond
+// localhost (faultyrank -rank-listen).
 //
-//	frrankd -connect 127.0.0.1:9200 -part 2             # shard shipped over the link
-//	frrankd -connect mds:9200 -part 2 -shard p2.frsg    # shard pre-loaded from disk
+//	frrankd -connect mds:9200 -part 2
 //
-// The kernel knobs (-unpaired-weight, -smoothing, -leaky) default to
-// the core defaults and must match the coordinator's options — the
-// superstep protocol's bit-identical guarantee assumes both sides run
-// the same arithmetic. The checker's -rank-spawn mode passes them
-// explicitly.
+// Nothing about the run is configured here — a worker cannot disagree
+// with its coordinator about the arithmetic. On exit it prints its own
+// peak resident set as one "peak_rss_bytes=N" line on stdout, which is
+// where a spawning checker (faultyrank -rank-spawn) reads it.
 package main
 
 import (
@@ -28,8 +24,8 @@ import (
 	"time"
 
 	"faultyrank/internal/core"
-	"faultyrank/internal/graph"
 	"faultyrank/internal/inject"
+	"faultyrank/internal/telemetry"
 	"faultyrank/internal/wire"
 )
 
@@ -37,98 +33,35 @@ func main() {
 	os.Exit(realMain())
 }
 
-func fail(err error) int {
-	log.Print(err)
-	return 1
-}
-
 func realMain() int {
 	log.SetFlags(0)
 	log.SetPrefix("frrankd: ")
-	def := core.DefaultOptions()
 	var (
 		connect   = flag.String("connect", "", "coordinator rank-exchange address (host:port, required)")
-		part      = flag.Int("part", -1, "partition index to serve (required unless -shard names it)")
-		shardPath = flag.String("shard", "", "pre-loaded FRSG shard file (default: the coordinator ships the shard over the link)")
+		part      = flag.Int("part", -1, "partition index to serve (required)")
 		workers   = flag.Int("workers", 1, "parallelism of the local gather kernel")
 		opTimeout = flag.Duration("op-timeout", 30*time.Second, "per-frame read/write deadline on the superstep link")
-		weight    = flag.Float64("unpaired-weight", def.UnpairedWeight, "unpaired edge weight in the reversed graph (must match the coordinator)")
-		smoothing = flag.Float64("smoothing", def.Smoothing, "rank smoothing factor sigma (must match the coordinator)")
-		leaky     = flag.Bool("leaky", def.LeakyDistribution, "distribute rank by out-degree instead of in-edge weights (must match the coordinator)")
 		failUps   = flag.Int("fail-after-ups", -1, "crash the worker after this many upstream frames (fault injection; <0 = disabled)")
-		verbose   = flag.Bool("v", false, "log handshake and completion details")
+		verbose   = flag.Bool("v", false, "log completion")
 	)
 	flag.Parse()
 
-	if *connect == "" {
-		return fail(fmt.Errorf("-connect is required"))
+	if *connect == "" || *part < 0 {
+		log.Print("-connect and -part are required")
+		return 1
 	}
-	if *shardPath == "" && *part < 0 {
-		return fail(fmt.Errorf("-part is required when no -shard file names the partition"))
-	}
-
-	opt := def
-	opt.Workers = *workers
-	opt.UnpairedWeight = *weight
-	opt.Smoothing = *smoothing
-	opt.LeakyDistribution = *leaky
-
-	ctx := context.Background()
-	var (
-		sub  *graph.SubGraph
-		link core.Link
-		conn *wire.RankConn
-		err  error
-	)
-	if *shardPath != "" {
-		// Pre-loaded shard: the Hello carries its canonical fingerprint
-		// and the K it was built for, so a coordinator with a different
-		// plan refuses this worker instead of accepting garbage.
-		sub, err = graph.ReadShardFile(*shardPath)
-		if err != nil {
-			return fail(fmt.Errorf("loading shard: %w", err))
-		}
-		if *part >= 0 && *part != sub.Part {
-			return fail(fmt.Errorf("-part %d but %s holds partition %d", *part, *shardPath, sub.Part))
-		}
-		conn, err = wire.DialRankLink(ctx, *connect, sub.Part, len(sub.SendTo), sub.Fingerprint(), wire.DefaultRetryPolicy(), *opTimeout)
-		if err != nil {
-			return fail(fmt.Errorf("dialing %s: %w", *connect, err))
-		}
-	} else {
-		// No shard: announce with Sum 0 and the coordinator ships the
-		// canonical FRSG blob before the first Init.
-		var blob []byte
-		conn, blob, err = wire.JoinRankShipped(ctx, *connect, *part, wire.DefaultRetryPolicy(), *opTimeout)
-		if err != nil {
-			return fail(fmt.Errorf("dialing %s: %w", *connect, err))
-		}
-		sub, err = graph.DecodeSubGraph(blob)
-		if err != nil {
-			conn.Close()
-			return fail(fmt.Errorf("shipped shard: %w", err))
-		}
-		if sub.Part != *part {
-			conn.Close()
-			return fail(fmt.Errorf("coordinator shipped partition %d, want %d", sub.Part, *part))
-		}
-	}
-	defer conn.Close()
-	if *verbose {
-		log.Printf("partition %d: %d locals, %d ghosts, %d cut edges, fingerprint %#x",
-			sub.Part, sub.NLocal(), len(sub.Ghosts), sub.CutEdges, sub.Fingerprint())
-	}
-
-	link = conn
+	var wrap func(core.Link) core.Link
 	if *failUps >= 0 {
-		f := &inject.RankFault{CrashAfterUps: *failUps}
-		link = f.WrapLink(link)
+		wrap = (&inject.RankFault{CrashAfterUps: *failUps}).WrapLink
 	}
-	if err := core.RunPartition(core.NewPartState(sub, opt), link); err != nil {
-		return fail(fmt.Errorf("partition %d: %w", sub.Part, err))
+	err := wire.ServeRankWorker(context.Background(), *connect, *part, *workers, *opTimeout, wrap)
+	fmt.Printf("peak_rss_bytes=%d\n", telemetry.PeakRSS())
+	if err != nil {
+		log.Printf("partition %d: %v", *part, err)
+		return 1
 	}
 	if *verbose {
-		log.Printf("partition %d done", sub.Part)
+		log.Printf("partition %d done", *part)
 	}
 	return 0
 }

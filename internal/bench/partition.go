@@ -7,6 +7,7 @@ import (
 	"faultyrank/internal/checker"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
+	"faultyrank/internal/telemetry"
 	"faultyrank/internal/workload"
 )
 
@@ -17,8 +18,11 @@ import (
 // finding for finding (the decomposition is exact, so any divergence is
 // a bug, and PartitionMeasure fails rather than tabulating it).
 type PartitionRow struct {
-	K          int
-	Transport  string
+	K int
+	// Workers says who ran the gather: the single "kernel" (k = 1),
+	// "goroutine" rank workers of the checker, or "spawned" frrankd
+	// processes. Every k > 1 run goes through the same TCP exchange.
+	Workers    string
 	Iterations int
 	Supersteps int
 	// CutEdges counts row entries whose column lives on another
@@ -30,11 +34,13 @@ type PartitionRow struct {
 	UpBytes, DownBytes, StepBytes int64
 	RankSeconds                   float64
 	Findings                      int
-	// MaxWorkerRSS is the largest spawned worker's peak resident set in
-	// bytes (spawned runs only, 0 otherwise) — the observable of the
-	// ROADMAP item-1 trajectory: per-worker RSS should approach 1/K of
-	// the single process as shards shrink.
-	MaxWorkerRSS int64
+	// MaxWorkerRSS is the largest spawned worker's self-reported peak
+	// resident set in bytes (spawned runs only, 0 otherwise).
+	// CheckerRSS is this process's own high-water mark once the run has
+	// finished — it holds the images and the whole graph, and only ever
+	// grows across the sweep. The two are the memory side of ROADMAP
+	// item 3.
+	MaxWorkerRSS, CheckerRSS int64
 }
 
 // partitionCounts is the sweep the artifact reports.
@@ -89,14 +95,18 @@ func PartitionMeasure(scale Scale, workers int, spawn string) ([]PartitionRow, e
 		}
 		row := PartitionRow{
 			K:           k,
-			Transport:   "single",
+			Workers:     "kernel",
 			Iterations:  res.Rank.Iterations,
 			Supersteps:  res.Rank.Iterations,
 			RankSeconds: res.TRank.Seconds(),
 			Findings:    len(res.Findings),
+			CheckerRSS:  telemetry.PeakRSS(),
 		}
 		if man := res.RankExec; man != nil {
-			row.Transport = man.Transport
+			row.Workers = "goroutine"
+			if man.Remote {
+				row.Workers = "spawned"
+			}
 			row.Supersteps = man.Supersteps
 			row.CutEdges = man.CutEdges
 			row.UpBytes = man.UpBytes
@@ -142,8 +152,8 @@ func PartitionTable(rows []PartitionRow) *Table {
 	t := &Table{
 		Title: "Rank-stage partition scaling (BSP supersteps over TCP, 1 MDT + 8 OSTs)",
 		Columns: []string{
-			"k", "transport", "iters", "supersteps", "cut-edges",
-			"up MiB", "down MiB", "KiB/step", "rank(s)", "worker MiB", "findings",
+			"k", "workers", "iters", "supersteps", "cut-edges",
+			"up MiB", "down MiB", "KiB/step", "rank(s)", "worker MiB", "checker MiB", "findings",
 		},
 	}
 	for _, r := range rows {
@@ -153,7 +163,7 @@ func PartitionTable(rows []PartitionRow) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.K),
-			r.Transport,
+			r.Workers,
 			fmt.Sprintf("%d", r.Iterations),
 			fmt.Sprintf("%d", r.Supersteps),
 			fmt.Sprintf("%d", r.CutEdges),
@@ -162,6 +172,7 @@ func PartitionTable(rows []PartitionRow) *Table {
 			fmt.Sprintf("%.1f", float64(r.StepBytes)/(1<<10)),
 			fmt.Sprintf("%.4f", r.RankSeconds),
 			workerRSS,
+			mib(r.CheckerRSS),
 			fmt.Sprintf("%d", r.Findings),
 		})
 	}
@@ -169,6 +180,7 @@ func PartitionTable(rows []PartitionRow) *Table {
 		"k=1 is the legacy single-process kernel; partitioned rows are bit-identical to it by construction (the run fails if not)",
 		"cut-edges drive the ghost exchange; KiB/step is the steady per-iteration frame volume (canonical encoded sizes)",
 		"rank(s) includes partitioning, the superstep exchange and classification — the paper's T_FR column shape",
-		"worker MiB is the largest spawned frrankd process's peak RSS (-rank-spawn runs; '-' when workers ran in process)")
+		"worker MiB is the largest spawned frrankd process's peak RSS as the process itself reports it (VmHWM; -rank-spawn runs, '-' when workers ran in process)",
+		"checker MiB is this process's own VmHWM after the row's run — a high-water mark, so it never falls from one row to the next")
 	return t
 }

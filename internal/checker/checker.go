@@ -59,9 +59,6 @@ type Options struct {
 	// missing servers. False (the default) keeps the strict behaviour —
 	// any stream failure aborts the run.
 	AllowDegraded bool
-	// Retry is the sender-side dial retry policy (zero value = the
-	// wire default: 3 attempts with exponential backoff).
-	Retry wire.RetryPolicy
 	// NetFaults injects a network fault into the named servers' chunk
 	// streams on the TCP path — the test/bench hook for exercising the
 	// failure model (nil = no faults).
@@ -72,10 +69,9 @@ type Options struct {
 	// <= 1 runs the legacy single-process kernel. The partitioned path
 	// is exact — ranks and findings are bit-identical to the
 	// single-process kernel for any worker count — so this trades
-	// nothing but exchange overhead for per-partition parallelism. With
-	// UseTCP the workers run behind real localhost TCP links (the
-	// deployment shape: rank shards on separate nodes); otherwise they
-	// are in-process goroutines on channel links.
+	// nothing but exchange overhead for per-partition parallelism. The
+	// workers always sit behind a rank exchange (wire.ServeRankWorker over
+	// TCP links); by default they are goroutines of this process.
 	RankWorkers int
 	// RankFaults injects a crash into the numbered rank partitions'
 	// superstep links — the test/bench hook for the rank-stage failure
@@ -87,21 +83,17 @@ type Options struct {
 
 	// RankListen binds the rank exchange to an explicit address
 	// ("host:port"; empty = a fresh localhost port) so frrankd workers
-	// beyond the loopback can dial in. Setting it forces the TCP rank
-	// path regardless of UseTCP.
+	// beyond the loopback can dial in. Unless RankSpawn is also set, the
+	// checker then starts no workers of its own and waits for
+	// externally-launched frrankd processes — the only reason to choose
+	// the address. A worker that never arrives within OpTimeout fails the
+	// run — or, with AllowDegraded, falls back to the single-process
+	// kernel with the fallback recorded in the rank manifest.
 	RankListen string
-	// RankRemote waits for externally-launched frrankd processes to
-	// dial the exchange instead of spawning in-process dial goroutines.
-	// The coordinator ships each worker its shard over the link (or
-	// validates the fingerprint of a shard the worker pre-loaded); a
-	// worker that never arrives within OpTimeout fails the run — or,
-	// with AllowDegraded, falls back to the single-process kernel with
-	// the fallback recorded in the rank manifest.
-	RankRemote bool
 	// RankSpawn, when non-empty, is the path of an frrankd binary the
-	// checker execs once per partition (implies RankRemote) — the CI
-	// shape proving real process separation on one host. Per-process
-	// peak RSS lands in the rank manifest.
+	// checker execs once per partition — the CI shape proving real
+	// process separation on one host. Each process's self-reported peak
+	// RSS lands in the rank manifest.
 	RankSpawn string
 
 	// RankIncremental runs the frontier-based incremental kernel
@@ -356,9 +348,6 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 	if opt.Core.MaxIterations == 0 {
 		opt.Core = core.DefaultOptions()
 	}
-	if opt.Retry.Attempts == 0 {
-		opt.Retry = wire.DefaultRetryPolicy()
-	}
 	res := &Result{Coverage: Coverage{Total: len(images)}}
 	obs := newRunObs(opt.Metrics, opt.Journal)
 	ctx, root := telemetry.StartSpan(ctx, "run")
@@ -547,7 +536,7 @@ func streamInProcess(ctx context.Context, images []*ldiskfs.Image, sink scanner.
 // still sweeping — transfer no longer waits for a whole encoded
 // partial.
 //
-// Failure handling: dials are retried per opt.Retry; opt.ScanTimeout
+// Failure handling: dials are retried per the wire default; opt.ScanTimeout
 // bounds the whole stage; when a stream is lost the degraded collector
 // keeps the surviving streams flowing, while strict mode aborts the
 // siblings and fails the run. The transfer counters land in res.Net.
@@ -594,7 +583,7 @@ func streamOverTCP(ctx context.Context, images []*ldiskfs.Image, builder *agg.Bu
 					"server", label, "err", errs[i].Error())
 				return
 			}
-			cs, err := wire.DialChunkStreamObserved(ctx, addr, opt.Retry, opt.OpTimeout, obs.wireM, srvWire)
+			cs, err := wire.DialChunkStreamObserved(ctx, addr, wire.DefaultRetryPolicy(), opt.OpTimeout, obs.wireM, srvWire)
 			if err != nil {
 				errs[i] = err
 				obs.journal.Record("checker", "scan-failed",

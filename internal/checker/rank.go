@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"faultyrank/internal/core"
@@ -16,10 +17,12 @@ import (
 // Partitioned rank orchestration: when Options.RankWorkers > 1, the
 // checker shards the CSR by the aggregator's FID hash (the same hash
 // the interner probes by, so the owners map is a pure function of the
-// FID table), spawns one rank worker per partition, and drives the
-// BSP superstep protocol as coordinator. The decomposition is exact, so
-// the only observable differences from the single-process kernel are
-// the per-partition spans, the exchange counters and the rank manifest.
+// FID table), opens a rank exchange, gets one wire.ServeRankWorker per
+// partition started — as a goroutine, as an exec'd frrankd, or by
+// whoever operates the other hosts — and drives the BSP superstep
+// protocol as coordinator. The decomposition is exact, so the only
+// observable differences from the single-process kernel are the
+// per-partition spans, the exchange counters and the rank manifest.
 
 // RankManifest is the rank section of the cluster manifest: how the
 // graph was sharded, what each superstep exchanged, and — in degraded
@@ -27,25 +30,22 @@ import (
 type RankManifest struct {
 	// Partitions is the rank worker count (Options.RankWorkers).
 	Partitions int `json:"partitions"`
-	// Transport is "in-process" or "tcp" — which link flavour carried
-	// the superstep frames.
-	Transport string `json:"transport"`
 	// Supersteps is the iteration count the exchange drove.
 	Supersteps int `json:"supersteps"`
 	// UpBytes/DownBytes are run totals of canonical encoded frame sizes
-	// (identical on both transports by construction).
+	// (the shipped shards are not superstep traffic and not counted).
 	UpBytes   int64 `json:"up_bytes"`
 	DownBytes int64 `json:"down_bytes"`
 	// CutEdges counts row entries whose column lives on another
 	// partition — the ghost traffic driver.
 	CutEdges int64 `json:"cut_edges"`
 	// Remote records that the workers were separate frrankd processes
-	// (Options.RankRemote / RankSpawn) rather than goroutines of the
-	// checker.
+	// (Options.RankSpawn, or awaited on Options.RankListen) rather than
+	// goroutines of the checker.
 	Remote bool `json:"remote,omitempty"`
 	// WorkerRSS, on spawned runs, is each partition's peak resident set
-	// in bytes (wait4 rusage) — the observable the ROADMAP item-1 exit
-	// criterion (per-worker RSS near 1/K) is judged on.
+	// in bytes as the worker process itself reports it at exit (0 where
+	// it reported none) — the memory side of ROADMAP item 3.
 	WorkerRSS []int64 `json:"worker_rss,omitempty"`
 	// Fallback, when set, records the degraded path: a partition's link
 	// broke mid-exchange, and the ranks were recomputed on the
@@ -91,30 +91,10 @@ func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 
 	man := &RankManifest{
 		Partitions: k,
-		Transport:  "in-process",
 		CutEdges:   plan.CutEdges(),
+		Remote:     opt.RankSpawn != "" || opt.RankListen != "",
 	}
-	// Remote workers and explicit bind addresses only exist over TCP, so
-	// either forces the socket path even when the scan ran in process.
-	tcpRank := opt.UseTCP || opt.rankRemote() || opt.RankListen != ""
-	if tcpRank {
-		man.Transport = "tcp"
-	}
-
-	var (
-		rank *core.Result
-		rep  *core.ExchangeReport
-		err  error
-	)
-	if tcpRank {
-		rank, rep, err = rankOverTCP(ctx, plan, opt, obs, man)
-	} else {
-		// Goroutine workers on channel link pairs — same protocol, same
-		// frames, no sockets.
-		rank, rep, err = core.RunPartitioned(plan, opt.Core, func(p int, wopt core.Options, link core.Link) error {
-			return workerLoop(ctx, plan, p, wopt, opt, link)
-		})
-	}
+	rank, rep, err := rankOverExchange(ctx, plan, opt, obs, man)
 	if rep != nil {
 		man.Supersteps = len(rep.Supersteps)
 		man.UpBytes = rep.UpBytes
@@ -165,24 +145,7 @@ func journalIterations(obs *runObs, kind string, prev func(int, float64)) func(i
 	}
 }
 
-// workerLoop is one rank worker's lifetime under its own telemetry
-// span, with any injected fault interposed on the link.
-func workerLoop(ctx context.Context, plan *graph.Plan, p int, wopt core.Options, opt Options, link core.Link) error {
-	_, sp := telemetry.StartSpan(ctx, fmt.Sprintf("rank:p%d", p))
-	defer sp.End()
-	if f := opt.RankFaults[p]; f != nil {
-		link = f.WrapLink(link)
-	}
-	return core.RunPartition(core.NewPartState(plan.Parts[p], wopt), link)
-}
-
-// rankRemote reports whether the rank workers are separate processes:
-// externally launched (RankRemote) or exec'd by the checker (RankSpawn).
-func (opt Options) rankRemote() bool {
-	return opt.RankRemote || opt.RankSpawn != ""
-}
-
-// handshakeTimeout bounds the wait for remote workers to dial in. A
+// handshakeTimeout bounds the wait for worker processes to dial in. A
 // worker that never arrives must become an error, not a hang — even
 // when no OpTimeout was configured.
 func (opt Options) handshakeTimeout() time.Duration {
@@ -192,53 +155,44 @@ func (opt Options) handshakeTimeout() time.Duration {
 	return 60 * time.Second
 }
 
-// rankOverTCP runs the deployment shape: an exchange (localhost by
-// default, Options.RankListen to go beyond it) accepts one dialing
-// worker per partition — in-process dial goroutines normally, separate
-// frrankd processes with RankRemote/RankSpawn — validates each Hello
-// against the plan, and ships shards to workers that arrive without
-// one. A worker that crashes mid-superstep drops its connection; the
-// coordinator's read fails within OpTimeout and Coordinate returns a
-// PartError naming the partition — closing the exchange then releases
-// the surviving workers, so nothing hangs. A worker that fails before
-// the handshake (dial fault, dead process) is reported as the first
-// recorded worker error, wrapped with its partition index, instead of
-// vanishing behind the generic accept failure.
-func rankOverTCP(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs, man *RankManifest) (*core.Result, *core.ExchangeReport, error) {
+// rankOverExchange runs the one partitioned shape: an exchange
+// (localhost by default) accepts one dialing worker per partition, ships
+// it its shard, and the coordinator drives the supersteps. Who started
+// the workers is the only thing that varies: the checker execs
+// RankSpawn once per partition; or, with RankListen set and nothing to
+// spawn, somebody else starts frrankd processes against that address
+// and the checker waits for them; or, by default, the workers are
+// goroutines of this process. A worker that crashes mid-superstep drops
+// its connection; the coordinator's read fails within OpTimeout and
+// Coordinate returns a PartError naming the partition — closing the
+// exchange then releases the surviving workers, so nothing hangs. A
+// worker that fails before the handshake (dial fault, dead process) is
+// reported as the first recorded worker error, wrapped with its
+// partition index, instead of vanishing behind the generic accept
+// failure.
+func rankOverExchange(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs, man *RankManifest) (*core.Result, *core.ExchangeReport, error) {
 	x, addr, err := wire.NewRankExchange(opt.RankListen, opt.OpTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer x.Close()
 	x.Observe(obs.wireM)
-	man.Remote = opt.rankRemote()
 
-	// A worker that cannot even dial would leave the accept loop waiting
-	// for a connection that never comes; cancelling the handshake context
-	// turns that into a prompt error instead.
+	// A goroutine worker that cannot even dial would leave the accept
+	// loop waiting for a connection that never comes; cancelling the
+	// handshake context turns that into a prompt error instead.
 	rankCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Canonical shard blobs: their fingerprints are what a valid Hello
-	// must carry, and the blobs themselves are shipped to workers that
-	// announce with none.
-	blobs := make([][]byte, plan.K)
-	sums := make([]uint64, plan.K)
-	for p, sub := range plan.Parts {
-		blobs[p] = graph.EncodeSubGraph(sub)
-		sums[p] = graph.FingerprintShard(blobs[p])
-	}
-	spec := wire.WorkerSpec{
-		K:     plan.K,
-		Sums:  sums,
-		Shard: func(p int) []byte { return blobs[p] },
-	}
 
 	// First worker error, in arrival order, wrapped with its partition —
 	// the root cause to surface when the handshake fails.
 	var (
 		workerOnce sync.Once
 		workerErr  error
+		// accepted flips once every worker has its shard: from then on a
+		// worker's failure reaches the coordinator over its own link, which
+		// names the partition, and must not cancel the healthy links.
+		accepted atomic.Bool
 	)
 	recordErr := func(p int, err error) {
 		workerOnce.Do(func() {
@@ -246,49 +200,61 @@ func rankOverTCP(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs
 		})
 	}
 
-	wopt := opt.Core.PerPartition(plan.K)
+	workers := opt.Core.PartitionWorkers(plan.K)
+	// Worker processes get a bounded time to dial in; goroutine workers
+	// need none, their failure to dial cancels the handshake itself.
+	var handshake time.Duration
+	if man.Remote {
+		handshake = opt.handshakeTimeout()
+	}
 	var wg sync.WaitGroup
 	var procs *spawnedWorkers
-	if opt.rankRemote() {
-		spec.HandshakeTimeout = opt.handshakeTimeout()
-		if opt.RankSpawn != "" {
-			procs, err = spawnRankWorkers(opt, plan, addr, wopt.Workers, recordErr)
-			if err != nil {
-				return nil, nil, err
-			}
+	switch {
+	case opt.RankSpawn != "":
+		procs, err = spawnRankWorkers(opt, plan.K, addr, workers, recordErr)
+		if err != nil {
+			return nil, nil, err
 		}
-	} else {
+	case opt.RankListen != "":
+		// Somebody else starts them.
+	default:
 		for p := 0; p < plan.K; p++ {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				if f := opt.RankFaults[p]; f != nil && f.FailDial {
-					recordErr(p, inject.ErrRankDialFault)
-					cancel()
-					return
+				_, sp := telemetry.StartSpan(rankCtx, fmt.Sprintf("rank:p%d", p))
+				defer sp.End()
+				var err error
+				switch f := opt.RankFaults[p]; {
+				case f == nil:
+					err = wire.ServeRankWorker(rankCtx, addr, p, workers, opt.OpTimeout, nil)
+				case f.FailDial:
+					err = inject.ErrRankDialFault
+				default:
+					err = wire.ServeRankWorker(rankCtx, addr, p, workers, opt.OpTimeout, f.WrapLink)
 				}
-				conn, err := wire.DialRankLink(rankCtx, addr, p, plan.K, sums[p], opt.Retry, opt.OpTimeout)
 				if err != nil {
-					recordErr(p, fmt.Errorf("dialing rank exchange: %w", err))
-					cancel()
-					return
-				}
-				defer conn.Close()
-				if err := workerLoop(rankCtx, plan, p, wopt, opt, conn); err != nil {
 					recordErr(p, err)
+					if !accepted.Load() {
+						cancel()
+					}
 				}
 			}(p)
 		}
 	}
-
-	links, err := x.AcceptWorkers(rankCtx, spec)
-	if err != nil {
+	// finish waits the cohort out once the exchange is closed under it.
+	finish := func() {
 		x.Close()
-		cancel()
 		wg.Wait()
 		if procs != nil {
 			man.WorkerRSS = procs.finish(opt.handshakeTimeout())
 		}
+	}
+
+	links, err := x.AcceptWorkers(rankCtx, plan.Parts, handshake)
+	if err != nil {
+		cancel()
+		finish()
 		// The accept failure is usually downstream of a worker's own
 		// death (it never dialed, or died pre-handshake); the recorded
 		// worker error is the root cause and names the partition.
@@ -297,11 +263,8 @@ func rankOverTCP(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs
 		}
 		return nil, nil, fmt.Errorf("checker: rank worker handshake: %w", err)
 	}
+	accepted.Store(true)
 	rank, rep, err := core.Coordinate(plan, links, opt.Core)
-	x.Close()
-	wg.Wait()
-	if procs != nil {
-		man.WorkerRSS = procs.finish(opt.handshakeTimeout())
-	}
+	finish()
 	return rank, rep, err
 }

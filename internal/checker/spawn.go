@@ -3,27 +3,24 @@ package checker
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"time"
-
-	"faultyrank/internal/graph"
 )
 
 // Spawned rank workers: with Options.RankSpawn the checker execs one
 // frrankd process per partition against its own exchange — real process
 // separation on one host, the CI-checkable step toward workers on other
-// hosts. Each process receives the kernel knobs the worker side of the
-// superstep protocol actually reads (workers, smoothing, unpaired
-// weight, leaky distribution) so its arithmetic is the coordinator's
-// arithmetic, and dials back with a no-shard Hello; the coordinator
-// ships the shard over the link.
+// hosts. A process is told where to dial, which partition to announce,
+// how many sweep workers it may use and its op timeout; its shard and
+// its kernel constants arrive over the link like any other worker's.
 
 // rankProc is one exec'd frrankd worker.
 type rankProc struct {
 	part   int
 	cmd    *exec.Cmd
+	stdout bytes.Buffer
 	stderr bytes.Buffer
 	done   chan struct{}
 	err    error
@@ -40,19 +37,14 @@ type spawnedWorkers struct {
 // the handshake surfaces as its own failure rather than a bare accept
 // timeout. On a start failure the already-started processes are killed
 // and reaped before returning.
-func spawnRankWorkers(opt Options, plan *graph.Plan, addr string, workers int, recordErr func(int, error)) (*spawnedWorkers, error) {
+func spawnRankWorkers(opt Options, k int, addr string, workers int, recordErr func(int, error)) (*spawnedWorkers, error) {
 	s := &spawnedWorkers{}
-	for p := 0; p < plan.K; p++ {
+	for p := 0; p < k; p++ {
 		args := []string{
 			"-connect", addr,
 			"-part", fmt.Sprintf("%d", p),
 			"-workers", fmt.Sprintf("%d", workers),
 			"-op-timeout", opt.handshakeTimeout().String(),
-			"-unpaired-weight", fmt.Sprintf("%g", opt.Core.UnpairedWeight),
-			"-smoothing", fmt.Sprintf("%g", opt.Core.Smoothing),
-		}
-		if opt.Core.LeakyDistribution {
-			args = append(args, "-leaky")
 		}
 		// The injected-crash hook crosses the process boundary as a flag,
 		// so fault campaigns drive spawned workers exactly like link-
@@ -63,7 +55,7 @@ func spawnRankWorkers(opt Options, plan *graph.Plan, addr string, workers int, r
 		proc := &rankProc{part: p, done: make(chan struct{})}
 		proc.cmd = exec.Command(opt.RankSpawn, args...)
 		proc.cmd.Stderr = &proc.stderr
-		proc.cmd.Stdout = os.Stdout
+		proc.cmd.Stdout = &proc.stdout
 		if err := proc.cmd.Start(); err != nil {
 			err = fmt.Errorf("checker: spawning rank worker %d (%s): %w", p, opt.RankSpawn, err)
 			s.kill()
@@ -98,7 +90,9 @@ func (s *spawnedWorkers) kill() {
 // finish reaps the cohort — waiting up to grace for each process to
 // exit on its own (the closed exchange ends them within their op
 // timeout), then killing stragglers — and returns each partition's peak
-// resident set in bytes (0 where the platform exposes none).
+// resident set in bytes, as the worker reported it on its stdout when it
+// exited (0 where it reported none: a killed worker, a platform without
+// /proc).
 func (s *spawnedWorkers) finish(grace time.Duration) []int64 {
 	rss := make([]int64, len(s.procs))
 	timer := time.NewTimer(grace)
@@ -112,7 +106,20 @@ func (s *spawnedWorkers) finish(grace time.Duration) []int64 {
 			s.kill()
 			<-proc.done
 		}
-		rss[i] = peakRSS(proc.cmd)
+		rss[i] = reportedPeakRSS(proc.stdout.String())
 	}
 	return rss
+}
+
+// reportedPeakRSS finds the "peak_rss_bytes=N" line an frrankd prints on
+// exit. The process measures itself: the rusage wait4 hands the parent
+// would be the parent's own high-water mark (see telemetry.PeakRSS).
+func reportedPeakRSS(stdout string) int64 {
+	for _, line := range strings.Split(stdout, "\n") {
+		if v, ok := strings.CutPrefix(line, "peak_rss_bytes="); ok {
+			n, _ := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			return n
+		}
+	}
+	return 0
 }

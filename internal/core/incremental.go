@@ -93,7 +93,7 @@ func (s *blkSet) reset() {
 // their neighbours in both orientations — every equation that reads a
 // changed adjacency list, out-degree, or in-weight — then expands the
 // set along dependency edges while per-vertex movement exceeds a bound
-// derived from Epsilon (Options.FrontierSlack). Vertices outside the
+// derived from Epsilon (frontierSlack). Vertices outside the
 // active set keep their warm values untouched.
 //
 // Exactness is restored at the end: convergence is only declared after a
@@ -118,7 +118,7 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	}
 	// theta is on the raw rank scale: Diffs divide by blend before the
 	// Epsilon comparison, so the comparable per-write bound scales back.
-	theta := opt.Epsilon * opt.frontierSlack() * blend
+	theta := opt.Epsilon * frontierSlack * blend
 	satCap := n
 	if f := opt.frontierSaturation(); f < 1 {
 		satCap = int(f * float64(n))

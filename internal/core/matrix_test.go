@@ -14,7 +14,9 @@ import (
 )
 
 // runOverTCP is core.RunPartitioned with the channel links replaced by
-// dialed wire.RankConn links: every frame crosses the versioned codec.
+// the rank exchange: each worker is a wire.ServeRankWorker goroutine, so
+// its shard, its kernel constants and every frame cross the versioned
+// codecs.
 func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -24,27 +26,17 @@ func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	sums := make([]uint64, plan.K)
-	for p, sub := range plan.Parts {
-		sums[p] = sub.Fingerprint()
-	}
 	var wg sync.WaitGroup
 	for p := 0; p < plan.K; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			link, err := wire.DialRankLink(ctx, addr, p, plan.K, sums[p], wire.DefaultRetryPolicy(), 5*time.Second)
-			if err != nil {
-				t.Errorf("worker %d dial: %v", p, err)
-				return
-			}
-			defer link.Close()
-			if err := core.RunPartition(core.NewPartState(plan.Parts[p], opt.PerPartition(plan.K)), link); err != nil {
+			if err := wire.ServeRankWorker(ctx, addr, p, opt.PartitionWorkers(plan.K), 5*time.Second, nil); err != nil {
 				t.Errorf("worker %d: %v", p, err)
 			}
 		}(p)
 	}
-	links, err := x.AcceptWorkers(ctx, wire.WorkerSpec{K: plan.K, Sums: sums})
+	links, err := x.AcceptWorkers(ctx, plan.Parts, 0)
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
@@ -92,7 +84,7 @@ func TestBitIdentityMatrix(t *testing.T) {
 						}
 						same("Run", core.Run(b, opt))
 						for _, plan := range plans {
-							got, _, err := core.RunPartitioned(plan, opt, nil)
+							got, _, err := core.RunPartitioned(plan, opt)
 							if err != nil {
 								t.Fatalf("workers=%d K=%d LinkPair: %v", workers, plan.K, err)
 							}

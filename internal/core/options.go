@@ -109,19 +109,6 @@ type Options struct {
 	// series.
 	ConvergenceTrace bool
 
-	// TraceCap bounds Result.Trace when ConvergenceTrace is set; <=0 uses
-	// DefaultTraceCap. Iterations beyond the cap still run and still
-	// append to Diffs — only the detailed trace stops growing.
-	TraceCap int
-
-	// FrontierSlack scales RunIncremental's propagation bound: a vertex
-	// whose rank moved by more than Epsilon·FrontierSlack (on the
-	// unsmoothed Epsilon scale) re-activates its dependents. Smaller is
-	// more conservative (larger frontiers, closer tracking of the cold
-	// sweep); <=0 uses DefaultFrontierSlack. The verification sweep that
-	// gates convergence makes the final criterion exact regardless.
-	FrontierSlack float64
-
 	// FrontierSaturation is the fraction of vertices beyond which
 	// RunIncremental stops maintaining frontiers and iterates full
 	// sweeps for the rest of the run — past that point the bookkeeping
@@ -138,23 +125,18 @@ type Options struct {
 	OnIteration func(iter int, maxDelta float64)
 }
 
-// DefaultFrontierSlack is the propagation-bound fraction of Epsilon used
-// when Options.FrontierSlack is unset. 1/8 keeps the per-vertex drift a
-// frontier iteration may silently accumulate well under the convergence
-// bound, so the verification sweep rarely has to re-open the frontier.
-const DefaultFrontierSlack = 0.125
+// frontierSlack scales RunIncremental's propagation bound: a vertex
+// whose rank moved by more than Epsilon·frontierSlack (on the unsmoothed
+// Epsilon scale) re-activates its dependents. 1/8 keeps the per-vertex
+// drift a frontier iteration may silently accumulate well under the
+// convergence bound, so the verification sweep — which makes the final
+// criterion exact regardless — rarely has to re-open the frontier.
+const frontierSlack = 0.125
 
 // DefaultFrontierSaturation is the active fraction of N at which
 // RunIncremental falls back to full sweeps when Options.FrontierSaturation
 // is unset.
 const DefaultFrontierSaturation = 0.25
-
-func (o Options) frontierSlack() float64 {
-	if o.FrontierSlack <= 0 {
-		return DefaultFrontierSlack
-	}
-	return o.FrontierSlack
-}
 
 func (o Options) frontierSaturation() float64 {
 	if o.FrontierSaturation <= 0 {
@@ -163,10 +145,11 @@ func (o Options) frontierSaturation() float64 {
 	return o.FrontierSaturation
 }
 
-// DefaultTraceCap bounds Result.Trace when Options.TraceCap is unset.
-// Runs converge in <20 iterations (paper §III), so 64 records every
-// realistic run while keeping a pathological non-converging loop from
-// growing the trace without bound.
+// DefaultTraceCap bounds Result.Trace when ConvergenceTrace is set.
+// Iterations beyond it still run and still append to Diffs — only the
+// detailed trace stops growing. Runs converge in <20 iterations (paper
+// §III), so 64 records every realistic run while keeping a pathological
+// non-converging loop from growing the trace without bound.
 const DefaultTraceCap = 64
 
 // DefaultOptions returns the configuration used throughout the paper's
@@ -190,13 +173,6 @@ func (o Options) attributionSlack() float64 {
 		return 2.0
 	}
 	return o.AttributionSlack
-}
-
-func (o Options) traceCap() int {
-	if o.TraceCap <= 0 {
-		return DefaultTraceCap
-	}
-	return o.TraceCap
 }
 
 func (o Options) workers() int {

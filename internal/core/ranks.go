@@ -16,9 +16,9 @@ type Result struct {
 	// (the convergence trace; useful for the ablation benches).
 	Diffs []float64
 	// Trace is the detailed per-iteration record — populated only when
-	// Options.ConvergenceTrace is set, and capped at Options.TraceCap
-	// entries (DefaultTraceCap when unset). Values are worker-count
-	// insensitive up to float summation order, like the ranks themselves.
+	// Options.ConvergenceTrace is set, and capped at DefaultTraceCap
+	// entries. Values are worker-count insensitive up to float summation
+	// order, like the ranks themselves.
 	Trace []IterStats
 	// Frontier records what the incremental kernel touched; nil for full
 	// Run sweeps (including RunIncremental calls that delegated to Run).
@@ -138,7 +138,7 @@ func (r *Result) recordIteration(opt Options, rawDiff, sinkA, sinkB float64) boo
 		diff /= blend
 	}
 	r.Diffs = append(r.Diffs, diff)
-	if opt.ConvergenceTrace && len(r.Trace) < opt.traceCap() {
+	if opt.ConvergenceTrace && len(r.Trace) < DefaultTraceCap {
 		r.Trace = append(r.Trace, IterStats{
 			MaxDelta:     diff,
 			SinkMassID:   sinkA,

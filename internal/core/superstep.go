@@ -39,11 +39,12 @@ import (
 
 // RankDelta frame kinds.
 const (
-	// RankHello is the TCP handshake: a dialing worker announces its
-	// partition index before the coordinator starts the protocol.
+	// RankHello is the exchange handshake: a dialing worker announces its
+	// partition index — nothing else — and is shipped its shard.
 	RankHello uint8 = iota + 1
-	// RankInit scatters the (rescaled) initial ranks to one partition;
-	// Halt set means "answer with Done immediately" (zero-iteration runs).
+	// RankInit scatters the (rescaled) initial ranks to one partition
+	// together with the kernel constants its arithmetic reads; Halt set
+	// means "answer with Done immediately" (zero-iteration runs).
 	RankInit
 	// RankUpA carries a partition's phase-A inputs: its local sink
 	// values and its boundary prop values, one bundle per peer.
@@ -63,7 +64,7 @@ const (
 // RankDelta is the single frame type of the superstep exchange; which
 // fields are populated depends on Kind. It crosses the wire via the
 // versioned MsgRankDelta codec (internal/wire) and crosses goroutines
-// verbatim on the in-process path.
+// verbatim on the LinkPair reference path.
 type RankDelta struct {
 	Kind uint8
 	Part uint32
@@ -79,13 +80,14 @@ type RankDelta struct {
 	// requests an immediate Done.
 	Halt bool
 
-	// Sum rides only on Hello frames: the FNV-1a fingerprint of the
-	// worker's shard in canonical FRSG encoding
-	// (graph.(*SubGraph).Fingerprint), with 0 reserved for "no shard,
-	// ship me one". Together with Iter — which Hello reuses to carry the
-	// worker's believed K — it lets the coordinator reject a stale or
-	// mis-pointed worker before any superstep runs.
-	Sum uint64
+	// UnpairedWeight, Smoothing and Leaky ride only on Init: the
+	// Options the worker-side gather reads (Options.UnpairedWeight,
+	// .Smoothing, .LeakyDistribution). The coordinator is their one
+	// source, so a worker cannot run different arithmetic than the run
+	// it serves.
+	UnpairedWeight float64
+	Smoothing      float64
+	Leaky          bool
 
 	// Sink carries the partition's sink-vertex rank values in ascending
 	// local order (Up frames); Ghost the partition's ghost-column
@@ -104,9 +106,9 @@ type RankDelta struct {
 
 // WireSize returns the byte length of the frame's canonical wire
 // encoding (wire.EncodeRankDelta), so exchange accounting reports the
-// same volumes on the in-process and TCP paths.
+// same volumes on channel links and on the exchange.
 func (d *RankDelta) WireSize() int {
-	n := 61 // version, kind, part, iter, 3 floats, sum, halt, 4 counts, bound count
+	n := 69 // version, kind, part, iter, 5 floats, flags, 4 counts, bound count
 	n += 8 * (len(d.Sink) + len(d.Ghost) + len(d.ID) + len(d.Prop))
 	for _, b := range d.Bound {
 		n += 4 + 8*len(b)
@@ -114,8 +116,9 @@ func (d *RankDelta) WireSize() int {
 	return n
 }
 
-// Link is one coordinator<->worker duplex channel. The in-process path
-// uses buffered Go channels; the TCP path is wire.RankConn.
+// Link is one coordinator<->worker duplex channel: wire.RankConn on the
+// rank exchange, buffered Go channels (LocalLink) in the reference
+// driver.
 type Link interface {
 	Send(*RankDelta) error
 	Recv() (*RankDelta, error)
@@ -131,36 +134,6 @@ type PartError struct {
 func (e *PartError) Error() string { return fmt.Sprintf("rank partition %d: %v", e.Part, e.Err) }
 func (e *PartError) Unwrap() error { return e.Err }
 
-// PartState is one rank worker's state: the shard's kernel — which holds
-// the rank vectors, locals per row and scaled ghosts per column — and
-// the sink index lists.
-type PartState struct {
-	Sub *graph.SubGraph
-
-	k *kernel
-
-	// sinkALoc/sinkBLoc list the local indices that are phase A/B
-	// sinks, ascending; their values feed the coordinator's canonical
-	// sink-mass fold.
-	sinkALoc []uint32
-	sinkBLoc []uint32
-}
-
-// NewPartState prepares a worker for RunPartition. opt.Workers bounds
-// this partition's sweep parallelism (see Options.PerPartition).
-func NewPartState(sub *graph.SubGraph, opt Options) *PartState {
-	st := &PartState{Sub: sub, k: shardKernel(sub, opt)}
-	for l := 0; l < sub.NLocal(); l++ {
-		if sub.FwdOff[l] == sub.FwdOff[l+1] {
-			st.sinkALoc = append(st.sinkALoc, uint32(l))
-		}
-		if st.k.invW[l] == 0 {
-			st.sinkBLoc = append(st.sinkBLoc, uint32(l))
-		}
-	}
-	return st
-}
-
 func gatherAt(dst []float64, src []float64, idx []uint32) []float64 {
 	dst = dst[:0]
 	for _, i := range idx {
@@ -169,10 +142,11 @@ func gatherAt(dst []float64, src []float64, idx []uint32) []float64 {
 	return dst
 }
 
-// RunPartition executes one worker's side of the superstep protocol
-// until the coordinator halts it or the link breaks.
-func RunPartition(st *PartState, link Link) error {
-	sub, k := st.Sub, st.k
+// RunPartition executes one worker's side of the superstep protocol on
+// its shard until the coordinator halts it or the link breaks. workers
+// bounds this partition's sweep parallelism (Options.PartitionWorkers);
+// every other knob the gather reads arrives in the Init frame.
+func RunPartition(sub *graph.SubGraph, workers int, link Link) error {
 	nLocal := sub.NLocal()
 	rows := allRows(nLocal)
 
@@ -186,6 +160,12 @@ func RunPartition(st *PartState, link Link) error {
 	if len(init.ID) != nLocal || len(init.Prop) != nLocal {
 		return fmt.Errorf("rank worker %d: Init seed length %d/%d, want %d", sub.Part, len(init.ID), len(init.Prop), nLocal)
 	}
+	k := shardKernel(sub, Options{
+		UnpairedWeight:    init.UnpairedWeight,
+		Smoothing:         init.Smoothing,
+		LeakyDistribution: init.Leaky,
+		Workers:           workers,
+	})
 	// The Init frame is this worker's alone; its seed vectors become the
 	// rank vectors.
 	k.seed(init.ID, init.Prop)
@@ -195,6 +175,18 @@ func RunPartition(st *PartState, link Link) error {
 	}
 	if init.Halt {
 		return done()
+	}
+
+	// The local phase A/B sinks, ascending; their values feed the
+	// coordinator's canonical sink-mass fold.
+	var sinkALoc, sinkBLoc []uint32
+	for l := 0; l < nLocal; l++ {
+		if sub.FwdOff[l] == sub.FwdOff[l+1] {
+			sinkALoc = append(sinkALoc, uint32(l))
+		}
+		if k.invW[l] == 0 {
+			sinkBLoc = append(sinkBLoc, uint32(l))
+		}
 	}
 
 	// Ghost values travel unscaled, as the peers' rank entries; gathers
@@ -215,7 +207,7 @@ func RunPartition(st *PartState, link Link) error {
 	for iter := uint32(0); ; iter++ {
 		// ---- superstep A: ship sinks+boundary, recv shares+ghosts ---
 		upA.Iter = iter
-		upA.Sink = gatherAt(upA.Sink, k.prop, st.sinkALoc)
+		upA.Sink = gatherAt(upA.Sink, k.prop, sinkALoc)
 		for q, sched := range sub.SendTo {
 			upA.Bound[q] = gatherAt(upA.Bound[q], k.prop, sched)
 		}
@@ -239,7 +231,7 @@ func RunPartition(st *PartState, link Link) error {
 		// ---- superstep B ---------------------------------------------
 		upB.Iter = iter
 		upB.Diff = k.phaseA(rows, downA.Base, downA.PerSink)
-		upB.Sink = gatherAt(upB.Sink, k.id, st.sinkBLoc)
+		upB.Sink = gatherAt(upB.Sink, k.id, sinkBLoc)
 		for q, sched := range sub.SendTo {
 			upB.Bound[q] = gatherAt(upB.Bound[q], k.id, sched)
 		}
@@ -426,6 +418,10 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 			Halt: haltNow,
 			ID:   scatter(res.IDRank, sub),
 			Prop: scatter(res.PropRank, sub),
+
+			UnpairedWeight: opt.UnpairedWeight,
+			Smoothing:      opt.Smoothing,
+			Leaky:          opt.LeakyDistribution,
 		}
 		rep.DownBytes += int64(inits[p].WireSize())
 	}
@@ -595,10 +591,10 @@ func checkUps(plan *graph.Plan, ups []*RankDelta, refs []sinkRef) error {
 var errLinkClosed = fmt.Errorf("core: rank link closed")
 
 // LocalLink is one end of an in-process superstep link — the channel
-// counterpart of the TCP wire.RankConn. Closing either end releases
-// both: a blocked Send or Recv returns an error, so a crashed worker
-// surfaces at the coordinator as a named PartError instead of hanging
-// the superstep barrier.
+// counterpart of wire.RankConn, used by the RunPartitioned reference
+// driver. Closing either end releases both: a blocked Send or Recv
+// returns an error, so a crashed worker surfaces at the coordinator as a
+// named PartError instead of hanging the superstep barrier.
 type LocalLink struct {
 	in   chan *RankDelta
 	out  chan *RankDelta
@@ -652,27 +648,18 @@ func (l *LocalLink) Close() error {
 	return nil
 }
 
-// PerPartition returns the options one of k partition workers sweeps
-// with: the run's worker budget divided across the partitions (minimum 1
-// each), everything else unchanged.
-func (o Options) PerPartition(k int) Options {
-	o.Workers = max(o.workers()/k, 1)
-	return o
+// PartitionWorkers is the sweep parallelism of each of k partition
+// workers: the run's worker budget divided across them, minimum 1.
+func (o Options) PartitionWorkers(k int) int {
+	return max(o.workers()/k, 1)
 }
 
 // RunPartitioned executes a partitioned rank run entirely in-process:
-// one goroutine per partition worker on a channel link pair, the calling
-// goroutine as coordinator. Each worker runs worker(p, wopt, link) with
-// the PerPartition options; nil means the plain
-// RunPartition(NewPartState(plan.Parts[p], wopt), link). The checker
-// passes its own to put a span and injected faults around the same call.
-func RunPartitioned(plan *graph.Plan, opt Options, worker func(p int, wopt Options, link Link) error) (*Result, *ExchangeReport, error) {
-	if worker == nil {
-		worker = func(p int, wopt Options, link Link) error {
-			return RunPartition(NewPartState(plan.Parts[p], wopt), link)
-		}
-	}
-	wopt := opt.PerPartition(plan.K)
+// one RunPartition goroutine per partition on a channel link pair, the
+// calling goroutine as coordinator. No frame is encoded, so it is the
+// reference the exchange-borne runs are compared against bit for bit.
+func RunPartitioned(plan *graph.Plan, opt Options) (*Result, *ExchangeReport, error) {
+	workers := opt.PartitionWorkers(plan.K)
 	links := make([]Link, plan.K)
 	ends := make([]*LocalLink, plan.K)
 	var wg sync.WaitGroup
@@ -684,7 +671,7 @@ func RunPartitioned(plan *graph.Plan, opt Options, worker func(p int, wopt Optio
 			defer wg.Done()
 			// A worker error breaks the protocol; closing the pair turns
 			// the coordinator's next wait into a named PartError.
-			if err := worker(p, wopt, end); err != nil {
+			if err := RunPartition(plan.Parts[p], workers, end); err != nil {
 				end.Close()
 			}
 		}(p, end)

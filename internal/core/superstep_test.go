@@ -112,10 +112,9 @@ func TestPartitionedMatchesRunExact(t *testing.T) {
 	o.UnpairedWeight = 0
 	options["weight-zero"] = o
 	o = DefaultOptions()
-	o.Epsilon = 1e-9 // force the iteration cap
-	o.MaxIterations = 12
+	o.Epsilon = 0 // unreachable: run to the iteration cap, past the trace cap
+	o.MaxIterations = DefaultTraceCap + 3
 	o.ConvergenceTrace = true
-	o.TraceCap = 5
 	options["capped-traced"] = o
 
 	for gname, b := range testGraphs(t) {
@@ -124,7 +123,7 @@ func TestPartitionedMatchesRunExact(t *testing.T) {
 			for _, k := range []int{1, 2, 3, 8} {
 				owners := testOwners(b.N(), k, int64(k)*31+int64(len(gname)))
 				plan := graph.PartitionPlan(b, owners, k, 4)
-				got, rep, err := RunPartitioned(plan, opt, nil)
+				got, rep, err := RunPartitioned(plan, opt)
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", gname, oname, k, err)
 				}
@@ -160,7 +159,7 @@ func TestPartitionedWarmStartExact(t *testing.T) {
 	want := Run(b, opt)
 	for _, k := range []int{2, 3} {
 		plan := graph.PartitionPlan(b, testOwners(b.N(), k, 99), k, 4)
-		got, _, err := RunPartitioned(plan, opt, nil)
+		got, _, err := RunPartitioned(plan, opt)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -177,7 +176,7 @@ func TestPartitionedZeroIterations(t *testing.T) {
 	opt.MaxIterations = 0
 	want := Run(b, opt)
 	plan := graph.PartitionPlan(b, testOwners(b.N(), 3, 5), 3, 4)
-	got, rep, err := RunPartitioned(plan, opt, nil)
+	got, rep, err := RunPartitioned(plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

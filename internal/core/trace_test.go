@@ -45,20 +45,19 @@ func TestTraceRecorded(t *testing.T) {
 }
 
 // TestTraceCapBounds: a run that cannot converge stops growing the trace
-// at the cap while Diffs and the iteration count keep going.
+// at DefaultTraceCap while Diffs and the iteration count keep going.
 func TestTraceCapBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	b := randomGraph(r, 100, 600)
 	opt := DefaultOptions()
 	opt.ConvergenceTrace = true
-	opt.TraceCap = 3
 	opt.Epsilon = 0 // unreachable: run to the iteration cap
-	opt.MaxIterations = 10
+	opt.MaxIterations = DefaultTraceCap + 10
 	res := Run(b, opt)
-	if len(res.Trace) != 3 {
+	if len(res.Trace) != DefaultTraceCap {
 		t.Errorf("trace grew past cap: %d entries", len(res.Trace))
 	}
-	if res.Iterations != 10 || len(res.Diffs) != 10 {
+	if res.Iterations != opt.MaxIterations || len(res.Diffs) != opt.MaxIterations {
 		t.Errorf("cap throttled the run itself: %d iterations, %d diffs", res.Iterations, len(res.Diffs))
 	}
 }

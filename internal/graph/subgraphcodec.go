@@ -4,17 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"os"
 
 	"faultyrank/internal/bincodec"
 )
 
-// This file is the SubGraph's wire/disk form: a deterministic, versioned
-// binary codec (FRSG) with which the coordinator — or eventually the
-// aggregator — ships a partition's CSR shard to an out-of-process rank
-// worker (cmd/frrankd) instead of sharing memory with it. It follows the
-// repo's codec discipline (telemetry, FRDB, FRJR):
+// This file is the SubGraph's wire form: a deterministic, versioned
+// binary codec (FRSG) with which the coordinator ships a partition's CSR
+// shard to its rank worker (wire.ServeRankWorker) instead of sharing
+// memory with it. It follows the repo's codec discipline (telemetry,
+// FRDB, FRJR):
 //
 //   - Versioned: the blob starts with "FRSG" | version; a layout change
 //     bumps SubGraphCodecVersion and old blobs fail loudly.
@@ -48,13 +46,8 @@ var subGraphFormat = bincodec.Format{Name: "graph", Malformed: ErrSubGraphCodec,
 // Equal shards always produce identical bytes (every array encodes in
 // its construction order, which PartitionPlan makes canonical).
 func EncodeSubGraph(s *SubGraph) []byte {
-	return AppendSubGraph(nil, s)
-}
-
-// AppendSubGraph appends EncodeSubGraph's blob to buf.
-func AppendSubGraph(buf []byte, s *SubGraph) []byte {
 	le := binary.LittleEndian
-	buf = append(buf, subGraphMagic...)
+	buf := append([]byte(nil), subGraphMagic...)
 	buf = append(buf, SubGraphCodecVersion)
 	buf = le.AppendUint32(buf, uint32(s.Part))
 	buf = le.AppendUint16(buf, uint16(len(s.SendTo)))
@@ -100,28 +93,6 @@ func AppendSubGraph(buf []byte, s *SubGraph) []byte {
 		}
 	}
 	return buf
-}
-
-// Fingerprint is the shard's identity for the rank Hello handshake: an
-// FNV-1a digest of the canonical FRSG encoding, so it covers the
-// partition index, K (the SendTo bundle count), both CSR orientations,
-// the replicated degree metadata, and the ghost/boundary schedules — a
-// worker holding the wrong graph, the wrong K, or a stale shard cannot
-// collide with the coordinator's plan except by hash accident. Never 0
-// for a real shard (the handshake reserves 0 for "no shard, ship one").
-func (s *SubGraph) Fingerprint() uint64 {
-	return FingerprintShard(EncodeSubGraph(s))
-}
-
-// FingerprintShard is Fingerprint over an already-encoded FRSG blob,
-// for callers (the coordinator) that hold the encoding anyway.
-func FingerprintShard(blob []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(blob)
-	if sum := h.Sum64(); sum != 0 {
-		return sum
-	}
-	return 1
 }
 
 // ascending32 decodes a strictly-ascending vector of n u32s (n already
@@ -269,20 +240,4 @@ func DecodeSubGraph(blob []byte) (*SubGraph, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// WriteShardFile atomically writes the shard as an FRSG file (temp file
-// + rename, the WriteJSON discipline), so a worker loading it can never
-// observe a torn write.
-func WriteShardFile(path string, s *SubGraph) error {
-	return bincodec.WriteFileAtomic(path, EncodeSubGraph(s))
-}
-
-// ReadShardFile reads and decodes an FRSG shard file.
-func ReadShardFile(path string) (*SubGraph, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSubGraph(b)
 }

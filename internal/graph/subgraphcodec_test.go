@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -49,9 +47,6 @@ func TestSubGraphCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.RevOff, sub.RevOff) || !reflect.DeepEqual(got.FwdOff, sub.FwdOff) {
 			t.Fatalf("part %d: offsets differ after round trip", sub.Part)
 		}
-		if got.Fingerprint() != sub.Fingerprint() {
-			t.Fatalf("part %d: fingerprint changed across round trip", sub.Part)
-		}
 	}
 }
 
@@ -60,21 +55,6 @@ func normNil[T any](s []T) []T {
 		return nil
 	}
 	return s
-}
-
-func TestSubGraphFingerprintDiscriminates(t *testing.T) {
-	shards := codecShards(t)
-	seen := make(map[uint64]int)
-	for i, sub := range shards {
-		fp := sub.Fingerprint()
-		if fp == 0 {
-			t.Fatalf("shard %d: zero fingerprint (reserved for no-shard Hello)", i)
-		}
-		if j, dup := seen[fp]; dup {
-			t.Fatalf("shards %d and %d share fingerprint %#x", j, i, fp)
-		}
-		seen[fp] = i
-	}
 }
 
 func TestSubGraphCodecRejects(t *testing.T) {
@@ -147,34 +127,9 @@ func TestSubGraphCodecRejects(t *testing.T) {
 	}, ErrSubGraphCodec)
 }
 
-func TestShardFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for i, sub := range codecShards(t) {
-		path := filepath.Join(dir, "shard.frsg")
-		if err := WriteShardFile(path, sub); err != nil {
-			t.Fatalf("shard %d: write: %v", i, err)
-		}
-		got, err := ReadShardFile(path)
-		if err != nil {
-			t.Fatalf("shard %d: read: %v", i, err)
-		}
-		if !bytes.Equal(EncodeSubGraph(got), EncodeSubGraph(sub)) {
-			t.Fatalf("shard %d: file round trip differs", i)
-		}
-		// No temp file may survive the atomic rename.
-		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("shard %d: temp file left behind (stat err %v)", i, err)
-		}
-	}
-	if _, err := ReadShardFile(filepath.Join(dir, "missing.frsg")); !os.IsNotExist(err) {
-		t.Fatalf("missing file: got %v", err)
-	}
-}
-
 // FuzzDecodeSubGraph drives hostile blobs through the bounded decoder:
 // it must never panic or over-allocate, and any blob it accepts must
-// re-encode byte-identically (the canonical-form invariant the Hello
-// fingerprint depends on).
+// re-encode byte-identically (the canonical-form invariant).
 func FuzzDecodeSubGraph(f *testing.F) {
 	b := NewBidirected(60, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 1}}, 2)
 	for _, k := range []int{1, 3} {

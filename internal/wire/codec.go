@@ -1,16 +1,23 @@
 package wire
 
 import (
+	"errors"
+
 	"faultyrank/internal/bincodec"
 	"faultyrank/internal/lustre"
 )
 
+// ErrRankDeltaVersion is wrapped when a superstep frame carries another
+// codec version — the named signal that a separately-built frrankd and
+// its coordinator are different builds, as opposed to a corrupt stream.
+var ErrRankDeltaVersion = errors.New("unsupported rank delta version")
+
 // The wire layer's payload formats, as bincodec reports their decode
-// errors. None has a sentinel: a frame that fails to decode fails its
-// stream, and nobody dispatches on why.
+// errors. Only the rank delta has a sentinel: any other frame that fails
+// to decode fails its stream, and nobody dispatches on why.
 var (
 	chunkFormat     = bincodec.Format{Name: "wire: chunk"}
-	rankDeltaFormat = bincodec.Format{Name: "wire: rank delta"}
+	rankDeltaFormat = bincodec.Format{Name: "wire: rank delta", Version: ErrRankDeltaVersion}
 	telemetryFormat = bincodec.Format{Name: "wire: telemetry trailer"}
 	fidInfoFormat   = bincodec.Format{Name: "wire: FID info"}
 	statBatchFormat = bincodec.Format{Name: "wire: stat batch"}

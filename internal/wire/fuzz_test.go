@@ -94,9 +94,9 @@ func FuzzDecodeRankDelta(f *testing.F) {
 	lie := []byte{RankDeltaVersion, core.RankUpA}
 	lie = le.AppendUint32(lie, 0)
 	lie = le.AppendUint32(lie, 0)
-	lie = le.AppendUint64(lie, 0)
-	lie = le.AppendUint64(lie, 0)
-	lie = le.AppendUint64(lie, 0)
+	for i := 0; i < 5; i++ {
+		lie = le.AppendUint64(lie, 0)
+	}
 	lie = append(lie, 0)
 	lie = le.AppendUint32(lie, 0xFFFFFFFF)
 	f.Add(lie)

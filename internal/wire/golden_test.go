@@ -52,8 +52,8 @@ func TestGoldenChunk(t *testing.T) {
 // kind uses in the superstep protocol.
 func goldenRankDeltas() map[string]*core.RankDelta {
 	return map[string]*core.RankDelta{
-		"hello":  {Kind: core.RankHello, Part: 1, Iter: 3, Sum: 0xfeedfacecafebeef},
-		"init":   {Kind: core.RankInit, Part: 1, ID: []float64{0.25, 0.75}, Prop: []float64{0.5, 0.5}},
+		"hello":  {Kind: core.RankHello, Part: 1},
+		"init":   {Kind: core.RankInit, Part: 1, ID: []float64{0.25, 0.75}, Prop: []float64{0.5, 0.5}, UnpairedWeight: 0.1, Smoothing: 0.5, Leaky: true},
 		"up_a":   {Kind: core.RankUpA, Part: 2, Iter: 4, Sink: []float64{0.125}, Bound: [][]float64{{1, 2}, nil, {3}}},
 		"down_a": {Kind: core.RankDownA, Iter: 4, Base: 0.0625, PerSink: 0.03125, Ghost: []float64{0.5, 0.25, 0.125}},
 		"up_b":   {Kind: core.RankUpB, Part: 2, Iter: 4, Diff: 1e-9, Sink: []float64{0.875, 0.0078125}, Bound: [][]float64{nil, {4, 5}}},

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -11,38 +10,46 @@ import (
 
 	"faultyrank/internal/bincodec"
 	"faultyrank/internal/core"
+	"faultyrank/internal/graph"
 )
 
 // RankDeltaVersion is the codec version carried in every MsgRankDelta
 // payload. A coordinator and its workers must agree exactly — the
-// superstep protocol has no room for mixed-version best effort, and now
-// that workers can be separately-built frrankd binaries the version
+// superstep protocol has no room for mixed-version best effort, and
+// since workers can be separately-built frrankd binaries the version
 // byte is what turns a stale binary into a loud decode error instead of
-// silent garbage. Version 2 added the u64 sum field (shard fingerprint
-// on Hello frames).
-const RankDeltaVersion = 2
+// silent garbage. Version 3 dropped the Hello shard fingerprint (every
+// worker is shipped its shard) and added the kernel constants Init
+// carries.
+const RankDeltaVersion = 3
 
-// RankDelta encoding (little-endian), version 2:
+// RankDelta encoding (little-endian), version 3:
 //
 //	u8 version | u8 kind | u32 part | u32 iter
 //	u64 base | u64 perSink | u64 diff   (IEEE-754 bit patterns)
-//	u64 sum
-//	u8 halt (0 or 1)
+//	u64 unpairedWeight | u64 smoothing  (IEEE-754 bit patterns)
+//	u8 flags (bit 0 halt, bit 1 leaky)
 //	u32 sinkCount  | sinkCount  × u64
 //	u32 ghostCount | ghostCount × u64
 //	u32 idCount    | idCount    × u64
 //	u32 propCount  | propCount  × u64
 //	u16 boundCount | boundCount × { u32 count | count × u64 }
 //
-// The encoding is bijective: halt admits only 0/1, every count is
-// bounded against the remaining payload before its array is allocated
-// (a lying header on a hostile stream fails fast, it never allocates),
-// zero-length vectors decode to nil, and trailing bytes are rejected —
-// so a payload either fails DecodeRankDelta or re-encodes to identical
-// bytes (FuzzDecodeRankDelta leans on this). Float values cross as raw
-// bit patterns, which is part of the partitioned kernel's bitwise-
-// equivalence contract: a ghost value arrives as exactly the float the
-// owner computed.
+// The encoding is bijective: flags admits only its two bits, every
+// count is bounded against the remaining payload before its array is
+// allocated (a lying header on a hostile stream fails fast, it never
+// allocates), zero-length vectors decode to nil, and trailing bytes are
+// rejected — so a payload either fails DecodeRankDelta or re-encodes to
+// identical bytes (FuzzDecodeRankDelta leans on this). Float values
+// cross as raw bit patterns, which is part of the partitioned kernel's
+// bitwise-equivalence contract: a ghost value arrives as exactly the
+// float the owner computed, and a worker's kernel constants are exactly
+// the coordinator's.
+
+const (
+	rankFlagHalt  = 1 << 0
+	rankFlagLeaky = 1 << 1
+)
 
 // EncodeRankDelta serializes one superstep frame. The result's length
 // is always (*core.RankDelta).WireSize().
@@ -51,15 +58,17 @@ func EncodeRankDelta(d *core.RankDelta) []byte {
 	buf = append(buf, RankDeltaVersion, d.Kind)
 	buf = le.AppendUint32(buf, d.Part)
 	buf = le.AppendUint32(buf, d.Iter)
-	buf = le.AppendUint64(buf, math.Float64bits(d.Base))
-	buf = le.AppendUint64(buf, math.Float64bits(d.PerSink))
-	buf = le.AppendUint64(buf, math.Float64bits(d.Diff))
-	buf = le.AppendUint64(buf, d.Sum)
-	if d.Halt {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	for _, v := range [...]float64{d.Base, d.PerSink, d.Diff, d.UnpairedWeight, d.Smoothing} {
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
+	var flags byte
+	if d.Halt {
+		flags |= rankFlagHalt
+	}
+	if d.Leaky {
+		flags |= rankFlagLeaky
+	}
+	buf = append(buf, flags)
 	for _, vec := range [][]float64{d.Sink, d.Ghost, d.ID, d.Prop} {
 		buf = appendFloats64(buf, vec)
 	}
@@ -107,14 +116,14 @@ func DecodeRankDelta(b []byte) (*core.RankDelta, error) {
 	r.Base = d.F64()
 	r.PerSink = d.F64()
 	r.Diff = d.F64()
-	r.Sum = d.U64()
-	switch h := d.U8(); h {
-	case 0:
-	case 1:
-		r.Halt = true
-	default:
-		d.Failf("halt byte %d", h)
+	r.UnpairedWeight = d.F64()
+	r.Smoothing = d.F64()
+	flags := d.U8()
+	if flags&^(rankFlagHalt|rankFlagLeaky) != 0 {
+		d.Failf("flags byte %#x", flags)
 	}
+	r.Halt = flags&rankFlagHalt != 0
+	r.Leaky = flags&rankFlagLeaky != 0
 	r.Sink = floats64(d)
 	r.Ghost = floats64(d)
 	r.ID = floats64(d)
@@ -153,14 +162,13 @@ func NewRankConn(ctx context.Context, conn net.Conn, opTimeout time.Duration) *R
 // frame/byte counters like chunk frames do.
 func (c *RankConn) Observe(m *Metrics) { c.metrics = m }
 
-// Send frames and writes one superstep message.
-func (c *RankConn) Send(d *core.RankDelta) error {
+// write frames one message of the link under the deadline discipline.
+func (c *RankConn) write(typ byte, payload []byte) error {
 	if err := c.ctx.Err(); err != nil {
 		return err
 	}
 	_ = c.conn.SetWriteDeadline(ioDeadline(c.ctx, c.opTimeout))
-	payload := EncodeRankDelta(d)
-	if err := WriteFrame(c.conn, MsgRankDelta, payload); err != nil {
+	if err := WriteFrame(c.conn, typ, payload); err != nil {
 		return err
 	}
 	if c.metrics != nil {
@@ -170,8 +178,9 @@ func (c *RankConn) Send(d *core.RankDelta) error {
 	return nil
 }
 
-// Recv reads one superstep message.
-func (c *RankConn) Recv() (*core.RankDelta, error) {
+// read returns the payload of the link's next message, which must be of
+// type want (a peer's MsgError surfaces as its error).
+func (c *RankConn) read(want byte) ([]byte, error) {
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -183,12 +192,26 @@ func (c *RankConn) Recv() (*core.RankDelta, error) {
 	if err := AsError(typ, payload); err != nil {
 		return nil, err
 	}
-	if typ != MsgRankDelta {
-		return nil, fmt.Errorf("wire: unexpected frame type %d on rank link", typ)
+	if typ != want {
+		return nil, fmt.Errorf("wire: frame type %d on rank link, want %d", typ, want)
 	}
 	if c.metrics != nil {
 		c.metrics.FramesRecv.Inc()
 		c.metrics.BytesRecv.Add(int64(len(payload)))
+	}
+	return payload, nil
+}
+
+// Send writes one superstep message.
+func (c *RankConn) Send(d *core.RankDelta) error {
+	return c.write(MsgRankDelta, EncodeRankDelta(d))
+}
+
+// Recv reads one superstep message.
+func (c *RankConn) Recv() (*core.RankDelta, error) {
+	payload, err := c.read(MsgRankDelta)
+	if err != nil {
+		return nil, err
 	}
 	return DecodeRankDelta(payload)
 }
@@ -232,46 +255,18 @@ func NewRankExchange(bind string, opTimeout time.Duration) (*RankExchange, strin
 // Observe attaches wire metrics to every link the exchange accepts.
 func (x *RankExchange) Observe(m *Metrics) { x.metrics = m }
 
-// ErrHelloMismatch is wrapped when a worker's Hello names the right
-// partition but the wrong plan — a K that differs from the
-// coordinator's, or a shard fingerprint that does not match the shard
-// the coordinator built for that partition. It is the named signal that
-// a separately-built or mis-pointed worker was refused before any
-// superstep ran.
-var ErrHelloMismatch = errors.New("wire: rank hello does not match coordinator plan")
-
-// WorkerSpec tells AcceptWorkers what a valid worker cohort looks like
-// and how to equip workers that arrive without a shard.
-type WorkerSpec struct {
-	// K is the partition count; exactly K workers are accepted.
-	K int
-
-	// Sums[p], when non-nil, is the canonical FRSG fingerprint of
-	// partition p's shard; a worker whose Hello carries a different
-	// non-zero sum is rejected (ErrHelloMismatch).
-	Sums []uint64
-
-	// Shard returns partition p's encoded FRSG blob for a worker whose
-	// Hello carries Sum 0 ("no shard, ship me one"). Nil means shipping
-	// is unsupported and such a worker is rejected.
-	Shard func(p int) []byte
-
-	// HandshakeTimeout, when positive, bounds the wait for each worker
-	// to dial in — the knob that turns "a remote worker never arrived"
-	// into a timely error the checker can degrade on, without poisoning
-	// the accepted links' lifetime (they keep ctx + opTimeout).
-	HandshakeTimeout time.Duration
-}
-
-// AcceptWorkers accepts exactly spec.K worker connections, reads and
-// validates each one's Hello, and returns the links ordered by
-// partition index. Duplicate or out-of-range partitions, a mismatched
-// K, or a mismatched shard fingerprint fail the accept; a worker with
-// no shard gets its partition's blob shipped in a MsgSubGraph frame
-// before the next accept. ctx bounds the whole handshake: its
+// AcceptWorkers accepts one worker connection per shard in parts (the
+// plan's partitions, indexed by partition), and runs the one handshake
+// with each: read its Hello, check the partition it names is in range
+// and not already taken, encode that partition's shard and ship it in a
+// MsgSubGraph frame. It returns the links ordered by partition index.
+// handshakeTimeout, when positive, bounds the wait for the cohort to
+// dial in — what turns "a worker never arrived" into a timely error the
+// checker can degrade on, without poisoning the accepted links' lifetime
+// (they keep ctx + opTimeout). ctx bounds the whole handshake: its
 // cancellation closes the listener and every accepted connection, so a
 // worker that never dials cannot hang the checker.
-func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]core.Link, error) {
+func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGraph, handshakeTimeout time.Duration) ([]core.Link, error) {
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -281,21 +276,22 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]co
 		case <-done:
 		}
 	}()
-	if spec.HandshakeTimeout > 0 {
+	if handshakeTimeout > 0 {
 		if tl, ok := x.ln.(*net.TCPListener); ok {
-			_ = tl.SetDeadline(time.Now().Add(spec.HandshakeTimeout))
+			_ = tl.SetDeadline(time.Now().Add(handshakeTimeout))
 			defer tl.SetDeadline(time.Time{})
 		}
 	}
 
-	links := make([]core.Link, spec.K)
-	for accepted := 0; accepted < spec.K; accepted++ {
+	k := len(parts)
+	links := make([]core.Link, k)
+	for accepted := 0; accepted < k; accepted++ {
 		rc, err := x.accept(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				err = ctx.Err()
 			}
-			return nil, fmt.Errorf("wire: rank exchange accept (%d/%d workers): %w", accepted, spec.K, err)
+			return nil, fmt.Errorf("wire: rank exchange accept (%d/%d workers): %w", accepted, k, err)
 		}
 		hello, err := rc.Recv()
 		if err != nil {
@@ -304,28 +300,16 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]co
 		if hello.Kind != core.RankHello {
 			return nil, fmt.Errorf("wire: expected rank hello, got kind %d", hello.Kind)
 		}
-		if hello.Part >= uint32(spec.K) {
-			return nil, fmt.Errorf("wire: rank hello names partition %d of %d", hello.Part, spec.K)
+		if hello.Part >= uint32(k) {
+			return nil, fmt.Errorf("wire: rank hello names partition %d of %d", hello.Part, k)
 		}
 		if links[hello.Part] != nil {
 			return nil, fmt.Errorf("wire: duplicate rank hello for partition %d", hello.Part)
 		}
-		if hello.Sum == 0 {
-			// The worker has no shard; ship the canonical blob. The
-			// fingerprint check is moot — it runs what we just sent.
-			if spec.Shard == nil {
-				return nil, fmt.Errorf("wire: partition %d worker has no shard and shipping is not configured: %w", hello.Part, ErrHelloMismatch)
-			}
-			if err := rc.sendShard(spec.Shard(int(hello.Part))); err != nil {
-				return nil, fmt.Errorf("wire: shipping shard to partition %d: %w", hello.Part, err)
-			}
-		} else {
-			if hello.Iter != uint32(spec.K) {
-				return nil, fmt.Errorf("wire: partition %d worker built for K=%d, coordinator has K=%d: %w", hello.Part, hello.Iter, spec.K, ErrHelloMismatch)
-			}
-			if spec.Sums != nil && hello.Sum != spec.Sums[hello.Part] {
-				return nil, fmt.Errorf("wire: partition %d worker shard fingerprint %#x, coordinator plan has %#x: %w", hello.Part, hello.Sum, spec.Sums[hello.Part], ErrHelloMismatch)
-			}
+		// The blob is encoded for this worker and dropped once written,
+		// so the coordinator never holds more than one shard's encoding.
+		if err := rc.write(MsgSubGraph, graph.EncodeSubGraph(parts[hello.Part])); err != nil {
+			return nil, fmt.Errorf("wire: shipping shard to partition %d: %w", hello.Part, err)
 		}
 		links[hello.Part] = rc
 	}
@@ -366,82 +350,48 @@ func (x *RankExchange) Close() error {
 	return err
 }
 
-// sendShard ships an encoded FRSG blob as a MsgSubGraph frame. The
-// blob is opaque to the wire layer — graph owns the codec.
-func (c *RankConn) sendShard(blob []byte) error {
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	_ = c.conn.SetWriteDeadline(ioDeadline(c.ctx, c.opTimeout))
-	if err := WriteFrame(c.conn, MsgSubGraph, blob); err != nil {
-		return err
-	}
-	if c.metrics != nil {
-		c.metrics.FramesSent.Inc()
-		c.metrics.BytesSent.Add(int64(len(blob)))
-	}
-	return nil
-}
-
-// RecvShard reads the MsgSubGraph frame a coordinator ships after a
-// no-shard Hello and returns the opaque FRSG blob.
-func (c *RankConn) RecvShard() ([]byte, error) {
-	if err := c.ctx.Err(); err != nil {
-		return nil, err
-	}
-	_ = c.conn.SetReadDeadline(ioDeadline(c.ctx, c.opTimeout))
-	typ, payload, err := ReadFrame(c.conn)
+// recvShard reads the MsgSubGraph frame the coordinator answers a Hello
+// with and decodes it. The blob comes from a peer, so every FRSG
+// invariant is re-checked (graph.DecodeSubGraph) before a row of it is
+// swept.
+func (c *RankConn) recvShard() (*graph.SubGraph, error) {
+	blob, err := c.read(MsgSubGraph)
 	if err != nil {
 		return nil, err
 	}
-	if err := AsError(typ, payload); err != nil {
-		return nil, err
-	}
-	if typ != MsgSubGraph {
-		return nil, fmt.Errorf("wire: expected subgraph frame, got type %d", typ)
-	}
-	if c.metrics != nil {
-		c.metrics.FramesRecv.Inc()
-		c.metrics.BytesRecv.Add(int64(len(payload)))
-	}
-	return payload, nil
+	return graph.DecodeSubGraph(blob)
 }
 
-// DialRankLink connects one rank worker to a coordinator's exchange
-// with bounded retry and announces its partition, the K it was built
-// for, and its shard's canonical fingerprint (Hello reuses the Iter
-// field for K). The returned link is ready for core.RunPartition.
-func DialRankLink(ctx context.Context, addr string, part, k int, sum uint64, policy RetryPolicy, opTimeout time.Duration) (*RankConn, error) {
-	conn, _, err := dialRetry(ctx, addr, policy)
+// ServeRankWorker is the one rank worker: it dials the coordinator's
+// exchange at addr with bounded retry, announces partition part, receives
+// and revalidates its shard, and runs the worker side of the superstep
+// protocol (core.RunPartition) until the coordinator's Done or a broken
+// link. The checker runs it as a goroutine, cmd/frrankd as a process —
+// spawned by the checker or started by hand on another host; nothing
+// about the worker differs between them. workers bounds the local
+// sweep's parallelism; every other kernel knob arrives in the Init frame.
+// wrap, when non-nil, interposes on the established link (fault
+// injection).
+func ServeRankWorker(ctx context.Context, addr string, part, workers int, opTimeout time.Duration, wrap func(core.Link) core.Link) error {
+	conn, _, err := dialRetry(ctx, addr, DefaultRetryPolicy())
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("dialing rank exchange %s: %w", addr, err)
 	}
 	rc := NewRankConn(ctx, conn, opTimeout)
-	if err := rc.Send(&core.RankDelta{Kind: core.RankHello, Part: uint32(part), Iter: uint32(k), Sum: sum}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return rc, nil
-}
-
-// JoinRankShipped connects a shard-less worker: it announces its
-// partition with Sum 0 ("ship me my shard") and returns the link
-// together with the FRSG blob the coordinator answers with. The caller
-// decodes the blob (graph.DecodeSubGraph) and runs the partition.
-func JoinRankShipped(ctx context.Context, addr string, part int, policy RetryPolicy, opTimeout time.Duration) (*RankConn, []byte, error) {
-	conn, _, err := dialRetry(ctx, addr, policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	rc := NewRankConn(ctx, conn, opTimeout)
+	defer rc.Close()
 	if err := rc.Send(&core.RankDelta{Kind: core.RankHello, Part: uint32(part)}); err != nil {
-		conn.Close()
-		return nil, nil, err
+		return fmt.Errorf("rank hello: %w", err)
 	}
-	blob, err := rc.RecvShard()
+	sub, err := rc.recvShard()
 	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("wire: receiving shipped shard for partition %d: %w", part, err)
+		return fmt.Errorf("receiving shard for partition %d: %w", part, err)
 	}
-	return rc, blob, nil
+	if sub.Part != part {
+		return fmt.Errorf("coordinator shipped partition %d, want %d", sub.Part, part)
+	}
+	var link core.Link = rc
+	if wrap != nil {
+		link = wrap(link)
+	}
+	return core.RunPartition(sub, workers, link)
 }

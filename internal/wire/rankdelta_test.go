@@ -24,8 +24,11 @@ func randomRankDelta(r *rand.Rand) *core.RankDelta {
 		Base:    r.NormFloat64(),
 		PerSink: r.Float64(),
 		Diff:    r.Float64(),
-		Sum:     uint64(r.Int63()),
 		Halt:    r.Intn(2) == 1,
+
+		UnpairedWeight: r.Float64(),
+		Smoothing:      r.Float64(),
+		Leaky:          r.Intn(2) == 1,
 	}
 	vec := func(n int) []float64 {
 		if n == 0 {
@@ -71,29 +74,37 @@ func TestRankDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRankDeltaRejects: version, halt, kind, lying counts, trailing
+// TestRankDeltaRejects: version, flags, kind, lying counts, trailing
 // bytes — every malformed shape must fail, never allocate per a lying
-// header, and never be silently normalised.
+// header, and never be silently normalised. A frame of another codec
+// version (a v2 build's, say) fails with the version sentinel, so a
+// stale frrankd binary is told apart from a corrupt stream.
 func TestRankDeltaRejects(t *testing.T) {
 	valid := EncodeRankDelta(&core.RankDelta{Kind: core.RankUpA, Sink: []float64{1, 2}})
+	const flagsOff = 1 + 1 + 4 + 4 + 5*8
 
 	cases := map[string][]byte{
 		"empty":          {},
-		"bad version":    append([]byte{9}, valid[1:]...),
-		"stale version":  append([]byte{1}, valid[1:]...),
 		"bad kind":       append([]byte{RankDeltaVersion, 0}, valid[2:]...),
-		"bad halt":       mutate(valid, 42, 7),
+		"bad flags":      mutate(valid, flagsOff, 7),
 		"trailing bytes": append(append([]byte{}, valid...), 0),
 		"truncated":      valid[:len(valid)-3],
 	}
 	// Lying sink count far past the payload.
-	lie := append([]byte{}, valid[:43]...)
+	lie := append([]byte{}, valid[:flagsOff+1]...)
 	lie = le.AppendUint32(lie, 0xFFFFFF)
 	cases["lying count"] = lie
 
 	for name, b := range cases {
 		if d, err := DecodeRankDelta(b); err == nil {
 			t.Fatalf("%s: decoded %+v from malformed payload", name, d)
+		} else if errors.Is(err, ErrRankDeltaVersion) {
+			t.Fatalf("%s: malformed payload reported as a version mismatch: %v", name, err)
+		}
+	}
+	for _, v := range []byte{1, 2, 9} {
+		if _, err := DecodeRankDelta(mutate(valid, 0, v)); !errors.Is(err, ErrRankDeltaVersion) {
+			t.Fatalf("version %d frame: got %v, want ErrRankDeltaVersion", v, err)
 		}
 	}
 }
@@ -104,10 +115,29 @@ func mutate(b []byte, off int, v byte) []byte {
 	return out
 }
 
+// serveAll starts one ServeRankWorker goroutine per partition against
+// addr and returns a wait function that reports their errors.
+func serveAll(t *testing.T, ctx context.Context, addr string, k int) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for p := 0; p < k; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			if err := ServeRankWorker(ctx, addr, p, 1, 5*time.Second, nil); err != nil {
+				t.Errorf("worker %d: %v", p, err)
+			}
+		}(p)
+	}
+	return wg.Wait
+}
+
 // TestRankExchangeTCPExact runs a complete partitioned rank execution
-// over real TCP links — workers dial in, announce partitions via
-// Hello, and the BSP protocol crosses the versioned codec — and
-// demands bit-identical ranks vs the single-process kernel.
+// over the exchange — workers dial in, announce partitions via Hello,
+// are shipped their shards and kernel constants, and the BSP protocol
+// crosses the versioned codec — and demands bit-identical ranks vs the
+// single-process kernel, under the default constants and under a set
+// the workers could not have guessed.
 func TestRankExchangeTCPExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 200
@@ -120,93 +150,113 @@ func TestRankExchangeTCPExact(t *testing.T) {
 		}
 	}
 	b := graph.NewBidirected(n, edges, 4)
-	opt := core.DefaultOptions()
-	want := core.Run(b, opt)
+	odd := core.DefaultOptions()
+	odd.UnpairedWeight, odd.Smoothing, odd.LeakyDistribution = 0.3, 0.25, true
 
-	for _, k := range []int{1, 3} {
-		owners := make([]uint16, n)
-		for g := range owners {
-			owners[g] = uint16(rng.Intn(k))
-		}
-		plan := graph.PartitionPlan(b, owners, k, 4)
-
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		x, addr, err := NewRankExchange("", 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := make([]uint64, k)
-		for p, sub := range plan.Parts {
-			sums[p] = sub.Fingerprint()
-		}
-
-		var wg sync.WaitGroup
-		for p := 0; p < k; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				link, err := DialRankLink(ctx, addr, p, k, sums[p], DefaultRetryPolicy(), 5*time.Second)
-				if err != nil {
-					t.Errorf("worker %d dial: %v", p, err)
-					return
-				}
-				defer link.Close()
-				if err := core.RunPartition(core.NewPartState(plan.Parts[p], opt), link); err != nil {
-					t.Errorf("worker %d: %v", p, err)
-				}
-			}(p)
-		}
-
-		links, err := x.AcceptWorkers(ctx, WorkerSpec{K: k, Sums: sums})
-		if err != nil {
-			t.Fatalf("k=%d accept: %v", k, err)
-		}
-		got, rep, err := core.Coordinate(plan, links, opt)
-		if err != nil {
-			t.Fatalf("k=%d coordinate: %v", k, err)
-		}
-		wg.Wait()
-		x.Close()
-		cancel()
-
-		for i := range got.IDRank {
-			if math.Float64bits(got.IDRank[i]) != math.Float64bits(want.IDRank[i]) ||
-				math.Float64bits(got.PropRank[i]) != math.Float64bits(want.PropRank[i]) {
-				t.Fatalf("k=%d: rank %d diverges from single-process kernel", k, i)
+	for _, opt := range []core.Options{core.DefaultOptions(), odd} {
+		want := core.Run(b, opt)
+		for _, k := range []int{1, 3} {
+			owners := make([]uint16, n)
+			for g := range owners {
+				owners[g] = uint16(rng.Intn(k))
 			}
-		}
-		if got.Iterations != want.Iterations || got.Converged != want.Converged {
-			t.Fatalf("k=%d: iterations %d/%v want %d/%v", k, got.Iterations, got.Converged, want.Iterations, want.Converged)
-		}
-		if len(rep.Supersteps) != want.Iterations {
-			t.Fatalf("k=%d: %d supersteps for %d iterations", k, len(rep.Supersteps), want.Iterations)
+			plan := graph.PartitionPlan(b, owners, k, 4)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			x, addr, err := NewRankExchange("", 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait := serveAll(t, ctx, addr, k)
+			links, err := x.AcceptWorkers(ctx, plan.Parts, 0)
+			if err != nil {
+				t.Fatalf("k=%d accept: %v", k, err)
+			}
+			got, rep, err := core.Coordinate(plan, links, opt)
+			if err != nil {
+				t.Fatalf("k=%d coordinate: %v", k, err)
+			}
+			wait()
+			x.Close()
+			cancel()
+
+			for i := range got.IDRank {
+				if math.Float64bits(got.IDRank[i]) != math.Float64bits(want.IDRank[i]) ||
+					math.Float64bits(got.PropRank[i]) != math.Float64bits(want.PropRank[i]) {
+					t.Fatalf("k=%d: rank %d diverges from single-process kernel", k, i)
+				}
+			}
+			if got.Iterations != want.Iterations || got.Converged != want.Converged {
+				t.Fatalf("k=%d: iterations %d/%v want %d/%v", k, got.Iterations, got.Converged, want.Iterations, want.Converged)
+			}
+			if len(rep.Supersteps) != want.Iterations {
+				t.Fatalf("k=%d: %d supersteps for %d iterations", k, len(rep.Supersteps), want.Iterations)
+			}
 		}
 	}
 }
 
-// TestRankExchangeRejectsBadHello: duplicate and out-of-range
-// partition announcements fail the handshake.
+// tinyParts is a k-way plan of a small graph: something for an exchange
+// under test to ship.
+func tinyParts(k int) []*graph.SubGraph {
+	b := graph.NewBidirected(40, []graph.Edge{{Src: 0, Dst: 9}, {Src: 9, Dst: 0}, {Src: 3, Dst: 22}}, 2)
+	owners := make([]uint16, b.N())
+	for g := range owners {
+		owners[g] = uint16(g % k)
+	}
+	return graph.PartitionPlan(b, owners, k, 2).Parts
+}
+
+// dialFrame connects to an exchange the way a worker does and writes one
+// raw MsgRankDelta payload as its opening frame.
+func dialFrame(t *testing.T, ctx context.Context, addr string, payload []byte) *RankConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, MsgRankDelta, payload); err != nil {
+		t.Fatal(err)
+	}
+	return NewRankConn(ctx, conn, 5*time.Second)
+}
+
+func hello(part uint32) []byte {
+	return EncodeRankDelta(&core.RankDelta{Kind: core.RankHello, Part: part})
+}
+
+// TestRankExchangeRejectsBadHello: the one handshake refuses a duplicate
+// or out-of-range partition, an opening frame that is not a Hello, and a
+// Hello from a build speaking another codec version — the last with the
+// version sentinel, before any shard is shipped.
 func TestRankExchangeRejectsBadHello(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	for name, parts := range map[string][]int{
-		"duplicate":    {1, 1},
-		"out-of-range": {0, 7},
+	v2 := hello(0)
+	v2[0] = 2
+	for name, tc := range map[string]struct {
+		frames  [][]byte
+		version bool
+	}{
+		"duplicate":     {frames: [][]byte{hello(1), hello(1)}},
+		"out-of-range":  {frames: [][]byte{hello(0), hello(7)}},
+		"not a hello":   {frames: [][]byte{EncodeRankDelta(&core.RankDelta{Kind: core.RankUpA})}},
+		"stale version": {frames: [][]byte{v2}, version: true},
 	} {
 		x, addr, err := NewRankExchange("", 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range parts {
-			link, err := DialRankLink(ctx, addr, p, 2, 1, RetryPolicy{}, 2*time.Second)
-			if err != nil {
-				t.Fatalf("%s: dial: %v", name, err)
-			}
-			defer link.Close()
+		for _, f := range tc.frames {
+			defer dialFrame(t, ctx, addr, f).Close()
 		}
-		if _, err := x.AcceptWorkers(ctx, WorkerSpec{K: 2}); err == nil {
+		_, err = x.AcceptWorkers(ctx, tinyParts(2), 0)
+		if err == nil {
 			t.Fatalf("%s: handshake accepted", name)
+		}
+		if errors.Is(err, ErrRankDeltaVersion) != tc.version {
+			t.Fatalf("%s: version sentinel misreported: %v", name, err)
 		}
 		x.Close()
 	}
@@ -242,77 +292,14 @@ func TestRankExchangeBindAddress(t *testing.T) {
 	}
 }
 
-// TestRankExchangeRejectsHelloMismatch: a worker announcing the wrong K
-// or the wrong shard fingerprint — a stale or mis-pointed frrankd — is
-// refused with ErrHelloMismatch before any superstep runs, as is a
-// shard-less worker when shipping is not configured.
-func TestRankExchangeRejectsHelloMismatch(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	cases := map[string]struct {
-		k    int
-		sum  uint64
-		spec WorkerSpec
-	}{
-		"wrong K":           {k: 4, sum: 7, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
-		"wrong fingerprint": {k: 2, sum: 9, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
-		"no shard, no ship": {k: 0, sum: 0, spec: WorkerSpec{K: 2}},
-	}
-	for name, tc := range cases {
-		x, addr, err := NewRankExchange("", 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		link, err := DialRankLink(ctx, addr, 0, tc.k, tc.sum, RetryPolicy{}, 2*time.Second)
-		if err != nil {
-			t.Fatalf("%s: dial: %v", name, err)
-		}
-		_, err = x.AcceptWorkers(ctx, tc.spec)
-		if !errors.Is(err, ErrHelloMismatch) {
-			t.Fatalf("%s: got %v, want ErrHelloMismatch", name, err)
-		}
-		link.Close()
-		x.Close()
-	}
-
-	// A stale worker binary speaks codec version 1: its Hello must die
-	// in DecodeRankDelta, not be half-understood.
-	x, addr, err := NewRankExchange("", 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	stale := EncodeRankDelta(&core.RankDelta{Kind: core.RankHello, Iter: 1, Sum: 1})
-	stale[0] = 1 // the version byte a v1 binary would send
-	if err := WriteFrame(conn, MsgRankDelta, stale); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x.AcceptWorkers(ctx, WorkerSpec{K: 1, Sums: []uint64{1}}); err == nil {
-		t.Fatal("stale codec version accepted")
-	}
-}
-
-// TestRankShardShipping: a worker that announces with no shard gets its
-// partition's FRSG blob shipped over the link, byte-identical to the
-// coordinator's canonical encoding.
+// TestRankShardShipping: every worker's Hello is answered with its
+// partition's FRSG blob, byte-identical to the coordinator's canonical
+// encoding, whatever order the workers arrive in.
 func TestRankShardShipping(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	b := graph.NewBidirected(40, []graph.Edge{{Src: 0, Dst: 9}, {Src: 9, Dst: 0}, {Src: 3, Dst: 22}}, 2)
-	owners := make([]uint16, b.N())
-	for g := range owners {
-		owners[g] = uint16(g % 2)
-	}
-	plan := graph.PartitionPlan(b, owners, 2, 2)
-	blobs := [][]byte{graph.EncodeSubGraph(plan.Parts[0]), graph.EncodeSubGraph(plan.Parts[1])}
-
+	parts := tinyParts(2)
 	x, addr, err := NewRankExchange("", 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -320,21 +307,20 @@ func TestRankShardShipping(t *testing.T) {
 	defer x.Close()
 
 	type joined struct {
-		p    int
-		blob []byte
-		err  error
+		p   int
+		sub *graph.SubGraph
+		err error
 	}
 	got := make(chan joined, 2)
-	for p := 0; p < 2; p++ {
+	for p := 1; p >= 0; p-- {
+		link := dialFrame(t, ctx, addr, hello(uint32(p)))
+		defer link.Close()
 		go func(p int) {
-			link, blob, err := JoinRankShipped(ctx, addr, p, RetryPolicy{}, 2*time.Second)
-			if err == nil {
-				defer link.Close()
-			}
-			got <- joined{p: p, blob: blob, err: err}
+			sub, err := link.recvShard()
+			got <- joined{p: p, sub: sub, err: err}
 		}(p)
 	}
-	if _, err := x.AcceptWorkers(ctx, WorkerSpec{K: 2, Shard: func(p int) []byte { return blobs[p] }}); err != nil {
+	if _, err := x.AcceptWorkers(ctx, parts, 0); err != nil {
 		t.Fatalf("accept: %v", err)
 	}
 	for i := 0; i < 2; i++ {
@@ -342,11 +328,8 @@ func TestRankShardShipping(t *testing.T) {
 		if j.err != nil {
 			t.Fatalf("worker %d: %v", j.p, j.err)
 		}
-		if !bytes.Equal(j.blob, blobs[j.p]) {
-			t.Fatalf("worker %d: shipped blob differs from canonical encoding", j.p)
-		}
-		if sub, err := graph.DecodeSubGraph(j.blob); err != nil || sub.Part != j.p {
-			t.Fatalf("worker %d: shipped blob decode: %v", j.p, err)
+		if j.sub.Part != j.p || !bytes.Equal(graph.EncodeSubGraph(j.sub), graph.EncodeSubGraph(parts[j.p])) {
+			t.Fatalf("worker %d: shipped shard differs from the plan's", j.p)
 		}
 	}
 }
@@ -371,16 +354,17 @@ func TestRankExchangeCancelMidDial(t *testing.T) {
 		go func(p int) {
 			// The workers outlive the handshake context on purpose: their
 			// links must be closed by the exchange, not by their own ctx.
-			link, err := DialRankLink(context.Background(), addr, p, k, 1, RetryPolicy{}, 5*time.Second)
-			if err != nil {
-				link = nil // refused: the listener was already closed
+			var link *RankConn
+			if conn, err := net.Dial("tcp", addr); err == nil { // else refused: the listener was already closed
+				link = NewRankConn(context.Background(), conn, 5*time.Second)
+				_ = link.Send(&core.RankDelta{Kind: core.RankHello, Part: uint32(p)})
 			}
 			dialed <- link
 		}(p)
 	}
 	accepted := make(chan error, 1)
 	go func() {
-		_, err := x.AcceptWorkers(ctx, WorkerSpec{K: k})
+		_, err := x.AcceptWorkers(ctx, tinyParts(k), 0)
 		accepted <- err
 	}()
 

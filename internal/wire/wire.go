@@ -56,8 +56,7 @@ const (
 	// MsgTelemetry on the same tolerant trailer protocol.
 	MsgJournal
 	// MsgSubGraph carries one partition's encoded graph.SubGraph shard
-	// (FRSG blob, opaque to the wire layer), shipped by the coordinator
-	// to a rank worker that announced itself with no shard.
+	// (an FRSG blob), the coordinator's answer to a rank worker's Hello.
 	MsgSubGraph
 )
 
