@@ -46,9 +46,8 @@ var ErrDeltaSnapshotVersion = errors.New("unsupported delta snapshot version")
 var deltaFormat = bincodec.Format{Name: "agg", Malformed: ErrDeltaSnapshot, Version: ErrDeltaSnapshotVersion}
 
 // EncodeBinary renders the builder's full state as a versioned blob.
-// Equal builder states always produce identical bytes: membership
-// buffers are folded first and every collection encodes in canonical
-// order.
+// Equal builder states always produce identical bytes: staged inodes
+// are spliced in first, and the arrays then are the wire order.
 func (b *DeltaBuilder) EncodeBinary() []byte {
 	return b.AppendBinary(nil)
 }
@@ -71,41 +70,45 @@ func (b *DeltaBuilder) AppendBinary(buf []byte) []byte {
 		buf = le.AppendUint32(buf, f.Ver)
 	}
 
-	dirty := make([]uint32, 0, len(b.dirty))
-	for iid := range b.dirty {
-		dirty = append(dirty, iid)
-	}
-	slices.Sort(dirty)
-	buf = le.AppendUint32(buf, uint32(len(dirty)))
-	for _, iid := range dirty {
+	slices.Sort(b.dirty.list) // a set: its order is the encoder's to choose
+	buf = le.AppendUint32(buf, uint32(len(b.dirty.list)))
+	for _, iid := range b.dirty.list {
 		buf = le.AppendUint32(buf, iid)
 	}
 
+	// The arrays are the wire order: servers in order, inodes ascending,
+	// each inode's objects, then its edges, then its issues.
 	for _, s := range b.servers {
-		s.fold()
-		buf = le.AppendUint32(buf, uint32(len(s.sorted)))
-		for _, ino := range s.sorted {
-			c := s.contrib[ino]
-			buf = le.AppendUint64(buf, uint64(ino))
-			buf = le.AppendUint32(buf, uint32(len(c.objs)))
-			for _, o := range c.objs {
-				buf = le.AppendUint32(buf, o.iid)
-				buf = le.AppendUint16(buf, uint16(o.typ))
+		s.splice(&b.scratch)
+		buf = le.AppendUint32(buf, uint32(len(s.inodes)))
+		var o, e uint32
+		issues := s.issues
+		for _, rec := range s.inodes {
+			buf = le.AppendUint64(buf, uint64(rec.ino))
+			buf = le.AppendUint32(buf, rec.objEnd-o)
+			for ; o < rec.objEnd; o++ {
+				buf = le.AppendUint32(buf, s.objs[o].iid)
+				buf = le.AppendUint16(buf, uint16(s.objs[o].typ))
 			}
-			buf = le.AppendUint32(buf, uint32(len(c.edges)))
-			for _, e := range c.edges {
-				buf = le.AppendUint32(buf, e.src)
-				buf = le.AppendUint32(buf, e.dst)
-				buf = append(buf, byte(e.kind))
+			buf = le.AppendUint32(buf, rec.edgeEnd-e)
+			for ; e < rec.edgeEnd; e++ {
+				buf = le.AppendUint32(buf, s.edges[e].src)
+				buf = le.AppendUint32(buf, s.edges[e].dst)
+				buf = append(buf, byte(s.edges[e].kind))
 			}
-			buf = le.AppendUint32(buf, uint32(len(c.issues)))
-			for _, is := range c.issues {
-				buf = le.AppendUint64(buf, uint64(is.Ino))
-				buf = bincodec.AppendStr16(buf, is.What)
+			n := 0
+			for n < len(issues) && issues[n].ino == rec.ino {
+				n++
 			}
-			buf = le.AppendUint64(buf, uint64(c.stats.InodesScanned))
-			buf = le.AppendUint64(buf, uint64(c.stats.DirentsRead))
-			buf = le.AppendUint64(buf, uint64(c.stats.EdgesEmitted))
+			buf = le.AppendUint32(buf, uint32(n))
+			for _, is := range issues[:n] {
+				buf = le.AppendUint64(buf, uint64(is.issue.Ino))
+				buf = bincodec.AppendStr16(buf, is.issue.What)
+			}
+			issues = issues[n:]
+			buf = le.AppendUint64(buf, uint64(rec.stats.InodesScanned))
+			buf = le.AppendUint64(buf, uint64(rec.stats.DirentsRead))
+			buf = le.AppendUint64(buf, uint64(rec.stats.EdgesEmitted))
 		}
 	}
 	return buf
@@ -122,7 +125,9 @@ const (
 )
 
 // DecodeDeltaBuilder reconstructs a builder from an EncodeBinary blob.
-// The FID index is rebuilt from the interner table; the blob is
+// The arenas are read as they lie; the FID index is rebuilt from the
+// interner table, and the per-IID reference counts and claim lists from
+// the arenas once the whole blob has passed its checks. The blob is
 // rejected (never panicked on) when truncated, when counts are
 // implausible for the remaining payload, when any IID reference or
 // canonical order is violated, or when the version does not match.
@@ -166,12 +171,12 @@ func DecodeDeltaBuilder(blob []byte) (*DeltaBuilder, error) {
 			d.Failf("dirty set not strictly ascending at IID %d", v)
 		}
 		prevDirty = v
-		b.dirty[v] = struct{}{}
+		b.dirty.list = append(b.dirty.list, v)
 	}
 
 	for _, s := range b.servers {
 		nInodes := d.Count(uint64(d.U32()), deltaMinInode)
-		s.sorted = make([]ldiskfs.Ino, 0, nInodes)
+		s.inodes = make([]inodeRec, 0, nInodes)
 		var prevIno ldiskfs.Ino
 		for i := 0; i < nInodes && d.Err() == nil; i++ {
 			ino := ldiskfs.Ino(d.U64())
@@ -179,31 +184,43 @@ func DecodeDeltaBuilder(blob []byte) (*DeltaBuilder, error) {
 				d.Failf("server %q inodes not strictly ascending at %d", s.label, ino)
 			}
 			prevIno = ino
-			c := &inoContrib{}
 
 			nObjs := d.Count(uint64(d.U32()), deltaMinObj)
 			for j := 0; j < nObjs && d.Err() == nil; j++ {
-				c.objs = append(c.objs, contribObj{iid: iid("object"), typ: ldiskfs.FileType(d.U16())})
+				s.objs = append(s.objs, contribObj{iid: iid("object"), typ: ldiskfs.FileType(d.U16())})
 			}
 			nEdges := d.Count(uint64(d.U32()), deltaMinEdge)
 			for j := 0; j < nEdges && d.Err() == nil; j++ {
-				c.edges = append(c.edges, contribEdge{src: iid("edge"), dst: iid("edge"), kind: graph.EdgeKind(d.U8())})
+				s.edges = append(s.edges, contribEdge{src: iid("edge"), dst: iid("edge"), kind: graph.EdgeKind(d.U8())})
 			}
 			nIssues := d.Count(uint64(d.U32()), deltaMinIssue)
 			for j := 0; j < nIssues && d.Err() == nil; j++ {
-				c.issues = append(c.issues, scanner.Issue{Ino: ldiskfs.Ino(d.U64()), What: d.Str16()})
+				s.issues = append(s.issues, inodeIssue{ino: ino, issue: scanner.Issue{Ino: ldiskfs.Ino(d.U64()), What: d.Str16()}})
 			}
-			c.stats.InodesScanned = int64(d.U64())
-			c.stats.DirentsRead = int64(d.U64())
-			c.stats.EdgesEmitted = int64(d.U64())
-
-			s.sorted = append(s.sorted, ino)
-			s.contrib[ino] = c
+			rec := inodeRec{ino: ino, objEnd: uint32(len(s.objs)), edgeEnd: uint32(len(s.edges))}
+			rec.stats.InodesScanned = int64(d.U64())
+			rec.stats.DirentsRead = int64(d.U64())
+			rec.stats.EdgesEmitted = int64(d.U64())
+			s.inodes = append(s.inodes, rec)
 		}
+		s.tracked = len(s.inodes)
 	}
 
 	if err := d.Finish(); err != nil {
 		return nil, err
+	}
+	// Every IID in the arenas is now known to be in range: the derived
+	// per-IID state can index by them.
+	b.refs = make([]uint32, nFIDs)
+	b.claims = make([]iidClaims, nFIDs)
+	b.staleClaims.in = make([]bool, nFIDs)
+	b.dirty.in = make([]bool, nFIDs)
+	for _, iid := range b.dirty.list {
+		b.dirty.in[iid] = true
+	}
+	for _, s := range b.servers {
+		b.account(s.objs, s.edges, 1)
+		b.claimsChanged(s.objs)
 	}
 	return b, nil
 }

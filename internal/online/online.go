@@ -31,6 +31,7 @@ package online
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,8 +57,12 @@ type Tracker struct {
 	delta *agg.DeltaBuilder
 
 	// Warm-start state, indexed by the delta builder's stable internal
-	// ids so ranks survive arbitrary GID renumbering between checks.
+	// ids so ranks survive arbitrary GID renumbering between checks; it
+	// is updated in place. liftID and liftProp are the buffers it is
+	// lifted into a check's GID space through — the kernel copies its
+	// seeds, so they are free again when the check returns.
 	prevID, prevProp []float64
+	liftID, liftProp []float64
 	haveWarm         bool
 
 	// scan re-parses one inode; a test seam for injecting scan errors.
@@ -318,6 +323,10 @@ func (t *Tracker) Partials() []*scanner.Partial {
 }
 
 // CheckResult extends the checker result with the incremental timings.
+// The three stage timings cover the round: TUpdate the change feed, the
+// embedded TGraph materialise + warm-vector lift + CSR build (as the
+// cold path's covers merge + build), TRank ranking + classification +
+// the warm-state save.
 type CheckResult struct {
 	*checker.Result
 	// TUpdate is the time spent consuming the change feed (replaces the
@@ -347,9 +356,19 @@ func (t *Tracker) Check() (*CheckResult, error) {
 	}
 	update := time.Since(t0)
 
+	// TGraph of an online round is materialise + lift + CSR build, as the
+	// cold path's covers merge + build: tGraph and tRank collect what
+	// AnalyzeUnified does not time itself.
+	t1 := time.Now()
 	mat := t.delta.Materialize()
 	opt := t.opt
 	warm := t.haveWarm
+	if warm {
+		t.liftID = liftWarm(t.liftID, t.prevID, mat)
+		t.liftProp = liftWarm(t.liftProp, t.prevProp, mat)
+	}
+	tGraph := time.Since(t1)
+	var tRank time.Duration
 	res := &checker.Result{}
 	if warm {
 		// The warm attempt gets a bounded iteration budget. On most
@@ -362,8 +381,7 @@ func (t *Tracker) Check() (*CheckResult, error) {
 		// round cold — warm checks then never cost more than a small
 		// multiple of a cold one, and always converge when cold would.
 		wopt := opt
-		wopt.Core.InitialID = t.warmVector(t.prevID, mat)
-		wopt.Core.InitialProp = t.warmVector(t.prevProp, mat)
+		wopt.Core.InitialID, wopt.Core.InitialProp = t.liftID, t.liftProp
 		wopt.Core.MaxIterations = warmIterCap(t.lastIters, opt.Core.MaxIterations)
 		// The frontier seeds are the vertices whose cached contribution
 		// changed since the ranks we are warm-starting from, so the warm
@@ -375,6 +393,9 @@ func (t *Tracker) Check() (*CheckResult, error) {
 			return nil, err
 		}
 		if !res.Rank.Converged {
+			// The abandoned attempt's time stays on the round's books.
+			tGraph += res.TGraph
+			tRank += res.TRank
 			res = &checker.Result{}
 			warm = false
 			t.warmFallbacks++
@@ -395,10 +416,14 @@ func (t *Tracker) Check() (*CheckResult, error) {
 		// check's seed. The dirty set resets with the save — seeds always
 		// mean "changed since the ranks we warm-start from", so they keep
 		// accumulating across unconverged checks.
+		t2 := time.Now()
 		t.saveWarmState(res, mat)
 		t.delta.ResetDirty()
 		t.lastIters = res.Rank.Iterations
+		tRank += time.Since(t2)
 	}
+	res.TGraph += tGraph
+	res.TRank += tRank
 	t.checks++
 	t.opt.Journal.Record("online", "round",
 		"round", fmt.Sprintf("%d", t.checks),
@@ -415,10 +440,10 @@ func (t *Tracker) Check() (*CheckResult, error) {
 	}, nil
 }
 
-// warmVector lifts IID-indexed ranks into the current check's GID
-// space; vertices first seen this check start at the uniform 1.0.
-func (t *Tracker) warmVector(prev []float64, mat *agg.Materialized) []float64 {
-	out := make([]float64, len(mat.IIDOfGID))
+// liftWarm lifts IID-indexed ranks into the current check's GID space,
+// reusing buf; vertices first seen this check start at the uniform 1.0.
+func liftWarm(buf, prev []float64, mat *agg.Materialized) []float64 {
+	out := slices.Grow(buf[:0], len(mat.IIDOfGID))[:len(mat.IIDOfGID)]
 	for g, iid := range mat.IIDOfGID {
 		if int(iid) < len(prev) {
 			out[g] = prev[iid]
@@ -430,10 +455,12 @@ func (t *Tracker) warmVector(prev []float64, mat *agg.Materialized) []float64 {
 }
 
 // saveWarmState stores the converged ranks keyed by stable IID for the
-// next check's warm start.
+// next check's warm start, in place: the vectors grow to the interner's
+// size, and every IID this check did not rank — new and unreferenced, or
+// dead — reads the uniform 1.0.
 func (t *Tracker) saveWarmState(res *checker.Result, mat *agg.Materialized) {
-	id := make([]float64, mat.NumIIDs)
-	prop := make([]float64, mat.NumIIDs)
+	id := slices.Grow(t.prevID[:0], mat.NumIIDs)[:mat.NumIIDs]
+	prop := slices.Grow(t.prevProp[:0], mat.NumIIDs)[:mat.NumIIDs]
 	for i := range id {
 		id[i], prop[i] = 1, 1
 	}
