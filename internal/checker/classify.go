@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 
 	"faultyrank/internal/agg"
 	"faultyrank/internal/core"
@@ -361,28 +362,32 @@ func classifySplitPlanes(res *Result, findings []Finding, opt Options) []Finding
 
 // matchPhantomIdentity finds the phantom FID that is the true identity
 // of a mis-identified object v: the vertices with which v has unpaired
-// relations still reference the old identity, so the phantom whose
-// referrers overlap v's unpaired peers is the original FID.
+// relations still reference the old identity, so the phantom those peers
+// point at most often — every edge counts; ties go to the lowest GID — is
+// the original FID. The count is made from the peers' forward rows, so it
+// costs what v's neighbourhood holds, not the number of phantoms.
 func matchPhantomIdentity(u *agg.Unified, b *graph.Bidirected, v uint32) (uint32, bool) {
-	peers := make(map[uint32]bool)
-	for _, w := range b.UnpairedOut(v) {
-		peers[w] = true
-	}
-	for _, w := range b.UnpairedIncoming(v) {
-		peers[w] = true
-	}
-	best, bestOverlap := uint32(0), 0
-	for _, p := range u.Phantoms() {
-		overlap := 0
-		s, e := b.Rev.EdgeRange(p)
-		for i := s; i < e; i++ {
-			if peers[b.Rev.Targets[i]] {
-				overlap++
+	peers := append(b.UnpairedOut(v), b.UnpairedIncoming(v)...)
+	slices.Sort(peers)
+	var named []uint32 // a phantom once per peer edge that points at it
+	for _, w := range slices.Compact(peers) {
+		for _, t := range b.Fwd.Neighbors(w) {
+			if !u.Present[t] {
+				named = append(named, t)
 			}
 		}
-		if overlap > bestOverlap {
-			best, bestOverlap = p, overlap
+	}
+	slices.Sort(named)
+	best, bestOverlap := uint32(0), 0
+	for lo := 0; lo < len(named); {
+		hi := lo + 1
+		for hi < len(named) && named[hi] == named[lo] {
+			hi++
 		}
+		if hi-lo > bestOverlap {
+			best, bestOverlap = named[lo], hi-lo
+		}
+		lo = hi
 	}
 	return best, bestOverlap > 0
 }

@@ -131,6 +131,7 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	// invW — plus three n-byte arrays: the moved marks and the two
 	// frontiers' membership.
 	k := graphKernel(b, opt)
+	defer k.stop()
 	k.theta, k.moved = theta, make([]uint8, n)
 	k.seed(res.IDRank, res.PropRank)
 

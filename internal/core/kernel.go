@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"faultyrank/internal/graph"
 )
@@ -33,6 +35,10 @@ import (
 // rank and scaled entries, its moved mark, the block's max |Δ| and, on
 // dense sweeps, the block's canonical sink partial for the *next* phase
 // — so no bit depends on which worker ran a block or in what order.
+//
+// The workers are the calling goroutine and a team of helpers that lives
+// as long as the kernel: a kernel is made with its team running, and
+// whoever makes one defers stop.
 type kernel struct {
 	revOff    []int64
 	revCol    []uint32
@@ -74,8 +80,7 @@ type kernel struct {
 	base, perSink float64
 	nblk          int
 	next          atomic.Int64
-	wg            sync.WaitGroup
-	help          func() // one helper goroutine's body, built once
+	team          *team // nil when one worker is enough, and after stop
 }
 
 func newKernel(nRows int, pairedIn, unpairedIn []int32, opt Options) *kernel {
@@ -94,10 +99,11 @@ func newKernel(nRows int, pairedIn, unpairedIn []int32, opt Options) *kernel {
 	for c := range k.invW {
 		k.invW[c] = inverse(opt.inWeight(pairedIn[c], unpairedIn[c]))
 	}
-	k.help = func() {
-		k.drain()
-		k.wg.Done()
-	}
+	// One helper per worker beyond the caller that the row blocks can
+	// occupy and a processor can run. A helper that shares the caller's
+	// processor spins on it: Workers 4 on two processors ran metadata35k
+	// in 24.5 ms, Workers 2 in 9.9 and one in 14.8 (EXPERIMENTS.md, PR 21).
+	k.start(min(k.workers, nb, runtime.GOMAXPROCS(0)) - 1)
 	return k
 }
 
@@ -151,20 +157,133 @@ func allRows(n int) rowSet          { return rowSet{dense: true, n: n} }
 func listRows(list []uint32) rowSet { return rowSet{n: len(list), list: list} }
 
 // sweep runs block over every sinkBlock-wide block of rows: the caller
-// and up to workers-1 helpers take block indices from the counter until
-// it runs out.
+// and the team take block indices from the counter until it runs out. A
+// sweep of a single block — every frontier iteration of a small delta —
+// is the caller's alone and leaves the team where it is, spinning or
+// parked.
 func (k *kernel) sweep(block func(*kernel, int), rows rowSet, base, perSink float64) {
 	k.block, k.rows, k.base, k.perSink = block, rows, base, perSink
 	k.nblk = (rows.n + sinkBlock - 1) / sinkBlock
 	k.next.Store(0)
-	if helpers := min(k.workers, k.nblk) - 1; helpers > 0 {
-		k.wg.Add(helpers)
-		for ; helpers > 0; helpers-- {
-			go k.help()
+	if k.team == nil || k.nblk <= 1 {
+		k.drain()
+		return
+	}
+	k.team.release()
+	k.drain()
+	k.team.join()
+}
+
+// team is the helpers of one run. A sweep is ~0.3 ms at 35 k rows and a
+// run makes a hundred of them back to back, so what a helper costs per
+// sweep decides whether a second core is worth having: a goroutine spawn
+// plus the wake-up of the parked thread that is to run it is ≈ 70 µs.
+// Resident helpers instead wait for the next sweep by spinning on a
+// generation counter, and go to sleep only when none comes within
+// spinBudget — while the caller is inside OnIteration, waits on a
+// partition link, or walks a frontier by itself.
+//
+// gen and busy are the whole protocol. release sets busy to the number of
+// helpers and bumps gen, which publishes the sweep's fields; every helper
+// sees every generation, drains blocks and decrements busy; join returns
+// at busy == 0, so the caller never rewrites the fields under a helper.
+// Both sides wait in await, and whoever changes a counter calls wake.
+type team struct {
+	helpers int32
+	gen     atomic.Int32 // sweeps released so far, the halting one included
+	busy    atomic.Int32 // helpers still to finish generation gen
+	halt    bool         // published by gen: helpers exit instead of draining
+
+	mu   sync.Mutex
+	cond sync.Cond // a change of gen or busy, for those asleep in await
+}
+
+// spinBudget is how long await spins before it sleeps: on the order of
+// the wake-up it avoids, so waiting never costs more than twice what
+// sleeping at once would have, and above a block's ≈ 60 µs, the most the
+// caller and a helper finish apart. A constant, not an option: it
+// trades one host latency against another and no input changes either.
+const spinBudget = 100 * time.Microsecond
+
+// spinStride is how many loads of the counter await makes per look at
+// the clock.
+const spinStride = 128
+
+// start brings up a team of helpers, if any.
+func (k *kernel) start(helpers int) {
+	if helpers <= 0 {
+		return
+	}
+	k.team = &team{helpers: int32(helpers)}
+	k.team.cond.L = &k.team.mu
+	for range helpers {
+		go k.help()
+	}
+}
+
+// stop halts the helpers and returns once the last of them is past its
+// final use of the kernel.
+func (k *kernel) stop() {
+	if t := k.team; t != nil {
+		t.halt = true
+		t.release()
+		t.join()
+		k.team = nil
+	}
+}
+
+func (k *kernel) help() {
+	t := k.team
+	for gen := int32(1); ; gen++ {
+		t.await(&t.gen, gen)
+		halt := t.halt
+		if !halt {
+			k.drain()
+		}
+		if t.busy.Add(-1) == 0 {
+			t.wake()
+		}
+		if halt {
+			return
 		}
 	}
-	k.drain()
-	k.wg.Wait()
+}
+
+func (t *team) release() {
+	t.busy.Store(t.helpers)
+	t.gen.Add(1)
+	t.wake()
+}
+
+func (t *team) join() { t.await(&t.busy, 0) }
+
+// await returns once v reads want, spinning for spinBudget and then
+// asleep on cond.
+func (t *team) await(v *atomic.Int32, want int32) {
+	if v.Load() == want {
+		return
+	}
+	deadline := time.Now().Add(spinBudget)
+	for i := 1; v.Load() != want; i++ {
+		if i%spinStride == 0 && time.Now().After(deadline) {
+			t.mu.Lock()
+			for v.Load() != want {
+				t.cond.Wait()
+			}
+			t.mu.Unlock()
+			return
+		}
+	}
+}
+
+// wake follows every change to gen or busy. A sleeper looks at its
+// counter under the lock, so the broadcast cannot fall between that look
+// and the Wait. Unconditional: skipping the lock while nobody sleeps
+// measured within spread (EXPERIMENTS.md, PR 21).
+func (t *team) wake() {
+	t.mu.Lock()
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 func (k *kernel) drain() {

@@ -87,6 +87,7 @@ func TestKernelSweepsAgree(t *testing.T) {
 
 					iterate := func(rows rowSet) (*kernel, float64) {
 						k := graphKernel(b, opt)
+						defer k.stop()
 						k.seed(slices.Clone(id0), slices.Clone(prop0))
 						rescale := func() {
 							if !rows.dense {
@@ -138,6 +139,7 @@ func TestKernelEmptyRowList(t *testing.T) {
 	n := b.N()
 	opt := DefaultOptions()
 	k := graphKernel(b, opt)
+	defer k.stop()
 	k.seed(filled(n, 1), filled(n, 1))
 	empty := newVertSet(n) // never marked: its list is nil
 	if d := k.phaseA(listRows(empty.list), 0.5, 0.25); d != 0 {
@@ -202,12 +204,12 @@ func TestRunAllocsIndependentOfIterations(t *testing.T) {
 	}
 }
 
-// metadataShapedGraph mimics the unified metadata graph: the first fifth
+// metadataShapedEdges mimics the unified metadata graph: the first fifth
 // of the vertices are MDT inodes in an 8-ary namespace tree, the rest
 // are stripe objects of those inodes, and every relation is a typed,
 // paired point-to/point-back — two edges per vertex, three fifths of
 // them leaving the first fifth of the rows.
-func metadataShapedGraph(n int) *graph.Bidirected {
+func metadataShapedEdges(n int) []graph.Edge {
 	r := rand.New(rand.NewSource(1))
 	mdt := n / 5
 	edges := make([]graph.Edge, 0, 2*n)
@@ -218,13 +220,60 @@ func metadataShapedGraph(n int) *graph.Bidirected {
 		}
 		edges = append(edges, graph.Edge{Src: owner, Dst: uint32(v), Kind: to}, graph.Edge{Src: uint32(v), Dst: owner, Kind: back})
 	}
-	return graph.NewBidirected(n, edges, 0)
+	return edges
+}
+
+func metadataShapedGraph(n int) *graph.Bidirected {
+	return graph.NewBidirected(n, metadataShapedEdges(n), 0)
+}
+
+// namespaceOrdered renumbers a metadata-shaped edge list the way ROADMAP
+// item 2 would have agg number a cluster: breadth-first from the root,
+// a directory's children in row order, every inode's stripe objects
+// right after it. It is the best case of that item's cold half, bought
+// here with a test-side permutation instead of a merge pass.
+func namespaceOrdered(n int, edges []graph.Edge) []graph.Edge {
+	kids, objs := make([][]uint32, n), make([][]uint32, n)
+	for _, e := range edges {
+		switch e.Kind {
+		case graph.KindDirent:
+			kids[e.Src] = append(kids[e.Src], e.Dst)
+		case graph.KindLOVEA:
+			objs[e.Src] = append(objs[e.Src], e.Dst)
+		}
+	}
+	perm, next := make([]uint32, n), uint32(0)
+	label := func(v uint32) {
+		perm[v], next = next, next+1
+		for _, o := range objs[v] {
+			perm[o], next = next, next+1
+		}
+	}
+	label(0)
+	for queue := []uint32{0}; len(queue) > 0; queue = queue[1:] {
+		for _, c := range kids[queue[0]] {
+			label(c)
+			if len(kids[c]) > 0 {
+				queue = append(queue, c)
+			}
+		}
+	}
+	if int(next) != n {
+		panic(fmt.Sprintf("namespace order reached %d of %d vertices", next, n))
+	}
+	out := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		out[i] = graph.Edge{Src: perm[e.Src], Dst: perm[e.Dst], Kind: e.Kind}
+	}
+	return out
 }
 
 // BenchmarkKernel times Run alone — the CSR is built outside the timer —
 // for a fixed 32 iterations on the two degree regimes the spine's
 // workloads have: R-MAT scale 16 with edge factor 8, and a typed
-// metadata-shaped graph with two edges per vertex.
+// metadata-shaped graph with two edges per vertex — at cold_check_tcp's
+// size, at fault_repair's, where a sweep is short enough for its fan-out
+// to show, and at the first size again in namespace order.
 func BenchmarkKernel(b *testing.B) {
 	graphs := []struct {
 		name string
@@ -232,6 +281,8 @@ func BenchmarkKernel(b *testing.B) {
 	}{
 		{"rmat16x8", graph.NewBidirectedUntyped(1<<16, rmat.Generate(rmat.Graph500(16, 8, 1), 0), 0)},
 		{"metadata120k", metadataShapedGraph(120000)},
+		{"metadata35k", metadataShapedGraph(35000)},
+		{"metadata120k-nsorder", graph.NewBidirected(120000, namespaceOrdered(120000, metadataShapedEdges(120000)), 0)},
 	}
 	for _, tc := range graphs {
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {

@@ -87,8 +87,12 @@ type Options struct {
 	// flags only the strict minimum; <=0 uses the default (2.0).
 	AttributionSlack float64
 
-	// Workers bounds the goroutines used by the parallel kernels;
-	// <=0 means GOMAXPROCS.
+	// Workers bounds the goroutines that sweep the rank kernel; <=0 means
+	// GOMAXPROCS. The helpers beyond the calling goroutine are resident
+	// for one Run / RunIncremental / RunPartition call — started once,
+	// spinning briefly between its sweeps, gone when it returns — not
+	// spawned per sweep, and never more than the row blocks or the
+	// processors can keep busy.
 	Workers int
 
 	// InitialID and InitialProp seed the iteration instead of the

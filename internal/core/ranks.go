@@ -78,6 +78,7 @@ func Run(b *graph.Bidirected, opt Options) *Result {
 		return res
 	}
 	k := graphKernel(b, opt)
+	defer k.stop()
 	k.seed(res.IDRank, res.PropRank)
 	rows := allRows(n)
 

@@ -166,6 +166,7 @@ func RunPartition(sub *graph.SubGraph, workers int, link Link) error {
 		LeakyDistribution: init.Leaky,
 		Workers:           workers,
 	})
+	defer k.stop()
 	// The Init frame is this worker's alone; its seed vectors become the
 	// rank vectors.
 	k.seed(init.ID, init.Prop)
