@@ -1,0 +1,58 @@
+package checker
+
+import (
+	"runtime"
+	"testing"
+
+	"faultyrank/internal/ldiskfs"
+	"faultyrank/internal/lustre"
+	"faultyrank/internal/workload"
+)
+
+// tcpCheckBytesPerVertex is TestTCPCheckAllocs' ceiling. A check of its
+// cluster allocates 623 bytes per vertex (809 under -race, whose
+// scheduling grows more group buffers), and 845 if the scanner copies
+// every chunk for the wire stream, ten journals preallocate 256 KiB
+// rings and the transpose counts in an array of its own.
+const tcpCheckBytesPerVertex = 690
+
+// TestTCPCheckAllocs: what a TCP cold check allocates, per vertex of a
+// fixed aged cluster (cold_check_tcp's shape at a quarter of its size,
+// two workers), stays under a ceiling that the chunk copies or the
+// preallocated rings alone would break (the second count array is
+// TestNewBidirectedAllocs' to catch).
+func TestTCPCheckAllocs(t *testing.T) {
+	c, err := lustre.NewCluster(lustre.Config{
+		NumOSTs: 8, StripeSize: 64 << 10, StripeCount: -1,
+		Geometry: ldiskfs.CompactGeometry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Age(c, workload.AgeSpec{TargetMDTInodes: 6000, ChurnFraction: 0.15, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	images := ClusterImages(c)
+	opt := DefaultOptions()
+	opt.UseTCP = true
+	opt.Workers = 2
+	if _, err := Run(images, opt); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(images, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(res.Unified.N())
+	limit := tcpCheckBytesPerVertex * n
+	if raceEnabled {
+		limit = limit * 13 / 10
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("a TCP check of %d vertices allocated %d bytes (%d per vertex), ceiling %d", n, got, got/n, limit)
+	}
+}

@@ -32,20 +32,21 @@ type Bidirected struct {
 // NewBidirected builds both CSR orientations and classifies every edge as
 // paired or unpaired, all in parallel: the forward CSR from the edge
 // list, its transpose by counting, and the pairing by one merge-join per
-// vertex — each edge is touched a constant number of times.
+// vertex — each edge is touched a constant number of times. The
+// transpose counts in the forward build's count array.
 func NewBidirected(n int, edges []Edge, workers int) *Bidirected {
-	return newBidirected(BuildCSR(n, edges, true, workers), workers)
+	return newBidirected(n, edges, true, workers)
 }
 
 // NewBidirectedUntyped is NewBidirected for kind-less benchmark graphs;
 // it skips the per-edge kind arrays (one byte per edge per orientation).
 func NewBidirectedUntyped(n int, edges []Edge, workers int) *Bidirected {
-	return newBidirected(BuildCSR(n, edges, false, workers), workers)
+	return newBidirected(n, edges, false, workers)
 }
 
-func newBidirected(fwd *CSR, workers int) *Bidirected {
-	rev := fwd.Transpose(workers)
-	n := fwd.N
+func newBidirected(n int, edges []Edge, keepKinds bool, workers int) *Bidirected {
+	fwd, counts := buildCSR(n, edges, keepKinds, workers)
+	rev := fwd.transpose(workers, counts)
 	b := &Bidirected{
 		Fwd:        fwd,
 		Rev:        rev,

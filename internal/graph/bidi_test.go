@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,25 @@ func TestInCountsMatchRevDegrees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewBidirectedAllocs: a build allocates the Bidirected's own arrays
+// and one W×n count/cursor array, which the forward build and the
+// transpose share, and next to nothing else.
+func TestNewBidirectedAllocs(t *testing.T) {
+	const n, m, workers = 50000, 200000, 2
+	edges := randomEdges(rand.New(rand.NewSource(5)), n, m)
+	NewBidirected(n, edges, workers) // warm-up
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b := NewBidirected(n, edges, workers)
+	runtime.ReadMemStats(&after)
+	own := uint64(b.MemoryBytes())
+	counts := uint64(csrCountWorkers(n, m, workers) * n * 8)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, (own+counts)*21/20+64<<10; got > limit {
+		t.Fatalf("NewBidirected allocated %d bytes, ceiling %d (own arrays %d + one count array %d)", got, limit, own, counts)
 	}
 }
 

@@ -113,6 +113,18 @@ func balancedCuts(n, parts int, prefix func(v int) int64) []int {
 	return cuts
 }
 
+// zeroedCounts returns size zeroed count slots, in buf's storage when it
+// is large enough: NewBidirected's transpose counts in the forward
+// build's W×n count/cursor array instead of allocating its own.
+func zeroedCounts(buf []int64, size int) []int64 {
+	if cap(buf) < size {
+		return make([]int64, size)
+	}
+	buf = buf[:size]
+	clear(buf)
+	return buf
+}
+
 // scatterCursors turns W private per-vertex count arrays (counts[w*n+v],
 // worker w's edges landing in row v) into row offsets and private scatter
 // cursors, and returns the edge total: offsets[v] becomes the start of
@@ -158,13 +170,20 @@ func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
 // keepKinds controls whether the per-edge kind array is retained; pure
 // benchmark graphs drop it to save a byte per edge.
 func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
+	c, _ := buildCSR(n, edges, keepKinds, workers)
+	return c
+}
+
+// buildCSR is BuildCSR that also returns its count array (nil when there
+// are no edges) for the transpose to count in.
+func buildCSR(n int, edges []Edge, keepKinds bool, workers int) (*CSR, []int64) {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
 	c := &CSR{N: n, Offsets: make([]int64, n+1)}
 	m := len(edges)
 	if m == 0 {
-		return c
+		return c, nil
 	}
 
 	// Both passes split the edge array into the same W contiguous ranges:
@@ -235,7 +254,7 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 			}
 		}
 	})
-	return c
+	return c, counts
 }
 
 // Transpose returns the CSR of the reversed graph: row t lists the
@@ -248,6 +267,12 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 // (target, kind)-sorted, by kind among parallel edges. That is exactly
 // what sorting after the scatter would produce, for any worker count.
 func (c *CSR) Transpose(workers int) *CSR {
+	return c.transpose(workers, nil)
+}
+
+// transpose is Transpose counting in scratch's storage when it is large
+// enough.
+func (c *CSR) transpose(workers int, scratch []int64) *CSR {
 	n := c.N
 	t := &CSR{N: n, Offsets: make([]int64, n+1)}
 	m := len(c.Targets)
@@ -257,7 +282,7 @@ func (c *CSR) Transpose(workers int) *CSR {
 	W := csrCountWorkers(n, m, workers)
 	cuts := balancedCuts(n, W, func(v int) int64 { return c.Offsets[v] })
 
-	counts := make([]int64, W*n)
+	counts := zeroedCounts(scratch, W*n)
 	par.ForEach(W, W, func(w int) {
 		cnt := counts[w*n : (w+1)*n]
 		for _, dst := range c.Targets[c.Offsets[cuts[w]]:c.Offsets[cuts[w+1]]] {

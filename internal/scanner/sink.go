@@ -49,9 +49,21 @@ func (c *Chunk) Entries() int { return len(c.Objects) + len(c.Edges) + len(c.Iss
 // touch them again (chunkEmitter.flush and the wire decoder both do
 // so); a sink may retain the chunk without copying, but a sink that
 // retains it must not mutate it — the same chunk may be replayed into
-// other sinks.
+// other sinks. A Borrower opts out of the first half of this rule.
 type Sink interface {
 	Emit(*Chunk) error
+}
+
+// Borrower is a Sink that is finished with a chunk when Emit returns:
+// it encodes, counts or copies what it needs and keeps no reference to
+// the chunk or its slices. The scanner lends such a sink its scratch
+// chunk and refills it for the next one, instead of handing over an
+// exact-size copy. wire.ChunkStream is one; a sink that retains chunks
+// (agg.Builder, PartialSink, a recorder) must not be.
+type Borrower interface {
+	Sink
+	// BorrowsChunks marks the type; it is never called.
+	BorrowsChunks()
 }
 
 // PartialSink reassembles a chunk stream into one Partial — the compat
@@ -77,11 +89,12 @@ func (s *PartialSink) Emit(c *Chunk) error {
 func (s *PartialSink) Partial() *Partial { return &s.p }
 
 // chunkEmitter batches scan output into bounded chunks. cur is scratch:
-// its slices are refilled for every chunk and never leave the emitter;
-// flush hands the sink copies of exactly the filled length.
+// its slices are refilled for every chunk; flush lends cur itself to a
+// Borrower and hands any other sink copies of exactly the filled length.
 type chunkEmitter struct {
 	label string
 	sink  Sink
+	lend  bool // sink is a Borrower
 	limit int
 	seq   int
 	cur   Chunk
@@ -92,7 +105,8 @@ func newChunkEmitter(label string, limit int, sink Sink, ins []*Instr) *chunkEmi
 	if limit <= 0 {
 		limit = DefaultChunkEntries
 	}
-	return &chunkEmitter{label: label, sink: sink, limit: limit, ins: ins}
+	_, lend := sink.(Borrower)
+	return &chunkEmitter{label: label, sink: sink, lend: lend, limit: limit, ins: ins}
 }
 
 // grow makes room for n more entries, at least doubling the capacity
@@ -116,17 +130,20 @@ func fresh[T any](s []T) []T {
 }
 
 func (e *chunkEmitter) flush(final bool) error {
-	c := &Chunk{
-		ServerLabel: e.label, Seq: e.seq, Final: final,
-		Objects: fresh(e.cur.Objects), Edges: fresh(e.cur.Edges), Issues: fresh(e.cur.Issues),
-		Stats: e.cur.Stats,
-	}
+	e.cur.ServerLabel, e.cur.Seq, e.cur.Final = e.label, e.seq, final
 	e.seq++
-	e.cur = Chunk{Objects: e.cur.Objects[:0], Edges: e.cur.Edges[:0], Issues: e.cur.Issues[:0]}
 	for _, in := range e.ins {
 		in.chunk()
 	}
-	return e.sink.Emit(c)
+	c := &e.cur
+	if !e.lend {
+		own := e.cur
+		own.Objects, own.Edges, own.Issues = fresh(own.Objects), fresh(own.Edges), fresh(own.Issues)
+		c = &own
+	}
+	err := e.sink.Emit(c)
+	e.cur = Chunk{Objects: e.cur.Objects[:0], Edges: e.cur.Edges[:0], Issues: e.cur.Issues[:0]}
+	return err
 }
 
 // fill appends one section of a group's output to the matching scratch

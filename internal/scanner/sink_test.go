@@ -1,9 +1,17 @@
 package scanner
 
 import (
+	"cmp"
+	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
+
+	"faultyrank/internal/ldiskfs"
+	"faultyrank/internal/lustre"
 )
 
 // collectSink records every emitted chunk.
@@ -12,8 +20,8 @@ type collectSink struct {
 }
 
 func (s *collectSink) Emit(c *Chunk) error {
-	// Copy: the emitter recycles nothing today, but the sink contract
-	// should not depend on that.
+	// Copy: the emitter recycles its scratch chunk only for a Borrower,
+	// but the sink contract should not depend on that.
 	cc := *c
 	s.chunks = append(s.chunks, &cc)
 	return nil
@@ -99,6 +107,124 @@ func TestScanImageToSinkPropagatesSinkError(t *testing.T) {
 	err := ScanImageToSink(c.MDT.Img, 0, 4, &errSink{after: 1})
 	if !errors.Is(err, errSinkBoom) {
 		t.Fatalf("err = %v, want sink error", err)
+	}
+}
+
+// borrowSink is a Borrower: it copies each chunk it is lent before Emit
+// returns, and notes the pointer it was lent.
+type borrowSink struct {
+	copies []*Chunk
+	lent   []*Chunk
+}
+
+func (s *borrowSink) Emit(c *Chunk) error {
+	cp := *c
+	cp.Objects, cp.Edges, cp.Issues = fresh(c.Objects), fresh(c.Edges), fresh(c.Issues)
+	s.copies = append(s.copies, &cp)
+	s.lent = append(s.lent, c)
+	return nil
+}
+
+func (*borrowSink) BorrowsChunks() {}
+
+// retainSink keeps every chunk it is handed, as agg.Builder and the
+// benchmark's recorder do, and counts the chunks that shared storage
+// with the emitter's scratch when they were handed over.
+type retainSink struct {
+	em      *chunkEmitter
+	chunks  []*Chunk
+	aliased int
+}
+
+func (s *retainSink) Emit(c *Chunk) error {
+	s.chunks = append(s.chunks, c)
+	if c == &s.em.cur || overlap(spansOf(spansOf(nil, c), &s.em.cur)) {
+		s.aliased++
+	}
+	return nil
+}
+
+// memSpan is the storage behind one chunk section, up to its capacity.
+type memSpan struct{ lo, hi uintptr }
+
+func spanOf[T any](s []T) memSpan {
+	var zero T
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return memSpan{lo, lo + uintptr(cap(s))*unsafe.Sizeof(zero)}
+}
+
+// spansOf appends the storage of c's non-empty sections to spans.
+func spansOf(spans []memSpan, c *Chunk) []memSpan {
+	for _, s := range []memSpan{spanOf(c.Objects), spanOf(c.Edges), spanOf(c.Issues)} {
+		if s.hi > s.lo {
+			spans = append(spans, s)
+		}
+	}
+	return spans
+}
+
+// overlap reports whether any two spans share a byte.
+func overlap(spans []memSpan) bool {
+	slices.SortFunc(spans, func(a, b memSpan) int { return cmp.Compare(a.lo, b.lo) })
+	var hi uintptr
+	for _, s := range spans {
+		if s.lo < hi {
+			return true
+		}
+		hi = max(hi, s.hi)
+	}
+	return false
+}
+
+// TestLentChunksMatchRetained holds both halves of the Sink ownership
+// rule. A Borrower is lent the emitter's scratch chunk itself, and what
+// it sees before Emit returns is DeepEqual to the chunks a retaining
+// sink is handed; the retaining sink's chunks share storage neither
+// with each other nor with the emitter's scratch, so a scan can never
+// overwrite a chunk someone keeps.
+func TestLentChunksMatchRetained(t *testing.T) {
+	c := wideCluster(t, 1500)
+	// Damage some LMAs so the issue section is exercised too.
+	for i := 0; i < 1500; i += 97 {
+		ent, err := c.Stat(fmt.Sprintf("/d/s%d/f%d", i/500, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.MDT.Img.SetXattr(ent.Ino, lustre.XattrLMA, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, img := range []*ldiskfs.Image{c.MDT.Img, c.OSTs[0].Img} {
+		for _, size := range []int{7, 256} {
+			b := &borrowSink{}
+			emB := newChunkEmitter(img.Label(), size, b, nil)
+			if _, err := sweep(context.Background(), img, 2, emB); err != nil {
+				t.Fatal(err)
+			}
+			for i, lent := range b.lent {
+				if lent != &emB.cur {
+					t.Fatalf("%s chunk %d: a Borrower was handed a copy, not the scratch chunk", img.Label(), i)
+				}
+			}
+
+			r := &retainSink{}
+			emR := newChunkEmitter(img.Label(), size, r, nil)
+			r.em = emR
+			if _, err := sweep(context.Background(), img, 2, emR); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(b.copies, r.chunks) {
+				t.Fatalf("%s chunk size %d: the borrowed stream diverges from the retained one", img.Label(), size)
+			}
+			var kept []memSpan
+			for _, ch := range r.chunks {
+				kept = spansOf(kept, ch)
+			}
+			if len(r.chunks) < 3 || r.aliased > 0 || overlap(kept) {
+				t.Fatalf("%s chunk size %d: of %d retained chunks %d shared the emitter's scratch, or two share storage",
+					img.Label(), size, len(r.chunks), r.aliased)
+			}
+		}
 	}
 }
 

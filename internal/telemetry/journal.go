@@ -17,7 +17,9 @@ import (
 //   - Bounded: the ring holds at most its capacity; older events are
 //     overwritten and counted in Dropped, so a misbehaving loop can
 //     never grow memory — the most recent history (the part that
-//     explains a failure) is what survives.
+//     explains a failure) is what survives. The capacity is a limit,
+//     not an allocation: the ring grows by append until it reaches it,
+//     so a journal that records ten events costs ten events.
 //   - Nil-tolerant: every method on a nil *Journal or nil *Sampler is a
 //     no-op, so call sites need no conditionals.
 //   - Monotonic: event times are offsets from the journal's start on
@@ -26,8 +28,9 @@ import (
 //     FRJR codec and frtrace's timeline merge rely on.
 
 // DefaultJournalCap is the ring capacity NewJournal uses for cap <= 0.
-// 4096 events × ~100 B ≈ 400 KB per journal: enough to hold several
-// rounds of history, small enough to keep one per server.
+// A full ring is 4096 × 64 B = 256 KiB of events plus their attrs:
+// enough to hold several rounds of history, small enough to keep one
+// per server — and a journal pays for it only as it fills.
 const DefaultJournalCap = 4096
 
 // An Attr is one key/value pair on an event. Attrs are an ordered
@@ -68,7 +71,8 @@ type Journal struct {
 	server string    // origin label stamped into snapshots
 
 	mu      sync.Mutex
-	buf     []Event // ring storage; len grows to cap then stays
+	buf     []Event // ring storage; grows by append to limit, then stays
+	limit   int     // ring capacity
 	next    int     // index the next event lands at once the ring is full
 	dropped int64   // events overwritten since start
 }
@@ -83,7 +87,7 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{
 		start: now,
 		base:  now.UnixNano(),
-		buf:   make([]Event, 0, capacity),
+		limit: capacity,
 	}
 }
 
@@ -117,7 +121,7 @@ func (j *Journal) Record(component, kind string, kv ...string) {
 	j.mu.Lock()
 	// The offset is taken under the lock so ring order is time order.
 	e := Event{T: time.Since(j.start), Component: component, Kind: kind, Attrs: attrs}
-	if len(j.buf) < cap(j.buf) {
+	if len(j.buf) < j.limit {
 		j.buf = append(j.buf, e)
 	} else {
 		j.buf[j.next] = e

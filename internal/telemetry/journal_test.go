@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +73,42 @@ func TestJournalRingBounds(t *testing.T) {
 		}
 		if i > 0 && e.T < s.Events[i-1].T {
 			t.Fatalf("wrapped events out of time order at %d", i)
+		}
+	}
+}
+
+// TestJournalGrowsOnDemand: the capacity is a limit, not an allocation.
+// A default journal that records ten events costs at most 4 KiB (a
+// preallocated ring was 256 KiB), and a ring grown by append still wraps
+// at its limit — 5 here, where append's capacity has reached 8 — with
+// the overwrites counted.
+func TestJournalGrowsOnDemand(t *testing.T) {
+	const journals = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < journals; i++ {
+		j := NewJournal(0)
+		for k := 0; k < 10; k++ {
+			j.Record("wire", "dial-retry", "server", "ost0")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / journals; per > 4<<10 {
+		t.Errorf("a default journal holding ten events allocated %d bytes, want <= 4 KiB", per)
+	}
+
+	j := NewJournal(5)
+	for i := 0; i < 12; i++ {
+		j.Record("c", "k", "i", strconv.Itoa(i))
+	}
+	s := j.Snapshot()
+	if len(s.Events) != 5 || s.Dropped != 7 {
+		t.Fatalf("%d events, %d dropped; want 5 and 7", len(s.Events), s.Dropped)
+	}
+	for i, e := range s.Events {
+		if want := strconv.Itoa(7 + i); e.Attr("i") != want {
+			t.Fatalf("event %d is %q, want %q", i, e.Attr("i"), want)
 		}
 	}
 }

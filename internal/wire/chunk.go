@@ -238,6 +238,11 @@ func (s *ChunkStream) Emit(c *scanner.Chunk) error {
 	return s.emit(c.Final)
 }
 
+// BorrowsChunks makes the stream a scanner.Borrower: Emit has encoded
+// the chunk into s.frame before it returns, so the scanner may lend its
+// scratch chunk instead of copying it.
+func (s *ChunkStream) BorrowsChunks() {}
+
 // EmitRaw ships an already-encoded (possibly deliberately corrupt)
 // chunk payload — the hook fault injection uses to put hostile frames
 // on a live stream.
