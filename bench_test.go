@@ -365,13 +365,13 @@ func BenchmarkIngestion(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			var scan, merge, build float64
 			for i := 0; i < b.N; i++ {
-				row, err := bench.MeasureIngest(images, w, 0)
+				row, err := measureIngest(images, w, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				scan = row.Scan.Seconds()
-				merge = row.Merge.Seconds()
-				build = row.Build.Seconds()
+				scan = row.scan.Seconds()
+				merge = row.merge.Seconds()
+				build = row.build.Seconds()
 			}
 			b.ReportMetric(scan*1000, "scan-ms")
 			b.ReportMetric(merge*1000, "merge-ms")
@@ -392,7 +392,7 @@ func BenchmarkIngestionTelemetry(b *testing.B) {
 	images := checker.ClusterImages(c)
 	b.Run("noop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.MeasureIngestObserved(images, 0, 0, nil); err != nil {
+			if _, err := measureIngest(images, 0, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -400,7 +400,7 @@ func BenchmarkIngestionTelemetry(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.MeasureIngestObserved(images, 0, 0, reg); err != nil {
+			if _, err := measureIngest(images, 0, reg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -421,7 +421,7 @@ func BenchmarkIngestionJournal(b *testing.B) {
 	b.Run("registry", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.MeasureIngestObserved(images, 0, 0, reg); err != nil {
+			if _, err := measureIngest(images, 0, reg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -431,7 +431,7 @@ func BenchmarkIngestionJournal(b *testing.B) {
 		j := telemetry.NewJournal(0)
 		j.SetServer("bench")
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.MeasureIngestJournaled(images, 0, 0, reg, j); err != nil {
+			if _, err := measureIngest(images, 0, reg, j); err != nil {
 				b.Fatal(err)
 			}
 		}

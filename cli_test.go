@@ -105,8 +105,8 @@ func TestCLIPipeline(t *testing.T) {
 }
 
 // TestCLIObservability drives the observability surface end to end: a
-// TCP-mode check with a live metrics endpoint and a run manifest, then
-// the machine-readable bench artifact.
+// TCP-mode check with a live metrics endpoint, a run manifest and a
+// cluster manifest.
 func TestCLIObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs CLIs")
@@ -190,36 +190,17 @@ func TestCLIObservability(t *testing.T) {
 		t.Fatalf("cluster manifest names no straggler:\n%s", cdata)
 	}
 
-	// Machine-readable bench artifact.
-	out = run(t, 0, bin, "frbench", "-table", "ingest", "-scale", "smoke", "-json", "-out", work)
-	if !strings.Contains(out, "BENCH_ingest.json") {
-		t.Fatalf("artifact path not announced: %s", out)
-	}
-	bdata, err := os.ReadFile(filepath.Join(work, "BENCH_ingest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		Schema string `json:"schema"`
-		Name   string `json:"name"`
-		Tables []struct {
-			Rows [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(bdata, &art); err != nil {
-		t.Fatalf("artifact not valid JSON: %v\n%s", err, bdata)
-	}
-	if art.Schema != "faultyrank/bench/v1" || art.Name != "ingest" {
-		t.Fatalf("artifact identity wrong: %q %q", art.Schema, art.Name)
-	}
-	if len(art.Tables) == 0 || len(art.Tables[0].Rows) == 0 {
-		t.Fatalf("artifact has no rows: %s", bdata)
+	// frbench keeps only the paper's artifacts: a retired system table is
+	// refused, with the accepted list in the error.
+	out = run(t, 1, bin, "frbench", "-table", "ingest", "-scale", "smoke")
+	if !strings.Contains(out, `unknown table "ingest"`) || !strings.Contains(out, "2|3|4|5|6|fig7|dne|ablation|all") {
+		t.Fatalf("frbench -table ingest: %s", out)
 	}
 }
 
 // TestCLIOnline drives the incremental-check surface: a one-shot
 // -online check against an injected fault, the flag guards, a bounded
-// watch loop, and the online bench artifact.
+// watch loop and durable state.
 func TestCLIOnline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs CLIs")
@@ -266,32 +247,6 @@ func TestCLIOnline(t *testing.T) {
 	out = run(t, 1, bin, "faultyrank", "-dir", cluster, "-online")
 	if !strings.Contains(out, "faulty-id") {
 		t.Fatalf("online check output: %s", out)
-	}
-
-	// The online bench artifact.
-	out = run(t, 0, bin, "frbench", "-table", "online", "-scale", "smoke", "-json", "-out", work)
-	if !strings.Contains(out, "BENCH_online.json") {
-		t.Fatalf("artifact path not announced: %s", out)
-	}
-	bdata, err := os.ReadFile(filepath.Join(work, "BENCH_online.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		Schema string `json:"schema"`
-		Name   string `json:"name"`
-		Tables []struct {
-			Rows [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(bdata, &art); err != nil {
-		t.Fatalf("artifact not valid JSON: %v\n%s", err, bdata)
-	}
-	if art.Schema != "faultyrank/bench/v1" || art.Name != "online" {
-		t.Fatalf("artifact identity wrong: %q %q", art.Schema, art.Name)
-	}
-	if len(art.Tables) == 0 || len(art.Tables[0].Rows) == 0 {
-		t.Fatalf("artifact has no rows: %s", bdata)
 	}
 }
 

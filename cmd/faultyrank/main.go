@@ -7,8 +7,6 @@
 //	faultyrank -dir cluster/ -repair    # check, repair, verify, persist
 //	faultyrank -dir cluster/ -tcp       # ship partial graphs over TCP
 //	faultyrank -dir cluster/ -rank-workers 4        # shard the rank stage into 4 BSP partitions
-//	faultyrank -dir cluster/ -rank-workers 4 -rank-spawn ./frrankd   # partitions as separate processes
-//	faultyrank -dir cluster/ -rank-workers 4 -rank-listen :9200   # wait for frrankd workers started elsewhere
 //	faultyrank -dir cluster/ -metrics-addr :9090   # live /metrics + pprof
 //	faultyrank -dir cluster/ -run-manifest run.json # machine-readable record
 //	faultyrank -dir cluster/ -tcp -cluster-manifest cm.json # per-server telemetry + skew
@@ -66,8 +64,6 @@ func realMain() int {
 		degraded  = flag.Bool("degraded", false, "complete from surviving streams when scanners are lost (TCP path)")
 		workers   = flag.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
 		rankW     = flag.Int("rank-workers", 0, "shard the rank stage across this many BSP partition workers (<=1 = single kernel; exact, bit-identical results)")
-		rankLn    = flag.String("rank-listen", "", "bind the rank exchange to this host:port and wait for externally launched frrankd workers to dial it (default: a fresh localhost port, workers run in process)")
-		rankSpawn = flag.String("rank-spawn", "", "exec this frrankd binary once per rank partition instead (against -rank-listen when that is set too)")
 		chunk     = flag.Int("chunk", 0, "entries per streamed scanner chunk (0 = default)")
 		epsilon   = flag.Float64("epsilon", 0.1, "convergence epsilon (max |Δ id_rank|)")
 		threshold = flag.Float64("threshold", 0.4, "fault threshold on mean-1-scaled ranks")
@@ -94,9 +90,6 @@ func realMain() int {
 	if *stateDir != "" && !*useOnline {
 		return fail(errors.New("-state requires -online"))
 	}
-	if (*rankLn != "" || *rankSpawn != "") && *rankW <= 1 {
-		return fail(errors.New("-rank-listen/-rank-spawn require -rank-workers > 1"))
-	}
 
 	if *profRates > 0 {
 		runtime.SetMutexProfileFraction(*profRates)
@@ -113,8 +106,6 @@ func realMain() int {
 	opt.AllowDegraded = *degraded
 	opt.Workers = *workers
 	opt.RankWorkers = *rankW
-	opt.RankListen = *rankLn
-	opt.RankSpawn = *rankSpawn
 	opt.ChunkSize = *chunk
 	opt.Core.Epsilon = *epsilon
 	opt.Core.Threshold = *threshold

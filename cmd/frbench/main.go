@@ -9,17 +9,12 @@
 //	frbench -table fig7            # Fig. 7    (functional comparison)
 //	frbench -table dne             # DNE sweep (checker vs MDT count)
 //	frbench -table ablation        # design ablation matrix
-//	frbench -table ingest          # ingestion scaling (scan→CSR vs workers)
-//	frbench -table net             # network path under injected scanner faults
-//	frbench -table skew            # per-server scan skew from wire-shipped telemetry
-//	frbench -table online          # incremental delta check vs cold full recheck
-//	frbench -table partition       # rank-stage scaling across BSP partition workers
 //	frbench -table all -scale smoke
 //
 // -scale picks sizing: smoke (seconds), default (minutes), paper (the
-// published sizes; RMAT-26 needs ~30 GB RAM). -json additionally writes
-// each artifact as BENCH_<table>.json next to the text output, the
-// machine-readable form CI archives for trend tracking.
+// published sizes; RMAT-26 needs ~30 GB RAM). Per-layer measurements of
+// the pipeline itself (scan, ship, merge, build, rank, online rounds)
+// come from the benchmark module under benchmark/.
 package main
 
 import (
@@ -34,10 +29,7 @@ import (
 // tableNames lists every artifact -table accepts, in doc-comment order.
 // The flag help and the unknown-table error derive from it, so the two
 // user-facing lists can no longer drift from the dispatch below.
-var tableNames = []string{
-	"2", "3", "4", "5", "6", "fig7", "dne", "ablation",
-	"ingest", "net", "skew", "online", "partition",
-}
+var tableNames = []string{"2", "3", "4", "5", "6", "fig7", "dne", "ablation"}
 
 // tableChoices renders the accepted -table values for help and errors.
 func tableChoices() string {
@@ -52,9 +44,6 @@ func main() {
 		scaleStr = flag.String("scale", "default", "sizing: smoke|default|paper")
 		workers  = flag.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
 		useTCP   = flag.Bool("tcp", true, "Table VI: run both checkers over localhost TCP")
-		spawn    = flag.String("rank-spawn", "", "partition table: exec this frrankd binary per partition (k > 1) and record per-process peak RSS")
-		jsonOut  = flag.Bool("json", false, "also write each artifact as BENCH_<table>.json")
-		outDir   = flag.String("out", ".", "directory for -json artifacts")
 	)
 	flag.Parse()
 
@@ -75,83 +64,43 @@ func main() {
 	want := func(name string) bool {
 		return *table == "all" || strings.EqualFold(*table, name)
 	}
-	// emit prints each table and, with -json, writes the artifact file.
-	emit := func(name string, tabs ...*bench.Table) {
+	emit := func(tabs ...*bench.Table) {
 		for _, t := range tabs {
 			fmt.Println(t.Render())
 		}
-		if *jsonOut {
-			path, err := bench.WriteArtifact(*outDir, name, scale, tabs...)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", path)
-		}
 	}
 	if want("2") {
-		emit("2", bench.Table2())
+		emit(bench.Table2())
 	}
 	if want("3") {
-		emit("3", bench.Table3(scale))
+		emit(bench.Table3(scale))
 	}
 	if want("4") {
-		emit("4", bench.Table4(scale, *workers))
+		emit(bench.Table4(scale, *workers))
 	}
 	if want("5") {
-		emit("5", bench.Table5(scale, *workers))
+		emit(bench.Table5(scale, *workers))
 	}
 	if want("fig7") {
 		rows, err := bench.Fig7Compare(scale)
 		if err != nil {
 			log.Fatal(err)
 		}
-		emit("fig7", bench.Fig7Table(rows))
+		emit(bench.Fig7Table(rows))
 	}
 	if want("6") {
 		rows, err := bench.Table6Measure(scale, *useTCP, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		emit("6", bench.Table6(rows))
+		emit(bench.Table6(rows))
 	}
 	if want("dne") {
 		tab, err := bench.TableDNE(scale, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		emit("dne", tab)
-	}
-	if want("ingest") {
-		counts := []int{1, 2, 4, 8}
-		if *workers > 0 {
-			counts = []int{1, *workers}
-		}
-		rows, err := bench.IngestMeasure(scale, counts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("ingest", bench.IngestTable(rows))
-	}
-	if want("net") {
-		rows, err := bench.NetPathMeasure(scale, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("net", bench.NetPathTable(rows))
-	}
-	if want("skew") {
-		rows, sum, err := bench.SkewMeasure(scale, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("skew", bench.SkewTable(rows, sum))
-	}
-	if want("online") {
-		rows, err := bench.OnlineMeasure(scale, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("online", bench.OnlineTable(rows))
+		emit(tab)
 	}
 	if want("ablation") {
 		tab, err := bench.AblationMatrix(scale)
@@ -162,13 +111,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		emit("ablation", tab, fp)
-	}
-	if want("partition") {
-		rows, err := bench.PartitionMeasure(scale, *workers, *spawn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("partition", bench.PartitionTable(rows))
+		emit(tab, fp)
 	}
 }

@@ -38,14 +38,12 @@ func ParseScale(s string) (Scale, error) {
 	}
 }
 
-// Table is a rendered experiment result. The JSON tags are the bench
-// artifact contract (internal/bench/json.go); renaming them breaks
-// BENCH_*.json consumers.
+// Table is a rendered experiment result.
 type Table struct {
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	Title   string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 }
 
 // Render formats the table as aligned text.

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"faultyrank/internal/graph"
 )
 
 func TestParseScale(t *testing.T) {
@@ -71,6 +73,17 @@ func TestTable4And5Smoke(t *testing.T) {
 	// Degree sweep: edges must grow with degree.
 	if !(t5.Rows[0][1] < t5.Rows[3][1]) && len(t5.Rows[0][1]) >= len(t5.Rows[3][1]) {
 		t.Errorf("edge counts not increasing: %v", t5.Rows)
+	}
+	// The allocated column is measured, so it covers at least what the
+	// run keeps: the bidirected CSR plus the kernel's five n-vectors (id,
+	// prop, sID, sProp, invW).
+	for _, mk := range datasetSpecs(ScaleSmoke) {
+		d := mk()
+		r := MeasureDataset(d.Name, d.Vertices, d.Edges, 0)
+		held := graph.NewBidirectedUntyped(d.Vertices, d.Edges, 0).MemoryBytes() + 5*8*int64(d.Vertices)
+		if r.AllocBytes < held {
+			t.Errorf("%s: allocated %d B, below the %d B the graph and rank vectors hold", d.Name, r.AllocBytes, held)
+		}
 	}
 }
 

@@ -70,8 +70,8 @@ type Options struct {
 	// is exact — ranks and findings are bit-identical to the
 	// single-process kernel for any worker count — so this trades
 	// nothing but exchange overhead for per-partition parallelism. The
-	// workers always sit behind a rank exchange (wire.ServeRankWorker over
-	// TCP links); by default they are goroutines of this process.
+	// workers are goroutines of this process behind a localhost rank
+	// exchange (wire.ServeRankWorker over TCP links).
 	RankWorkers int
 	// RankFaults injects a crash into the numbered rank partitions'
 	// superstep links — the test/bench hook for the rank-stage failure
@@ -80,21 +80,6 @@ type Options struct {
 	// to the single-process kernel (the whole graph is local to the
 	// coordinator) and records the fallback in the rank manifest.
 	RankFaults map[int]*inject.RankFault
-
-	// RankListen binds the rank exchange to an explicit address
-	// ("host:port"; empty = a fresh localhost port) so frrankd workers
-	// beyond the loopback can dial in. Unless RankSpawn is also set, the
-	// checker then starts no workers of its own and waits for
-	// externally-launched frrankd processes — the only reason to choose
-	// the address. A worker that never arrives within OpTimeout fails the
-	// run — or, with AllowDegraded, falls back to the single-process
-	// kernel with the fallback recorded in the rank manifest.
-	RankListen string
-	// RankSpawn, when non-empty, is the path of an frrankd binary the
-	// checker execs once per partition — the CI shape proving real
-	// process separation on one host. Each process's self-reported peak
-	// RSS lands in the rank manifest.
-	RankSpawn string
 
 	// RankIncremental runs the frontier-based incremental kernel
 	// (core.RunIncremental) instead of full sweeps, seeded from
@@ -583,7 +568,7 @@ func streamOverTCP(ctx context.Context, images []*ldiskfs.Image, builder *agg.Bu
 					"server", label, "err", errs[i].Error())
 				return
 			}
-			cs, err := wire.DialChunkStreamObserved(ctx, addr, wire.DefaultRetryPolicy(), opt.OpTimeout, obs.wireM, srvWire)
+			cs, err := wire.DialChunkStreamContext(ctx, addr, wire.DefaultRetryPolicy(), opt.OpTimeout, obs.wireM, srvWire)
 			if err != nil {
 				errs[i] = err
 				obs.journal.Record("checker", "scan-failed",

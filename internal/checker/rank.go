@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"faultyrank/internal/core"
 	"faultyrank/internal/graph"
@@ -17,10 +16,9 @@ import (
 // Partitioned rank orchestration: when Options.RankWorkers > 1, the
 // checker shards the CSR by the aggregator's FID hash (the same hash
 // the interner probes by, so the owners map is a pure function of the
-// FID table), opens a rank exchange, gets one wire.ServeRankWorker per
-// partition started — as a goroutine, as an exec'd frrankd, or by
-// whoever operates the other hosts — and drives the BSP superstep
-// protocol as coordinator. The decomposition is exact, so the only
+// FID table), opens a localhost rank exchange, starts one
+// wire.ServeRankWorker goroutine per partition and drives the BSP
+// superstep protocol as coordinator. The decomposition is exact, so the only
 // observable differences from the single-process kernel are the
 // per-partition spans, the exchange counters and the rank manifest.
 
@@ -39,14 +37,6 @@ type RankManifest struct {
 	// CutEdges counts row entries whose column lives on another
 	// partition — the ghost traffic driver.
 	CutEdges int64 `json:"cut_edges"`
-	// Remote records that the workers were separate frrankd processes
-	// (Options.RankSpawn, or awaited on Options.RankListen) rather than
-	// goroutines of the checker.
-	Remote bool `json:"remote,omitempty"`
-	// WorkerRSS, on spawned runs, is each partition's peak resident set
-	// in bytes as the worker process itself reports it at exit (0 where
-	// it reported none) — the memory side of ROADMAP item 3.
-	WorkerRSS []int64 `json:"worker_rss,omitempty"`
 	// Fallback, when set, records the degraded path: a partition's link
 	// broke mid-exchange, and the ranks were recomputed on the
 	// single-process kernel (the coordinator holds the whole graph). It
@@ -92,9 +82,8 @@ func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	man := &RankManifest{
 		Partitions: k,
 		CutEdges:   plan.CutEdges(),
-		Remote:     opt.RankSpawn != "" || opt.RankListen != "",
 	}
-	rank, rep, err := rankOverExchange(ctx, plan, opt, obs, man)
+	rank, rep, err := rankOverExchange(ctx, plan, opt, obs)
 	if rep != nil {
 		man.Supersteps = len(rep.Supersteps)
 		man.UpBytes = rep.UpBytes
@@ -145,42 +134,27 @@ func journalIterations(obs *runObs, kind string, prev func(int, float64)) func(i
 	}
 }
 
-// handshakeTimeout bounds the wait for worker processes to dial in. A
-// worker that never arrives must become an error, not a hang — even
-// when no OpTimeout was configured.
-func (opt Options) handshakeTimeout() time.Duration {
-	if opt.OpTimeout > 0 {
-		return opt.OpTimeout
-	}
-	return 60 * time.Second
-}
-
-// rankOverExchange runs the one partitioned shape: an exchange
-// (localhost by default) accepts one dialing worker per partition, ships
-// it its shard, and the coordinator drives the supersteps. Who started
-// the workers is the only thing that varies: the checker execs
-// RankSpawn once per partition; or, with RankListen set and nothing to
-// spawn, somebody else starts frrankd processes against that address
-// and the checker waits for them; or, by default, the workers are
-// goroutines of this process. A worker that crashes mid-superstep drops
-// its connection; the coordinator's read fails within OpTimeout and
-// Coordinate returns a PartError naming the partition — closing the
-// exchange then releases the surviving workers, so nothing hangs. A
-// worker that fails before the handshake (dial fault, dead process) is
-// reported as the first recorded worker error, wrapped with its
-// partition index, instead of vanishing behind the generic accept
-// failure.
-func rankOverExchange(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs, man *RankManifest) (*core.Result, *core.ExchangeReport, error) {
-	x, addr, err := wire.NewRankExchange(opt.RankListen, opt.OpTimeout)
+// rankOverExchange runs the one partitioned shape: a localhost exchange
+// accepts one dialing goroutine worker per partition, ships it its
+// shard, and the coordinator drives the supersteps. A worker that
+// crashes mid-superstep drops its connection; the coordinator's read
+// fails within OpTimeout and Coordinate returns a PartError naming the
+// partition — closing the exchange then releases the surviving workers,
+// so nothing hangs. A worker that fails before the handshake (a dial
+// fault) cancels the handshake and is reported as the first recorded
+// worker error, wrapped with its partition index, instead of vanishing
+// behind the generic accept failure.
+func rankOverExchange(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs) (*core.Result, *core.ExchangeReport, error) {
+	x, addr, err := wire.NewRankExchange(opt.OpTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer x.Close()
 	x.Observe(obs.wireM)
 
-	// A goroutine worker that cannot even dial would leave the accept
-	// loop waiting for a connection that never comes; cancelling the
-	// handshake context turns that into a prompt error instead.
+	// A worker that cannot even dial would leave the accept loop waiting
+	// for a connection that never comes; cancelling the handshake context
+	// turns that into a prompt error instead.
 	rankCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -201,63 +175,43 @@ func rankOverExchange(ctx context.Context, plan *graph.Plan, opt Options, obs *r
 	}
 
 	workers := opt.Core.PartitionWorkers(plan.K)
-	// Worker processes get a bounded time to dial in; goroutine workers
-	// need none, their failure to dial cancels the handshake itself.
-	var handshake time.Duration
-	if man.Remote {
-		handshake = opt.handshakeTimeout()
-	}
 	var wg sync.WaitGroup
-	var procs *spawnedWorkers
-	switch {
-	case opt.RankSpawn != "":
-		procs, err = spawnRankWorkers(opt, plan.K, addr, workers, recordErr)
-		if err != nil {
-			return nil, nil, err
-		}
-	case opt.RankListen != "":
-		// Somebody else starts them.
-	default:
-		for p := 0; p < plan.K; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				_, sp := telemetry.StartSpan(rankCtx, fmt.Sprintf("rank:p%d", p))
-				defer sp.End()
-				var err error
-				switch f := opt.RankFaults[p]; {
-				case f == nil:
-					err = wire.ServeRankWorker(rankCtx, addr, p, workers, opt.OpTimeout, nil)
-				case f.FailDial:
-					err = inject.ErrRankDialFault
-				default:
-					err = wire.ServeRankWorker(rankCtx, addr, p, workers, opt.OpTimeout, f.WrapLink)
+	for p := 0; p < plan.K; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			_, sp := telemetry.StartSpan(rankCtx, fmt.Sprintf("rank:p%d", p))
+			defer sp.End()
+			var err error
+			switch f := opt.RankFaults[p]; {
+			case f == nil:
+				err = wire.ServeRankWorker(rankCtx, addr, p, workers, opt.OpTimeout, nil)
+			case f.FailDial:
+				err = inject.ErrRankDialFault
+			default:
+				err = wire.ServeRankWorker(rankCtx, addr, p, workers, opt.OpTimeout, f.WrapLink)
+			}
+			if err != nil {
+				recordErr(p, err)
+				if !accepted.Load() {
+					cancel()
 				}
-				if err != nil {
-					recordErr(p, err)
-					if !accepted.Load() {
-						cancel()
-					}
-				}
-			}(p)
-		}
+			}
+		}(p)
 	}
 	// finish waits the cohort out once the exchange is closed under it.
 	finish := func() {
 		x.Close()
 		wg.Wait()
-		if procs != nil {
-			man.WorkerRSS = procs.finish(opt.handshakeTimeout())
-		}
 	}
 
-	links, err := x.AcceptWorkers(rankCtx, plan.Parts, handshake)
+	links, err := x.AcceptWorkers(rankCtx, plan.Parts)
 	if err != nil {
 		cancel()
 		finish()
 		// The accept failure is usually downstream of a worker's own
-		// death (it never dialed, or died pre-handshake); the recorded
-		// worker error is the root cause and names the partition.
+		// death (it never dialed); the recorded worker error is the root
+		// cause and names the partition.
 		if workerErr != nil {
 			return nil, nil, workerErr
 		}

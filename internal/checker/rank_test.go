@@ -86,9 +86,6 @@ func TestRankWorkersFindingsIdentical(t *testing.T) {
 			if man.Partitions != k || len(man.Parts) != k {
 				t.Fatalf("%s: manifest partitions %d/%d", label, man.Partitions, len(man.Parts))
 			}
-			if man.Remote || man.WorkerRSS != nil {
-				t.Fatalf("%s: goroutine workers recorded as processes: %+v", label, man)
-			}
 			if man.Supersteps != res.Rank.Iterations || len(man.Steps) != man.Supersteps {
 				t.Fatalf("%s: %d supersteps / %d steps for %d iterations", label, man.Supersteps, len(man.Steps), res.Rank.Iterations)
 			}
@@ -116,11 +113,38 @@ func TestRankWorkersFindingsIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// Non-default kernel constants reach the workers in the exchange's
+	// Init frame: a coordinator running them gets its own single kernel's
+	// bits, never the workers' defaults.
+	odd := DefaultOptions()
+	odd.Core.UnpairedWeight, odd.Core.Smoothing, odd.Core.LeakyDistribution = 0.3, 0.25, true
+	oddBase, err := Run(images, odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(oddBase.Rank.IDRank, base.Rank.IDRank) {
+		t.Fatal("the odd constants change no rank; their rows would be vacuous")
+	}
+	for _, k := range []int{2, 3} {
+		label := fmt.Sprintf("odd-constants/k=%d", k)
+		opt := odd
+		opt.RankWorkers = k
+		opt.OpTimeout = 10 * time.Second
+		res, err := Run(images, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rankEqualBitwise(t, label, res.Rank, oddBase.Rank)
+		if !reflect.DeepEqual(res.Findings, oddBase.Findings) {
+			t.Fatalf("%s: findings diverge from single-process run", label)
+		}
+	}
 }
 
-// crashOptions configures a partitioned TCP run with rank worker 1
-// dying mid-superstep (after its first UpA — the crash lands between
-// the two phases of an iteration).
+// crashOptions configures a three-way partitioned TCP run with rank
+// worker 1 dying mid-superstep (after its first UpA — the crash lands
+// between the two phases of an iteration).
 func crashOptions(allowDegraded bool) Options {
 	opt := DefaultOptions()
 	opt.UseTCP = true
@@ -172,7 +196,7 @@ func TestRankWorkerCrashTCPDegraded(t *testing.T) {
 
 // TestRankWorkerCrashStrictFails: without AllowDegraded the same crash
 // must fail the run with a PartError naming partition 1 — and still
-// return promptly.
+// return promptly — whether the dead worker has one peer or two.
 func TestRankWorkerCrashStrictFails(t *testing.T) {
 	ctx, cancel := testCtx(t)
 	defer cancel()
@@ -180,16 +204,20 @@ func TestRankWorkerCrashStrictFails(t *testing.T) {
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
 
-	_, err := RunContext(ctx, images, crashOptions(false))
-	if err == nil {
-		t.Fatal("strict run completed despite a dead rank worker")
-	}
-	var pe *core.PartError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error does not attribute a partition: %v", err)
-	}
-	if pe.Part != 1 {
-		t.Fatalf("error names partition %d, want 1: %v", pe.Part, err)
+	for _, k := range []int{2, 3} {
+		opt := crashOptions(false)
+		opt.RankWorkers = k
+		_, err := RunContext(ctx, images, opt)
+		if err == nil {
+			t.Fatalf("k=%d: strict run completed despite a dead rank worker", k)
+		}
+		var pe *core.PartError
+		if !errors.As(err, &pe) {
+			t.Fatalf("k=%d: error does not attribute a partition: %v", k, err)
+		}
+		if pe.Part != 1 {
+			t.Fatalf("k=%d: error names partition %d, want 1: %v", k, pe.Part, err)
+		}
 	}
 }
 
@@ -280,51 +308,4 @@ func TestRankDialFaultDegraded(t *testing.T) {
 	if !reflect.DeepEqual(res.Findings, base.Findings) {
 		t.Fatal("degraded findings diverge from the undisturbed run")
 	}
-}
-
-// TestRankRemoteNoWorker: with an explicit RankListen and nothing to
-// spawn, the checker awaits externally-launched frrankd processes; a
-// worker that never arrives must fail the handshake within the op
-// timeout — strict runs error, degraded runs fall back with the
-// manifest recording both the remote topology and the fallback.
-func TestRankRemoteNoWorker(t *testing.T) {
-	ctx, cancel := testCtx(t)
-	defer cancel()
-
-	c := fig7Cluster(t)
-	images := ClusterImages(c)
-
-	base, err := Run(images, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := DefaultOptions()
-	opt.RankWorkers = 2
-	opt.RankListen = "127.0.0.1:0"
-	opt.OpTimeout = 300 * time.Millisecond
-
-	start := time.Now()
-	if _, err := RunContext(ctx, images, opt); err == nil {
-		t.Fatal("strict remote run completed with no workers")
-	} else if !strings.Contains(err.Error(), "handshake") {
-		t.Fatalf("missing-worker failure is not a handshake error: %v", err)
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("missing worker stalled the run for %v", waited)
-	}
-
-	opt.AllowDegraded = true
-	res, err := RunContext(ctx, images, opt)
-	if err != nil {
-		t.Fatalf("degraded remote run failed outright: %v", err)
-	}
-	man := res.RankExec
-	if man == nil || man.Fallback == "" {
-		t.Fatalf("no fallback recorded: %+v", man)
-	}
-	if !man.Remote {
-		t.Fatalf("manifest does not record the remote topology: %+v", man)
-	}
-	rankEqualBitwise(t, "remote degraded", res.Rank, base.Rank)
 }

@@ -21,7 +21,7 @@ func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	x, addr, err := wire.NewRankExchange("", 5*time.Second)
+	x, addr, err := wire.NewRankExchange(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
 			}
 		}(p)
 	}
-	links, err := x.AcceptWorkers(ctx, plan.Parts, 0)
+	links, err := x.AcceptWorkers(ctx, plan.Parts)
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}

@@ -190,17 +190,11 @@ const SlowFrameThreshold = 250 * time.Millisecond
 // under ctx, retrying the dial per policy. opTimeout bounds each
 // subsequent frame write and the final ack read (0 = ctx deadline
 // only), so a stalled collector surfaces as an I/O timeout instead of
-// hanging the scanner.
-func DialChunkStreamContext(ctx context.Context, addr string, policy RetryPolicy, opTimeout time.Duration) (*ChunkStream, error) {
-	return DialChunkStreamObserved(ctx, addr, policy, opTimeout)
-}
-
-// DialChunkStreamObserved is DialChunkStreamContext with wire metrics
-// attached: dial retries, sent frames/bytes and per-frame write latency
-// land in every registry view in ms as the stream ships. The cluster
-// path passes two — the run-wide metrics and the per-server set the
-// telemetry trailer snapshots — and nil entries observe nothing.
-func DialChunkStreamObserved(ctx context.Context, addr string, policy RetryPolicy, opTimeout time.Duration, ms ...*Metrics) (*ChunkStream, error) {
+// hanging the scanner. Dial retries, sent frames/bytes and per-frame
+// write latency land in every registry view in ms as the stream ships.
+// The cluster path passes two — the run-wide metrics and the per-server
+// set the telemetry trailer snapshots — and nil entries observe nothing.
+func DialChunkStreamContext(ctx context.Context, addr string, policy RetryPolicy, opTimeout time.Duration, ms ...*Metrics) (*ChunkStream, error) {
 	conn, retries, err := dialRetry(ctx, addr, policy)
 	if err != nil {
 		return nil, err

@@ -8,8 +8,8 @@ import (
 )
 
 // ErrRankDeltaVersion is wrapped when a superstep frame carries another
-// codec version — the named signal that a separately-built frrankd and
-// its coordinator are different builds, as opposed to a corrupt stream.
+// codec version — the named signal that a rank peer and its coordinator
+// are different builds, as opposed to a corrupt stream.
 var ErrRankDeltaVersion = errors.New("unsupported rank delta version")
 
 // The wire layer's payload formats, as bincodec reports their decode

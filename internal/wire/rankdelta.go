@@ -15,10 +15,9 @@ import (
 
 // RankDeltaVersion is the codec version carried in every MsgRankDelta
 // payload. A coordinator and its workers must agree exactly — the
-// superstep protocol has no room for mixed-version best effort, and
-// since workers can be separately-built frrankd binaries the version
-// byte is what turns a stale binary into a loud decode error instead of
-// silent garbage. Version 3 dropped the Hello shard fingerprint (every
+// superstep protocol has no room for mixed-version best effort, and the
+// version byte is what turns a stale peer into a loud decode error
+// instead of silent garbage. Version 3 dropped the Hello shard fingerprint (every
 // worker is shipped its shard) and added the kernel constants Init
 // carries.
 const RankDeltaVersion = 3
@@ -236,16 +235,12 @@ type RankExchange struct {
 	closed bool
 }
 
-// NewRankExchange listens for rank workers on bind ("" defaults to
-// 127.0.0.1:0, a fresh localhost port — the in-process and test path).
-// A non-loopback bind is what lets frrankd workers on other hosts dial
-// in. opTimeout bounds every subsequent per-frame read/write on
-// accepted links.
-func NewRankExchange(bind string, opTimeout time.Duration) (*RankExchange, string, error) {
-	if bind == "" {
-		bind = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", bind)
+// NewRankExchange listens for rank workers on a fresh localhost port
+// (127.0.0.1:0): the workers are goroutines of the coordinator's
+// process, and nothing off the host can dial in for a shard. opTimeout
+// bounds every subsequent per-frame read/write on accepted links.
+func NewRankExchange(opTimeout time.Duration) (*RankExchange, string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, "", err
 	}
@@ -260,13 +255,10 @@ func (x *RankExchange) Observe(m *Metrics) { x.metrics = m }
 // with each: read its Hello, check the partition it names is in range
 // and not already taken, encode that partition's shard and ship it in a
 // MsgSubGraph frame. It returns the links ordered by partition index.
-// handshakeTimeout, when positive, bounds the wait for the cohort to
-// dial in — what turns "a worker never arrived" into a timely error the
-// checker can degrade on, without poisoning the accepted links' lifetime
-// (they keep ctx + opTimeout). ctx bounds the whole handshake: its
-// cancellation closes the listener and every accepted connection, so a
-// worker that never dials cannot hang the checker.
-func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGraph, handshakeTimeout time.Duration) ([]core.Link, error) {
+// ctx bounds the whole handshake: its cancellation closes the listener
+// and every accepted connection, so a worker that never dials cannot
+// hang the checker.
+func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGraph) ([]core.Link, error) {
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -276,12 +268,6 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGrap
 		case <-done:
 		}
 	}()
-	if handshakeTimeout > 0 {
-		if tl, ok := x.ln.(*net.TCPListener); ok {
-			_ = tl.SetDeadline(time.Now().Add(handshakeTimeout))
-			defer tl.SetDeadline(time.Time{})
-		}
-	}
 
 	k := len(parts)
 	links := make([]core.Link, k)
@@ -366,10 +352,8 @@ func (c *RankConn) recvShard() (*graph.SubGraph, error) {
 // exchange at addr with bounded retry, announces partition part, receives
 // and revalidates its shard, and runs the worker side of the superstep
 // protocol (core.RunPartition) until the coordinator's Done or a broken
-// link. The checker runs it as a goroutine, cmd/frrankd as a process —
-// spawned by the checker or started by hand on another host; nothing
-// about the worker differs between them. workers bounds the local
-// sweep's parallelism; every other kernel knob arrives in the Init frame.
+// link. The checker runs one goroutine of it per partition. workers
+// bounds the local sweep's parallelism; every other kernel knob arrives in the Init frame.
 // wrap, when non-nil, interposes on the established link (fault
 // injection).
 func ServeRankWorker(ctx context.Context, addr string, part, workers int, opTimeout time.Duration, wrap func(core.Link) core.Link) error {

@@ -78,7 +78,7 @@ func TestRankDeltaRoundTrip(t *testing.T) {
 // bytes — every malformed shape must fail, never allocate per a lying
 // header, and never be silently normalised. A frame of another codec
 // version (a v2 build's, say) fails with the version sentinel, so a
-// stale frrankd binary is told apart from a corrupt stream.
+// stale peer is told apart from a corrupt stream.
 func TestRankDeltaRejects(t *testing.T) {
 	valid := EncodeRankDelta(&core.RankDelta{Kind: core.RankUpA, Sink: []float64{1, 2}})
 	const flagsOff = 1 + 1 + 4 + 4 + 5*8
@@ -163,12 +163,12 @@ func TestRankExchangeTCPExact(t *testing.T) {
 			plan := graph.PartitionPlan(b, owners, k, 4)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			x, addr, err := NewRankExchange("", 5*time.Second)
+			x, addr, err := NewRankExchange(5 * time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wait := serveAll(t, ctx, addr, k)
-			links, err := x.AcceptWorkers(ctx, plan.Parts, 0)
+			links, err := x.AcceptWorkers(ctx, plan.Parts)
 			if err != nil {
 				t.Fatalf("k=%d accept: %v", k, err)
 			}
@@ -244,14 +244,14 @@ func TestRankExchangeRejectsBadHello(t *testing.T) {
 		"not a hello":   {frames: [][]byte{EncodeRankDelta(&core.RankDelta{Kind: core.RankUpA})}},
 		"stale version": {frames: [][]byte{v2}, version: true},
 	} {
-		x, addr, err := NewRankExchange("", 2*time.Second)
+		x, addr, err := NewRankExchange(2 * time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range tc.frames {
 			defer dialFrame(t, ctx, addr, f).Close()
 		}
-		_, err = x.AcceptWorkers(ctx, tinyParts(2), 0)
+		_, err = x.AcceptWorkers(ctx, tinyParts(2))
 		if err == nil {
 			t.Fatalf("%s: handshake accepted", name)
 		}
@@ -262,33 +262,27 @@ func TestRankExchangeRejectsBadHello(t *testing.T) {
 	}
 }
 
-// TestRankExchangeBindAddress: the exchange listens where it is told
-// (the hook that lets workers beyond localhost dial in), defaults to a
-// fresh localhost port, and reports unusable binds instead of silently
-// reverting to the default.
+// TestRankExchangeBindAddress: the exchange ships whole shards to
+// whoever dials in, so it listens on loopback only, on a fresh port per
+// exchange.
 func TestRankExchangeBindAddress(t *testing.T) {
-	x, addr, err := NewRankExchange("127.0.0.1:0", time.Second)
+	x1, a1, err := NewRankExchange(time.Second)
 	if err != nil {
-		t.Fatalf("explicit loopback bind: %v", err)
+		t.Fatal(err)
 	}
-	if host, _, err := net.SplitHostPort(addr); err != nil || host != "127.0.0.1" {
-		t.Fatalf("explicit bind resolved to %q (%v)", addr, err)
-	}
-	// A second exchange on the SAME port must fail — proof the bind
-	// address is honoured rather than replaced with a fresh port.
-	if x2, a2, err := NewRankExchange(addr, time.Second); err == nil {
-		x2.Close()
-		t.Fatalf("duplicate bind of %s succeeded as %s", addr, a2)
-	}
-	x.Close()
-
-	xd, addr, err := NewRankExchange("", time.Second)
+	defer x1.Close()
+	x2, a2, err := NewRankExchange(time.Second)
 	if err != nil {
-		t.Fatalf("default bind: %v", err)
+		t.Fatal(err)
 	}
-	defer xd.Close()
-	if host, _, err := net.SplitHostPort(addr); err != nil || host != "127.0.0.1" {
-		t.Fatalf("default bind resolved to %q (%v)", addr, err)
+	defer x2.Close()
+	for _, addr := range []string{a1, a2} {
+		if host, _, err := net.SplitHostPort(addr); err != nil || host != "127.0.0.1" {
+			t.Fatalf("exchange bound to %q (%v), want loopback", addr, err)
+		}
+	}
+	if a1 == a2 {
+		t.Fatalf("two exchanges share %s", a1)
 	}
 }
 
@@ -300,7 +294,7 @@ func TestRankShardShipping(t *testing.T) {
 	defer cancel()
 
 	parts := tinyParts(2)
-	x, addr, err := NewRankExchange("", 2*time.Second)
+	x, addr, err := NewRankExchange(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +314,7 @@ func TestRankShardShipping(t *testing.T) {
 			got <- joined{p: p, sub: sub, err: err}
 		}(p)
 	}
-	if _, err := x.AcceptWorkers(ctx, parts, 0); err != nil {
+	if _, err := x.AcceptWorkers(ctx, parts); err != nil {
 		t.Fatalf("accept: %v", err)
 	}
 	for i := 0; i < 2; i++ {
@@ -342,7 +336,7 @@ func TestRankShardShipping(t *testing.T) {
 // dialed link must observe the teardown, and closing twice is safe.
 func TestRankExchangeCancelMidDial(t *testing.T) {
 	const k = 9 // one more than ever dials, so the accept cannot complete
-	x, addr, err := NewRankExchange("", 5*time.Second)
+	x, addr, err := NewRankExchange(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +358,7 @@ func TestRankExchangeCancelMidDial(t *testing.T) {
 	}
 	accepted := make(chan error, 1)
 	go func() {
-		_, err := x.AcceptWorkers(ctx, tinyParts(k), 0)
+		_, err := x.AcceptWorkers(ctx, tinyParts(k))
 		accepted <- err
 	}()
 
