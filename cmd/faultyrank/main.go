@@ -261,9 +261,9 @@ func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, in
 		}
 		return tr.SaveState(stateDir)
 	}
-	writeManifests := func(res *online.CheckResult) error {
+	writeManifests := func(res *online.CheckResult, runManifest *telemetry.RunManifest) error {
 		if manifest != "" {
-			if err := telemetry.WriteJSON(manifest, res.Manifest(opt)); err != nil {
+			if err := telemetry.WriteJSON(manifest, runManifest); err != nil {
 				return err
 			}
 			log.Printf("run manifest written to %s", manifest)
@@ -293,7 +293,7 @@ func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, in
 		if err := res.WriteReport(os.Stdout, verbose); err != nil {
 			return fail(err)
 		}
-		if err := writeManifests(res); err != nil {
+		if err := writeManifests(res, res.Manifest(opt)); err != nil {
 			return fail(err)
 		}
 		if len(res.Findings) > 0 {
@@ -304,7 +304,11 @@ func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, in
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	// last is the last round's result. Its Rank, Graph and Unified are the
+	// tracker's working set, which a later round — even one that fails —
+	// rewrites, so the run manifest that reads them is taken in the round.
 	var last *online.CheckResult
+	var lastManifest *telemetry.RunManifest
 	var roundErr error
 	prevFindings := 0
 	err = tr.Watch(ctx, online.WatchOptions{
@@ -339,6 +343,9 @@ func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, in
 			}
 			prevFindings = len(res.Findings)
 			last = res
+			if manifest != "" {
+				lastManifest = res.Manifest(opt)
+			}
 		},
 	})
 	if roundErr != nil {
@@ -356,7 +363,7 @@ func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, in
 		dump(last.Journal)
 	}
 	if last != nil {
-		if err := writeManifests(last); err != nil {
+		if err := writeManifests(last, lastManifest); err != nil {
 			return fail(err)
 		}
 		if len(last.Findings) > 0 {

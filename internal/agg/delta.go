@@ -65,6 +65,9 @@ type DeltaBuilder struct {
 	dirty iidSet
 
 	scratch spliceScratch
+
+	// last is what Materialize returned last, rewritten by the next call.
+	last *Materialized
 }
 
 // iidSet is a set of IIDs: a membership flag per IID, and the members as
@@ -165,6 +168,10 @@ type Materialized struct {
 	// in this materialisation are omitted: a vertex that is gone has no
 	// equation to reseed, and its old neighbours are themselves dirty.
 	DirtySeeds []uint32
+
+	// gidOf maps IID -> GID (unresolved when dead): the liveness snapshot
+	// U's GID lookups read.
+	gidOf []uint32
 }
 
 // NewDeltaBuilder fixes the canonical server order (MDTs first, then
@@ -531,14 +538,38 @@ func (b *DeltaBuilder) settle() {
 // Materialize renumbers the live IIDs densely, in ascending IID order,
 // and assembles the check's Unified in the canonical (server order,
 // ascending inode) walk — the same walk a cold merge over full scans
-// performs. The returned Unified is never written again; its claim lists
-// may be shared with other rounds' (see iidClaims).
+// performs.
+//
+// The builder owns what Materialize returns and rewrites it on the next
+// call: every call returns the same *Materialized and the same *Unified,
+// overwritten in the storage the previous call used (grown append-style
+// when the graph outgrows it), so a steady-state round allocates only in
+// proportion to its delta. Whatever was read from an earlier result —
+// the Unified's slices, its GID lookups, IIDOfGID — holds this call's
+// graph from now on; a caller that needs an earlier round's graph copies
+// it first. Claim lists are the exception: a list, once handed out, is
+// never written again (see iidClaims), so they may be kept.
 func (b *DeltaBuilder) Materialize() *Materialized {
 	b.settle()
+	m := b.last
+	if m == nil {
+		m = &Materialized{U: &Unified{}}
+		b.last = m
+		// GID lookups resolve through the persistent interner and m's
+		// current liveness snapshot.
+		iids := b.iids // not b: a Unified someone keeps should not pin the arenas
+		m.U.gidFn = func(f lustre.FID) (uint32, bool) {
+			iid, ok := iids.get(f)
+			if !ok || int(iid) >= len(m.gidOf) || m.gidOf[iid] == unresolved {
+				return 0, false
+			}
+			return m.gidOf[iid], true
+		}
+	}
 	nIID := len(b.iids.fids)
 	// gidOf doubles as the liveness snapshot the GID lookup needs.
-	gidOf := make([]uint32, nIID)
-	iidOfGID := make([]uint32, 0, nIID)
+	gidOf := resized(m.gidOf, nIID)
+	iidOfGID := resized(m.IIDOfGID, nIID)[:0]
 	for iid, r := range b.refs {
 		if r == 0 {
 			gidOf[iid] = unresolved
@@ -553,13 +584,13 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 		nEdge += len(s.edges)
 	}
 
-	u := &Unified{
-		FIDs:    make([]lustre.FID, n),
-		Present: make([]bool, n),
-		Types:   make([]ldiskfs.FileType, n),
-		Claims:  make([][]ObjectLoc, n),
-		Edges:   make([]graph.Edge, nEdge),
-	}
+	u := m.U
+	// A claim list dropped off the end would stay reachable from the
+	// storage beyond it.
+	clear(u.Claims[min(n, len(u.Claims)):])
+	u.FIDs, u.Present, u.Types = resized(u.FIDs, n), resized(u.Present, n), resized(u.Types, n)
+	u.Claims, u.Edges = resized(u.Claims, n), resized(u.Edges, nEdge)
+	u.Issues = nil // rare: built afresh
 	// The first claim in canonical order fixes Present and Types,
 	// exactly as the batch merge does.
 	for g, iid := range iidOfGID {
@@ -582,19 +613,6 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 		}
 	}
 
-	// GID lookups resolve through the persistent interner. The closure
-	// snapshots gidOf, so lookups against this Unified stay correct (and
-	// merely miss FIDs interned by later deltas) after the builder moves
-	// on.
-	iids := b.iids // not b: a Unified someone keeps should not pin the arenas
-	u.gidFn = func(f lustre.FID) (uint32, bool) {
-		iid, ok := iids.get(f)
-		if !ok || int(iid) >= len(gidOf) || gidOf[iid] == unresolved {
-			return 0, false
-		}
-		return gidOf[iid], true
-	}
-
 	// The renumbering is ascending, so dirty IIDs in order give the seeds
 	// in order.
 	slices.Sort(b.dirty.list)
@@ -607,7 +625,19 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 	if len(seeds) == 0 {
 		seeds = nil
 	}
-	return &Materialized{U: u, IIDOfGID: iidOfGID, NumIIDs: nIID, DirtySeeds: seeds}
+	m.gidOf, m.IIDOfGID, m.NumIIDs, m.DirtySeeds = gidOf, iidOfGID, nIID, seeds
+	return m
+}
+
+// resized returns s at length n: in s's own storage when that is large
+// enough, otherwise grown append-style, so a snapshot that gains a few
+// vertices and edges per round reallocates only now and then. The
+// contents are the caller's to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) == 0 {
+		return make([]T, n) // nothing to reuse: exactly what a fresh round makes
+	}
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Labels returns the canonical server order the builder was created

@@ -97,27 +97,29 @@ func returnedBytes(mat *Materialized) uint64 {
 	u := mat.U
 	n := uint64(u.N())
 	return n*uint64(unsafe.Sizeof(lustre.FID{})+unsafe.Sizeof(true)+unsafe.Sizeof(u.Types[0])+unsafe.Sizeof(u.Claims[0])) +
-		uint64(cap(u.Edges))*uint64(unsafe.Sizeof(graph.Edge{})) +
-		uint64(cap(mat.IIDOfGID)+mat.NumIIDs+len(mat.DirtySeeds))*4
+		uint64(len(u.Edges))*uint64(unsafe.Sizeof(graph.Edge{})) +
+		uint64(len(mat.IIDOfGID)+mat.NumIIDs+len(mat.DirtySeeds))*4
 }
 
-// TestMaterializeAllocs: a round's Materialize allocates the arrays it
-// returns and a constant number of small things beside them — nothing
-// per tracked inode, vertex or edge, whatever the size of the snapshot.
+// TestMaterializeAllocs: a steady-state round's Materialize rewrites the
+// arrays it returned last round, so it allocates a constant number of
+// small things — the dirty seeds and the re-read claim lists, both the
+// size of the delta — and bytes that do not depend on the size of the
+// snapshot: nothing per tracked inode, vertex or edge.
 func TestMaterializeAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// measure returns the fewest allocations any round's Materialize made:
-	// the steady state. The first round, which creates the splice scratch,
+	// measure returns the fewest allocations and bytes any round's
+	// Materialize made: the steady state. The first round, which grows the
+	// exact-size arrays of the full build and creates the splice scratch,
 	// is a warm-up, as the first run of testing.AllocsPerRun is; a later
-	// round may still regrow the scratch or — amortised, as append does —
-	// an arena that net creates have filled, so the byte bound is on the
-	// leanest round too.
-	measure := func(n int) uint64 {
+	// round may still regrow — amortised, as append does — an array that
+	// net creates have filled.
+	measure := func(n int) (allocs, bytes, returned uint64) {
 		db := syntheticDelta(t, n)
 		db.Materialize()
 		db.ResetDirty()
 		r := rand.New(rand.NewSource(5))
-		allocs, overhead := ^uint64(0), 0.0
+		allocs, bytes = ^uint64(0), ^uint64(0)
 		for round := 0; round < 6; round++ {
 			twelveOps(t, db, r)
 			var before, after runtime.MemStats
@@ -132,20 +134,22 @@ func TestMaterializeAllocs(t *testing.T) {
 			if got > 24 {
 				t.Fatalf("%d inodes: Materialize made %d allocations", n, got)
 			}
-			ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(returnedBytes(mat))
-			if allocs == ^uint64(0) || ratio < overhead {
-				overhead = ratio
-			}
 			allocs = min(allocs, got)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			returned = returnedBytes(mat)
 		}
-		if overhead > 1.25 {
-			t.Fatalf("%d inodes: Materialize allocates %.2fx the bytes of the arrays it returns", n, overhead)
-		}
-		return allocs
+		return allocs, bytes, returned
 	}
-	small, large := measure(2000), measure(20000)
-	if small != large {
-		t.Fatalf("Materialize allocations grow with the snapshot: %d at 2000 inodes, %d at 20000", small, large)
+	smallAllocs, smallBytes, _ := measure(2000)
+	largeAllocs, largeBytes, returned := measure(20000)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("Materialize allocations grow with the snapshot: %d at 2000 inodes, %d at 20000", smallAllocs, largeAllocs)
+	}
+	if largeBytes > smallBytes*11/10+256 {
+		t.Fatalf("Materialize bytes grow with the snapshot: %d at 2000 inodes, %d at 20000", smallBytes, largeBytes)
+	}
+	if largeBytes*100 > returned {
+		t.Fatalf("20000 inodes: Materialize allocates %d bytes, over 1%% of the %d it returns", largeBytes, returned)
 	}
 }
 

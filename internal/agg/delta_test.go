@@ -208,9 +208,10 @@ func TestDeltaApplyUnknownServer(t *testing.T) {
 }
 
 // TestDeltaGIDLookupSurvivesLaterDeltas: the Unified returned by one
-// Materialize keeps answering GID lookups correctly (for its own FIDs)
-// after the builder has interned new FIDs in later rounds — the repair
-// engine holds a result across subsequent updates.
+// Materialize keeps answering GID lookups for its own FIDs, and only for
+// them, while the builder interns new FIDs in later deltas — the repair
+// engine holds a result across the updates its repairs feed. The next
+// Materialize rewrites that same Unified into the new round's view.
 func TestDeltaGIDLookupSurvivesLaterDeltas(t *testing.T) {
 	db := NewDeltaBuilder([]string{"mdt0"})
 	p := &scanner.Partial{
@@ -228,12 +229,17 @@ func TestDeltaGIDLookupSurvivesLaterDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Materialize()
 	if g, ok := old.GID(fidFor(0, 1)); !ok || g != 0 {
 		t.Fatalf("stale view lookup: (%d,%v)", g, ok)
 	}
 	if _, ok := old.GID(fidFor(0, 5)); ok {
 		t.Fatal("stale view resolved a FID interned after it was built")
+	}
+	if u := db.Materialize().U; u != old {
+		t.Fatal("Materialize returned new storage instead of rewriting its last result")
+	}
+	if g, ok := old.GID(fidFor(0, 5)); !ok || g != 4 || old.N() != 9 {
+		t.Fatalf("rewritten view: GID = (%d,%v), N = %d; want (4,true), 9", g, ok, old.N())
 	}
 }
 

@@ -284,6 +284,10 @@ type Result struct {
 	Report   *core.Report
 	Stats    graph.Stats
 	Findings []Finding
+
+	// reach is the reachability pass's BFS storage, kept for the next
+	// AnalyzeUnified handed this result.
+	reach reachScratch
 }
 
 // Total returns the end-to-end time.
@@ -404,17 +408,31 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 // aggregator (agg.DeltaBuilder) maintains the Unified across checks, so
 // neither scanning nor merging re-runs; what remains is exactly the
 // work any check must do on the current graph.
+//
+// Every field of res is overwritten. The storage res already holds — a
+// Graph, a Rank, the reachability scratch — is rewritten in place rather
+// than reallocated (graph.Bidirected.Rebuild, core.Options.Reuse), so a
+// caller that analyses round after round into one result's storage
+// allocates little beyond what the round changed; the numbers are those
+// of an analysis into a zero Result. A result copied from an earlier one
+// shares that storage: whatever was read from the earlier result's Graph
+// and Rank now holds this analysis.
 func AnalyzeUnified(res *Result, images []*ldiskfs.Image, u *agg.Unified, opt Options) error {
 	if opt.Core.MaxIterations == 0 {
 		opt.Core = core.DefaultOptions()
 	}
+	*res = Result{Graph: res.Graph, Rank: res.Rank, reach: res.reach}
 	obs := newRunObs(opt.Metrics, opt.Journal)
 	ctx, root := telemetry.StartSpan(context.Background(), "analyze")
 	t1 := time.Now()
 	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")
 	_, buildSpan := telemetry.StartSpan(aggCtx, "build")
 	res.Unified = u
-	res.Graph = u.Build(opt.Workers)
+	if res.Graph == nil {
+		res.Graph = u.Build(opt.Workers)
+	} else {
+		res.Graph.Rebuild(u.N(), u.Edges, true, opt.Workers)
+	}
 	buildSpan.End()
 	aggSpan.End()
 	res.TGraph = time.Since(t1)

@@ -56,6 +56,7 @@ func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	k := opt.RankWorkers
 	if k <= 1 {
 		opt.Core.OnIteration = journalIterations(obs, "iteration", opt.Core.OnIteration)
+		opt.Core.Reuse = res.Rank // nil on a fresh result: a new one
 		if opt.RankIncremental {
 			res.Rank = core.RunIncremental(res.Graph, opt.Core, opt.RankFrontier)
 		} else {

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,20 +27,27 @@ import (
 // re-rooting it under /lost+found (breaking one internal claim edge so
 // the re-rooted vertex has a single parent again).
 
+// reachScratch is the reachability BFS's storage: the reached flags and
+// the queue, which a Result keeps for the next analysis into it.
+type reachScratch struct {
+	reached []bool
+	queue   []uint32
+}
+
 // reachability computes which vertices a DIRENT-only BFS from the root
-// reaches.
-func reachability(u *agg_, b *graph.Bidirected) []bool {
-	reached := make([]bool, u.N())
+// reaches, in sc's storage.
+func reachability(u *agg_, b *graph.Bidirected, sc *reachScratch) []bool {
+	reached := slices.Grow(sc.reached[:0], u.N())[:u.N()]
+	clear(reached)
+	sc.reached = reached
 	rootGID, ok := u.GID(lustre.RootFID)
 	if !ok {
 		return reached // no root: everything is unreachable, pass 0 reports it
 	}
-	queue := []uint32{rootGID}
+	queue := append(sc.queue[:0], rootGID)
 	reached[rootGID] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		s, e := b.Fwd.EdgeRange(v)
+	for next := 0; next < len(queue); next++ {
+		s, e := b.Fwd.EdgeRange(queue[next])
 		for i := s; i < e; i++ {
 			if b.Fwd.Kinds != nil && b.Fwd.Kinds[i] != graph.KindDirent {
 				continue
@@ -51,6 +59,7 @@ func reachability(u *agg_, b *graph.Bidirected) []bool {
 			}
 		}
 	}
+	sc.queue = queue
 	return reached
 }
 
@@ -65,7 +74,7 @@ type agg_ = agg.Unified
 func classifyDetachedIslands(res *Result, findings []Finding) []Finding {
 	u := res.Unified
 	b := res.Graph
-	reached := reachability(u, b)
+	reached := reachability(u, b, &res.reach)
 
 	implicated := make(map[lustre.FID]bool)
 	for _, f := range findings {

@@ -124,15 +124,19 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		satCap = int(f * float64(n))
 	}
 
-	res := &Result{Frontier: &FrontierStats{}}
-	res.IDRank, res.PropRank = seedRanks(n, opt)
+	res := opt.recycle()
+	res.Frontier = &FrontierStats{}
+	res.IDRank, res.PropRank = seedRanks(n, opt, res.IDRank, res.PropRank)
 	st := res.Frontier
 	// The run holds five n-vectors — id, prop, the kernel's sID, sProp and
 	// invW — plus three n-byte arrays: the moved marks and the two
-	// frontiers' membership.
-	k := graphKernel(b, opt)
+	// frontiers' membership, all in the workspace of the result it writes.
+	ws := &res.work
+	k := graphKernel(b, opt, ws)
 	defer k.stop()
-	k.theta, k.moved = theta, make([]uint8, n)
+	ws.moved = resized(ws.moved, n)
+	clear(ws.moved)
+	k.theta, k.moved = theta, ws.moved
 	k.seed(res.IDRank, res.PropRank)
 
 	// The kernel's partA/partB double as the cached canonical sink
@@ -140,8 +144,18 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	// sweep leaves them alone and dirtyA/dirtyB collect the blocks whose
 	// partial went stale, to be recomputed whole before the next fold.
 	nb := len(k.partA)
-	dirtyA := &blkSet{in: make([]bool, nb)}
-	dirtyB := &blkSet{in: make([]bool, nb)}
+	dirtyA, dirtyB := &ws.dirtyA, &ws.dirtyB
+	dirtyA.in, dirtyB.in = resized(dirtyA.in, nb), resized(dirtyB.in, nb)
+	curA, curB := &ws.curA, &ws.curB
+	curA.in, curB.in = resized(curA.in, n), resized(curB.in, n)
+	// The flags stay false between runs — the run clears what it marked —
+	// so resizing them needs no clear.
+	defer func() {
+		curA.clear()
+		curB.clear()
+		dirtyA.reset()
+		dirtyB.reset()
+	}()
 	refresh := func(part []float64, blks *blkSet) float64 {
 		for _, blk := range blks.list {
 			k.scale(int(blk))
@@ -150,7 +164,6 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 		return foldBlocks(part)
 	}
 
-	curA, curB := newVertSet(n), newVertSet(n)
 	// Seed: a dirty vertex's own equations changed (its adjacency lists
 	// and divisors are new), and so did every equation multiplying its
 	// divisors or reading its (re)moved edges — its neighbours in either

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,14 +84,39 @@ type kernel struct {
 	team          *team // nil when one worker is enough, and after stop
 }
 
-func newKernel(nRows int, pairedIn, unpairedIn []int32, opt Options) *kernel {
+// workspace is the storage a kernel sweeps in beyond the rank vectors —
+// per column, per block, and RunIncremental's frontier bookkeeping. A
+// Result keeps its run's, so a run handed that result back (Options.Reuse)
+// sweeps in the same arrays instead of fresh ones. Every array is
+// rewritten before it is read, except the membership flags, which are
+// all false between runs: a run clears what it marked.
+type workspace struct {
+	invW, sID, sProp     []float64
+	partA, partB, blkMax []float64
+	moved                []uint8
+	curA, curB           vertSet
+	dirtyA, dirtyB       blkSet
+}
+
+// resized returns s at length n: in s's own storage when that is large
+// enough, otherwise grown append-style, so a graph that gains a few
+// vertices per round reallocates only now and then. The contents are the
+// caller's to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) == 0 {
+		return make([]T, n) // nothing to reuse: exactly what a fresh build makes
+	}
+	return slices.Grow(s[:0], n)[:n]
+}
+
+func newKernel(nRows int, pairedIn, unpairedIn []int32, opt Options, ws *workspace) *kernel {
 	nCols := len(pairedIn)
 	nb := (nRows + sinkBlock - 1) / sinkBlock
+	ws.invW, ws.sID, ws.sProp = resized(ws.invW, nCols), resized(ws.sID, nCols), resized(ws.sProp, nCols)
+	ws.partA, ws.partB, ws.blkMax = resized(ws.partA, nb), resized(ws.partB, nb), resized(ws.blkMax, nb)
 	k := &kernel{
-		invW:  make([]float64, nCols),
-		sID:   make([]float64, nCols),
-		sProp: make([]float64, nCols),
-		partA: make([]float64, nb), partB: make([]float64, nb), blkMax: make([]float64, nb),
+		invW: ws.invW, sID: ws.sID, sProp: ws.sProp,
+		partA: ws.partA, partB: ws.partB, blkMax: ws.blkMax,
 		theta: math.Inf(1),
 		sigma: opt.Smoothing, blend: 1 - opt.Smoothing,
 		weight:  [2]float64{opt.UnpairedWeight, 1},
@@ -107,9 +133,9 @@ func newKernel(nRows int, pairedIn, unpairedIn []int32, opt Options) *kernel {
 	return k
 }
 
-// graphKernel views the whole graph.
-func graphKernel(b *graph.Bidirected, opt Options) *kernel {
-	k := newKernel(b.N(), b.PairedIn, b.UnpairedIn, opt)
+// graphKernel views the whole graph, sweeping in ws.
+func graphKernel(b *graph.Bidirected, opt Options, ws *workspace) *kernel {
+	k := newKernel(b.N(), b.PairedIn, b.UnpairedIn, opt, ws)
 	k.revOff, k.revCol = b.Rev.Offsets, b.Rev.Targets
 	k.fwdOff, k.fwdCol, k.fwdPaired = b.Fwd.Offsets, b.Fwd.Targets, b.FwdPaired
 	return k
@@ -119,7 +145,7 @@ func graphKernel(b *graph.Bidirected, opt Options) *kernel {
 // column space; the in-weights come from the replicated per-column
 // metadata.
 func shardKernel(sub *graph.SubGraph, opt Options) *kernel {
-	k := newKernel(sub.NLocal(), sub.PairedIn, sub.UnpairedIn, opt)
+	k := newKernel(sub.NLocal(), sub.PairedIn, sub.UnpairedIn, opt, &workspace{})
 	k.revOff, k.revCol = sub.RevOff, sub.RevCol
 	k.fwdOff, k.fwdCol, k.fwdPaired = sub.FwdOff, sub.FwdCol, sub.FwdPaired
 	return k
@@ -373,6 +399,7 @@ func (k *kernel) blockA(blk int) {
 	off, col, src := k.revOff, k.revCol, k.sProp
 	id, sID, invW, prop, fwdOff, moved := k.id, k.sID, k.invW, k.prop, k.fwdOff, k.moved
 	base, perSink, sigma, blend, theta := k.base, k.perSink, k.sigma, k.blend, k.theta
+	track := moved != nil // a frontier to feed: RunIncremental's sweeps only
 	var part, maxD float64
 	if k.rows.dense {
 		for v := lo; v < hi; v++ {
@@ -385,7 +412,7 @@ func (k *kernel) blockA(blk int) {
 			if d > maxD {
 				maxD = d
 			}
-			if d > theta {
+			if track && d > theta {
 				moved[v] = 1
 			}
 			id[v] = x
@@ -435,6 +462,7 @@ func (k *kernel) blockB(blk int) {
 	off, col, paired, src := k.fwdOff, k.fwdCol, k.fwdPaired, k.sID
 	id, prop, sProp, invW, moved := k.id, k.prop, k.sProp, k.invW, k.moved
 	base, perSink, sigma, blend, theta, weight := k.base, k.perSink, k.sigma, k.blend, k.theta, k.weight
+	track := moved != nil
 	var part float64
 	if k.rows.dense {
 		for v := lo; v < hi; v++ {
@@ -444,7 +472,7 @@ func (k *kernel) blockB(blk int) {
 				acc -= id[v] * perSink
 			}
 			x := sigma*prop[v] + blend*acc
-			if math.Abs(x-prop[v]) > theta {
+			if track && math.Abs(x-prop[v]) > theta {
 				moved[v] = 1
 			}
 			prop[v] = x

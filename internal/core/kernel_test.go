@@ -86,7 +86,7 @@ func TestKernelSweepsAgree(t *testing.T) {
 					}
 
 					iterate := func(rows rowSet) (*kernel, float64) {
-						k := graphKernel(b, opt)
+						k := graphKernel(b, opt, &workspace{})
 						defer k.stop()
 						k.seed(slices.Clone(id0), slices.Clone(prop0))
 						rescale := func() {
@@ -138,7 +138,7 @@ func TestKernelEmptyRowList(t *testing.T) {
 	b := kernelTestGraph()
 	n := b.N()
 	opt := DefaultOptions()
-	k := graphKernel(b, opt)
+	k := graphKernel(b, opt, &workspace{})
 	defer k.stop()
 	k.seed(filled(n, 1), filled(n, 1))
 	empty := newVertSet(n) // never marked: its list is nil

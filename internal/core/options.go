@@ -106,6 +106,16 @@ type Options struct {
 	// to the same ranks a cold run does (within Epsilon).
 	InitialID, InitialProp []float64
 
+	// Reuse hands back a result of an earlier Run or RunIncremental for
+	// this run to write into: its rank vectors, convergence record,
+	// frontier stats and the kernel's working arrays are overwritten in
+	// place and grown append-style where too small, and the run returns
+	// Reuse itself. Storage only: every number is the one a run without
+	// Reuse computes. Whatever was read from Reuse before now holds the
+	// new run's values. It must not share storage with InitialID or
+	// InitialProp, which a run only reads. Nil allocates afresh.
+	Reuse *Result
+
 	// ConvergenceTrace enables Result.Trace, the per-iteration record of
 	// max-delta and redistributed sink mass. Off by default: the trace is
 	// diagnostic output (run manifests, benches), not part of the

@@ -23,6 +23,25 @@ type Result struct {
 	// Frontier records what the incremental kernel touched; nil for full
 	// Run sweeps (including RunIncremental calls that delegated to Run).
 	Frontier *FrontierStats
+
+	// work is the kernel's working storage, kept for the next run handed
+	// this result back (Options.Reuse).
+	work workspace
+}
+
+// recycle returns the result a run writes into: Options.Reuse emptied of
+// its numbers but not of its storage, or a new result.
+func (o Options) recycle() *Result {
+	r := o.Reuse
+	if r == nil {
+		return &Result{}
+	}
+	*r = Result{
+		IDRank: r.IDRank, PropRank: r.PropRank,
+		Diffs: r.Diffs[:0], Trace: r.Trace[:0],
+		work: r.work,
+	}
+	return r
 }
 
 // IterStats is one iteration's convergence record.
@@ -71,13 +90,13 @@ func normalized(xs []float64) []float64 {
 // folded here and redistributed according to Options.SinkPolicy.
 func Run(b *graph.Bidirected, opt Options) *Result {
 	n := b.N()
-	res := &Result{}
-	res.IDRank, res.PropRank = seedRanks(n, opt)
+	res := opt.recycle()
+	res.IDRank, res.PropRank = seedRanks(n, opt, res.IDRank, res.PropRank)
 	if n == 0 {
 		res.Converged = true
 		return res
 	}
-	k := graphKernel(b, opt)
+	k := graphKernel(b, opt, &res.work)
 	defer k.stop()
 	k.seed(res.IDRank, res.PropRank)
 	rows := allRows(n)
@@ -99,20 +118,20 @@ func Run(b *graph.Bidirected, opt Options) *Result {
 	return res
 }
 
-// seedRanks returns the initial rank vectors: 1.0 per vertex (paper
-// §III-C), unless the caller seeds from a previous result
-// (Options.InitialID/InitialProp — the online warm start). A seed of the
-// wrong length is ignored: the graph changed shape and positional ranks
-// would be meaningless. Seeds are rescaled to total mass N — the
-// invariant the uniform start establishes and the iteration conserves.
-// A warm seed assembled from a *different* graph's ranks (vertices added
-// or removed since) carries the wrong total, and an off-mass seed
-// converges to an off-mass scale while the slow mass-redistribution
-// modes crawl; rescaling puts the seed back on the manifold the cold
-// start iterates on.
-func seedRanks(n int, opt Options) (id, prop []float64) {
-	seed := func(warm []float64) []float64 {
-		xs := make([]float64, n)
+// seedRanks returns the initial rank vectors, written into id's and
+// prop's storage: 1.0 per vertex (paper §III-C), unless the caller seeds
+// from a previous result (Options.InitialID/InitialProp — the online warm
+// start). A seed of the wrong length is ignored: the graph changed shape
+// and positional ranks would be meaningless. Seeds are copied, then
+// rescaled to total mass N — the invariant the uniform start establishes
+// and the iteration conserves. A warm seed assembled from a *different*
+// graph's ranks (vertices added or removed since) carries the wrong
+// total, and an off-mass seed converges to an off-mass scale while the
+// slow mass-redistribution modes crawl; rescaling puts the seed back on
+// the manifold the cold start iterates on.
+func seedRanks(n int, opt Options, id, prop []float64) ([]float64, []float64) {
+	seed := func(xs, warm []float64) []float64 {
+		xs = resized(xs, n)
 		if len(warm) == n {
 			copy(xs, warm)
 			rescaleMass(xs)
@@ -123,7 +142,7 @@ func seedRanks(n int, opt Options) (id, prop []float64) {
 		}
 		return xs
 	}
-	return seed(opt.InitialID), seed(opt.InitialProp)
+	return seed(id, opt.InitialID), seed(prop, opt.InitialProp)
 }
 
 // recordIteration closes one iteration's books: it appends the

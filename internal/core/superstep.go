@@ -391,7 +391,7 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 	n := plan.N
 	// res holds the seeds until the final gather overwrites them.
 	res := &Result{}
-	res.IDRank, res.PropRank = seedRanks(n, opt)
+	res.IDRank, res.PropRank = seedRanks(n, opt, nil, nil)
 	rep := &ExchangeReport{K: plan.K}
 	for _, sub := range plan.Parts {
 		rep.Partitions = append(rep.Partitions, PartSummary{

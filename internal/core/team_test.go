@@ -147,11 +147,11 @@ func TestTeamWakesFromPark(t *testing.T) {
 	opt.Workers = 1
 	want := Run(b, opt)
 
-	k := graphKernel(b, opt)
+	k := graphKernel(b, opt, &workspace{})
 	k.start(3)
 	defer k.stop()
 	gap := func() { time.Sleep(20 * spinBudget) }
-	id, prop := seedRanks(n, opt)
+	id, prop := seedRanks(n, opt, nil, nil)
 	gap()
 	k.seed(id, prop)
 	for range opt.MaxIterations {

@@ -27,34 +27,58 @@ type Bidirected struct {
 	// distribution (§III-D) without baking a weight constant in here.
 	PairedIn   []int32
 	UnpairedIn []int32
+
+	// counts is the last build's W×n count/cursor array, kept for the
+	// next Rebuild to count in.
+	counts []int64
 }
 
 // NewBidirected builds both CSR orientations and classifies every edge as
 // paired or unpaired, all in parallel: the forward CSR from the edge
 // list, its transpose by counting, and the pairing by one merge-join per
 // vertex — each edge is touched a constant number of times. The
-// transpose counts in the forward build's count array.
+// transpose counts in the forward build's count array. It is Rebuild on
+// a zero Bidirected.
 func NewBidirected(n int, edges []Edge, workers int) *Bidirected {
-	return newBidirected(n, edges, true, workers)
+	b := new(Bidirected)
+	b.Rebuild(n, edges, true, workers)
+	return b
 }
 
 // NewBidirectedUntyped is NewBidirected for kind-less benchmark graphs;
 // it skips the per-edge kind arrays (one byte per edge per orientation).
 func NewBidirectedUntyped(n int, edges []Edge, workers int) *Bidirected {
-	return newBidirected(n, edges, false, workers)
+	b := new(Bidirected)
+	b.Rebuild(n, edges, false, workers)
+	return b
 }
 
-func newBidirected(n int, edges []Edge, keepKinds bool, workers int) *Bidirected {
-	fwd, counts := buildCSR(n, edges, keepKinds, workers)
-	rev := fwd.transpose(workers, counts)
-	b := &Bidirected{
-		Fwd:        fwd,
-		Rev:        rev,
-		FwdPaired:  make([]uint8, fwd.NumEdges()),
-		RevPaired:  make([]uint8, rev.NumEdges()),
-		PairedIn:   make([]int32, n),
-		UnpairedIn: make([]int32, n),
+// Rebuild makes b the bidirected graph of edges over n vertices — what
+// NewBidirected (keepKinds) or NewBidirectedUntyped returns, field for
+// field — writing into the arrays b already holds, count scratch
+// included. An array too small for the new graph grows append-style, so
+// a graph rebuilt every round as it gains a few vertices and edges
+// reallocates only now and then; one with room allocates no array at
+// all. Whatever b held before is overwritten: every slice read from it
+// earlier now views the new graph, or storage it no longer uses.
+func (b *Bidirected) Rebuild(n int, edges []Edge, keepKinds bool, workers int) {
+	if b.Fwd == nil {
+		b.Fwd, b.Rev = new(CSR), new(CSR)
 	}
+	fwd, rev := b.Fwd, b.Rev
+	b.counts = fwd.build(n, edges, keepKinds, workers, b.counts)
+	b.counts = fwd.transposeInto(rev, workers, b.counts)
+	m := int(fwd.NumEdges())
+	// The join below marks paired edges only: flags from an earlier build
+	// are cleared first, fresh ones are zero already.
+	reused := cap(b.FwdPaired) > 0
+	b.FwdPaired, b.RevPaired = resized(b.FwdPaired, m), resized(b.RevPaired, m)
+	if reused {
+		clear(b.FwdPaired)
+		clear(b.RevPaired)
+	}
+	b.PairedIn = resized(b.PairedIn, n)
+	b.UnpairedIn = resized(b.UnpairedIn, n)
 	// v->t is paired iff t->v exists, i.e. iff t is also a source of one
 	// of v's in-edges; s->v is paired iff s is also one of v's targets.
 	// Both rows are sorted, so one merge-join of Fwd.Neighbors(v) against
@@ -91,7 +115,6 @@ func newBidirected(n int, edges []Edge, keepKinds bool, workers int) *Bidirected
 			b.UnpairedIn[v] = int32(len(in)) - paired
 		}
 	})
-	return b
 }
 
 // N returns the vertex count.

@@ -171,6 +171,32 @@ func TestNewBidirectedAllocs(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, (own+counts)*21/20+64<<10; got > limit {
 		t.Fatalf("NewBidirected allocated %d bytes, ceiling %d (own arrays %d + one count array %d)", got, limit, own, counts)
 	}
+
+	// A rebuild into a graph with room for the new one — a smaller graph,
+	// then the original again — writes every array in place, the count
+	// array included: what is left is the fan-out's closures and
+	// goroutines and the per-build split points.
+	var smaller []Edge
+	for _, e := range edges[:m-1000] {
+		if e.Src < n-10 && e.Dst < n-10 {
+			smaller = append(smaller, e)
+		}
+	}
+	for _, g := range []struct {
+		n     int
+		edges []Edge
+	}{{n - 10, smaller}, {n, edges}} {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.Rebuild(g.n, g.edges, true, workers)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+			t.Fatalf("Rebuild of %d vertices into a graph with room allocated %d bytes, want no array (< 16 KiB)", g.n, got)
+		}
+		if !reflect.DeepEqual(withoutScratch(b), withoutScratch(NewBidirected(g.n, g.edges, workers))) {
+			t.Fatalf("Rebuild of %d vertices differs from NewBidirected", g.n)
+		}
+	}
 }
 
 func TestUntypedBidirected(t *testing.T) {
@@ -251,6 +277,15 @@ func referenceBidirected(n int, edges []Edge, keepKinds bool) *Bidirected {
 	return b
 }
 
+// withoutScratch drops the count array a build keeps for the next
+// Rebuild, which is no part of the graph, so that b compares field for
+// field with the reference.
+func withoutScratch(b *Bidirected) *Bidirected {
+	c := *b
+	c.counts = nil
+	return &c
+}
+
 // edgeWalkStats is Stats computed the long way, from the per-edge flags.
 func edgeWalkStats(b *Bidirected) Stats {
 	st := Stats{Vertices: b.N(), Edges: b.Fwd.NumEdges()}
@@ -280,7 +315,7 @@ func matchesReference(n int, edges []Edge) bool {
 	want := edgeWalkStats(typed)
 	for _, w := range []int{1, 2, 3, 8} {
 		b := NewBidirected(n, edges, w)
-		if !reflect.DeepEqual(b, typed) || !reflect.DeepEqual(NewBidirectedUntyped(n, edges, w), untyped) {
+		if !reflect.DeepEqual(withoutScratch(b), typed) || !reflect.DeepEqual(withoutScratch(NewBidirectedUntyped(n, edges, w)), untyped) {
 			return false
 		}
 		if b.Stats(w) != want {

@@ -115,14 +115,26 @@ func balancedCuts(n, parts int, prefix func(v int) int64) []int {
 
 // zeroedCounts returns size zeroed count slots, in buf's storage when it
 // is large enough: NewBidirected's transpose counts in the forward
-// build's W×n count/cursor array instead of allocating its own.
+// build's W×n count/cursor array, and a Rebuild in the previous build's,
+// instead of allocating its own.
 func zeroedCounts(buf []int64, size int) []int64 {
-	if cap(buf) < size {
+	if cap(buf) == 0 {
 		return make([]int64, size)
 	}
-	buf = buf[:size]
+	buf = resized(buf, size)
 	clear(buf)
 	return buf
+}
+
+// resized returns s at length n: in s's own storage when that is large
+// enough, otherwise grown append-style, so a graph that gains a few
+// vertices and edges per rebuild reallocates only now and then. The
+// contents are the caller's to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) == 0 {
+		return make([]T, n) // nothing to reuse: exactly what a fresh build makes
+	}
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // scatterCursors turns W private per-vertex count arrays (counts[w*n+v],
@@ -170,20 +182,29 @@ func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
 // keepKinds controls whether the per-edge kind array is retained; pure
 // benchmark graphs drop it to save a byte per edge.
 func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
-	c, _ := buildCSR(n, edges, keepKinds, workers)
+	c := new(CSR)
+	c.build(n, edges, keepKinds, workers, nil)
 	return c
 }
 
-// buildCSR is BuildCSR that also returns its count array (nil when there
-// are no edges) for the transpose to count in.
-func buildCSR(n int, edges []Edge, keepKinds bool, workers int) (*CSR, []int64) {
+// build is BuildCSR writing into c's arrays, counting in scratch's
+// storage when it is large enough. It returns the count array (scratch
+// itself when there are no edges) for the transpose to count in.
+func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []int64) []int64 {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	c := &CSR{N: n, Offsets: make([]int64, n+1)}
+	c.N, c.Offsets = n, resized(c.Offsets, n+1)
+	c.Targets = c.Targets[:0]
+	if !keepKinds {
+		c.Kinds = nil
+	} else {
+		c.Kinds = c.Kinds[:0]
+	}
 	m := len(edges)
 	if m == 0 {
-		return c, nil
+		clear(c.Offsets)
+		return scratch
 	}
 
 	// Both passes split the edge array into the same W contiguous ranges:
@@ -195,7 +216,7 @@ func buildCSR(n int, edges []Edge, keepKinds bool, workers int) (*CSR, []int64) 
 	// that guards the scatter. A worker goroutine must not panic (no
 	// caller could recover it), so each records its first bad edge and
 	// the panic is raised below, after the join.
-	counts := make([]int64, W*n)
+	counts := zeroedCounts(scratch, W*n)
 	bad := make([]int, W)
 	par.ForEach(W, W, func(w int) {
 		lo, hi := w*chunk, min((w+1)*chunk, m)
@@ -219,9 +240,9 @@ func buildCSR(n int, edges []Edge, keepKinds bool, workers int) (*CSR, []int64) 
 
 	// Pass 2: scatter. Worker w re-walks its edge range bumping only its
 	// own cursors, so every Targets slot is written exactly once.
-	c.Targets = make([]uint32, total)
+	c.Targets = resized(c.Targets, int(total))
 	if keepKinds {
-		c.Kinds = make([]EdgeKind, total)
+		c.Kinds = resized(c.Kinds, int(total))
 	}
 	par.ForEach(W, W, func(w int) {
 		lo, hi := w*chunk, min((w+1)*chunk, m)
@@ -254,7 +275,7 @@ func buildCSR(n int, edges []Edge, keepKinds bool, workers int) (*CSR, []int64) 
 			}
 		}
 	})
-	return c, counts
+	return counts
 }
 
 // Transpose returns the CSR of the reversed graph: row t lists the
@@ -267,17 +288,27 @@ func buildCSR(n int, edges []Edge, keepKinds bool, workers int) (*CSR, []int64) 
 // (target, kind)-sorted, by kind among parallel edges. That is exactly
 // what sorting after the scatter would produce, for any worker count.
 func (c *CSR) Transpose(workers int) *CSR {
-	return c.transpose(workers, nil)
+	t := new(CSR)
+	c.transposeInto(t, workers, nil)
+	return t
 }
 
-// transpose is Transpose counting in scratch's storage when it is large
-// enough.
-func (c *CSR) transpose(workers int, scratch []int64) *CSR {
+// transposeInto is Transpose writing into t's arrays and counting in
+// scratch's storage when it is large enough; it returns the count array
+// it used.
+func (c *CSR) transposeInto(t *CSR, workers int, scratch []int64) []int64 {
 	n := c.N
-	t := &CSR{N: n, Offsets: make([]int64, n+1)}
+	t.N, t.Offsets = n, resized(t.Offsets, n+1)
+	t.Targets = t.Targets[:0]
+	if c.Kinds == nil {
+		t.Kinds = nil
+	} else {
+		t.Kinds = t.Kinds[:0]
+	}
 	m := len(c.Targets)
 	if m == 0 {
-		return t
+		clear(t.Offsets)
+		return scratch
 	}
 	W := csrCountWorkers(n, m, workers)
 	cuts := balancedCuts(n, W, func(v int) int64 { return c.Offsets[v] })
@@ -291,9 +322,9 @@ func (c *CSR) transpose(workers int, scratch []int64) *CSR {
 	})
 	total := scatterCursors(counts, t.Offsets, n, W, workers)
 
-	t.Targets = make([]uint32, total)
+	t.Targets = resized(t.Targets, int(total))
 	if c.Kinds != nil {
-		t.Kinds = make([]EdgeKind, total)
+		t.Kinds = resized(t.Kinds, int(total))
 	}
 	par.ForEach(W, W, func(w int) {
 		cur := counts[w*n : (w+1)*n]
@@ -309,7 +340,7 @@ func (c *CSR) transpose(workers int, scratch []int64) *CSR {
 			}
 		}
 	})
-	return t
+	return counts
 }
 
 // insertionSortMax is the longest typed adjacency sorted by insertion.

@@ -108,13 +108,19 @@ type member struct {
 	// fails.
 	journal *telemetry.Journal
 
-	mu          sync.RWMutex
-	completed   int
-	failures    int
-	lastErr     string
-	findings    []GradedFinding
-	counts      SeverityCounts
-	history     []RoundSummary
+	mu        sync.RWMutex
+	completed int
+	failures  int
+	lastErr   string
+	findings  []GradedFinding
+	counts    SeverityCounts
+	history   []RoundSummary
+	// lastRes is the last settled round's result. Its findings are its
+	// own, but its Unified, Graph and Rank are the tracker's working set,
+	// which the next round rewrites (online.CheckResult): only a reader
+	// that runs while no round does may touch them. Everything the report
+	// serves is copied out at settle time instead (findings, counts,
+	// history).
 	lastRes     *online.CheckResult
 	lastSettled time.Time
 }
@@ -565,6 +571,8 @@ func (d *Daemon) Report(name string) (*Report, bool) {
 
 // lastResult is the most recent completed round's check result (the
 // soak harness reads it to drive repairs); nil before the first round.
+// The soak harness calls it only between runs, while no round is in
+// flight to rewrite the result's graph and ranks.
 func (d *Daemon) lastResult(name string) *online.CheckResult {
 	m := d.members[name]
 	if m == nil {

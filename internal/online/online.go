@@ -65,6 +65,11 @@ type Tracker struct {
 	liftID, liftProp []float64
 	haveWarm         bool
 
+	// last is the most recent round's result. The next round analyses
+	// into a copy of it, so its graph, rank and scratch storage carry
+	// over (checker.AnalyzeUnified) while each round's result is its own.
+	last *checker.Result
+
 	// scan re-parses one inode; a test seam for injecting scan errors.
 	scan func(*ldiskfs.Image, ldiskfs.Ino) (*scanner.Partial, error)
 
@@ -327,6 +332,14 @@ func (t *Tracker) Partials() []*scanner.Partial {
 // embedded TGraph materialise + warm-vector lift + CSR build (as the
 // cold path's covers merge + build), TRank ranking + classification +
 // the warm-state save.
+//
+// Lifetime: the tracker keeps one working set and every round rewrites
+// it, so Unified, Graph and Rank — and every slice read from them — are
+// valid only until the tracker's next Check or Rescan, which may
+// overwrite them in place. Everything else is the round's own and stays
+// valid: Findings, Report, Stats, the timings, Phases, Metrics, Journal,
+// Cluster and PerServer. A caller that needs a round's graph or ranks
+// after the next round copies them first.
 type CheckResult struct {
 	*checker.Result
 	// TUpdate is the time spent consuming the change feed (replaces the
@@ -348,6 +361,12 @@ type CheckResult struct {
 // incremental aggregator and ranking warm-starts from the previous
 // check, so the cost after a small delta is the delta's re-parse plus
 // the CSR build and a handful of iterations.
+//
+// A round writes into the working set the previous round used — the
+// Materialized graph, the CSR, the rank vectors and the kernel's arrays
+// — so a steady-state round allocates in proportion to its delta, not
+// to the graph. That overwrites the previous CheckResult's Unified,
+// Graph and Rank (see CheckResult); its findings and counters stay.
 func (t *Tracker) Check() (*CheckResult, error) {
 	t0 := time.Now()
 	refreshed, perServer, err := t.update()
@@ -370,6 +389,9 @@ func (t *Tracker) Check() (*CheckResult, error) {
 	tGraph := time.Since(t1)
 	var tRank time.Duration
 	res := &checker.Result{}
+	if t.last != nil {
+		*res = *t.last // hand the storage on; AnalyzeUnified rewrites every field
+	}
 	if warm {
 		// The warm attempt gets a bounded iteration budget. On most
 		// deltas the previous fixed point is a few steps from the new
@@ -393,10 +415,10 @@ func (t *Tracker) Check() (*CheckResult, error) {
 			return nil, err
 		}
 		if !res.Rank.Converged {
-			// The abandoned attempt's time stays on the round's books.
+			// The abandoned attempt's time stays on the round's books; the
+			// cold redo analyses into its storage.
 			tGraph += res.TGraph
 			tRank += res.TRank
-			res = &checker.Result{}
 			warm = false
 			t.warmFallbacks++
 			t.opt.Journal.Record("online", "warm-fallback",
@@ -424,6 +446,7 @@ func (t *Tracker) Check() (*CheckResult, error) {
 	}
 	res.TGraph += tGraph
 	res.TRank += tRank
+	t.last = res
 	t.checks++
 	t.opt.Journal.Record("online", "round",
 		"round", fmt.Sprintf("%d", t.checks),
