@@ -82,6 +82,7 @@ func BenchmarkTable4FaultyRank(b *testing.B) {
 		d := d
 		g := graph.NewBidirectedUntyped(d.Vertices, d.Edges, 0)
 		opt := core.DefaultOptions()
+		opt.AlwaysRank = true // Table IV times the iteration on every dataset, paired or not
 		b.Run(d.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
@@ -104,6 +105,7 @@ func BenchmarkTable5Degree(b *testing.B) {
 		edges := rmat.Generate(p, 0)
 		g := graph.NewBidirectedUntyped(p.NumVertices(), edges, 0)
 		opt := core.DefaultOptions()
+		opt.AlwaysRank = true
 		b.Run(fmt.Sprintf("deg%d", deg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -140,6 +142,7 @@ func BenchmarkTable6FaultyRankEndToEnd(b *testing.B) {
 			c := table6Cluster(b, inodes)
 			images := checker.ClusterImages(c)
 			opt := checker.DefaultOptions()
+			opt.Core.AlwaysRank = true // T_FR as the paper times it; a default check skips the rank here
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := checker.Run(images, opt)
@@ -229,6 +232,7 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 		sigma := sigma
 		b.Run(fmt.Sprintf("sigma%.2f", sigma), func(b *testing.B) {
 			opt := core.DefaultOptions()
+			opt.AlwaysRank = true // the aged graph is paired
 			opt.Smoothing = sigma
 			var iters int
 			var converged bool

@@ -324,14 +324,16 @@ func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, in
 			if !res.Warm {
 				start = "cold"
 			}
-			frontier := ""
+			rank := fmt.Sprintf("%d iteration(s) %s-start", res.Rank.Iterations, start)
+			if res.Rank.Skipped {
+				rank = "rank skipped"
+			}
 			if fs := res.Rank.Frontier; fs != nil {
-				frontier = fmt.Sprintf(", frontier %d seed(s) %d touched %d full-sweep(s)",
+				rank += fmt.Sprintf(", frontier %d seed(s) %d touched %d full-sweep(s)",
 					fs.Seeds, fs.Touched, fs.FullSweeps)
 			}
-			fmt.Printf("round %d: refreshed %d inode(s), findings %d (%+d), %d iteration(s) %s-start%s, update %.4fs graph %.4fs rank %.4fs\n",
-				round, res.InodesRefreshed, len(res.Findings), len(res.Findings)-prevFindings,
-				res.Rank.Iterations, start, frontier,
+			fmt.Printf("round %d: refreshed %d inode(s), findings %d (%+d), %s, update %.4fs graph %.4fs rank %.4fs\n",
+				round, res.InodesRefreshed, len(res.Findings), len(res.Findings)-prevFindings, rank,
 				res.TUpdate.Seconds(), res.TGraph.Seconds(), res.TRank.Seconds())
 			for _, rr := range res.PerServer {
 				fmt.Printf("  %s: %d refreshed, %d dropped\n", rr.Server, rr.Refreshed, rr.Dropped)

@@ -237,6 +237,7 @@ func cmdRank(args []string) {
 	opt := core.DefaultOptions()
 	opt.Workers = *workers
 	opt.Epsilon = *epsilon
+	opt.AlwaysRank = true // time the kernel even on a fully paired graph
 	t2 := time.Now()
 	res := core.Run(b, opt)
 	iterate := time.Since(t2)

@@ -39,6 +39,7 @@ func main() {
 
 	opt := core.DefaultOptions()
 	opt.Workers = *workers
+	opt.AlwaysRank = true // the point is the kernel's throughput, paired or not
 	t2 := time.Now()
 	res := core.Run(b, opt)
 	iter := time.Since(t2)

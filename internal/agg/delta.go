@@ -341,7 +341,8 @@ func (b *DeltaBuilder) Remove(server int, ino ldiskfs.Ino) {
 
 // ResetDirty clears the accumulated dirty-IID set. The online tracker
 // calls it exactly when it saves warm-start ranks, so the set always
-// describes the delta relative to the saved ranks.
+// describes the delta relative to the saved ranks, and when a round
+// skips its rank and drops those ranks.
 func (b *DeltaBuilder) ResetDirty() {
 	b.dirty.reset()
 }

@@ -71,7 +71,8 @@ type Options struct {
 	// single-process kernel for any worker count — so this trades
 	// nothing but exchange overhead for per-partition parallelism. The
 	// workers are goroutines of this process behind a localhost rank
-	// exchange (wire.ServeRankWorker over TCP links).
+	// exchange (wire.ServeRankWorker over TCP links). A graph the kernel
+	// skips (core.Options.Skips) opens no exchange.
 	RankWorkers int
 	// RankFaults injects a crash into the numbered rank partitions'
 	// superstep links — the test/bench hook for the rank-stage failure

@@ -16,10 +16,22 @@ func TestRunValidatesInput(t *testing.T) {
 	}
 }
 
+// TestRunZeroOptionsGetDefaults: zero options run the paper's defaults —
+// the rank skipped on a clean cluster, and iterated to convergence once a
+// fault leaves a relation unpaired.
 func TestRunZeroOptionsGetDefaults(t *testing.T) {
 	c := fig7Cluster(t)
 	res, err := RunCluster(c, Options{}) // zero Core options
 	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Rank.Skipped || res.Rank.Iterations != 0 {
+		t.Errorf("clean cluster: rank not skipped (skipped=%v, %d iterations)", res.Rank.Skipped, res.Rank.Iterations)
+	}
+	if _, err := inject.Inject(c, inject.DanglingObjectID, fig7Target); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = RunCluster(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Rank.Converged {

@@ -54,7 +54,8 @@ func runScenario(t testing.TB, s inject.Scenario) (*lustre.Cluster, *inject.Inje
 	return c, inj, res
 }
 
-// TestCleanClusterNoFindings: a healthy cluster yields zero findings.
+// TestCleanClusterNoFindings: a healthy cluster yields zero findings,
+// and its rank is skipped — every relation is paired.
 func TestCleanClusterNoFindings(t *testing.T) {
 	c := fig7Cluster(t)
 	res, err := RunCluster(c, DefaultOptions())
@@ -67,8 +68,9 @@ func TestCleanClusterNoFindings(t *testing.T) {
 	if res.Stats.UnpairedEdges != 0 {
 		t.Errorf("unpaired edges: %d", res.Stats.UnpairedEdges)
 	}
-	if !res.Rank.Converged {
-		t.Error("rank did not converge")
+	if !res.Rank.Skipped || res.Rank.Iterations != 0 || res.Rank.Converged {
+		t.Errorf("rank on a paired graph: skipped=%v iterations=%d converged=%v, want skipped",
+			res.Rank.Skipped, res.Rank.Iterations, res.Rank.Converged)
 	}
 }
 

@@ -122,17 +122,21 @@ func TestJournalCleanRun(t *testing.T) {
 	if got := tl.Culprit(); got != "" {
 		t.Fatalf("clean run culprit %q (suspects %+v)", got, tl.Suspects)
 	}
-	var sawMerge, sawIter bool
+	// The cluster is clean, so the rank lane records the skip and no
+	// iteration.
+	var sawMerge, sawSkip, sawIter bool
 	for _, e := range res.Journal[0].Events {
-		switch e.Kind {
-		case "merge-done":
+		switch {
+		case e.Kind == "merge-done":
 			sawMerge = true
-		case "iteration":
+		case e.Component == "rank" && e.Kind == "skipped":
+			sawSkip = true
+		case e.Kind == "iteration":
 			sawIter = true
 		}
 	}
-	if !sawMerge || !sawIter {
-		t.Fatalf("coordinator lane merge-done=%t iteration=%t:\n%+v",
-			sawMerge, sawIter, res.Journal[0].Events)
+	if !sawMerge || !sawSkip || sawIter {
+		t.Fatalf("coordinator lane merge-done=%t skipped=%t iteration=%t:\n%+v",
+			sawMerge, sawSkip, sawIter, res.Journal[0].Events)
 	}
 }

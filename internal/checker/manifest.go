@@ -76,6 +76,9 @@ func (r *Result) Manifest(opt Options) *telemetry.RunManifest {
 			"iterations": r.Rank.Iterations,
 			"converged":  r.Rank.Converged,
 		}
+		if r.Rank.Skipped {
+			conv["skipped"] = true
+		}
 		if len(r.Rank.Trace) > 0 {
 			conv["trace"] = r.Rank.Trace
 		}

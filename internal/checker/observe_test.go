@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"faultyrank/internal/core"
+	"faultyrank/internal/inject"
 	"faultyrank/internal/telemetry"
 )
 
@@ -87,33 +88,50 @@ func TestSharedRegistryPerRunDeltas(t *testing.T) {
 
 // TestManifestShape checks the run manifest carries the documented
 // sections with live values.
+// TestManifestShape: the manifest's identity, phase tree, metrics and
+// convergence section — on a clean cluster, where the rank is skipped and
+// the section says so, and again with a fault, where it carries the
+// trace.
 func TestManifestShape(t *testing.T) {
 	c := fig7Cluster(t)
 	opt := DefaultOptions()
 	opt.Core.ConvergenceTrace = true
-	res, err := Run(ClusterImages(c), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Manifest(opt)
-	if m.Schema != telemetry.ManifestSchema || m.Tool != "faultyrank" {
-		t.Errorf("manifest identity wrong: %q %q", m.Schema, m.Tool)
-	}
-	if m.Phases == nil || m.Phases.Find("scan") == nil {
-		t.Error("manifest lacks the phase tree")
-	}
-	if m.Metrics.Counter("scanner_inodes_scanned_total") == 0 {
-		t.Error("manifest metrics snapshot empty")
-	}
-	conv, ok := m.Results["convergence"].(map[string]any)
-	if !ok {
-		t.Fatalf("manifest lacks convergence results: %+v", m.Results)
-	}
-	trace, ok := conv["trace"].([]core.IterStats)
-	if !ok || len(trace) == 0 {
-		t.Errorf("convergence trace missing: %+v", conv["trace"])
-	}
-	if conv["iterations"].(int) != res.Rank.Iterations {
-		t.Errorf("manifest iterations = %v, want %d", conv["iterations"], res.Rank.Iterations)
+	for _, faulty := range []bool{false, true} {
+		if faulty {
+			if _, err := inject.Inject(c, inject.DanglingObjectID, fig7Target); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := Run(ClusterImages(c), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Manifest(opt)
+		if m.Schema != telemetry.ManifestSchema || m.Tool != "faultyrank" {
+			t.Errorf("manifest identity wrong: %q %q", m.Schema, m.Tool)
+		}
+		if m.Phases == nil || m.Phases.Find("scan") == nil || m.Phases.Find("iterate") == nil {
+			t.Error("manifest lacks the phase tree")
+		}
+		if m.Metrics.Counter("scanner_inodes_scanned_total") == 0 {
+			t.Error("manifest metrics snapshot empty")
+		}
+		conv, ok := m.Results["convergence"].(map[string]any)
+		if !ok {
+			t.Fatalf("manifest lacks convergence results: %+v", m.Results)
+		}
+		if conv["iterations"].(int) != res.Rank.Iterations {
+			t.Errorf("manifest iterations = %v, want %d", conv["iterations"], res.Rank.Iterations)
+		}
+		trace, _ := conv["trace"].([]core.IterStats)
+		if !faulty {
+			if conv["skipped"] != true || res.Rank.Iterations != 0 || len(trace) != 0 {
+				t.Errorf("clean cluster: convergence section %+v, want skipped, no iterations, no trace", conv)
+			}
+			continue
+		}
+		if _, ok := conv["skipped"]; ok || len(trace) == 0 {
+			t.Errorf("faulty cluster: convergence section %+v, want a trace and no skip", conv)
+		}
 	}
 }

@@ -51,16 +51,21 @@ type RankManifest struct {
 
 // runRank executes the rank iteration: the single-process sweep
 // (core.Run or core.RunIncremental) for RankWorkers <= 1, the
-// partitioned BSP execution of the same kernel otherwise.
+// partitioned BSP execution of the same kernel otherwise. A graph the
+// kernel skips (core.Options.Skips) goes to the single-process call,
+// which returns at once, so no exchange is opened for it.
 func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	k := opt.RankWorkers
-	if k <= 1 {
+	if k <= 1 || opt.Core.Skips(res.Graph) {
 		opt.Core.OnIteration = journalIterations(obs, "iteration", opt.Core.OnIteration)
 		opt.Core.Reuse = res.Rank // nil on a fresh result: a new one
 		if opt.RankIncremental {
 			res.Rank = core.RunIncremental(res.Graph, opt.Core, opt.RankFrontier)
 		} else {
 			res.Rank = core.Run(res.Graph, opt.Core)
+		}
+		if res.Rank.Skipped {
+			obs.journal.Record("rank", "skipped")
 		}
 		if fs := res.Rank.Frontier; fs != nil {
 			obs.journal.Record("rank", "frontier",

@@ -31,6 +31,16 @@ func rankEqualBitwise(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
+// mustHaveRanked fails a test whose AlwaysRank fixture did not iterate:
+// a clean cluster that skipped would leave the kernel or the exchange
+// under test unexercised.
+func mustHaveRanked(t *testing.T, r *core.Result) {
+	t.Helper()
+	if r.Skipped || r.Iterations == 0 {
+		t.Fatalf("AlwaysRank fixture did not iterate: skipped=%v iterations=%d", r.Skipped, r.Iterations)
+	}
+}
+
 // TestRankWorkersFindingsIdentical: for K ∈ {1,2,3,8} behind both scan
 // paths, a partitioned run of a faulty cluster must produce findings
 // byte-identical to the single-process run and rank scores that are
@@ -145,8 +155,12 @@ func TestRankWorkersFindingsIdentical(t *testing.T) {
 // crashOptions configures a three-way partitioned TCP run with rank
 // worker 1 dying mid-superstep (after its first UpA — the crash lands
 // between the two phases of an iteration).
+//
+// The crash has to happen in an exchange, and on a clean cluster only
+// AlwaysRank opens one, so the options rank every graph.
 func crashOptions(allowDegraded bool) Options {
 	opt := DefaultOptions()
+	opt.Core.AlwaysRank = true
 	opt.UseTCP = true
 	opt.RankWorkers = 3
 	opt.OpTimeout = 5 * time.Second
@@ -228,13 +242,16 @@ func TestRankWorkerCrashInProcessDegraded(t *testing.T) {
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
 
-	base, err := Run(images, DefaultOptions())
+	opt := crashOptions(true)
+	opt.UseTCP = false
+	baseOpt := DefaultOptions()
+	baseOpt.Core.AlwaysRank = true
+	base, err := Run(images, baseOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustHaveRanked(t, base.Rank)
 
-	opt := crashOptions(true)
-	opt.UseTCP = false
 	res, err := Run(images, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -307,5 +324,42 @@ func TestRankDialFaultDegraded(t *testing.T) {
 	rankEqualBitwise(t, "dial-fault degraded", res.Rank, base.Rank)
 	if !reflect.DeepEqual(res.Findings, base.Findings) {
 		t.Fatal("degraded findings diverge from the undisturbed run")
+	}
+}
+
+// TestRankWorkersSkipCleanGraph: on a clean cluster a RankWorkers > 1
+// check is the K = 1 check — the same skipped rank, the same findings —
+// and it never opens the exchange: no rank manifest, no partition or
+// superstep events.
+func TestRankWorkersSkipCleanGraph(t *testing.T) {
+	images := ClusterImages(fig7Cluster(t))
+	base, err := Run(images, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Rank.Skipped {
+		t.Fatal("K = 1 reference ranked a clean cluster")
+	}
+	for _, useTCP := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.UseTCP = useTCP
+		opt.RankWorkers = 2
+		res, err := Run(images, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("tcp=%v/k=2", useTCP)
+		rankEqualBitwise(t, label, res.Rank, base.Rank)
+		if !res.Rank.Skipped || !reflect.DeepEqual(res.Findings, base.Findings) {
+			t.Fatalf("%s: skipped=%v, findings %v want %v", label, res.Rank.Skipped, res.Findings, base.Findings)
+		}
+		if res.RankExec != nil || res.Cluster.Rank != nil {
+			t.Fatalf("%s: the exchange ran: %+v", label, res.RankExec)
+		}
+		for _, e := range res.Journal[0].Events {
+			if e.Component == "rank" && e.Kind != "skipped" {
+				t.Fatalf("%s: rank event %q on a skipped check", label, e.Kind)
+			}
+		}
 	}
 }

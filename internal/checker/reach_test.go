@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"faultyrank/internal/inject"
+	"faultyrank/internal/ldiskfs"
+	"faultyrank/internal/lustre"
 )
 
 // TestDetachedCycleDetected: the coherent-corruption case the paper
@@ -77,5 +79,37 @@ func TestDetachedIslandSkipsPairingFindings(t *testing.T) {
 	}
 	if len(res.Findings) == 0 {
 		t.Fatal("loud severing not reported at all")
+	}
+}
+
+// TestReachFindingsOnPairedGraph: the findings that need no rank still
+// come out of a check whose rank is skipped — a coherently detached
+// cycle and a stray object with no relation at all both leave every
+// relation paired.
+func TestReachFindingsOnPairedGraph(t *testing.T) {
+	c := fig7Cluster(t)
+	inj, err := inject.Inject(c, inject.DetachedCycle, fig7Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ost := c.OSTs[1]
+	ino, err := ost.Img.AllocInode(ldiskfs.TypeObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := lustre.FID{Seq: lustre.OSTSeqBase + 1, Oid: 0xABCD}
+	if err := ost.Img.SetXattr(ino, lustre.XattrLMA, lustre.EncodeLMA(stray)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCluster(c, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.UnpairedEdges != 0 || !res.Rank.Skipped {
+		t.Fatalf("%d unpaired edges, rank skipped %v: want a paired graph and a skipped rank",
+			res.Stats.UnpairedEdges, res.Rank.Skipped)
+	}
+	if !res.HasFinding(DetachedNamespace, inj.VictimFID) || !res.HasFinding(OrphanObject, stray) {
+		t.Fatalf("reachability findings missing: %v", describe(res))
 	}
 }

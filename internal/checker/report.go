@@ -74,7 +74,11 @@ func (r *Result) WriteReport(w io.Writer, verbose bool) error {
 	}
 	fmt.Fprintf(w, "timing: T_scan=%.3fs  T_graph=%.3fs  T_FR=%.3fs  total=%.3fs\n",
 		r.TScan.Seconds(), r.TGraph.Seconds(), r.TRank.Seconds(), r.Total().Seconds())
-	fmt.Fprintf(w, "rank: %d iterations, converged=%v\n", r.Rank.Iterations, r.Rank.Converged)
+	if r.Rank.Skipped {
+		fmt.Fprintln(w, "rank: skipped — every relation paired")
+	} else {
+		fmt.Fprintf(w, "rank: %d iterations, converged=%v\n", r.Rank.Iterations, r.Rank.Converged)
+	}
 
 	if r.Coverage.Degraded() {
 		fmt.Fprintf(w, "coverage: DEGRADED — %d of %d server(s) merged; missing:",

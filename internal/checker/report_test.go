@@ -55,6 +55,29 @@ verdict: file system is consistent — no findings
 	}
 }
 
+// TestReportGoldenSkipped pins the rank line of a check that had nothing
+// to judge: every relation paired, the rank skipped.
+func TestReportGoldenSkipped(t *testing.T) {
+	res := goldenResult()
+	res.Stats.PairedEdges, res.Stats.UnpairedEdges = 900, 0
+	res.Rank = &core.Result{Skipped: true}
+	var buf strings.Builder
+	if err := res.WriteReport(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	want := `metadata graph: 500 vertices, 900 edges (900 paired, 0 unpaired), 0 phantom FIDs
+timing: T_scan=1.500s  T_graph=0.250s  T_FR=0.125s  total=1.875s
+rank: skipped — every relation paired
+coverage: complete — all 3 server(s) merged
+transfer: 42 frames, 8192 bytes, 2 dial retries
+scan: 1000 inodes, 400 dirents, 900 edges emitted, 7 chunks, 1 parse issues
+verdict: file system is consistent — no findings
+`
+	if got := buf.String(); got != want {
+		t.Errorf("skipped report mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestReportGoldenDegraded pins the degraded-coverage rendering: the
 // missing servers, the stream-error lines, and the same counter lines.
 func TestReportGoldenDegraded(t *testing.T) {

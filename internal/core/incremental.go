@@ -109,11 +109,12 @@ func (s *blkSet) reset() {
 // The dirty slice holds vertex IDs (GIDs) in [0, N); out-of-range
 // entries are ignored. RunIncremental needs valid warm vectors to be
 // incremental against — without them (or with Smoothing >= 1, or an
-// empty graph) it delegates to Run, returning a nil Frontier.
+// empty graph) it delegates to Run, returning a nil Frontier. So it does
+// for a graph Run skips (Options.Skips).
 func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	n := b.N()
 	blend := 1 - opt.Smoothing
-	if n == 0 || blend <= 0 || len(opt.InitialID) != n || len(opt.InitialProp) != n {
+	if n == 0 || blend <= 0 || opt.Skips(b) || len(opt.InitialID) != n || len(opt.InitialProp) != n {
 		return Run(b, opt)
 	}
 	// theta is on the raw rank scale: Diffs divide by blend before the

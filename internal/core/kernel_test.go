@@ -287,7 +287,7 @@ func BenchmarkKernel(b *testing.B) {
 	for _, tc := range graphs {
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(b *testing.B) {
-				opt := DefaultOptions()
+				opt := rankOptions() // the metadata-shaped graphs are paired
 				opt.Workers, opt.Epsilon, opt.MaxIterations = w, 0, 32
 				b.ReportAllocs()
 				for b.Loop() {

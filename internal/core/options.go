@@ -1,6 +1,9 @@
 package core
 
-import "faultyrank/internal/par"
+import (
+	"faultyrank/internal/graph"
+	"faultyrank/internal/par"
+)
 
 // SinkPolicy selects how the rank mass held by sink vertices (no outgoing
 // edges in the graph being walked) is redistributed each iteration.
@@ -116,6 +119,15 @@ type Options struct {
 	// InitialProp, which a run only reads. Nil allocates afresh.
 	Reuse *Result
 
+	// AlwaysRank iterates even when the graph has no unpaired edge. By
+	// default (false) Run and RunIncremental follow the paper's rule that
+	// only S_chk — the vertices with an unpaired edge — is judged (§III):
+	// on a graph where every relation is paired nothing would read the
+	// ranks, so the run returns a Skipped result without seeding or
+	// sweeping. The paper-fidelity harness sets it to time T_FR on clean
+	// graphs, and tests of the kernel itself set it on clean fixtures.
+	AlwaysRank bool
+
 	// ConvergenceTrace enables Result.Trace, the per-iteration record of
 	// max-delta and redistributed sink mass. Off by default: the trace is
 	// diagnostic output (run manifests, benches), not part of the
@@ -180,6 +192,14 @@ func DefaultOptions() Options {
 		AttributionSlack: 2.0,
 		Workers:          par.DefaultWorkers(),
 	}
+}
+
+// Skips reports whether Run and RunIncremental skip the iteration on b:
+// b has no unpaired edge and AlwaysRank is off. It is O(1), so a driver
+// that would pay to set a rank up — the partitioned exchange — asks
+// first.
+func (o Options) Skips(b *graph.Bidirected) bool {
+	return !o.AlwaysRank && b.UnpairedEdges() == 0
 }
 
 func (o Options) attributionSlack() float64 {

@@ -12,6 +12,12 @@ type Result struct {
 
 	Iterations int
 	Converged  bool
+	// Skipped reports that the run had nothing to judge — the graph has
+	// no unpaired edge and Options.AlwaysRank was off — so it neither
+	// seeded nor swept: Iterations is 0, Converged false (nothing
+	// converged), and IDRank and PropRank are empty, their storage kept
+	// for a run handed this result back.
+	Skipped bool
 	// Diffs records the max-abs ID-rank change after each iteration
 	// (the convergence trace; useful for the ablation benches).
 	Diffs []float64
@@ -88,14 +94,19 @@ func normalized(xs []float64) []float64 {
 // race-free and deterministic under parallelism. Each sweep also emits
 // the next phase's sink mass as canonical block partials, which are
 // folded here and redistributed according to Options.SinkPolicy.
+//
+// A non-empty graph without an unpaired edge is not iterated
+// (Options.Skips): the result comes back Skipped, with empty rank
+// vectors. An empty graph is converged as it stands.
 func Run(b *graph.Bidirected, opt Options) *Result {
 	n := b.N()
 	res := opt.recycle()
-	res.IDRank, res.PropRank = seedRanks(n, opt, res.IDRank, res.PropRank)
-	if n == 0 {
-		res.Converged = true
+	if n == 0 || opt.Skips(b) {
+		res.IDRank, res.PropRank = res.IDRank[:0], res.PropRank[:0]
+		res.Converged, res.Skipped = n == 0, n > 0
 		return res
 	}
+	res.IDRank, res.PropRank = seedRanks(n, opt, res.IDRank, res.PropRank)
 	k := graphKernel(b, opt, &res.work)
 	defer k.stop()
 	k.seed(res.IDRank, res.PropRank)

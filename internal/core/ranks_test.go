@@ -43,9 +43,27 @@ func TestRunEmptyGraph(t *testing.T) {
 	}
 }
 
+// rankOptions is DefaultOptions with AlwaysRank: the options of a test
+// of the kernel itself on a fixture that may have no unpaired edge.
+func rankOptions() Options {
+	opt := DefaultOptions()
+	opt.AlwaysRank = true
+	return opt
+}
+
+// mustHaveRanked fails a kernel test whose run did not iterate — an
+// AlwaysRank fixture that skipped would test nothing.
+func mustHaveRanked(t testing.TB, res *Result) {
+	t.Helper()
+	if res.Skipped || res.Iterations == 0 {
+		t.Fatalf("run did not iterate: skipped=%v iterations=%d", res.Skipped, res.Iterations)
+	}
+}
+
 func TestRunSingleVertex(t *testing.T) {
 	b := graph.NewBidirected(1, nil, 0)
-	res := Run(b, DefaultOptions())
+	res := Run(b, rankOptions())
+	mustHaveRanked(t, res)
 	if !res.Converged {
 		t.Fatal("single vertex should converge")
 	}
@@ -55,9 +73,10 @@ func TestRunEdgelessGraph(t *testing.T) {
 	// All vertices are sinks; mass circulates via sink redistribution.
 	b := graph.NewBidirected(5, nil, 0)
 	for _, policy := range []SinkPolicy{SinkToOthers, SinkToAll} {
-		opt := DefaultOptions()
+		opt := rankOptions()
 		opt.SinkPolicy = policy
 		res := Run(b, opt)
+		mustHaveRanked(t, res)
 		var sum float64
 		for _, x := range res.IDRank {
 			sum += x
@@ -76,11 +95,14 @@ func TestMassConservationProperty(t *testing.T) {
 		n := 2 + r.Intn(60)
 		b := randomGraph(r, n, r.Intn(300))
 		for _, policy := range []SinkPolicy{SinkToOthers, SinkToAll} {
-			opt := DefaultOptions()
+			opt := rankOptions()
 			opt.SinkPolicy = policy
 			opt.Epsilon = 1e-9
 			opt.MaxIterations = 50
 			res := Run(b, opt)
+			if res.Iterations == 0 {
+				return false
+			}
 			var idSum, propSum float64
 			for i := range res.IDRank {
 				idSum += res.IDRank[i]
@@ -180,8 +202,9 @@ func TestWorkerCountInsensitive(t *testing.T) {
 func TestConvergenceTrace(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	b := symmetricGraph(r, 200, 400)
-	opt := DefaultOptions()
+	opt := rankOptions()
 	res := Run(b, opt)
+	mustHaveRanked(t, res)
 	if !res.Converged {
 		t.Fatal("not converged")
 	}

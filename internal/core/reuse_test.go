@@ -12,9 +12,10 @@ import (
 // onto a larger one — and only reads its warm seeds.
 func TestReuseMatchesFresh(t *testing.T) {
 	large, small := metadataShapedGraph(9000), metadataShapedGraph(5000)
-	opt := DefaultOptions()
+	opt := rankOptions() // the fixtures are paired: rank them anyway
 	opt.Workers = 3
 	prev := Run(large, opt)
+	mustHaveRanked(t, prev)
 
 	warm := opt
 	warm.InitialID, warm.InitialProp = slices.Clone(prev.IDRank), slices.Clone(prev.PropRank)
@@ -37,6 +38,7 @@ func TestReuseMatchesFresh(t *testing.T) {
 		if got != prev {
 			t.Fatalf("%s: returned a new result, not the one handed back", s.name)
 		}
+		mustHaveRanked(t, want)
 		assertSameResult(t, got, want)
 		if !reflect.DeepEqual(got.Frontier, want.Frontier) {
 			t.Fatalf("%s: frontier %+v, fresh %+v", s.name, got.Frontier, want.Frontier)

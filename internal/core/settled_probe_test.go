@@ -27,7 +27,8 @@ import (
 // 24 000 MDT inodes, scanned and merged in process — the same graph the
 // TCP path builds) and rank_rmat's R-MAT-16×8, then:
 //
-//   - runs the cold kernel with DefaultOptions and counts, per iteration
+//   - runs the cold kernel with DefaultOptions (AlwaysRank: the graph is
+//     paired) and counts, per iteration
 //     and phase, the rows that move by more than the frontier bound
 //     θ = ε·frontierSlack·(1−σ), and the phase-A sink mass;
 //   - runs a prototype that skips every row whose last evaluation moved
@@ -43,7 +44,7 @@ func BenchmarkProbeSettledRows(b *testing.B) {
 		{"cold_check_tcp seed 1", coldCheckGraph(b)},
 		{"rmat16x8 seed 1", graph.NewBidirectedUntyped(1<<16, rmat.Generate(rmat.Graph500(16, 8, 1), 0), 0)},
 	}
-	opt := DefaultOptions()
+	opt := rankOptions() // the cold_check_tcp graph is paired
 	opt.Workers = 2
 	for b.Loop() {
 		for _, tc := range graphs {

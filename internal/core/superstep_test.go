@@ -36,8 +36,8 @@ func assertSameResult(t *testing.T, got, want *Result) {
 	if got.Iterations != want.Iterations {
 		t.Fatalf("Iterations = %d want %d", got.Iterations, want.Iterations)
 	}
-	if got.Converged != want.Converged {
-		t.Fatalf("Converged = %v want %v", got.Converged, want.Converged)
+	if got.Converged != want.Converged || got.Skipped != want.Skipped {
+		t.Fatalf("Converged, Skipped = %v, %v want %v, %v", got.Converged, got.Skipped, want.Converged, want.Skipped)
 	}
 	if len(got.Trace) != len(want.Trace) {
 		t.Fatalf("Trace length %d want %d", len(got.Trace), len(want.Trace))
@@ -92,26 +92,28 @@ func testGraphs(t *testing.T) map[string]*graph.Bidirected {
 // for every graph shape, option set, partition count and owners map,
 // the partitioned execution must reproduce the single-process kernel
 // bit for bit — ranks, convergence trace, iteration count, everything.
+// The partitioned execution iterates whatever it is handed (its checker
+// driver asks Options.Skips first), so the reference always ranks.
 func TestPartitionedMatchesRunExact(t *testing.T) {
 	options := map[string]Options{
-		"default": DefaultOptions(),
+		"default": rankOptions(),
 	}
-	o := DefaultOptions()
+	o := rankOptions()
 	o.Smoothing = 0
 	options["unsmoothed"] = o
-	o = DefaultOptions()
+	o = rankOptions()
 	o.LeakyDistribution = true
 	options["leaky"] = o
-	o = DefaultOptions()
+	o = rankOptions()
 	o.SinkPolicy = SinkToAll
 	options["sink-all"] = o
-	o = DefaultOptions()
+	o = rankOptions()
 	o.SinkPolicy = SinkDrop
 	options["sink-drop"] = o
-	o = DefaultOptions()
+	o = rankOptions()
 	o.UnpairedWeight = 0
 	options["weight-zero"] = o
-	o = DefaultOptions()
+	o = rankOptions()
 	o.Epsilon = 0 // unreachable: run to the iteration cap, past the trace cap
 	o.MaxIterations = DefaultTraceCap + 3
 	o.ConvergenceTrace = true
@@ -120,6 +122,9 @@ func TestPartitionedMatchesRunExact(t *testing.T) {
 	for gname, b := range testGraphs(t) {
 		for oname, opt := range options {
 			want := Run(b, opt)
+			if b.N() > 0 {
+				mustHaveRanked(t, want)
+			}
 			for _, k := range []int{1, 2, 3, 8} {
 				owners := testOwners(b.N(), k, int64(k)*31+int64(len(gname)))
 				plan := graph.PartitionPlan(b, owners, k, 4)

@@ -28,9 +28,13 @@ type Bidirected struct {
 	PairedIn   []int32
 	UnpairedIn []int32
 
-	// counts is the last build's W×n count/cursor array, kept for the
-	// next Rebuild to count in.
-	counts []int64
+	// unpaired is the sum of UnpairedIn, totalled by the pairing join
+	// that writes it.
+	unpaired int64
+
+	// scratch is the last build's working storage, kept for the next
+	// Rebuild to count and sort in.
+	scratch buildScratch
 }
 
 // NewBidirected builds both CSR orientations and classifies every edge as
@@ -66,8 +70,8 @@ func (b *Bidirected) Rebuild(n int, edges []Edge, keepKinds bool, workers int) {
 		b.Fwd, b.Rev = new(CSR), new(CSR)
 	}
 	fwd, rev := b.Fwd, b.Rev
-	b.counts = fwd.build(n, edges, keepKinds, workers, b.counts)
-	b.counts = fwd.transposeInto(rev, workers, b.counts)
+	fwd.build(n, edges, keepKinds, workers, &b.scratch)
+	fwd.transposeInto(rev, workers, &b.scratch)
 	m := int(fwd.NumEdges())
 	// The join below marks paired edges only: flags from an earlier build
 	// are cleared first, fresh ones are zero already.
@@ -84,10 +88,13 @@ func (b *Bidirected) Rebuild(n int, edges []Edge, keepKinds bool, workers int) {
 	// Both rows are sorted, so one merge-join of Fwd.Neighbors(v) against
 	// Rev.Neighbors(v) marks every run of equal IDs on both sides and
 	// counts v's paired in-edges. Vertices are split by the edges the
-	// join walks; each vertex writes only its own rows and counters.
+	// join walks; each vertex writes only its own rows and counters, and
+	// each worker totals its vertices' unpaired in-edges.
 	parts := workerCount(workers, n)
 	cuts := balancedCuts(n, parts, func(v int) int64 { return fwd.Offsets[v] + rev.Offsets[v] })
+	var unpaired atomic.Int64
 	par.ForEach(parts, parts, func(w int) {
+		var sum int64
 		for v := cuts[w]; v < cuts[w+1]; v++ {
 			fs, fe := fwd.Offsets[v], fwd.Offsets[v+1]
 			rs, re := rev.Offsets[v], rev.Offsets[v+1]
@@ -113,8 +120,11 @@ func (b *Bidirected) Rebuild(n int, edges []Edge, keepKinds bool, workers int) {
 			}
 			b.PairedIn[v] = paired
 			b.UnpairedIn[v] = int32(len(in)) - paired
+			sum += int64(b.UnpairedIn[v])
 		}
+		unpaired.Add(sum)
 	})
+	b.unpaired = unpaired.Load()
 }
 
 // N returns the vertex count.
@@ -125,6 +135,10 @@ func (b *Bidirected) OutDegree(v uint32) int { return b.Fwd.Degree(v) }
 
 // InDegree returns v's in-degree in G.
 func (b *Bidirected) InDegree(v uint32) int { return b.Rev.Degree(v) }
+
+// UnpairedEdges is the number of forward edges without a reciprocal
+// edge, in O(1): the build totals it.
+func (b *Bidirected) UnpairedEdges() int64 { return b.unpaired }
 
 // HasUnpairedEdge reports whether v touches at least one unpaired edge in
 // either direction; such vertices form the paper's S_chk candidate set.
@@ -171,16 +185,14 @@ func (b *Bidirected) UnpairedIncoming(v uint32) []uint32 {
 	return out
 }
 
-// Stats computes summary statistics from the per-vertex arrays in O(N):
-// every forward edge is exactly one vertex's in-edge, so the paired and
-// unpaired edge totals are the sums of PairedIn and UnpairedIn.
+// Stats computes summary statistics in O(N): the sinks and sources from
+// the offsets, the edge totals from the build's unpaired count — every
+// forward edge is exactly one vertex's in-edge, paired or not.
 func (b *Bidirected) Stats(workers int) Stats {
-	var paired, unpaired, sinks, sources atomic.Int64
+	var sinks, sources atomic.Int64
 	par.ForRange(b.N(), workers, func(lo, hi int) {
-		var p, u, sk, sr int64
+		var sk, sr int64
 		for v := lo; v < hi; v++ {
-			p += int64(b.PairedIn[v])
-			u += int64(b.UnpairedIn[v])
 			if b.Fwd.Offsets[v] == b.Fwd.Offsets[v+1] {
 				sk++
 			}
@@ -188,16 +200,14 @@ func (b *Bidirected) Stats(workers int) Stats {
 				sr++
 			}
 		}
-		paired.Add(p)
-		unpaired.Add(u)
 		sinks.Add(sk)
 		sources.Add(sr)
 	})
 	return Stats{
 		Vertices:      b.N(),
 		Edges:         b.Fwd.NumEdges(),
-		PairedEdges:   paired.Load(),
-		UnpairedEdges: unpaired.Load(),
+		PairedEdges:   b.Fwd.NumEdges() - b.unpaired,
+		UnpairedEdges: b.unpaired,
 		Sinks:         int(sinks.Load()),
 		Sources:       int(sources.Load()),
 	}

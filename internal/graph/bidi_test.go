@@ -156,10 +156,15 @@ func TestInCountsMatchRevDegrees(t *testing.T) {
 
 // TestNewBidirectedAllocs: a build allocates the Bidirected's own arrays
 // and one W×n count/cursor array, which the forward build and the
-// transpose share, and next to nothing else.
+// transpose share, and next to nothing else. One hub row is longer than
+// insertionSortMax, so the sort's packed-key buffer is in play too.
 func TestNewBidirectedAllocs(t *testing.T) {
-	const n, m, workers = 50000, 200000, 2
-	edges := randomEdges(rand.New(rand.NewSource(5)), n, m)
+	const n, workers, hub = 50000, 2, 4000
+	edges := randomEdges(rand.New(rand.NewSource(5)), n, 200000)
+	for i := range hub {
+		edges = append(edges, Edge{Src: 7, Dst: uint32(i * 11), Kind: EdgeKind(i % 5)})
+	}
+	m := len(edges)
 	NewBidirected(n, edges, workers) // warm-up
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -174,8 +179,8 @@ func TestNewBidirectedAllocs(t *testing.T) {
 
 	// A rebuild into a graph with room for the new one — a smaller graph,
 	// then the original again — writes every array in place, the count
-	// array included: what is left is the fan-out's closures and
-	// goroutines and the per-build split points.
+	// array and the key buffers included: what is left is the fan-out's
+	// closures and goroutines and the per-build split points.
 	var smaller []Edge
 	for _, e := range edges[:m-1000] {
 		if e.Src < n-10 && e.Dst < n-10 {
@@ -271,6 +276,7 @@ func referenceBidirected(n int, edges []Edge, keepKinds bool) *Bidirected {
 				b.PairedIn[v]++
 			} else {
 				b.UnpairedIn[v]++
+				b.unpaired++
 			}
 		}
 	}
@@ -282,7 +288,7 @@ func referenceBidirected(n int, edges []Edge, keepKinds bool) *Bidirected {
 // field with the reference.
 func withoutScratch(b *Bidirected) *Bidirected {
 	c := *b
-	c.counts = nil
+	c.scratch = buildScratch{}
 	return &c
 }
 

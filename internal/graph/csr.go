@@ -183,14 +183,22 @@ func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
 // benchmark graphs drop it to save a byte per edge.
 func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 	c := new(CSR)
-	c.build(n, edges, keepKinds, workers, nil)
+	c.build(n, edges, keepKinds, workers, &buildScratch{})
 	return c
 }
 
-// build is BuildCSR writing into c's arrays, counting in scratch's
-// storage when it is large enough. It returns the count array (scratch
-// itself when there are no edges) for the transpose to count in.
-func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []int64) []int64 {
+// buildScratch is a build's working storage beyond the CSR itself: the
+// W×n count/cursor array, which the forward build and the transpose
+// share, and each sort worker's packed-key buffer. A Bidirected keeps it
+// for its next Rebuild.
+type buildScratch struct {
+	counts []int64
+	keys   [][]uint64
+}
+
+// build is BuildCSR writing into c's arrays and working in scratch's
+// storage where it is large enough; what it used stays in scratch.
+func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch *buildScratch) {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
@@ -204,7 +212,7 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []
 	m := len(edges)
 	if m == 0 {
 		clear(c.Offsets)
-		return scratch
+		return
 	}
 
 	// Both passes split the edge array into the same W contiguous ranges:
@@ -216,7 +224,8 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []
 	// that guards the scatter. A worker goroutine must not panic (no
 	// caller could recover it), so each records its first bad edge and
 	// the panic is raised below, after the join.
-	counts := zeroedCounts(scratch, W*n)
+	counts := zeroedCounts(scratch.counts, W*n)
+	scratch.counts = counts
 	bad := make([]int, W)
 	par.ForEach(W, W, func(w int) {
 		lo, hi := w*chunk, min((w+1)*chunk, m)
@@ -261,8 +270,11 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []
 	// Pass 3: sort each adjacency, vertices split by edge count.
 	parts := workerCount(workers, n)
 	cuts := balancedCuts(n, parts, func(v int) int64 { return c.Offsets[v] })
+	if len(scratch.keys) < parts {
+		scratch.keys = append(scratch.keys, make([][]uint64, parts-len(scratch.keys))...)
+	}
 	par.ForEach(parts, parts, func(w int) {
-		var keys []uint64
+		keys := scratch.keys[w]
 		for v := cuts[w]; v < cuts[w+1]; v++ {
 			s, e := c.Offsets[v], c.Offsets[v+1]
 			if e-s < 2 {
@@ -274,8 +286,8 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []
 				keys = sortTargetsKinds(c.Targets[s:e], c.Kinds[s:e], keys)
 			}
 		}
+		scratch.keys[w] = keys
 	})
-	return counts
 }
 
 // Transpose returns the CSR of the reversed graph: row t lists the
@@ -289,14 +301,14 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch []
 // what sorting after the scatter would produce, for any worker count.
 func (c *CSR) Transpose(workers int) *CSR {
 	t := new(CSR)
-	c.transposeInto(t, workers, nil)
+	c.transposeInto(t, workers, &buildScratch{})
 	return t
 }
 
 // transposeInto is Transpose writing into t's arrays and counting in
-// scratch's storage when it is large enough; it returns the count array
-// it used.
-func (c *CSR) transposeInto(t *CSR, workers int, scratch []int64) []int64 {
+// scratch's count array when it is large enough; the array it used stays
+// in scratch.
+func (c *CSR) transposeInto(t *CSR, workers int, scratch *buildScratch) {
 	n := c.N
 	t.N, t.Offsets = n, resized(t.Offsets, n+1)
 	t.Targets = t.Targets[:0]
@@ -308,12 +320,13 @@ func (c *CSR) transposeInto(t *CSR, workers int, scratch []int64) []int64 {
 	m := len(c.Targets)
 	if m == 0 {
 		clear(t.Offsets)
-		return scratch
+		return
 	}
 	W := csrCountWorkers(n, m, workers)
 	cuts := balancedCuts(n, W, func(v int) int64 { return c.Offsets[v] })
 
-	counts := zeroedCounts(scratch, W*n)
+	counts := zeroedCounts(scratch.counts, W*n)
+	scratch.counts = counts
 	par.ForEach(W, W, func(w int) {
 		cnt := counts[w*n : (w+1)*n]
 		for _, dst := range c.Targets[c.Offsets[cuts[w]]:c.Offsets[cuts[w+1]]] {
@@ -340,7 +353,6 @@ func (c *CSR) transposeInto(t *CSR, workers int, scratch []int64) []int64 {
 			}
 		}
 	})
-	return counts
 }
 
 // insertionSortMax is the longest typed adjacency sorted by insertion.

@@ -351,7 +351,8 @@ type CheckResult struct {
 	PerServer []RoundRefresh
 	// Round is this check's sequence number (1 = the first check).
 	Round int64
-	// Warm reports whether ranking was seeded from the previous check.
+	// Warm reports whether ranking was seeded from the previous check;
+	// false on a round that skipped its rank (core.Result.Skipped).
 	Warm bool
 }
 
@@ -392,6 +393,7 @@ func (t *Tracker) Check() (*CheckResult, error) {
 	if t.last != nil {
 		*res = *t.last // hand the storage on; AnalyzeUnified rewrites every field
 	}
+	redo := !warm // a cold analysis is still to run
 	if warm {
 		// The warm attempt gets a bounded iteration budget. On most
 		// deltas the previous fixed point is a few steps from the new
@@ -414,25 +416,31 @@ func (t *Tracker) Check() (*CheckResult, error) {
 		if err := checker.AnalyzeUnified(res, t.images, mat.U, wopt); err != nil {
 			return nil, err
 		}
-		if !res.Rank.Converged {
+		switch {
+		case res.Rank.Skipped:
+			// Nothing to judge, so the seed went unused: a cold analysis
+			// would skip the same way, and this is no fallback.
+			warm = false
+		case !res.Rank.Converged:
 			// The abandoned attempt's time stays on the round's books; the
 			// cold redo analyses into its storage.
 			tGraph += res.TGraph
 			tRank += res.TRank
-			warm = false
+			warm, redo = false, true
 			t.warmFallbacks++
 			t.opt.Journal.Record("online", "warm-fallback",
 				"round", fmt.Sprintf("%d", t.checks+1))
 		}
 	}
-	if !warm {
+	if redo {
 		if err := checker.AnalyzeUnified(res, t.images, mat.U, opt); err != nil {
 			return nil, err
 		}
 	}
 	res.TScan = update // stage-1 role in the online pipeline
 	res.Cluster = t.clusterManifest()
-	if res.Rank.Converged {
+	switch {
+	case res.Rank.Converged:
 		// Only a converged fixed point is worth warm-starting from;
 		// persisting a truncated trajectory used to poison every later
 		// check's seed. The dirty set resets with the save — seeds always
@@ -443,6 +451,13 @@ func (t *Tracker) Check() (*CheckResult, error) {
 		t.delta.ResetDirty()
 		t.lastIters = res.Rank.Iterations
 		tRank += time.Since(t2)
+	case res.Rank.Skipped:
+		// No ranks this round: the warm state and the dirty seeds are both
+		// relative to ranks the graph has since moved away from, so the
+		// next round that ranks runs cold, and the seeds — which
+		// Materialize sorts and copies every round — stop accumulating.
+		t.haveWarm = false
+		t.delta.ResetDirty()
 	}
 	res.TGraph += tGraph
 	res.TRank += tRank

@@ -14,7 +14,6 @@ import (
 
 	"faultyrank/internal/agg"
 	"faultyrank/internal/checker"
-	"faultyrank/internal/core"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
@@ -47,6 +46,23 @@ func newTracker(t testing.TB, c *lustre.Cluster) *Tracker {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// rankingOptions are the default options with core.Options.AlwaysRank:
+// a test of the warm-start machinery on a clean cluster, which would
+// otherwise skip every rank.
+func rankingOptions() checker.Options {
+	opt := checker.DefaultOptions()
+	opt.Core.AlwaysRank = true
+	return opt
+}
+
+// mustHaveRanked fails a test whose AlwaysRank round did not iterate.
+func mustHaveRanked(t testing.TB, res *CheckResult) {
+	t.Helper()
+	if res.Rank.Skipped || res.Rank.Iterations == 0 {
+		t.Fatalf("round %d did not iterate: skipped=%v iterations=%d", res.Round, res.Rank.Skipped, res.Rank.Iterations)
+	}
 }
 
 // partialsEqual compares tracker-maintained partials with fresh full
@@ -519,6 +535,7 @@ func TestOnlineCheckMatchesColdAnalyze(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			live = append(live, fmt.Sprintf("/w/f%02d", i))
 		}
+		prevConverged := false
 		for round := 0; round < 4; round++ {
 			for op := 0; op < 1+r.Intn(6); op++ {
 				switch r.Intn(4) {
@@ -562,9 +579,15 @@ func TestOnlineCheckMatchesColdAnalyze(t *testing.T) {
 			if res.Round != int64(round+1) {
 				t.Fatalf("round %d: got Round %d", round, res.Round)
 			}
-			if res.Warm != (round > 0) {
-				t.Fatalf("round %d: Warm = %v", round, res.Warm)
+			// A round ranks exactly when a relation is unpaired, and runs
+			// warm exactly when it ranks after a round that converged.
+			if res.Rank.Skipped != (res.Stats.UnpairedEdges == 0) {
+				t.Fatalf("round %d: skipped = %v with %d unpaired edges", round, res.Rank.Skipped, res.Stats.UnpairedEdges)
 			}
+			if res.Warm != (prevConverged && !res.Rank.Skipped) {
+				t.Fatalf("round %d: Warm = %v (previous round converged %v, skipped %v)", round, res.Warm, prevConverged, res.Rank.Skipped)
+			}
+			prevConverged = res.Rank.Converged
 			assertFindingsMatch(t, res.Result, coldAnalyze(t, c), !res.Warm)
 		}
 	}
@@ -612,17 +635,22 @@ func TestRescanMatchesColdAfterSilentCorruption(t *testing.T) {
 // iterations than the cold first check.
 func TestWarmStartCutsIterations(t *testing.T) {
 	c := newCluster(t)
-	tr := newTracker(t, c)
+	tr, err := NewTracker(checker.ClusterImages(c), rankingOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, err := tr.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustHaveRanked(t, first)
 	// The next round rewrites first.Rank: keep the count it needs.
 	coldIters := first.Rank.Iterations
 	second, err := tr.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustHaveRanked(t, second)
 	if first.Warm || !second.Warm {
 		t.Fatalf("warm flags: first %v, second %v", first.Warm, second.Warm)
 	}
@@ -788,7 +816,7 @@ func TestUpdateLostDirtyRegression(t *testing.T) {
 // later warm start.
 func TestUnconvergedCheckDoesNotSaveWarmState(t *testing.T) {
 	c := newCluster(t)
-	opt := checker.DefaultOptions()
+	opt := rankingOptions()
 	opt.Core.MaxIterations = 1
 	tr, err := NewTracker(checker.ClusterImages(c), opt)
 	if err != nil {
@@ -798,6 +826,7 @@ func TestUnconvergedCheckDoesNotSaveWarmState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustHaveRanked(t, res)
 	if res.Rank.Converged {
 		t.Fatal("test vector: one iteration converged; the cap is not binding")
 	}
@@ -810,11 +839,12 @@ func TestUnconvergedCheckDoesNotSaveWarmState(t *testing.T) {
 
 	// Lift the cap: the next check still starts cold (there is no warm
 	// state to use), converges, and only then persists its fixed point.
-	tr.opt.Core = core.DefaultOptions()
+	tr.opt.Core = rankingOptions().Core
 	res2, err := tr.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustHaveRanked(t, res2)
 	if res2.Warm {
 		t.Fatal("check after an unconverged round claimed a warm start")
 	}

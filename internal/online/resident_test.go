@@ -119,16 +119,26 @@ func BenchmarkTrackerRound(b *testing.B) {
 // ten times as much at the larger size as at the smaller. One worker
 // keeps goroutine start-ups, and so the counts, deterministic; the
 // leanest of four rounds of each kind is the steady state (an array that
-// net creates have filled regrows now and then, append-style).
+// net creates have filled regrows now and then, append-style). The
+// clusters are clean, so the default rounds skip their rank; the rounds
+// are measured again with AlwaysRank, where the warm kernel runs in the
+// resident storage.
 func TestTrackerRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation allocates")
 	}
+	for _, always := range []bool{false, true} {
+		t.Run(fmt.Sprintf("AlwaysRank=%v", always), func(t *testing.T) { trackerRoundAllocs(t, always) })
+	}
+}
+
+func trackerRoundAllocs(t *testing.T, always bool) {
 	type cost struct{ allocs, bytes uint64 }
 	measure := func(size int64) (idle, delta cost) {
 		c := agedCluster(t, size)
 		opt := checker.DefaultOptions()
 		opt.Workers, opt.Core.Workers = 1, 1
+		opt.Core.AlwaysRank = always
 		tr, err := NewTracker(checker.ClusterImages(c), opt)
 		if err != nil {
 			t.Fatal(err)
@@ -146,10 +156,13 @@ func TestTrackerRoundAllocs(t *testing.T) {
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := tr.Check()
+			res, err := tr.Check()
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Rank.Skipped == always {
+				t.Fatalf("round %d: rank skipped %v with AlwaysRank %v", round, res.Rank.Skipped, always)
 			}
 			if round >= 3 {
 				kind.allocs = min(kind.allocs, after.Mallocs-before.Mallocs)
@@ -268,10 +281,27 @@ var residentScript = []residentRound{
 // iterations, frontier stats, findings, the graph and the tracker's
 // snapshot bytes must agree every round, through growth, shrinkage, a
 // warm fallback and a Rescan — and a round's findings must survive the
-// rounds after it.
+// rounds after it. The script runs twice: with the default options, where
+// every round before the fault skips its rank, and with AlwaysRank, where
+// every round ranks, so the kernel's storage goes through the growth and
+// shrinkage too.
 func TestResidentRoundsMatchFresh(t *testing.T) {
+	for _, always := range []bool{false, true} {
+		t.Run(fmt.Sprintf("AlwaysRank=%v", always), func(t *testing.T) {
+			opt := checker.DefaultOptions()
+			opt.Core.AlwaysRank = always
+			skipped := residentRoundsMatchFresh(t, opt)
+			if always && skipped != 0 || !always && skipped == 0 {
+				t.Fatalf("%d of %d rounds skipped their rank", skipped, len(residentScript))
+			}
+		})
+	}
+}
+
+// residentRoundsMatchFresh runs residentScript under opt and returns how
+// many rounds skipped their rank.
+func residentRoundsMatchFresh(t *testing.T, opt checker.Options) (skipped int) {
 	ca, cb := newCluster(t), newCluster(t)
-	opt := checker.DefaultOptions()
 	resident, fresh := newTracker(t, ca), newTracker(t, cb)
 	liveA, liveB := []string{}, []string{}
 	for i := 0; i < 10; i++ {
@@ -313,6 +343,9 @@ func TestResidentRoundsMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRound(t, rd.name, a, b)
+		if a.Rank.Skipped {
+			skipped++
+		}
 		if got, want := resident.EncodeSnapshot(), fresh.EncodeSnapshot(); !bytes.Equal(got, want) {
 			t.Fatalf("%s: tracker snapshots differ (%d vs %d bytes)", rd.name, len(got), len(want))
 		}
@@ -338,6 +371,7 @@ func TestResidentRoundsMatchFresh(t *testing.T) {
 	if maxN <= 4096 {
 		t.Fatalf("test vector: %d vertices at most, not past one of the kernel's row blocks", maxN)
 	}
+	return skipped
 }
 
 func deepCopyFindings(fs []checker.Finding) []checker.Finding {
@@ -367,8 +401,9 @@ func assertSameRound(t *testing.T, name string, a, b *CheckResult) {
 		t.Fatalf("%s: CSR builds differ", name)
 	}
 	ra, rb := a.Rank, b.Rank
-	if ra.Iterations != rb.Iterations || ra.Converged != rb.Converged {
-		t.Fatalf("%s: %d iterations (converged %v) resident, %d (%v) fresh", name, ra.Iterations, ra.Converged, rb.Iterations, rb.Converged)
+	if ra.Iterations != rb.Iterations || ra.Converged != rb.Converged || ra.Skipped != rb.Skipped {
+		t.Fatalf("%s: %d iterations (converged %v, skipped %v) resident, %d (%v, %v) fresh",
+			name, ra.Iterations, ra.Converged, ra.Skipped, rb.Iterations, rb.Converged, rb.Skipped)
 	}
 	if !reflect.DeepEqual(ra.Frontier, rb.Frontier) {
 		t.Fatalf("%s: frontier stats %+v resident, %+v fresh", name, ra.Frontier, rb.Frontier)
