@@ -98,8 +98,12 @@ func main() {
 			if !res.Warm {
 				start = "cold"
 			}
-			fmt.Printf("watch round %d: refreshed %d inode(s), %d finding(s), %d iteration(s) %s-start\n",
-				round, res.InodesRefreshed, len(res.Findings), res.Rank.Iterations, start)
+			rank := fmt.Sprintf("%d iteration(s) %s-start", res.Rank.Iterations, start)
+			if res.Rank.Skipped {
+				rank = "rank skipped"
+			}
+			fmt.Printf("watch round %d: refreshed %d inode(s), %d finding(s), %s\n",
+				round, res.InodesRefreshed, len(res.Findings), rank)
 		},
 	})
 	close(stop)

@@ -68,7 +68,7 @@ func TestCleanClusterNoFindings(t *testing.T) {
 	if res.Stats.UnpairedEdges != 0 {
 		t.Errorf("unpaired edges: %d", res.Stats.UnpairedEdges)
 	}
-	if !res.Rank.Skipped || res.Rank.Iterations != 0 || res.Rank.Converged {
+	if !res.Rank.Skipped || res.Rank.Iterations != 0 || !res.Rank.Converged {
 		t.Errorf("rank on a paired graph: skipped=%v iterations=%d converged=%v, want skipped",
 			res.Rank.Skipped, res.Rank.Iterations, res.Rank.Converged)
 	}

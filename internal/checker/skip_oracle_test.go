@@ -20,8 +20,9 @@ import (
 // pass left behind — detection and classification over NaN ranks give
 // exactly the findings the real ranks give, so nothing reads the ranks
 // of a fully paired graph, and a default check, which skips them, agrees
-// with one that computes them. The skipped check's rank vectors are
-// empty, so a read there would fault outright.
+// with one that computes them. The skipped check's rank vectors hold the
+// uniform cold seed, which any reader would take for healthy scores; the
+// NaN pass is what shows that no reader exists.
 func TestSkippedRankMatchesRankedOnCleanClusters(t *testing.T) {
 	clusters := map[string]*lustre.Cluster{"fig7": checker.Fig7Cluster(t)}
 

@@ -123,9 +123,9 @@ type Options struct {
 	// default (false) Run and RunIncremental follow the paper's rule that
 	// only S_chk — the vertices with an unpaired edge — is judged (§III):
 	// on a graph where every relation is paired nothing would read the
-	// ranks, so the run returns a Skipped result without seeding or
-	// sweeping. The paper-fidelity harness sets it to time T_FR on clean
-	// graphs, and tests of the kernel itself set it on clean fixtures.
+	// ranks, so the run returns a Skipped result without sweeping. The
+	// paper-fidelity harness sets it to time T_FR on clean graphs, and
+	// tests of the kernel itself set it on clean fixtures.
 	AlwaysRank bool
 
 	// ConvergenceTrace enables Result.Trace, the per-iteration record of

@@ -13,10 +13,13 @@ type Result struct {
 	Iterations int
 	Converged  bool
 	// Skipped reports that the run had nothing to judge — the graph has
-	// no unpaired edge and Options.AlwaysRank was off — so it neither
-	// seeded nor swept: Iterations is 0, Converged false (nothing
-	// converged), and IDRank and PropRank are empty, their storage kept
-	// for a run handed this result back.
+	// no unpaired edge and Options.AlwaysRank was off — so it did not
+	// sweep: Iterations is 0, IDRank and PropRank hold the uniform cold
+	// seed (every entry 1.0, whatever Options.InitialID/InitialProp say),
+	// and Converged is true, as for an empty graph: the result is final,
+	// since no vertex is in S_chk for a rank to be read for. A consumer
+	// that keeps ranks to seed a later run (online warm starts) must test
+	// Skipped first: the seed is no fixed point.
 	Skipped bool
 	// Diffs records the max-abs ID-rank change after each iteration
 	// (the convergence trace; useful for the ablation benches).
@@ -96,14 +99,16 @@ func normalized(xs []float64) []float64 {
 // folded here and redistributed according to Options.SinkPolicy.
 //
 // A non-empty graph without an unpaired edge is not iterated
-// (Options.Skips): the result comes back Skipped, with empty rank
-// vectors. An empty graph is converged as it stands.
+// (Options.Skips): the result comes back Skipped, holding the cold seed.
+// An empty graph is converged as it stands.
 func Run(b *graph.Bidirected, opt Options) *Result {
 	n := b.N()
 	res := opt.recycle()
 	if n == 0 || opt.Skips(b) {
-		res.IDRank, res.PropRank = res.IDRank[:0], res.PropRank[:0]
-		res.Converged, res.Skipped = n == 0, n > 0
+		// Options{} seeds cold: a skipped result does not depend on the
+		// warm seeds it was offered.
+		res.IDRank, res.PropRank = seedRanks(n, Options{}, res.IDRank, res.PropRank)
+		res.Converged, res.Skipped = true, n > 0
 		return res
 	}
 	res.IDRank, res.PropRank = seedRanks(n, opt, res.IDRank, res.PropRank)

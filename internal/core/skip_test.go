@@ -8,10 +8,10 @@ import (
 )
 
 // TestRunSkipsPairedGraph: on a graph whose every relation is paired, Run
-// and RunIncremental neither seed nor sweep — the result is Skipped, not
-// Converged, with no iterations and empty rank vectors — whatever the
-// warm seeds, and a result handed back keeps its storage. One unpaired
-// edge, or AlwaysRank, brings the iteration back.
+// and RunIncremental do not sweep — the result is Skipped and Converged,
+// with no iterations and rank vectors holding the uniform cold seed —
+// whatever the warm seeds, and a result handed back keeps its storage.
+// One unpaired edge, or AlwaysRank, brings the iteration back.
 func TestRunSkipsPairedGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	b := symmetricGraph(r, 300, 900)
@@ -24,9 +24,15 @@ func TestRunSkipsPairedGraph(t *testing.T) {
 	}
 	assertSkipped := func(what string, res *Result) {
 		t.Helper()
-		if !res.Skipped || res.Converged || res.Iterations != 0 || len(res.IDRank) != 0 ||
-			len(res.PropRank) != 0 || len(res.Diffs) != 0 || res.Frontier != nil {
-			t.Fatalf("%s: %+v, want a skipped result", what, res)
+		if !res.Skipped || !res.Converged || res.Iterations != 0 || len(res.IDRank) != b.N() ||
+			len(res.PropRank) != b.N() || len(res.Diffs) != 0 || res.Frontier != nil {
+			t.Fatalf("%s: skipped %v converged %v, %d iterations, %d/%d ranks, %d diffs, frontier %v; want a skipped result",
+				what, res.Skipped, res.Converged, res.Iterations, len(res.IDRank), len(res.PropRank), len(res.Diffs), res.Frontier)
+		}
+		for v := range res.IDRank {
+			if res.IDRank[v] != 1 || res.PropRank[v] != 1 {
+				t.Fatalf("%s: vertex %d holds %g/%g, want the cold seed 1/1", what, v, res.IDRank[v], res.PropRank[v])
+			}
 		}
 	}
 	assertSkipped("Run", Run(b, opt))

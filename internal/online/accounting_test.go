@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"faultyrank/internal/checker"
 )
 
 // TestCheckAccountsForItsTime: a round's three stage timings cover the
@@ -13,9 +15,18 @@ import (
 // and the timers cover the wall time summed over warmRounds rounds: a
 // single ≈ 1 ms round can lose a fifth of itself to one preemption
 // between two timers, which made a per-round bound fail about 2 runs in
-// 100. The cluster stays clean, so every round skips its rank and none
-// runs warm; TRank still times the classification.
+// 100. The cluster stays clean, so it runs twice: with the default
+// options every round skips its rank and none runs warm (TRank still
+// times the classification); with core.Options.AlwaysRank every round
+// after the first runs warm, timing the lift, the warm kernel and the
+// warm-state save.
 func TestCheckAccountsForItsTime(t *testing.T) {
+	for _, always := range []bool{false, true} {
+		t.Run(fmt.Sprintf("AlwaysRank=%v", always), func(t *testing.T) { checkAccountsForItsTime(t, always) })
+	}
+}
+
+func checkAccountsForItsTime(t *testing.T, always bool) {
 	const warmRounds = 24
 	c := newCluster(t)
 	for i := 0; i < 1500; i++ {
@@ -23,7 +34,12 @@ func TestCheckAccountsForItsTime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := newTracker(t, c)
+	opt := checker.DefaultOptions()
+	opt.Core.AlwaysRank = always
+	tr, err := NewTracker(checker.ClusterImages(c), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wall, accounted time.Duration
 	for round := 0; round <= warmRounds; round++ { // the first is the initial check
 		if _, err := c.Create(fmt.Sprintf("/w/new%d", round), 2*64<<10); err != nil {
@@ -38,8 +54,9 @@ func TestCheckAccountsForItsTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Warm || !res.Rank.Skipped {
-			t.Fatalf("round %d: warm = %v, rank skipped = %v on a clean cluster", round, res.Warm, res.Rank.Skipped)
+		if res.Rank.Skipped == always || res.Warm != (always && round > 0) {
+			t.Fatalf("round %d: warm = %v, rank skipped = %v on a clean cluster with AlwaysRank %v",
+				round, res.Warm, res.Rank.Skipped, always)
 		}
 		if res.TUpdate <= 0 || res.TGraph <= 0 || res.TRank <= 0 {
 			t.Fatalf("round %d: a stage went untimed: TUpdate %v TGraph %v TRank %v", round, res.TUpdate, res.TGraph, res.TRank)
@@ -50,6 +67,6 @@ func TestCheckAccountsForItsTime(t *testing.T) {
 		}
 	}
 	if accounted < wall*8/10 {
-		t.Fatalf("%d warm rounds: the stage timers account for %v of %v", warmRounds, accounted, wall)
+		t.Fatalf("%d rounds: the stage timers account for %v of %v", warmRounds, accounted, wall)
 	}
 }

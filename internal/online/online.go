@@ -440,6 +440,14 @@ func (t *Tracker) Check() (*CheckResult, error) {
 	res.TScan = update // stage-1 role in the online pipeline
 	res.Cluster = t.clusterManifest()
 	switch {
+	case res.Rank.Skipped:
+		// No ranks this round (a skipped result holds the cold seed, not
+		// a fixed point): the warm state and the dirty seeds are both
+		// relative to ranks the graph has since moved away from, so the
+		// next round that ranks runs cold, and the seeds — which
+		// Materialize sorts and copies every round — stop accumulating.
+		t.haveWarm = false
+		t.delta.ResetDirty()
 	case res.Rank.Converged:
 		// Only a converged fixed point is worth warm-starting from;
 		// persisting a truncated trajectory used to poison every later
@@ -451,13 +459,6 @@ func (t *Tracker) Check() (*CheckResult, error) {
 		t.delta.ResetDirty()
 		t.lastIters = res.Rank.Iterations
 		tRank += time.Since(t2)
-	case res.Rank.Skipped:
-		// No ranks this round: the warm state and the dirty seeds are both
-		// relative to ranks the graph has since moved away from, so the
-		// next round that ranks runs cold, and the seeds — which
-		// Materialize sorts and copies every round — stop accumulating.
-		t.haveWarm = false
-		t.delta.ResetDirty()
 	}
 	res.TGraph += tGraph
 	res.TRank += tRank

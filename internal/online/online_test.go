@@ -526,10 +526,28 @@ func assertFindingsMatch(t *testing.T, online, cold *checker.Result, exactScores
 // (inode-number reuse), live fault injection — the incremental snapshot
 // plus warm-started ranking produce exactly the findings of a cold
 // merge and checker.AnalyzeUnified over fresh full scans.
+//
+// It runs twice: with the default options, where a round whose relations
+// are all paired skips its rank, and with core.Options.AlwaysRank, where
+// every round ranks and every round after a converged one runs warm — so
+// the warm-started half of the property is exercised on every seed, not
+// only after a random fault injection.
 func TestOnlineCheckMatchesColdAnalyze(t *testing.T) {
+	for _, always := range []bool{false, true} {
+		t.Run(fmt.Sprintf("AlwaysRank=%v", always), func(t *testing.T) { onlineMatchesCold(t, always) })
+	}
+}
+
+func onlineMatchesCold(t *testing.T, always bool) {
+	opt := checker.DefaultOptions()
+	opt.Core.AlwaysRank = always
+	warmRounds := 0
 	for seed := int64(0); seed < 4; seed++ {
 		c := newCluster(t)
-		tr := newTracker(t, c)
+		tr, err := NewTracker(checker.ClusterImages(c), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := rand.New(rand.NewSource(seed + 100))
 		live := []string{}
 		for i := 0; i < 10; i++ {
@@ -579,17 +597,24 @@ func TestOnlineCheckMatchesColdAnalyze(t *testing.T) {
 			if res.Round != int64(round+1) {
 				t.Fatalf("round %d: got Round %d", round, res.Round)
 			}
-			// A round ranks exactly when a relation is unpaired, and runs
-			// warm exactly when it ranks after a round that converged.
-			if res.Rank.Skipped != (res.Stats.UnpairedEdges == 0) {
+			// A round ranks exactly when a relation is unpaired (or always,
+			// with AlwaysRank), and runs warm exactly when it ranks after a
+			// round that ranked and converged.
+			if res.Rank.Skipped != (!always && res.Stats.UnpairedEdges == 0) {
 				t.Fatalf("round %d: skipped = %v with %d unpaired edges", round, res.Rank.Skipped, res.Stats.UnpairedEdges)
 			}
 			if res.Warm != (prevConverged && !res.Rank.Skipped) {
-				t.Fatalf("round %d: Warm = %v (previous round converged %v, skipped %v)", round, res.Warm, prevConverged, res.Rank.Skipped)
+				t.Fatalf("round %d: Warm = %v (previous round ranked and converged %v, skipped %v)", round, res.Warm, prevConverged, res.Rank.Skipped)
 			}
-			prevConverged = res.Rank.Converged
+			prevConverged = res.Rank.Converged && !res.Rank.Skipped
+			if res.Warm {
+				warmRounds++
+			}
 			assertFindingsMatch(t, res.Result, coldAnalyze(t, c), !res.Warm)
 		}
+	}
+	if always && warmRounds == 0 {
+		t.Fatal("no round ran warm: the warm-started half of the property went untested")
 	}
 }
 
