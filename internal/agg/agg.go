@@ -4,11 +4,13 @@
 // GIDs, and builds the in-DRAM CSR the iterative algorithm runs on.
 //
 // Because FIDs are cluster-unique, merging never conflicts. The remap
-// goes through one flat open-addressed FID table (fidtable.go): GIDs are
-// assigned in first-appearance order of the canonical stream, so the
-// same set of partials always yields the same GID space regardless of
-// worker count. A Builder accepts the scanners' chunk streams
-// incrementally, which lets aggregation overlap transfer.
+// goes through a two-tier index (seqindex.go): a dense array per
+// well-filled sequence, and a flat open-addressed FID table
+// (fidtable.go) for everything else. GIDs are assigned in first-
+// appearance order of the canonical stream, so the same set of partials
+// always yields the same GID space regardless of worker count. A
+// Builder accepts the scanners' chunk streams incrementally, which lets
+// aggregation overlap transfer.
 package agg
 
 import (
@@ -16,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"faultyrank/internal/graph"
@@ -50,7 +53,7 @@ type Unified struct {
 	// Issues carries forward the scanners' structural parse problems.
 	Issues []string
 
-	byFID *fidTable
+	byFID *seqIndex
 	// gidFn, when non-nil, overrides byFID lookups. Incremental
 	// producers (DeltaBuilder) resolve GIDs through their persistent
 	// interner instead of rebuilding a per-run index.
@@ -111,7 +114,7 @@ type segment struct {
 }
 
 // unresolved marks an edge endpoint whose FID no object claims. It can
-// never be a GID: the table's ids stop at 2^32-2.
+// never be a GID: the index's ids stop at 2^32-2.
 const unresolved = ^uint32(0)
 
 // mergeObserved merges the canonical stream held in segs, with
@@ -133,7 +136,7 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 			servers++
 		}
 	}
-	tab := newFIDTable(nObj)
+	tab := newSeqIndex(segs, nObj)
 	u := &Unified{byFID: tab, Edges: make([]graph.Edge, nEdge)}
 
 	// (1) Objects claim their FIDs in canonical order — one worker, whose
@@ -142,8 +145,7 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	observedRange(nObj, 1, m, m.mergeObjects(), func(int, int) {
 		for _, s := range segs {
 			for i := range s.objects {
-				g, _ := tab.intern(s.objects[i].FID)
-				objGID = append(objGID, g)
+				objGID = append(objGID, tab.intern(s.objects[i].FID))
 			}
 		}
 	})
@@ -151,6 +153,7 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	// (2) Edge translation, parallel over read-only lookups: order-
 	// preserving, each slot written once. A worker's share of the merged
 	// edge list starts inside some segment and may span several.
+	var phantoms atomic.Bool
 	observedRange(nEdge, workers, m, m.mergeEdges(), func(lo, hi int) {
 		i := sort.Search(len(segs), func(i int) bool { return segs[i].edgeOff+len(segs[i].edges) > lo })
 		for ; i < len(segs) && segs[i].edgeOff < hi; i++ {
@@ -160,10 +163,12 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 				src, ok := tab.get(e.Src)
 				if !ok {
 					src = unresolved
+					phantoms.Store(true)
 				}
 				dst, ok := tab.get(e.Dst)
 				if !ok {
 					dst = unresolved
+					phantoms.Store(true)
 				}
 				u.Edges[k] = graph.Edge{Src: src, Dst: dst, Kind: e.Kind}
 			}
@@ -171,19 +176,20 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	})
 
 	// (3) The unresolved endpoints are exactly the phantoms (none on a
-	// clean cluster). Every object precedes every edge in the canonical
-	// stream, so interning them in edge order completes the first-
-	// appearance numbering.
-	for _, s := range segs {
+	// clean cluster, which skips the pass). Every object precedes every
+	// edge in the canonical stream, so interning them in edge order
+	// completes the first-appearance numbering.
+	for i := 0; i < len(segs) && phantoms.Load(); i++ {
+		s := &segs[i]
 		out := u.Edges[s.edgeOff:]
 		for k := range s.edges {
 			if e := &out[k]; e.Src == unresolved || e.Dst == unresolved {
-				e.Src, _ = tab.intern(s.edges[k].Src)
-				e.Dst, _ = tab.intern(s.edges[k].Dst)
+				e.Src = tab.intern(s.edges[k].Src)
+				e.Dst = tab.intern(s.edges[k].Dst)
 			}
 		}
 	}
-	u.FIDs = tab.fids
+	u.FIDs = tab.tab.fids
 	n := len(u.FIDs)
 	if m != nil {
 		m.InternedFIDs.Set(int64(n))

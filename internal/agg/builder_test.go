@@ -190,7 +190,7 @@ func TestFinishAllocs(t *testing.T) {
 
 	n, objs := uint64(u.N()), uint64(nParts*nObj)
 	own := uint64(cap(u.FIDs))*uint64(unsafe.Sizeof(lustre.FID{})) +
-		uint64(len(u.byFID.slots))*4 +
+		uint64(u.byFID.bytes()) +
 		uint64(cap(u.Edges))*uint64(unsafe.Sizeof(u.Edges[0])) +
 		n*(1+uint64(unsafe.Sizeof(u.Types[0]))+uint64(unsafe.Sizeof(u.Claims[0]))) +
 		objs*uint64(unsafe.Sizeof(ObjectLoc{}))

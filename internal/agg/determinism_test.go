@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"faultyrank/internal/graph"
+	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
@@ -251,40 +252,80 @@ func TestMergeAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// BenchmarkMerge times the reference merge against MergeWorkers at one
-// worker and at GOMAXPROCS on the benchmark's cold_check_tcp cluster
-// shape (24 000 MDT inodes, aged).
-func BenchmarkMerge(b *testing.B) {
+// agedParts scans the benchmark's cluster shape — 8 OSTs, every file
+// striped over all of them, compact geometry, aged to mdtInodes with
+// 15 % churn — after planting one Fig. 7 fault in each of faults
+// six-file regions, the scenarios in turn, as fault_repair does. MDT
+// first, then the OSTs.
+func agedParts(mdtInodes int64, faults int) ([]*scanner.Partial, error) {
 	c, err := lustre.NewCluster(lustre.Config{
 		NumOSTs: 8, StripeSize: 64 << 10, StripeCount: -1,
 		Geometry: ldiskfs.CompactGeometry(),
 	})
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	if _, err := workload.Age(c, workload.AgeSpec{TargetMDTInodes: 24000, ChurnFraction: 0.15, Seed: 1}); err != nil {
-		b.Fatal(err)
+	if _, err := workload.Age(c, workload.AgeSpec{TargetMDTInodes: mdtInodes, ChurnFraction: 0.15, Seed: 1}); err != nil {
+		return nil, err
+	}
+	const files = 6
+	for i := 0; i < faults; i++ {
+		region := fmt.Sprintf("/region%03d", i)
+		if err := c.MkdirAll(region); err != nil {
+			return nil, err
+		}
+		for f := 0; f < files; f++ {
+			if _, err := c.Create(fmt.Sprintf("%s/f%02d", region, f), 3*64<<10); err != nil {
+				return nil, err
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < faults; i++ {
+		target := fmt.Sprintf("/region%03d/f%02d", i, r.Intn(files))
+		if _, err := inject.Inject(c, inject.Scenario(i%inject.NumScenarios), target); err != nil {
+			return nil, err
+		}
 	}
 	var parts []*scanner.Partial
 	for _, img := range clusterImages(c) {
 		p, err := scanner.ScanImage(img, 0)
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
 		parts = append(parts, p)
 	}
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			mergeReference(parts)
+	return parts, nil
+}
+
+// BenchmarkMerge times the reference merge against MergeWorkers at one
+// worker and at GOMAXPROCS on two inputs: the cold_check_tcp cluster
+// (24 000 MDT inodes, aged), where nearly every FID resolves in the
+// dense tier, and the fault_repair one (6 000 MDT inodes plus 256 Fig. 7
+// faults), whose phantoms and minted identities take the fallback.
+func BenchmarkMerge(b *testing.B) {
+	for _, in := range []struct {
+		name      string
+		mdtInodes int64
+		faults    int
+	}{{"aged", 24000, 0}, {"faulted", 6000, 256}} {
+		parts, err := agedParts(in.mdtInodes, in.faults)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+		b.Run(in.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				MergeWorkers(parts, w)
+				mergeReference(parts)
 			}
 		})
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/workers=%d", in.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					MergeWorkers(parts, w)
+				}
+			})
+		}
 	}
 }

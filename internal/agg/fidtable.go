@@ -2,12 +2,14 @@ package agg
 
 import "faultyrank/internal/lustre"
 
-// fidTable is the package's one FID index. It interns FIDs onto dense
-// ids in first-insertion order: fids is id -> FID and doubles as the key
-// store, slots is an open-addressed, linearly probed index into it. One
-// occurrence costs one hash and (at load <= 1/2) about 1.4 probes, no
-// allocation and no per-occurrence record; the merge's GID space, the
-// DeltaBuilder's IID space and the snapshot restore all go through it.
+// fidTable is the package's hashed FID index. It interns FIDs onto
+// dense ids in first-insertion order: fids is id -> FID and doubles as
+// the key store, slots is an open-addressed, linearly probed index into
+// it. One occurrence costs one hash and (at load <= 1/2) about 1.4
+// probes, no allocation and no per-occurrence record. The DeltaBuilder's
+// IID space and the snapshot restore index every id through it; the
+// merge's seqIndex (seqindex.go) indexes only the FIDs its dense tier
+// does not hold, and appends the others to fids without a slot.
 //
 // get never writes, so any number of goroutines may call it while no
 // intern is in flight — the merge's parallel edge translation relies on
@@ -15,8 +17,11 @@ import "faultyrank/internal/lustre"
 type fidTable struct {
 	fids []lustre.FID
 	// slots[i] is 0 for an empty slot, else id+1. Its length is a power
-	// of two and at least 2*len(fids), so a probe always terminates.
+	// of two and at least 2*n, so a probe always terminates.
 	slots []uint32
+	// n counts the ids slots holds: len(fids), less any id a seqIndex
+	// appended without a slot.
+	n int
 }
 
 // minFIDSlots is the slot count of a table built without a size hint.
@@ -24,11 +29,16 @@ const minFIDSlots = 8
 
 // newFIDTable sizes the table so that hint FIDs intern without growth.
 func newFIDTable(hint int) *fidTable {
-	n := minFIDSlots
-	for n < 2*hint {
-		n <<= 1
+	return &fidTable{fids: make([]lustre.FID, 0, hint), slots: make([]uint32, fidSlots(hint))}
+}
+
+// fidSlots is the slot count that holds n ids at load <= 1/2.
+func fidSlots(n int) int {
+	s := minFIDSlots
+	for s < 2*n {
+		s <<= 1
 	}
-	return &fidTable{fids: make([]lustre.FID, 0, hint), slots: make([]uint32, n)}
+	return s
 }
 
 // hashFID is a splitmix64-style mix of all 128 FID bits. It must stay a
@@ -74,23 +84,26 @@ func (t *fidTable) intern(f lustre.FID) (id uint32, added bool) {
 	}
 	t.fids = append(t.fids, f)
 	t.slots[i] = uint32(len(t.fids))
-	if 2*len(t.fids) > len(t.slots) {
+	if t.n++; 2*t.n > len(t.slots) {
 		t.grow()
 	}
 	return uint32(len(t.fids) - 1), true
 }
 
-// grow doubles the slot array and re-inserts every id; the keys stay
-// where they are.
+// grow doubles the slot array and re-inserts every id the old one
+// held; the keys stay where they are.
 func (t *fidTable) grow() {
 	slots := make([]uint32, 2*len(t.slots))
 	mask := uint64(len(slots) - 1)
-	for id, f := range t.fids {
-		i := hashFID(f) & mask
+	for _, s := range t.slots {
+		if s == 0 {
+			continue
+		}
+		i := hashFID(t.fids[s-1]) & mask
 		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		slots[i] = uint32(id) + 1
+		slots[i] = s
 	}
 	t.slots = slots
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"faultyrank/internal/graph"
@@ -14,6 +15,7 @@ import (
 	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
 	"faultyrank/internal/telemetry"
+	"faultyrank/internal/workload"
 )
 
 // fullChunk is a chunk at the scanner's default size (4096 entries) in
@@ -182,24 +184,75 @@ var (
 	benchBytes []byte
 )
 
-func BenchmarkDecodeChunk(b *testing.B) {
-	enc := EncodeChunk(fullChunk())
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	for b.Loop() {
-		c, err := DecodeChunk(enc)
-		if err != nil {
-			b.Fatal(err)
+// agedChunk is the first chunk of the MDT stream of the cold_check_tcp
+// cluster (8 OSTs, 24 000 MDT inodes, aged with 15 % churn) at the
+// scanner's default chunk size: real FIDs and edge kinds, no issues.
+var agedChunk = sync.OnceValues(func() (*scanner.Chunk, error) {
+	c, err := lustre.NewCluster(lustre.Config{
+		NumOSTs: 8, StripeSize: 64 << 10, StripeCount: -1,
+		Geometry: ldiskfs.CompactGeometry(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := workload.Age(c, workload.AgeSpec{TargetMDTInodes: 24000, ChurnFraction: 0.15, Seed: 1}); err != nil {
+		return nil, err
+	}
+	var first *scanner.Chunk
+	err = scanner.ScanImageToSink(c.MDT.Img, 0, 0, sinkFunc(func(ch *scanner.Chunk) error {
+		if first == nil {
+			first = ch
 		}
-		benchChunk = c
+		return nil
+	}))
+	return first, err
+})
+
+type sinkFunc func(*scanner.Chunk) error
+
+func (f sinkFunc) Emit(c *scanner.Chunk) error { return f(c) }
+
+// benchChunks are the chunks the codec benchmarks time: fullChunk's
+// synthetic mix, with issues, and one chunk of an aged cluster.
+func benchChunks(b *testing.B) []struct {
+	name string
+	c    *scanner.Chunk
+} {
+	aged, err := agedChunk()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []struct {
+		name string
+		c    *scanner.Chunk
+	}{{"synthetic", fullChunk()}, {"aged", aged}}
+}
+
+func BenchmarkDecodeChunk(b *testing.B) {
+	for _, in := range benchChunks(b) {
+		b.Run(in.name, func(b *testing.B) {
+			enc := EncodeChunk(in.c)
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			for b.Loop() {
+				c, err := DecodeChunk(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchChunk = c
+			}
+		})
 	}
 }
 
 func BenchmarkEncodeChunk(b *testing.B) {
-	c := fullChunk()
-	b.SetBytes(int64(len(EncodeChunk(c))))
-	b.ReportAllocs()
-	for b.Loop() {
-		benchBytes = EncodeChunk(c)
+	for _, in := range benchChunks(b) {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(EncodeChunk(in.c))))
+			b.ReportAllocs()
+			for b.Loop() {
+				benchBytes = EncodeChunk(in.c)
+			}
+		})
 	}
 }

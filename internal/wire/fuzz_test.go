@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -37,6 +39,22 @@ func FuzzDecodeChunk(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		bincodectest.RoundTrip(t, b, DecodeChunk, EncodeChunk)
+		// The stride codec against the field-by-field reference: the
+		// same verdict, the same chunk, the same bytes.
+		got, err := DecodeChunk(b)
+		want, refErr := decodeChunkReference(b)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeChunk error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("DecodeChunk and the reference decode different chunks")
+		}
+		if !bytes.Equal(EncodeChunk(got), appendChunkReference(nil, want)) {
+			t.Fatal("EncodeChunk and the reference encode different bytes")
+		}
 	})
 }
 
