@@ -6,7 +6,6 @@
 //	faultyrank -dir cluster/            # check only
 //	faultyrank -dir cluster/ -repair    # check, repair, verify, persist
 //	faultyrank -dir cluster/ -tcp       # ship partial graphs over TCP
-//	faultyrank -dir cluster/ -rank-workers 4        # shard the rank stage into 4 BSP partitions
 //	faultyrank -dir cluster/ -metrics-addr :9090   # live /metrics + pprof
 //	faultyrank -dir cluster/ -run-manifest run.json # machine-readable record
 //	faultyrank -dir cluster/ -tcp -cluster-manifest cm.json # per-server telemetry + skew
@@ -63,7 +62,6 @@ func realMain() int {
 		scanTO    = flag.Duration("scan-timeout", 0, "deadline on the TCP scan+collect stage (0 = none)")
 		degraded  = flag.Bool("degraded", false, "complete from surviving streams when scanners are lost (TCP path)")
 		workers   = flag.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
-		rankW     = flag.Int("rank-workers", 0, "shard the rank stage across this many BSP partition workers (<=1 = single kernel; exact, bit-identical results)")
 		chunk     = flag.Int("chunk", 0, "entries per streamed scanner chunk (0 = default)")
 		epsilon   = flag.Float64("epsilon", 0.1, "convergence epsilon (max |Δ id_rank|)")
 		threshold = flag.Float64("threshold", 0.4, "fault threshold on mean-1-scaled ranks")
@@ -105,7 +103,6 @@ func realMain() int {
 	opt.ScanTimeout = *scanTO
 	opt.AllowDegraded = *degraded
 	opt.Workers = *workers
-	opt.RankWorkers = *rankW
 	opt.ChunkSize = *chunk
 	opt.Core.Epsilon = *epsilon
 	opt.Core.Threshold = *threshold

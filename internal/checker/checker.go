@@ -64,30 +64,17 @@ type Options struct {
 	// failure model (nil = no faults).
 	NetFaults map[string]*inject.NetFault
 
-	// RankWorkers shards the CSR across this many rank partitions and
-	// iterates as BSP supersteps (internal/core superstep protocol);
-	// <= 1 runs the legacy single-process kernel. The partitioned path
-	// is exact — ranks and findings are bit-identical to the
-	// single-process kernel for any worker count — so this trades
-	// nothing but exchange overhead for per-partition parallelism. The
-	// workers are goroutines of this process behind a localhost rank
-	// exchange (wire.ServeRankWorker over TCP links). A graph the kernel
-	// skips (core.Options.Skips) opens no exchange.
+	// RankWorkers is ignored: the rank runs on the single kernel.
+	//
+	// Deprecated: the partitioned rank execution it sized is gone. It
+	// was bit-identical to the single kernel, so ignoring it changes no
+	// rank and no finding.
 	RankWorkers int
-	// RankFaults injects a crash into the numbered rank partitions'
-	// superstep links — the test/bench hook for the rank-stage failure
-	// model (nil = no faults). A lost partition fails a strict run with
-	// a PartError naming it; with AllowDegraded the checker falls back
-	// to the single-process kernel (the whole graph is local to the
-	// coordinator) and records the fallback in the rank manifest.
-	RankFaults map[int]*inject.RankFault
 
 	// RankIncremental runs the frontier-based incremental kernel
 	// (core.RunIncremental) instead of full sweeps, seeded from
 	// RankFrontier — the online tracker's warm path, where the work
-	// should scale with the delta, not the graph. It applies only to the
-	// single-process kernel (RankWorkers <= 1); the partitioned BSP
-	// execution always sweeps its whole shard. Without warm-start
+	// should scale with the delta, not the graph. Without warm-start
 	// vectors in Core the incremental kernel degenerates to a plain
 	// cold Run, so setting this on a cold check is harmless.
 	RankIncremental bool
@@ -273,10 +260,10 @@ type Result struct {
 	// cmd/frtrace.
 	Journal []telemetry.JournalSnapshot
 
-	// RankExec describes the partitioned rank execution — partition
-	// shapes, per-superstep exchange stats, degraded fallback — and is
-	// also folded into Cluster as its rank section. Nil when the
-	// single-process kernel ran (RankWorkers <= 1).
+	// RankExec is always nil.
+	//
+	// Deprecated: it described the partitioned rank execution, which is
+	// gone.
 	RankExec *RankManifest
 
 	Unified  *agg.Unified
@@ -398,9 +385,9 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 	aggSpan.End()
 	res.TGraph = time.Since(t1)
 
-	err = rankAndClassify(ctx, res, images, opt, obs)
+	rankAndClassify(ctx, res, images, opt, obs)
 	obs.finish(res, root)
-	return res, err
+	return res, nil
 }
 
 // AnalyzeUnified runs the post-merge stages — CSR build, ranking and
@@ -408,7 +395,8 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 // the online checker's per-check entry point: the incremental
 // aggregator (agg.DeltaBuilder) maintains the Unified across checks, so
 // neither scanning nor merging re-runs; what remains is exactly the
-// work any check must do on the current graph.
+// work any check must do on the current graph. No post-merge stage can
+// fail, so the error is always nil.
 //
 // Every field of res is overwritten. The storage res already holds — a
 // Graph, a Rank, the reachability scratch — is rewritten in place rather
@@ -437,25 +425,19 @@ func AnalyzeUnified(res *Result, images []*ldiskfs.Image, u *agg.Unified, opt Op
 	buildSpan.End()
 	aggSpan.End()
 	res.TGraph = time.Since(t1)
-	err := rankAndClassify(ctx, res, images, opt, obs)
+	rankAndClassify(ctx, res, images, opt, obs)
 	obs.finish(res, root)
-	return err
+	return nil
 }
 
 // rankAndClassify is stage 3 (T_FR), shared by Run and Analyze:
-// FaultyRank iteration — single-process or partitioned per
-// opt.RankWorkers — then detection and fault classification.
-func rankAndClassify(ctx context.Context, res *Result, images []*ldiskfs.Image, opt Options, obs *runObs) error {
+// FaultyRank iteration, then detection and fault classification.
+func rankAndClassify(ctx context.Context, res *Result, images []*ldiskfs.Image, opt Options, obs *runObs) {
 	t2 := time.Now()
 	rankCtx, rankSpan := telemetry.StartSpan(ctx, "rank")
-	iterCtx, iterSpan := telemetry.StartSpan(rankCtx, "iterate")
-	err := runRank(iterCtx, res, opt, obs)
+	_, iterSpan := telemetry.StartSpan(rankCtx, "iterate")
+	runRank(res, opt, obs)
 	iterSpan.End()
-	if err != nil {
-		rankSpan.End()
-		res.TRank = time.Since(t2)
-		return err
-	}
 	_, classifySpan := telemetry.StartSpan(rankCtx, "classify")
 	res.Report = core.Detect(res.Graph, res.Rank, res.Unified.Present, opt.Core)
 	byLabel := make(map[string]*ldiskfs.Image, len(images))
@@ -467,7 +449,6 @@ func rankAndClassify(ctx context.Context, res *Result, images []*ldiskfs.Image, 
 	classifySpan.End()
 	rankSpan.End()
 	res.TRank = time.Since(t2)
-	return nil
 }
 
 // RunCluster is a convenience wrapper scanning a simulated cluster's

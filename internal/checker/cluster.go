@@ -75,10 +75,6 @@ type ClusterManifest struct {
 	// cluster-wide totals, attribution labels on the gauge maxima.
 	Cluster telemetry.Snapshot `json:"cluster"`
 	Skew    ClusterSkew        `json:"skew"`
-	// Rank is the partitioned-rank section (sharding, per-superstep
-	// exchange stats, degraded fallback); nil when the single-process
-	// kernel ran.
-	Rank *RankManifest `json:"rank,omitempty"`
 }
 
 // Server returns the named section (nil when absent).

@@ -41,14 +41,6 @@ type runObs struct {
 	aggM  *agg.Metrics
 	base  map[*telemetry.Counter]int64
 
-	// Partitioned-rank instruments: supersteps driven, exchange volume
-	// (canonical encoded frame sizes, so the in-process path reports the
-	// same bytes TCP would move), and the partition count of the latest
-	// run.
-	rankSupersteps *telemetry.Counter
-	rankBytes      *telemetry.Counter
-	rankParts      *telemetry.Gauge
-
 	// journal is the run's coordinator-lane flight recorder (the caller's
 	// Options.Journal, or a private one — always non-nil so event sites
 	// need no guards). srvJournals collects the per-server sections that
@@ -72,10 +64,6 @@ func newRunObs(reg *telemetry.Registry, j *telemetry.Journal) *runObs {
 		wireM: wire.NewMetrics(reg),
 		aggM:  agg.NewMetrics(reg),
 		base:  make(map[*telemetry.Counter]int64),
-
-		rankSupersteps: reg.Counter("rank_supersteps_total"),
-		rankBytes:      reg.Counter("rank_exchange_bytes_total"),
-		rankParts:      reg.Gauge("rank_partitions"),
 
 		journal: j,
 	}

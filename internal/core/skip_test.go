@@ -19,8 +19,8 @@ func TestRunSkipsPairedGraph(t *testing.T) {
 		t.Fatalf("fixture has %d unpaired edges", b.UnpairedEdges())
 	}
 	opt := DefaultOptions()
-	if !opt.Skips(b) {
-		t.Fatal("Skips is false on a paired graph")
+	if !opt.skips(b) {
+		t.Fatal("skips is false on a paired graph")
 	}
 	assertSkipped := func(what string, res *Result) {
 		t.Helper()
@@ -72,8 +72,8 @@ func TestRunSkipsPairedGraph(t *testing.T) {
 		t.Fatal("fixture: the added edge is paired")
 	}
 	faulty := graph.NewBidirected(b.N(), edges, 0)
-	if faulty.UnpairedEdges() != 1 || DefaultOptions().Skips(faulty) {
-		t.Fatalf("one unpaired edge: UnpairedEdges %d, Skips %v", faulty.UnpairedEdges(), DefaultOptions().Skips(faulty))
+	if faulty.UnpairedEdges() != 1 || DefaultOptions().skips(faulty) {
+		t.Fatalf("one unpaired edge: UnpairedEdges %d, skips %v", faulty.UnpairedEdges(), DefaultOptions().skips(faulty))
 	}
 	mustHaveRanked(t, Run(faulty, DefaultOptions()))
 }
