@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"faultyrank/internal/inject"
 	"faultyrank/internal/lustre"
@@ -58,16 +59,30 @@ func TestBatchedEquivalence(t *testing.T) {
 }
 
 // TestBatchedUsesFewerRPCs: over TCP, batching collapses the round-trip
-// count by roughly the batch factor.
+// count by roughly the batch factor. Each run takes milliseconds, so one
+// scheduler stall can triple it; the durations compared are the best of
+// timingRuns interleaved runs of each variant.
 func TestBatchedUsesFewerRPCs(t *testing.T) {
+	const timingRuns = 5
 	seq := testCluster(t)
-	resSeq := runLFSCK(t, seq, Options{UseTCP: true, DryRun: true})
 	bat := testCluster(t)
-	resBat := runLFSCK(t, bat, Options{UseTCP: true, DryRun: true, BatchSize: 64})
+	var resSeq, resBat *Result
+	var bestSeq, bestBat time.Duration
+	for i := 0; i < timingRuns; i++ {
+		rs := runLFSCK(t, seq, Options{UseTCP: true, DryRun: true})
+		rb := runLFSCK(t, bat, Options{UseTCP: true, DryRun: true, BatchSize: 64})
+		if i == 0 || rs.Duration < bestSeq {
+			bestSeq = rs.Duration
+		}
+		if i == 0 || rb.Duration < bestBat {
+			bestBat = rb.Duration
+		}
+		resSeq, resBat = rs, rb
+	}
 	if resBat.Stats.RPCs*8 > resSeq.Stats.RPCs {
 		t.Fatalf("batched RPCs %d not ≪ per-object %d", resBat.Stats.RPCs, resSeq.Stats.RPCs)
 	}
-	if resBat.Duration >= resSeq.Duration*2 {
-		t.Errorf("batched run slower than per-object: %v vs %v", resBat.Duration, resSeq.Duration)
+	if bestBat >= bestSeq*2 {
+		t.Errorf("batched run slower than per-object: %v vs %v", bestBat, bestSeq)
 	}
 }
