@@ -15,7 +15,6 @@ package agg
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,11 +103,12 @@ func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
 // whole Partial, or one chunk a Builder retained. A server's segments
 // are adjacent and in stream order, so walking the segments walks each
 // section of the canonical stream in order without concatenating it.
-// The merge only reads the slices.
+// The merge only reads the sections, reading each field from its record
+// at stride.
 type segment struct {
 	label   string
-	objects []scanner.Object
-	edges   []scanner.FIDEdge
+	objects scanner.Objects
+	edges   scanner.Edges
 	issues  []scanner.Issue
 	edgeOff int // index of edges[0] in the merged edge list; set by the merge
 }
@@ -130,8 +130,8 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	for i := range segs {
 		s := &segs[i]
 		s.edgeOff = nEdge
-		nObj += len(s.objects)
-		nEdge += len(s.edges)
+		nObj += s.objects.Len()
+		nEdge += s.edges.Len()
 		if i == 0 || s.label != segs[i-1].label {
 			servers++
 		}
@@ -144,8 +144,8 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	objGID := make([]uint32, 0, nObj)
 	observedRange(nObj, 1, m, m.mergeObjects(), func(int, int) {
 		for _, s := range segs {
-			for i := range s.objects {
-				objGID = append(objGID, tab.intern(s.objects[i].FID))
+			for i := range s.objects.Len() {
+				objGID = append(objGID, tab.intern(s.objects.FID(i)))
 			}
 		}
 	})
@@ -155,22 +155,25 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	// edge list starts inside some segment and may span several.
 	var phantoms atomic.Bool
 	observedRange(nEdge, workers, m, m.mergeEdges(), func(lo, hi int) {
-		i := sort.Search(len(segs), func(i int) bool { return segs[i].edgeOff+len(segs[i].edges) > lo })
+		i := sort.Search(len(segs), func(i int) bool { return segs[i].edgeOff+segs[i].edges.Len() > lo })
 		for ; i < len(segs) && segs[i].edgeOff < hi; i++ {
 			s := &segs[i]
-			for k := max(lo, s.edgeOff); k < min(hi, s.edgeOff+len(s.edges)); k++ {
-				e := s.edges[k-s.edgeOff]
-				src, ok := tab.get(e.Src)
+			edges, off := s.edges, s.edgeOff
+			out := u.Edges[max(lo, off):min(hi, off+edges.Len())]
+			first := max(lo, off) - off
+			for k := range out {
+				j := first + k
+				src, ok := tab.get(edges.Src(j))
 				if !ok {
 					src = unresolved
 					phantoms.Store(true)
 				}
-				dst, ok := tab.get(e.Dst)
+				dst, ok := tab.get(edges.Dst(j))
 				if !ok {
 					dst = unresolved
 					phantoms.Store(true)
 				}
-				u.Edges[k] = graph.Edge{Src: src, Dst: dst, Kind: e.Kind}
+				out[k] = graph.Edge{Src: src, Dst: dst, Kind: edges.Kind(j)}
 			}
 		}
 	})
@@ -182,10 +185,10 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	for i := 0; i < len(segs) && phantoms.Load(); i++ {
 		s := &segs[i]
 		out := u.Edges[s.edgeOff:]
-		for k := range s.edges {
+		for k := range s.edges.Len() {
 			if e := &out[k]; e.Src == unresolved || e.Dst == unresolved {
-				e.Src = tab.intern(s.edges[k].Src)
-				e.Dst = tab.intern(s.edges[k].Dst)
+				e.Src = tab.intern(s.edges.Src(k))
+				e.Dst = tab.intern(s.edges.Dst(k))
 			}
 		}
 	}
@@ -207,8 +210,8 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	u.Claims = claimSlots(counts)
 	k := 0
 	for _, s := range segs {
-		for i := range s.objects {
-			o := &s.objects[i]
+		for i := range s.objects.Len() {
+			o := s.objects.At(i)
 			g := objGID[k]
 			k++
 			if !u.Present[g] {
@@ -291,16 +294,14 @@ func (b *Builder) Observe(m *Metrics) { b.metrics = m }
 
 // Emit consumes one chunk. Safe for concurrent use by the per-server
 // scanner goroutines; chunks of one server must arrive in Seq order
-// (the scanner and the wire stream both guarantee it).
+// (the scanner and the wire stream both guarantee it). Only an accepted
+// chunk counts into the intake counters.
 func (b *Builder) Emit(c *scanner.Chunk) error {
-	if m := b.metrics; m != nil {
+	m := b.metrics
+	if m != nil {
 		t0 := time.Now()
 		b.mu.Lock()
 		m.LockWait.Observe(time.Since(t0).Seconds())
-		m.Chunks.Inc()
-		m.Objects.Add(int64(len(c.Objects)))
-		m.Edges.Add(int64(len(c.Edges)))
-		m.Issues.Add(int64(len(c.Issues)))
 	} else {
 		b.mu.Lock()
 	}
@@ -317,32 +318,22 @@ func (b *Builder) Emit(c *scanner.Chunk) error {
 	}
 	acc.chunks = append(acc.chunks, c)
 	acc.done = c.Final
+	if m != nil {
+		m.Chunks.Inc()
+		m.Objects.Add(int64(c.Objects.Len()))
+		m.Edges.Add(int64(c.Edges.Len()))
+		m.Issues.Add(int64(len(c.Issues)))
+	}
 	return nil
 }
 
-// partial concatenates a completed stream's chunks into a fresh Partial
-// at exact size.
+// partial concatenates a completed stream's chunks into a fresh Partial.
 func (a *builderAcc) partial() *scanner.Partial {
-	var nObj, nEdge, nIssue int
+	var ps scanner.PartialSink
 	for _, c := range a.chunks {
-		nObj += len(c.Objects)
-		nEdge += len(c.Edges)
-		nIssue += len(c.Issues)
+		_ = ps.Emit(c)
 	}
-	// slices.Grow keeps an empty stream's slices nil, as appending would.
-	p := &scanner.Partial{
-		ServerLabel: a.label,
-		Objects:     slices.Grow([]scanner.Object(nil), nObj),
-		Edges:       slices.Grow([]scanner.FIDEdge(nil), nEdge),
-		Issues:      slices.Grow([]scanner.Issue(nil), nIssue),
-	}
-	for _, c := range a.chunks {
-		p.Objects = append(p.Objects, c.Objects...)
-		p.Edges = append(p.Edges, c.Edges...)
-		p.Issues = append(p.Issues, c.Issues...)
-		p.Stats.Add(c.Stats)
-	}
-	return p
+	return ps.Partial()
 }
 
 // completed returns the streams that have seen their final chunk, in

@@ -197,13 +197,13 @@ func TestMergeEdgeCountPreservedProperty(t *testing.T) {
 		for p := 0; p < 1+r.Intn(4); p++ {
 			part := &scanner.Partial{ServerLabel: fmt.Sprintf("ost%d", p)}
 			for i := 0; i < r.Intn(40); i++ {
-				part.Objects = append(part.Objects, scanner.Object{
+				part.Objects.Append(scanner.Object{
 					FID: lustre.FID{Seq: uint64(r.Intn(5)), Oid: uint32(r.Intn(20))},
 					Ino: ldiskfs.Ino(i + 1), Type: ldiskfs.TypeObject,
 				})
 			}
 			for i := 0; i < r.Intn(80); i++ {
-				part.Edges = append(part.Edges, scanner.FIDEdge{
+				part.Edges.Append(scanner.FIDEdge{
 					Src:  lustre.FID{Seq: uint64(r.Intn(5)), Oid: uint32(r.Intn(20))},
 					Dst:  lustre.FID{Seq: uint64(r.Intn(5)), Oid: uint32(r.Intn(20))},
 					Kind: graph.EdgeKind(r.Intn(5)),

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,9 +9,11 @@ import (
 	"testing"
 	"unsafe"
 
+	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
+	"faultyrank/internal/telemetry"
 )
 
 // recSink records a scan's chunk stream.
@@ -107,8 +110,8 @@ func TestBuilderLeavesChunksUntouched(t *testing.T) {
 	for i, s := range streams {
 		for _, c := range s {
 			cp := *c
-			cp.Objects = append([]scanner.Object(nil), c.Objects...)
-			cp.Edges = append([]scanner.FIDEdge(nil), c.Edges...)
+			cp.Objects = scanner.ObjectRecords(bytes.Clone(c.Objects.Bytes()))
+			cp.Edges = scanner.EdgeRecords(bytes.Clone(c.Edges.Bytes()))
 			cp.Issues = append([]scanner.Issue(nil), c.Issues...)
 			pristine[i] = append(pristine[i], &cp)
 		}
@@ -124,12 +127,8 @@ func TestBuilderLeavesChunksUntouched(t *testing.T) {
 		// Writing to a merged partial must not reach the chunks either.
 		parts, _ := b.Partials()
 		for _, p := range parts {
-			for k := range p.Objects {
-				p.Objects[k].FID = lustre.FID{}
-			}
-			for k := range p.Edges {
-				p.Edges[k].Src = lustre.FID{}
-			}
+			clear(p.Objects.Bytes())
+			clear(p.Edges.Bytes())
 		}
 		us[i] = u
 	}
@@ -155,11 +154,11 @@ func TestFinishAllocs(t *testing.T) {
 	for i := range parts {
 		p := &scanner.Partial{ServerLabel: fmt.Sprintf("srv%d", i)}
 		for k := 0; k < nObj; k++ {
-			p.Objects = append(p.Objects, scanner.Object{FID: lustre.FID{Seq: uint64(i + 1), Oid: uint32(k)}, Ino: ldiskfs.Ino(k + 1), Type: ldiskfs.TypeFile})
+			p.Objects.Append(scanner.Object{FID: lustre.FID{Seq: uint64(i + 1), Oid: uint32(k)}, Ino: ldiskfs.Ino(k + 1), Type: ldiskfs.TypeFile})
 		}
 		for k := 0; k < nEdge; k++ {
-			p.Edges = append(p.Edges, scanner.FIDEdge{
-				Src: p.Objects[r.Intn(nObj)].FID, Dst: lustre.FID{Seq: uint64(r.Intn(nParts) + 1), Oid: uint32(r.Intn(nObj))},
+			p.Edges.Append(scanner.FIDEdge{
+				Src: p.Objects.FID(r.Intn(nObj)), Dst: lustre.FID{Seq: uint64(r.Intn(nParts) + 1), Oid: uint32(r.Intn(nObj))},
 			})
 		}
 		parts[i], labels[i] = p, p.ServerLabel
@@ -168,8 +167,9 @@ func TestFinishAllocs(t *testing.T) {
 	for _, p := range parts {
 		seq := 0
 		for lo := 0; lo < nObj; lo += perChunk {
-			c := &scanner.Chunk{ServerLabel: p.ServerLabel, Seq: seq, Objects: p.Objects[lo : lo+perChunk]}
-			c.Edges = p.Edges[3*lo : 3*(lo+perChunk)]
+			c := &scanner.Chunk{ServerLabel: p.ServerLabel, Seq: seq}
+			c.Objects = scanner.ObjectRecords(p.Objects.Bytes()[lo*scanner.ObjectSize : (lo+perChunk)*scanner.ObjectSize])
+			c.Edges = scanner.EdgeRecords(p.Edges.Bytes()[3*lo*scanner.EdgeSize : 3*(lo+perChunk)*scanner.EdgeSize])
 			if c.Final = lo+perChunk == nObj; c.Final {
 				c.Issues = p.Issues
 			}
@@ -199,8 +199,55 @@ func TestFinishAllocs(t *testing.T) {
 	if limit := (own+temps)*21/20 + 64<<10; got > limit {
 		t.Fatalf("Finish allocated %d bytes for a Unified of %d (+%d of index vectors): more than its own arrays", got, own, temps)
 	}
-	concat := objs*uint64(unsafe.Sizeof(scanner.Object{})) + uint64(nParts*nEdge)*uint64(unsafe.Sizeof(scanner.FIDEdge{}))
+	concat := objs*scanner.ObjectSize + uint64(nParts*nEdge)*scanner.EdgeSize
 	if concat < (own+temps)/4 {
 		t.Fatalf("test lost its point: a concatenation (%d bytes) would hide inside the tolerance of %d", concat, own+temps)
 	}
+}
+
+// TestBuilderCountsOnlyAcceptedChunks: the intake counters report what
+// the Builder ingested, so a chunk it rejects — for a server it does
+// not know, or out of order — leaves all four of them as they were.
+func TestBuilderCountsOnlyAcceptedChunks(t *testing.T) {
+	m := NewMetrics(telemetry.NewRegistry())
+	b := NewBuilder([]string{"mdt0"})
+	b.Observe(m)
+	chunk := func(label string, seq int) *scanner.Chunk {
+		self := lustre.FID{Seq: lustre.MDTSeqBase, Oid: uint32(seq + 2)}
+		return &scanner.Chunk{
+			ServerLabel: label, Seq: seq,
+			Objects: objectsOf(scanner.Object{FID: self, Ino: 12, Type: ldiskfs.TypeFile}),
+			Edges:   edgesOf(scanner.FIDEdge{Src: self, Dst: lustre.FID{Seq: lustre.MDTSeqBase, Oid: 1}, Kind: graph.KindLinkEA}),
+			Issues:  []scanner.Issue{{Ino: 13, What: "missing LMA"}},
+		}
+	}
+	counts := func() [4]int64 {
+		return [4]int64{m.Chunks.Value(), m.Objects.Value(), m.Edges.Value(), m.Issues.Value()}
+	}
+	if err := b.Emit(chunk("mdt0", 0)); err != nil {
+		t.Fatal(err)
+	}
+	want := [4]int64{1, 1, 1, 1}
+	if got := counts(); got != want {
+		t.Fatalf("after one accepted chunk: counters %v, want %v", got, want)
+	}
+	for _, c := range []*scanner.Chunk{chunk("ost9", 0), chunk("mdt0", 5)} {
+		if err := b.Emit(c); err == nil {
+			t.Fatalf("chunk %s/%d accepted", c.ServerLabel, c.Seq)
+		}
+		if got := counts(); got != want {
+			t.Fatalf("rejected chunk %s/%d counted: counters %v, want %v", c.ServerLabel, c.Seq, got, want)
+		}
+	}
+}
+
+// objectsOf and edgesOf build record sections for test fixtures.
+func objectsOf(objs ...scanner.Object) (s scanner.Objects) {
+	s.Append(objs...)
+	return s
+}
+
+func edgesOf(edges ...scanner.FIDEdge) (s scanner.Edges) {
+	s.Append(edges...)
+	return s
 }

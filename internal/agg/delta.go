@@ -291,7 +291,7 @@ func (b *DeltaBuilder) Apply(server int, ino ldiskfs.Ino, p *scanner.Partial) er
 	}
 
 	c := &stagedInode{issues: p.Issues, stats: p.Stats}
-	c.objs, c.edges = b.toIIDs(make([]contribObj, 0, len(p.Objects)), make([]contribEdge, 0, len(p.Edges)), p)
+	c.objs, c.edges = b.toIIDs(make([]contribObj, 0, p.Objects.Len()), make([]contribEdge, 0, p.Edges.Len()), p)
 	oldObjs, oldEdges, tracked := s.current(ino)
 	if tracked {
 		b.change(oldObjs, oldEdges, ^uint32(0))
@@ -313,11 +313,12 @@ func (b *DeltaBuilder) Apply(server int, ino ldiskfs.Ino, p *scanner.Partial) er
 // space, to objs and edges — interning objects first, then each edge's
 // source before its destination, the order that fixes the IIDs.
 func (b *DeltaBuilder) toIIDs(objs []contribObj, edges []contribEdge, p *scanner.Partial) ([]contribObj, []contribEdge) {
-	for _, o := range p.Objects {
+	for i := range p.Objects.Len() {
+		o := p.Objects.At(i)
 		objs = append(objs, contribObj{iid: b.intern(o.FID), typ: o.Type})
 	}
-	for _, e := range p.Edges {
-		edges = append(edges, contribEdge{src: b.intern(e.Src), dst: b.intern(e.Dst), kind: e.Kind})
+	for i := range p.Edges.Len() {
+		edges = append(edges, contribEdge{src: b.intern(p.Edges.Src(i)), dst: b.intern(p.Edges.Dst(i)), kind: p.Edges.Kind(i)})
 	}
 	return objs, edges
 }
@@ -679,22 +680,17 @@ func (b *DeltaBuilder) ServerPartial(server int) *scanner.Partial {
 	s := b.servers[server]
 	s.splice(&b.scratch)
 	// slices.Grow keeps an empty section nil, as appending would.
-	out := &scanner.Partial{
-		ServerLabel: s.label,
-		Objects:     slices.Grow([]scanner.Object(nil), len(s.objs)),
-		Edges:       slices.Grow([]scanner.FIDEdge(nil), len(s.edges)),
-		Issues:      slices.Grow([]scanner.Issue(nil), len(s.issues)),
-	}
+	out := &scanner.Partial{ServerLabel: s.label, Issues: slices.Grow([]scanner.Issue(nil), len(s.issues))}
 	k := 0
 	for _, rec := range s.inodes {
 		for ; k < int(rec.objEnd); k++ {
 			o := s.objs[k]
-			out.Objects = append(out.Objects, scanner.Object{FID: b.iids.fids[o.iid], Ino: rec.ino, Type: o.typ})
+			out.Objects.Append(scanner.Object{FID: b.iids.fids[o.iid], Ino: rec.ino, Type: o.typ})
 		}
 		out.Stats.Add(rec.stats)
 	}
 	for _, e := range s.edges {
-		out.Edges = append(out.Edges, scanner.FIDEdge{Src: b.iids.fids[e.src], Dst: b.iids.fids[e.dst], Kind: e.kind})
+		out.Edges.Append(scanner.FIDEdge{Src: b.iids.fids[e.src], Dst: b.iids.fids[e.dst], Kind: e.kind})
 	}
 	for _, is := range s.issues {
 		out.Issues = append(out.Issues, is.issue)

@@ -25,19 +25,19 @@ func syntheticInode(server, k, ver int) *scanner.Partial {
 	if server == 0 {
 		dir := lustre.FID{Seq: lustre.MDTSeqBase, Oid: uint32(k / 64 * 64)}
 		return &scanner.Partial{
-			Objects: []scanner.Object{{FID: file, Ino: ldiskfs.Ino(k), Type: ldiskfs.TypeFile}},
-			Edges: []scanner.FIDEdge{
-				{Src: file, Dst: dir, Kind: graph.KindLinkEA},
-				{Src: file, Dst: lustre.FID{Seq: lustre.OSTSeqBase + 1, Oid: uint32(k)}, Kind: graph.KindLOVEA},
-				{Src: file, Dst: lustre.FID{Seq: lustre.OSTSeqBase + 2, Oid: uint32(k)}, Kind: graph.KindLOVEA},
-			},
+			Objects: objectsOf(scanner.Object{FID: file, Ino: ldiskfs.Ino(k), Type: ldiskfs.TypeFile}),
+			Edges: edgesOf(
+				scanner.FIDEdge{Src: file, Dst: dir, Kind: graph.KindLinkEA},
+				scanner.FIDEdge{Src: file, Dst: lustre.FID{Seq: lustre.OSTSeqBase + 1, Oid: uint32(k)}, Kind: graph.KindLOVEA},
+				scanner.FIDEdge{Src: file, Dst: lustre.FID{Seq: lustre.OSTSeqBase + 2, Oid: uint32(k)}, Kind: graph.KindLOVEA},
+			),
 			Stats: scanner.Stats{InodesScanned: 1, EdgesEmitted: 3},
 		}
 	}
 	obj := lustre.FID{Seq: lustre.OSTSeqBase + uint64(server), Oid: uint32(k)}
 	return &scanner.Partial{
-		Objects: []scanner.Object{{FID: obj, Ino: ldiskfs.Ino(k), Type: ldiskfs.TypeObject}},
-		Edges:   []scanner.FIDEdge{{Src: obj, Dst: file, Kind: graph.KindFilterFID}},
+		Objects: objectsOf(scanner.Object{FID: obj, Ino: ldiskfs.Ino(k), Type: ldiskfs.TypeObject}),
+		Edges:   edgesOf(scanner.FIDEdge{Src: obj, Dst: file, Kind: graph.KindFilterFID}),
 		Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 	}
 }
@@ -74,13 +74,18 @@ func twelveOps(tb testing.TB, db *DeltaBuilder, r *rand.Rand) {
 			case op == 10: // rename: same inode, new link
 				p := syntheticInode(srv, k, 0)
 				if srv == 0 {
-					p.Edges[0].Dst.Oid += 64
+					e, rest := p.Edges.At(0), p.Edges
+					e.Dst.Oid += 64
+					p.Edges = edgesOf(e)
+					for i := 1; i < rest.Len(); i++ {
+						p.Edges.Append(rest.At(i))
+					}
 				}
 				err = db.Apply(srv, ldiskfs.Ino(k), p)
 			default: // truncate: same inode, one stripe fewer
 				p := syntheticInode(srv, k, 0)
 				if srv == 0 {
-					p.Edges = p.Edges[:2]
+					p.Edges = scanner.EdgeRecords(p.Edges.Bytes()[:2*scanner.EdgeSize])
 				}
 				err = db.Apply(srv, ldiskfs.Ino(k), p)
 			}

@@ -95,20 +95,18 @@ func (o *deltaOracle) contribution(s *script, srv, ino int) *scanner.Partial {
 	switch s.pick(8) {
 	case 0: // an inode with no identity
 	case 1: // a stolen identity beside its own
-		p.Objects = append(p.Objects,
-			scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]},
+		p.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]},
 			scanner.Object{FID: own(s.pick(len(o.labels)), 1+s.pick(oracleInoSpace), 0), Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]})
 	case 2: // the same identity twice
-		p.Objects = append(p.Objects,
-			scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]},
+		p.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]},
 			scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]})
 	default:
-		p.Objects = append(p.Objects, scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]})
+		p.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]})
 	}
 	kinds := []graph.EdgeKind{graph.KindDirent, graph.KindLinkEA, graph.KindLOVEA, graph.KindFilterFID}
 	for k := s.pick(4); k > 0; k-- {
 		dst := own(s.pick(len(o.labels)), 1+s.pick(oracleInoSpace), s.pick(2))
-		p.Edges = append(p.Edges, scanner.FIDEdge{Src: self, Dst: dst, Kind: kinds[s.pick(len(kinds))]})
+		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: kinds[s.pick(len(kinds))]})
 		p.Stats.EdgesEmitted++
 	}
 	if s.pick(8) == 0 {

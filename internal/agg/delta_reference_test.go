@@ -79,10 +79,12 @@ func (b *refDelta) apply(server int, ino ldiskfs.Ino, p *scanner.Partial) error 
 	}
 	s := b.servers[server]
 	c := &inoContrib{issues: p.Issues, stats: p.Stats}
-	for _, o := range p.Objects {
+	for j := range p.Objects.Len() {
+		o := p.Objects.At(j)
 		c.objs = append(c.objs, contribObj{iid: b.intern(o.FID), typ: o.Type})
 	}
-	for _, e := range p.Edges {
+	for j := range p.Edges.Len() {
+		e := p.Edges.At(j)
 		c.edges = append(c.edges, contribEdge{
 			src: b.intern(e.Src), dst: b.intern(e.Dst), kind: e.Kind,
 		})
@@ -280,12 +282,12 @@ func (b *refDelta) serverPartial(server int) *scanner.Partial {
 	for _, ino := range s.sorted {
 		c := s.contrib[ino]
 		for _, o := range c.objs {
-			out.Objects = append(out.Objects, scanner.Object{
+			out.Objects.Append(scanner.Object{
 				FID: b.iids.fids[o.iid], Ino: ino, Type: o.typ,
 			})
 		}
 		for _, e := range c.edges {
-			out.Edges = append(out.Edges, scanner.FIDEdge{
+			out.Edges.Append(scanner.FIDEdge{
 				Src: b.iids.fids[e.src], Dst: b.iids.fids[e.dst], Kind: e.kind,
 			})
 		}

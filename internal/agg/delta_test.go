@@ -46,8 +46,14 @@ func (r *refState) merge() *Unified {
 		sort.Slice(inos, func(a, b int) bool { return inos[a] < inos[b] })
 		for _, ino := range inos {
 			p := r.byIno[i][ino]
-			merged.Objects = append(merged.Objects, p.Objects...)
-			merged.Edges = append(merged.Edges, p.Edges...)
+			for j := range p.Objects.Len() {
+				o := p.Objects.At(j)
+				merged.Objects.Append(o)
+			}
+			for j := range p.Edges.Len() {
+				e := p.Edges.At(j)
+				merged.Edges.Append(e)
+			}
 			merged.Issues = append(merged.Issues, p.Issues...)
 		}
 		parts = append(parts, merged)
@@ -110,13 +116,13 @@ func fidFor(server, ino int) lustre.FID {
 func randomContribution(r *rand.Rand, server, ino, inoSpace int) *scanner.Partial {
 	self := fidFor(server, ino)
 	p := &scanner.Partial{
-		Objects: []scanner.Object{{FID: self, Ino: ldiskfs.Ino(ino), Type: ldiskfs.TypeFile}},
+		Objects: objectsOf(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: ldiskfs.TypeFile}),
 	}
 	p.Stats.InodesScanned = 1
 	for k := 0; k < r.Intn(4); k++ {
 		dst := fidFor(r.Intn(3), 1+r.Intn(inoSpace))
 		kind := []graph.EdgeKind{graph.KindDirent, graph.KindLinkEA, graph.KindLOVEA}[r.Intn(3)]
-		p.Edges = append(p.Edges, scanner.FIDEdge{Src: self, Dst: dst, Kind: kind})
+		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: kind})
 	}
 	if r.Intn(10) == 0 {
 		p.Issues = append(p.Issues, scanner.Issue{Ino: ldiskfs.Ino(ino), What: "synthetic damage"})
@@ -165,10 +171,10 @@ func TestDeltaMatchesBatchMergeProperty(t *testing.T) {
 func TestDeltaDeadFIDsLeaveNoZombies(t *testing.T) {
 	db := NewDeltaBuilder([]string{"mdt0"})
 	p := &scanner.Partial{
-		Objects: []scanner.Object{{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}},
-		Edges: []scanner.FIDEdge{
-			{Src: fidFor(0, 1), Dst: fidFor(0, 99), Kind: graph.KindLinkEA},
-		},
+		Objects: objectsOf(scanner.Object{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}),
+		Edges: edgesOf(
+			scanner.FIDEdge{Src: fidFor(0, 1), Dst: fidFor(0, 99), Kind: graph.KindLinkEA},
+		),
 	}
 	if err := db.Apply(0, 1, p); err != nil {
 		t.Fatal(err)
@@ -188,7 +194,7 @@ func TestDeltaDeadFIDsLeaveNoZombies(t *testing.T) {
 	// Re-create the same inode with a different FID: the old identity
 	// must stay dead, the new one live.
 	p2 := &scanner.Partial{
-		Objects: []scanner.Object{{FID: fidFor(0, 7), Ino: 1, Type: ldiskfs.TypeDir}},
+		Objects: objectsOf(scanner.Object{FID: fidFor(0, 7), Ino: 1, Type: ldiskfs.TypeDir}),
 	}
 	if err := db.Apply(0, 1, p2); err != nil {
 		t.Fatal(err)
@@ -215,7 +221,7 @@ func TestDeltaApplyUnknownServer(t *testing.T) {
 func TestDeltaGIDLookupSurvivesLaterDeltas(t *testing.T) {
 	db := NewDeltaBuilder([]string{"mdt0"})
 	p := &scanner.Partial{
-		Objects: []scanner.Object{{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}},
+		Objects: objectsOf(scanner.Object{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}),
 	}
 	if err := db.Apply(0, 1, p); err != nil {
 		t.Fatal(err)
@@ -223,7 +229,7 @@ func TestDeltaGIDLookupSurvivesLaterDeltas(t *testing.T) {
 	old := db.Materialize().U
 	for i := 2; i < 10; i++ {
 		pi := &scanner.Partial{
-			Objects: []scanner.Object{{FID: fidFor(0, i), Ino: ldiskfs.Ino(i), Type: ldiskfs.TypeFile}},
+			Objects: objectsOf(scanner.Object{FID: fidFor(0, i), Ino: ldiskfs.Ino(i), Type: ldiskfs.TypeFile}),
 		}
 		if err := db.Apply(0, ldiskfs.Ino(i), pi); err != nil {
 			t.Fatal(err)
@@ -246,7 +252,7 @@ func TestDeltaGIDLookupSurvivesLaterDeltas(t *testing.T) {
 func ExampleDeltaBuilder() {
 	db := NewDeltaBuilder([]string{"mdt0"})
 	_ = db.Apply(0, 1, &scanner.Partial{
-		Objects: []scanner.Object{{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}},
+		Objects: objectsOf(scanner.Object{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}),
 	})
 	mat := db.Materialize()
 	fmt.Println(mat.U.N())

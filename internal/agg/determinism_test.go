@@ -22,8 +22,8 @@ import (
 func mergeReference(parts []*scanner.Partial) *Unified {
 	var nObj, nEdge int
 	for _, p := range parts {
-		nObj += len(p.Objects)
-		nEdge += len(p.Edges)
+		nObj += p.Objects.Len()
+		nEdge += p.Edges.Len()
 	}
 	u := &Unified{Edges: make([]graph.Edge, 0, nEdge)}
 	byFID := make(map[lustre.FID]uint32)
@@ -41,7 +41,8 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 	}
 	// Pass 1: physically present objects claim their FIDs.
 	for _, p := range parts {
-		for _, o := range p.Objects {
+		for j := range p.Objects.Len() {
+			o := p.Objects.At(j)
 			g := gid(o.FID)
 			if !u.Present[g] {
 				u.Present[g] = true
@@ -55,7 +56,8 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 	}
 	// Pass 2: edges; unseen destinations become phantom vertices.
 	for _, p := range parts {
-		for _, e := range p.Edges {
+		for j := range p.Edges.Len() {
+			e := p.Edges.At(j)
 			u.Edges = append(u.Edges, graph.Edge{
 				Src: gid(e.Src), Dst: gid(e.Dst), Kind: e.Kind,
 			})
@@ -108,12 +110,12 @@ func randomPartials(seed int64, nParts, nObj, nEdge int) []*scanner.Partial {
 	for pi := range parts {
 		p := &scanner.Partial{ServerLabel: fmt.Sprintf("srv%d", pi)}
 		for i := 0; i < nObj; i++ {
-			p.Objects = append(p.Objects, scanner.Object{
+			p.Objects.Append(scanner.Object{
 				FID: fid(), Ino: ldiskfs.Ino(i + 1), Type: ldiskfs.FileType(1 + r.Intn(3)),
 			})
 		}
 		for i := 0; i < nEdge; i++ {
-			p.Edges = append(p.Edges, scanner.FIDEdge{
+			p.Edges.Append(scanner.FIDEdge{
 				Src: fid(), Dst: fid(), Kind: graph.EdgeKind(r.Intn(5)),
 			})
 		}
@@ -174,7 +176,7 @@ func TestMergeMatchesReferenceCluster(t *testing.T) {
 func TestMergeMatchesReferenceAllPhantom(t *testing.T) {
 	parts := randomPartials(5, 4, 200, 700)
 	for _, p := range parts {
-		p.Objects = nil
+		p.Objects = scanner.Objects{}
 	}
 	assertMergeMatchesReference(t, "edges only", parts)
 	u := MergeWorkers(parts, 3)
@@ -195,16 +197,16 @@ func TestMergeMatchesReferenceAllPhantom(t *testing.T) {
 func TestMergeCrossServerDuplicateClaims(t *testing.T) {
 	shared, other := lustre.FID{Seq: 9, Oid: 1}, lustre.FID{Seq: 9, Oid: 2}
 	parts := []*scanner.Partial{
-		{ServerLabel: "mdt0", Objects: []scanner.Object{
-			{FID: other, Ino: 3, Type: ldiskfs.TypeDir},
-			{FID: shared, Ino: 4, Type: ldiskfs.TypeFile},
-		}},
+		{ServerLabel: "mdt0", Objects: objectsOf(
+			scanner.Object{FID: other, Ino: 3, Type: ldiskfs.TypeDir},
+			scanner.Object{FID: shared, Ino: 4, Type: ldiskfs.TypeFile},
+		)},
 		{ServerLabel: "ost0"},
-		{ServerLabel: "ost1", Objects: []scanner.Object{
-			{FID: shared, Ino: 7, Type: ldiskfs.TypeObject},
-			{FID: shared, Ino: 8, Type: ldiskfs.TypeObject},
-		}},
-		{ServerLabel: "ost2", Objects: []scanner.Object{{FID: shared, Ino: 2, Type: ldiskfs.TypeDir}}},
+		{ServerLabel: "ost1", Objects: objectsOf(
+			scanner.Object{FID: shared, Ino: 7, Type: ldiskfs.TypeObject},
+			scanner.Object{FID: shared, Ino: 8, Type: ldiskfs.TypeObject},
+		)},
+		{ServerLabel: "ost2", Objects: objectsOf(scanner.Object{FID: shared, Ino: 2, Type: ldiskfs.TypeDir})},
 	}
 	assertMergeMatchesReference(t, "duplicates", parts)
 	u := MergeWorkers(parts, 2)

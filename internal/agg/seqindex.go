@@ -113,8 +113,8 @@ func newSeqIndex(segs []segment, nObj int) *seqIndex {
 	var stats seqStats
 	var st *seqStat
 	for _, s := range segs {
-		for i := range s.objects {
-			f := &s.objects[i].FID
+		for i := range s.objects.Len() {
+			f := s.objects.FID(i)
 			if f.Ver != 0 {
 				continue
 			}

@@ -66,7 +66,7 @@ func seqPartials(seed int64, nSeq, nParts int) []*scanner.Partial {
 		parts[i] = &scanner.Partial{ServerLabel: fmt.Sprintf("srv%d", i)}
 	}
 	claim := func(p *scanner.Partial, f lustre.FID) {
-		p.Objects = append(p.Objects, scanner.Object{FID: f, Ino: ldiskfs.Ino(len(p.Objects) + 1), Type: ldiskfs.FileType(1 + r.Intn(3))})
+		p.Objects.Append(scanner.Object{FID: f, Ino: ldiskfs.Ino(p.Objects.Len() + 1), Type: ldiskfs.FileType(1 + r.Intn(3))})
 	}
 	for i, f := range objs {
 		p := parts[i*nParts/len(objs)]
@@ -98,7 +98,7 @@ func seqPartials(seed int64, nSeq, nParts int) []*scanner.Partial {
 	}
 	for i := 0; i < 2*len(objs)+r.Intn(8); i++ {
 		p := parts[r.Intn(nParts)]
-		p.Edges = append(p.Edges, scanner.FIDEdge{Src: ref(), Dst: ref(), Kind: graph.EdgeKind(r.Intn(5))})
+		p.Edges.Append(scanner.FIDEdge{Src: ref(), Dst: ref(), Kind: graph.EdgeKind(r.Intn(5))})
 	}
 	return parts
 }
@@ -108,10 +108,11 @@ func seqPartials(seed int64, nSeq, nParts int) []*scanner.Partial {
 func cutSegments(r *rand.Rand, parts []*scanner.Partial) []segment {
 	var segs []segment
 	for _, p := range parts {
-		objs, edges := p.Objects, p.Edges
+		objs, edges := p.Objects.Bytes(), p.Edges.Bytes()
 		for len(objs)+len(edges) > 0 || r.Intn(2) == 0 {
-			no, ne := r.Intn(len(objs)+1), r.Intn(len(edges)+1)
-			segs = append(segs, segment{label: p.ServerLabel, objects: objs[:no], edges: edges[:ne]})
+			no := r.Intn(len(objs)/scanner.ObjectSize+1) * scanner.ObjectSize
+			ne := r.Intn(len(edges)/scanner.EdgeSize+1) * scanner.EdgeSize
+			segs = append(segs, segment{label: p.ServerLabel, objects: scanner.ObjectRecords(objs[:no]), edges: scanner.EdgeRecords(edges[:ne])})
 			objs, edges = objs[no:], edges[ne:]
 		}
 		segs = append(segs, segment{label: p.ServerLabel, issues: p.Issues})
@@ -203,13 +204,13 @@ func TestSeqIndexRunRules(t *testing.T) {
 		objs = append(objs, o)
 	}
 	objs[len(objs)-1].FID.Seq = 1 // a versioned FID inside run 1's span
-	part := &scanner.Partial{ServerLabel: "mdt0", Objects: objs, Edges: []scanner.FIDEdge{
-		{Src: objs[0].FID, Dst: lustre.FID{Seq: 1, Oid: 100}},                  // a hole in run 1
-		{Src: objs[0].FID, Dst: lustre.FID{Seq: 1, Oid: 2 * minRunObjects}},    // just past run 1
-		{Src: objs[0].FID, Dst: lustre.FID{Seq: 4, Oid: top - 1}},              // just before run 4
-		{Src: lustre.FID{Seq: 1, Oid: 101}, Dst: lustre.FID{Seq: 4, Oid: top}}, // a hole to a claimed FID
-	}}
-	x := newSeqIndex([]segment{{objects: objs}}, len(objs))
+	part := &scanner.Partial{ServerLabel: "mdt0", Objects: objectsOf(objs...), Edges: edgesOf(
+		scanner.FIDEdge{Src: objs[0].FID, Dst: lustre.FID{Seq: 1, Oid: 100}},                  // a hole in run 1
+		scanner.FIDEdge{Src: objs[0].FID, Dst: lustre.FID{Seq: 1, Oid: 2 * minRunObjects}},    // just past run 1
+		scanner.FIDEdge{Src: objs[0].FID, Dst: lustre.FID{Seq: 4, Oid: top - 1}},              // just before run 4
+		scanner.FIDEdge{Src: lustre.FID{Seq: 1, Oid: 101}, Dst: lustre.FID{Seq: 4, Oid: top}}, // a hole to a claimed FID
+	)}
+	x := newSeqIndex([]segment{{objects: part.Objects}}, len(objs))
 	if got, want := runSeqs(x), []uint64{1, 4}; !slices.Equal(got, want) {
 		t.Fatalf("runs for sequences %v, want %v", got, want)
 	}
@@ -220,11 +221,11 @@ func TestSeqIndexRunRules(t *testing.T) {
 	for s := 0; s < maxSeqRuns+6; s++ {
 		many = append(many, spanSeq(uint64(100+s), 7, minRunObjects+s, minRunObjects+s)...)
 	}
-	x = newSeqIndex([]segment{{objects: many}}, len(many))
+	x = newSeqIndex([]segment{{objects: objectsOf(many...)}}, len(many))
 	if got := runSeqs(x); len(got) != maxSeqRuns || got[0] != 106 || got[maxSeqRuns-1] != 169 {
 		t.Fatalf("with %d candidates: runs for %v, want sequences 106..169", maxSeqRuns+6, got)
 	}
-	assertMergeMatchesReference(t, "run cap", []*scanner.Partial{{ServerLabel: "ost0", Objects: many}})
+	assertMergeMatchesReference(t, "run cap", []*scanner.Partial{{ServerLabel: "ost0", Objects: objectsOf(many...)}})
 }
 
 // bytes is what the index holds beyond the id -> FID table both tiers
@@ -244,16 +245,18 @@ func (x *seqIndex) bytes() int {
 func replacedTableBytes(parts []*scanner.Partial) int {
 	var nObj int
 	for _, p := range parts {
-		nObj += len(p.Objects)
+		nObj += p.Objects.Len()
 	}
 	tab := newFIDTable(nObj)
 	for _, p := range parts {
-		for _, o := range p.Objects {
+		for j := range p.Objects.Len() {
+			o := p.Objects.At(j)
 			tab.intern(o.FID)
 		}
 	}
 	for _, p := range parts {
-		for _, e := range p.Edges {
+		for j := range p.Edges.Len() {
+			e := p.Edges.At(j)
 			tab.intern(e.Src)
 			tab.intern(e.Dst)
 		}
@@ -281,8 +284,12 @@ func TestMergeIndexBytesBounded(t *testing.T) {
 		limit = append(limit, spanSeq(uint64(s), 0, minRunObjects, 2*minRunObjects)...)
 	}
 	sparse := randomPartials(9, 3, 3000, 6000)
-	for i := range sparse[0].Edges {
-		sparse[0].Edges[i].Dst = lustre.FID{Seq: 1 << 50, Oid: uint32(i)}
+	old := sparse[0].Edges
+	sparse[0].Edges = scanner.Edges{}
+	for i := range old.Len() {
+		e := old.At(i)
+		e.Dst = lustre.FID{Seq: 1 << 50, Oid: uint32(i)}
+		sparse[0].Edges.Append(e)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -290,7 +297,7 @@ func TestMergeIndexBytesBounded(t *testing.T) {
 		runs  bool
 	}{
 		{"aged", aged, true},
-		{"density limit", []*scanner.Partial{{ServerLabel: "ost0", Objects: limit}}, false},
+		{"density limit", []*scanner.Partial{{ServerLabel: "ost0", Objects: objectsOf(limit...)}}, false},
 		{"sparse with phantoms", sparse, false},
 	} {
 		u := MergeWorkers(tc.parts, 2)
@@ -317,7 +324,7 @@ func TestSeqIndexAllocsIndependentOfSequences(t *testing.T) {
 		each = append(each, spanSeq(uint64(s), 0, 1, 1)...)
 	}
 	for _, objs := range [][]scanner.Object{few, each} {
-		segs := []segment{{objects: objs}}
+		segs := []segment{{objects: objectsOf(objs...)}}
 		// The index, its id -> FID table, its slots, the runs and their ids.
 		if allocs := testing.AllocsPerRun(5, func() { newSeqIndex(segs, len(objs)) }); allocs > 5 {
 			t.Errorf("newSeqIndex over %d objects: %v allocations, want at most 5", len(objs), allocs)

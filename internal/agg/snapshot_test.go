@@ -169,10 +169,10 @@ func TestDeltaDirtySeeds(t *testing.T) {
 	apply := func(ino int, self lustre.FID, targets ...lustre.FID) {
 		t.Helper()
 		p := &scanner.Partial{
-			Objects: []scanner.Object{{FID: self, Ino: ldiskfs.Ino(ino), Type: ldiskfs.TypeFile}},
+			Objects: objectsOf(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: ldiskfs.TypeFile}),
 		}
 		for _, dst := range targets {
-			p.Edges = append(p.Edges, scanner.FIDEdge{Src: self, Dst: dst, Kind: graph.KindLinkEA})
+			p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: graph.KindLinkEA})
 		}
 		if err := db.Apply(0, ldiskfs.Ino(ino), p); err != nil {
 			t.Fatal(err)

@@ -104,10 +104,12 @@ func TestEachScenarioBreaksPairing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, o := range p.Objects {
+				for j := range p.Objects.Len() {
+					o := p.Objects.At(j)
 					fidSeen[o.FID]++
 				}
-				for _, e := range p.Edges {
+				for j := range p.Edges.Len() {
+					e := p.Edges.At(j)
 					pairs[[2]lustre.FID{e.Src, e.Dst}]++
 					edges++
 				}
@@ -169,7 +171,8 @@ func TestDetachedCycleInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range p.Edges {
+		for j := range p.Edges.Len() {
+			e := p.Edges.At(j)
 			pairs[[2]lustre.FID{e.Src, e.Dst}]++
 		}
 	}

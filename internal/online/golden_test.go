@@ -29,13 +29,13 @@ func goldenTrackerSnapshot(t *testing.T, warm bool) *trackerSnapshot {
 		p   *scanner.Partial
 	}{
 		{0, 13, &scanner.Partial{
-			Objects: []scanner.Object{{FID: file, Ino: 13, Type: ldiskfs.TypeFile}},
-			Edges:   []scanner.FIDEdge{{Src: file, Dst: obj, Kind: graph.KindLOVEA}},
+			Objects: objectsOf(scanner.Object{FID: file, Ino: 13, Type: ldiskfs.TypeFile}),
+			Edges:   edgesOf(scanner.FIDEdge{Src: file, Dst: obj, Kind: graph.KindLOVEA}),
 			Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 		}},
 		{1, 7, &scanner.Partial{
-			Objects: []scanner.Object{{FID: obj, Ino: 7, Type: ldiskfs.TypeObject}},
-			Edges:   []scanner.FIDEdge{{Src: obj, Dst: file, Kind: graph.KindFilterFID}},
+			Objects: objectsOf(scanner.Object{FID: obj, Ino: 7, Type: ldiskfs.TypeObject}),
+			Edges:   edgesOf(scanner.FIDEdge{Src: obj, Dst: file, Kind: graph.KindFilterFID}),
 			Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 		}},
 	} {
@@ -75,4 +75,15 @@ func TestGoldenTrackerSnapshot(t *testing.T) {
 			t.Fatalf("%s: decoded %+v, want %+v", name, got, want)
 		}
 	}
+}
+
+// objectsOf and edgesOf build record sections for test fixtures.
+func objectsOf(objs ...scanner.Object) (s scanner.Objects) {
+	s.Append(objs...)
+	return s
+}
+
+func edgesOf(edges ...scanner.FIDEdge) (s scanner.Edges) {
+	s.Append(edges...)
+	return s
 }

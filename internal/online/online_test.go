@@ -86,7 +86,7 @@ func assertSnapshotMatchesFullScan(t *testing.T, tr *Tracker, c *lustre.Cluster)
 		}
 		if !reflect.DeepEqual(m.Edges, full.Edges) {
 			t.Fatalf("%s: edges diverge (%d vs %d)",
-				m.ServerLabel, len(m.Edges), len(full.Edges))
+				m.ServerLabel, m.Edges.Len(), full.Edges.Len())
 		}
 		if m.Stats != full.Stats {
 			t.Fatalf("%s: stats diverge: %+v vs %+v", m.ServerLabel, m.Stats, full.Stats)

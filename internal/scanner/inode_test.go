@@ -20,7 +20,7 @@ func TestScanInodeSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Objects) != 1 || p.Objects[0].FID != ent.FID {
+	if p.Objects.Len() != 1 || p.Objects.FID(0) != ent.FID {
 		t.Fatalf("objects: %+v", p.Objects)
 	}
 	if p.Stats.InodesScanned != 1 {
@@ -28,7 +28,8 @@ func TestScanInodeSingle(t *testing.T) {
 	}
 	// One LinkEA edge + LOVEA edges, nothing else.
 	var linkea, lovea int
-	for _, e := range p.Edges {
+	for j := range p.Edges.Len() {
+		e := p.Edges.At(j)
 		switch e.Kind {
 		case graph.KindLinkEA:
 			linkea++
@@ -53,7 +54,7 @@ func TestScanInodeFreeSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Objects) != 0 || len(p.Edges) != 0 || p.Stats.InodesScanned != 0 {
+	if p.Objects.Len() != 0 || p.Edges.Len() != 0 || p.Stats.InodesScanned != 0 {
 		t.Fatalf("freed inode contributed: %+v", p)
 	}
 	if _, err := ScanInode(c.MDT.Img, ldiskfs.Ino(1<<40)); err == nil {

@@ -42,14 +42,14 @@ func scanInodeReference(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType,
 	if self.IsZero() {
 		return
 	}
-	p.Objects = append(p.Objects, scanner.Object{FID: self, Ino: ino, Type: t})
+	p.Objects.Append(scanner.Object{FID: self, Ino: ino, Type: t})
 
 	emit := func(dst lustre.FID, kind graph.EdgeKind) {
 		if dst.IsZero() {
 			p.Issues = append(p.Issues, scanner.Issue{Ino: ino, What: fmt.Sprintf("zero FID in %v", kind)})
 			return
 		}
-		p.Edges = append(p.Edges, scanner.FIDEdge{Src: self, Dst: dst, Kind: kind})
+		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: kind})
 		p.Stats.EdgesEmitted++
 	}
 
@@ -121,22 +121,18 @@ func (e *referenceEmitter) maybeFlush() {
 }
 
 func (e *referenceEmitter) add(p *scanner.Partial) {
-	for len(p.Objects) > 0 {
-		take := min(len(p.Objects), e.limit-e.cur.Entries())
-		e.cur.Objects = append(e.cur.Objects, p.Objects[:take]...)
-		p.Objects = p.Objects[take:]
+	for j := range p.Objects.Len() {
+		o := p.Objects.At(j)
+		e.cur.Objects.Append(o)
 		e.maybeFlush()
 	}
-	for len(p.Edges) > 0 {
-		take := min(len(p.Edges), e.limit-e.cur.Entries())
-		e.cur.Edges = append(e.cur.Edges, p.Edges[:take]...)
-		p.Edges = p.Edges[take:]
+	for j := range p.Edges.Len() {
+		ed := p.Edges.At(j)
+		e.cur.Edges.Append(ed)
 		e.maybeFlush()
 	}
-	for len(p.Issues) > 0 {
-		take := min(len(p.Issues), e.limit-e.cur.Entries())
-		e.cur.Issues = append(e.cur.Issues, p.Issues[:take]...)
-		p.Issues = p.Issues[take:]
+	for _, is := range p.Issues {
+		e.cur.Issues = append(e.cur.Issues, is)
 		e.maybeFlush()
 	}
 	e.cur.Stats.InodesScanned += p.Stats.InodesScanned
@@ -205,7 +201,7 @@ func assertParity(t testing.TB, img *ldiskfs.Image, workers, chunkSizes []int) {
 			wp, gp := reassemble(t, want), reassemble(t, got.chunks)
 			if !reflect.DeepEqual(wp, gp) {
 				t.Fatalf("%s workers %d chunk %d: partial diverges from the reference parse\nwant %d objects %d edges issues %v stats %+v\n got %d objects %d edges issues %v stats %+v",
-					img.Label(), w, size, len(wp.Objects), len(wp.Edges), wp.Issues, wp.Stats, len(gp.Objects), len(gp.Edges), gp.Issues, gp.Stats)
+					img.Label(), w, size, wp.Objects.Len(), wp.Edges.Len(), wp.Issues, wp.Stats, gp.Objects.Len(), gp.Edges.Len(), gp.Issues, gp.Stats)
 			}
 			t.Fatalf("%s workers %d chunk %d: same partial, different chunk stream (%d chunks, want %d)",
 				img.Label(), w, size, len(got.chunks), len(want))
@@ -416,7 +412,8 @@ func TestScanParityHandMadeDamage(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range p.Edges {
+	for j := range p.Edges.Len() {
+		e := p.Edges.At(j)
 		if e.Src == manyLinks.FID && e.Kind == graph.KindLinkEA {
 			t.Fatalf("edge %v emitted from a LinkEA damaged further on", e)
 		}

@@ -17,14 +17,16 @@ import (
 	"faultyrank/internal/lustre"
 )
 
-// FIDEdge is a point-to relation between two FIDs, before GID remapping.
+// FIDEdge is a point-to relation between two FIDs, before GID remapping:
+// the typed view of one edge record (Edges.At).
 type FIDEdge struct {
 	Src, Dst lustre.FID
 	Kind     graph.EdgeKind
 }
 
 // Object records one physically scanned object: an allocated inode that
-// carries (or should carry) an identity.
+// carries (or should carry) an identity. It is the typed view of one
+// object record (Objects.At).
 type Object struct {
 	FID  lustre.FID
 	Ino  ldiskfs.Ino
@@ -59,8 +61,8 @@ func (s *Stats) Add(d Stats) {
 // the paper's scanners ship to the MDS aggregator.
 type Partial struct {
 	ServerLabel string
-	Objects     []Object
-	Edges       []FIDEdge
+	Objects     Objects
+	Edges       Edges
 	Issues      []Issue
 	Stats       Stats
 }
@@ -105,7 +107,7 @@ func ScanInode(img *ldiskfs.Image, ino ldiskfs.Ino) (*Partial, error) {
 }
 
 // scanInode parses one inode's EAs (and dirents for directories) and
-// appends the corresponding objects, FID edges and issues to p. It
+// appends the corresponding object and edge records and issues to p. It
 // reads the image in place — the EA area, the LinkEA and LOVEA values
 // and the dirent blocks are walked as slices of the image — so the only
 // memory it touches beyond p's slices is an issue's text.
@@ -146,14 +148,14 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 		// graph; record it and move on (LFSCK's oi_scrub territory).
 		return
 	}
-	p.Objects = append(grow(p.Objects, 1), Object{FID: self, Ino: ino, Type: t})
+	p.Objects.Append(Object{FID: self, Ino: ino, Type: t})
 
 	emit := func(dst lustre.FID, kind graph.EdgeKind) {
 		if dst.IsZero() {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("zero FID in %v", kind)})
 			return
 		}
-		p.Edges = append(grow(p.Edges, 1), FIDEdge{Src: self, Dst: dst, Kind: kind})
+		p.Edges.Append(FIDEdge{Src: self, Dst: dst, Kind: kind})
 		p.Stats.EdgesEmitted++
 	}
 

@@ -39,11 +39,12 @@ func TestScanMDTEmitsNamespaceAndLayout(t *testing.T) {
 		t.Errorf("label = %q", p.ServerLabel)
 	}
 	// Objects: root + proj + data + 6 files = 9.
-	if len(p.Objects) != 9 {
-		t.Fatalf("objects = %d, want 9", len(p.Objects))
+	if p.Objects.Len() != 9 {
+		t.Fatalf("objects = %d, want 9", p.Objects.Len())
 	}
 	var dirents, linkeas, loveas int
-	for _, e := range p.Edges {
+	for j := range p.Edges.Len() {
+		e := p.Edges.At(j)
 		switch e.Kind {
 		case graph.KindDirent:
 			dirents++
@@ -84,8 +85,9 @@ func TestScanOSTEmitsFilterFIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		objects += len(p.Objects)
-		for _, e := range p.Edges {
+		objects += p.Objects.Len()
+		for j := range p.Edges.Len() {
+			e := p.Edges.At(j)
 			if e.Kind != graph.KindFilterFID {
 				t.Errorf("unexpected kind %v on OST", e.Kind)
 			}
@@ -107,7 +109,10 @@ func TestScanRoundTripPairing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges = append(edges, p.Edges...)
+		for j := range p.Edges.Len() {
+			e := p.Edges.At(j)
+			edges = append(edges, e)
+		}
 	}
 	set := make(map[[2]lustre.FID]int)
 	for _, e := range edges {
@@ -131,11 +136,11 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Edges) != len(base.Edges) || len(p.Objects) != len(base.Objects) {
+		if p.Edges.Len() != base.Edges.Len() || p.Objects.Len() != base.Objects.Len() {
 			t.Fatalf("workers=%d: different counts", w)
 		}
-		for i := range p.Edges {
-			if p.Edges[i] != base.Edges[i] {
+		for i := range p.Edges.Len() {
+			if p.Edges.At(i) != base.Edges.At(i) {
 				t.Fatalf("workers=%d: edge %d differs", w, i)
 			}
 		}
@@ -149,8 +154,8 @@ func TestScanFromBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Objects) != 9 {
-		t.Errorf("objects = %d", len(p.Objects))
+	if p.Objects.Len() != 9 {
+		t.Errorf("objects = %d", p.Objects.Len())
 	}
 	if _, err := Scan([]byte("garbage"), 0); err == nil {
 		t.Error("garbage image scanned")
@@ -188,7 +193,8 @@ func TestScanReportsCorruptEAs(t *testing.T) {
 	}
 	// The file still appears as an object (its LMA is intact) but emits
 	// no LOVEA edges.
-	for _, e := range p.Edges {
+	for j := range p.Edges.Len() {
+		e := p.Edges.At(j)
 		if e.Src == ent.FID && e.Kind == graph.KindLOVEA {
 			t.Errorf("edge emitted from corrupt LOVEA")
 		}
@@ -205,8 +211,8 @@ func TestScanSkipsInodesWithoutLMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Objects) != 8 {
-		t.Errorf("objects = %d, want 8", len(p.Objects))
+	if p.Objects.Len() != 8 {
+		t.Errorf("objects = %d, want 8", p.Objects.Len())
 	}
 	var reported bool
 	for _, is := range p.Issues {

@@ -22,6 +22,9 @@ const DefaultChunkEntries = 8192
 // Final chunk; concatenating the sequence reproduces the server's
 // Partial byte for byte, because chunks are released in block-group
 // order regardless of how the group sweep was parallelised.
+//
+// Objects and Edges are record sections in their wire form, so a chunk
+// is shipped, received and merged as the bytes the scanner appended.
 type Chunk struct {
 	ServerLabel string
 	// Seq is the chunk's position in the server's stream.
@@ -29,8 +32,8 @@ type Chunk struct {
 	// Final marks the stream's last chunk (possibly empty).
 	Final bool
 
-	Objects []Object
-	Edges   []FIDEdge
+	Objects Objects
+	Edges   Edges
 	Issues  []Issue
 	// Stats holds this chunk's deltas; summing over a stream yields the
 	// server's scan totals.
@@ -38,16 +41,17 @@ type Chunk struct {
 }
 
 // Entries returns the chunk's total entry count.
-func (c *Chunk) Entries() int { return len(c.Objects) + len(c.Edges) + len(c.Issues) }
+func (c *Chunk) Entries() int { return c.Objects.Len() + c.Edges.Len() + len(c.Issues) }
 
 // Sink consumes a scan's chunk stream. Emit is called sequentially per
 // server stream; a sink shared by several concurrent scans must
 // serialise internally (agg.Builder does).
 //
-// Ownership: once Emit returns, the chunk and its slices belong to the
-// sink. The emitter hands over freshly allocated slices and must not
-// touch them again (chunkEmitter.flush and the wire decoder both do
-// so); a sink may retain the chunk without copying, but a sink that
+// Ownership: once Emit returns, the chunk and the bytes of its sections
+// belong to the sink. The emitter hands over freshly allocated sections
+// and must not touch them again (chunkEmitter.flush does so, and the
+// wire collector hands over sections aliasing a frame buffer of their
+// own); a sink may retain the chunk without copying, but a sink that
 // retains it must not mutate it — the same chunk may be replayed into
 // other sinks. A Borrower opts out of the first half of this rule.
 type Sink interface {
@@ -78,8 +82,8 @@ func (s *PartialSink) Emit(c *Chunk) error {
 	if s.p.ServerLabel == "" {
 		s.p.ServerLabel = c.ServerLabel
 	}
-	s.p.Objects = append(s.p.Objects, c.Objects...)
-	s.p.Edges = append(s.p.Edges, c.Edges...)
+	s.p.Objects.b = append(s.p.Objects.b, c.Objects.b...)
+	s.p.Edges.b = append(s.p.Edges.b, c.Edges.b...)
 	s.p.Issues = append(s.p.Issues, c.Issues...)
 	s.p.Stats.Add(c.Stats)
 	return nil
@@ -89,7 +93,7 @@ func (s *PartialSink) Emit(c *Chunk) error {
 func (s *PartialSink) Partial() *Partial { return &s.p }
 
 // chunkEmitter batches scan output into bounded chunks. cur is scratch:
-// its slices are refilled for every chunk; flush lends cur itself to a
+// its sections are refilled for every chunk; flush lends cur itself to a
 // Borrower and hands any other sink copies of exactly the filled length.
 type chunkEmitter struct {
 	label string
@@ -138,20 +142,20 @@ func (e *chunkEmitter) flush(final bool) error {
 	c := &e.cur
 	if !e.lend {
 		own := e.cur
-		own.Objects, own.Edges, own.Issues = fresh(own.Objects), fresh(own.Edges), fresh(own.Issues)
+		own.Objects.b, own.Edges.b, own.Issues = fresh(own.Objects.b), fresh(own.Edges.b), fresh(own.Issues)
 		c = &own
 	}
 	err := e.sink.Emit(c)
-	e.cur = Chunk{Objects: e.cur.Objects[:0], Edges: e.cur.Edges[:0], Issues: e.cur.Issues[:0]}
+	e.cur = Chunk{Objects: Objects{e.cur.Objects.b[:0]}, Edges: Edges{e.cur.Edges.b[:0]}, Issues: e.cur.Issues[:0]}
 	return err
 }
 
 // fill appends one section of a group's output to the matching scratch
-// section (*dst is one of e.cur's slices), flushing at every chunk
-// boundary it crosses.
-func fill[T any](e *chunkEmitter, dst *[]T, src []T) error {
+// section (*dst is one of e.cur's sections, holding per elements an
+// entry), flushing at every chunk boundary it crosses.
+func fill[T any](e *chunkEmitter, dst *[]T, src []T, per int) error {
 	for len(src) > 0 {
-		take := min(len(src), e.limit-e.cur.Entries())
+		take := min(len(src), (e.limit-e.cur.Entries())*per)
 		*dst = append(grow(*dst, take), src[:take]...)
 		src = src[take:]
 		if e.cur.Entries() >= e.limit {
@@ -165,13 +169,13 @@ func fill[T any](e *chunkEmitter, dst *[]T, src []T) error {
 
 // add appends one group's scan output, splitting at chunk boundaries.
 func (e *chunkEmitter) add(p *Partial) error {
-	if err := fill(e, &e.cur.Objects, p.Objects); err != nil {
+	if err := fill(e, &e.cur.Objects.b, p.Objects.b, ObjectSize); err != nil {
 		return err
 	}
-	if err := fill(e, &e.cur.Edges, p.Edges); err != nil {
+	if err := fill(e, &e.cur.Edges.b, p.Edges.b, EdgeSize); err != nil {
 		return err
 	}
-	if err := fill(e, &e.cur.Issues, p.Issues); err != nil {
+	if err := fill(e, &e.cur.Issues, p.Issues, 1); err != nil {
 		return err
 	}
 	// Stats ride on whichever chunk is open when the group lands; the
@@ -281,7 +285,7 @@ func sweep(ctx context.Context, img *ldiskfs.Image, workers int, em *chunkEmitte
 		if err := em.add(&b.Partial); err != nil {
 			return 0, err
 		}
-		b.Partial = Partial{Objects: b.Objects[:0], Edges: b.Edges[:0], Issues: b.Issues[:0]}
+		b.Partial = Partial{Objects: Objects{b.Objects.b[:0]}, Edges: Edges{b.Edges.b[:0]}, Issues: b.Issues[:0]}
 		free <- b
 	}
 	return 0, em.flush(true)

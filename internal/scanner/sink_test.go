@@ -119,7 +119,7 @@ type borrowSink struct {
 
 func (s *borrowSink) Emit(c *Chunk) error {
 	cp := *c
-	cp.Objects, cp.Edges, cp.Issues = fresh(c.Objects), fresh(c.Edges), fresh(c.Issues)
+	cp.Objects.b, cp.Edges.b, cp.Issues = fresh(c.Objects.b), fresh(c.Edges.b), fresh(c.Issues)
 	s.copies = append(s.copies, &cp)
 	s.lent = append(s.lent, c)
 	return nil
@@ -155,7 +155,7 @@ func spanOf[T any](s []T) memSpan {
 
 // spansOf appends the storage of c's non-empty sections to spans.
 func spansOf(spans []memSpan, c *Chunk) []memSpan {
-	for _, s := range []memSpan{spanOf(c.Objects), spanOf(c.Edges), spanOf(c.Issues)} {
+	for _, s := range []memSpan{spanOf(c.Objects.b), spanOf(c.Edges.b), spanOf(c.Issues)} {
 		if s.hi > s.lo {
 			spans = append(spans, s)
 		}

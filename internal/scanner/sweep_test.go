@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
@@ -146,8 +145,9 @@ func (s *countSink) Emit(*Chunk) error { s.chunks++; return nil }
 
 // TestScanAllocs: a scan allocates what it hands the sink and little
 // else — a constant number of allocations per chunk, none per inode,
-// and at most half as many bytes again as the fresh slices the Sink
-// contract makes it hand over.
+// and at most 1.7 times the bytes of the fresh record sections the Sink
+// contract makes it hand over (1.30 on the MDT, 1.47 on the OST, 1.58
+// under -race).
 func TestScanAllocs(t *testing.T) {
 	c := wideCluster(t, 6000)
 	for _, img := range []*ldiskfs.Image{c.MDT.Img, c.OSTs[0].Img} {
@@ -155,9 +155,7 @@ func TestScanAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var obj Object
-		var edge FIDEdge
-		floor := uint64(len(p.Objects))*uint64(unsafe.Sizeof(obj)) + uint64(len(p.Edges))*uint64(unsafe.Sizeof(edge))
+		floor := uint64(len(p.Objects.Bytes()) + len(p.Edges.Bytes()))
 		const chunkEntries = 256
 		var sink countSink
 		var before, after runtime.MemStats
@@ -166,8 +164,8 @@ func TestScanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > floor*3/2 {
-			t.Errorf("%s: scan allocated %d bytes; the slices handed to the sink are %d (x%.2f, want <= 1.5)",
+		if got := after.TotalAlloc - before.TotalAlloc; got > floor*17/10 {
+			t.Errorf("%s: scan allocated %d bytes; the sections handed to the sink are %d (x%.2f, want <= 1.7)",
 				img.Label(), got, floor, float64(got)/float64(floor))
 		}
 		chunks := sink.chunks

@@ -25,46 +25,51 @@ func fullChunk() *scanner.Chunk {
 	c := &scanner.Chunk{ServerLabel: "mdt0", Seq: 3}
 	for i := 0; c.Entries() < 4096; i++ {
 		self := lustre.FID{Seq: lustre.MDTSeqBase, Oid: uint32(i + 2)}
-		c.Objects = append(c.Objects, scanner.Object{FID: self, Ino: ldiskfs.Ino(i + 12), Type: ldiskfs.TypeFile})
+		c.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(i + 12), Type: ldiskfs.TypeFile})
 		for k := 0; k < 3 && c.Entries() < 4096; k++ {
 			dst := lustre.FID{Seq: lustre.OSTSeqBase + uint64(k), Oid: uint32(i)}
-			c.Edges = append(c.Edges, scanner.FIDEdge{Src: self, Dst: dst, Kind: graph.KindLOVEA})
+			c.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: graph.KindLOVEA})
 		}
 		if i%64 == 0 && c.Entries() < 4096 {
 			c.Issues = append(c.Issues, scanner.Issue{Ino: ldiskfs.Ino(i + 12), What: fmt.Sprintf("lov: stripe %d unreadable", i)})
 		}
 	}
-	c.Stats = scanner.Stats{InodesScanned: int64(len(c.Objects)), EdgesEmitted: int64(len(c.Edges))}
+	c.Stats = scanner.Stats{InodesScanned: int64(c.Objects.Len()), EdgesEmitted: int64(c.Edges.Len())}
 	return c
 }
 
 // TestDecodeChunkAllocs holds the hot path of a TCP check (≈10 MiB of
 // chunk frames per cold_check_tcp op) to a fixed number of allocations
-// per chunk, whatever it holds: the chunk, its label, the three entry
-// slices sized from their counts, and the one string every issue text
-// is a substring of. (Five would need the label and the texts, which
-// sit at opposite ends of the payload, to share a string.) A Reader
-// method that stopped inlining or started escaping, or a slice that
-// went back to growing by append, shows up here as one allocation per
-// entry.
+// per chunk, whatever it holds: the chunk, its label, the issue slice,
+// and the one string every issue text is a substring of. The record
+// sections are slices of the payload, so a chunk of 16 records costs
+// what a chunk of 4 096 does; a section that went back to being
+// decoded into memory of its own shows up here.
 func TestDecodeChunkAllocs(t *testing.T) {
-	c := fullChunk()
-	enc := EncodeChunk(c)
-	const ceiling = 6
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := DecodeChunk(enc); err != nil {
-			t.Fatal(err)
+	full := fullChunk()
+	few := *full
+	few.Objects = scanner.ObjectRecords(full.Objects.Bytes()[:4*scanner.ObjectSize])
+	few.Edges = scanner.EdgeRecords(full.Edges.Bytes()[:12*scanner.EdgeSize])
+	const want = 4
+	for _, c := range []*scanner.Chunk{full, &few} {
+		enc := EncodeChunk(c)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeChunk(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("DecodeChunk of a %d-entry chunk: %v allocations, want %d", c.Entries(), allocs, want)
 		}
-	})
-	if allocs > ceiling {
-		t.Fatalf("DecodeChunk of a %d-entry chunk: %v allocations, ceiling %d", c.Entries(), allocs, ceiling)
 	}
 }
 
-// TestDecodersDoNotAliasPayload: serveChunkStream reads every frame of
-// a connection into one buffer, so nothing a chunk or trailer decoder
-// returns may point into its input. Decode, overwrite the input, and
-// the results must not move.
+// TestDecodersDoNotAliasPayload: a decoded chunk's record sections are
+// slices of its payload — the collector reads every chunk frame into a
+// buffer of its own for that — while its label and issues, and
+// everything a trailer decoder returns, are copies. Decode, overwrite
+// the input: the sections must read the overwritten bytes, and nothing
+// else may move.
 func TestDecodersDoNotAliasPayload(t *testing.T) {
 	scribble := func(b []byte) {
 		for i := range b {
@@ -79,8 +84,13 @@ func TestDecodersDoNotAliasPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	scribble(enc)
-	if !reflect.DeepEqual(c, got) {
-		t.Error("decoded chunk changed when its payload was overwritten")
+	for _, sec := range [][]byte{got.Objects.Bytes(), got.Edges.Bytes()} {
+		if len(sec) == 0 || bytes.Count(sec, []byte{0xEE}) != len(sec) {
+			t.Error("a decoded record section does not alias its payload")
+		}
+	}
+	if got.ServerLabel != c.ServerLabel || !reflect.DeepEqual(got.Issues, c.Issues) || got.Stats != c.Stats {
+		t.Error("decoded label, issues or stats changed when their payload was overwritten")
 	}
 
 	reg := telemetry.NewRegistry()
@@ -114,33 +124,10 @@ func TestDecodersDoNotAliasPayload(t *testing.T) {
 	}
 }
 
-// TestReadFrameIntoReusesBuffer: a connection's reader hands every frame
-// the previous frame's storage, and a frame that fits is read in place.
-func TestReadFrameIntoReusesBuffer(t *testing.T) {
-	var stream bytes.Buffer
-	big, small := bytes.Repeat([]byte{1}, 5000), bytes.Repeat([]byte{2}, 40)
-	for _, p := range [][]byte{big, small, nil, big} {
-		if err := WriteFrame(&stream, MsgChunk, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf []byte
-	for i, want := range [][]byte{big, small, nil, big} {
-		typ, payload, err := readFrameInto(&stream, buf)
-		if err != nil || typ != MsgChunk || !bytes.Equal(payload, want) {
-			t.Fatalf("frame %d: type %d, %d bytes, %v", i, typ, len(payload), err)
-		}
-		if i > 0 && (len(payload) > 0 && &payload[0] != &buf[:1][0]) {
-			t.Fatalf("frame %d (%d bytes) was not read into the %d-byte buffer it was given", i, len(payload), cap(buf))
-		}
-		buf = payload
-	}
-}
-
-// TestChunkStreamSteadyStateAllocs: a stream encodes every chunk into
-// its one frame buffer and ships it in one Write, so once the buffer
-// has reached a chunk's size, emitting another like it allocates
-// nothing.
+// TestChunkStreamSteadyStateAllocs: a stream writes each frame in one
+// gathered write straight from the chunk's record sections and keeps
+// only the few bytes around them, so once that scratch has reached a
+// chunk's size, emitting another like it allocates nothing.
 func TestChunkStreamSteadyStateAllocs(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -160,7 +147,7 @@ func TestChunkStreamSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := fullChunk()
-	if err := cs.Emit(c); err != nil { // sizes the frame buffer
+	if err := cs.Emit(c); err != nil { // sizes the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -184,10 +171,11 @@ var (
 	benchBytes []byte
 )
 
-// agedChunk is the first chunk of the MDT stream of the cold_check_tcp
-// cluster (8 OSTs, 24 000 MDT inodes, aged with 15 % churn) at the
-// scanner's default chunk size: real FIDs and edge kinds, no issues.
-var agedChunk = sync.OnceValues(func() (*scanner.Chunk, error) {
+// agedStreams are the chunk streams of the cold_check_tcp cluster (8
+// OSTs, 24 000 MDT inodes, aged with 15 % churn) at the scanner's
+// default chunk size, one per server: real FIDs and edge kinds, and the
+// frame count and bytes of one check.
+var agedStreams = sync.OnceValues(func() ([][]*scanner.Chunk, error) {
 	c, err := lustre.NewCluster(lustre.Config{
 		NumOSTs: 8, StripeSize: 64 << 10, StripeCount: -1,
 		Geometry: ldiskfs.CompactGeometry(),
@@ -198,14 +186,19 @@ var agedChunk = sync.OnceValues(func() (*scanner.Chunk, error) {
 	if _, err := workload.Age(c, workload.AgeSpec{TargetMDTInodes: 24000, ChurnFraction: 0.15, Seed: 1}); err != nil {
 		return nil, err
 	}
-	var first *scanner.Chunk
-	err = scanner.ScanImageToSink(c.MDT.Img, 0, 0, sinkFunc(func(ch *scanner.Chunk) error {
-		if first == nil {
-			first = ch
+	var streams [][]*scanner.Chunk
+	for _, img := range c.Images() {
+		var chunks []*scanner.Chunk
+		err := scanner.ScanImageToSink(img, 0, 0, sinkFunc(func(ch *scanner.Chunk) error {
+			chunks = append(chunks, ch)
+			return nil
+		}))
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}))
-	return first, err
+		streams = append(streams, chunks)
+	}
+	return streams, nil
 })
 
 type sinkFunc func(*scanner.Chunk) error
@@ -218,10 +211,11 @@ func benchChunks(b *testing.B) []struct {
 	name string
 	c    *scanner.Chunk
 } {
-	aged, err := agedChunk()
+	streams, err := agedStreams()
 	if err != nil {
 		b.Fatal(err)
 	}
+	aged := streams[0][0] // the first chunk of the MDT stream, no issues
 	return []struct {
 		name string
 		c    *scanner.Chunk
@@ -254,5 +248,59 @@ func BenchmarkEncodeChunk(b *testing.B) {
 				benchBytes = EncodeChunk(in.c)
 			}
 		})
+	}
+}
+
+// BenchmarkCollectChunks times the receive path of one check over
+// loopback TCP: the aged cluster's nine streams, shipped concurrently
+// into one collector that reads, decodes and delivers every frame to a
+// sink retaining the chunks, as agg.Builder does.
+func BenchmarkCollectChunks(b *testing.B) {
+	streams, err := agedStreams()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int64
+	for _, chunks := range streams {
+		for _, c := range chunks {
+			total += int64(len(EncodeChunk(c)))
+		}
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	for b.Loop() {
+		col, addr, err := NewCollector()
+		if err != nil {
+			b.Fatal(err)
+		}
+		errs := make(chan error, len(streams))
+		for _, chunks := range streams {
+			go func() {
+				cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				defer cs.Close()
+				for _, c := range chunks {
+					if err := cs.Emit(c); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		var sink retainSink
+		res, err := col.CollectChunksContext(context.Background(), len(streams), false, sink.Emit)
+		for range streams {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+		col.Close()
+		if err != nil || res.Bytes != total {
+			b.Fatalf("collected %d bytes of %d: %v", res.Bytes, total, err)
+		}
 	}
 }

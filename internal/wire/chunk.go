@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"faultyrank/internal/bincodec"
-	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
-	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
 	"faultyrank/internal/telemetry"
 )
@@ -27,33 +25,36 @@ import (
 //	u32 issueCount  | issues  × { u64 ino, u16 len, text }
 //	stats: 3 × u64
 //
-// The encoding is bijective: a payload either fails DecodeChunk or
-// re-encodes to the identical bytes (the fuzz target leans on this).
+// The object and edge sections are a scanner.Chunk's record sections
+// byte for byte, so encoding copies them whole and decoding slices
+// them out of the payload. The encoding is bijective: a payload either
+// fails DecodeChunk or re-encodes to the identical bytes (the fuzz
+// target leans on this).
 
 const chunkFlagFinal = 1
 
-// Encoded record sizes: an object's and an edge's are fixed, the
-// strides of their sections; an issue's is its minimum, with empty text.
-// They give the encoder its exact size and the decoder its allocation
-// bounds.
-const (
-	chunkObject   = 16 + 8 + 2
-	chunkEdge     = 16 + 16 + 1
-	chunkMinIssue = 8 + 2
-)
+// chunkMinIssue is an issue's encoded size with empty text: the
+// decoder's allocation bound for the issue count.
+const chunkMinIssue = 8 + 2
 
 // EncodeChunk serializes one scanner chunk for streamed transfer.
 func EncodeChunk(c *scanner.Chunk) []byte { return AppendChunk(nil, c) }
 
 // AppendChunk appends c's encoding to buf, growing it at most once. The
-// object and edge sections are written record by record into their
-// place in the grown buffer.
+// record sections are copied as they are.
 func AppendChunk(buf []byte, c *scanner.Chunk) []byte {
-	size := 2 + len(c.ServerLabel) + 5 + 4 + len(c.Objects)*chunkObject + 4 + len(c.Edges)*chunkEdge + 4 + 24
+	size := 2 + len(c.ServerLabel) + 9 + len(c.Objects.Bytes()) + 4 + len(c.Edges.Bytes()) + 4 + 24
 	for _, is := range c.Issues {
 		size += chunkMinIssue + len(is.What)
 	}
-	buf = slices.Grow(buf, size)
+	buf = append(appendChunkHead(slices.Grow(buf, size), c), c.Objects.Bytes()...)
+	buf = append(le.AppendUint32(buf, uint32(c.Edges.Len())), c.Edges.Bytes()...)
+	return appendChunkTail(buf, c)
+}
+
+// appendChunkHead appends the encoding up to the object records: label,
+// seq, flags and the object count.
+func appendChunkHead(buf []byte, c *scanner.Chunk) []byte {
 	buf = bincodec.AppendStr16(buf, c.ServerLabel)
 	buf = le.AppendUint32(buf, uint32(c.Seq))
 	var flags byte
@@ -61,26 +62,12 @@ func AppendChunk(buf []byte, c *scanner.Chunk) []byte {
 		flags |= chunkFlagFinal
 	}
 	buf = append(buf, flags)
-	buf = le.AppendUint32(buf, uint32(len(c.Objects)))
-	buf, recs := extend(buf, len(c.Objects)*chunkObject)
-	for i := range c.Objects {
-		o := &c.Objects[i]
-		r := recs[:chunkObject:chunkObject]
-		recs = recs[chunkObject:]
-		putFID(r, o.FID)
-		le.PutUint64(r[16:], uint64(o.Ino))
-		le.PutUint16(r[24:], uint16(o.Type))
-	}
-	buf = le.AppendUint32(buf, uint32(len(c.Edges)))
-	buf, recs = extend(buf, len(c.Edges)*chunkEdge)
-	for i := range c.Edges {
-		e := &c.Edges[i]
-		r := recs[:chunkEdge:chunkEdge]
-		recs = recs[chunkEdge:]
-		putFID(r, e.Src)
-		putFID(r[16:], e.Dst)
-		r[32] = byte(e.Kind)
-	}
+	return le.AppendUint32(buf, uint32(c.Objects.Len()))
+}
+
+// appendChunkTail appends the encoding after the edge records: the
+// issues and the stats.
+func appendChunkTail(buf []byte, c *scanner.Chunk) []byte {
 	buf = le.AppendUint32(buf, uint32(len(c.Issues)))
 	for _, is := range c.Issues {
 		buf = le.AppendUint64(buf, uint64(is.Ino))
@@ -88,34 +75,17 @@ func AppendChunk(buf []byte, c *scanner.Chunk) []byte {
 	}
 	buf = le.AppendUint64(buf, uint64(c.Stats.InodesScanned))
 	buf = le.AppendUint64(buf, uint64(c.Stats.DirentsRead))
-	buf = le.AppendUint64(buf, uint64(c.Stats.EdgesEmitted))
-	return buf
+	return le.AppendUint64(buf, uint64(c.Stats.EdgesEmitted))
 }
 
-// extend lengthens buf by n bytes of its spare capacity, returning it
-// and the n new bytes.
-func extend(buf []byte, n int) ([]byte, []byte) {
-	l := len(buf)
-	buf = buf[:l+n]
-	return buf, buf[l:]
-}
-
-// sized returns n zeroed entries; an empty section stays nil, which is
-// what keeps decode-then-encode bijective and a decoded chunk DeepEqual
-// to the scanner's.
-func sized[T any](n int) []T {
-	if n == 0 {
-		return nil
-	}
-	return make([]T, n)
-}
-
-// DecodeChunk parses an encoded chunk into memory of its own: nothing
-// in the result aliases b. Counts are bounded against the bytes left
-// before the sections are sized from them, so the chunk costs a fixed
-// number of allocations: itself, its label, one per section, and one
-// string all its issue texts are substrings of. The object and edge
-// sections are bound-checked once each and read record by record.
+// DecodeChunk parses an encoded chunk. Its object and edge sections
+// alias b: the records are the chunk, so decoding moves none of them,
+// and b must not be modified for as long as the chunk is in use (the
+// collector reads every chunk frame into a buffer of its own for this).
+// Each count is bounded against the bytes left, count × record size,
+// before its section is sliced. The label is copied, and so are the
+// issues, into one string all their texts are substrings of; the
+// chunk therefore costs the same few allocations whatever it holds.
 func DecodeChunk(b []byte) (*scanner.Chunk, error) {
 	d := bincodec.NewReader(&chunkFormat, b)
 	c := &scanner.Chunk{}
@@ -126,28 +96,10 @@ func DecodeChunk(b []byte) (*scanner.Chunk, error) {
 		d.Failf("unknown flags %#x", flags)
 	}
 	c.Final = flags&chunkFlagFinal != 0
-	n := d.Count(uint64(d.U32()), chunkObject)
-	recs := d.Bytes(n * chunkObject)
-	c.Objects = sized[scanner.Object](n)
-	// Records are stored field by field: a composite literal would be
-	// built on the stack and copied in, a third of the decode's time.
-	for i := range c.Objects {
-		r := recs[:chunkObject:chunkObject]
-		recs = recs[chunkObject:]
-		o := &c.Objects[i]
-		o.FID, o.Ino, o.Type = lustre.FIDFromBytes(r), ldiskfs.Ino(le.Uint64(r[16:])), ldiskfs.FileType(le.Uint16(r[24:]))
-	}
-	n = d.Count(uint64(d.U32()), chunkEdge)
-	recs = d.Bytes(n * chunkEdge)
-	c.Edges = sized[scanner.FIDEdge](n)
-	for i := range c.Edges {
-		r := recs[:chunkEdge:chunkEdge]
-		recs = recs[chunkEdge:]
-		e := &c.Edges[i]
-		e.Src, e.Dst, e.Kind = lustre.FIDFromBytes(r), lustre.FIDFromBytes(r[16:]), graph.EdgeKind(r[32])
-	}
-	c.Issues = sized[scanner.Issue](d.Count(uint64(d.U32()), chunkMinIssue))
-	if len(c.Issues) > 0 {
+	c.Objects = scanner.ObjectRecords(d.Bytes(d.Count(uint64(d.U32()), scanner.ObjectSize) * scanner.ObjectSize))
+	c.Edges = scanner.EdgeRecords(d.Bytes(d.Count(uint64(d.U32()), scanner.EdgeSize) * scanner.EdgeSize))
+	if n := d.Count(uint64(d.U32()), chunkMinIssue); n > 0 {
+		c.Issues = make([]scanner.Issue, n)
 		// The issue section (and the 24 stats bytes after it) copied
 		// once; a text is the substring at its own offset.
 		start := len(b) - d.Remaining()
@@ -174,7 +126,9 @@ func DecodeChunk(b []byte) (*scanner.Chunk, error) {
 // connection. It implements scanner.Sink, so it plugs directly under
 // scanner.ScanImageToSink: each emitted chunk is framed and written
 // immediately, which is what lets the MDS-side aggregation overlap the
-// transfer instead of waiting for a whole encoded partial. After the
+// transfer instead of waiting for a whole encoded partial. A frame goes
+// out in one gathered write (writev) straight from the chunk's record
+// sections; the stream encodes only the few bytes around them. After the
 // final chunk the stream ships its telemetry trailer (MsgTelemetry),
 // then waits for the collector's acknowledgement before Emit returns.
 type ChunkStream struct {
@@ -200,10 +154,14 @@ type ChunkStream struct {
 	// follows MsgTelemetry. Nil journals no-op and ship an empty blob,
 	// keeping the trailer protocol uniform for every sender.
 	journal *telemetry.Journal
-	// frame is the stream's one send buffer: frameHeader reserved
-	// bytes, then the chunk being shipped, so a frame is one Write.
-	frame []byte
-	err   error
+	// meta holds the frame's bytes other than the record sections: the
+	// header through the object count, the edge count, and the issues
+	// and stats. iov and bufs are the gathered write's vector; a write
+	// consumes bufs, so each frame refills it from iov.
+	meta []byte
+	iov  [5][]byte
+	bufs net.Buffers
+	err  error
 }
 
 // SlowFrameThreshold is the frame-write latency above which a stream
@@ -254,25 +212,31 @@ func (s *ChunkStream) Sent() (frames, bytes int64) { return s.frames.Value(), s.
 // surfaces either as a write error here or as the error frame read in
 // place of the final ack.
 func (s *ChunkStream) Emit(c *scanner.Chunk) error {
-	s.frame = AppendChunk(append(s.frame[:0], make([]byte, frameHeader)...), c)
-	return s.emit(c.Final)
+	m := appendChunkHead(append(s.meta[:0], make([]byte, frameHeader)...), c)
+	head := len(m)
+	m = le.AppendUint32(m, uint32(c.Edges.Len()))
+	mid := len(m)
+	s.meta = appendChunkTail(m, c)
+	return s.emit(c.Final, s.meta[:head], c.Objects.Bytes(), s.meta[head:mid], c.Edges.Bytes(), s.meta[mid:])
 }
 
-// BorrowsChunks makes the stream a scanner.Borrower: Emit has encoded
-// the chunk into s.frame before it returns, so the scanner may lend its
-// scratch chunk instead of copying it.
+// BorrowsChunks makes the stream a scanner.Borrower: Emit has written
+// the chunk to the connection before it returns, so the scanner may lend
+// its scratch chunk instead of copying it.
 func (s *ChunkStream) BorrowsChunks() {}
 
 // EmitRaw ships an already-encoded (possibly deliberately corrupt)
 // chunk payload — the hook fault injection uses to put hostile frames
 // on a live stream.
 func (s *ChunkStream) EmitRaw(payload []byte, final bool) error {
-	s.frame = append(append(s.frame[:0], make([]byte, frameHeader)...), payload...)
-	return s.emit(final)
+	s.meta = append(s.meta[:0], make([]byte, frameHeader)...)
+	return s.emit(final, s.meta, payload)
 }
 
-// emit seals and ships the chunk frame built in s.frame.
-func (s *ChunkStream) emit(final bool) error {
+// emit seals and ships one chunk frame: parts concatenated are the
+// frame, the first starting with frameHeader bytes reserved for its
+// header.
+func (s *ChunkStream) emit(final bool, parts ...[]byte) error {
 	if s.err != nil {
 		return s.err
 	}
@@ -287,10 +251,14 @@ func (s *ChunkStream) emit(final bool) error {
 	if len(s.metrics) > 0 || s.journal != nil {
 		t0 = time.Now()
 	}
-	payload := len(s.frame) - frameHeader
-	err := sealFrame(s.frame, MsgChunk, payload)
+	payload := -frameHeader
+	for _, p := range parts {
+		payload += len(p)
+	}
+	err := sealFrame(parts[0], MsgChunk, payload)
 	if err == nil {
-		_, err = s.conn.Write(s.frame)
+		s.bufs = append(s.iov[:0], parts...)
+		_, err = s.bufs.WriteTo(s.conn)
 	}
 	if err != nil {
 		s.err = err
@@ -594,20 +562,18 @@ func (c *Collector) CollectChunksContext(ctx context.Context, nStreams int, degr
 // expected after the final chunk, or best-effort ones a failing scanner
 // ships mid-stream — are handed to record/recordJournal; a malformed
 // trailer is dropped, never escalated, since observability must not
-// fail a stream whose graph data is intact. Returns the stream's server
-// label ("" if no chunk decoded before the failure).
+// fail a stream whose graph data is intact. A stream carries one
+// server: a chunk labelled otherwise than the first fails it. Returns
+// the stream's server label ("" if no chunk decoded before the failure).
 func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames, bytes *telemetry.Counter, m *Metrics, record func(*Telemetry), recordJournal func([]telemetry.JournalSnapshot)) (string, error) {
-	label := ""
-	// Every frame of the connection is read into one buffer: the chunk
-	// and trailer decoders copy what they keep, so a payload is dead by
-	// the next read.
-	var buf []byte
+	label, labelled := "", false
 	for {
-		typ, payload, err := readFrameInto(conn, buf)
+		// Every frame is read into a buffer of its own: a decoded chunk's
+		// record sections alias its payload, and deliver may keep them.
+		typ, payload, err := ReadFrame(conn)
 		if err != nil {
 			return label, fmt.Errorf("wire: chunk stream: %w", err)
 		}
-		buf = payload
 		if err := AsError(typ, payload); err != nil {
 			return label, err
 		}
@@ -621,6 +587,9 @@ func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames,
 			return label, err
 		}
 		ch, err := DecodeChunk(payload)
+		if err == nil && labelled && ch.ServerLabel != label {
+			err = fmt.Errorf("wire: chunk for server %q on the stream of server %q", ch.ServerLabel, label)
+		}
 		if err != nil {
 			_ = WriteError(conn, err)
 			return label, err
@@ -631,7 +600,7 @@ func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames,
 			m.FramesRecv.Inc()
 			m.BytesRecv.Add(int64(len(payload)))
 		}
-		label = ch.ServerLabel
+		label, labelled = ch.ServerLabel, true
 		if err := deliver(ch); err != nil {
 			_ = WriteError(conn, err)
 			return label, err
@@ -643,7 +612,7 @@ func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames,
 			// that trailer missing but the ack still goes out — the
 			// graph transfer did complete.
 			for i := 0; i < 2; i++ {
-				typ, payload, err := readFrameInto(conn, buf)
+				typ, payload, err := ReadFrame(conn)
 				if err != nil || (typ != MsgTelemetry && typ != MsgJournal) {
 					break
 				}

@@ -10,13 +10,13 @@ import (
 )
 
 // appendChunkReference and decodeChunkReference are the field-by-field
-// chunk codec the stride codec in chunk.go replaced, kept as the
-// executable specification it is tested against (and nothing else
-// should call): FuzzDecodeChunk requires the two to agree on which
-// payloads they accept, on the chunk they decode and on the bytes they
-// encode.
+// chunk codec that the record sections replaced, kept as the executable
+// specification chunk.go is tested against (and nothing else should
+// call): FuzzDecodeChunk requires the two to agree on which payloads
+// they accept, on the typed view of the chunk they decode and on the
+// bytes they encode.
 func appendChunkReference(buf []byte, c *scanner.Chunk) []byte {
-	size := 2 + len(c.ServerLabel) + 5 + 4 + len(c.Objects)*chunkObject + 4 + len(c.Edges)*chunkEdge + 4 + 24
+	size := 2 + len(c.ServerLabel) + 5 + 4 + c.Objects.Len()*scanner.ObjectSize + 4 + c.Edges.Len()*scanner.EdgeSize + 4 + 24
 	for _, is := range c.Issues {
 		size += chunkMinIssue + len(is.What)
 	}
@@ -28,15 +28,17 @@ func appendChunkReference(buf []byte, c *scanner.Chunk) []byte {
 		flags |= chunkFlagFinal
 	}
 	buf = append(buf, flags)
-	buf = le.AppendUint32(buf, uint32(len(c.Objects)))
-	for _, o := range c.Objects {
+	buf = le.AppendUint32(buf, uint32(c.Objects.Len()))
+	for j := range c.Objects.Len() {
+		o := c.Objects.At(j)
 		fb := o.FID.Bytes()
 		buf = append(buf, fb[:]...)
 		buf = le.AppendUint64(buf, uint64(o.Ino))
 		buf = le.AppendUint16(buf, uint16(o.Type))
 	}
-	buf = le.AppendUint32(buf, uint32(len(c.Edges)))
-	for _, e := range c.Edges {
+	buf = le.AppendUint32(buf, uint32(c.Edges.Len()))
+	for j := range c.Edges.Len() {
+		e := c.Edges.At(j)
 		sb, db := e.Src.Bytes(), e.Dst.Bytes()
 		buf = append(buf, sb[:]...)
 		buf = append(buf, db[:]...)
@@ -63,22 +65,14 @@ func decodeChunkReference(b []byte) (*scanner.Chunk, error) {
 		d.Failf("unknown flags %#x", flags)
 	}
 	c.Final = flags&chunkFlagFinal != 0
-	c.Objects = sized[scanner.Object](d.Count(uint64(d.U32()), chunkObject))
-	for i := range c.Objects {
-		o := &c.Objects[i]
-		o.FID = fid(d)
-		o.Ino = ldiskfs.Ino(d.U64())
-		o.Type = ldiskfs.FileType(d.U16())
+	for range d.Count(uint64(d.U32()), scanner.ObjectSize) {
+		c.Objects.Append(scanner.Object{FID: fid(d), Ino: ldiskfs.Ino(d.U64()), Type: ldiskfs.FileType(d.U16())})
 	}
-	c.Edges = sized[scanner.FIDEdge](d.Count(uint64(d.U32()), chunkEdge))
-	for i := range c.Edges {
-		e := &c.Edges[i]
-		e.Src = fid(d)
-		e.Dst = fid(d)
-		e.Kind = graph.EdgeKind(d.U8())
+	for range d.Count(uint64(d.U32()), scanner.EdgeSize) {
+		c.Edges.Append(scanner.FIDEdge{Src: fid(d), Dst: fid(d), Kind: graph.EdgeKind(d.U8())})
 	}
-	c.Issues = sized[scanner.Issue](d.Count(uint64(d.U32()), chunkMinIssue))
-	if len(c.Issues) > 0 {
+	if n := d.Count(uint64(d.U32()), chunkMinIssue); n > 0 {
+		c.Issues = make([]scanner.Issue, n)
 		start := len(b) - d.Remaining()
 		texts := string(b[start:])
 		for i := range c.Issues {
@@ -97,4 +91,40 @@ func decodeChunkReference(b []byte) (*scanner.Chunk, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// chunkView is a chunk with its record sections read into typed slices:
+// what a chunk says, independent of how it holds it.
+type chunkView struct {
+	Label   string
+	Seq     int
+	Final   bool
+	Objects []scanner.Object
+	Edges   []scanner.FIDEdge
+	Issues  []scanner.Issue
+	Stats   scanner.Stats
+}
+
+func viewOf(c *scanner.Chunk) chunkView {
+	v := chunkView{Label: c.ServerLabel, Seq: c.Seq, Final: c.Final, Issues: c.Issues, Stats: c.Stats}
+	for j := range c.Objects.Len() {
+		o := c.Objects.At(j)
+		v.Objects = append(v.Objects, o)
+	}
+	for j := range c.Edges.Len() {
+		e := c.Edges.At(j)
+		v.Edges = append(v.Edges, e)
+	}
+	return v
+}
+
+// objectsOf and edgesOf build record sections for test fixtures.
+func objectsOf(objs ...scanner.Object) (s scanner.Objects) {
+	s.Append(objs...)
+	return s
+}
+
+func edgesOf(edges ...scanner.FIDEdge) (s scanner.Edges) {
+	s.Append(edges...)
+	return s
 }

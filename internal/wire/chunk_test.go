@@ -3,12 +3,18 @@ package wire
 import (
 	"context"
 	"math/rand"
+	"net"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"faultyrank/internal/agg"
+	"faultyrank/internal/graph"
+	"faultyrank/internal/ldiskfs"
+	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
 )
 
@@ -82,19 +88,19 @@ func chunksOf(p *scanner.Partial, n int) []*scanner.Chunk {
 		seq++
 		chunks = append(chunks, c)
 	}
-	for lo := 0; lo < len(p.Objects); lo += n {
+	for lo := 0; lo < p.Objects.Len(); lo += n {
 		hi := lo + n
-		if hi > len(p.Objects) {
-			hi = len(p.Objects)
+		if hi > p.Objects.Len() {
+			hi = p.Objects.Len()
 		}
-		add(&scanner.Chunk{Objects: p.Objects[lo:hi]})
+		add(&scanner.Chunk{Objects: scanner.ObjectRecords(p.Objects.Bytes()[lo*scanner.ObjectSize : hi*scanner.ObjectSize])})
 	}
-	for lo := 0; lo < len(p.Edges); lo += n {
+	for lo := 0; lo < p.Edges.Len(); lo += n {
 		hi := lo + n
-		if hi > len(p.Edges) {
-			hi = len(p.Edges)
+		if hi > p.Edges.Len() {
+			hi = p.Edges.Len()
 		}
-		add(&scanner.Chunk{Edges: p.Edges[lo:hi]})
+		add(&scanner.Chunk{Edges: scanner.EdgeRecords(p.Edges.Bytes()[lo*scanner.EdgeSize : hi*scanner.EdgeSize])})
 	}
 	add(&scanner.Chunk{Issues: p.Issues, Stats: p.Stats, Final: true})
 	return chunks
@@ -305,5 +311,112 @@ func TestCollectChunksDeliverError(t *testing.T) {
 	}
 	if err := <-sendErr; err == nil {
 		t.Fatal("sender saw no error")
+	}
+}
+
+// retainSink keeps every chunk it is delivered, as agg.Builder does.
+type retainSink struct {
+	mu     sync.Mutex
+	chunks []*scanner.Chunk
+}
+
+func (s *retainSink) Emit(c *scanner.Chunk) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chunks = append(s.chunks, c)
+	return nil
+}
+
+// TestCollectorDeliversOwnedFrames: a delivered chunk's record sections
+// alias its frame, and a sink may keep the chunk, so the collector must
+// read every frame into a buffer of its own. Chunks retained over a
+// whole TCP stream must still read as sent once the collect is over; a
+// read buffer reused for the next frame would have overwritten them.
+func TestCollectorDeliversOwnedFrames(t *testing.T) {
+	p := &scanner.Partial{ServerLabel: "ost2"}
+	for i := range 12 {
+		self := lustre.FID{Seq: lustre.OSTSeqBase + 2, Oid: uint32(i + 1)}
+		p.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(i + 12), Type: ldiskfs.TypeObject})
+		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: lustre.FID{Seq: lustre.MDTSeqBase, Oid: uint32(100 + i)}, Kind: graph.KindFilterFID})
+	}
+	p.Issues = []scanner.Issue{{Ino: 40, What: "corrupt filter-fid"}}
+	sent := chunksOf(p, 4)
+	if len(sent) < 3 {
+		t.Fatalf("%d chunks, want at least 3", len(sent))
+	}
+
+	col, addr, err := NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	sendErr := make(chan error, 1)
+	go func() {
+		sendErr <- func() error {
+			cs, err := DialChunkStreamContext(context.Background(), addr, RetryPolicy{}, 0)
+			if err != nil {
+				return err
+			}
+			defer cs.Close()
+			for _, c := range sent {
+				if err := cs.Emit(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		}()
+	}()
+	var sink retainSink
+	if _, err := col.CollectChunksContext(context.Background(), 1, false, sink.Emit); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.chunks) != len(sent) {
+		t.Fatalf("delivered %d chunks, sent %d", len(sink.chunks), len(sent))
+	}
+	for i, c := range sink.chunks {
+		if !reflect.DeepEqual(viewOf(c), viewOf(sent[i])) {
+			t.Fatalf("retained chunk %d no longer reads as sent", i)
+		}
+	}
+}
+
+// TestStreamKeepsOneLabel: a stream carries one server. A chunk labelled
+// otherwise than the stream's first fails the stream with an error that
+// names both labels, answered with an error frame, even where the sink
+// would accept it.
+func TestStreamKeepsOneLabel(t *testing.T) {
+	col, addr, err := NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, c := range []*scanner.Chunk{{ServerLabel: "ost0"}, {ServerLabel: "ost1", Final: true}} {
+		if err := WriteFrame(conn, MsgChunk, EncodeChunk(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	builder := agg.NewBuilder([]string{"ost0", "ost1"})
+	// Accepted, the second chunk would leave the collector waiting for
+	// trailers that never come; the deadline turns that into a failure.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := col.CollectChunksContext(ctx, 1, false, builder.Emit)
+	if err == nil || !strings.Contains(err.Error(), `"ost0"`) || !strings.Contains(err.Error(), `"ost1"`) {
+		t.Fatalf("collect error %v, want one naming ost0 and ost1", err)
+	}
+	if len(res.Completed) != 0 || len(res.Errors) != 1 {
+		t.Fatalf("completed %v, errors %v; want no completed stream and one error", res.Completed, res.Errors)
+	}
+	typ, body, err := ReadFrame(conn)
+	if err != nil || typ != MsgError {
+		t.Fatalf("sender read type %d (%q), %v; want an error frame", typ, body, err)
 	}
 }

@@ -27,13 +27,3 @@ var (
 func fid(d *bincodec.Reader) lustre.FID {
 	return lustre.FID{Seq: d.U64(), Oid: d.U32(), Ver: d.U32()}
 }
-
-// putFID writes a FID's 16-byte form (lustre.FID.Bytes) at the start
-// of b, a record the caller has sized: in place, not through an array
-// copy, which runs the chunk encoder at less than half the speed.
-func putFID(b []byte, f lustre.FID) {
-	_ = b[15]
-	le.PutUint64(b, f.Seq)
-	le.PutUint32(b[8:], f.Oid)
-	le.PutUint32(b[12:], f.Ver)
-}

@@ -29,15 +29,15 @@ var (
 func TestGoldenChunk(t *testing.T) {
 	want := &scanner.Chunk{
 		ServerLabel: "mdt0", Seq: 7, Final: true,
-		Objects: []scanner.Object{
-			{FID: goldenDir, Ino: 12, Type: ldiskfs.TypeDir},
-			{FID: goldenFile, Ino: 13, Type: ldiskfs.TypeFile},
-		},
-		Edges: []scanner.FIDEdge{
-			{Src: goldenDir, Dst: goldenFile, Kind: graph.KindDirent},
-			{Src: goldenFile, Dst: goldenDir, Kind: graph.KindLinkEA},
-			{Src: goldenFile, Dst: goldenObj, Kind: graph.KindLOVEA},
-		},
+		Objects: objectsOf(
+			scanner.Object{FID: goldenDir, Ino: 12, Type: ldiskfs.TypeDir},
+			scanner.Object{FID: goldenFile, Ino: 13, Type: ldiskfs.TypeFile},
+		),
+		Edges: edgesOf(
+			scanner.FIDEdge{Src: goldenDir, Dst: goldenFile, Kind: graph.KindDirent},
+			scanner.FIDEdge{Src: goldenFile, Dst: goldenDir, Kind: graph.KindLinkEA},
+			scanner.FIDEdge{Src: goldenFile, Dst: goldenObj, Kind: graph.KindLOVEA},
+		),
 		Issues: []scanner.Issue{{Ino: 14, What: "lma: short attribute"}},
 		Stats:  scanner.Stats{InodesScanned: 3, DirentsRead: 1, EdgesEmitted: 3},
 	}

@@ -100,18 +100,12 @@ func sealFrame(hdr []byte, typ byte, payloadLen int) error {
 // bytes actually arriving.
 const readBatch = 1 << 20
 
-// ReadFrame reads one framed message into a payload of its own.
-func ReadFrame(r io.Reader) (byte, []byte, error) { return readFrameInto(r, nil) }
-
-// readFrameInto reads one framed message into buf's storage, growing it
-// as needed: the payload returned aliases buf and is valid until the
-// caller reuses it, which is how a connection's reader reads every
-// frame into one buffer. The length comes from an untrusted header, so
-// beyond the capacity buf already has the payload grows in bounded
-// batches as bytes arrive (the edgelist.ReadBinary discipline): a lying
-// header on a short or hostile stream costs at most one batch before
-// the truncation error, never a MaxFrame-sized allocation.
-func readFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
+// ReadFrame reads one framed message into a payload of its own. The
+// length comes from an untrusted header, so the payload grows in
+// bounded batches as bytes arrive (the edgelist.ReadBinary discipline):
+// a lying header on a short or hostile stream costs at most one batch
+// before the truncation error, never a MaxFrame-sized allocation.
+func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -120,7 +114,7 @@ func readFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
 	if n >= MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	payload := buf[:0]
+	var payload []byte
 	for int64(len(payload)) < n {
 		off := len(payload)
 		end := int(min(n, int64(max(cap(payload), off+readBatch))))

@@ -131,14 +131,14 @@ func TestErrorFrames(t *testing.T) {
 func randomPartial(r *rand.Rand) *scanner.Partial {
 	p := &scanner.Partial{ServerLabel: "ost7"}
 	for i := 0; i < r.Intn(20); i++ {
-		p.Objects = append(p.Objects, scanner.Object{
+		p.Objects.Append(scanner.Object{
 			FID:  lustre.FID{Seq: r.Uint64(), Oid: r.Uint32(), Ver: r.Uint32()},
 			Ino:  ldiskfs.Ino(r.Uint64()),
 			Type: ldiskfs.FileType(r.Intn(4)),
 		})
 	}
 	for i := 0; i < r.Intn(30); i++ {
-		p.Edges = append(p.Edges, scanner.FIDEdge{
+		p.Edges.Append(scanner.FIDEdge{
 			Src:  lustre.FID{Seq: r.Uint64(), Oid: r.Uint32()},
 			Dst:  lustre.FID{Seq: r.Uint64(), Oid: r.Uint32()},
 			Kind: graph.EdgeKind(r.Intn(5)),
