@@ -204,7 +204,7 @@ func BenchmarkFig7Scenarios(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res, err := checker.RunCluster(c, checker.DefaultOptions())
+				res, err := checker.Run(checker.ClusterImages(c), checker.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,7 +223,7 @@ func BenchmarkFig7Scenarios(b *testing.B) {
 // iteration cap.
 func BenchmarkAblationSmoothing(b *testing.B) {
 	c := table6Cluster(b, 4000)
-	res0, err := checker.RunCluster(c, checker.DefaultOptions())
+	res0, err := checker.Run(checker.ClusterImages(c), checker.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

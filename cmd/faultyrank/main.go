@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -59,8 +58,8 @@ func realMain() int {
 		dir       = flag.String("dir", "cluster", "cluster image directory")
 		doRepair  = flag.Bool("repair", false, "apply recommended repairs and verify")
 		useTCP    = flag.Bool("tcp", false, "stream scanner chunks over localhost TCP")
-		scanTO    = flag.Duration("scan-timeout", 0, "deadline on the TCP scan+collect stage (0 = none)")
-		degraded  = flag.Bool("degraded", false, "complete from surviving streams when scanners are lost (TCP path)")
+		scanTO    = flag.Duration("scan-timeout", 0, "deadline on the scan stage, in process or over TCP (0 = none)")
+		degraded  = flag.Bool("degraded", false, "complete from the servers that finished when scanners are lost")
 		workers   = flag.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
 		chunk     = flag.Int("chunk", 0, "entries per streamed scanner chunk (0 = default)")
 		epsilon   = flag.Float64("epsilon", 0.1, "convergence epsilon (max |Δ id_rank|)")
@@ -223,32 +222,11 @@ func realMain() int {
 // runOnline is the -online mode: an incremental Tracker over the loaded
 // images. Without -watch it runs one update→check and reports like an
 // offline run; with -watch it loops, printing one delta line per round.
-// With -state it resumes from the directory's snapshot when one exists
-// (falling back to a fresh tracker on a missing file or a snapshot from
-// an incompatible build) and saves after every check. Returns exit code
-// 1 when the (last) check surfaced findings.
+// With -state it opens the tracker with online.Open and saves after
+// every check. Returns exit code 1 when the (last) check surfaced
+// findings.
 func runOnline(images []*ldiskfs.Image, opt checker.Options, stateDir string, interval time.Duration, rounds int, verbose bool, manifest, clusterMf string, jr *telemetry.Journal, dump func([]telemetry.JournalSnapshot)) int {
-	var tr *online.Tracker
-	var err error
-	switch {
-	case stateDir == "":
-		tr, err = online.NewTracker(images, opt)
-	default:
-		tr, err = online.LoadState(stateDir, images, opt)
-		switch {
-		case err == nil:
-			log.Printf("resumed tracker state from %s", stateDir)
-		case errors.Is(err, fs.ErrNotExist):
-			log.Printf("no snapshot in %s, starting fresh", stateDir)
-			tr, err = online.NewTracker(images, opt)
-		case errors.Is(err, online.ErrTrackerSnapshotVersion):
-			// A snapshot from a different build is expected across
-			// upgrades; a malformed or mismatched one is not, and falls
-			// through to the fail below.
-			log.Printf("snapshot in %s is from an incompatible build, starting fresh", stateDir)
-			tr, err = online.NewTracker(images, opt)
-		}
-	}
+	tr, err := online.Open(stateDir, images, opt, log.Printf)
 	if err != nil {
 		return fail(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 
 	opt := checker.DefaultOptions()
 	opt.UseTCP = *useTCP
-	res, err := checker.RunCluster(cluster, opt)
+	res, err := checker.Run(checker.ClusterImages(cluster), opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,8 +30,6 @@
 package faultyrank
 
 import (
-	"context"
-
 	"faultyrank/internal/checker"
 	"faultyrank/internal/core"
 	"faultyrank/internal/ldiskfs"
@@ -87,17 +85,9 @@ func Check(images []*Image, opt CheckOptions) (*CheckResult, error) {
 	return checker.Run(images, opt)
 }
 
-// CheckContext is Check under a context: cancellation (or the
-// CheckOptions scan deadline) unwedges every network wait on the TCP
-// path, and with AllowDegraded the run completes from surviving scanner
-// streams, naming lost servers in CheckResult.Coverage.
-func CheckContext(ctx context.Context, images []*Image, opt CheckOptions) (*CheckResult, error) {
-	return checker.RunContext(ctx, images, opt)
-}
-
 // CheckCluster is Check over a simulated cluster's images.
 func CheckCluster(c *Cluster, opt CheckOptions) (*CheckResult, error) {
-	return checker.RunCluster(c, opt)
+	return checker.Run(checker.ClusterImages(c), opt)
 }
 
 // DefaultCheckOptions returns the paper-faithful pipeline configuration.

@@ -78,19 +78,14 @@ func (u *Unified) FID(g uint32) lustre.FID {
 	return u.FIDs[g]
 }
 
-// Merge combines partial graphs into a unified graph. Partials must be
-// passed in a fixed order (conventionally MDT first, then OSTs by index)
-// for a deterministic GID space. Edge translation uses all cores; use
-// MergeWorkers to bound it.
-func Merge(parts []*scanner.Partial) *Unified {
-	return MergeWorkers(parts, 0)
-}
-
-// MergeWorkers is Merge with explicit parallelism (<= 0 = GOMAXPROCS).
-// The result is identical for every worker count: GIDs are assigned
-// sequentially in first-appearance order of the canonical stream (every
-// part's Objects in part order, then every part's Edges, Src before
-// Dst), and the one parallel pass writes disjoint slots.
+// MergeWorkers combines partial graphs into a unified graph using
+// workers cores (<= 0 = GOMAXPROCS). Partials must be passed in a fixed
+// order (conventionally MDT first, then OSTs by index) for a
+// deterministic GID space. The result is identical for every worker
+// count: GIDs are assigned sequentially in first-appearance order of the
+// canonical stream (every part's Objects in part order, then every
+// part's Edges, Src before Dst), and the one parallel pass writes
+// disjoint slots.
 func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
 	segs := make([]segment, len(parts))
 	for i, p := range parts {

@@ -50,7 +50,7 @@ func smallCluster(t *testing.T) *lustre.Cluster {
 
 func TestMergeConsistentCluster(t *testing.T) {
 	c := smallCluster(t)
-	u := Merge(scanCluster(t, c))
+	u := MergeWorkers(scanCluster(t, c), 0)
 	// Vertices: root, /d, 3 files, 6 objects = 11, no phantoms.
 	if u.N() != 11 {
 		t.Fatalf("N = %d, want 11", u.N())
@@ -93,8 +93,8 @@ func TestMergeConsistentCluster(t *testing.T) {
 func TestMergeDeterministic(t *testing.T) {
 	c := smallCluster(t)
 	parts := scanCluster(t, c)
-	a := Merge(parts)
-	b := Merge(parts)
+	a := MergeWorkers(parts, 0)
+	b := MergeWorkers(parts, 0)
 	if a.N() != b.N() {
 		t.Fatal("different N")
 	}
@@ -123,7 +123,7 @@ func TestMergePhantomAndOrphan(t *testing.T) {
 	enc, _ := lustre.EncodeLOVEA(layout)
 	c.MDT.Img.SetXattr(ent.Ino, lustre.XattrLOV, enc)
 
-	u := Merge(scanCluster(t, c))
+	u := MergeWorkers(scanCluster(t, c), 0)
 	b := u.Build(0)
 	phantoms := u.Phantoms()
 	if len(phantoms) != 1 || u.FID(phantoms[0]) != (lustre.FID{Seq: 0xDEAD, Oid: 1}) {
@@ -152,7 +152,7 @@ func TestMergeDuplicateClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MDT.Img.SetXattr(ino, lustre.XattrLMA, lustre.EncodeLMA(ent.FID))
-	u := Merge(scanCluster(t, c))
+	u := MergeWorkers(scanCluster(t, c), 0)
 	d := u.DuplicateClaims()
 	if len(d) != 1 || u.FID(d[0]) != ent.FID {
 		t.Fatalf("duplicates: %v", d)
@@ -174,7 +174,7 @@ func TestOrphansDetected(t *testing.T) {
 	strayFID := lustre.FID{Seq: lustre.OSTSeqBase, Oid: 9999}
 	ost.Img.SetXattr(ino, lustre.XattrLMA, lustre.EncodeLMA(strayFID))
 	// No filter-fid: the object neither points nor is pointed at.
-	u := Merge(scanCluster(t, c))
+	u := MergeWorkers(scanCluster(t, c), 0)
 	b := u.Build(0)
 	orphans := u.Orphans(b)
 	var fids []string
@@ -212,7 +212,7 @@ func TestMergeEdgeCountPreservedProperty(t *testing.T) {
 			}
 			parts = append(parts, part)
 		}
-		u := Merge(parts)
+		u := MergeWorkers(parts, 0)
 		if len(u.Edges) != total {
 			return false
 		}
@@ -231,7 +231,7 @@ func TestMergeForwardsIssues(t *testing.T) {
 		{ServerLabel: "mdt0", Issues: []scanner.Issue{{Ino: 5, What: "corrupt LMA"}}},
 		{ServerLabel: "ost1", Issues: []scanner.Issue{{Ino: 9, What: "corrupt LOVEA"}}},
 	}
-	u := Merge(parts)
+	u := MergeWorkers(parts, 0)
 	if len(u.Issues) != 2 {
 		t.Fatalf("issues = %v", u.Issues)
 	}
@@ -242,7 +242,7 @@ func TestMergeForwardsIssues(t *testing.T) {
 
 func TestMergeEdgesKindsPreserved(t *testing.T) {
 	c := smallCluster(t)
-	u := Merge(scanCluster(t, c))
+	u := MergeWorkers(scanCluster(t, c), 0)
 	kinds := make(map[graph.EdgeKind]int)
 	for _, e := range u.Edges {
 		kinds[e.Kind]++

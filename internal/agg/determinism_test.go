@@ -165,7 +165,7 @@ func TestMergeMatchesReferenceCluster(t *testing.T) {
 	parts := scanCluster(t, smallCluster(t))
 	assertMergeMatchesReference(t, "cluster", parts)
 	assertMergeMatchesReference(t, "OSTs only", parts[1:])
-	if u := Merge(parts[1:]); len(u.Phantoms()) == 0 {
+	if u := MergeWorkers(parts[1:], 0); len(u.Phantoms()) == 0 {
 		t.Fatal("OST-only merge has no phantoms: the test lost its point")
 	}
 }

@@ -55,7 +55,7 @@ func AblationMatrix(scale Scale) (*Table, error) {
 			}
 			opt := checker.DefaultOptions()
 			cfg.Mutate(&opt.Core)
-			res, err := checker.RunCluster(c, opt)
+			res, err := checker.Run(checker.ClusterImages(c), opt)
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +91,7 @@ func AblationFalsePositives(scale Scale) (*Table, error) {
 		}
 		opt := checker.DefaultOptions()
 		cfg.Mutate(&opt.Core)
-		res, err := checker.RunCluster(c, opt)
+		res, err := checker.Run(checker.ClusterImages(c), opt)
 		if err != nil {
 			return nil, err
 		}

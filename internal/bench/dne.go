@@ -37,7 +37,7 @@ func TableDNE(scale Scale, workers int) (*Table, error) {
 		}
 		opt := checker.DefaultOptions()
 		opt.Workers = workers
-		res, err := checker.RunCluster(c, opt)
+		res, err := checker.Run(checker.ClusterImages(c), opt)
 		if err != nil {
 			return nil, err
 		}

@@ -45,23 +45,21 @@ type Options struct {
 	// corrupted LinkEA hiding behind a healthy layout.
 	SplitProperties bool
 
-	// ScanTimeout bounds the whole scan→ship→collect stage on the TCP
-	// path (0 = no deadline). When it expires, the collector stops
-	// waiting, stalled connections are cut, and — with AllowDegraded —
-	// the run completes from the surviving streams.
+	// ScanTimeout bounds the whole scan stage, on either transport (0 =
+	// no deadline). When it expires, the scanners stop at their next
+	// block group, stalled connections are cut, and — with AllowDegraded
+	// — the run completes from the servers that finished.
 	ScanTimeout time.Duration
-	// OpTimeout bounds each individual frame write/ack read on a chunk
-	// stream (0 = the scan deadline only).
-	OpTimeout time.Duration
-	// AllowDegraded lets the run complete when scanner streams are lost
-	// (crash, stall, corrupt frame, missed deadline): the unified graph
-	// is built from the surviving partials and Result.Coverage names the
-	// missing servers. False (the default) keeps the strict behaviour —
-	// any stream failure aborts the run.
+	// AllowDegraded lets the run complete when servers are lost (crash,
+	// stall, corrupt frame, missed deadline): the unified graph is built
+	// from the servers that finished and Result.Coverage names the
+	// missing ones. False (the default) keeps the strict behaviour — the
+	// first server failure aborts the run.
 	AllowDegraded bool
-	// NetFaults injects a network fault into the named servers' chunk
-	// streams on the TCP path — the test/bench hook for exercising the
-	// failure model (nil = no faults).
+	// NetFaults injects a network fault into the named servers' scans —
+	// the test/bench hook for exercising the failure model (nil = no
+	// faults). A crash before connect fires on either transport; the
+	// mid-stream faults act on a chunk stream, so only over TCP.
 	NetFaults map[string]*inject.NetFault
 
 	// RankWorkers is ignored: the rank runs on the single kernel.
@@ -121,14 +119,16 @@ func (c Coverage) Degraded() bool { return len(c.Missing) > 0 }
 // Complete is the number of server streams that fully arrived.
 func (c Coverage) Complete() int { return c.Total - len(c.Missing) }
 
-// NetStats aggregates the wire-level counters of one TCP scan stage
-// (zero for in-process runs).
+// NetStats aggregates the wire-level counters of one scan stage (zero
+// in process, where no frame moves) and its stream failures.
 type NetStats struct {
 	// Frames and Bytes count the chunk frames the collector decoded.
 	Frames, Bytes int64
 	// DialRetries counts sender-side redials across all scanners.
 	DialRetries int64
-	// StreamErrors describes each failed or aborted stream.
+	// StreamErrors describes each failed or aborted stream, the
+	// collector's accounts first, then each server failure a degraded
+	// run survived ("scanner <label>: <err>").
 	StreamErrors []string
 }
 
@@ -239,7 +239,8 @@ type Result struct {
 	// Coverage names the servers whose partial graphs were merged; a
 	// degraded run lists the lost servers in Coverage.Missing.
 	Coverage Coverage
-	// Net carries the scan stage's transfer counters (TCP path only).
+	// Net carries the scan stage's transfer counters (zero in process)
+	// and its stream failures.
 	Net NetStats
 	// Scan carries the scanner-side telemetry counters (both paths).
 	Scan ScanStats
@@ -308,26 +309,16 @@ func (r *Result) HasFinding(k FindingKind, fid lustre.FID) bool {
 // the aggregator's Builder — directly or over TCP — so T_scan covers
 // scan plus transfer, and T_graph covers the merge (straight from the
 // retained chunks: FIDs interned into one flat table, edges translated
-// in parallel) plus the CSR build.
+// in parallel) plus the CSR build. opt.ScanTimeout bounds the scan
+// stage, and with opt.AllowDegraded a run that loses servers completes
+// from the rest, naming the lost ones in Result.Coverage.
 func Run(images []*ldiskfs.Image, opt Options) (*Result, error) {
-	return RunContext(context.Background(), images, opt)
-}
-
-// RunContext is Run under a context: cancelling ctx (or exceeding
-// opt.ScanTimeout on the TCP path) unwedges every network wait in the
-// collection stage, so a crashed or stalled scanner can never hang the
-// checker. With opt.AllowDegraded the run then completes from the
-// surviving scanner streams and Result.Coverage names the lost servers.
-func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Result, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("checker: no images")
 	}
-	if opt.Core.MaxIterations == 0 {
-		opt.Core = core.DefaultOptions()
-	}
 	res := &Result{Coverage: Coverage{Total: len(images)}}
 	obs := newRunObs(opt.Metrics, opt.Journal)
-	ctx, root := telemetry.StartSpan(ctx, "run")
+	ctx, root := telemetry.StartSpan(context.Background(), "run")
 	transport := "in-process"
 	if opt.UseTCP {
 		transport = "tcp"
@@ -345,13 +336,7 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 	// ---- Stage 1: parallel scanners streaming chunks (T_scan) --------
 	t0 := time.Now()
 	scanCtx, scanSpan := telemetry.StartSpan(ctx, "scan")
-	var err error
-	var ships []*wire.Telemetry
-	if opt.UseTCP {
-		ships, err = streamOverTCP(scanCtx, images, builder, opt, res, obs)
-	} else {
-		ships, err = streamInProcess(scanCtx, images, builder, opt, obs)
-	}
+	ships, err := scanStage(scanCtx, images, builder, opt, res, obs)
 	scanSpan.End()
 	if err != nil {
 		return nil, err
@@ -359,34 +344,24 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 	res.TScan = time.Since(t0)
 	res.Cluster = BuildClusterManifest(labels, ships)
 
-	// ---- Stage 2: merge + CSR build (T_graph) -------------------------
-	t1 := time.Now()
-	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")
-	_, mergeSpan := telemetry.StartSpan(aggCtx, "merge")
-	if opt.AllowDegraded {
-		var missing []string
-		res.Unified, missing, err = builder.FinishCompleted(opt.Workers)
+	// ---- Stage 2: merge, then the shared tail --------------------------
+	err = analyze(ctx, root, res, images, opt, obs, func(aggCtx context.Context) (*agg.Unified, error) {
+		_, mergeSpan := telemetry.StartSpan(aggCtx, "merge")
+		defer mergeSpan.End()
+		if !opt.AllowDegraded {
+			return builder.Finish(opt.Workers)
+		}
+		u, missing, err := builder.FinishCompleted(opt.Workers)
 		res.Coverage.Missing = missing
 		if len(missing) > 0 {
 			obs.journal.Record("checker", "degraded",
 				"missing", strings.Join(missing, ","))
 		}
-	} else {
-		res.Unified, err = builder.Finish(opt.Workers)
-	}
-	mergeSpan.End()
+		return u, err
+	})
 	if err != nil {
-		aggSpan.End()
 		return nil, err
 	}
-	_, buildSpan := telemetry.StartSpan(aggCtx, "build")
-	res.Graph = res.Unified.Build(opt.Workers)
-	buildSpan.End()
-	aggSpan.End()
-	res.TGraph = time.Since(t1)
-
-	rankAndClassify(ctx, res, images, opt, obs)
-	obs.finish(res, root)
 	return res, nil
 }
 
@@ -395,8 +370,9 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 // the online checker's per-check entry point: the incremental
 // aggregator (agg.DeltaBuilder) maintains the Unified across checks, so
 // neither scanning nor merging re-runs; what remains is exactly the
-// work any check must do on the current graph. No post-merge stage can
-// fail, so the error is always nil.
+// work any check must do on the current graph. The graph covers every
+// image, and Result.Coverage says so. No post-merge stage can fail, so
+// the error is always nil.
 //
 // Every field of res is overwritten. The storage res already holds — a
 // Graph, a Rank, the reachability scratch — is rewritten in place rather
@@ -407,14 +383,28 @@ func RunContext(ctx context.Context, images []*ldiskfs.Image, opt Options) (*Res
 // shares that storage: whatever was read from the earlier result's Graph
 // and Rank now holds this analysis.
 func AnalyzeUnified(res *Result, images []*ldiskfs.Image, u *agg.Unified, opt Options) error {
+	*res = Result{Coverage: Coverage{Total: len(images)}, Graph: res.Graph, Rank: res.Rank, reach: res.reach}
+	obs := newRunObs(opt.Metrics, opt.Journal)
+	ctx, root := telemetry.StartSpan(context.Background(), "analyze")
+	return analyze(ctx, root, res, images, opt, obs, func(context.Context) (*agg.Unified, error) { return u, nil })
+}
+
+// analyze is the tail Run and AnalyzeUnified share: under the aggregate
+// span (T_graph) it takes the unified graph from unify and builds the
+// CSR, into res.Graph's storage when it has one; then it ranks and
+// classifies (T_FR) and lands the run's observability fields. Zero
+// opt.Core options mean the paper's defaults.
+func analyze(ctx context.Context, root *telemetry.Span, res *Result, images []*ldiskfs.Image, opt Options, obs *runObs, unify func(aggCtx context.Context) (*agg.Unified, error)) error {
 	if opt.Core.MaxIterations == 0 {
 		opt.Core = core.DefaultOptions()
 	}
-	*res = Result{Graph: res.Graph, Rank: res.Rank, reach: res.reach}
-	obs := newRunObs(opt.Metrics, opt.Journal)
-	ctx, root := telemetry.StartSpan(context.Background(), "analyze")
 	t1 := time.Now()
 	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")
+	u, err := unify(aggCtx)
+	if err != nil {
+		aggSpan.End()
+		return err
+	}
 	_, buildSpan := telemetry.StartSpan(aggCtx, "build")
 	res.Unified = u
 	if res.Graph == nil {
@@ -425,14 +415,7 @@ func AnalyzeUnified(res *Result, images []*ldiskfs.Image, u *agg.Unified, opt Op
 	buildSpan.End()
 	aggSpan.End()
 	res.TGraph = time.Since(t1)
-	rankAndClassify(ctx, res, images, opt, obs)
-	obs.finish(res, root)
-	return nil
-}
 
-// rankAndClassify is stage 3 (T_FR), shared by Run and Analyze:
-// FaultyRank iteration, then detection and fault classification.
-func rankAndClassify(ctx context.Context, res *Result, images []*ldiskfs.Image, opt Options, obs *runObs) {
 	t2 := time.Now()
 	rankCtx, rankSpan := telemetry.StartSpan(ctx, "rank")
 	_, iterSpan := telemetry.StartSpan(rankCtx, "iterate")
@@ -449,12 +432,8 @@ func rankAndClassify(ctx context.Context, res *Result, images []*ldiskfs.Image, 
 	classifySpan.End()
 	rankSpan.End()
 	res.TRank = time.Since(t2)
-}
-
-// RunCluster is a convenience wrapper scanning a simulated cluster's
-// images in canonical order.
-func RunCluster(c *lustre.Cluster, opt Options) (*Result, error) {
-	return Run(ClusterImages(c), opt)
+	obs.finish(res, root)
+	return nil
 }
 
 // ClusterImages returns a cluster's images in canonical order (MDTs
@@ -470,197 +449,170 @@ func ClusterImages(c *lustre.Cluster) []*ldiskfs.Image {
 	return images
 }
 
-// streamInProcess runs every image's scanner concurrently, each
-// streaming its chunks straight into the shared sink (Builder.Emit is
-// thread-safe, so chunk interleaving across servers is harmless). Each
-// scanner also keeps a per-server registry — the same set of
-// instruments the TCP path ships home as a telemetry trailer — so the
-// cluster manifest has per-server sections on both paths.
-func streamInProcess(ctx context.Context, images []*ldiskfs.Image, sink scanner.Sink, opt Options, obs *runObs) ([]*wire.Telemetry, error) {
-	errs := make([]error, len(images))
-	ships := make([]*wire.Telemetry, len(images))
-	var wg sync.WaitGroup
-	for i, img := range images {
-		wg.Add(1)
-		go func(i int, img *ldiskfs.Image) {
-			defer wg.Done()
-			label := img.Label()
-			srvReg := telemetry.NewRegistry()
-			srvIns := scanner.NewInstr(srvReg)
-			srvJournal := telemetry.NewJournal(0)
-			srvJournal.SetServer(label)
-			srvIns.AttachJournal(srvJournal, chunkEventEvery)
-			srvJournal.Record("scanner", "scan-start")
-			_, sp := telemetry.StartSpan(ctx, "scan:"+label)
-			defer sp.End()
-			errs[i] = scanner.ScanImageToSinkInstr(ctx, img, opt.Workers, opt.ChunkSize, sink, obs.scan, srvIns)
-			if errs[i] == nil {
-				sp.End()
-				node := sp.Node()
-				ships[i] = &wire.Telemetry{Server: label, Snapshot: srvReg.Snapshot().Labeled(label), Span: &node}
-				srvJournal.Record("scanner", "scan-done")
-			} else {
-				obs.journal.Record("checker", "scan-failed",
-					"server", label, "err", errs[i].Error())
-			}
-			obs.addJournal(srvJournal.Snapshot())
-		}(i, img)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ships, nil
-}
-
-// streamOverTCP reproduces the deployment data path: every scanner
-// opens one chunk stream to the MDS-side collector and ships chunks as
-// it produces them, so the aggregator consumes while the scanners are
-// still sweeping — transfer no longer waits for a whole encoded
-// partial.
+// scanStage runs one scanner per server image, concurrently, each
+// streaming its chunks toward builder: into it directly in process, or
+// over TCP on its own chunk stream to a collector that feeds it as
+// frames arrive, so the aggregator consumes while the scanners sweep.
 //
-// Failure handling: dials are retried per the wire default; opt.ScanTimeout
-// bounds the whole stage; when a stream is lost the degraded collector
-// keeps the surviving streams flowing, while strict mode aborts the
-// siblings and fails the run. The transfer counters land in res.Net.
-//
-// Each scanner keeps a per-server registry (its own scan counters and
-// wire metrics) and ships it to the collector as a telemetry trailer
-// after its final chunk — best-effort when the scan fails, since its
-// connection may already be gone. The collected trailers become the
-// cluster manifest's per-server sections; a crashed server simply has
-// no trailer and turns into a missing-telemetry entry.
-func streamOverTCP(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builder, opt Options, res *Result, obs *runObs) ([]*wire.Telemetry, error) {
-	col, addr, err := wire.NewCollector()
-	if err != nil {
-		return nil, err
-	}
-	defer col.Close()
-	col.Observe(obs.wireM)
+// Both transports share one failure model. opt.ScanTimeout bounds the
+// stage. A failed server — crashed before its scan, a scan or stream
+// error, the deadline — is recorded in the coordinator journal; strict
+// mode returns the first failure in server order, while AllowDegraded
+// lists it in res.Net.StreamErrors and completes, the merge then keeping
+// only the servers that finished. Per-server telemetry and journal lanes
+// are built locally in process; over TCP they ride home as trailers, the
+// sender-side lane standing in for a journal trailer that never came.
+// The returned telemetry becomes the cluster manifest's sections.
+func scanStage(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builder, opt Options, res *Result, obs *runObs) ([]*wire.Telemetry, error) {
 	if opt.ScanTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.ScanTimeout)
 		defer cancel()
 	}
-	errs := make([]error, len(images))
-	srvJournals := make([]*telemetry.Journal, len(images))
+	var col *wire.Collector
+	var addr string
+	if opt.UseTCP {
+		var err error
+		if col, addr, err = wire.NewCollector(); err != nil {
+			return nil, err
+		}
+		defer col.Close()
+		col.Observe(obs.wireM)
+	}
+	scans := make([]serverScan, len(images))
 	var wg sync.WaitGroup
 	for i, img := range images {
 		wg.Add(1)
-		go func(i int, img *ldiskfs.Image) {
+		go func() {
 			defer wg.Done()
-			label := img.Label()
-			srvReg := telemetry.NewRegistry()
-			srvIns := scanner.NewInstr(srvReg)
-			srvWire := wire.NewMetrics(srvReg)
-			srvJournal := telemetry.NewJournal(0)
-			srvJournal.SetServer(label)
-			srvJournals[i] = srvJournal
-			srvIns.AttachJournal(srvJournal, chunkEventEvery)
-			_, sp := telemetry.StartSpan(ctx, "scan:"+label)
-			defer sp.End()
-			fault := opt.NetFaults[label]
-			if fault != nil && fault.PreConnect() {
-				errs[i] = fmt.Errorf("%w before connect (%s)", inject.ErrScannerCrash, label)
-				obs.journal.Record("checker", "scan-failed",
-					"server", label, "err", errs[i].Error())
-				return
-			}
-			cs, err := wire.DialChunkStreamContext(ctx, addr, wire.DefaultRetryPolicy(), opt.OpTimeout, obs.wireM, srvWire)
-			if err != nil {
-				errs[i] = err
-				obs.journal.Record("checker", "scan-failed",
-					"server", label, "err", err.Error())
-				return
-			}
-			defer cs.Close()
-			if n := cs.DialRetries(); n > 0 {
-				obs.journal.Record("wire", "dial-retry",
-					"server", label, "retries", fmt.Sprintf("%d", n))
-			}
-			// The per-server journal rides home as a trailer frame right
-			// behind the telemetry snapshot (wire.MsgJournal).
-			cs.SetJournal(srvJournal)
-			srvJournal.Record("scanner", "scan-start")
-			// The trailer source runs right after the final chunk frame is
-			// written — the server's instruments are final at that moment.
-			cs.SetTelemetrySource(func() *wire.Telemetry {
-				sp.End()
-				node := sp.Node()
-				return &wire.Telemetry{Server: label, Snapshot: srvReg.Snapshot().Labeled(label), Span: &node}
-			})
-			sink := scanner.Sink(cs)
-			if fault != nil {
-				sink = fault.WrapStream(ctx, cs)
-			}
-			errs[i] = scanner.ScanImageToSinkInstr(ctx, img, opt.Workers, opt.ChunkSize, sink, obs.scan, srvIns)
-			if errs[i] != nil {
-				obs.journal.Record("checker", "scan-failed",
-					"server", label, "err", errs[i].Error())
-				// Best-effort partial telemetry and journal for the failure
-				// path; the connection is usually gone, and that is fine —
-				// the server then shows up as a missing-telemetry entry.
-				_ = cs.SendTelemetry(nil)
-				_ = cs.SendJournal()
-			} else {
-				srvJournal.Record("scanner", "scan-done")
-			}
-		}(i, img)
+			scans[i].run(ctx, img, builder, addr, opt, obs)
+		}()
 	}
-	// A scanner that fails before or during its stream leaves the
-	// collector short; close the listener once all senders finish so
-	// the accept wait cannot block until the deadline for a connection
-	// that will never come. (A *stalled* sender keeps wg held — there
-	// the ScanTimeout deadline does the unblocking.)
-	go func() {
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				col.Close()
-				return
-			}
-		}
-	}()
-	colRes, collectErr := col.CollectChunksContext(ctx, len(images), opt.AllowDegraded, builder.Emit)
+	colRes, collectErr := &wire.CollectResult{}, error(nil)
+	if col != nil {
+		// Close the listener once every sender is done: one that failed
+		// before or during its stream leaves the collector short, and the
+		// accept wait must not block until the deadline for a connection
+		// that will never come. (When all succeeded, every connection was
+		// accepted already. A *stalled* sender keeps wg held — there the
+		// ScanTimeout deadline does the unblocking.)
+		go func() {
+			wg.Wait()
+			col.Close()
+		}()
+		colRes, collectErr = col.CollectChunksContext(ctx, len(images), opt.AllowDegraded, builder.Emit)
+	}
 	wg.Wait()
-	// Per-server flight-recorder sections: prefer the wire-shipped
-	// trailer (what actually crossed the network), and fall back to the
-	// sender-side journal for servers whose trailer never arrived — a
-	// crashed stream's event trail is the evidence frtrace renders.
 	collected := make(map[string]bool, len(colRes.Journals))
 	for _, js := range colRes.Journals {
 		obs.addJournal(js)
 		collected[js.Server] = true
 	}
-	for i, j := range srvJournals {
-		if j != nil && !collected[images[i].Label()] {
-			obs.addJournal(j.Snapshot())
-		}
-	}
-	// NetStats is a per-run view over the registry-backed wire counters;
-	// the error descriptions still come from the collector, which is the
-	// only place that knows why a stream died.
+	ships := colRes.Telemetry
 	res.Net = obs.netStats()
+	// The collector is the only place that knows why a stream died.
 	res.Net.StreamErrors = colRes.Errors
-	if opt.AllowDegraded {
-		// Sender-side failures are part of the degraded story, not
-		// fatal; record them for the report.
-		for i, err := range errs {
-			if err != nil {
-				res.Net.StreamErrors = append(res.Net.StreamErrors,
-					fmt.Sprintf("scanner %s: %v", images[i].Label(), err))
+	for i := range scans {
+		s := &scans[i]
+		if !collected[s.label] {
+			obs.addJournal(s.journal.Snapshot())
+		}
+		if s.ship != nil {
+			ships = append(ships, s.ship)
+		}
+		if s.err != nil {
+			if !opt.AllowDegraded {
+				return nil, s.err
 			}
-		}
-		return colRes.Telemetry, nil
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			res.Net.StreamErrors = append(res.Net.StreamErrors, fmt.Sprintf("scanner %s: %v", s.label, s.err))
 		}
 	}
-	return colRes.Telemetry, collectErr
+	if opt.AllowDegraded {
+		return ships, nil
+	}
+	return ships, collectErr
+}
+
+// serverScan is one server's part of the scan stage: its flight-recorder
+// lane and how its scan ended.
+type serverScan struct {
+	label   string
+	journal *telemetry.Journal
+	// ship is the server's telemetry when it was built locally (in
+	// process); over TCP it travels as a trailer frame instead.
+	ship *wire.Telemetry
+	err  error
+}
+
+// run is the per-server driver both transports share: its own registry,
+// scanner instruments, journal lane and scan:<label> span, the
+// scan-start, scan-done and scan-failed events, and one
+// ScanImageToSinkInstr. The transport chooses only the sink — builder in
+// process, a chunk stream to the collector at addr over TCP, wrapped by
+// the server's network fault when one is injected.
+func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.Builder, addr string, opt Options, obs *runObs) {
+	s.label = img.Label()
+	reg := telemetry.NewRegistry()
+	ins := scanner.NewInstr(reg)
+	s.journal = telemetry.NewJournal(0)
+	s.journal.SetServer(s.label)
+	ins.AttachJournal(s.journal, chunkEventEvery)
+	_, sp := telemetry.StartSpan(ctx, "scan:"+s.label)
+	defer sp.End()
+	telem := func() *wire.Telemetry {
+		sp.End()
+		node := sp.Node()
+		return &wire.Telemetry{Server: s.label, Snapshot: reg.Snapshot().Labeled(s.label), Span: &node}
+	}
+	fail := func(err error) {
+		s.err = err
+		obs.journal.Record("checker", "scan-failed", "server", s.label, "err", err.Error())
+	}
+
+	fault := opt.NetFaults[s.label]
+	if fault != nil && fault.PreConnect() {
+		fail(fmt.Errorf("%w before connect (%s)", inject.ErrScannerCrash, s.label))
+		return
+	}
+	var sink scanner.Sink = builder
+	var cs *wire.ChunkStream
+	if opt.UseTCP {
+		var err error
+		if cs, err = wire.DialChunkStreamContext(ctx, addr, wire.DefaultRetryPolicy(), 0, obs.wireM, wire.NewMetrics(reg)); err != nil {
+			fail(err)
+			return
+		}
+		defer cs.Close()
+		if n := cs.DialRetries(); n > 0 {
+			obs.journal.Record("wire", "dial-retry",
+				"server", s.label, "retries", fmt.Sprintf("%d", n))
+		}
+		// The telemetry trailer is built right after the final chunk
+		// frame is written, when the server's instruments are final;
+		// the journal trailer rides right behind it (wire.MsgJournal).
+		cs.SetTelemetrySource(telem)
+		cs.SetJournal(s.journal)
+		sink = cs
+		if fault != nil {
+			sink = fault.WrapStream(ctx, cs)
+		}
+	}
+	s.journal.Record("scanner", "scan-start")
+	if err := scanner.ScanImageToSinkInstr(ctx, img, opt.Workers, opt.ChunkSize, sink, obs.scan, ins); err != nil {
+		fail(err)
+		if cs != nil {
+			// Best-effort partial telemetry and journal; the connection
+			// is usually gone, and that is fine — the server then shows
+			// up as a missing-telemetry entry.
+			_ = cs.SendTelemetry(nil)
+			_ = cs.SendJournal()
+		}
+		return
+	}
+	s.journal.Record("scanner", "scan-done")
+	if cs == nil {
+		s.ship = telem()
+	}
 }
 
 // sortFindings orders findings deterministically for stable output.

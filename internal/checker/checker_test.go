@@ -21,7 +21,7 @@ func TestRunValidatesInput(t *testing.T) {
 // fault leaves a relation unpaired.
 func TestRunZeroOptionsGetDefaults(t *testing.T) {
 	c := fig7Cluster(t)
-	res, err := RunCluster(c, Options{}) // zero Core options
+	res, err := Run(ClusterImages(c), Options{}) // zero Core options
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRunZeroOptionsGetDefaults(t *testing.T) {
 	if _, err := inject.Inject(c, inject.DanglingObjectID, fig7Target); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = RunCluster(c, Options{}); err != nil {
+	if res, err = Run(ClusterImages(c), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Rank.Converged {
@@ -129,7 +129,7 @@ func TestWriteReport(t *testing.T) {
 	if _, err := inject.Inject(c, inject.DanglingObjectID, fig7Target); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	// Clean cluster report says so.
 	clean := fig7Cluster(t)
-	cres, err := RunCluster(clean, DefaultOptions())
+	cres, err := Run(ClusterImages(clean), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestHardLinksStayConsistent(t *testing.T) {
 	if err := c.Link("/proj0/file1", "/proj1/alias2"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestHardLinksStayConsistent(t *testing.T) {
 	}
 	enc, _ := lustre.EncodeLinkEA(links[:2]) // drop the last name's record
 	c.MDT.Img.SetXattr(ent.Ino, lustre.XattrLink, enc)
-	res, err = RunCluster(c, DefaultOptions())
+	res, err = Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestHardLinksStayConsistent(t *testing.T) {
 // real cluster.
 func TestStageTimingsPopulated(t *testing.T) {
 	c := fig7Cluster(t)
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestMatchPhantomIdentityAgainstReference(t *testing.T) {
 				t.Fatalf("seed %d: inject %v: %v", seed, s, err)
 			}
 		}
-		res, err := RunCluster(c, DefaultOptions())
+		res, err := Run(ClusterImages(c), DefaultOptions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -45,15 +45,14 @@ func eightServerCluster(t testing.TB) *lustre.Cluster {
 // totals, and a skew section naming the straggler.
 func TestClusterManifestTCPEightServers(t *testing.T) {
 	t.Parallel()
-	ctx, cancel := testCtx(t)
-	defer cancel()
 	c := eightServerCluster(t)
 	images := ClusterImages(c)
 
 	opt := DefaultOptions()
 	opt.UseTCP = true
 	opt.ChunkSize = 64
-	tcpRes, err := RunContext(ctx, images, opt)
+	opt.ScanTimeout = testTimeout(t)
+	tcpRes, err := Run(images, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestClusterManifestTCPEightServers(t *testing.T) {
 	// Per-server sections must sum to the run-wide scan totals, and an
 	// in-process run over the same images must agree: the cluster view
 	// is the same data no matter which path carried it.
-	inpRes, err := RunContext(ctx, images, DefaultOptions())
+	inpRes, err := Run(images, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +160,13 @@ func TestClusterManifestTCPEightServers(t *testing.T) {
 // across identical runs.
 func TestClusterManifestDegradedPartial(t *testing.T) {
 	t.Parallel()
-	ctx, cancel := testCtx(t)
-	defer cancel()
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
 	victim := images[len(images)-1].Label()
 	fault := inject.NetFault{Scenario: inject.NetCrashMidStream, AfterChunks: 1}
 
 	run := func() *ClusterManifest {
-		res, err := RunContext(ctx, images, degradedOptions(victim, &fault))
+		res, err := Run(images, degradedOptions(victim, &fault))
 		if err != nil {
 			t.Fatalf("degraded run failed: %v", err)
 		}

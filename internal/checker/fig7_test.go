@@ -47,7 +47,7 @@ func runScenario(t testing.TB, s inject.Scenario) (*lustre.Cluster, *inject.Inje
 	if err != nil {
 		t.Fatalf("inject %v: %v", s, err)
 	}
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatalf("check %v: %v", s, err)
 	}
@@ -58,7 +58,7 @@ func runScenario(t testing.TB, s inject.Scenario) (*lustre.Cluster, *inject.Inje
 // and its rank is skipped — every relation is paired.
 func TestCleanClusterNoFindings(t *testing.T) {
 	c := fig7Cluster(t)
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,13 @@ import (
 // trace render names the victim as culprit with its scan-failed and
 // degraded evidence.
 func TestJournalFaultTimeline(t *testing.T) {
-	ctx, cancel := testCtx(t)
-	defer cancel()
 
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
 	victim := images[len(images)-1].Label()
 
 	fault := &inject.NetFault{Scenario: inject.NetCrashMidStream, AfterChunks: 1}
-	res, err := RunContext(ctx, images, degradedOptions(victim, fault))
+	res, err := Run(images, degradedOptions(victim, fault))
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
@@ -111,7 +109,7 @@ func TestJournalFaultTimeline(t *testing.T) {
 // journal (coordinator + one lane per server) but no suspects.
 func TestJournalCleanRun(t *testing.T) {
 	c := fig7Cluster(t)
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

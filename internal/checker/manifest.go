@@ -18,7 +18,6 @@ func (r *Result) Manifest(opt Options) *telemetry.RunManifest {
 		"split_properties": opt.SplitProperties,
 		"allow_degraded":   opt.AllowDegraded,
 		"scan_timeout_ns":  opt.ScanTimeout.Nanoseconds(),
-		"op_timeout_ns":    opt.OpTimeout.Nanoseconds(),
 		"epsilon":          opt.Core.Epsilon,
 		"max_iterations":   opt.Core.MaxIterations,
 		"unpaired_weight":  opt.Core.UnpairedWeight,

@@ -17,7 +17,7 @@ func TestDetachedCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDetachedCycleDetected(t *testing.T) {
 // positives, including on clusters with lost+found content.
 func TestCleanClusterHasNoIslands(t *testing.T) {
 	c := fig7Cluster(t)
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDetachedIslandSkipsPairingFindings(t *testing.T) {
 	if err := c.MDT.Img.RemoveDirent(c.RootIno(), "proj1"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReachFindingsOnPairedGraph(t *testing.T) {
 	if err := ost.Img.SetXattr(ino, lustre.XattrLMA, lustre.EncodeLMA(stray)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(c, DefaultOptions())
+	res, err := Run(ClusterImages(c), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

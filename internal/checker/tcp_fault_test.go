@@ -12,15 +12,15 @@ import (
 	"faultyrank/internal/inject"
 )
 
-// testCtx bounds a fault test by the test binary's own deadline (minus
+// testTimeout is a scan deadline inside the test binary's own (minus
 // grace for cleanup), so a regression that hangs the network path fails
 // with the checker's context error instead of a test-suite timeout.
-func testCtx(t *testing.T) (context.Context, context.CancelFunc) {
+func testTimeout(t *testing.T) time.Duration {
 	t.Helper()
 	if dl, ok := t.Deadline(); ok {
-		return context.WithDeadline(context.Background(), dl.Add(-5*time.Second))
+		return time.Until(dl) - 5*time.Second
 	}
-	return context.WithTimeout(context.Background(), 60*time.Second)
+	return 60 * time.Second
 }
 
 // degradedOptions is the shared TCP fault-test configuration: a tight
@@ -54,15 +54,13 @@ func TestTCPDegradedScenarios(t *testing.T) {
 		fault := scenarios[i]
 		t.Run(fault.Scenario.String(), func(t *testing.T) {
 			t.Parallel()
-			ctx, cancel := testCtx(t)
-			defer cancel()
 
 			c := fig7Cluster(t)
 			images := ClusterImages(c)
 			victim := images[len(images)-1].Label()
 
 			run := func() *Result {
-				res, err := RunContext(ctx, images, degradedOptions(victim, &fault))
+				res, err := Run(images, degradedOptions(victim, &fault))
 				if err != nil {
 					t.Fatalf("degraded run failed: %v", err)
 				}
@@ -120,8 +118,6 @@ func TestTCPDegradedScenarios(t *testing.T) {
 // crash must abort the run with an error — and still not hang.
 func TestTCPStrictFaultFails(t *testing.T) {
 	t.Parallel()
-	ctx, cancel := testCtx(t)
-	defer cancel()
 
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
@@ -129,7 +125,7 @@ func TestTCPStrictFaultFails(t *testing.T) {
 
 	opt := degradedOptions(victim, &inject.NetFault{Scenario: inject.NetCrashBeforeConnect})
 	opt.AllowDegraded = false
-	_, err := RunContext(ctx, images, opt)
+	_, err := Run(images, opt)
 	if err == nil {
 		t.Fatal("strict run swallowed a crashed scanner")
 	}
@@ -142,8 +138,6 @@ func TestTCPStrictFaultFails(t *testing.T) {
 // still refuse to report on an empty graph.
 func TestTCPDegradedAllLost(t *testing.T) {
 	t.Parallel()
-	ctx, cancel := testCtx(t)
-	defer cancel()
 
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
@@ -153,7 +147,7 @@ func TestTCPDegradedAllLost(t *testing.T) {
 	}
 	opt := degradedOptions("", nil)
 	opt.NetFaults = faults
-	if _, err := RunContext(ctx, images, opt); err == nil {
+	if _, err := Run(images, opt); err == nil {
 		t.Fatal("run reported on a graph with zero surviving servers")
 	}
 }
@@ -162,8 +156,6 @@ func TestTCPDegradedAllLost(t *testing.T) {
 // run is byte-for-byte the strict run — full coverage, same graph.
 func TestTCPCleanDegradedMatchesStrict(t *testing.T) {
 	t.Parallel()
-	ctx, cancel := testCtx(t)
-	defer cancel()
 
 	c := fig7Cluster(t)
 	if _, err := inject.Inject(c, inject.DanglingObjectID, fig7Target); err != nil {
@@ -173,11 +165,11 @@ func TestTCPCleanDegradedMatchesStrict(t *testing.T) {
 
 	strict := degradedOptions("", nil)
 	strict.AllowDegraded = false
-	sres, err := RunContext(ctx, images, strict)
+	sres, err := Run(images, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := RunContext(ctx, images, degradedOptions("", nil))
+	dres, err := Run(images, degradedOptions("", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +181,68 @@ func TestTCPCleanDegradedMatchesStrict(t *testing.T) {
 	}
 	if len(sres.Findings) != len(dres.Findings) {
 		t.Fatalf("finding counts diverge: %d vs %d", len(sres.Findings), len(dres.Findings))
+	}
+}
+
+// TestDegradedSameOnBothTransports: the scan stage has one failure
+// model. A server that crashes before its scan leaves an in-process run
+// and a TCP run with the same coverage, findings and stream errors.
+func TestDegradedSameOnBothTransports(t *testing.T) {
+	t.Parallel()
+	c := fig7Cluster(t)
+	images := ClusterImages(c)
+	victim := images[len(images)-1].Label()
+	tcp := degradedOptions(victim, &inject.NetFault{Scenario: inject.NetCrashBeforeConnect})
+	inp := tcp
+	inp.UseTCP = false
+
+	tres, err := Run(images, tcp)
+	if err != nil {
+		t.Fatalf("TCP: %v", err)
+	}
+	ires, err := Run(images, inp)
+	if err != nil {
+		t.Fatalf("in process: %v", err)
+	}
+	if !reflect.DeepEqual(ires.Coverage, tres.Coverage) {
+		t.Errorf("coverage: in process %+v, TCP %+v", ires.Coverage, tres.Coverage)
+	}
+	if !reflect.DeepEqual(ires.Coverage.Missing, []string{victim}) {
+		t.Errorf("missing = %v, want [%s]", ires.Coverage.Missing, victim)
+	}
+	if !reflect.DeepEqual(ires.Findings, tres.Findings) {
+		t.Errorf("findings diverge: in process %d, TCP %d", len(ires.Findings), len(tres.Findings))
+	}
+	if !reflect.DeepEqual(ires.Net.StreamErrors, tres.Net.StreamErrors) {
+		t.Errorf("stream errors: in process %q, TCP %q", ires.Net.StreamErrors, tres.Net.StreamErrors)
+	}
+	if len(ires.Net.StreamErrors) != 1 || !strings.HasPrefix(ires.Net.StreamErrors[0], "scanner "+victim+": ") {
+		t.Errorf("stream errors = %q, want one naming scanner %s", ires.Net.StreamErrors, victim)
+	}
+}
+
+// TestInProcessStrictCrashFails: without AllowDegraded, a server that
+// crashes before its scan fails an in-process run as it fails a TCP one.
+func TestInProcessStrictCrashFails(t *testing.T) {
+	t.Parallel()
+	c := fig7Cluster(t)
+	images := ClusterImages(c)
+	opt := degradedOptions(images[len(images)-1].Label(), &inject.NetFault{Scenario: inject.NetCrashBeforeConnect})
+	opt.UseTCP = false
+	opt.AllowDegraded = false
+	if _, err := Run(images, opt); !errors.Is(err, inject.ErrScannerCrash) {
+		t.Fatalf("err = %v, want %v", err, inject.ErrScannerCrash)
+	}
+}
+
+// TestInProcessScanTimeout: ScanTimeout bounds the in-process scan stage
+// too; a deadline no scan can meet fails the run.
+func TestInProcessScanTimeout(t *testing.T) {
+	t.Parallel()
+	c := fig7Cluster(t)
+	opt := DefaultOptions()
+	opt.ScanTimeout = time.Nanosecond
+	if _, err := Run(ClusterImages(c), opt); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want %v", err, context.DeadlineExceeded)
 	}
 }

@@ -56,7 +56,7 @@ func faultedFig7Graph(t *testing.T) *graph.Bidirected {
 	if _, err := inject.Inject(c, inject.DanglingObjectID, "/proj1/file2"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := checker.RunCluster(c, checker.DefaultOptions())
+	res, err := checker.Run(checker.ClusterImages(c), checker.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"path/filepath"
 	"runtime"
@@ -230,7 +229,9 @@ func (d *Daemon) AddCluster(spec ClusterSpec) error {
 	jr.SetServer(spec.Name)
 	opt.Journal = jr
 
-	tr, err := d.openTracker(spec, opt)
+	tr, err := online.Open(spec.StateDir, spec.Images, opt, func(format string, args ...any) {
+		d.logf("cluster %s: %s", spec.Name, fmt.Sprintf(format, args...))
+	})
 	if err != nil {
 		return fmt.Errorf("health: cluster %q: %w", spec.Name, err)
 	}
@@ -256,29 +257,6 @@ func (d *Daemon) AddCluster(spec ClusterSpec) error {
 	d.members[spec.Name] = m
 	d.order = append(d.order, spec.Name)
 	return nil
-}
-
-// openTracker resumes a cluster's tracker from its state directory when
-// a compatible snapshot exists, and starts cold otherwise — the same
-// fallback ladder as `faultyrank -online -state`.
-func (d *Daemon) openTracker(spec ClusterSpec, opt checker.Options) (*online.Tracker, error) {
-	if spec.StateDir == "" {
-		return online.NewTracker(spec.Images, opt)
-	}
-	tr, err := online.LoadState(spec.StateDir, spec.Images, opt)
-	switch {
-	case err == nil:
-		d.logf("cluster %s: resumed tracker state from %s", spec.Name, spec.StateDir)
-		return tr, nil
-	case errors.Is(err, fs.ErrNotExist):
-		return online.NewTracker(spec.Images, opt)
-	case errors.Is(err, online.ErrTrackerSnapshotVersion):
-		d.logf("cluster %s: snapshot in %s is from an incompatible build, starting fresh",
-			spec.Name, spec.StateDir)
-		return online.NewTracker(spec.Images, opt)
-	default:
-		return nil, err
-	}
 }
 
 func (d *Daemon) logf(format string, args ...any) {

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -1147,6 +1149,38 @@ func TestWatchCancelBeatsPendingTick(t *testing.T) {
 		}
 		if rounds != 1 {
 			t.Fatalf("attempt %d: watch ran %d rounds, want 1 (a round ran after cancellation)", i, rounds)
+		}
+	}
+}
+
+// TestRoundReportsCoverage: a tracker round merges every server, and its
+// result, report and run manifest say so, as an offline check of the
+// same cluster does.
+func TestRoundReportsCoverage(t *testing.T) {
+	c := newCluster(t)
+	tr := newTracker(t, c)
+	n := len(checker.ClusterImages(c))
+	for round := 1; round <= 2; round++ {
+		res, err := tr.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (checker.Coverage{Total: n}); !reflect.DeepEqual(res.Coverage, want) {
+			t.Fatalf("round %d: coverage %+v, want %+v", round, res.Coverage, want)
+		}
+		cov := res.Manifest(checker.DefaultOptions()).Results["coverage"].(map[string]any)
+		if cov["total"] != n || cov["complete"] != n {
+			t.Fatalf("round %d: manifest coverage %v, want total and complete %d", round, cov, n)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteReport(&buf, false); err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("coverage: complete — all %d server(s) merged", n); !strings.Contains(buf.String(), line) {
+			t.Fatalf("round %d: report lacks %q:\n%s", round, line, buf.String())
+		}
+		if _, err := c.Create(fmt.Sprintf("/w/cov%d", round), 64<<10); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ const trackerMagic = "FRSN"
 var ErrTrackerSnapshot = errors.New("malformed tracker snapshot")
 
 // ErrTrackerSnapshotVersion is wrapped when the magic or version does
-// not match this build; the caller falls back to a cold NewTracker.
+// not match this build; Open falls back to a cold NewTracker.
 var ErrTrackerSnapshotVersion = errors.New("unsupported tracker snapshot version")
 
 // ErrTrackerSnapshotLabels is wrapped when a structurally valid
@@ -234,12 +235,37 @@ func (t *Tracker) SaveState(dir string) error {
 }
 
 // LoadState restores a tracker from dir. A missing snapshot reports
-// fs.ErrNotExist (via os.ReadFile) — the caller's cue to start cold
-// with NewTracker instead.
+// fs.ErrNotExist (via os.ReadFile) — Open's cue to start cold with
+// NewTracker instead.
 func LoadState(dir string, images []*ldiskfs.Image, opt checker.Options) (*Tracker, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, stateFileName))
 	if err != nil {
 		return nil, err
 	}
 	return RestoreTracker(blob, images, opt)
+}
+
+// Open resumes a tracker from the snapshot SaveState left in stateDir,
+// or starts a fresh one (NewTracker's full scan) when there is nothing
+// to resume: no state directory, no snapshot in it, or a snapshot from
+// an incompatible build — expected across upgrades. A malformed
+// snapshot, or one from another cluster, is an error. logf receives one
+// line saying how a state directory was used.
+func Open(stateDir string, images []*ldiskfs.Image, opt checker.Options, logf func(format string, args ...any)) (*Tracker, error) {
+	if stateDir == "" {
+		return NewTracker(images, opt)
+	}
+	tr, err := LoadState(stateDir, images, opt)
+	switch {
+	case err == nil:
+		logf("resumed tracker state from %s", stateDir)
+		return tr, nil
+	case errors.Is(err, fs.ErrNotExist):
+		logf("no snapshot in %s, starting fresh", stateDir)
+	case errors.Is(err, ErrTrackerSnapshotVersion):
+		logf("snapshot in %s is from an incompatible build, starting fresh", stateDir)
+	default:
+		return nil, err
+	}
+	return NewTracker(images, opt)
 }

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"faultyrank/internal/bincodec/bincodectest"
@@ -269,4 +272,78 @@ func FuzzDecodeTrackerSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		bincodectest.RoundTrip(t, blob, decodeTrackerSnapshot, encodeTrackerSnapshot)
 	})
+}
+
+// TestOpenFallbackLadder: Open starts a fresh tracker when there is
+// nothing to resume — no state directory, no snapshot in it, a snapshot
+// from another build — resumes a compatible snapshot, and refuses a
+// malformed snapshot or one from another cluster.
+func TestOpenFallbackLadder(t *testing.T) {
+	c := newCluster(t)
+	images := checker.ClusterImages(c)
+	opt := checker.DefaultOptions()
+	tr := newTracker(t, c)
+	if _, err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	saved := t.TempDir()
+	if err := tr.SaveState(saved); err != nil {
+		t.Fatal(err)
+	}
+	blob := tr.EncodeSnapshot()
+	stateDir := func(blob []byte) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, stateFileName), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	future := append([]byte(nil), blob...)
+	future[4] = TrackerCodecVersion + 1
+
+	cases := []struct {
+		name    string
+		dir     string
+		images  []*ldiskfs.Image
+		checks  int64 // the opened tracker's round count: 0 = fresh
+		log     string
+		wantErr error
+	}{
+		{name: "no state directory", checks: 0},
+		{name: "missing snapshot", dir: t.TempDir(), checks: 0, log: "starting fresh"},
+		{name: "incompatible build", dir: stateDir(future), checks: 0, log: "incompatible build"},
+		{name: "compatible snapshot", dir: saved, checks: 1, log: "resumed tracker state"},
+		{name: "malformed snapshot", dir: stateDir(append(append([]byte(nil), blob...), 0)), wantErr: ErrTrackerSnapshot},
+		{name: "label mismatch", dir: saved, images: images[:len(images)-1], wantErr: ErrTrackerSnapshotLabels},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			imgs := images
+			if tc.images != nil {
+				imgs = tc.images
+			}
+			var logged []string
+			got, err := Open(tc.dir, imgs, opt, func(format string, args ...any) {
+				logged = append(logged, fmt.Sprintf(format, args...))
+			})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := got.Stats().Checks; n != tc.checks {
+				t.Errorf("opened tracker has %d checks, want %d", n, tc.checks)
+			}
+			if tc.log == "" && len(logged) > 0 {
+				t.Errorf("unexpected log %q", logged)
+			}
+			if tc.log != "" && (len(logged) != 1 || !strings.Contains(logged[0], tc.log)) {
+				t.Errorf("log %q, want one line containing %q", logged, tc.log)
+			}
+		})
+	}
 }

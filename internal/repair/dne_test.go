@@ -39,7 +39,7 @@ func dneCluster(t testing.TB) *lustre.Cluster {
 // the cross-MDT remote-directory relations.
 func TestDNECleanClusterConsistent(t *testing.T) {
 	c := dneCluster(t)
-	res, err := checker.RunCluster(c, checker.DefaultOptions())
+	res, err := checker.Run(checker.ClusterImages(c), checker.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestSplitPassNoFalsePositives(t *testing.T) {
 	c := fig7Cluster(t)
 	opt := checker.DefaultOptions()
 	opt.SplitProperties = true
-	res, err := checker.RunCluster(c, opt)
+	res, err := checker.Run(checker.ClusterImages(c), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSplitPassDoesNotDuplicate(t *testing.T) {
 
 	opt := checker.DefaultOptions()
 	opt.SplitProperties = true
-	res, err := checker.RunCluster(c, opt)
+	res, err := checker.Run(checker.ClusterImages(c), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,6 @@ type Partial struct {
 	Stats       Stats
 }
 
-// Scan opens a serialized image and extracts its partial graph, sharding
-// the block-group sweep across workers (<=0 = GOMAXPROCS).
-func Scan(raw []byte, workers int) (*Partial, error) {
-	img, err := ldiskfs.FromBytes(raw)
-	if err != nil {
-		return nil, err
-	}
-	return ScanImage(img, workers)
-}
-
 // ScanImage extracts the partial graph of one server image: a compat
 // wrapper reassembling the streaming scanner's chunk sequence (released
 // in group order, so the result is deterministic independent of worker

@@ -150,14 +150,18 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 func TestScanFromBytes(t *testing.T) {
 	c := buildCluster(t)
 	raw := append([]byte(nil), c.MDT.Img.Bytes()...)
-	p, err := Scan(raw, 0)
+	img, err := ldiskfs.FromBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ScanImage(img, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Objects.Len() != 9 {
 		t.Errorf("objects = %d", p.Objects.Len())
 	}
-	if _, err := Scan([]byte("garbage"), 0); err == nil {
+	if _, err := ldiskfs.FromBytes([]byte("garbage")); err == nil {
 		t.Error("garbage image scanned")
 	}
 }

@@ -66,7 +66,7 @@ func TestPopulateBuildsConsistentTree(t *testing.T) {
 		t.Errorf("objects = %d < files", st.Objects)
 	}
 	// A populated cluster must be fully consistent.
-	res, err := checker.RunCluster(c, checker.DefaultOptions())
+	res, err := checker.Run(checker.ClusterImages(c), checker.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestAgeReachesTargetAndStaysConsistent(t *testing.T) {
 		t.Fatal("no files alive")
 	}
 	// Churned clusters must still be consistent.
-	res, err := checker.RunCluster(c, checker.DefaultOptions())
+	res, err := checker.Run(checker.ClusterImages(c), checker.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
