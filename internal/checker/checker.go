@@ -28,9 +28,11 @@ import (
 
 // Options configures a checker run.
 type Options struct {
-	// Workers bounds parallelism in scanners and graph kernels.
+	// Workers bounds the parallelism of every stage: scanners, merge,
+	// graph build and the rank kernel (<= 0 = GOMAXPROCS).
 	Workers int
-	// Core configures the FaultyRank iteration and detection.
+	// Core configures the FaultyRank iteration and detection. A check
+	// does not read Core.Workers.
 	Core core.Options
 	// UseTCP routes chunk streams through localhost TCP (the paper's
 	// deployment shape: scanners on OSS nodes ship graphs to the MDS
@@ -398,6 +400,7 @@ func analyze(ctx context.Context, root *telemetry.Span, res *Result, images []*l
 	if opt.Core.MaxIterations == 0 {
 		opt.Core = core.DefaultOptions()
 	}
+	opt.Core.Workers = opt.Workers
 	t1 := time.Now()
 	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")
 	u, err := unify(aggCtx)

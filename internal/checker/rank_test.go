@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"faultyrank/internal/core"
 	"faultyrank/internal/inject"
+	"faultyrank/internal/ldiskfs"
+	"faultyrank/internal/lustre"
 )
 
 // rankEqualBitwise demands bit-identical rank vectors and the same
@@ -108,5 +111,57 @@ func TestRankWorkersSkipCleanGraph(t *testing.T) {
 		if !skipped {
 			t.Fatalf("%s: no skipped event in the journal", label)
 		}
+	}
+}
+
+// TestWorkersBoundTheRank: Options.Workers bounds the rank kernel too,
+// whatever Core.Workers says. On two processors a Workers 1 check of a
+// graph wider than one 4096-row kernel block sweeps without a helper
+// goroutine, and a Workers 2 check of the same graph (the control)
+// sweeps with one.
+func TestWorkersBoundTheRank(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c, err := lustre.NewCluster(lustre.Config{
+		NumOSTs: 4, StripeSize: 64 << 10, StripeCount: -1,
+		Geometry: ldiskfs.CompactGeometry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 10; d++ {
+		if err := c.MkdirAll(fmt.Sprintf("/d%d", d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := 0; f < 1500; f++ {
+		if _, err := c.Create(fmt.Sprintf("/d%d/f%d", f%10, f), 3*64<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	images := ClusterImages(c)
+
+	// extra is how many more goroutines run during the rank's iterations
+	// than before the check.
+	extra := func(workers int) int {
+		opt := DefaultOptions()
+		opt.Workers = workers
+		opt.Core.AlwaysRank = true
+		before, during := runtime.NumGoroutine(), 0
+		opt.Core.OnIteration = func(int, float64) { during = max(during, runtime.NumGoroutine()) }
+		res, err := Run(images, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rank.Iterations == 0 || res.Stats.Vertices <= 4096 {
+			t.Fatalf("workers=%d: %d iterations over %d vertices; the probe would be vacuous",
+				workers, res.Rank.Iterations, res.Stats.Vertices)
+		}
+		return during - before
+	}
+	if n := extra(2); n < 1 {
+		t.Fatalf("Workers 2: %d extra goroutines during the rank, want a sweep helper", n)
+	}
+	if n := extra(1); n > 0 {
+		t.Fatalf("Workers 1: %d extra goroutines during the rank, want none", n)
 	}
 }

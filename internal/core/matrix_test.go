@@ -14,9 +14,9 @@ import (
 )
 
 // runOverTCP is core.RunPartitioned with the channel links replaced by
-// the rank exchange: each worker is a wire.ServeRankWorker goroutine, so
-// its shard, its kernel constants and every frame cross the versioned
-// codecs.
+// the rank exchange: each worker is a wire.ServeRankWorker goroutine
+// handed its shard, so its kernel constants and every superstep frame
+// cross the versioned codec.
 func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -27,16 +27,16 @@ func runOverTCP(t *testing.T, plan *graph.Plan, opt core.Options) *core.Result {
 	}
 	defer x.Close()
 	var wg sync.WaitGroup
-	for p := 0; p < plan.K; p++ {
+	for _, sub := range plan.Parts {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			if err := wire.ServeRankWorker(ctx, addr, p, opt.PartitionWorkers(plan.K), 5*time.Second); err != nil {
-				t.Errorf("worker %d: %v", p, err)
+			if err := wire.ServeRankWorker(ctx, addr, sub, opt.PartitionWorkers(plan.K), 5*time.Second); err != nil {
+				t.Errorf("worker %d: %v", sub.Part, err)
 			}
-		}(p)
+		}()
 	}
-	links, err := x.AcceptWorkers(ctx, plan.Parts)
+	links, err := x.AcceptWorkers(ctx, plan.K)
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}

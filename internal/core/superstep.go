@@ -39,8 +39,8 @@ import (
 
 // RankDelta frame kinds.
 const (
-	// RankHello is the exchange handshake: a dialing worker announces its
-	// partition index — nothing else — and is shipped its shard.
+	// RankHello is the exchange handshake: a dialing worker announces the
+	// partition index of the shard it was handed — nothing else.
 	RankHello uint8 = iota + 1
 	// RankInit scatters the (rescaled) initial ranks to one partition
 	// together with the kernel constants its arithmetic reads; Halt set

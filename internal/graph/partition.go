@@ -75,18 +75,6 @@ func (s *SubGraph) NLocal() int { return len(s.Local) }
 // NCols returns the size of the local column space (locals + ghosts).
 func (s *SubGraph) NCols() int { return len(s.Local) + len(s.Ghosts) }
 
-// MemoryBytes estimates the heap footprint of the SubGraph arrays.
-func (s *SubGraph) MemoryBytes() int64 {
-	m := int64(len(s.Local))*4 + int64(len(s.Ghosts))*4
-	m += int64(len(s.RevOff))*8 + int64(len(s.RevCol))*4
-	m += int64(len(s.FwdOff))*8 + int64(len(s.FwdCol))*4 + int64(len(s.FwdPaired))
-	m += int64(len(s.OutDeg)+len(s.PairedIn)+len(s.UnpairedIn)) * 4
-	for _, st := range s.SendTo {
-		m += int64(len(st)) * 4
-	}
-	return m
-}
-
 // Plan is a complete K-way partitioning of one Bidirected graph.
 type Plan struct {
 	K int

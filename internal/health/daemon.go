@@ -36,23 +36,18 @@ type DaemonOptions struct {
 	// Logf, when non-nil, receives one line per completed or failed
 	// round (the daemon's operational log).
 	Logf func(format string, args ...any)
-	// StaleAfter is how long a cluster may go without settling a round
-	// before its status reads "stale" instead of whatever its last
-	// findings said (<= 0 = ten intervals, floor defaultStaleAfter). A
-	// wedged tracker stops completing rounds but keeps its old counts;
-	// without an age check it would look healthy forever.
-	StaleAfter time.Duration
 }
 
 // defaultStaleAfter floors the staleness window so short watch
 // intervals do not flap a busy cluster to "stale" between rounds.
 const defaultStaleAfter = 30 * time.Second
 
-// staleAfter resolves the effective staleness window.
+// staleAfter is how long a cluster may go without settling a round
+// before its status reads "stale" instead of whatever its last findings
+// said: ten intervals, floor defaultStaleAfter. A wedged tracker stops
+// completing rounds but keeps its old counts; without an age check it
+// would look healthy forever.
 func (d *Daemon) staleAfter() time.Duration {
-	if d.opt.StaleAfter > 0 {
-		return d.opt.StaleAfter
-	}
 	iv := d.opt.Interval
 	if iv <= 0 {
 		iv = time.Second

@@ -143,7 +143,7 @@ func trackerRoundAllocs(t *testing.T, always bool) {
 	measure := func(size int64) (idle, delta cost) {
 		c := agedCluster(t, size)
 		opt := checker.DefaultOptions()
-		opt.Workers, opt.Core.Workers = 1, 1
+		opt.Workers = 1
 		opt.Core.AlwaysRank = always
 		tr, err := NewTracker(checker.ClusterImages(c), opt)
 		if err != nil {

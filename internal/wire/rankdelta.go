@@ -17,9 +17,9 @@ import (
 // payload. A coordinator and its workers must agree exactly — the
 // superstep protocol has no room for mixed-version best effort, and the
 // version byte is what turns a stale peer into a loud decode error
-// instead of silent garbage. Version 3 dropped the Hello shard fingerprint (every
-// worker is shipped its shard) and added the kernel constants Init
-// carries.
+// instead of silent garbage. Version 3 dropped the Hello shard
+// fingerprint (the driver that built the plan hands each worker its
+// shard) and added the kernel constants Init carries.
 const RankDeltaVersion = 3
 
 // RankDelta encoding (little-endian), version 3:
@@ -149,7 +149,6 @@ type RankConn struct {
 	conn      net.Conn
 	ctx       context.Context
 	opTimeout time.Duration
-	metrics   *Metrics
 }
 
 // NewRankConn wraps an established connection as a superstep link.
@@ -157,29 +156,18 @@ func NewRankConn(ctx context.Context, conn net.Conn, opTimeout time.Duration) *R
 	return &RankConn{conn: conn, ctx: ctx, opTimeout: opTimeout}
 }
 
-// Observe attaches wire metrics: rank frames count into the run-wide
-// frame/byte counters like chunk frames do.
-func (c *RankConn) Observe(m *Metrics) { c.metrics = m }
-
-// write frames one message of the link under the deadline discipline.
-func (c *RankConn) write(typ byte, payload []byte) error {
+// Send writes one superstep message.
+func (c *RankConn) Send(d *core.RankDelta) error {
 	if err := c.ctx.Err(); err != nil {
 		return err
 	}
 	_ = c.conn.SetWriteDeadline(ioDeadline(c.ctx, c.opTimeout))
-	if err := WriteFrame(c.conn, typ, payload); err != nil {
-		return err
-	}
-	if c.metrics != nil {
-		c.metrics.FramesSent.Inc()
-		c.metrics.BytesSent.Add(int64(len(payload)))
-	}
-	return nil
+	return WriteFrame(c.conn, MsgRankDelta, EncodeRankDelta(d))
 }
 
-// read returns the payload of the link's next message, which must be of
-// type want (a peer's MsgError surfaces as its error).
-func (c *RankConn) read(want byte) ([]byte, error) {
+// Recv reads one superstep message (a peer's MsgError surfaces as its
+// error).
+func (c *RankConn) Recv() (*core.RankDelta, error) {
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -191,26 +179,8 @@ func (c *RankConn) read(want byte) ([]byte, error) {
 	if err := AsError(typ, payload); err != nil {
 		return nil, err
 	}
-	if typ != want {
-		return nil, fmt.Errorf("wire: frame type %d on rank link, want %d", typ, want)
-	}
-	if c.metrics != nil {
-		c.metrics.FramesRecv.Inc()
-		c.metrics.BytesRecv.Add(int64(len(payload)))
-	}
-	return payload, nil
-}
-
-// Send writes one superstep message.
-func (c *RankConn) Send(d *core.RankDelta) error {
-	return c.write(MsgRankDelta, EncodeRankDelta(d))
-}
-
-// Recv reads one superstep message.
-func (c *RankConn) Recv() (*core.RankDelta, error) {
-	payload, err := c.read(MsgRankDelta)
-	if err != nil {
-		return nil, err
+	if typ != MsgRankDelta {
+		return nil, fmt.Errorf("wire: frame type %d on rank link, want %d", typ, MsgRankDelta)
 	}
 	return DecodeRankDelta(payload)
 }
@@ -225,7 +195,6 @@ func (c *RankConn) Close() error { return c.conn.Close() }
 type RankExchange struct {
 	ln        net.Listener
 	opTimeout time.Duration
-	metrics   *Metrics
 
 	// mu guards conns and closed: AcceptWorkers' context watcher closes
 	// the exchange from its own goroutine while the accept loop is still
@@ -237,8 +206,9 @@ type RankExchange struct {
 
 // NewRankExchange listens for rank workers on a fresh localhost port
 // (127.0.0.1:0): the workers are goroutines of the coordinator's
-// process, and nothing off the host can dial in for a shard. opTimeout
-// bounds every subsequent per-frame read/write on accepted links.
+// process, and nothing off the host can dial in to take a partition.
+// opTimeout bounds every subsequent per-frame read/write on accepted
+// links.
 func NewRankExchange(opTimeout time.Duration) (*RankExchange, string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -247,18 +217,14 @@ func NewRankExchange(opTimeout time.Duration) (*RankExchange, string, error) {
 	return &RankExchange{ln: ln, opTimeout: opTimeout}, ln.Addr().String(), nil
 }
 
-// Observe attaches wire metrics to every link the exchange accepts.
-func (x *RankExchange) Observe(m *Metrics) { x.metrics = m }
-
-// AcceptWorkers accepts one worker connection per shard in parts (the
-// plan's partitions, indexed by partition), and runs the one handshake
-// with each: read its Hello, check the partition it names is in range
-// and not already taken, encode that partition's shard and ship it in a
-// MsgSubGraph frame. It returns the links ordered by partition index.
-// ctx bounds the whole handshake: its cancellation closes the listener
-// and every accepted connection, so a worker that never dials cannot
-// hang the coordinator.
-func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGraph) ([]core.Link, error) {
+// AcceptWorkers accepts one worker connection per partition of a k-way
+// plan and runs the one handshake with each: read its Hello and check
+// that the partition it names is in range and not already taken. It
+// writes nothing; each worker already holds its shard. It returns the
+// links ordered by partition index. ctx bounds the whole handshake: its
+// cancellation closes the listener and every accepted connection, so a
+// worker that never dials cannot hang the coordinator.
+func (x *RankExchange) AcceptWorkers(ctx context.Context, k int) ([]core.Link, error) {
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -269,7 +235,6 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGrap
 		}
 	}()
 
-	k := len(parts)
 	links := make([]core.Link, k)
 	for accepted := 0; accepted < k; accepted++ {
 		rc, err := x.accept(ctx)
@@ -292,11 +257,6 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, parts []*graph.SubGrap
 		if links[hello.Part] != nil {
 			return nil, fmt.Errorf("wire: duplicate rank hello for partition %d", hello.Part)
 		}
-		// The blob is encoded for this worker and dropped once written,
-		// so the coordinator never holds more than one shard's encoding.
-		if err := rc.write(MsgSubGraph, graph.EncodeSubGraph(parts[hello.Part])); err != nil {
-			return nil, fmt.Errorf("wire: shipping shard to partition %d: %w", hello.Part, err)
-		}
 		links[hello.Part] = rc
 	}
 	return links, nil
@@ -311,7 +271,6 @@ func (x *RankExchange) accept(ctx context.Context) (*RankConn, error) {
 		return nil, err
 	}
 	rc := NewRankConn(ctx, conn, x.opTimeout)
-	rc.Observe(x.metrics)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {
@@ -336,40 +295,23 @@ func (x *RankExchange) Close() error {
 	return err
 }
 
-// recvShard reads the MsgSubGraph frame the coordinator answers a Hello
-// with and decodes it. The blob comes from a peer, so every FRSG
-// invariant is re-checked (graph.DecodeSubGraph) before a row of it is
-// swept.
-func (c *RankConn) recvShard() (*graph.SubGraph, error) {
-	blob, err := c.read(MsgSubGraph)
-	if err != nil {
-		return nil, err
-	}
-	return graph.DecodeSubGraph(blob)
-}
-
 // ServeRankWorker is the one rank worker: it dials the coordinator's
-// exchange at addr with bounded retry, announces partition part, receives
-// and revalidates its shard, and runs the worker side of the superstep
-// protocol (core.RunPartition) until the coordinator's Done or a broken
-// link. A driver runs one goroutine of it per partition. workers
-// bounds the local sweep's parallelism; every other kernel knob arrives in the Init frame.
-func ServeRankWorker(ctx context.Context, addr string, part, workers int, opTimeout time.Duration) error {
+// exchange at addr with bounded retry, announces the partition of its
+// shard sub, and runs the worker side of the superstep protocol
+// (core.RunPartition) on sub until the coordinator's Done or a broken
+// link. The driver that built the plan runs one goroutine of it per
+// partition and hands each its shard directly. workers bounds the local
+// sweep's parallelism; every other kernel knob arrives in the Init
+// frame.
+func ServeRankWorker(ctx context.Context, addr string, sub *graph.SubGraph, workers int, opTimeout time.Duration) error {
 	conn, _, err := dialRetry(ctx, addr, DefaultRetryPolicy())
 	if err != nil {
 		return fmt.Errorf("dialing rank exchange %s: %w", addr, err)
 	}
 	rc := NewRankConn(ctx, conn, opTimeout)
 	defer rc.Close()
-	if err := rc.Send(&core.RankDelta{Kind: core.RankHello, Part: uint32(part)}); err != nil {
+	if err := rc.Send(&core.RankDelta{Kind: core.RankHello, Part: uint32(sub.Part)}); err != nil {
 		return fmt.Errorf("rank hello: %w", err)
-	}
-	sub, err := rc.recvShard()
-	if err != nil {
-		return fmt.Errorf("receiving shard for partition %d: %w", part, err)
-	}
-	if sub.Part != part {
-		return fmt.Errorf("coordinator shipped partition %d, want %d", sub.Part, part)
 	}
 	return core.RunPartition(sub, workers, rc)
 }

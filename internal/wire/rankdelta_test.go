@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -115,27 +114,27 @@ func mutate(b []byte, off int, v byte) []byte {
 	return out
 }
 
-// serveAll starts one ServeRankWorker goroutine per partition against
-// addr and returns a wait function that reports their errors.
-func serveAll(t *testing.T, ctx context.Context, addr string, k int) (wait func()) {
+// serveAll starts one ServeRankWorker goroutine per shard against addr
+// and returns a wait function that reports their errors.
+func serveAll(t *testing.T, ctx context.Context, addr string, parts []*graph.SubGraph) (wait func()) {
 	t.Helper()
 	var wg sync.WaitGroup
-	for p := 0; p < k; p++ {
+	for _, sub := range parts {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			if err := ServeRankWorker(ctx, addr, p, 1, 5*time.Second); err != nil {
-				t.Errorf("worker %d: %v", p, err)
+			if err := ServeRankWorker(ctx, addr, sub, 1, 5*time.Second); err != nil {
+				t.Errorf("worker %d: %v", sub.Part, err)
 			}
-		}(p)
+		}()
 	}
 	return wg.Wait
 }
 
 // TestRankExchangeTCPExact runs a complete partitioned rank execution
-// over the exchange — workers dial in, announce partitions via Hello,
-// are shipped their shards and kernel constants, and the BSP protocol
-// crosses the versioned codec — and demands bit-identical ranks vs the
+// over the exchange — workers holding their shards dial in, announce
+// partitions via Hello, are sent their kernel constants, and the BSP
+// protocol crosses the versioned codec — and demands bit-identical ranks vs the
 // single-process kernel, under the default constants and under a set
 // the workers could not have guessed.
 func TestRankExchangeTCPExact(t *testing.T) {
@@ -167,8 +166,8 @@ func TestRankExchangeTCPExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wait := serveAll(t, ctx, addr, k)
-			links, err := x.AcceptWorkers(ctx, plan.Parts)
+			wait := serveAll(t, ctx, addr, plan.Parts)
+			links, err := x.AcceptWorkers(ctx, k)
 			if err != nil {
 				t.Fatalf("k=%d accept: %v", k, err)
 			}
@@ -196,17 +195,6 @@ func TestRankExchangeTCPExact(t *testing.T) {
 	}
 }
 
-// tinyParts is a k-way plan of a small graph: something for an exchange
-// under test to ship.
-func tinyParts(k int) []*graph.SubGraph {
-	b := graph.NewBidirected(40, []graph.Edge{{Src: 0, Dst: 9}, {Src: 9, Dst: 0}, {Src: 3, Dst: 22}}, 2)
-	owners := make([]uint16, b.N())
-	for g := range owners {
-		owners[g] = uint16(g % k)
-	}
-	return graph.PartitionPlan(b, owners, k, 2).Parts
-}
-
 // dialFrame connects to an exchange the way a worker does and writes one
 // raw MsgRankDelta payload as its opening frame.
 func dialFrame(t *testing.T, ctx context.Context, addr string, payload []byte) *RankConn {
@@ -228,7 +216,7 @@ func hello(part uint32) []byte {
 // TestRankExchangeRejectsBadHello: the one handshake refuses a duplicate
 // or out-of-range partition, an opening frame that is not a Hello, and a
 // Hello from a build speaking another codec version — the last with the
-// version sentinel, before any shard is shipped.
+// version sentinel.
 func TestRankExchangeRejectsBadHello(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -251,7 +239,7 @@ func TestRankExchangeRejectsBadHello(t *testing.T) {
 		for _, f := range tc.frames {
 			defer dialFrame(t, ctx, addr, f).Close()
 		}
-		_, err = x.AcceptWorkers(ctx, tinyParts(2))
+		_, err = x.AcceptWorkers(ctx, 2)
 		if err == nil {
 			t.Fatalf("%s: handshake accepted", name)
 		}
@@ -262,9 +250,9 @@ func TestRankExchangeRejectsBadHello(t *testing.T) {
 	}
 }
 
-// TestRankExchangeBindAddress: the exchange ships whole shards to
-// whoever dials in, so it listens on loopback only, on a fresh port per
-// exchange.
+// TestRankExchangeBindAddress: the exchange takes a partition's Hello
+// from whoever dials in, so it listens on loopback only, on a fresh port
+// per exchange.
 func TestRankExchangeBindAddress(t *testing.T) {
 	x1, a1, err := NewRankExchange(time.Second)
 	if err != nil {
@@ -283,48 +271,6 @@ func TestRankExchangeBindAddress(t *testing.T) {
 	}
 	if a1 == a2 {
 		t.Fatalf("two exchanges share %s", a1)
-	}
-}
-
-// TestRankShardShipping: every worker's Hello is answered with its
-// partition's FRSG blob, byte-identical to the coordinator's canonical
-// encoding, whatever order the workers arrive in.
-func TestRankShardShipping(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	parts := tinyParts(2)
-	x, addr, err := NewRankExchange(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-
-	type joined struct {
-		p   int
-		sub *graph.SubGraph
-		err error
-	}
-	got := make(chan joined, 2)
-	for p := 1; p >= 0; p-- {
-		link := dialFrame(t, ctx, addr, hello(uint32(p)))
-		defer link.Close()
-		go func(p int) {
-			sub, err := link.recvShard()
-			got <- joined{p: p, sub: sub, err: err}
-		}(p)
-	}
-	if _, err := x.AcceptWorkers(ctx, parts); err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		j := <-got
-		if j.err != nil {
-			t.Fatalf("worker %d: %v", j.p, j.err)
-		}
-		if j.sub.Part != j.p || !bytes.Equal(graph.EncodeSubGraph(j.sub), graph.EncodeSubGraph(parts[j.p])) {
-			t.Fatalf("worker %d: shipped shard differs from the plan's", j.p)
-		}
 	}
 }
 
@@ -358,7 +304,7 @@ func TestRankExchangeCancelMidDial(t *testing.T) {
 	}
 	accepted := make(chan error, 1)
 	go func() {
-		_, err := x.AcceptWorkers(ctx, tinyParts(k))
+		_, err := x.AcceptWorkers(ctx, k)
 		accepted <- err
 	}()
 

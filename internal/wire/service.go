@@ -1,12 +1,10 @@
 package wire
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net"
 	"sync"
-	"time"
 
 	"faultyrank/internal/bincodec"
 	"faultyrank/internal/ldiskfs"
@@ -260,51 +258,20 @@ func (s *ObjectService) handle(conn net.Conn) {
 // Client is a StatFID RPC client holding one connection.
 type Client struct {
 	conn net.Conn
-	ctx  context.Context
-	// opTimeout bounds each RPC's write and reply read (0 = the ctx
-	// deadline only), so a wedged service surfaces as an I/O timeout
-	// instead of hanging the checker phase.
-	opTimeout   time.Duration
-	dialRetries int
 }
 
-// Dial connects to an ObjectService with no deadline and no retry.
+// Dial connects to an ObjectService.
 func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr, RetryPolicy{}, 0)
-}
-
-// DialContext connects to an ObjectService under ctx, retrying the dial
-// per policy; opTimeout bounds each subsequent RPC round trip.
-func DialContext(ctx context.Context, addr string, policy RetryPolicy, opTimeout time.Duration) (*Client, error) {
-	conn, retries, err := dialRetry(ctx, addr, policy)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, ctx: ctx, opTimeout: opTimeout, dialRetries: retries}, nil
-}
-
-// DialRetries reports how many redials the initial connect needed.
-func (c *Client) DialRetries() int { return c.dialRetries }
-
-// armDeadlines applies the per-op/ctx deadline to both directions of
-// the next round trip and reports a context already expired.
-func (c *Client) armDeadlines() error {
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.conn.SetDeadline(ioDeadline(ctx, c.opTimeout))
+	return &Client{conn: conn}, nil
 }
 
 // Stat performs one synchronous StatFID round trip — deliberately one
 // request per object, like LFSCK's per-inode pipeline.
 func (c *Client) Stat(f lustre.FID) (FIDInfo, error) {
-	if err := c.armDeadlines(); err != nil {
-		return FIDInfo{}, err
-	}
 	fb := f.Bytes()
 	if err := WriteFrame(c.conn, MsgStatFID, fb[:]); err != nil {
 		return FIDInfo{}, err
@@ -326,9 +293,6 @@ func (c *Client) Stat(f lustre.FID) (FIDInfo, error) {
 // improvement a modernised LFSCK could adopt (cf. Dai et al., MSST'19);
 // kept alongside the per-object Stat so both designs can be compared.
 func (c *Client) StatBatch(fids []lustre.FID) ([]FIDInfo, error) {
-	if err := c.armDeadlines(); err != nil {
-		return nil, err
-	}
 	payload := le.AppendUint32(nil, uint32(len(fids)))
 	for _, f := range fids {
 		fb := f.Bytes()

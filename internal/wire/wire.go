@@ -55,9 +55,11 @@ const (
 	// blob of telemetry.JournalSnapshot sections), sent right after
 	// MsgTelemetry on the same tolerant trailer protocol.
 	MsgJournal
-	// MsgSubGraph carries one partition's encoded graph.SubGraph shard
-	// (an FRSG blob), the coordinator's answer to a rank worker's Hello.
-	MsgSubGraph
+	// Frame type 13 carried a rank worker's encoded shard until the
+	// workers took their shard in process; it stays reserved like type 1.
+	_
+	// msgTypes is one past the last frame type in use or reserved.
+	msgTypes
 )
 
 // MaxFrame bounds a single frame (a partial graph of a multi-million
