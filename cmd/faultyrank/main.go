@@ -108,8 +108,8 @@ func realMain() int {
 	opt.Core.UnpairedWeight = *weight
 
 	// The flight recorder: every run journals into jr via opt.Journal;
-	// dump writes the collected sections (coordinator lane plus whatever
-	// per-server sections the run shipped home) next to nothing else —
+	// dump writes the collected sections (coordinator lane plus every
+	// per-server lane that recorded an event) next to nothing else —
 	// the file frtrace renders into a timeline.
 	var jr *telemetry.Journal
 	dump := func([]telemetry.JournalSnapshot) {}

@@ -42,8 +42,7 @@ func fidSlots(n int) int {
 }
 
 // hashFID is a splitmix64-style mix of all 128 FID bits. It must stay a
-// pure function of the FID: the table's probe sequence and PartitionOf's
-// partition key both derive from it.
+// pure function of the FID: the table's probe sequence derives from it.
 func hashFID(f lustre.FID) uint64 {
 	h := f.Seq*0x9E3779B97F4A7C15 + uint64(f.Oid)*0xBF58476D1CE4E5B9 + uint64(f.Ver)
 	h ^= h >> 30

@@ -1,7 +1,7 @@
 // Package bincodec is the one bounded little-endian reader under every
 // binary format in the tree — the wire frames (chunk, rank delta,
-// telemetry trailer, stat replies) and the versioned blobs (FRTM, FRJR,
-// FRDB, FRSN, FRSG). It owns the three guards every decoder of untrusted
+// stat replies) and the versioned blobs (FRTM, FRJR, FRDB, FRSN). It
+// owns the three guards every decoder of untrusted
 // bytes needs and used to hand-write: no read past the payload, no
 // allocation sized from a count the payload cannot back, no accepted
 // blob with bytes left over. What a format *means* — its field order,

@@ -252,14 +252,13 @@ type Result struct {
 	// Metrics is the deterministic end-of-run registry snapshot.
 	Metrics telemetry.Snapshot
 	// Cluster is the cluster-scoped telemetry view: one section per
-	// server (wire-shipped snapshots on the TCP path), merged cluster
-	// totals, and the straggler analysis. Nil for Analyze-only results
-	// (no scan stage ran).
+	// server, merged cluster totals, and the straggler analysis. Nil for
+	// Analyze-only results (no scan stage ran).
 	Cluster *ClusterManifest
 	// Journal is the run's flight record: the coordinator's event
-	// section first, then one section per server whose journal arrived
-	// (as a wire trailer on the TCP path, directly in process). Encode
-	// with telemetry.EncodeJournal / WriteJournalFile and render with
+	// section first, then one section per server that recorded an
+	// event, in canonical image order. Encode with
+	// telemetry.EncodeJournal / WriteJournalFile and render with
 	// cmd/frtrace.
 	Journal []telemetry.JournalSnapshot
 
@@ -338,13 +337,13 @@ func Run(images []*ldiskfs.Image, opt Options) (*Result, error) {
 	// ---- Stage 1: parallel scanners streaming chunks (T_scan) --------
 	t0 := time.Now()
 	scanCtx, scanSpan := telemetry.StartSpan(ctx, "scan")
-	ships, err := scanStage(scanCtx, images, builder, opt, res, obs)
+	sections, err := scanStage(scanCtx, images, builder, opt, res, obs)
 	scanSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	res.TScan = time.Since(t0)
-	res.Cluster = BuildClusterManifest(labels, ships)
+	res.Cluster = BuildClusterManifest(labels, sections)
 
 	// ---- Stage 2: merge, then the shared tail --------------------------
 	err = analyze(ctx, root, res, images, opt, obs, func(aggCtx context.Context) (*agg.Unified, error) {
@@ -462,11 +461,10 @@ func ClusterImages(c *lustre.Cluster) []*ldiskfs.Image {
 // error, the deadline — is recorded in the coordinator journal; strict
 // mode returns the first failure in server order, while AllowDegraded
 // lists it in res.Net.StreamErrors and completes, the merge then keeping
-// only the servers that finished. Per-server telemetry and journal lanes
-// are built locally in process; over TCP they ride home as trailers, the
-// sender-side lane standing in for a journal trailer that never came.
-// The returned telemetry becomes the cluster manifest's sections.
-func scanStage(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builder, opt Options, res *Result, obs *runObs) ([]*wire.Telemetry, error) {
+// only the servers that finished. Every server's journal lane is kept;
+// the returned sections, one per server whose scan succeeded, become the
+// cluster manifest's.
+func scanStage(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builder, opt Options, res *Result, obs *runObs) ([]ServerTelemetry, error) {
 	if opt.ScanTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.ScanTimeout)
@@ -506,22 +504,15 @@ func scanStage(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builde
 		colRes, collectErr = col.CollectChunksContext(ctx, len(images), opt.AllowDegraded, builder.Emit)
 	}
 	wg.Wait()
-	collected := make(map[string]bool, len(colRes.Journals))
-	for _, js := range colRes.Journals {
-		obs.addJournal(js)
-		collected[js.Server] = true
-	}
-	ships := colRes.Telemetry
 	res.Net = obs.netStats()
 	// The collector is the only place that knows why a stream died.
 	res.Net.StreamErrors = colRes.Errors
+	var sections []ServerTelemetry
 	for i := range scans {
 		s := &scans[i]
-		if !collected[s.label] {
-			obs.addJournal(s.journal.Snapshot())
-		}
-		if s.ship != nil {
-			ships = append(ships, s.ship)
+		obs.addJournal(s.journal.Snapshot())
+		if s.section != nil {
+			sections = append(sections, *s.section)
 		}
 		if s.err != nil {
 			if !opt.AllowDegraded {
@@ -531,9 +522,9 @@ func scanStage(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builde
 		}
 	}
 	if opt.AllowDegraded {
-		return ships, nil
+		return sections, nil
 	}
-	return ships, collectErr
+	return sections, collectErr
 }
 
 // serverScan is one server's part of the scan stage: its flight-recorder
@@ -541,18 +532,19 @@ func scanStage(ctx context.Context, images []*ldiskfs.Image, builder *agg.Builde
 type serverScan struct {
 	label   string
 	journal *telemetry.Journal
-	// ship is the server's telemetry when it was built locally (in
-	// process); over TCP it travels as a trailer frame instead.
-	ship *wire.Telemetry
-	err  error
+	// section is the server's manifest section, set only when its scan
+	// succeeded.
+	section *ServerTelemetry
+	err     error
 }
 
 // run is the per-server driver both transports share: its own registry,
 // scanner instruments, journal lane and scan:<label> span, the
-// scan-start, scan-done and scan-failed events, and one
-// ScanImageToSinkInstr. The transport chooses only the sink — builder in
-// process, a chunk stream to the collector at addr over TCP, wrapped by
-// the server's network fault when one is injected.
+// scan-start, scan-done and scan-failed events, one
+// ScanImageToSinkInstr and, when it succeeds, the manifest section. The
+// transport chooses only the sink — builder in process, a chunk stream
+// to the collector at addr over TCP, wrapped by the server's network
+// fault when one is injected.
 func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.Builder, addr string, opt Options, obs *runObs) {
 	s.label = img.Label()
 	reg := telemetry.NewRegistry()
@@ -562,11 +554,6 @@ func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.B
 	ins.AttachJournal(s.journal, chunkEventEvery)
 	_, sp := telemetry.StartSpan(ctx, "scan:"+s.label)
 	defer sp.End()
-	telem := func() *wire.Telemetry {
-		sp.End()
-		node := sp.Node()
-		return &wire.Telemetry{Server: s.label, Snapshot: reg.Snapshot().Labeled(s.label), Span: &node}
-	}
 	fail := func(err error) {
 		s.err = err
 		obs.journal.Record("checker", "scan-failed", "server", s.label, "err", err.Error())
@@ -590,10 +577,6 @@ func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.B
 			obs.journal.Record("wire", "dial-retry",
 				"server", s.label, "retries", fmt.Sprintf("%d", n))
 		}
-		// The telemetry trailer is built right after the final chunk
-		// frame is written, when the server's instruments are final;
-		// the journal trailer rides right behind it (wire.MsgJournal).
-		cs.SetTelemetrySource(telem)
 		cs.SetJournal(s.journal)
 		sink = cs
 		if fault != nil {
@@ -603,19 +586,12 @@ func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.B
 	s.journal.Record("scanner", "scan-start")
 	if err := scanner.ScanImageToSinkInstr(ctx, img, opt.Workers, opt.ChunkSize, sink, obs.scan, ins); err != nil {
 		fail(err)
-		if cs != nil {
-			// Best-effort partial telemetry and journal; the connection
-			// is usually gone, and that is fine — the server then shows
-			// up as a missing-telemetry entry.
-			_ = cs.SendTelemetry(nil)
-			_ = cs.SendJournal()
-		}
 		return
 	}
 	s.journal.Record("scanner", "scan-done")
-	if cs == nil {
-		s.ship = telem()
-	}
+	sp.End()
+	node := sp.Node()
+	s.section = &ServerTelemetry{Server: s.label, Snapshot: reg.Snapshot().Labeled(s.label), Span: &node}
 }
 
 // sortFindings orders findings deterministically for stable output.

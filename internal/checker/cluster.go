@@ -4,22 +4,21 @@ import (
 	"sort"
 
 	"faultyrank/internal/telemetry"
-	"faultyrank/internal/wire"
 )
 
 // ClusterManifestSchema identifies the cluster-manifest JSON layout.
 const ClusterManifestSchema = "faultyrank/cluster-manifest/v1"
 
 // ServerTelemetry is one server's section of the cluster manifest: the
-// telemetry its scanner shipped home in the wire trailer (or produced
-// locally on the in-process path), plus the headline columns the skew
-// analysis and the report timeline derive from it.
+// snapshot and scan span its scanner's registry recorded, plus the
+// headline columns the skew analysis and the report timeline derive
+// from them.
 type ServerTelemetry struct {
 	Server string `json:"server"`
-	// Missing marks a server whose telemetry never arrived — its
-	// scanner crashed, stalled, or lost its stream before the trailer
-	// shipped. The section then carries no data; by design this is an
-	// entry in the manifest, never a failed run.
+	// Missing marks a server whose scan did not succeed — its scanner
+	// crashed, stalled, or lost its stream. The section then carries no
+	// data; by design this is an entry in the manifest, never a failed
+	// run.
 	Missing bool `json:"missing,omitempty"`
 
 	// ScanSeconds is the server's scan-span duration — the per-server
@@ -44,7 +43,7 @@ type ServerTelemetry struct {
 	Span     *telemetry.SpanNode `json:"span,omitempty"`
 }
 
-// ClusterSkew is the straggler analysis over the servers that shipped
+// ClusterSkew is the straggler analysis over the servers that produced
 // telemetry: which server set the wall clock, which finished first, and
 // how uneven the stage was.
 type ClusterSkew struct {
@@ -61,7 +60,7 @@ type ClusterSkew struct {
 	// the paper's parallel-scan speedup erodes as this grows.
 	StragglerRatio float64 `json:"straggler_ratio,omitempty"`
 	// MissingTelemetry lists the servers excluded from the analysis
-	// because their telemetry never arrived.
+	// because their scan did not succeed.
 	MissingTelemetry []string `json:"missing_telemetry,omitempty"`
 }
 
@@ -91,15 +90,16 @@ func (m *ClusterManifest) Server(label string) *ServerTelemetry {
 }
 
 // BuildClusterManifest assembles the cluster manifest from the run's
-// server labels and whatever telemetry shipments arrived. Every label
-// gets a section — shipped ones carry their snapshot and derived
-// columns, the rest are marked Missing — so a degraded run yields a
+// server labels and the sections of the servers that produced telemetry;
+// only a section's Server, Snapshot and Span are read. Every label gets
+// a section — present ones carry their snapshot and derived columns,
+// the rest are marked Missing — so a degraded run yields a
 // deterministic partial manifest instead of an error. Sections follow
 // the given label order (the run's canonical MDT-first order).
-func BuildClusterManifest(labels []string, ships []*wire.Telemetry) *ClusterManifest {
-	byServer := make(map[string]*wire.Telemetry, len(ships))
-	for _, t := range ships {
-		if t != nil && t.Server != "" {
+func BuildClusterManifest(labels []string, sections []ServerTelemetry) *ClusterManifest {
+	byServer := make(map[string]*ServerTelemetry, len(sections))
+	for i := range sections {
+		if t := &sections[i]; t.Server != "" {
 			byServer[t.Server] = t
 		}
 	}

@@ -1,9 +1,6 @@
 package checker
 
 import (
-	"sort"
-	"sync"
-
 	"faultyrank/internal/agg"
 	"faultyrank/internal/scanner"
 	"faultyrank/internal/telemetry"
@@ -43,10 +40,10 @@ type runObs struct {
 
 	// journal is the run's coordinator-lane flight recorder (the caller's
 	// Options.Journal, or a private one — always non-nil so event sites
-	// need no guards). srvJournals collects the per-server sections that
-	// arrive as wire trailers or from in-process scanners.
+	// need no guards). srvJournals collects the per-server lanes, which
+	// the scan stage files in canonical image order once its scanners
+	// stop.
 	journal     *telemetry.Journal
-	jmu         sync.Mutex
 	srvJournals []telemetry.JournalSnapshot
 }
 
@@ -84,30 +81,19 @@ func newRunObs(reg *telemetry.Registry, j *telemetry.Journal) *runObs {
 // delta returns how much c grew since this run started.
 func (o *runObs) delta(c *telemetry.Counter) int64 { return c.Value() - o.base[c] }
 
-// addJournal files one server's flight-recorder section (thread-safe;
-// scanners finish concurrently). Unlabeled or empty sections are
-// dropped — an empty lane renders as noise.
+// addJournal files one server's flight-recorder section. Unlabeled or
+// empty sections are dropped — an empty lane renders as noise.
 func (o *runObs) addJournal(s telemetry.JournalSnapshot) {
 	if s.Server == "" || len(s.Events) == 0 {
 		return
 	}
-	o.jmu.Lock()
 	o.srvJournals = append(o.srvJournals, s)
-	o.jmu.Unlock()
 }
 
 // journals returns the run's complete flight record: the coordinator
-// section first, then the per-server sections in canonical label order.
+// section first, then the per-server sections in the order filed.
 func (o *runObs) journals() []telemetry.JournalSnapshot {
-	o.jmu.Lock()
-	defer o.jmu.Unlock()
-	out := make([]telemetry.JournalSnapshot, 0, 1+len(o.srvJournals))
-	out = append(out, o.journal.Snapshot())
-	out = append(out, o.srvJournals...)
-	sort.SliceStable(out[1:], func(i, j int) bool {
-		return out[1+i].Server < out[1+j].Server
-	})
-	return out
+	return append([]telemetry.JournalSnapshot{o.journal.Snapshot()}, o.srvJournals...)
 }
 
 // scanStats snapshots the scanner counters as per-run deltas.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -185,40 +186,88 @@ func TestTCPCleanDegradedMatchesStrict(t *testing.T) {
 }
 
 // TestDegradedSameOnBothTransports: the scan stage has one failure
-// model. A server that crashes before its scan leaves an in-process run
-// and a TCP run with the same coverage, findings and stream errors.
+// model and one way to build a server's telemetry. A clean run, and one
+// where a server crashes before its scan, leave an in-process run and a
+// TCP run with the same coverage, findings and stream errors, the same
+// cluster-manifest servers and non-wire counters, and the same journal
+// lanes with the same scanner events.
 func TestDegradedSameOnBothTransports(t *testing.T) {
 	t.Parallel()
 	c := fig7Cluster(t)
 	images := ClusterImages(c)
 	victim := images[len(images)-1].Label()
-	tcp := degradedOptions(victim, &inject.NetFault{Scenario: inject.NetCrashBeforeConnect})
-	inp := tcp
-	inp.UseTCP = false
+	for _, tc := range []struct {
+		name    string
+		fault   *inject.NetFault
+		missing []string
+	}{
+		{"clean", nil, nil},
+		{"crash-before-connect", &inject.NetFault{Scenario: inject.NetCrashBeforeConnect}, []string{victim}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tcp := degradedOptions(victim, tc.fault)
+			inp := tcp
+			inp.UseTCP = false
 
-	tres, err := Run(images, tcp)
-	if err != nil {
-		t.Fatalf("TCP: %v", err)
+			tres, err := Run(images, tcp)
+			if err != nil {
+				t.Fatalf("TCP: %v", err)
+			}
+			ires, err := Run(images, inp)
+			if err != nil {
+				t.Fatalf("in process: %v", err)
+			}
+			if !reflect.DeepEqual(ires.Coverage, tres.Coverage) {
+				t.Errorf("coverage: in process %+v, TCP %+v", ires.Coverage, tres.Coverage)
+			}
+			if !reflect.DeepEqual(ires.Coverage.Missing, tc.missing) {
+				t.Errorf("missing = %v, want %v", ires.Coverage.Missing, tc.missing)
+			}
+			if !reflect.DeepEqual(ires.Findings, tres.Findings) {
+				t.Errorf("findings diverge: in process %d, TCP %d", len(ires.Findings), len(tres.Findings))
+			}
+			if !reflect.DeepEqual(ires.Net.StreamErrors, tres.Net.StreamErrors) {
+				t.Errorf("stream errors: in process %q, TCP %q", ires.Net.StreamErrors, tres.Net.StreamErrors)
+			}
+			if tc.fault == nil {
+				if len(ires.Net.StreamErrors) != 0 {
+					t.Errorf("clean run stream errors = %q", ires.Net.StreamErrors)
+				}
+			} else if len(ires.Net.StreamErrors) != 1 || !strings.HasPrefix(ires.Net.StreamErrors[0], "scanner "+victim+": ") {
+				t.Errorf("stream errors = %q, want one naming scanner %s", ires.Net.StreamErrors, victim)
+			}
+			if got, want := transportView(tres), transportView(ires); !reflect.DeepEqual(got, want) {
+				t.Errorf("telemetry diverges:\nTCP        %+v\nin process %+v", got, want)
+			}
+		})
 	}
-	ires, err := Run(images, inp)
-	if err != nil {
-		t.Fatalf("in process: %v", err)
+}
+
+// transportView is what a run's telemetry must agree on across
+// transports: each manifest section's server, Missing flag and non-wire
+// counters, and each journal lane's server and scanner event kinds, in
+// order.
+func transportView(res *Result) []string {
+	var out []string
+	for _, s := range res.Cluster.Servers {
+		line := fmt.Sprintf("section %s missing=%t", s.Server, s.Missing)
+		for _, c := range s.Snapshot.Counters {
+			if !strings.HasPrefix(c.Name, "wire_") {
+				line += fmt.Sprintf(" %s=%d", c.Name, c.Value)
+			}
+		}
+		out = append(out, line)
 	}
-	if !reflect.DeepEqual(ires.Coverage, tres.Coverage) {
-		t.Errorf("coverage: in process %+v, TCP %+v", ires.Coverage, tres.Coverage)
+	for _, lane := range res.Journal[1:] {
+		line := "lane " + lane.Server
+		for _, e := range lane.Events {
+			if e.Component == "scanner" {
+				line += " " + e.Kind
+			}
+		}
+		out = append(out, line)
 	}
-	if !reflect.DeepEqual(ires.Coverage.Missing, []string{victim}) {
-		t.Errorf("missing = %v, want [%s]", ires.Coverage.Missing, victim)
-	}
-	if !reflect.DeepEqual(ires.Findings, tres.Findings) {
-		t.Errorf("findings diverge: in process %d, TCP %d", len(ires.Findings), len(tres.Findings))
-	}
-	if !reflect.DeepEqual(ires.Net.StreamErrors, tres.Net.StreamErrors) {
-		t.Errorf("stream errors: in process %q, TCP %q", ires.Net.StreamErrors, tres.Net.StreamErrors)
-	}
-	if len(ires.Net.StreamErrors) != 1 || !strings.HasPrefix(ires.Net.StreamErrors[0], "scanner "+victim+": ") {
-		t.Errorf("stream errors = %q, want one naming scanner %s", ires.Net.StreamErrors, victim)
-	}
+	return out
 }
 
 // TestInProcessStrictCrashFails: without AllowDegraded, a server that

@@ -96,10 +96,9 @@ func (p *Plan) CutEdges() int64 {
 }
 
 // PartitionPlan builds the K-way partition of b induced by the owners
-// map (owners[g] = partition of global vertex g, each < k). The owners
-// map typically comes from agg.(*Unified).PartitionOwners, which
-// folds the interner's FID hash, but any assignment works —
-// including adversarial ones, which the equivalence tests exploit.
+// map (owners[g] = partition of global vertex g, each < k). Any
+// assignment works — including adversarial ones, which the equivalence
+// tests exploit.
 func PartitionPlan(b *Bidirected, owners []uint16, k, workers int) *Plan {
 	n := b.N()
 	if len(owners) != n {

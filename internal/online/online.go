@@ -42,7 +42,6 @@ import (
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/scanner"
 	"faultyrank/internal/telemetry"
-	"faultyrank/internal/wire"
 )
 
 // Tracker maintains incrementally-updated partial graphs for a set of
@@ -113,7 +112,7 @@ type serverState struct {
 	img *ldiskfs.Image
 
 	// Per-server instruments: the online analogue of the per-server
-	// registries the offline TCP path ships home as wire trailers.
+	// registries an offline check's manifest sections snapshot.
 	reg       *telemetry.Registry
 	refreshed *telemetry.Counter // scanner_inodes_scanned_total
 	dropped   *telemetry.Counter // online_inodes_dropped_total
@@ -511,22 +510,22 @@ func (t *Tracker) saveWarmState(res *checker.Result, mat *agg.Materialized) {
 }
 
 // clusterManifest assembles the per-server telemetry sections — the
-// online counterpart of the wire trailers a TCP run ships home. Each
-// server's section carries its lifetime refresh counters and the span
-// of its last non-empty update round.
+// online counterpart of an offline check's. Each server's section
+// carries its lifetime refresh counters and the span of its last
+// non-empty update round.
 func (t *Tracker) clusterManifest() *checker.ClusterManifest {
 	labels := make([]string, len(t.images))
-	ships := make([]*wire.Telemetry, len(t.servers))
+	sections := make([]checker.ServerTelemetry, len(t.servers))
 	for i, st := range t.servers {
 		label := st.img.Label()
 		labels[i] = label
-		ships[i] = &wire.Telemetry{
+		sections[i] = checker.ServerTelemetry{
 			Server:   label,
 			Snapshot: st.reg.Snapshot().Labeled(label),
 			Span:     st.lastSpan,
 		}
 	}
-	return checker.BuildClusterManifest(labels, ships)
+	return checker.BuildClusterManifest(labels, sections)
 }
 
 // TrackerStats is the tracker's exported lifetime accounting — what a

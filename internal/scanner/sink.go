@@ -202,8 +202,8 @@ func ScanImageToSink(img *ldiskfs.Image, workers, chunkEntries int, sink Sink) e
 // collect. Each ins's counters (inodes, dirents, edges, parse issues, chunks)
 // are updated as groups are released — batched per group, so the
 // per-inode sweep stays free of atomics. The cluster path passes two
-// instruments, the run-wide one and the per-server set a telemetry
-// trailer snapshots; none (or nil entries) observe nothing.
+// instruments, the run-wide one and the per-server set its manifest
+// section snapshots; none (or nil entries) observe nothing.
 func ScanImageToSinkInstr(ctx context.Context, img *ldiskfs.Image, workers, chunkEntries int, sink Sink, ins ...*Instr) error {
 	_, err := sweep(ctx, img, workers, newChunkEmitter(img.Label(), chunkEntries, sink, ins))
 	return err

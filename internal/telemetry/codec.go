@@ -10,9 +10,11 @@ import (
 )
 
 // This file is the cluster side of the telemetry package: a
-// deterministic, versioned binary codec for Snapshot and SpanNode (the
-// blobs a scanner ships home in a wire trailer frame), and the merge
-// semantics that fold per-server snapshots into one cluster view.
+// deterministic, versioned binary codec for Snapshot and SpanNode (no
+// longer on the wire: a scanner's snapshot and span reach the cluster
+// manifest in process, so only this package's tests encode them), and
+// the merge semantics that fold per-server snapshots into one cluster
+// view.
 //
 // Codec invariants:
 //
@@ -20,8 +22,7 @@ import (
 //     mixed-version cluster fails loudly instead of misparsing.
 //   - Canonical: instruments encode sorted by name and decode REJECTS
 //     out-of-order or duplicate names, so encoding is bijective — a
-//     payload either fails to decode or re-encodes byte-identically
-//     (the wire fuzz target leans on this, like the chunk codec).
+//     payload either fails to decode or re-encodes byte-identically.
 //   - Bounded: counts from untrusted headers are sanity-checked against
 //     the remaining payload before any allocation sized from them.
 //

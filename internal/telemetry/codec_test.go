@@ -111,7 +111,7 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 
 // Non-canonical payloads (out-of-order or duplicate names, unsorted
 // bounds) must be rejected: that is what makes decode→encode the
-// identity and lets the wire fuzz target assert bijectivity.
+// identity.
 func TestSnapshotDecodeRejectsNonCanonical(t *testing.T) {
 	unsorted := Snapshot{Counters: []CounterValue{{Name: "b", Value: 1}, {Name: "a", Value: 2}}}
 	// Build the wire form by hand so sorting in Encode can't save it.

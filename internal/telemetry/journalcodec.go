@@ -9,8 +9,7 @@ import (
 )
 
 // FRJR v1: the versioned canonical binary codec for journal snapshots —
-// the blob a scanner ships home as a MsgJournal wire trailer, and the
-// on-disk format of the journal.frjr files faultyrank/frhealthd dump
+// the on-disk format of the journal.frjr files faultyrank/frhealthd dump
 // and frtrace renders. One blob holds any number of sections (one per
 // journal), so per-server journals merge by concatenation.
 //

@@ -129,8 +129,8 @@ func DecodeChunk(b []byte) (*scanner.Chunk, error) {
 // transfer instead of waiting for a whole encoded partial. A frame goes
 // out in one gathered write (writev) straight from the chunk's record
 // sections; the stream encodes only the few bytes around them. After the
-// final chunk the stream ships its telemetry trailer (MsgTelemetry),
-// then waits for the collector's acknowledgement before Emit returns.
+// final chunk the stream waits for the collector's acknowledgement
+// before Emit returns.
 type ChunkStream struct {
 	conn net.Conn
 	ctx  context.Context
@@ -145,14 +145,8 @@ type ChunkStream struct {
 	frames  telemetry.Counter
 	bytes   telemetry.Counter
 	metrics []*Metrics
-	// telemetrySource, when set, is invoked right after the final chunk
-	// frame is written — the moment the server's instruments stop
-	// moving — to build the trailer shipped before the ack.
-	telemetrySource func() *Telemetry
-	// journal, when set, records this stream's flight-recorder events
-	// (slow frames) and is snapshotted into the MsgJournal trailer that
-	// follows MsgTelemetry. Nil journals no-op and ship an empty blob,
-	// keeping the trailer protocol uniform for every sender.
+	// journal, when set, records this stream's flight-recorder events:
+	// slow frames and the stream-final marker. Nil journals no-op.
 	journal *telemetry.Journal
 	// meta holds the frame's bytes other than the record sections: the
 	// header through the object count, the edge count, and the issues
@@ -177,7 +171,7 @@ const SlowFrameThreshold = 250 * time.Millisecond
 // hanging the scanner. Dial retries, sent frames/bytes and per-frame
 // write latency land in every registry view in ms as the stream ships.
 // The cluster path passes two — the run-wide metrics and the per-server
-// set the telemetry trailer snapshots — and nil entries observe nothing.
+// set its manifest section snapshots — and nil entries observe nothing.
 func DialChunkStreamContext(ctx context.Context, addr string, policy RetryPolicy, opTimeout time.Duration, ms ...*Metrics) (*ChunkStream, error) {
 	conn, retries, err := dialRetry(ctx, addr, policy)
 	if err != nil {
@@ -191,15 +185,9 @@ func DialChunkStreamContext(ctx context.Context, addr string, policy RetryPolicy
 	return &ChunkStream{conn: conn, ctx: ctx, opTimeout: opTimeout, dialRetries: retries, metrics: ms}, nil
 }
 
-// SetTelemetrySource attaches the callback that builds this stream's
-// telemetry trailer. It runs exactly when the final chunk frame has
-// been written (instruments final, ack not yet requested), or when
-// SendTelemetry ships a best-effort trailer on the failure path.
-func (s *ChunkStream) SetTelemetrySource(fn func() *Telemetry) { s.telemetrySource = fn }
-
 // SetJournal attaches the stream's flight recorder: slow frame writes
-// are recorded to it, and its snapshot ships home as the MsgJournal
-// trailer right after the telemetry trailer. A nil journal is fine.
+// are recorded to it, and so is the stream-final marker once the final
+// chunk is written. A nil journal is fine.
 func (s *ChunkStream) SetJournal(j *telemetry.Journal) { s.journal = j }
 
 // DialRetries reports how many redials the initial connect needed.
@@ -285,28 +273,11 @@ func (s *ChunkStream) emit(final bool, parts ...[]byte) error {
 	if !final {
 		return nil
 	}
-	// The stream's instruments are final now: build and ship the
-	// telemetry trailer, then the journal trailer, before requesting
-	// the ack. Both ride the same write deadline as the chunk and
-	// deliberately do not count into the frame/byte tallies, which
-	// report graph transfer. Every sender ships both trailers (empty
-	// when uninstrumented), so the collector's trailer reads are
-	// uniform and the ack handshake can never deadlock.
+	// Terminal marker: a lane without it died mid-stream.
 	if s.journal != nil {
-		// Terminal marker recorded before the snapshot is taken, so the
-		// shipped section ends with it — a lane whose last event is not
-		// stream-final died mid-stream.
 		s.journal.Record("wire", "stream-final",
 			"frames", fmt.Sprintf("%d", s.frames.Value()),
 			"bytes", fmt.Sprintf("%d", s.bytes.Value()))
-	}
-	if err := WriteFrame(s.conn, MsgTelemetry, EncodeTelemetry(s.trailer())); err != nil {
-		s.err = err
-		return err
-	}
-	if err := WriteFrame(s.conn, MsgJournal, s.journalTrailer()); err != nil {
-		s.err = err
-		return err
 	}
 	s.setDeadline(net.Conn.SetReadDeadline)
 	typ, body, err := ReadFrame(s.conn)
@@ -323,55 +294,6 @@ func (s *ChunkStream) emit(final bool, parts ...[]byte) error {
 		return s.err
 	}
 	return nil
-}
-
-// trailer builds the stream's telemetry trailer: the source callback's
-// result when one is attached, an empty (but valid) trailer otherwise,
-// so the collector-side protocol is uniform for every sender.
-func (s *ChunkStream) trailer() *Telemetry {
-	if s.telemetrySource != nil {
-		if t := s.telemetrySource(); t != nil {
-			return t
-		}
-	}
-	return &Telemetry{}
-}
-
-// journalTrailer encodes the stream's journal snapshot (an empty FRJR
-// blob when no journal is attached).
-func (s *ChunkStream) journalTrailer() []byte {
-	if s.journal == nil {
-		return telemetry.EncodeJournal(nil)
-	}
-	return telemetry.EncodeJournal([]telemetry.JournalSnapshot{s.journal.Snapshot()})
-}
-
-// SendTelemetry ships a best-effort telemetry trailer outside the
-// normal final-chunk flow — the path a cancelled or failed scanner uses
-// so its partial instruments still reach the collector when the
-// connection happens to survive. Errors are returned for logging but a
-// failure here must never escalate: the run is already degraded.
-func (s *ChunkStream) SendTelemetry(t *Telemetry) error {
-	if s.err != nil {
-		return s.err
-	}
-	if t == nil {
-		t = s.trailer()
-	}
-	s.setDeadline(net.Conn.SetWriteDeadline)
-	return WriteFrame(s.conn, MsgTelemetry, EncodeTelemetry(t))
-}
-
-// SendJournal ships a best-effort journal trailer outside the normal
-// final-chunk flow, the flight recorder's counterpart to SendTelemetry:
-// a failing scanner's event trail is exactly what the coordinator wants
-// when diagnosing the failure, so it is worth one opportunistic write.
-func (s *ChunkStream) SendJournal() error {
-	if s.err != nil {
-		return s.err
-	}
-	s.setDeadline(net.Conn.SetWriteDeadline)
-	return WriteFrame(s.conn, MsgJournal, s.journalTrailer())
 }
 
 func (s *ChunkStream) setDeadline(set func(net.Conn, time.Time) error) {
@@ -399,16 +321,6 @@ type CollectResult struct {
 	Completed []string
 	// Errors describes each failed or aborted stream.
 	Errors []string
-	// Telemetry holds the trailers received, one per server label
-	// (last wins on a duplicate), sorted by server for determinism. A
-	// server that crashed before its trailer simply has no entry here —
-	// missing telemetry never fails a collect.
-	Telemetry []*Telemetry
-	// Journals holds the flight-recorder sections received in MsgJournal
-	// trailers, one per server label (last wins), sorted by server.
-	// Tolerated exactly like Telemetry: missing or malformed journals
-	// never fail a collect.
-	Journals []telemetry.JournalSnapshot
 }
 
 // CollectChunksContext accepts nStreams chunk-stream connections and
@@ -431,28 +343,9 @@ func (c *Collector) CollectChunksContext(ctx context.Context, nStreams int, degr
 	// hand-rolled atomics, snapshotted into res once the handlers stop.
 	// c.metrics (when observed) additionally feeds the run registry.
 	var frames, bytes telemetry.Counter
-	var mu sync.Mutex // guards res fields, telems and conns
+	var mu sync.Mutex // guards res fields and conns
 	conns := make(map[net.Conn]struct{})
-	telems := make(map[string]*Telemetry)
-	journals := make(map[string]telemetry.JournalSnapshot)
 	var errs []error
-	record := func(t *Telemetry) {
-		if t == nil || t.Server == "" {
-			return
-		}
-		mu.Lock()
-		telems[t.Server] = t
-		mu.Unlock()
-	}
-	recordJournal := func(sections []telemetry.JournalSnapshot) {
-		mu.Lock()
-		for _, s := range sections {
-			if s.Server != "" {
-				journals[s.Server] = s
-			}
-		}
-		mu.Unlock()
-	}
 
 	// stop unblocks the accept wait and all in-flight reads exactly
 	// once: on ctx expiry, or (strict mode) on the first stream error.
@@ -506,7 +399,7 @@ func (c *Collector) CollectChunksContext(ctx context.Context, nStreams int, degr
 				mu.Unlock()
 				conn.Close()
 			}()
-			label, err := serveChunkStream(conn, deliver, &frames, &bytes, c.metrics, record, recordJournal)
+			label, err := serveChunkStream(conn, deliver, &frames, &bytes, c.metrics)
 			mu.Lock()
 			if err != nil {
 				if label != "" {
@@ -534,14 +427,6 @@ func (c *Collector) CollectChunksContext(ctx context.Context, nStreams int, degr
 	res.Bytes = bytes.Value()
 	sort.Strings(res.Completed)
 	sort.Strings(res.Errors)
-	for _, t := range telems {
-		res.Telemetry = append(res.Telemetry, t)
-	}
-	sort.Slice(res.Telemetry, func(i, j int) bool { return res.Telemetry[i].Server < res.Telemetry[j].Server })
-	for _, j := range journals {
-		res.Journals = append(res.Journals, j)
-	}
-	sort.Slice(res.Journals, func(i, j int) bool { return res.Journals[i].Server < res.Journals[j].Server })
 	if degraded {
 		return res, nil
 	}
@@ -558,14 +443,11 @@ func (c *Collector) CollectChunksContext(ctx context.Context, nStreams int, degr
 
 // serveChunkStream drains one connection's chunks into deliver,
 // counting frames and bytes into the per-collect counters and, when
-// set, the run-wide metrics. Trailers — the telemetry + journal pair
-// expected after the final chunk, or best-effort ones a failing scanner
-// ships mid-stream — are handed to record/recordJournal; a malformed
-// trailer is dropped, never escalated, since observability must not
-// fail a stream whose graph data is intact. A stream carries one
-// server: a chunk labelled otherwise than the first fails it. Returns
-// the stream's server label ("" if no chunk decoded before the failure).
-func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames, bytes *telemetry.Counter, m *Metrics, record func(*Telemetry), recordJournal func([]telemetry.JournalSnapshot)) (string, error) {
+// set, the run-wide metrics, and acks the final chunk. A stream carries
+// one server: a chunk labelled otherwise than the first fails it.
+// Returns the stream's server label ("" if no chunk decoded before the
+// failure).
+func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames, bytes *telemetry.Counter, m *Metrics) (string, error) {
 	label, labelled := "", false
 	for {
 		// Every frame is read into a buffer of its own: a decoded chunk's
@@ -576,10 +458,6 @@ func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames,
 		}
 		if err := AsError(typ, payload); err != nil {
 			return label, err
-		}
-		if typ == MsgTelemetry || typ == MsgJournal {
-			recordTrailer(typ, payload, record, recordJournal)
-			continue
 		}
 		if typ != MsgChunk {
 			err := fmt.Errorf("wire: expected chunk, got message %d", typ)
@@ -606,34 +484,7 @@ func serveChunkStream(conn net.Conn, deliver func(*scanner.Chunk) error, frames,
 			return label, err
 		}
 		if ch.Final {
-			// Every ChunkStream sender ships its telemetry then journal
-			// trailer between the final chunk and the ack wait. Read
-			// both tolerantly: a read error or unexpected type leaves
-			// that trailer missing but the ack still goes out — the
-			// graph transfer did complete.
-			for i := 0; i < 2; i++ {
-				typ, payload, err := ReadFrame(conn)
-				if err != nil || (typ != MsgTelemetry && typ != MsgJournal) {
-					break
-				}
-				recordTrailer(typ, payload, record, recordJournal)
-			}
 			return label, WriteFrame(conn, MsgAck, nil)
-		}
-	}
-}
-
-// recordTrailer decodes one trailer frame into the matching recorder,
-// silently dropping malformed payloads.
-func recordTrailer(typ byte, payload []byte, record func(*Telemetry), recordJournal func([]telemetry.JournalSnapshot)) {
-	switch typ {
-	case MsgTelemetry:
-		if t, err := DecodeTelemetry(payload); err == nil && record != nil {
-			record(t)
-		}
-	case MsgJournal:
-		if sections, err := telemetry.DecodeJournal(payload); err == nil && recordJournal != nil {
-			recordJournal(sections)
 		}
 	}
 }

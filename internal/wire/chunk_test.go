@@ -404,8 +404,8 @@ func TestStreamKeepsOneLabel(t *testing.T) {
 		}
 	}
 	builder := agg.NewBuilder([]string{"ost0", "ost1"})
-	// Accepted, the second chunk would leave the collector waiting for
-	// trailers that never come; the deadline turns that into a failure.
+	// Accepted, the second chunk would complete the stream; the deadline
+	// only guards against a hang.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	res, err := col.CollectChunksContext(ctx, 1, false, builder.Emit)

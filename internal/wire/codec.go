@@ -18,7 +18,6 @@ var ErrRankDeltaVersion = errors.New("unsupported rank delta version")
 var (
 	chunkFormat     = bincodec.Format{Name: "wire: chunk"}
 	rankDeltaFormat = bincodec.Format{Name: "wire: rank delta", Version: ErrRankDeltaVersion}
-	telemetryFormat = bincodec.Format{Name: "wire: telemetry trailer"}
 	fidInfoFormat   = bincodec.Format{Name: "wire: FID info"}
 	statBatchFormat = bincodec.Format{Name: "wire: stat batch"}
 )

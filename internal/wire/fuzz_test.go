@@ -5,12 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"faultyrank/internal/bincodec/bincodectest"
 	"faultyrank/internal/core"
 	"faultyrank/internal/scanner"
-	"faultyrank/internal/telemetry"
 )
 
 // FuzzDecodeChunk drives the streamed-chunk decoder with hostile bytes
@@ -55,40 +53,6 @@ func FuzzDecodeChunk(f *testing.F) {
 		if !bytes.Equal(EncodeChunk(got), appendChunkReference(nil, want)) {
 			t.Fatal("EncodeChunk and the reference encode different bytes")
 		}
-	})
-}
-
-// FuzzDecodeTelemetry drives the telemetry-trailer decoder with hostile
-// bytes under the shared codec contract. The inner snapshot/span blobs
-// enforce canonical form (sorted names, ascending bounds) and bound
-// every count against the remaining payload, so lying headers fail
-// fast instead of allocating.
-func FuzzDecodeTelemetry(f *testing.F) {
-	reg := telemetry.NewRegistry()
-	reg.Counter("scanner_inodes_scanned_total").Add(1234)
-	reg.Counter("wire_frames_sent_total").Add(9)
-	reg.Gauge("agg_interner_size").Set(55)
-	reg.Histogram("wire_frame_write_seconds", []float64{0.001, 0.1}).Observe(0.02)
-	span := &telemetry.SpanNode{
-		Name: "scan:ost3", Duration: 2 * time.Second, Seconds: 2,
-		Children: []telemetry.SpanNode{{Name: "walk", Duration: time.Second, Seconds: 1}},
-	}
-	f.Add(EncodeTelemetry(&Telemetry{Server: "ost3", Snapshot: reg.Snapshot().Labeled("ost3"), Span: span}))
-	f.Add(EncodeTelemetry(&Telemetry{Server: "mdt0", Snapshot: reg.Snapshot()}))
-	f.Add(EncodeTelemetry(&Telemetry{}))
-
-	// Lying snapshot-blob length far past the payload.
-	lie := le.AppendUint16(nil, 4)
-	lie = append(lie, "ost0"...)
-	lie = le.AppendUint32(lie, 0xFFFFFF00)
-	f.Add(lie)
-
-	// Truncated inside the span blob.
-	full := EncodeTelemetry(&Telemetry{Server: "ost1", Span: span})
-	f.Add(full[:len(full)-7])
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		bincodectest.RoundTrip(t, b, DecodeTelemetry, EncodeTelemetry)
 	})
 }
 

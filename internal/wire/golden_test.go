@@ -5,7 +5,6 @@ import (
 	"net"
 	"reflect"
 	"testing"
-	"time"
 
 	"faultyrank/internal/bincodec/bincodectest"
 	"faultyrank/internal/core"
@@ -13,7 +12,6 @@ import (
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
 	"faultyrank/internal/scanner"
-	"faultyrank/internal/telemetry"
 )
 
 // The golden tests pin every wire format to bytes committed under
@@ -73,39 +71,6 @@ func TestGoldenRankDelta(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: decode golden: %+v, %v", name, got, err)
 		}
-	}
-}
-
-func TestGoldenTelemetry(t *testing.T) {
-	want := &Telemetry{
-		Server: "ost3",
-		Snapshot: telemetry.Snapshot{
-			Counters: []telemetry.CounterValue{
-				{Name: "scanner_inodes_scanned_total", Value: 2048},
-				{Name: "wire_frames_sent_total", Value: 12},
-			},
-			Gauges: []telemetry.GaugeValue{{Name: "agg_interner_size", Label: "ost3", Value: 77}},
-			Histograms: []telemetry.HistogramValue{{
-				Name: "wire_frame_write_seconds", Bounds: []float64{0.001, 0.01},
-				Counts: []int64{0, 1, 0}, Sum: 0.002, Count: 1,
-			}},
-		},
-		Span: &telemetry.SpanNode{
-			Name: "scan:ost3", Duration: 3 * time.Second, Seconds: 3,
-			Children: []telemetry.SpanNode{{Name: "walk", StartOffset: time.Millisecond, Duration: time.Second, Seconds: 1}},
-		},
-	}
-	file := bincodectest.Golden(t, "telemetry", EncodeTelemetry(want))
-	got, err := DecodeTelemetry(file)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("decode golden: %+v, %v", got, err)
-	}
-
-	bare := &Telemetry{Server: "mdt0"}
-	file = bincodectest.Golden(t, "telemetry_bare", EncodeTelemetry(bare))
-	got, err = DecodeTelemetry(file)
-	if err != nil || !reflect.DeepEqual(got, bare) {
-		t.Fatalf("decode bare golden: %+v, %v", got, err)
 	}
 }
 

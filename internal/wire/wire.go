@@ -2,7 +2,7 @@
 // a length-prefixed binary framing over TCP; the chunk stream on which
 // each scanner ships its partial graph to the collector in a few large
 // frames (the paper's §V-C explanation for FaultyRank's low network
-// cost), followed by its telemetry and journal trailers; the versioned
+// cost); the versioned
 // rank-delta codec and exchange of the partitioned rank supersteps; and
 // a per-object metadata RPC (StatFID) with which the LFSCK baseline
 // performs its one-round-trip-per-object cross-checks, reproducing the
@@ -44,17 +44,16 @@ const (
 	// MsgChunk carries one encoded scanner.Chunk of a streamed partial
 	// graph; the chunk marked final ends the stream and is acked.
 	MsgChunk
-	// MsgTelemetry carries a scanner's telemetry trailer (snapshot +
-	// span tree), sent between the final chunk and the ack — and
-	// best-effort mid-stream when the scanner's context is cancelled.
-	MsgTelemetry
+	// Frame type 10 carried a scanner's telemetry trailer until every
+	// scanner's manifest section was built in the checker's own
+	// process; it stays reserved like type 1.
+	_
 	// MsgRankDelta carries one superstep frame of the partitioned rank
 	// exchange (core.RankDelta, versioned codec in rankdelta.go).
 	MsgRankDelta
-	// MsgJournal carries a scanner's flight-recorder trailer (an FRJR
-	// blob of telemetry.JournalSnapshot sections), sent right after
-	// MsgTelemetry on the same tolerant trailer protocol.
-	MsgJournal
+	// Frame type 12 carried a scanner's journal lane as a trailer; it
+	// is reserved like type 10.
+	_
 	// Frame type 13 carried a rank worker's encoded shard until the
 	// workers took their shard in process; it stays reserved like type 1.
 	_

@@ -40,8 +40,9 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestMessageTypesPinned pins every frame type's value on the wire.
-// Types 1 and 13 are retired and reserved; no type may move into them,
-// so msgTypes, one past the last, stays 14 until a new type is added.
+// Types 1, 10, 12 and 13 are retired and reserved; no type may move
+// into them, so msgTypes, one past the last, stays 14 until a new type
+// is added.
 func TestMessageTypesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -56,9 +57,7 @@ func TestMessageTypesPinned(t *testing.T) {
 		{"MsgStatBatch", MsgStatBatch, 7},
 		{"MsgFIDInfoBatch", MsgFIDInfoBatch, 8},
 		{"MsgChunk", MsgChunk, 9},
-		{"MsgTelemetry", MsgTelemetry, 10},
 		{"MsgRankDelta", MsgRankDelta, 11},
-		{"MsgJournal", MsgJournal, 12},
 		{"msgTypes", msgTypes, 14},
 	} {
 		if c.got != c.want {
