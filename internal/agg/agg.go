@@ -84,12 +84,19 @@ func (u *Unified) FID(g uint32) lustre.FID {
 // deterministic GID space. The result is identical for every worker
 // count: GIDs are assigned sequentially in first-appearance order of the
 // canonical stream (every part's Objects in part order, then every
-// part's Edges, Src before Dst), and the one parallel pass writes
-// disjoint slots.
+// part's Edges' destinations — a source is one of the part's objects),
+// and the one parallel pass writes disjoint slots. It panics on a part
+// whose edge names a source ordinal beyond its objects, which no scan
+// produces.
 func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
 	segs := make([]segment, len(parts))
+	base := 0
 	for i, p := range parts {
-		segs[i] = segment{label: p.ServerLabel, objects: p.Objects, edges: p.Edges, issues: p.Issues}
+		if p.Edges.SrcBound() > p.Objects.Len() {
+			panic(fmt.Sprintf("agg: partial %q: edge source ordinal beyond its %d objects", p.ServerLabel, p.Objects.Len()))
+		}
+		segs[i] = segment{label: p.ServerLabel, objects: p.Objects, edges: p.Edges, issues: p.Issues, base: base}
+		base += p.Objects.Len()
 	}
 	return mergeObserved(segs, workers, nil)
 }
@@ -105,6 +112,10 @@ type segment struct {
 	objects scanner.Objects
 	edges   scanner.Edges
 	issues  []scanner.Issue
+	// base is the canonical index of the object that the segment's
+	// source ordinal 0 names: the first object of its server's stream,
+	// or of its Partial.
+	base    int
 	edgeOff int // index of edges[0] in the merged edge list; set by the merge
 }
 
@@ -147,7 +158,9 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 
 	// (2) Edge translation, parallel over read-only lookups: order-
 	// preserving, each slot written once. A worker's share of the merged
-	// edge list starts inside some segment and may span several.
+	// edge list starts inside some segment and may span several. A
+	// source is an object the scan numbered, so it takes that object's
+	// GID; only a destination can need the index.
 	var phantoms atomic.Bool
 	observedRange(nEdge, workers, m, m.mergeEdges(), func(lo, hi int) {
 		i := sort.Search(len(segs), func(i int) bool { return segs[i].edgeOff+segs[i].edges.Len() > lo })
@@ -158,31 +171,25 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 			first := max(lo, off) - off
 			for k := range out {
 				j := first + k
-				src, ok := tab.get(edges.Src(j))
-				if !ok {
-					src = unresolved
-					phantoms.Store(true)
-				}
 				dst, ok := tab.get(edges.Dst(j))
 				if !ok {
 					dst = unresolved
 					phantoms.Store(true)
 				}
-				out[k] = graph.Edge{Src: src, Dst: dst, Kind: edges.Kind(j)}
+				out[k] = graph.Edge{Src: objGID[s.base+int(edges.Src(j))], Dst: dst, Kind: edges.Kind(j)}
 			}
 		}
 	})
 
-	// (3) The unresolved endpoints are exactly the phantoms (none on a
-	// clean cluster, which skips the pass). Every object precedes every
-	// edge in the canonical stream, so interning them in edge order
-	// completes the first-appearance numbering.
+	// (3) The unresolved destinations are exactly the phantoms (none on
+	// a clean cluster, which skips the pass). Every object precedes
+	// every edge in the canonical stream, so interning them in edge
+	// order completes the first-appearance numbering.
 	for i := 0; i < len(segs) && phantoms.Load(); i++ {
 		s := &segs[i]
 		out := u.Edges[s.edgeOff:]
 		for k := range s.edges.Len() {
-			if e := &out[k]; e.Src == unresolved || e.Dst == unresolved {
-				e.Src = tab.intern(s.edges.Src(k))
+			if e := &out[k]; e.Dst == unresolved {
 				e.Dst = tab.intern(s.edges.Dst(k))
 			}
 		}
@@ -267,9 +274,10 @@ type Builder struct {
 }
 
 type builderAcc struct {
-	label  string
-	chunks []*scanner.Chunk // retained in Seq order
-	done   bool
+	label   string
+	chunks  []*scanner.Chunk // retained in Seq order
+	objects int              // object records in chunks
+	done    bool
 }
 
 // NewBuilder fixes the canonical server order (conventionally MDTs
@@ -289,9 +297,12 @@ func (b *Builder) Observe(m *Metrics) { b.metrics = m }
 
 // Emit consumes one chunk. Safe for concurrent use by the per-server
 // scanner goroutines; chunks of one server must arrive in Seq order
-// (the scanner and the wire stream both guarantee it). Only an accepted
-// chunk counts into the intake counters.
+// (the scanner and the wire stream both guarantee it), and an edge's
+// source ordinal must name an object its stream has carried so far,
+// this chunk's included. Only an accepted chunk counts into the intake
+// counters.
 func (b *Builder) Emit(c *scanner.Chunk) error {
+	srcs := c.Edges.SrcBound() // read outside the lock
 	m := b.metrics
 	if m != nil {
 		t0 := time.Now()
@@ -311,7 +322,11 @@ func (b *Builder) Emit(c *scanner.Chunk) error {
 	if c.Seq != len(acc.chunks) {
 		return fmt.Errorf("agg: server %q chunk out of order: got seq %d, want %d", c.ServerLabel, c.Seq, len(acc.chunks))
 	}
+	if objects := acc.objects + c.Objects.Len(); srcs > objects {
+		return fmt.Errorf("agg: server %q chunk %d: edge source ordinal %d beyond the stream's %d objects", c.ServerLabel, c.Seq, srcs-1, objects)
+	}
 	acc.chunks = append(acc.chunks, c)
+	acc.objects += c.Objects.Len()
 	acc.done = c.Final
 	if m != nil {
 		m.Chunks.Inc()
@@ -353,10 +368,12 @@ func (b *Builder) completed() (done []*builderAcc, missing []string) {
 // merge merges the given completed streams straight from their chunks.
 func (b *Builder) merge(done []*builderAcc, workers int) *Unified {
 	var segs []segment
+	base := 0
 	for _, acc := range done {
 		for _, c := range acc.chunks {
-			segs = append(segs, segment{label: acc.label, objects: c.Objects, edges: c.Edges, issues: c.Issues})
+			segs = append(segs, segment{label: acc.label, objects: c.Objects, edges: c.Edges, issues: c.Issues, base: base})
 		}
+		base += acc.objects
 	}
 	return mergeObserved(segs, workers, b.metrics)
 }

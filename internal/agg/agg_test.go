@@ -202,9 +202,9 @@ func TestMergeEdgeCountPreservedProperty(t *testing.T) {
 					Ino: ldiskfs.Ino(i + 1), Type: ldiskfs.TypeObject,
 				})
 			}
-			for i := 0; i < r.Intn(80); i++ {
-				part.Edges.Append(scanner.FIDEdge{
-					Src:  lustre.FID{Seq: uint64(r.Intn(5)), Oid: uint32(r.Intn(20))},
+			for i := 0; i < r.Intn(80) && part.Objects.Len() > 0; i++ {
+				part.Edges.Append(scanner.Edge{
+					Src:  uint32(r.Intn(part.Objects.Len())),
 					Dst:  lustre.FID{Seq: uint64(r.Intn(5)), Oid: uint32(r.Intn(20))},
 					Kind: graph.EdgeKind(r.Intn(5)),
 				})

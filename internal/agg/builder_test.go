@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -157,8 +158,9 @@ func TestFinishAllocs(t *testing.T) {
 			p.Objects.Append(scanner.Object{FID: lustre.FID{Seq: uint64(i + 1), Oid: uint32(k)}, Ino: ldiskfs.Ino(k + 1), Type: ldiskfs.TypeFile})
 		}
 		for k := 0; k < nEdge; k++ {
-			p.Edges.Append(scanner.FIDEdge{
-				Src: p.Objects.FID(r.Intn(nObj)), Dst: lustre.FID{Seq: uint64(r.Intn(nParts) + 1), Oid: uint32(r.Intn(nObj))},
+			// A source the stream has carried by the edge's chunk.
+			p.Edges.Append(scanner.Edge{
+				Src: uint32(r.Intn(k/3 + 1)), Dst: lustre.FID{Seq: uint64(r.Intn(nParts) + 1), Oid: uint32(r.Intn(nObj))},
 			})
 		}
 		parts[i], labels[i] = p, p.ServerLabel
@@ -217,7 +219,7 @@ func TestBuilderCountsOnlyAcceptedChunks(t *testing.T) {
 		return &scanner.Chunk{
 			ServerLabel: label, Seq: seq,
 			Objects: objectsOf(scanner.Object{FID: self, Ino: 12, Type: ldiskfs.TypeFile}),
-			Edges:   edgesOf(scanner.FIDEdge{Src: self, Dst: lustre.FID{Seq: lustre.MDTSeqBase, Oid: 1}, Kind: graph.KindLinkEA}),
+			Edges:   edgesOf(scanner.Edge{Dst: lustre.FID{Seq: lustre.MDTSeqBase, Oid: 1}, Kind: graph.KindLinkEA}),
 			Issues:  []scanner.Issue{{Ino: 13, What: "missing LMA"}},
 		}
 	}
@@ -241,13 +243,73 @@ func TestBuilderCountsOnlyAcceptedChunks(t *testing.T) {
 	}
 }
 
+// TestBuilderRefusesUnknownOrdinal: an edge may name as its source any
+// object its stream has carried — in an earlier chunk or its own — and
+// none beyond. A chunk naming one beyond is refused whole: no intake
+// counter moves, the stream does not advance, and the merge sees only
+// what was accepted.
+func TestBuilderRefusesUnknownOrdinal(t *testing.T) {
+	m := NewMetrics(telemetry.NewRegistry())
+	b := NewBuilder([]string{"ost0"})
+	b.Observe(m)
+	counts := func() [4]int64 {
+		return [4]int64{m.Chunks.Value(), m.Objects.Value(), m.Edges.Value(), m.Issues.Value()}
+	}
+	obj := func(oid uint32) scanner.Object {
+		return scanner.Object{FID: lustre.FID{Seq: lustre.OSTSeqBase, Oid: oid}, Ino: ldiskfs.Ino(oid), Type: ldiskfs.TypeObject}
+	}
+	parent := lustre.FID{Seq: lustre.MDTSeqBase, Oid: 9}
+	chunk := func(seq int, final bool, srcs ...uint32) *scanner.Chunk {
+		c := &scanner.Chunk{ServerLabel: "ost0", Seq: seq, Final: final, Objects: objectsOf(obj(uint32(2*seq+1)), obj(uint32(2*seq+2)))}
+		for _, s := range srcs {
+			c.Edges.Append(scanner.Edge{Src: s, Dst: parent, Kind: graph.KindFilterFID})
+		}
+		return c
+	}
+	if err := b.Emit(chunk(0, false, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := counts()
+	for _, c := range []*scanner.Chunk{chunk(1, true, 4), chunk(1, true, 2, 1<<32-1)} {
+		if err := b.Emit(c); err == nil || !strings.Contains(err.Error(), "ordinal") {
+			t.Fatalf("chunk naming source %d of a 4-object stream: err %v", c.Edges.SrcBound()-1, err)
+		}
+		if got := counts(); got != want {
+			t.Fatalf("refused chunk counted: counters %v, want %v", got, want)
+		}
+	}
+	// The same Seq with sources from both chunks is taken.
+	if err := b.Emit(chunk(1, true, 0, 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	u, err := b.Finish(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(u.Edges) != 5 {
+		t.Fatalf("merged %d edges, want the 5 accepted", len(u.Edges))
+	}
+	for i, src := range []uint32{0, 1, 0, 3, 2} {
+		if got := u.FID(u.Edges[i].Src); got != obj(src+1).FID {
+			t.Errorf("edge %d leaves %v, want object %d's %v", i, got, src, obj(src+1).FID)
+		}
+	}
+
+	// A delta names its sources among its own objects.
+	db := NewDeltaBuilder([]string{"ost0"})
+	p := &scanner.Partial{Objects: objectsOf(obj(1)), Edges: edgesOf(scanner.Edge{Src: 1, Dst: parent, Kind: graph.KindFilterFID})}
+	if err := db.Apply(0, 1, p); err == nil || db.Tracked(0, 1) {
+		t.Fatalf("delta naming source 1 of its 1 object: err %v, tracked %v", err, db.Tracked(0, 1))
+	}
+}
+
 // objectsOf and edgesOf build record sections for test fixtures.
 func objectsOf(objs ...scanner.Object) (s scanner.Objects) {
 	s.Append(objs...)
 	return s
 }
 
-func edgesOf(edges ...scanner.FIDEdge) (s scanner.Edges) {
+func edgesOf(edges ...scanner.Edge) (s scanner.Edges) {
 	s.Append(edges...)
 	return s
 }

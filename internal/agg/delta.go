@@ -274,6 +274,9 @@ func (b *DeltaBuilder) Apply(server int, ino ldiskfs.Ino, p *scanner.Partial) er
 	if server < 0 || server >= len(b.servers) {
 		return fmt.Errorf("agg: delta apply for unknown server index %d", server)
 	}
+	if p.Edges.SrcBound() > p.Objects.Len() {
+		return fmt.Errorf("agg: delta apply for ino %d: edge source ordinal beyond its %d objects", ino, p.Objects.Len())
+	}
 	s := b.servers[server]
 	if _, staged := s.staged[ino]; !staged && (len(s.inodes) == 0 || ino > s.inodes[len(s.inodes)-1].ino) {
 		// Past the last spliced inode: appending keeps the arrays
@@ -311,14 +314,16 @@ func (b *DeltaBuilder) Apply(server int, ino ldiskfs.Ino, p *scanner.Partial) er
 
 // toIIDs appends a scan result's objects and edges, translated into IID
 // space, to objs and edges — interning objects first, then each edge's
-// source before its destination, the order that fixes the IIDs.
+// destination, the order that fixes the IIDs. A source is one of p's
+// objects, interned already: it takes that object's IID.
 func (b *DeltaBuilder) toIIDs(objs []contribObj, edges []contribEdge, p *scanner.Partial) ([]contribObj, []contribEdge) {
+	own := len(objs)
 	for i := range p.Objects.Len() {
 		o := p.Objects.At(i)
 		objs = append(objs, contribObj{iid: b.intern(o.FID), typ: o.Type})
 	}
 	for i := range p.Edges.Len() {
-		edges = append(edges, contribEdge{src: b.intern(p.Edges.Src(i)), dst: b.intern(p.Edges.Dst(i)), kind: p.Edges.Kind(i)})
+		edges = append(edges, contribEdge{src: objs[own+int(p.Edges.Src(i))].iid, dst: b.intern(p.Edges.Dst(i)), kind: p.Edges.Kind(i)})
 	}
 	return objs, edges
 }
@@ -681,16 +686,21 @@ func (b *DeltaBuilder) ServerPartial(server int) *scanner.Partial {
 	s.splice(&b.scratch)
 	// slices.Grow keeps an empty section nil, as appending would.
 	out := &scanner.Partial{ServerLabel: s.label, Issues: slices.Grow([]scanner.Issue(nil), len(s.issues))}
-	k := 0
+	k, j := 0, 0
 	for _, rec := range s.inodes {
+		// An edge leaves one of its own inode's objects; its source
+		// ordinal is that object's position among the server's.
+		objs := s.objs[k:rec.objEnd]
+		for ; j < int(rec.edgeEnd); j++ {
+			e := s.edges[j]
+			src := k + slices.IndexFunc(objs, func(o contribObj) bool { return o.iid == e.src })
+			out.Edges.Append(scanner.Edge{Src: uint32(src), Dst: b.iids.fids[e.dst], Kind: e.kind})
+		}
 		for ; k < int(rec.objEnd); k++ {
 			o := s.objs[k]
 			out.Objects.Append(scanner.Object{FID: b.iids.fids[o.iid], Ino: rec.ino, Type: o.typ})
 		}
 		out.Stats.Add(rec.stats)
-	}
-	for _, e := range s.edges {
-		out.Edges.Append(scanner.FIDEdge{Src: b.iids.fids[e.src], Dst: b.iids.fids[e.dst], Kind: e.kind})
 	}
 	for _, is := range s.issues {
 		out.Issues = append(out.Issues, is.issue)

@@ -27,9 +27,9 @@ func syntheticInode(server, k, ver int) *scanner.Partial {
 		return &scanner.Partial{
 			Objects: objectsOf(scanner.Object{FID: file, Ino: ldiskfs.Ino(k), Type: ldiskfs.TypeFile}),
 			Edges: edgesOf(
-				scanner.FIDEdge{Src: file, Dst: dir, Kind: graph.KindLinkEA},
-				scanner.FIDEdge{Src: file, Dst: lustre.FID{Seq: lustre.OSTSeqBase + 1, Oid: uint32(k)}, Kind: graph.KindLOVEA},
-				scanner.FIDEdge{Src: file, Dst: lustre.FID{Seq: lustre.OSTSeqBase + 2, Oid: uint32(k)}, Kind: graph.KindLOVEA},
+				scanner.Edge{Dst: dir, Kind: graph.KindLinkEA},
+				scanner.Edge{Dst: lustre.FID{Seq: lustre.OSTSeqBase + 1, Oid: uint32(k)}, Kind: graph.KindLOVEA},
+				scanner.Edge{Dst: lustre.FID{Seq: lustre.OSTSeqBase + 2, Oid: uint32(k)}, Kind: graph.KindLOVEA},
 			),
 			Stats: scanner.Stats{InodesScanned: 1, EdgesEmitted: 3},
 		}
@@ -37,7 +37,7 @@ func syntheticInode(server, k, ver int) *scanner.Partial {
 	obj := lustre.FID{Seq: lustre.OSTSeqBase + uint64(server), Oid: uint32(k)}
 	return &scanner.Partial{
 		Objects: objectsOf(scanner.Object{FID: obj, Ino: ldiskfs.Ino(k), Type: ldiskfs.TypeObject}),
-		Edges:   edgesOf(scanner.FIDEdge{Src: obj, Dst: file, Kind: graph.KindFilterFID}),
+		Edges:   edgesOf(scanner.Edge{Dst: file, Kind: graph.KindFilterFID}),
 		Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 	}
 }

@@ -104,9 +104,9 @@ func (o *deltaOracle) contribution(s *script, srv, ino int) *scanner.Partial {
 		p.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: types[s.pick(3)]})
 	}
 	kinds := []graph.EdgeKind{graph.KindDirent, graph.KindLinkEA, graph.KindLOVEA, graph.KindFilterFID}
-	for k := s.pick(4); k > 0; k-- {
+	for k := s.pick(4); k > 0 && p.Objects.Len() > 0; k-- { // edges leave an object
 		dst := own(s.pick(len(o.labels)), 1+s.pick(oracleInoSpace), s.pick(2))
-		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: kinds[s.pick(len(kinds))]})
+		p.Edges.Append(scanner.Edge{Dst: dst, Kind: kinds[s.pick(len(kinds))]})
 		p.Stats.EdgesEmitted++
 	}
 	if s.pick(8) == 0 {

@@ -84,7 +84,7 @@ func (b *refDelta) apply(server int, ino ldiskfs.Ino, p *scanner.Partial) error 
 		c.objs = append(c.objs, contribObj{iid: b.intern(o.FID), typ: o.Type})
 	}
 	for j := range p.Edges.Len() {
-		e := p.Edges.At(j)
+		e := p.FIDEdge(j)
 		c.edges = append(c.edges, contribEdge{
 			src: b.intern(e.Src), dst: b.intern(e.Dst), kind: e.Kind,
 		})
@@ -281,14 +281,16 @@ func (b *refDelta) serverPartial(server int) *scanner.Partial {
 	out := &scanner.Partial{ServerLabel: s.label}
 	for _, ino := range s.sorted {
 		c := s.contrib[ino]
+		base := out.Objects.Len()
 		for _, o := range c.objs {
 			out.Objects.Append(scanner.Object{
 				FID: b.iids.fids[o.iid], Ino: ino, Type: o.typ,
 			})
 		}
 		for _, e := range c.edges {
-			out.Edges.Append(scanner.FIDEdge{
-				Src: b.iids.fids[e.src], Dst: b.iids.fids[e.dst], Kind: e.kind,
+			src := base + slices.IndexFunc(c.objs, func(o contribObj) bool { return o.iid == e.src })
+			out.Edges.Append(scanner.Edge{
+				Src: uint32(src), Dst: b.iids.fids[e.dst], Kind: e.kind,
 			})
 		}
 		out.Issues = append(out.Issues, c.issues...)

@@ -46,12 +46,14 @@ func (r *refState) merge() *Unified {
 		sort.Slice(inos, func(a, b int) bool { return inos[a] < inos[b] })
 		for _, ino := range inos {
 			p := r.byIno[i][ino]
+			base := uint32(merged.Objects.Len())
 			for j := range p.Objects.Len() {
 				o := p.Objects.At(j)
 				merged.Objects.Append(o)
 			}
 			for j := range p.Edges.Len() {
 				e := p.Edges.At(j)
+				e.Src += base
 				merged.Edges.Append(e)
 			}
 			merged.Issues = append(merged.Issues, p.Issues...)
@@ -122,7 +124,7 @@ func randomContribution(r *rand.Rand, server, ino, inoSpace int) *scanner.Partia
 	for k := 0; k < r.Intn(4); k++ {
 		dst := fidFor(r.Intn(3), 1+r.Intn(inoSpace))
 		kind := []graph.EdgeKind{graph.KindDirent, graph.KindLinkEA, graph.KindLOVEA}[r.Intn(3)]
-		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: kind})
+		p.Edges.Append(scanner.Edge{Dst: dst, Kind: kind})
 	}
 	if r.Intn(10) == 0 {
 		p.Issues = append(p.Issues, scanner.Issue{Ino: ldiskfs.Ino(ino), What: "synthetic damage"})
@@ -173,7 +175,7 @@ func TestDeltaDeadFIDsLeaveNoZombies(t *testing.T) {
 	p := &scanner.Partial{
 		Objects: objectsOf(scanner.Object{FID: fidFor(0, 1), Ino: 1, Type: ldiskfs.TypeFile}),
 		Edges: edgesOf(
-			scanner.FIDEdge{Src: fidFor(0, 1), Dst: fidFor(0, 99), Kind: graph.KindLinkEA},
+			scanner.Edge{Dst: fidFor(0, 99), Kind: graph.KindLinkEA},
 		),
 	}
 	if err := db.Apply(0, 1, p); err != nil {

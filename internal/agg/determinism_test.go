@@ -54,10 +54,11 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", p.ServerLabel, is))
 		}
 	}
-	// Pass 2: edges; unseen destinations become phantom vertices.
+	// Pass 2: edges; a source is one of its part's objects, and unseen
+	// destinations become phantom vertices.
 	for _, p := range parts {
 		for j := range p.Edges.Len() {
-			e := p.Edges.At(j)
+			e := p.FIDEdge(j)
 			u.Edges = append(u.Edges, graph.Edge{
 				Src: gid(e.Src), Dst: gid(e.Dst), Kind: e.Kind,
 			})
@@ -114,9 +115,9 @@ func randomPartials(seed int64, nParts, nObj, nEdge int) []*scanner.Partial {
 				FID: fid(), Ino: ldiskfs.Ino(i + 1), Type: ldiskfs.FileType(1 + r.Intn(3)),
 			})
 		}
-		for i := 0; i < nEdge; i++ {
-			p.Edges.Append(scanner.FIDEdge{
-				Src: fid(), Dst: fid(), Kind: graph.EdgeKind(r.Intn(5)),
+		for i := 0; i < nEdge && nObj > 0; i++ {
+			p.Edges.Append(scanner.Edge{
+				Src: uint32(r.Intn(nObj)), Dst: fid(), Kind: graph.EdgeKind(r.Intn(5)),
 			})
 		}
 		if r.Intn(2) == 0 {
@@ -170,21 +171,30 @@ func TestMergeMatchesReferenceCluster(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesReferenceAllPhantom: no part has an object, so the
-// table starts at its minimum size and every vertex is interned — and
-// the table grown — by the sequential resolve pass, in edge order.
+// TestMergeMatchesReferenceAllPhantom: each part has one object, the
+// source of all its edges, and every destination is a phantom, so the
+// table starts at its minimum size and nearly every vertex is interned
+// — and the table grown — by the sequential resolve pass, in edge
+// order.
 func TestMergeMatchesReferenceAllPhantom(t *testing.T) {
 	parts := randomPartials(5, 4, 200, 700)
 	for _, p := range parts {
-		p.Objects = scanner.Objects{}
+		p.Objects = scanner.ObjectRecords(p.Objects.Bytes()[:scanner.ObjectSize])
+		edges := p.Edges
+		p.Edges = scanner.Edges{}
+		for j := range edges.Len() {
+			e := edges.At(j)
+			e.Src, e.Dst.Seq = 0, e.Dst.Seq+1<<40 // a sequence no object has
+			p.Edges.Append(e)
+		}
 	}
-	assertMergeMatchesReference(t, "edges only", parts)
+	assertMergeMatchesReference(t, "phantom destinations", parts)
 	u := MergeWorkers(parts, 3)
-	if u.N() <= minFIDSlots || len(u.Phantoms()) != u.N() {
-		t.Fatalf("want an all-phantom graph past the minimum table size, got N=%d phantoms=%d", u.N(), len(u.Phantoms()))
+	if u.N() <= minFIDSlots || len(u.Phantoms()) < u.N()-len(parts) {
+		t.Fatalf("want a graph of phantoms past the minimum table size, got N=%d phantoms=%d", u.N(), len(u.Phantoms()))
 	}
-	for g, c := range u.Claims {
-		if c != nil {
+	for _, g := range u.Phantoms() {
+		if c := u.Claims[g]; c != nil {
 			t.Fatalf("phantom %d has claims %v", g, c)
 		}
 	}

@@ -29,7 +29,7 @@ func goldenDelta(t *testing.T) *DeltaBuilder {
 	}
 	apply(0, 12, &scanner.Partial{
 		Objects: objectsOf(scanner.Object{FID: dir, Ino: 12, Type: ldiskfs.TypeDir}),
-		Edges:   edgesOf(scanner.FIDEdge{Src: dir, Dst: file, Kind: graph.KindDirent}, scanner.FIDEdge{Src: dir, Dst: gone, Kind: graph.KindDirent}),
+		Edges:   edgesOf(scanner.Edge{Dst: file, Kind: graph.KindDirent}, scanner.Edge{Dst: gone, Kind: graph.KindDirent}),
 		Stats:   scanner.Stats{InodesScanned: 1, DirentsRead: 2, EdgesEmitted: 2},
 	})
 	apply(0, 14, &scanner.Partial{
@@ -38,7 +38,7 @@ func goldenDelta(t *testing.T) *DeltaBuilder {
 	})
 	apply(0, 13, &scanner.Partial{
 		Objects: objectsOf(scanner.Object{FID: file, Ino: 13, Type: ldiskfs.TypeFile}),
-		Edges:   edgesOf(scanner.FIDEdge{Src: file, Dst: dir, Kind: graph.KindLinkEA}),
+		Edges:   edgesOf(scanner.Edge{Dst: dir, Kind: graph.KindLinkEA}),
 		Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 	})
 	db.Materialize()
@@ -47,15 +47,15 @@ func goldenDelta(t *testing.T) *DeltaBuilder {
 	apply(0, 13, &scanner.Partial{
 		Objects: objectsOf(scanner.Object{FID: file, Ino: 13, Type: ldiskfs.TypeFile}),
 		Edges: edgesOf(
-			scanner.FIDEdge{Src: file, Dst: dir, Kind: graph.KindLinkEA},
-			scanner.FIDEdge{Src: file, Dst: obj, Kind: graph.KindLOVEA},
+			scanner.Edge{Dst: dir, Kind: graph.KindLinkEA},
+			scanner.Edge{Dst: obj, Kind: graph.KindLOVEA},
 		),
 		Issues: []scanner.Issue{{Ino: 13, What: "lov: stripe count mismatch"}},
 		Stats:  scanner.Stats{InodesScanned: 1, EdgesEmitted: 2},
 	})
 	apply(1, 7, &scanner.Partial{
 		Objects: objectsOf(scanner.Object{FID: obj, Ino: 7, Type: ldiskfs.TypeObject}),
-		Edges:   edgesOf(scanner.FIDEdge{Src: obj, Dst: file, Kind: graph.KindFilterFID}),
+		Edges:   edgesOf(scanner.Edge{Dst: file, Kind: graph.KindFilterFID}),
 		Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 	})
 	return db

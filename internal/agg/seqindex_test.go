@@ -96,9 +96,18 @@ func seqPartials(seed int64, nSeq, nParts int) []*scanner.Partial {
 			return lustre.FID{Seq: sp.seq + 1<<40, Oid: sp.base}
 		}
 	}
+	// An edge leaves an object of its part; the references a source
+	// could once name — phantoms included — are destinations now, two
+	// per source as there used to be.
 	for i := 0; i < 2*len(objs)+r.Intn(8); i++ {
 		p := parts[r.Intn(nParts)]
-		p.Edges.Append(scanner.FIDEdge{Src: ref(), Dst: ref(), Kind: graph.EdgeKind(r.Intn(5))})
+		if p.Objects.Len() == 0 {
+			continue
+		}
+		src := uint32(r.Intn(p.Objects.Len()))
+		for range 2 {
+			p.Edges.Append(scanner.Edge{Src: src, Dst: ref(), Kind: graph.EdgeKind(r.Intn(5))})
+		}
 	}
 	return parts
 }
@@ -107,15 +116,17 @@ func seqPartials(seed int64, nSeq, nParts int) []*scanner.Partial {
 // way a Builder retains chunks, with empty segments among them.
 func cutSegments(r *rand.Rand, parts []*scanner.Partial) []segment {
 	var segs []segment
+	base := 0
 	for _, p := range parts {
 		objs, edges := p.Objects.Bytes(), p.Edges.Bytes()
 		for len(objs)+len(edges) > 0 || r.Intn(2) == 0 {
 			no := r.Intn(len(objs)/scanner.ObjectSize+1) * scanner.ObjectSize
 			ne := r.Intn(len(edges)/scanner.EdgeSize+1) * scanner.EdgeSize
-			segs = append(segs, segment{label: p.ServerLabel, objects: scanner.ObjectRecords(objs[:no]), edges: scanner.EdgeRecords(edges[:ne])})
+			segs = append(segs, segment{label: p.ServerLabel, objects: scanner.ObjectRecords(objs[:no]), edges: scanner.EdgeRecords(edges[:ne]), base: base})
 			objs, edges = objs[no:], edges[ne:]
 		}
-		segs = append(segs, segment{label: p.ServerLabel, issues: p.Issues})
+		segs = append(segs, segment{label: p.ServerLabel, issues: p.Issues, base: base})
+		base += p.Objects.Len()
 	}
 	return segs
 }
@@ -205,10 +216,11 @@ func TestSeqIndexRunRules(t *testing.T) {
 	}
 	objs[len(objs)-1].FID.Seq = 1 // a versioned FID inside run 1's span
 	part := &scanner.Partial{ServerLabel: "mdt0", Objects: objectsOf(objs...), Edges: edgesOf(
-		scanner.FIDEdge{Src: objs[0].FID, Dst: lustre.FID{Seq: 1, Oid: 100}},                  // a hole in run 1
-		scanner.FIDEdge{Src: objs[0].FID, Dst: lustre.FID{Seq: 1, Oid: 2 * minRunObjects}},    // just past run 1
-		scanner.FIDEdge{Src: objs[0].FID, Dst: lustre.FID{Seq: 4, Oid: top - 1}},              // just before run 4
-		scanner.FIDEdge{Src: lustre.FID{Seq: 1, Oid: 101}, Dst: lustre.FID{Seq: 4, Oid: top}}, // a hole to a claimed FID
+		scanner.Edge{Dst: lustre.FID{Seq: 1, Oid: 100}},               // a hole in run 1
+		scanner.Edge{Dst: lustre.FID{Seq: 1, Oid: 2 * minRunObjects}}, // just past run 1
+		scanner.Edge{Dst: lustre.FID{Seq: 4, Oid: top - 1}},           // just before run 4
+		scanner.Edge{Dst: lustre.FID{Seq: 1, Oid: 101}},               // another hole
+		scanner.Edge{Src: 5, Dst: lustre.FID{Seq: 4, Oid: top}},       // a claimed FID
 	)}
 	x := newSeqIndex([]segment{{objects: part.Objects}}, len(objs))
 	if got, want := runSeqs(x), []uint64{1, 4}; !slices.Equal(got, want) {
@@ -256,9 +268,7 @@ func replacedTableBytes(parts []*scanner.Partial) int {
 	}
 	for _, p := range parts {
 		for j := range p.Edges.Len() {
-			e := p.Edges.At(j)
-			tab.intern(e.Src)
-			tab.intern(e.Dst)
+			tab.intern(p.Edges.Dst(j))
 		}
 	}
 	return 4 * len(tab.slots)

@@ -172,7 +172,7 @@ func TestDeltaDirtySeeds(t *testing.T) {
 			Objects: objectsOf(scanner.Object{FID: self, Ino: ldiskfs.Ino(ino), Type: ldiskfs.TypeFile}),
 		}
 		for _, dst := range targets {
-			p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: graph.KindLinkEA})
+			p.Edges.Append(scanner.Edge{Dst: dst, Kind: graph.KindLinkEA})
 		}
 		if err := db.Apply(0, ldiskfs.Ino(ino), p); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package bincodec is the one bounded little-endian reader under every
 // binary format in the tree — the wire frames (chunk, rank delta,
-// stat replies) and the versioned blobs (FRTM, FRJR, FRDB, FRSN). It
+// stat replies) and the versioned blobs (FRJR, FRDB, FRSN). It
 // owns the three guards every decoder of untrusted
 // bytes needs and used to hand-write: no read past the payload, no
 // allocation sized from a count the payload cannot back, no accepted

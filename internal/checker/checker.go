@@ -544,7 +544,11 @@ type serverScan struct {
 // ScanImageToSinkInstr and, when it succeeds, the manifest section. The
 // transport chooses only the sink — builder in process, a chunk stream
 // to the collector at addr over TCP, wrapped by the server's network
-// fault when one is injected.
+// fault when one is injected. The span times the scan: in process it
+// ends when the builder has taken the final chunk, over TCP when the
+// final frame is written, not when the collector acknowledges it, so a
+// collector busy with other streams does not make this server look
+// like the straggler.
 func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.Builder, addr string, opt Options, obs *runObs) {
 	s.label = img.Label()
 	reg := telemetry.NewRegistry()
@@ -578,6 +582,7 @@ func (s *serverScan) run(ctx context.Context, img *ldiskfs.Image, builder *agg.B
 				"server", s.label, "retries", fmt.Sprintf("%d", n))
 		}
 		cs.SetJournal(s.journal)
+		cs.OnFinalWritten(sp.End)
 		sink = cs
 		if fault != nil {
 			sink = fault.WrapStream(ctx, cs)

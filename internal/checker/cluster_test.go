@@ -2,16 +2,22 @@ package checker
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"faultyrank/internal/agg"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
+	"faultyrank/internal/scanner"
 	"faultyrank/internal/telemetry"
+	"faultyrank/internal/wire"
 )
 
 // eightServerCluster simulates the paper's evaluation shape: 1 MDS +
@@ -133,14 +139,21 @@ func TestClusterManifestTCPEightServers(t *testing.T) {
 		t.Errorf("report does not attribute the straggler %q:\n%s", sk.Straggler, report)
 	}
 
-	// Merging the shipped snapshots in any order reproduces the manifest
-	// totals byte-identically (the merge-law acceptance check, on real
-	// wire-shipped data).
+	// Merging the per-server snapshots in any order reproduces the
+	// manifest totals byte-identically (the merge-law acceptance check,
+	// on a TCP run's data, in the manifest's JSON form).
 	snaps := make([]telemetry.Snapshot, 0, len(m.Servers))
 	for _, s := range m.Servers {
 		snaps = append(snaps, s.Snapshot)
 	}
-	want := telemetry.EncodeSnapshot(m.Cluster)
+	encoded := func(s telemetry.Snapshot) []byte {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := encoded(m.Cluster)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		perm := rng.Perm(len(snaps))
@@ -148,7 +161,7 @@ func TestClusterManifestTCPEightServers(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = snaps[p]
 		}
-		if got := telemetry.EncodeSnapshot(telemetry.MergeSnapshots(shuffled...)); !bytes.Equal(got, want) {
+		if got := encoded(telemetry.MergeSnapshots(shuffled...)); !bytes.Equal(got, want) {
 			t.Fatalf("cluster merge is order-sensitive (perm %v)", perm)
 		}
 	}
@@ -238,5 +251,76 @@ func TestClusterManifestInProcess(t *testing.T) {
 	}
 	if got, want := m.Cluster.Counter("scanner_inodes_scanned_total"), res.Scan.InodesScanned; got != want {
 		t.Errorf("merged inodes %d != ScanStats %d", got, want)
+	}
+}
+
+// TestTCPScanSpanEndsBeforeAck: a server's scan:<label> span times its
+// scan, not the collector. With the collector holding the server's
+// final chunk, the span must stop growing while the delivery is held,
+// and end before the release that lets the ack go out.
+func TestTCPScanSpanEndsBeforeAck(t *testing.T) {
+	img := ClusterImages(eightServerCluster(t))[1]
+	ctx, root := telemetry.StartSpan(context.Background(), "root")
+	t0 := time.Now()
+	col, addr, err := wire.NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	opt := DefaultOptions()
+	opt.UseTCP = true
+	opt.ChunkSize = 16
+	builder := agg.NewBuilder([]string{img.Label()})
+	var s serverScan
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.run(ctx, img, builder, addr, opt, newRunObs(nil, nil))
+	}()
+
+	holding, release := make(chan struct{}), make(chan struct{})
+	var released time.Time
+	collected := make(chan error, 1)
+	go func() {
+		_, err := col.CollectChunksContext(ctx, 1, false, func(c *scanner.Chunk) error {
+			if c.Final {
+				close(holding)
+				<-release
+			}
+			return builder.Emit(c)
+		})
+		collected <- err
+	}()
+
+	<-holding
+	span := func() time.Duration {
+		n := root.Node()
+		if len(n.Children) != 1 {
+			t.Fatalf("root span has %d children, want the one scan span", len(n.Children))
+		}
+		return n.Children[0].Duration
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		d := span()
+		time.Sleep(5 * time.Millisecond)
+		if span() == d {
+			break // ended: its duration no longer grows
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("scan span still running while the collector holds the final chunk")
+		}
+	}
+	released = time.Now()
+	close(release)
+	if err := <-collected; err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if s.err != nil || s.section == nil {
+		t.Fatalf("scan: %v, section %v", s.err, s.section)
+	}
+	if end := s.section.Span.StartOffset + s.section.Span.Duration; end >= released.Sub(t0) {
+		t.Fatalf("scan span ends %v into the run, after the release at %v", end, released.Sub(t0))
 	}
 }

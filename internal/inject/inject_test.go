@@ -109,7 +109,7 @@ func TestEachScenarioBreaksPairing(t *testing.T) {
 					fidSeen[o.FID]++
 				}
 				for j := range p.Edges.Len() {
-					e := p.Edges.At(j)
+					e := p.FIDEdge(j)
 					pairs[[2]lustre.FID{e.Src, e.Dst}]++
 					edges++
 				}
@@ -172,7 +172,7 @@ func TestDetachedCycleInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range p.Edges.Len() {
-			e := p.Edges.At(j)
+			e := p.FIDEdge(j)
 			pairs[[2]lustre.FID{e.Src, e.Dst}]++
 		}
 	}

@@ -136,29 +136,30 @@ func encodeDirentsInto(data []byte, ents []Dirent) {
 }
 
 func (im *Image) requireDir(ino Ino) ([]byte, error) {
-	rec, err := im.inode(ino)
+	n, err := im.Inode(ino)
 	if err != nil {
 		return nil, err
 	}
-	switch FileType(le.Uint16(rec[inoModeOff:])) {
+	return n.requireDir()
+}
+
+// requireDir returns the record of a directory inode.
+func (n Inode) requireDir() ([]byte, error) {
+	switch n.Type() {
 	case TypeDir:
-		return rec, nil
+		return n.rec, nil
 	case TypeFree:
 		return nil, ErrNotAllocated
 	default:
-		return nil, fmt.Errorf("%w: inode %d", ErrNotDir, ino)
+		return nil, fmt.Errorf("%w: inode %d", ErrNotDir, n.Ino)
 	}
 }
 
 // walkDirents calls fn with the block data and offset of every
-// well-formed entry of a directory, in block order. Corrupted blocks
-// contribute their decodable prefix; the first corruption error
+// well-formed entry of a directory's record, in block order. Corrupted
+// blocks contribute their decodable prefix; the first corruption error
 // encountered is returned after the walk.
-func (im *Image) walkDirents(dir Ino, fn func(data []byte, off int)) error {
-	rec, err := im.requireDir(dir)
-	if err != nil {
-		return err
-	}
+func (im *Image) walkDirents(rec []byte, fn func(data []byte, off int)) error {
 	var firstErr error
 	im.forDirentBlocks(rec, func(blk uint64) {
 		data, err := im.blockData(blk)
@@ -178,16 +179,25 @@ func (im *Image) walkDirents(dir Ino, fn func(data []byte, off int)) error {
 // blocks contribute their decodable prefix; the first corruption error
 // encountered is returned alongside the surviving entries.
 func (im *Image) Dirents(dir Ino) ([]Dirent, error) {
+	rec, err := im.requireDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	var out []Dirent
-	err := im.walkDirents(dir, func(data []byte, off int) { out = append(out, decodeDirentAt(data, off)) })
+	err = im.walkDirents(rec, func(data []byte, off int) { out = append(out, decodeDirentAt(data, off)) })
 	return out, err
 }
 
 // WalkDirentTags calls fn with the 16-byte tag of every entry Dirents
-// would list, in the same order, without materialising them: tag
-// aliases the image. It returns the error Dirents would.
-func (im *Image) WalkDirentTags(dir Ino, fn func(tag []byte)) error {
-	return im.walkDirents(dir, func(data []byte, off int) { fn(data[off+8 : off+24]) })
+// would list for the directory n, in the same order, without
+// materialising them: tag aliases the image. It returns the error
+// Dirents would.
+func (n Inode) WalkDirentTags(fn func(tag []byte)) error {
+	rec, err := n.requireDir()
+	if err != nil {
+		return err
+	}
+	return n.im.walkDirents(rec, func(data []byte, off int) { fn(data[off+8 : off+24]) })
 }
 
 // scanDirentBlock walks a block's entries without materialising them.
@@ -363,21 +373,25 @@ func (im *Image) AllocatedInodes(fn func(ino Ino, t FileType) error) error {
 // AllocatedInodesInGroup iterates the allocated inodes of one block
 // group, enabling scanners to shard the inode-table sweep by group.
 func (im *Image) AllocatedInodesInGroup(g int, fn func(ino Ino, t FileType) error) error {
+	return im.InodesInGroup(g, func(n Inode) error { return fn(n.Ino, n.Type()) })
+}
+
+// InodesInGroup iterates the allocated inodes of one block group in
+// ascending order, handing fn each one's record view: the sweep a
+// scanner shards by group, without a lookup per inode.
+func (im *Image) InodesInGroup(g int, fn func(Inode) error) error {
 	if g < 0 || g >= im.Groups() {
 		return fmt.Errorf("ldiskfs: no block group %d", g)
 	}
-	per := im.geom.InodesPerGroup
+	per, size := im.geom.InodesPerGroup, im.geom.InodeSize
 	bm := im.inodeBitmap(g)
+	table := im.buf[im.groupBase(g)+2*im.geom.BlockSize:][:per*size]
 	for i := 0; i < per; i++ {
 		if !bitmapGet(bm, i) {
 			continue
 		}
-		ino := Ino(g*per + i + 1)
-		rec, err := im.inode(ino)
-		if err != nil {
-			return err
-		}
-		if err := fn(ino, FileType(le.Uint16(rec[inoModeOff:]))); err != nil {
+		n := Inode{Ino: Ino(g*per + i + 1), im: im, rec: table[i*size : (i+1)*size : (i+1)*size]}
+		if err := fn(n); err != nil {
 			return err
 		}
 	}

@@ -293,12 +293,33 @@ func (im *Image) InodeAllocated(ino Ino) bool {
 
 // Type returns the inode's file type.
 func (im *Image) Type(ino Ino) (FileType, error) {
-	rec, err := im.inode(ino)
+	n, err := im.Inode(ino)
 	if err != nil {
 		return TypeFree, err
 	}
-	return FileType(le.Uint16(rec[inoModeOff:])), nil
+	return n.Type(), nil
 }
+
+// Inode is one inode as a scan holds it: its number and a view of its
+// record in the image, valid until the image is next mutated. Reading
+// the inode through it repeats none of the lookups its number costs.
+type Inode struct {
+	Ino Ino
+	im  *Image
+	rec []byte
+}
+
+// Inode returns the record view of ino, allocated or not.
+func (im *Image) Inode(ino Ino) (Inode, error) {
+	rec, err := im.inode(ino)
+	if err != nil {
+		return Inode{}, err
+	}
+	return Inode{Ino: ino, im: im, rec: rec}, nil
+}
+
+// Type returns the inode's file type.
+func (n Inode) Type() FileType { return FileType(le.Uint16(n.rec[inoModeOff:])) }
 
 // --- scalar inode fields ---------------------------------------------------
 

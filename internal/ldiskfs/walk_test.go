@@ -9,7 +9,11 @@ import (
 
 // walkedXattrs collects what WalkXattrs yields, as copies, in order.
 func walkedXattrs(im *Image, ino Ino) (names []string, values [][]byte, err error) {
-	err = im.WalkXattrs(ino, func(name, value []byte) {
+	n, err := im.Inode(ino)
+	if err != nil {
+		return nil, nil, err
+	}
+	err = n.WalkXattrs(func(name, value []byte) {
 		names = append(names, string(name))
 		values = append(values, bytes.Clone(value))
 	})
@@ -42,7 +46,8 @@ func TestWalkXattrsMatchesXattrs(t *testing.T) {
 	}
 	// No copy: a value handed to fn is the image's own bytes.
 	var lma []byte
-	im.WalkXattrs(ino, func(name, value []byte) {
+	n, _ := im.Inode(ino)
+	n.WalkXattrs(func(name, value []byte) {
 		if string(name) == "lma" {
 			lma = value
 		}
@@ -64,8 +69,9 @@ func TestWalkXattrsMatchesXattrs(t *testing.T) {
 }
 
 // TestWalkXattrsAllOrNothing: an area damaged at any entry fails the
-// walk with the error Xattrs reports, before fn has seen even the
-// entries that precede the damage.
+// one-pass walk with the error Xattrs reports, after fn has seen
+// exactly the entries before the damage — the ones a caller reading the
+// area as a whole discards.
 func TestWalkXattrsAllOrNothing(t *testing.T) {
 	im := newTestImage(t)
 	ino, _ := im.AllocInode(TypeFile)
@@ -76,19 +82,22 @@ func TestWalkXattrsAllOrNothing(t *testing.T) {
 	pristine := bytes.Clone(area)
 	// count too high; second name length zero; second value overlong.
 	second := 2 + 1 + 3 + 2 + 3
-	for _, damage := range []func(){
-		func() { area[0] = 3; area[second+6+4] = 0xFF }, // a third entry that runs off the area
-		func() { area[second] = 0 },
-		func() { area[second+4], area[second+5] = 0xFF, 0xFF },
-		func() { le.PutUint64(rec[inoXattrBlkOff:], 1<<40) },
+	for _, damage := range []struct {
+		before int // entries intact before the damage
+		apply  func()
+	}{
+		{2, func() { area[0] = 3; area[second+6+4] = 0xFF }}, // a third entry that runs off the area
+		{1, func() { area[second] = 0 }},
+		{1, func() { area[second+4], area[second+5] = 0xFF, 0xFF }},
+		{0, func() { le.PutUint64(rec[inoXattrBlkOff:], 1<<40) }},
 	} {
 		copy(area, pristine)
 		le.PutUint64(rec[inoXattrBlkOff:], 0)
-		damage()
+		damage.apply()
 		_, want := im.Xattrs(ino)
 		names, _, err := walkedXattrs(im, ino)
-		if want == nil || err == nil || err.Error() != want.Error() || len(names) != 0 {
-			t.Errorf("Xattrs: %v; WalkXattrs: %v after yielding %v", want, err, names)
+		if want == nil || err == nil || err.Error() != want.Error() || len(names) != damage.before {
+			t.Errorf("Xattrs: %v; WalkXattrs: %v after yielding %v, want %d entries", want, err, names, damage.before)
 		}
 	}
 }
@@ -107,7 +116,8 @@ func TestWalkDirentTagsMatchesDirents(t *testing.T) {
 		t.Helper()
 		ents, want := im.Dirents(dir)
 		var tags [][16]byte
-		err := im.WalkDirentTags(dir, func(tag []byte) { tags = append(tags, [16]byte(tag)) })
+		n, _ := im.Inode(dir)
+		err := n.WalkDirentTags(func(tag []byte) { tags = append(tags, [16]byte(tag)) })
 		if (want != nil) != wantErr || fmt.Sprint(err) != fmt.Sprint(want) {
 			t.Fatalf("%s: Dirents: %v; WalkDirentTags: %v", label, want, err)
 		}
@@ -130,7 +140,7 @@ func TestWalkDirentTagsMatchesDirents(t *testing.T) {
 	check("malformed entry", true)
 	le.PutUint64(rec[inoDirectOff+8:], 1<<50) // second block pointer out of range
 	check("malformed entry and wild pointer", true)
-	if err := im.WalkDirentTags(blockIno(t, im), func([]byte) {}); err == nil {
+	if n, _ := im.Inode(blockIno(t, im)); n.WalkDirentTags(func([]byte) {}) == nil {
 		t.Error("tag walk of a non-directory succeeded")
 	}
 }

@@ -18,20 +18,25 @@ import (
 
 const xattrNameMax = 255
 
-// xattrArea returns the byte slice holding an allocated inode's EAs:
-// the overflow block when the record names one, else the inline area.
+// xattrArea returns the byte slice holding an allocated inode's EAs.
 func (im *Image) xattrArea(ino Ino) ([]byte, error) {
-	rec, err := im.inode(ino)
+	n, err := im.Inode(ino)
 	if err != nil {
 		return nil, err
 	}
-	if FileType(le.Uint16(rec[inoModeOff:])) == TypeFree {
+	return n.xattrArea()
+}
+
+// xattrArea returns the byte slice holding the inode's EAs: the
+// overflow block when the record names one, else the inline area.
+func (n Inode) xattrArea() ([]byte, error) {
+	if n.Type() == TypeFree {
 		return nil, ErrNotAllocated
 	}
-	if blk := le.Uint64(rec[inoXattrBlkOff:]); blk != 0 {
-		return im.blockData(blk)
+	if blk := le.Uint64(n.rec[inoXattrBlkOff:]); blk != 0 {
+		return n.im.blockData(blk)
 	}
-	return rec[inodeHeaderSize:], nil
+	return n.rec[inodeHeaderSize:], nil
 }
 
 // xattrEntry decodes entry i of an EA area, which starts at off: its
@@ -56,28 +61,22 @@ func xattrEntry(area []byte, off, i int) (name, value []byte, next int, err erro
 	return name, area[off : off+vl : off+vl], off + vl, nil
 }
 
-// walkXattrs validates an EA area as a whole, then calls fn with every
-// entry's name and value in stored order, both aliasing area. A damaged
-// encoding yields an error and fn sees nothing of it — the scanner
-// treats that as "EAs unreadable", exactly how a real checker sees a
-// corrupted xattr region.
+// walkXattrs calls fn with every entry's name and value, both aliasing
+// area, in stored order as it reads them. A damaged encoding ends the
+// walk with an error, after fn has seen the entries before the damage.
 func walkXattrs(area []byte, fn func(name, value []byte)) error {
 	if len(area) < 2 {
 		return fmt.Errorf("ldiskfs: xattr area too small")
 	}
 	count := int(le.Uint16(area))
-	for _, yield := range [2]bool{false, true} {
-		off := 2
-		for i := 0; i < count; i++ {
-			name, value, next, err := xattrEntry(area, off, i)
-			if err != nil {
-				return err
-			}
-			if yield {
-				fn(name, value)
-			}
-			off = next
+	off := 2
+	for i := 0; i < count; i++ {
+		name, value, next, err := xattrEntry(area, off, i)
+		if err != nil {
+			return err
 		}
+		fn(name, value)
+		off = next
 	}
 	return nil
 }
@@ -135,12 +134,14 @@ func (im *Image) Xattrs(ino Ino) (map[string][]byte, error) {
 	return parseXattrs(area)
 }
 
-// WalkXattrs calls fn with every extended attribute of ino in stored
-// order, without copying: name and value alias the image and are valid
-// until it is next mutated. It fails exactly when Xattrs does, and then
-// fn has seen nothing.
-func (im *Image) WalkXattrs(ino Ino, fn func(name, value []byte)) error {
-	area, err := im.xattrArea(ino)
+// WalkXattrs reads the inode's EA area in one pass, calling fn with
+// every entry's name and value in stored order as it reads them, both
+// aliasing the image until it is next mutated. It fails exactly when
+// Xattrs does; a damaged area ends the walk after fn has seen the
+// entries before the damage, so a caller that must read a damaged area
+// as a whole unreadable one discards what it saw.
+func (n Inode) WalkXattrs(fn func(name, value []byte)) error {
+	area, err := n.xattrArea()
 	if err != nil {
 		return err
 	}

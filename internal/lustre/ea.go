@@ -59,39 +59,27 @@ func EncodeLinkEA(entries []LinkEntry) ([]byte, error) {
 	return buf, nil
 }
 
-// linkEntry decodes LinkEA entry i, which starts at off: the parent
-// FID, the name as a slice of b, and the offset of the next entry.
-func linkEntry(b []byte, off, i int) (parent FID, name []byte, next int, err error) {
-	if off+18 > len(b) {
-		return FID{}, nil, 0, fmt.Errorf("lustre: truncated linkEA entry %d", i)
-	}
-	nl := int(le.Uint16(b[off+16:]))
-	if off+18+nl > len(b) {
-		return FID{}, nil, 0, fmt.Errorf("lustre: truncated linkEA name (entry %d)", i)
-	}
-	return FIDFromBytes(b[off : off+16]), b[off+18 : off+18+nl], off + 18 + nl, nil
-}
-
-// WalkLinkEA validates a LinkEA value as a whole, then calls fn with
-// every entry's parent FID and name (aliasing b) in stored order. A
-// damaged value yields an error and fn sees none of its entries.
-func WalkLinkEA(b []byte, fn func(parent FID, name []byte)) error {
+// WalkLinkEA calls fn with every entry's parent FID, in its raw 16-byte
+// form, and name, both aliasing b, in stored order as it reads them. A
+// damaged value ends the walk with an error after fn has seen the
+// entries before the damage: a caller that must take all or nothing of
+// a LinkEA discards what it saw.
+func WalkLinkEA(b []byte, fn func(parent, name []byte)) error {
 	if len(b) < 2 {
 		return fmt.Errorf("lustre: linkEA too short")
 	}
 	count := int(le.Uint16(b))
-	for _, yield := range [2]bool{false, true} {
-		off := 2
-		for i := 0; i < count; i++ {
-			parent, name, next, err := linkEntry(b, off, i)
-			if err != nil {
-				return err
-			}
-			if yield {
-				fn(parent, name)
-			}
-			off = next
+	off := 2
+	for i := 0; i < count; i++ {
+		if off+18 > len(b) {
+			return fmt.Errorf("lustre: truncated linkEA entry %d", i)
 		}
+		nl := int(le.Uint16(b[off+16:]))
+		if off+18+nl > len(b) {
+			return fmt.Errorf("lustre: truncated linkEA name (entry %d)", i)
+		}
+		fn(b[off:off+16], b[off+18:off+18+nl])
+		off += 18 + nl
 	}
 	return nil
 }
@@ -99,8 +87,8 @@ func WalkLinkEA(b []byte, fn func(parent FID, name []byte)) error {
 // DecodeLinkEA parses a LinkEA value.
 func DecodeLinkEA(b []byte) ([]LinkEntry, error) {
 	out := []LinkEntry{}
-	err := WalkLinkEA(b, func(parent FID, name []byte) {
-		out = append(out, LinkEntry{Parent: parent, Name: string(name)})
+	err := WalkLinkEA(b, func(parent, name []byte) {
+		out = append(out, LinkEntry{Parent: FIDFromBytes(parent), Name: string(name)})
 	})
 	if err != nil {
 		return nil, err
@@ -144,10 +132,12 @@ func EncodeLOVEA(l Layout) ([]byte, error) {
 }
 
 // WalkLOVEA validates a LOVEA value, then calls fn with every stripe's
-// OST index and object FID in stripe order, and returns the stripe
-// size. A wrong magic is an error: that is precisely how a corrupted
-// layout EA manifests to the scanner.
-func WalkLOVEA(b []byte, fn func(ostIndex uint32, object FID)) (stripeSize uint32, err error) {
+// OST index and object FID, in its raw 16-byte form aliasing b, in
+// stripe order, and returns the stripe size. A damaged value — a wrong
+// magic, which is precisely how a corrupted layout EA manifests to the
+// scanner, or a stripe count the value cannot hold — is an error, and
+// then fn has seen no stripe.
+func WalkLOVEA(b []byte, fn func(ostIndex uint32, object []byte)) (stripeSize uint32, err error) {
 	if len(b) < 10 {
 		return 0, fmt.Errorf("lustre: LOVEA too short")
 	}
@@ -160,7 +150,7 @@ func WalkLOVEA(b []byte, fn func(ostIndex uint32, object FID)) (stripeSize uint3
 		return stripeSize, fmt.Errorf("lustre: truncated LOVEA (%d stripes)", count)
 	}
 	for off := 10; off < 10+20*count; off += 20 {
-		fn(le.Uint32(b[off:]), FIDFromBytes(b[off+4:off+20]))
+		fn(le.Uint32(b[off:]), b[off+4:off+20])
 	}
 	return stripeSize, nil
 }
@@ -169,8 +159,8 @@ func WalkLOVEA(b []byte, fn func(ostIndex uint32, object FID)) (stripeSize uint3
 func DecodeLOVEA(b []byte) (Layout, error) {
 	var l Layout
 	var err error
-	l.StripeSize, err = WalkLOVEA(b, func(ost uint32, object FID) {
-		l.Stripes = append(l.Stripes, StripeEntry{OSTIndex: ost, ObjectFID: object})
+	l.StripeSize, err = WalkLOVEA(b, func(ost uint32, object []byte) {
+		l.Stripes = append(l.Stripes, StripeEntry{OSTIndex: ost, ObjectFID: FIDFromBytes(object)})
 	})
 	return l, err
 }

@@ -133,9 +133,10 @@ func TestEAEncodings(t *testing.T) {
 }
 
 // TestWalkLinkEAAllOrNothing: every truncation of a three-entry LinkEA
-// fails the walk before fn has seen even the entries that decode — the
-// scanner emits nothing from a LinkEA damaged at any entry — and the
-// intact value yields each parent and name in place.
+// fails the walk, after fn has seen exactly the entries before the cut
+// (the prefix a caller taking all or nothing discards, as the scanner
+// does), and fails DecodeLinkEA with the same error and no entries; the
+// intact value yields each parent, raw, and name in place.
 func TestWalkLinkEAAllOrNothing(t *testing.T) {
 	links := []LinkEntry{
 		{Parent: FID{Seq: 9, Oid: 8, Ver: 7}, Name: "a"},
@@ -146,8 +147,11 @@ func TestWalkLinkEAAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []LinkEntry
-	err = WalkLinkEA(enc, func(parent FID, name []byte) { got = append(got, LinkEntry{parent, string(name)}) })
+	walk := func(b []byte) (got []LinkEntry, err error) {
+		err = WalkLinkEA(b, func(parent, name []byte) { got = append(got, LinkEntry{FIDFromBytes(parent), string(name)}) })
+		return got, err
+	}
+	got, err := walk(enc)
 	if err != nil || len(got) != 3 || got[0] != links[0] || got[1] != links[1] || got[2] != links[2] {
 		t.Fatalf("intact LinkEA walks to %+v, %v", got, err)
 	}
@@ -155,11 +159,19 @@ func TestWalkLinkEAAllOrNothing(t *testing.T) {
 		t.Errorf("empty LinkEA decodes to %#v, %v; want an empty, non-nil list", dec, err)
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		calls := 0
-		err := WalkLinkEA(enc[:cut], func(FID, []byte) { calls++ })
-		_, want := DecodeLinkEA(enc[:cut])
-		if err == nil || want == nil || err.Error() != want.Error() || calls != 0 {
-			t.Fatalf("cut at %d: walk %v after %d entries, decode %v", cut, err, calls, want)
+		got, err := walk(enc[:cut])
+		dec, want := DecodeLinkEA(enc[:cut])
+		intact := 0
+		for _, end := range []int{2 + 18 + 1, 2 + 18 + 1 + 18} { // where the first two entries end
+			if end <= cut {
+				intact++
+			}
+		}
+		if err == nil || want == nil || err.Error() != want.Error() || dec != nil {
+			t.Fatalf("cut at %d: walk %v, decode %v, %v", cut, err, dec, want)
+		}
+		if len(got) != intact || (intact > 0 && got[intact-1] != links[intact-1]) {
+			t.Fatalf("cut at %d: walk saw %+v before the damage, want the first %d entries", cut, got, intact)
 		}
 	}
 }
@@ -178,12 +190,12 @@ func TestWalkLOVEA(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []StripeEntry
-	size, err := WalkLOVEA(enc, func(ost uint32, object FID) { got = append(got, StripeEntry{ost, object}) })
+	size, err := WalkLOVEA(enc, func(ost uint32, object []byte) { got = append(got, StripeEntry{ost, FIDFromBytes(object)}) })
 	if err != nil || size != 4096 || len(got) != 3 || got[0] != layout.Stripes[0] || got[1] != layout.Stripes[1] || got[2] != layout.Stripes[2] {
 		t.Fatalf("walk: size %d stripes %+v err %v", size, got, err)
 	}
 	calls := 0
-	if _, err := WalkLOVEA(enc[:len(enc)-1], func(uint32, FID) { calls++ }); err == nil || calls != 0 {
+	if _, err := WalkLOVEA(enc[:len(enc)-1], func(uint32, []byte) { calls++ }); err == nil || calls != 0 {
 		t.Errorf("truncated LOVEA: %v after %d stripes", err, calls)
 	}
 }

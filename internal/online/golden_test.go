@@ -30,12 +30,12 @@ func goldenTrackerSnapshot(t *testing.T, warm bool) *trackerSnapshot {
 	}{
 		{0, 13, &scanner.Partial{
 			Objects: objectsOf(scanner.Object{FID: file, Ino: 13, Type: ldiskfs.TypeFile}),
-			Edges:   edgesOf(scanner.FIDEdge{Src: file, Dst: obj, Kind: graph.KindLOVEA}),
+			Edges:   edgesOf(scanner.Edge{Dst: obj, Kind: graph.KindLOVEA}),
 			Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 		}},
 		{1, 7, &scanner.Partial{
 			Objects: objectsOf(scanner.Object{FID: obj, Ino: 7, Type: ldiskfs.TypeObject}),
-			Edges:   edgesOf(scanner.FIDEdge{Src: obj, Dst: file, Kind: graph.KindFilterFID}),
+			Edges:   edgesOf(scanner.Edge{Dst: file, Kind: graph.KindFilterFID}),
 			Stats:   scanner.Stats{InodesScanned: 1, EdgesEmitted: 1},
 		}},
 	} {
@@ -83,7 +83,7 @@ func objectsOf(objs ...scanner.Object) (s scanner.Objects) {
 	return s
 }
 
-func edgesOf(edges ...scanner.FIDEdge) (s scanner.Edges) {
+func edgesOf(edges ...scanner.Edge) (s scanner.Edges) {
 	s.Append(edges...)
 	return s
 }

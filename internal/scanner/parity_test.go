@@ -42,6 +42,7 @@ func scanInodeReference(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType,
 	if self.IsZero() {
 		return
 	}
+	src := uint32(p.Objects.Len())
 	p.Objects.Append(scanner.Object{FID: self, Ino: ino, Type: t})
 
 	emit := func(dst lustre.FID, kind graph.EdgeKind) {
@@ -49,7 +50,7 @@ func scanInodeReference(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType,
 			p.Issues = append(p.Issues, scanner.Issue{Ino: ino, What: fmt.Sprintf("zero FID in %v", kind)})
 			return
 		}
-		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: kind})
+		p.Edges.Append(scanner.Edge{Src: src, Dst: dst, Kind: kind})
 		p.Stats.EdgesEmitted++
 	}
 
@@ -99,12 +100,14 @@ func scanInodeReference(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType,
 // referenceEmitter is the chunk emitter as it was before it filled a
 // reused scratch chunk — append each group into the open chunk, hand
 // the chunk itself to the sink — kept as the specification of where
-// chunk boundaries fall and which chunk a group's stats ride on.
+// chunk boundaries fall, which chunk a group's stats ride on, and that
+// an edge's source ordinal counts the stream's objects.
 type referenceEmitter struct {
-	label  string
-	limit  int
-	cur    scanner.Chunk
-	chunks []*scanner.Chunk
+	label   string
+	limit   int
+	objects int
+	cur     scanner.Chunk
+	chunks  []*scanner.Chunk
 }
 
 func (e *referenceEmitter) flush(final bool) {
@@ -121,6 +124,8 @@ func (e *referenceEmitter) maybeFlush() {
 }
 
 func (e *referenceEmitter) add(p *scanner.Partial) {
+	base := uint32(e.objects)
+	e.objects += p.Objects.Len()
 	for j := range p.Objects.Len() {
 		o := p.Objects.At(j)
 		e.cur.Objects.Append(o)
@@ -128,6 +133,7 @@ func (e *referenceEmitter) add(p *scanner.Partial) {
 	}
 	for j := range p.Edges.Len() {
 		ed := p.Edges.At(j)
+		ed.Src += base
 		e.cur.Edges.Append(ed)
 		e.maybeFlush()
 	}
@@ -389,40 +395,111 @@ func TestScanParityHandMadeDamage(t *testing.T) {
 	must(img.CorruptBytes(blocks[2][0]+25, []byte{0}))
 	want[big.Ino] = []string{"dirent damage: ldiskfs: malformed dirent at offset 0", fmt.Sprintf("zero FID in %v", graph.KindDirent)}
 
-	// An OST object whose filter-fid names no parent.
-	ost := c.OSTs[0].Img
-	var obj ldiskfs.Ino
-	_ = ost.AllocatedInodes(func(ino ldiskfs.Ino, _ ldiskfs.FileType) error { obj = ino; return nil })
-	must(ost.SetXattr(obj, lustre.XattrFilterFID, lustre.EncodeFilterFID(lustre.FilterFID{StripeIndex: 1})))
+	// A zero parent, then an entry cut short: the LinkEA is corrupt, and
+	// the zero-FID issue its intact first entry raised is taken back with
+	// everything else it yielded.
+	zeroThenCut := stat("/big/file-0012")
+	link, _ = lustre.EncodeLinkEA([]lustre.LinkEntry{{Name: "file-0012"}, {Parent: lustre.RootFID, Name: "x"}})
+	must(img.SetXattr(zeroThenCut.Ino, lustre.XattrLink, link[:len(link)-1]))
+	want[zeroThenCut.Ino] = []string{"corrupt LinkEA"}
 
-	p, err := scanner.ScanImage(img, 3)
-	must(err)
-	got := map[ldiskfs.Ino][]string{}
-	for _, is := range p.Issues {
-		got[is.Ino] = append(got[is.Ino], is.What)
+	// A repeated name, hand-encoded into the inline area: a zero LMA,
+	// the LinkEA, then the real LMA. The last one wins, as in Xattrs'
+	// map, so the inode keeps its identity and raises nothing.
+	repeated := stat("/big/file-0015")
+	lma := repeated.FID.Bytes()
+	link, _ = lustre.EncodeLinkEA([]lustre.LinkEntry{{Parent: stat("/big").FID, Name: "file-0015"}})
+	area := binary.LittleEndian.AppendUint16(nil, 3)
+	for _, ea := range []struct {
+		name  string
+		value []byte
+	}{{lustre.XattrLMA, make([]byte, 16)}, {lustre.XattrLink, link}, {lustre.XattrLMA, lma[:]}} {
+		area = append(append(area, byte(len(ea.name))), ea.name...)
+		area = append(binary.LittleEndian.AppendUint16(area, uint16(len(ea.value))), ea.value...)
 	}
-	for ino, issues := range want {
-		if len(got[ino]) != len(issues) {
-			t.Errorf("ino %d: issues %q, want %q", ino, got[ino], issues)
-			continue
+	off, _ = img.InodeOffset(repeated.Ino)
+	must(img.CorruptBytes(off+ptrOverflow, make([]byte, 8)))
+	must(img.CorruptBytes(off+128, area))
+	want[repeated.Ino] = nil
+
+	// An LMA one byte short of a FID.
+	shortLMA := stat("/big/file-0016")
+	lma = shortLMA.FID.Bytes()
+	must(img.SetXattr(shortLMA.Ino, lustre.XattrLMA, lma[:15]))
+	want[shortLMA.Ino] = []string{"corrupt LMA"}
+
+	// An EA overflow pointer past the image's last block.
+	wildOverflow := stat("/big/file-0017")
+	off, _ = img.InodeOffset(wildOverflow.Ino)
+	must(img.CorruptBytes(off+ptrOverflow, binary.LittleEndian.AppendUint64(nil, 1<<40)))
+	want[wildOverflow.Ino] = []string{"unreadable EAs: ldiskfs: block 1099511627776 out of range"}
+
+	// A LOVEA whose stripe count runs past its value: no stripe of it
+	// may yield an edge.
+	overrun := stat("/big/file-0018")
+	raw, _, _ = img.GetXattr(overrun.Ino, lustre.XattrLOV)
+	binary.LittleEndian.PutUint16(raw[8:], binary.LittleEndian.Uint16(raw[8:])+1)
+	must(img.SetXattr(overrun.Ino, lustre.XattrLOV, raw))
+	want[overrun.Ino] = []string{"corrupt LOVEA"}
+
+	// An OST object whose filter-fid names no parent, and one whose
+	// filter-fid is a byte short.
+	ost := c.OSTs[0].Img
+	var objs []ldiskfs.Ino
+	_ = ost.AllocatedInodes(func(ino ldiskfs.Ino, _ ldiskfs.FileType) error { objs = append(objs, ino); return nil })
+	noParent, shortFF := objs[len(objs)-1], objs[len(objs)-2]
+	must(ost.SetXattr(noParent, lustre.XattrFilterFID, lustre.EncodeFilterFID(lustre.FilterFID{StripeIndex: 1})))
+	must(ost.SetXattr(shortFF, lustre.XattrFilterFID, lustre.EncodeFilterFID(lustre.FilterFID{ParentFID: lustre.RootFID})[:19]))
+	wantOST := map[ldiskfs.Ino][]string{
+		noParent: {fmt.Sprintf("zero FID in %v", graph.KindFilterFID)},
+		shortFF:  {"corrupt filter-fid"},
+	}
+
+	assertIssues := func(label string, p *scanner.Partial, want map[ldiskfs.Ino][]string) {
+		t.Helper()
+		got := map[ldiskfs.Ino][]string{}
+		for _, is := range p.Issues {
+			got[is.Ino] = append(got[is.Ino], is.What)
 		}
-		for i, w := range issues {
-			if !strings.HasPrefix(got[ino][i], w) {
-				t.Errorf("ino %d: issue %d is %q, want %q", ino, i, got[ino][i], w)
+		for ino, issues := range want {
+			if len(got[ino]) != len(issues) {
+				t.Errorf("%s ino %d: issues %q, want %q", label, ino, got[ino], issues)
+				continue
+			}
+			for i, w := range issues {
+				if !strings.HasPrefix(got[ino][i], w) {
+					t.Errorf("%s ino %d: issue %d is %q, want %q", label, ino, i, got[ino][i], w)
+				}
 			}
 		}
 	}
+	p, err := scanner.ScanImage(img, 3)
+	must(err)
+	assertIssues("MDT", p, want)
 	for j := range p.Edges.Len() {
-		e := p.Edges.At(j)
-		if e.Src == manyLinks.FID && e.Kind == graph.KindLinkEA {
+		e := p.FIDEdge(j)
+		if e.Src == manyLinks.FID && e.Kind == graph.KindLinkEA || e.Src == zeroThenCut.FID && e.Kind == graph.KindLinkEA {
 			t.Fatalf("edge %v emitted from a LinkEA damaged further on", e)
 		}
+		if e.Src == overrun.FID && e.Kind == graph.KindLOVEA {
+			t.Fatalf("edge %v emitted from a LOVEA whose count overruns it", e)
+		}
+	}
+	var kept bool
+	for j := range p.Objects.Len() {
+		if o := p.Objects.At(j); o.Ino == repeated.Ino {
+			kept = o.FID == repeated.FID
+		}
+	}
+	if !kept {
+		t.Errorf("ino %d: the repeated LMA did not keep the last value's identity", repeated.Ino)
 	}
 	op, err := scanner.ScanImage(ost, 2)
 	must(err)
-	if len(op.Issues) != 1 || op.Issues[0].Ino != obj || op.Issues[0].What != fmt.Sprintf("zero FID in %v", graph.KindFilterFID) {
-		t.Errorf("OST issues %v, want one zero filter-fid parent on ino %d", op.Issues, obj)
+	if len(op.Issues) != 2 {
+		t.Errorf("OST issues %v, want exactly the two planted", op.Issues)
 	}
+	assertIssues("OST", op, wantOST)
 	assertParity(t, img, allWorkers, allChunks)
 	assertParity(t, ost, []int{1, 3}, []int{16, 0})
 }
@@ -529,6 +606,15 @@ func FuzzScanParity(f *testing.F) {
 	f.Add(int64(3), uint32(128), byte(0xFF))       // an EA count
 	f.Add(int64(3), uint32(0), byte(0))            // a type field: allocated but typed free
 	f.Add(int64(205894), uint32(3379), byte(0xA1)) // an overflow pointer past 2^63: once a panic in blockData
+	// The shapes TestScanParityHandMadeDamage builds that one byte can
+	// make: an LMA one byte short (the MDT root's, an OST object's), an
+	// overflow pointer past the last block, a LOVEA and a LinkEA whose
+	// counts overrun their values.
+	f.Add(int64(0), uint32(162), byte(15))
+	f.Add(int64(1), uint32(160), byte(15))
+	f.Add(int64(0), uint32(49), byte(1))
+	f.Add(int64(66), uint32(202), byte(2))
+	f.Add(int64(0), uint32(137), byte(2))
 	f.Fuzz(func(t *testing.T, seed int64, offset uint32, b byte) {
 		targets := fuzzTargets()
 		if seed < 0 {

@@ -15,12 +15,18 @@ var le = binary.LittleEndian
 // appends a record once and nothing downstream converts it again:
 //
 //	object: 16B fid | u64 ino | u16 type
-//	edge:   16B src | 16B dst | u8 kind
+//	edge:   u32 src | 16B dst | u8 kind
 //
-// A FID is its 16-byte form (lustre.FID.Bytes).
+// A FID is its 16-byte form (lustre.FID.Bytes). An edge's src is an
+// ordinal, not a FID: the index of its source object's record among the
+// objects of the same server's stream — in a Partial, its Objects. Every
+// edge the scanner emits leaves the object of the inode it was parsed
+// from, whose record the same scan wrote just before, so naming it by
+// position saves 12 bytes an edge and can never name a FID no object
+// carries.
 const (
 	ObjectSize = 16 + 8 + 2
-	EdgeSize   = 16 + 16 + 1
+	EdgeSize   = 4 + 16 + 1
 )
 
 // Objects is a section of object records. It is a struct rather than a
@@ -96,31 +102,68 @@ func (s Edges) Len() int { return len(s.b) / EdgeSize }
 // rec returns record i; see Objects.rec.
 func (s Edges) rec(i int) *[EdgeSize]byte { return (*[EdgeSize]byte)(s.b[i*EdgeSize:]) }
 
-// Src returns record i's source FID.
-func (s Edges) Src(i int) lustre.FID { return lustre.FIDFromBytes(s.rec(i)[:16]) }
+// Src returns record i's source ordinal.
+func (s Edges) Src(i int) uint32 { return le.Uint32(s.rec(i)[:4]) }
 
 // Dst returns record i's destination FID.
-func (s Edges) Dst(i int) lustre.FID { return lustre.FIDFromBytes(s.rec(i)[16:32]) }
+func (s Edges) Dst(i int) lustre.FID { return lustre.FIDFromBytes(s.rec(i)[4:20]) }
 
 // Kind returns record i's edge kind.
-func (s Edges) Kind(i int) graph.EdgeKind { return graph.EdgeKind(s.rec(i)[32]) }
+func (s Edges) Kind(i int) graph.EdgeKind { return graph.EdgeKind(s.rec(i)[20]) }
 
-// At returns record i as a FIDEdge.
-func (s Edges) At(i int) FIDEdge {
+// At returns record i as an Edge.
+func (s Edges) At(i int) Edge {
 	r := s.rec(i)
-	return FIDEdge{Src: lustre.FIDFromBytes(r[:16]), Dst: lustre.FIDFromBytes(r[16:32]), Kind: graph.EdgeKind(r[32])}
+	return Edge{Src: le.Uint32(r[:4]), Dst: lustre.FIDFromBytes(r[4:20]), Kind: graph.EdgeKind(r[20])}
 }
 
 // Append appends one record per edge.
-func (s *Edges) Append(edges ...FIDEdge) {
+func (s *Edges) Append(edges ...Edge) {
 	s.b = grow(s.b, len(edges)*EdgeSize)
 	for _, e := range edges {
 		n := len(s.b)
 		s.b = s.b[:n+EdgeSize]
 		r := (*[EdgeSize]byte)(s.b[n:])
-		putFID(r[:16], e.Src)
-		putFID(r[16:32], e.Dst)
-		r[32] = byte(e.Kind)
+		le.PutUint32(r[:4], e.Src)
+		putFID(r[4:20], e.Dst)
+		r[20] = byte(e.Kind)
+	}
+}
+
+// SrcBound returns one past the largest source ordinal in the section
+// (0 when it is empty): the section's edges all leave objects of a
+// stream holding at least that many.
+func (s Edges) SrcBound() int {
+	var hi uint64
+	for off := 0; off < len(s.b); off += EdgeSize {
+		hi = max(hi, uint64(le.Uint32(s.b[off:]))+1)
+	}
+	return int(hi)
+}
+
+// put appends one record whose destination is dst's raw 16-byte FID,
+// copied as it is. The scanner reserves room for an inode's edges
+// before it parses them, so put grows only when a directory outruns
+// that reservation.
+func (s *Edges) put(src uint32, dst []byte, kind graph.EdgeKind) {
+	s.b = grow(s.b, EdgeSize)
+	n := len(s.b)
+	s.b = s.b[:n+EdgeSize]
+	r := (*[EdgeSize]byte)(s.b[n:])
+	le.PutUint32(r[:4], src)
+	*(*[16]byte)(r[4:20]) = [16]byte(dst)
+	r[20] = byte(kind)
+}
+
+// rebase adds d to the source ordinal of every record: a block group's
+// edges, written relative to the group's first object, become relative
+// to the stream's.
+func (s Edges) rebase(d uint32) {
+	if d == 0 {
+		return
+	}
+	for off := 0; off < len(s.b); off += EdgeSize {
+		le.PutUint32(s.b[off:], le.Uint32(s.b[off:])+d)
 	}
 }
 

@@ -17,8 +17,16 @@ import (
 	"faultyrank/internal/lustre"
 )
 
-// FIDEdge is a point-to relation between two FIDs, before GID remapping:
-// the typed view of one edge record (Edges.At).
+// Edge is the typed view of one edge record (Edges.At): a point-to
+// relation from the object at ordinal Src of the same stream (or
+// Partial) to the FID Dst.
+type Edge struct {
+	Src  uint32
+	Dst  lustre.FID
+	Kind graph.EdgeKind
+}
+
+// FIDEdge is an edge with its source resolved to a FID (Partial.FIDEdge).
 type FIDEdge struct {
 	Src, Dst lustre.FID
 	Kind     graph.EdgeKind
@@ -67,6 +75,13 @@ type Partial struct {
 	Stats       Stats
 }
 
+// FIDEdge returns edge i with its source ordinal resolved against the
+// partial's objects.
+func (p *Partial) FIDEdge(i int) FIDEdge {
+	e := p.Edges.At(i)
+	return FIDEdge{Src: p.Objects.FID(int(e.Src)), Dst: e.Dst, Kind: e.Kind}
+}
+
 // ScanImage extracts the partial graph of one server image: a compat
 // wrapper reassembling the streaming scanner's chunk sequence (released
 // in group order, so the result is deterministic independent of worker
@@ -83,30 +98,42 @@ func ScanImage(img *ldiskfs.Image, workers int) (*Partial, error) {
 // a fresh single-inode partial: the incremental entry point the online
 // checker uses to consume a change feed one inode at a time.
 func ScanInode(img *ldiskfs.Image, ino ldiskfs.Ino) (*Partial, error) {
-	t, err := img.Type(ino)
+	n, err := img.Inode(ino)
 	if err != nil {
 		return nil, err
 	}
 	p := &Partial{ServerLabel: img.Label()}
-	if t == ldiskfs.TypeFree {
+	if n.Type() == ldiskfs.TypeFree {
 		return p, nil // deallocated: contributes nothing
 	}
 	p.Stats.InodesScanned = 1
-	scanInode(img, ino, t, p)
+	scanInode(n, p)
 	return p, nil
 }
 
+// zeroFID reports whether a raw 16-byte FID is the zero FID.
+func zeroFID(b []byte) bool { return le.Uint64(b)|le.Uint64(b[8:]) == 0 }
+
+// Minimum encoded sizes of one LinkEA entry and one LOVEA stripe: a
+// value's length bounds how many edges it can yield.
+const linkEntryMin, lovStripeSize = 16 + 2, 4 + 16
+
 // scanInode parses one inode's EAs (and dirents for directories) and
-// appends the corresponding object and edge records and issues to p. It
-// reads the image in place — the EA area, the LinkEA and LOVEA values
-// and the dirent blocks are walked as slices of the image — so the only
-// memory it touches beyond p's slices is an issue's text.
-func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Partial) {
-	// The four EAs the scanner reads; nil = absent (a present EA is a
-	// non-nil slice of the image even when empty). A repeated name keeps
-	// its last value, as a map of the area would.
+// appends the corresponding object and edge records and issues to p.
+// It reads the image in place — one pass over the EA area picks the
+// four EAs it reads, and their values and the dirent blocks are walked
+// as slices of the image — and copies each destination FID into its
+// edge record as the 16 bytes it found, so the only memory it touches
+// beyond p's slices, grown at most once for the inode's EAs, is an
+// issue's text.
+func scanInode(n ldiskfs.Inode, p *Partial) {
+	ino, t := n.Ino, n.Type()
+	// The four EAs the scanner reads, picked in one pass; nil = absent (a
+	// present EA is a non-nil slice of the image even when empty). A
+	// repeated name keeps its last value, as a map of the area would,
+	// and a damaged area yields none of them.
 	var lma, link, lov, ff []byte
-	eaErr := img.WalkXattrs(ino, func(name, value []byte) {
+	eaErr := n.WalkXattrs(func(name, value []byte) {
 		switch string(name) {
 		case lustre.XattrLMA:
 			lma = value
@@ -119,6 +146,7 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 		}
 	})
 	if eaErr != nil {
+		lma, link, lov, ff = nil, nil, nil, nil
 		p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("unreadable EAs: %v", eaErr)})
 	}
 
@@ -138,22 +166,31 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 		// graph; record it and move on (LFSCK's oi_scrub territory).
 		return
 	}
+	src := uint32(p.Objects.Len())
 	p.Objects.Append(Object{FID: self, Ino: ino, Type: t})
 
-	emit := func(dst lustre.FID, kind graph.EdgeKind) {
-		if dst.IsZero() {
+	// The first edge makes room for as many as the EAs can hold; an
+	// inode without edges leaves an empty section nil.
+	reserve := (len(link)/linkEntryMin + len(lov)/lovStripeSize + 1) * EdgeSize
+	emit := func(dst []byte, kind graph.EdgeKind) {
+		if zeroFID(dst) {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("zero FID in %v", kind)})
 			return
 		}
-		p.Edges.Append(FIDEdge{Src: self, Dst: dst, Kind: kind})
+		if reserve > 0 {
+			p.Edges.b, reserve = grow(p.Edges.b, reserve), 0
+		}
+		p.Edges.put(src, dst, kind)
 		p.Stats.EdgesEmitted++
 	}
 
-	// LinkEA: point-backs to parents (namespace). A LinkEA damaged at
-	// any entry contributes none of them.
+	// LinkEA: point-backs to parents (namespace), emitted as read. A
+	// LinkEA damaged at any entry contributes none of them: what its
+	// intact entries emitted is taken back.
 	if link != nil {
-		err := lustre.WalkLinkEA(link, func(parent lustre.FID, _ []byte) { emit(parent, graph.KindLinkEA) })
-		if err != nil {
+		edges, issues, emitted := p.Edges, len(p.Issues), p.Stats.EdgesEmitted
+		if err := lustre.WalkLinkEA(link, func(parent, _ []byte) { emit(parent, graph.KindLinkEA) }); err != nil {
+			p.Edges, p.Issues, p.Stats.EdgesEmitted = edges, p.Issues[:issues], emitted
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: "corrupt LinkEA"})
 		}
 	}
@@ -162,8 +199,8 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 	// released stripe slot (kept so later stripes keep their indices),
 	// not corruption.
 	if lov != nil {
-		_, err := lustre.WalkLOVEA(lov, func(_ uint32, object lustre.FID) {
-			if !object.IsZero() {
+		_, err := lustre.WalkLOVEA(lov, func(_ uint32, object []byte) {
+			if !zeroFID(object) {
 				emit(object, graph.KindLOVEA)
 			}
 		})
@@ -174,8 +211,8 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 
 	// filter-fid: layout point-back to the owning file.
 	if ff != nil {
-		if f, err := lustre.DecodeFilterFID(ff); err == nil {
-			emit(f.ParentFID, graph.KindFilterFID)
+		if _, err := lustre.DecodeFilterFID(ff); err == nil {
+			emit(ff[:16], graph.KindFilterFID)
 		} else {
 			p.Issues = append(p.Issues, Issue{Ino: ino, What: "corrupt filter-fid"})
 		}
@@ -187,9 +224,9 @@ func scanInode(img *ldiskfs.Image, ino ldiskfs.Ino, t ldiskfs.FileType, p *Parti
 	// issue precedes the zero-FID issues of the entries that survive.
 	if t == ldiskfs.TypeDir {
 		mark := len(p.Issues)
-		err := img.WalkDirentTags(ino, func(tag []byte) {
+		err := n.WalkDirentTags(func(tag []byte) {
 			p.Stats.DirentsRead++
-			emit(lustre.FIDFromBytes(tag), graph.KindDirent)
+			emit(tag, graph.KindDirent)
 		})
 		if err != nil {
 			p.Issues = slices.Insert(p.Issues, mark, Issue{Ino: ino, What: fmt.Sprintf("dirent damage: %v", err)})

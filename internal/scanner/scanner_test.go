@@ -110,8 +110,7 @@ func TestScanRoundTripPairing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range p.Edges.Len() {
-			e := p.Edges.At(j)
-			edges = append(edges, e)
+			edges = append(edges, p.FIDEdge(j))
 		}
 	}
 	set := make(map[[2]lustre.FID]int)
@@ -198,7 +197,7 @@ func TestScanReportsCorruptEAs(t *testing.T) {
 	// The file still appears as an object (its LMA is intact) but emits
 	// no LOVEA edges.
 	for j := range p.Edges.Len() {
-		e := p.Edges.At(j)
+		e := p.FIDEdge(j)
 		if e.Src == ent.FID && e.Kind == graph.KindLOVEA {
 			t.Errorf("edge emitted from corrupt LOVEA")
 		}

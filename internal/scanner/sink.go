@@ -24,7 +24,10 @@ const DefaultChunkEntries = 8192
 // order regardless of how the group sweep was parallelised.
 //
 // Objects and Edges are record sections in their wire form, so a chunk
-// is shipped, received and merged as the bytes the scanner appended.
+// is shipped, received and merged as the bytes the scanner appended. An
+// edge's source ordinal counts the objects of the whole stream, not of
+// the chunk: it may name an object an earlier chunk carried, never one
+// a later chunk will.
 type Chunk struct {
 	ServerLabel string
 	// Seq is the chunk's position in the server's stream.
@@ -101,8 +104,11 @@ type chunkEmitter struct {
 	lend  bool // sink is a Borrower
 	limit int
 	seq   int
-	cur   Chunk
-	ins   []*Instr
+	// objects counts the object records added so far: the stream
+	// ordinal of the next group's first object.
+	objects int
+	cur     Chunk
+	ins     []*Instr
 }
 
 func newChunkEmitter(label string, limit int, sink Sink, ins []*Instr) *chunkEmitter {
@@ -168,7 +174,11 @@ func fill[T any](e *chunkEmitter, dst *[]T, src []T, per int) error {
 }
 
 // add appends one group's scan output, splitting at chunk boundaries.
+// The group's edges name their sources relative to the group; add
+// rebases them, in p, onto the stream's object count.
 func (e *chunkEmitter) add(p *Partial) error {
+	p.Edges.rebase(uint32(e.objects))
+	e.objects += p.Objects.Len()
 	if err := fill(e, &e.cur.Objects.b, p.Objects.b, ObjectSize); err != nil {
 		return err
 	}
@@ -254,9 +264,9 @@ func sweep(ctx context.Context, img *ldiskfs.Image, workers int, em *chunkEmitte
 				if g >= groups || stop.Load() {
 					return
 				}
-				b.err = img.AllocatedInodesInGroup(g, func(ino ldiskfs.Ino, t ldiskfs.FileType) error {
+				b.err = img.InodesInGroup(g, func(n ldiskfs.Inode) error {
 					b.Stats.InodesScanned++
-					scanInode(img, ino, t, &b.Partial)
+					scanInode(n, &b.Partial)
 					return nil
 				})
 				scanned.Add(b.Stats.InodesScanned)

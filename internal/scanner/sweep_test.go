@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,8 +184,18 @@ func TestScanAllocs(t *testing.T) {
 	}
 }
 
+// dropSink counts chunks and drops them, borrowing the scratch chunk
+// as the wire stream does.
+type dropSink struct{ countSink }
+
+func (*dropSink) BorrowsChunks() {}
+
 // BenchmarkScan sweeps the MDT and one OST of the benchmark's
-// cold_check_tcp cluster shape into a sink that drops the chunks.
+// cold_check_tcp cluster shape into a sink that drops the chunks, and,
+// as stage, all nine of its images at once, each into a borrowing sink
+// — the shape of the checker's TCP scan stage. Stage reports wall time
+// per inode over all nine images and the bytes the sweeps allocate per
+// edge they emit.
 func BenchmarkScan(b *testing.B) {
 	c := wideCluster(b, 24000)
 	for _, img := range []*ldiskfs.Image{c.MDT.Img, c.OSTs[0].Img} {
@@ -198,4 +209,40 @@ func BenchmarkScan(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(img.InodeCount()), "ns/inode")
 		})
 	}
+	b.Run("stage", func(b *testing.B) {
+		images := []*ldiskfs.Image{c.MDT.Img}
+		for _, ost := range c.OSTs {
+			images = append(images, ost.Img)
+		}
+		var inodes, edges int64
+		for _, img := range images {
+			p, err := ScanImage(img, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inodes += p.Stats.InodesScanned
+			edges += int64(p.Edges.Len())
+		}
+		errs := make([]error, len(images))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ReportAllocs()
+		for b.Loop() {
+			var wg sync.WaitGroup
+			for i, img := range images {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = ScanImageToSink(img, 0, 0, &dropSink{})
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(inodes), "ns/inode")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(edges), "B/edge")
+	})
 }

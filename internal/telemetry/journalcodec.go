@@ -1,12 +1,15 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"os"
 	"sort"
 	"time"
 
 	"faultyrank/internal/bincodec"
 )
+
+var le = binary.LittleEndian
 
 // FRJR v1: the versioned canonical binary codec for journal snapshots —
 // the on-disk format of the journal.frjr files faultyrank/frhealthd dump
@@ -23,8 +26,7 @@ import (
 //	            | u8 attrCount | attr × { str16 k | str16 v } }
 //	}
 //
-// Same invariants as the FRTM codec: versioned (mixed builds fail
-// loudly), bounded (counts are sanity-checked against the remaining
+// Invariants: versioned (mixed builds fail loudly), bounded (counts are sanity-checked against the remaining
 // payload before any allocation), and canonical — sections sorted by
 // server, events in non-decreasing T — enforced at decode, so a blob
 // either fails to decode or re-encodes byte-identically (the

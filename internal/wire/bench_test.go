@@ -28,7 +28,7 @@ func fullChunk() *scanner.Chunk {
 		c.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(i + 12), Type: ldiskfs.TypeFile})
 		for k := 0; k < 3 && c.Entries() < 4096; k++ {
 			dst := lustre.FID{Seq: lustre.OSTSeqBase + uint64(k), Oid: uint32(i)}
-			c.Edges.Append(scanner.FIDEdge{Src: self, Dst: dst, Kind: graph.KindLOVEA})
+			c.Edges.Append(scanner.Edge{Src: uint32(c.Objects.Len() - 1), Dst: dst, Kind: graph.KindLOVEA})
 		}
 		if i%64 == 0 && c.Entries() < 4096 {
 			c.Issues = append(c.Issues, scanner.Issue{Ino: ldiskfs.Ino(i + 12), What: fmt.Sprintf("lov: stripe %d unreadable", i)})

@@ -21,9 +21,16 @@ import (
 //	u32 seq
 //	u8 flags (bit 0 = final; other bits must be zero)
 //	u32 objectCount | objects × { 16B fid, u64 ino, u16 type }
-//	u32 edgeCount   | edges   × { 16B src, 16B dst, u8 kind }
+//	u32 edgeCount   | edges   × { u32 src, 16B dst, u8 kind }
 //	u32 issueCount  | issues  × { u64 ino, u16 len, text }
 //	stats: 3 × u64
+//
+// An edge's src is the ordinal of its source object among the objects
+// of the server's whole stream, earlier chunks' included (see
+// scanner.Chunk): the FID of the object record the scan wrote for the
+// inode the edge came from, named by position rather than repeated.
+// DecodeChunk checks only the record sizes; the receiving agg.Builder
+// refuses an ordinal its stream has not yet carried.
 //
 // The object and edge sections are a scanner.Chunk's record sections
 // byte for byte, so encoding copies them whole and decoding slices
@@ -148,6 +155,9 @@ type ChunkStream struct {
 	// journal, when set, records this stream's flight-recorder events:
 	// slow frames and the stream-final marker. Nil journals no-op.
 	journal *telemetry.Journal
+	// finalWritten, when set, runs once the final frame is written,
+	// before the ack wait.
+	finalWritten func()
 	// meta holds the frame's bytes other than the record sections: the
 	// header through the object count, the edge count, and the issues
 	// and stats. iov and bufs are the gathered write's vector; a write
@@ -189,6 +199,12 @@ func DialChunkStreamContext(ctx context.Context, addr string, policy RetryPolicy
 // are recorded to it, and so is the stream-final marker once the final
 // chunk is written. A nil journal is fine.
 func (s *ChunkStream) SetJournal(j *telemetry.Journal) { s.journal = j }
+
+// OnFinalWritten sets fn to run once the final chunk's frame is written,
+// before the stream waits for the collector's acknowledgement: the
+// moment the scanner's own work on the stream ends, which a collector
+// slow to take the chunk must not stretch.
+func (s *ChunkStream) OnFinalWritten(fn func()) { s.finalWritten = fn }
 
 // DialRetries reports how many redials the initial connect needed.
 func (s *ChunkStream) DialRetries() int { return s.dialRetries }
@@ -278,6 +294,9 @@ func (s *ChunkStream) emit(final bool, parts ...[]byte) error {
 		s.journal.Record("wire", "stream-final",
 			"frames", fmt.Sprintf("%d", s.frames.Value()),
 			"bytes", fmt.Sprintf("%d", s.bytes.Value()))
+	}
+	if s.finalWritten != nil {
+		s.finalWritten()
 	}
 	s.setDeadline(net.Conn.SetReadDeadline)
 	typ, body, err := ReadFrame(s.conn)

@@ -39,8 +39,8 @@ func appendChunkReference(buf []byte, c *scanner.Chunk) []byte {
 	buf = le.AppendUint32(buf, uint32(c.Edges.Len()))
 	for j := range c.Edges.Len() {
 		e := c.Edges.At(j)
-		sb, db := e.Src.Bytes(), e.Dst.Bytes()
-		buf = append(buf, sb[:]...)
+		db := e.Dst.Bytes()
+		buf = le.AppendUint32(buf, e.Src)
 		buf = append(buf, db[:]...)
 		buf = append(buf, byte(e.Kind))
 	}
@@ -69,7 +69,7 @@ func decodeChunkReference(b []byte) (*scanner.Chunk, error) {
 		c.Objects.Append(scanner.Object{FID: fid(d), Ino: ldiskfs.Ino(d.U64()), Type: ldiskfs.FileType(d.U16())})
 	}
 	for range d.Count(uint64(d.U32()), scanner.EdgeSize) {
-		c.Edges.Append(scanner.FIDEdge{Src: fid(d), Dst: fid(d), Kind: graph.EdgeKind(d.U8())})
+		c.Edges.Append(scanner.Edge{Src: d.U32(), Dst: fid(d), Kind: graph.EdgeKind(d.U8())})
 	}
 	if n := d.Count(uint64(d.U32()), chunkMinIssue); n > 0 {
 		c.Issues = make([]scanner.Issue, n)
@@ -100,7 +100,7 @@ type chunkView struct {
 	Seq     int
 	Final   bool
 	Objects []scanner.Object
-	Edges   []scanner.FIDEdge
+	Edges   []scanner.Edge
 	Issues  []scanner.Issue
 	Stats   scanner.Stats
 }
@@ -124,7 +124,7 @@ func objectsOf(objs ...scanner.Object) (s scanner.Objects) {
 	return s
 }
 
-func edgesOf(edges ...scanner.FIDEdge) (s scanner.Edges) {
+func edgesOf(edges ...scanner.Edge) (s scanner.Edges) {
 	s.Append(edges...)
 	return s
 }

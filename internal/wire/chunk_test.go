@@ -337,7 +337,7 @@ func TestCollectorDeliversOwnedFrames(t *testing.T) {
 	for i := range 12 {
 		self := lustre.FID{Seq: lustre.OSTSeqBase + 2, Oid: uint32(i + 1)}
 		p.Objects.Append(scanner.Object{FID: self, Ino: ldiskfs.Ino(i + 12), Type: ldiskfs.TypeObject})
-		p.Edges.Append(scanner.FIDEdge{Src: self, Dst: lustre.FID{Seq: lustre.MDTSeqBase, Oid: uint32(100 + i)}, Kind: graph.KindFilterFID})
+		p.Edges.Append(scanner.Edge{Src: uint32(i), Dst: lustre.FID{Seq: lustre.MDTSeqBase, Oid: uint32(100 + i)}, Kind: graph.KindFilterFID})
 	}
 	p.Issues = []scanner.Issue{{Ino: 40, What: "corrupt filter-fid"}}
 	sent := chunksOf(p, 4)

@@ -32,9 +32,9 @@ func TestGoldenChunk(t *testing.T) {
 			scanner.Object{FID: goldenFile, Ino: 13, Type: ldiskfs.TypeFile},
 		),
 		Edges: edgesOf(
-			scanner.FIDEdge{Src: goldenDir, Dst: goldenFile, Kind: graph.KindDirent},
-			scanner.FIDEdge{Src: goldenFile, Dst: goldenDir, Kind: graph.KindLinkEA},
-			scanner.FIDEdge{Src: goldenFile, Dst: goldenObj, Kind: graph.KindLOVEA},
+			scanner.Edge{Src: 0, Dst: goldenFile, Kind: graph.KindDirent},
+			scanner.Edge{Src: 1, Dst: goldenDir, Kind: graph.KindLinkEA},
+			scanner.Edge{Src: 1, Dst: goldenObj, Kind: graph.KindLOVEA},
 		),
 		Issues: []scanner.Issue{{Ino: 14, What: "lma: short attribute"}},
 		Stats:  scanner.Stats{InodesScanned: 3, DirentsRead: 1, EdgesEmitted: 3},

@@ -137,9 +137,9 @@ func randomPartial(r *rand.Rand) *scanner.Partial {
 			Type: ldiskfs.FileType(r.Intn(4)),
 		})
 	}
-	for i := 0; i < r.Intn(30); i++ {
-		p.Edges.Append(scanner.FIDEdge{
-			Src:  lustre.FID{Seq: r.Uint64(), Oid: r.Uint32()},
+	for i := 0; i < r.Intn(30) && p.Objects.Len() > 0; i++ {
+		p.Edges.Append(scanner.Edge{
+			Src:  uint32(r.Intn(p.Objects.Len())),
 			Dst:  lustre.FID{Seq: r.Uint64(), Oid: r.Uint32()},
 			Kind: graph.EdgeKind(r.Intn(5)),
 		})
