@@ -223,7 +223,7 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: s.label, Ino: o.Ino})
 		}
 		for _, is := range s.issues {
-			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", s.label, is))
+			u.Issues = append(u.Issues, s.label+": "+is.String())
 		}
 	}
 	if m != nil {

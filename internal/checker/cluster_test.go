@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -280,7 +281,9 @@ func TestTCPScanSpanEndsBeforeAck(t *testing.T) {
 	}()
 
 	holding, release := make(chan struct{}), make(chan struct{})
-	var released time.Time
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll() // a failing test must not leave the collector blocked
 	collected := make(chan error, 1)
 	go func() {
 		_, err := col.CollectChunksContext(ctx, 1, false, func(c *scanner.Chunk) error {
@@ -311,8 +314,8 @@ func TestTCPScanSpanEndsBeforeAck(t *testing.T) {
 			t.Fatal("scan span still running while the collector holds the final chunk")
 		}
 	}
-	released = time.Now()
-	close(release)
+	released := time.Now()
+	releaseAll()
 	if err := <-collected; err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package scanner
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
@@ -49,7 +50,12 @@ type Issue struct {
 	What string
 }
 
-func (i Issue) String() string { return fmt.Sprintf("ino %d: %s", i.Ino, i.What) }
+// String reads "ino <n>: <what>". It formats without fmt, so the merge,
+// which strings every issue, allocates the same count whether or not a
+// collection has just emptied fmt's printer pool.
+func (i Issue) String() string {
+	return "ino " + strconv.FormatUint(uint64(i.Ino), 10) + ": " + i.What
+}
 
 // Stats counts the scanner's work.
 type Stats struct {
