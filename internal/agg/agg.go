@@ -46,11 +46,17 @@ type Unified struct {
 	Present []bool
 	// Types[g] is the file type of the first claiming inode.
 	Types []ldiskfs.FileType
-	// Claims[g] lists every physical inode claiming FID g; more than one
-	// entry is itself an inconsistency (duplicate identity).
-	Claims [][]ObjectLoc
 	// Issues carries forward the scanners' structural parse problems.
 	Issues []string
+
+	// The claim table: every physical inode claiming FID g, in canonical
+	// (server, inode, emission) order, is one of the entries claimOff[g]
+	// to claimOff[g+1] of claimSrv, an index into servers, and claimIno —
+	// 10 bytes a claim and 4 a vertex. ClaimCount and Claim read it.
+	claimOff []uint32
+	claimSrv []uint16
+	claimIno []ldiskfs.Ino
+	servers  []string
 
 	byFID *seqIndex
 	// gidFn, when non-nil, overrides byFID lookups. Incremental
@@ -78,6 +84,43 @@ func (u *Unified) FID(g uint32) lustre.FID {
 	return u.FIDs[g]
 }
 
+// maxServers bounds the servers a Unified can name: a claim holds its
+// server as a 16-bit index, as the FRDB snapshot holds its label count.
+const maxServers = 1 << 16
+
+// ClaimCount returns how many physical inodes claim g; more than one is
+// itself an inconsistency (duplicate identity).
+func (u *Unified) ClaimCount(g uint32) int { return int(u.claimOff[g+1] - u.claimOff[g]) }
+
+// Claim returns the i-th inode claiming g (0 <= i < ClaimCount(g)), in
+// canonical (server, inode, emission) order.
+func (u *Unified) Claim(g uint32, i int) ObjectLoc {
+	k := int(u.claimOff[g]) + i
+	return ObjectLoc{Server: u.servers[u.claimSrv[k]], Ino: u.claimIno[k]}
+}
+
+// startClaims readies the claim table for nClaims claims, placed in
+// canonical order by addClaim: claimOff[g+1] must hold the first slot of
+// g's claims — the cursor addClaim advances to their end, which leaves
+// claimOff the table's offsets once every claim is in. Present must be
+// all false.
+func (u *Unified) startClaims(nClaims int) {
+	u.claimOff[0] = 0
+	u.claimSrv, u.claimIno = resized(u.claimSrv, nClaims), resized(u.claimIno, nClaims)
+}
+
+// addClaim places the next claim of g in canonical order; the first one
+// marks g present and fixes its type.
+func (u *Unified) addClaim(g uint32, srv uint16, ino ldiskfs.Ino, typ ldiskfs.FileType) {
+	at := u.claimOff[g+1]
+	u.claimOff[g+1] = at + 1
+	u.claimSrv[at], u.claimIno[at] = srv, ino
+	if !u.Present[g] {
+		u.Present[g] = true
+		u.Types[g] = typ
+	}
+}
+
 // MergeWorkers combines partial graphs into a unified graph using
 // workers cores (<= 0 = GOMAXPROCS). Partials must be passed in a fixed
 // order (conventionally MDT first, then OSTs by index) for a
@@ -87,8 +130,11 @@ func (u *Unified) FID(g uint32) lustre.FID {
 // part's Edges' destinations — a source is one of the part's objects),
 // and the one parallel pass writes disjoint slots. It panics on a part
 // whose edge names a source ordinal beyond its objects, which no scan
-// produces.
+// produces, and on more than 1<<16 parts.
 func MergeWorkers(parts []*scanner.Partial, workers int) *Unified {
+	if len(parts) > maxServers {
+		panic(fmt.Sprintf("agg: %d partials, more than the %d servers a claim can name", len(parts), maxServers))
+	}
 	segs := make([]segment, len(parts))
 	base := 0
 	for i, p := range parts {
@@ -201,26 +247,33 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 		m.Journal.Record("agg", "interned", "fids", fmt.Sprintf("%d", n))
 	}
 
-	// (4) Present/Types/Claims in one pass over the recorded object
-	// GIDs: the first claim in canonical order fixes the type.
+	// (4) Present, Types and the claim table in one pass over the
+	// recorded object GIDs. The claim counts, prefix-summed in place into
+	// each GID's first slot, become the table's offsets as the pass
+	// places the claims.
 	u.Present = make([]bool, n)
 	u.Types = make([]ldiskfs.FileType, n) // zero value is TypeFree
-	counts := make([]uint32, n)
+	u.claimOff = make([]uint32, n+1)
 	for _, g := range objGID {
-		counts[g]++
+		u.claimOff[g+1]++
 	}
-	u.Claims = claimSlots(counts)
+	var first uint32
+	for g := range n {
+		c := u.claimOff[g+1]
+		u.claimOff[g+1] = first
+		first += c
+	}
+	u.startClaims(nObj)
 	k := 0
-	for _, s := range segs {
-		for i := range s.objects.Len() {
-			o := s.objects.At(i)
-			g := objGID[k]
+	for i, s := range segs {
+		if i == 0 || s.label != segs[i-1].label {
+			u.servers = append(u.servers, s.label)
+		}
+		srv := uint16(len(u.servers) - 1)
+		for j := range s.objects.Len() {
+			o := s.objects.At(j)
+			u.addClaim(objGID[k], srv, o.Ino, o.Type)
 			k++
-			if !u.Present[g] {
-				u.Present[g] = true
-				u.Types[g] = o.Type
-			}
-			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: s.label, Ino: o.Ino})
 		}
 		for _, is := range s.issues {
 			u.Issues = append(u.Issues, s.label+": "+is.String())
@@ -264,12 +317,14 @@ func claimSlots(counts []uint32) [][]ObjectLoc {
 // Builder implements scanner.Sink, so in-process scanners stream into
 // it directly; the wire collector feeds it decoded chunks. Under the
 // Sink ownership rule it retains each chunk without copying and never
-// writes to it: Finish merges straight from the retained chunks, and
-// only a caller that asks for Partials pays for their concatenation.
+// writes to it: Finish merges straight from the retained chunks, then
+// lets go of them, so the received frames can be collected while the
+// rest of the check runs. A Builder merges once.
 type Builder struct {
 	mu      sync.Mutex
 	order   []string
 	accs    map[string]*builderAcc
+	merged  bool
 	metrics *Metrics
 }
 
@@ -316,6 +371,9 @@ func (b *Builder) Emit(c *scanner.Chunk) error {
 	if !ok {
 		return fmt.Errorf("agg: chunk for unknown server %q", c.ServerLabel)
 	}
+	if b.merged {
+		return fmt.Errorf("agg: chunk for server %q after the merge", c.ServerLabel)
+	}
 	if acc.done {
 		return fmt.Errorf("agg: chunk after final for server %q", c.ServerLabel)
 	}
@@ -337,24 +395,24 @@ func (b *Builder) Emit(c *scanner.Chunk) error {
 	return nil
 }
 
-// partial concatenates a completed stream's chunks into a fresh Partial.
-func (a *builderAcc) partial() *scanner.Partial {
-	var ps scanner.PartialSink
-	for _, c := range a.chunks {
-		_ = ps.Emit(c)
-	}
-	return ps.Partial()
-}
-
-// completed returns the streams that have seen their final chunk, in
+// take returns the streams that have seen their final chunk, in
 // canonical order, and the labels of those still open. Chunks already
 // received on an incomplete stream are left out wholesale: merging a
-// prefix would make the unified graph depend on where in the stream
-// the failure landed, and degraded runs must stay deterministic for a
-// given set of surviving servers.
-func (b *Builder) completed() (done []*builderAcc, missing []string) {
+// prefix would make the unified graph depend on where in the stream the
+// failure landed, and degraded runs must stay deterministic for a given
+// set of surviving servers. Unless it errors — on an open stream when
+// all are required, when none completed, or on a second merge — take
+// ends intake: the builder lets go of every chunk once the returned
+// streams are merged.
+func (b *Builder) take(all bool) (done []*builderAcc, missing []string, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.merged {
+		return nil, nil, fmt.Errorf("agg: builder already merged")
+	}
+	if len(b.order) > maxServers {
+		return nil, nil, fmt.Errorf("agg: %d servers, more than the %d a claim can name", len(b.order), maxServers)
+	}
 	for _, l := range b.order {
 		if acc := b.accs[l]; acc.done {
 			done = append(done, acc)
@@ -362,10 +420,21 @@ func (b *Builder) completed() (done []*builderAcc, missing []string) {
 			missing = append(missing, l)
 		}
 	}
-	return done, missing
+	switch {
+	case all && len(missing) > 0:
+		return nil, nil, fmt.Errorf("agg: server %q stream incomplete", missing[0])
+	case !all && len(done) == 0:
+		return nil, missing, fmt.Errorf("agg: no scanner stream completed (missing: %v)", missing)
+	}
+	b.merged = true
+	for _, l := range missing {
+		b.accs[l].chunks = nil
+	}
+	return done, missing, nil
 }
 
-// merge merges the given completed streams straight from their chunks.
+// merge merges the given completed streams straight from their chunks,
+// then drops the chunks.
 func (b *Builder) merge(done []*builderAcc, workers int) *Unified {
 	var segs []segment
 	base := 0
@@ -375,51 +444,35 @@ func (b *Builder) merge(done []*builderAcc, workers int) *Unified {
 		}
 		base += acc.objects
 	}
-	return mergeObserved(segs, workers, b.metrics)
-}
-
-// Partials returns the reassembled per-server partial graphs in
-// canonical order. It errors if any stream is still open.
-func (b *Builder) Partials() ([]*scanner.Partial, error) {
-	parts, missing := b.CompletedPartials()
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("agg: server %q stream incomplete", missing[0])
+	u := mergeObserved(segs, workers, b.metrics)
+	b.mu.Lock()
+	for _, acc := range done {
+		acc.chunks = nil
 	}
-	return parts, nil
+	b.mu.Unlock()
+	return u
 }
 
 // Finish merges every stream into the unified graph using workers cores
-// (<= 0 = GOMAXPROCS). It errors if any stream is still open.
+// (<= 0 = GOMAXPROCS). It errors if any stream is still open, and on a
+// builder that has merged already.
 func (b *Builder) Finish(workers int) (*Unified, error) {
-	done, missing := b.completed()
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("agg: server %q stream incomplete", missing[0])
+	done, _, err := b.take(true)
+	if err != nil {
+		return nil, err
 	}
 	return b.merge(done, workers), nil
-}
-
-// CompletedPartials returns the partials of every stream that has seen
-// its final chunk, in canonical order, plus the labels of the streams
-// still open — the degraded-mode split when a scanner crashed or missed
-// its deadline. Each call concatenates afresh: the partials are the
-// caller's to modify.
-func (b *Builder) CompletedPartials() ([]*scanner.Partial, []string) {
-	done, missing := b.completed()
-	parts := make([]*scanner.Partial, len(done))
-	for i, acc := range done {
-		parts[i] = acc.partial()
-	}
-	return parts, missing
 }
 
 // FinishCompleted merges only the completed streams (degraded mode),
 // returning the unified graph built from the survivors and the labels
 // of the servers whose streams never finished. It errors when no stream
-// completed at all — there is nothing to degrade to.
+// completed at all — there is nothing to degrade to — and on a builder
+// that has merged already.
 func (b *Builder) FinishCompleted(workers int) (*Unified, []string, error) {
-	done, missing := b.completed()
-	if len(done) == 0 {
-		return nil, missing, fmt.Errorf("agg: no scanner stream completed (missing: %v)", missing)
+	done, missing, err := b.take(false)
+	if err != nil {
+		return nil, missing, err
 	}
 	return b.merge(done, workers), missing, nil
 }
@@ -428,8 +481,8 @@ func (b *Builder) FinishCompleted(workers int) (*Unified, []string, error) {
 // duplicate-identity inconsistencies (paper Table I, double reference).
 func (u *Unified) DuplicateClaims() []uint32 {
 	var out []uint32
-	for g, c := range u.Claims {
-		if len(c) > 1 {
+	for g := range u.N() {
+		if u.ClaimCount(uint32(g)) > 1 {
 			out = append(out, uint32(g))
 		}
 	}

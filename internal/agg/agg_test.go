@@ -59,8 +59,8 @@ func TestMergeConsistentCluster(t *testing.T) {
 		if !u.Present[g] {
 			t.Errorf("vertex %d (%v) is phantom in a consistent cluster", g, u.FID(uint32(g)))
 		}
-		if len(u.Claims[g]) != 1 {
-			t.Errorf("vertex %d claims = %d", g, len(u.Claims[g]))
+		if c := u.ClaimCount(uint32(g)); c != 1 {
+			t.Errorf("vertex %d claims = %d", g, c)
 		}
 	}
 	if d := u.DuplicateClaims(); len(d) != 0 {
@@ -157,8 +157,8 @@ func TestMergeDuplicateClaims(t *testing.T) {
 	if len(d) != 1 || u.FID(d[0]) != ent.FID {
 		t.Fatalf("duplicates: %v", d)
 	}
-	if len(u.Claims[d[0]]) != 2 {
-		t.Errorf("claims = %+v", u.Claims[d[0]])
+	if c := claimLists(u)[d[0]]; len(c) != 2 {
+		t.Errorf("claims = %+v", c)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"faultyrank/internal/graph"
 	"faultyrank/internal/ldiskfs"
@@ -74,8 +75,8 @@ func emitInterleaved(t *testing.T, b *Builder, streams [][]*scanner.Chunk, r *ra
 }
 
 // TestBuilderIndependentOfChunking: whatever the chunk size and however
-// the servers' chunks interleave on arrival, the reassembled partials
-// equal the bulk scans and Finish equals their merge.
+// the servers' chunks interleave on arrival, Finish equals the merge of
+// the bulk scans.
 func TestBuilderIndependentOfChunking(t *testing.T) {
 	c := smallCluster(t)
 	parts := scanCluster(t, c)
@@ -85,13 +86,6 @@ func TestBuilderIndependentOfChunking(t *testing.T) {
 		for _, r := range []*rand.Rand{nil, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))} {
 			b := NewBuilder(labels)
 			emitInterleaved(t, b, streams, r)
-			got, err := b.Partials()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, parts) {
-				t.Fatalf("chunk size %d: reassembled partials diverge from the bulk scan", chunkEntries)
-			}
 			u, err := b.Finish(3)
 			if err != nil {
 				t.Fatal(err)
@@ -125,12 +119,6 @@ func TestBuilderLeavesChunksUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Writing to a merged partial must not reach the chunks either.
-		parts, _ := b.Partials()
-		for _, p := range parts {
-			clear(p.Objects.Bytes())
-			clear(p.Edges.Bytes())
-		}
 		us[i] = u
 	}
 	assertUnifiedIdentical(t, "second builder over the same chunks", us[0], us[1])
@@ -140,10 +128,11 @@ func TestBuilderLeavesChunksUntouched(t *testing.T) {
 }
 
 // TestFinishAllocs: Finish merges straight from the retained chunks, so
-// beyond the Unified's own arrays and the merge's two index vectors
-// (one GID per object, one claim count per vertex) it allocates nothing
-// that grows with the graph — in particular no concatenated copy of the
-// objects and edges, which alone would be 1.6x the edge array.
+// beyond the Unified's own arrays and the merge's one index vector (a
+// GID per object; the claim counts become the claim offsets) it
+// allocates nothing that grows with the graph — in particular no
+// concatenated copy of the objects and edges, which alone would be 1.6x
+// the edge array.
 func TestFinishAllocs(t *testing.T) {
 	// A phantom-free graph: every edge joins two scanned objects, so the
 	// FID table is sized once from the object count, as on a clean
@@ -194,9 +183,9 @@ func TestFinishAllocs(t *testing.T) {
 	own := uint64(cap(u.FIDs))*uint64(unsafe.Sizeof(lustre.FID{})) +
 		uint64(u.byFID.bytes()) +
 		uint64(cap(u.Edges))*uint64(unsafe.Sizeof(u.Edges[0])) +
-		n*(1+uint64(unsafe.Sizeof(u.Types[0]))+uint64(unsafe.Sizeof(u.Claims[0]))) +
-		objs*uint64(unsafe.Sizeof(ObjectLoc{}))
-	temps := 4*objs + 4*n
+		n*(1+uint64(unsafe.Sizeof(u.Types[0]))) + (n+1)*4 +
+		objs*uint64(unsafe.Sizeof(u.claimSrv[0])+unsafe.Sizeof(u.claimIno[0]))
+	temps := 4 * objs
 	got := after.TotalAlloc - before.TotalAlloc
 	if limit := (own+temps)*21/20 + 64<<10; got > limit {
 		t.Fatalf("Finish allocated %d bytes for a Unified of %d (+%d of index vectors): more than its own arrays", got, own, temps)
@@ -205,6 +194,62 @@ func TestFinishAllocs(t *testing.T) {
 	if concat < (own+temps)/4 {
 		t.Fatalf("test lost its point: a concatenation (%d bytes) would hide inside the tolerance of %d", concat, own+temps)
 	}
+}
+
+// TestFinishReleasesChunks: once Finish has merged them, the builder
+// holds none of the chunks it received, so their frames can be
+// collected while the merged graph and the builder itself live on; the
+// builder then takes no more chunks and merges no second time.
+func TestFinishReleasesChunks(t *testing.T) {
+	labels, streams := recordStreams(t, clusterImages(smallCluster(t)), 16)
+	b := NewBuilder(labels)
+	var frames []weak.Pointer[byte]
+	for _, s := range streams {
+		for _, c := range s {
+			// A fresh copy only the builder holds, as the collector hands
+			// over each frame it decodes.
+			cp := *c
+			cp.Objects = scanner.ObjectRecords(bytes.Clone(c.Objects.Bytes()))
+			cp.Edges = scanner.EdgeRecords(bytes.Clone(c.Edges.Bytes()))
+			if cp.Objects.Len() > 0 {
+				frames = append(frames, weak.Make(&cp.Objects.Bytes()[0]))
+			}
+			if err := b.Emit(&cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	collected := func() (n int) {
+		runtime.GC()
+		runtime.GC()
+		for _, f := range frames {
+			if f.Value() == nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := collected(); n != 0 {
+		t.Fatalf("%d of %d frames collected before the merge", n, len(frames))
+	}
+	u, err := b.Finish(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := collected(); n != len(frames) {
+		t.Fatalf("%d of %d frames still reachable after the merge", len(frames)-n, len(frames))
+	}
+	if err := b.Emit(streams[0][0]); err == nil || !strings.Contains(err.Error(), "after the merge") {
+		t.Fatalf("chunk after the merge: err %v", err)
+	}
+	if _, err := b.Finish(2); err == nil {
+		t.Fatal("a second Finish merged")
+	}
+	if u.N() == 0 {
+		t.Fatal("empty merge: the test lost its point")
+	}
+	runtime.KeepAlive(u)
+	runtime.KeepAlive(b)
 }
 
 // TestBuilderCountsOnlyAcceptedChunks: the intake counters report what

@@ -24,11 +24,12 @@ import (
 // into one object arena and one edge arena. A changed inode is staged
 // and one in-place splice per dirty server folds the staged inodes in
 // at the next read. Per IID the builder maintains a reference count
-// (live ⇔ non-zero) and the claim list, so Materialize is a handful of
+// (live ⇔ non-zero) and a claim count, so Materialize is a handful of
 // sequential passes — renumber the live IIDs densely into the check's
-// GID space, gather the vertex arrays, translate the edge arenas — with
-// no map operation and no allocation per vertex. Dead FIDs (deleted and
-// no longer referenced) leave no zombie vertices behind.
+// GID space, gather the vertex arrays, place the claims from the object
+// arenas, translate the edge arenas — with no map operation and no
+// allocation per vertex. Dead FIDs (deleted and no longer referenced)
+// leave no zombie vertices behind.
 //
 // The FID-space content of a materialised Unified — present FIDs,
 // claim lists, types, the edge multiset and its canonical (server,
@@ -43,7 +44,7 @@ type DeltaBuilder struct {
 	servers []*deltaServer
 
 	// Persistent interner: FID <-> IID, append-only. refs, claims and the
-	// two sets' flags are indexed by IID and grow with it.
+	// dirty set's flags are indexed by IID and grow with it.
 	iids *fidTable
 
 	// refs counts, per IID, the cached objects claiming it plus the
@@ -51,10 +52,8 @@ type DeltaBuilder struct {
 	// the old and the new contribution; an IID is live while it is
 	// non-zero.
 	refs []uint32
-	// claims is the per-IID claim state; staleClaims holds the IIDs whose
-	// claimants changed since their list was last read off the arenas.
-	claims      []iidClaims
-	staleClaims iidSet
+	// claims counts, per IID, the cached objects claiming it.
+	claims []uint32
 
 	// dirty accumulates the IIDs whose cached contribution changed since
 	// the last ResetDirty — the seed set for frontier-based incremental
@@ -65,6 +64,14 @@ type DeltaBuilder struct {
 	dirty iidSet
 
 	scratch spliceScratch
+	// stage holds the contributions Apply stages, in IID space: each
+	// staged inode's slices are views of it, so staging allocates only
+	// while a round stages more than any before. Materialize splices
+	// every server and empties it; nothing views it after that.
+	stage struct {
+		objs  []contribObj
+		edges []contribEdge
+	}
 
 	// last is what Materialize returned last, rewritten by the next call.
 	last *Materialized
@@ -90,16 +97,6 @@ func (s *iidSet) reset() {
 		s.in[iid] = false
 	}
 	s.list = s.list[:0]
-}
-
-// iidClaims is one FID's claim state. list is what a Unified's Claims
-// entry points at: it is never written again once read off the arenas —
-// a change of claimants marks the IID stale and the next read carves a
-// fresh list — so rounds share it until that FID's claims change.
-type iidClaims struct {
-	list []ObjectLoc      // canonical (server, inode, emission) order; nil while unclaimed
-	n    uint32           // objects claiming the IID now: len(list) once no longer stale
-	typ  ldiskfs.FileType // type of the first claim
 }
 
 // deltaServer is one server's cached contributions: the canonical arrays
@@ -172,11 +169,17 @@ type Materialized struct {
 	// gidOf maps IID -> GID (unresolved when dead): the liveness snapshot
 	// U's GID lookups read.
 	gidOf []uint32
+	// seeds is DirtySeeds' storage, kept while DirtySeeds is nil.
+	seeds []uint32
 }
 
 // NewDeltaBuilder fixes the canonical server order (MDTs first, then
-// OSTs by index — the same convention as NewBuilder).
+// OSTs by index — the same convention as NewBuilder). It panics on more
+// than 1<<16 labels, more than its snapshot format can hold.
 func NewDeltaBuilder(labels []string) *DeltaBuilder {
+	if len(labels) > maxServers {
+		panic(fmt.Sprintf("agg: %d servers, more than the %d a claim can name", len(labels), maxServers))
+	}
 	b := &DeltaBuilder{labels: labels, iids: newFIDTable(0)}
 	for _, l := range labels {
 		b.servers = append(b.servers, &deltaServer{label: l, staged: make(map[ldiskfs.Ino]*stagedInode)})
@@ -189,8 +192,7 @@ func (b *DeltaBuilder) intern(f lustre.FID) uint32 {
 	iid, added := b.iids.intern(f)
 	if added {
 		b.refs = append(b.refs, 0)
-		b.claims = append(b.claims, iidClaims{})
-		b.staleClaims.in = append(b.staleClaims.in, false)
+		b.claims = append(b.claims, 0)
 		b.dirty.in = append(b.dirty.in, false)
 	}
 	return iid
@@ -201,19 +203,11 @@ func (b *DeltaBuilder) intern(f lustre.FID) uint32 {
 func (b *DeltaBuilder) account(objs []contribObj, edges []contribEdge, d uint32) {
 	for _, o := range objs {
 		b.refs[o.iid] += d
-		b.claims[o.iid].n += d
+		b.claims[o.iid] += d
 	}
 	for _, e := range edges {
 		b.refs[e.src] += d
 		b.refs[e.dst] += d
-	}
-}
-
-// claimsChanged marks the IIDs the objects claim for a re-read of their
-// claim lists.
-func (b *DeltaBuilder) claimsChanged(objs []contribObj) {
-	for _, o := range objs {
-		b.staleClaims.add(o.iid)
 	}
 }
 
@@ -289,23 +283,18 @@ func (b *DeltaBuilder) Apply(server int, ino ldiskfs.Ino, p *scanner.Partial) er
 		s.inodes = append(s.inodes, inodeRec{ino: ino, objEnd: uint32(len(s.objs)), edgeEnd: uint32(len(s.edges)), stats: p.Stats})
 		s.tracked++
 		b.change(s.objs[o:], s.edges[e:], 1)
-		b.claimsChanged(s.objs[o:])
 		return nil
 	}
 
 	c := &stagedInode{issues: p.Issues, stats: p.Stats}
-	c.objs, c.edges = b.toIIDs(make([]contribObj, 0, p.Objects.Len()), make([]contribEdge, 0, p.Edges.Len()), p)
+	o, e := len(b.stage.objs), len(b.stage.edges)
+	b.stage.objs, b.stage.edges = b.toIIDs(b.stage.objs, b.stage.edges, p)
+	c.objs, c.edges = slices.Clip(b.stage.objs[o:]), slices.Clip(b.stage.edges[e:])
 	oldObjs, oldEdges, tracked := s.current(ino)
 	if tracked {
 		b.change(oldObjs, oldEdges, ^uint32(0))
 	} else {
 		s.tracked++
-	}
-	// A refresh that names the same objects leaves every claim list as
-	// it is.
-	if !slices.Equal(oldObjs, c.objs) {
-		b.claimsChanged(oldObjs)
-		b.claimsChanged(c.objs)
 	}
 	b.change(c.objs, c.edges, 1)
 	s.staged[ino] = c
@@ -340,7 +329,6 @@ func (b *DeltaBuilder) Remove(server int, ino ldiskfs.Ino) {
 		return
 	}
 	b.change(objs, edges, ^uint32(0))
-	b.claimsChanged(objs)
 	s.staged[ino] = nil
 	s.tracked--
 }
@@ -497,51 +485,6 @@ func (s *deltaServer) splice(sc *spliceScratch) {
 	sc.reset()
 }
 
-// settle brings the arrays and the claim lists up to date with every
-// Apply and Remove so far.
-func (b *DeltaBuilder) settle() {
-	for _, s := range b.servers {
-		s.splice(&b.scratch)
-	}
-	if len(b.staleClaims.list) == 0 {
-		return
-	}
-	// Stale lists are carved afresh from one backing array and filled by
-	// one canonical walk over the object arenas, exactly as a cold merge
-	// collects its claims; the lists they replace stay as they are for
-	// whoever still holds them.
-	total := 0
-	for _, iid := range b.staleClaims.list {
-		c := &b.claims[iid]
-		c.list, c.typ = nil, 0
-		total += int(c.n)
-	}
-	backing := make([]ObjectLoc, total)
-	for _, s := range b.servers {
-		i := 0
-		for k, o := range s.objs {
-			if !b.staleClaims.in[o.iid] {
-				continue
-			}
-			// The inode holding object k: the first, from the last hit on,
-			// whose objects end past it — usually that one or the next.
-			if int(s.inodes[i].objEnd) <= k {
-				j, _ := slices.BinarySearchFunc(s.inodes[i+1:], k, func(r inodeRec, k int) int {
-					return cmp.Compare(int(r.objEnd), k+1)
-				})
-				i += 1 + j
-			}
-			c := &b.claims[o.iid]
-			if c.list == nil {
-				c.list, backing = backing[:0:c.n], backing[c.n:]
-				c.typ = o.typ
-			}
-			c.list = append(c.list, ObjectLoc{Server: s.label, Ino: s.inodes[i].ino})
-		}
-	}
-	b.staleClaims.reset()
-}
-
 // Materialize renumbers the live IIDs densely, in ascending IID order,
 // and assembles the check's Unified in the canonical (server order,
 // ascending inode) walk — the same walk a cold merge over full scans
@@ -554,10 +497,12 @@ func (b *DeltaBuilder) settle() {
 // proportion to its delta. Whatever was read from an earlier result —
 // the Unified's slices, its GID lookups, IIDOfGID — holds this call's
 // graph from now on; a caller that needs an earlier round's graph copies
-// it first. Claim lists are the exception: a list, once handed out, is
-// never written again (see iidClaims), so they may be kept.
+// it first.
 func (b *DeltaBuilder) Materialize() *Materialized {
-	b.settle()
+	for _, s := range b.servers {
+		s.splice(&b.scratch)
+	}
+	b.stage.objs, b.stage.edges = b.stage.objs[:0], b.stage.edges[:0]
 	m := b.last
 	if m == nil {
 		m = &Materialized{U: &Unified{}}
@@ -586,53 +531,61 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 		iidOfGID = append(iidOfGID, uint32(iid))
 	}
 	n := len(iidOfGID)
-	var nEdge int
+	var nObj, nEdge int
 	for _, s := range b.servers {
+		nObj += len(s.objs)
 		nEdge += len(s.edges)
 	}
 
 	u := m.U
-	// A claim list dropped off the end would stay reachable from the
-	// storage beyond it.
-	clear(u.Claims[min(n, len(u.Claims)):])
 	u.FIDs, u.Present, u.Types = resized(u.FIDs, n), resized(u.Present, n), resized(u.Types, n)
-	u.Claims, u.Edges = resized(u.Claims, n), resized(u.Edges, nEdge)
+	u.claimOff, u.Edges = resized(u.claimOff, n+1), resized(u.Edges, nEdge)
+	u.servers = b.labels
 	u.Issues = nil // rare: built afresh
-	// The first claim in canonical order fixes Present and Types,
-	// exactly as the batch merge does.
+	var first uint32
 	for g, iid := range iidOfGID {
-		c := &b.claims[iid]
 		u.FIDs[g] = b.iids.fids[iid]
-		u.Present[g] = c.n > 0
-		u.Types[g] = c.typ
-		u.Claims[g] = c.list
+		u.Present[g], u.Types[g] = false, ldiskfs.TypeFree
+		u.claimOff[g+1] = first
+		first += b.claims[iid]
 	}
-	// The arenas are the canonical edge order; issues keep the cold
-	// per-server order the same way.
+	u.startClaims(nObj)
+	// The arenas are the canonical object and edge order: the first claim
+	// of each vertex fixes Present and Types, exactly as the batch merge
+	// does. Issues keep the cold per-server order the same way.
 	edges := u.Edges
-	for _, s := range b.servers {
+	for si, s := range b.servers {
+		k := 0
+		for i := range s.inodes {
+			ino := s.inodes[i].ino
+			for ; k < int(s.inodes[i].objEnd); k++ {
+				o := s.objs[k]
+				u.addClaim(gidOf[o.iid], uint16(si), ino, o.typ)
+			}
+		}
 		for k, e := range s.edges {
 			edges[k] = graph.Edge{Src: gidOf[e.src], Dst: gidOf[e.dst], Kind: e.kind}
 		}
 		edges = edges[len(s.edges):]
 		for _, is := range s.issues {
-			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", s.label, is.issue))
+			u.Issues = append(u.Issues, s.label+": "+is.issue.String())
 		}
 	}
 
 	// The renumbering is ascending, so dirty IIDs in order give the seeds
 	// in order.
 	slices.Sort(b.dirty.list)
-	seeds := make([]uint32, 0, len(b.dirty.list))
+	seeds := m.seeds[:0]
 	for _, iid := range b.dirty.list {
 		if g := gidOf[iid]; g != unresolved {
 			seeds = append(seeds, g)
 		}
 	}
+	m.seeds, m.DirtySeeds = seeds, seeds
 	if len(seeds) == 0 {
-		seeds = nil
+		m.DirtySeeds = nil
 	}
-	m.gidOf, m.IIDOfGID, m.NumIIDs, m.DirtySeeds = gidOf, iidOfGID, nIID, seeds
+	m.gidOf, m.IIDOfGID, m.NumIIDs = gidOf, iidOfGID, nIID
 	return m
 }
 

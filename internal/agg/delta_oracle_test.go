@@ -32,22 +32,6 @@ func (s *script) pick(n int) int {
 	return v
 }
 
-// heldClaims is the claim lists some earlier round handed out, with deep
-// copies taken at that moment. The rest of a Materialized is rewritten by
-// the next round; a claim list, once handed out, is never written again.
-type heldClaims struct {
-	lists [][]ObjectLoc
-	copy  [][]ObjectLoc
-}
-
-func holdClaims(u *Unified) heldClaims {
-	h := heldClaims{lists: slices.Clone(u.Claims), copy: make([][]ObjectLoc, len(u.Claims))}
-	for g, l := range u.Claims {
-		h.copy[g] = slices.Clone(l)
-	}
-	return h
-}
-
 // deltaOracle drives a DeltaBuilder and the map-based reference through
 // the same calls and compares everything either returns.
 type deltaOracle struct {
@@ -56,7 +40,6 @@ type deltaOracle struct {
 	db     *DeltaBuilder
 	ref    *refDelta
 	last   []map[ldiskfs.Ino]*scanner.Partial // last partial applied, per server
-	held   []heldClaims
 	// prev is what db's last Materialize returned, which the next one must
 	// rewrite rather than replace.
 	prev *Materialized
@@ -208,8 +191,7 @@ func (o *deltaOracle) checkMembership() {
 	}
 }
 
-// read compares everything the builder hands out with the reference,
-// and every claim list handed out earlier with its copy.
+// read compares everything the builder hands out with the reference.
 func (o *deltaOracle) read(s *script) {
 	o.t.Helper()
 	switch s.pick(4) {
@@ -243,12 +225,6 @@ func (o *deltaOracle) read(s *script) {
 		o.t.Fatal("Materialize returned new storage instead of rewriting its last result")
 	}
 	o.prev = got
-	for _, h := range o.held {
-		if !reflect.DeepEqual(h.lists, h.copy) {
-			o.t.Fatal("a claim list handed out by an earlier Materialize was written to")
-		}
-	}
-	o.held = append(o.held, holdClaims(got.U))
 }
 
 func (o *deltaOracle) checkPartials() {
@@ -278,8 +254,7 @@ func runDeltaScript(t *testing.T, b []byte) {
 // remove-untracked / reset-dirty / encode-decode-and-continue over one
 // to four servers, the flat store returns what the map-based
 // implementation it replaced returns — Materialized, partials,
-// membership, snapshot bytes — rewrites its one result in place, and
-// leaves the claim lists it handed out alone.
+// membership, snapshot bytes — and rewrites its one result in place.
 func TestDeltaMatchesReferenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 240; seed++ {
 		r := rand.New(rand.NewSource(seed))

@@ -169,14 +169,12 @@ func (s *refServer) fold() {
 func (b *refDelta) materializeReference() *Materialized {
 	nIID := len(b.iids.fids)
 	live := make([]bool, nIID)
-	nClaims := make([]uint32, nIID)
 	var nEdge int
 	for _, s := range b.servers {
 		s.fold()
 		for _, c := range s.contrib {
 			for _, o := range c.objs {
 				live[o.iid] = true
-				nClaims[o.iid]++
 			}
 			for _, e := range c.edges {
 				live[e.src] = true
@@ -204,9 +202,8 @@ func (b *refDelta) materializeReference() *Materialized {
 	}
 	for g, iid := range iidOfGID {
 		u.FIDs[g] = b.iids.fids[iid]
-		nClaims[g] = nClaims[iid] // g <= iid and ascending: compacts in place
 	}
-	u.Claims = claimSlots(nClaims[:n])
+	claims := make([][]ObjectLoc, n)
 
 	// Pass 1: objects claim their FIDs; first claim in canonical order
 	// fixes Present and Types, exactly as the batch merge does. Issues
@@ -220,13 +217,15 @@ func (b *refDelta) materializeReference() *Materialized {
 					u.Present[g] = true
 					u.Types[g] = o.typ
 				}
-				u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: s.label, Ino: ino})
+				claims[g] = append(claims[g], ObjectLoc{Server: s.label, Ino: ino})
 			}
 			for _, is := range c.issues {
 				u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", s.label, is))
 			}
 		}
 	}
+
+	setClaimTable(u, claims)
 
 	// Pass 2: edges in canonical order.
 	for _, s := range b.servers {

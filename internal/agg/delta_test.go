@@ -35,7 +35,9 @@ func newRefState(labels []string) *refState {
 	return r
 }
 
-func (r *refState) merge() *Unified {
+// parts is the batch path's input: each server's tracked inodes,
+// ascending, concatenated into one partial.
+func (r *refState) parts() []*scanner.Partial {
 	var parts []*scanner.Partial
 	for i, label := range r.labels {
 		merged := &scanner.Partial{ServerLabel: label}
@@ -60,7 +62,7 @@ func (r *refState) merge() *Unified {
 		}
 		parts = append(parts, merged)
 	}
-	return MergeWorkers(parts, 1)
+	return parts
 }
 
 // assertFIDEquivalent checks that two Unified graphs have identical
@@ -71,6 +73,7 @@ func assertFIDEquivalent(t *testing.T, got, want *Unified) {
 	if got.N() != want.N() {
 		t.Fatalf("vertex count: got %d, want %d", got.N(), want.N())
 	}
+	gotClaims, wantClaims := claimLists(got), claimLists(want)
 	wantGID := make(map[lustre.FID]uint32, want.N())
 	for g, f := range want.FIDs {
 		wantGID[f] = uint32(g)
@@ -86,8 +89,8 @@ func assertFIDEquivalent(t *testing.T, got, want *Unified) {
 		if got.Types[g] != want.Types[wg] {
 			t.Fatalf("FID %v: type %v vs %v", f, got.Types[g], want.Types[wg])
 		}
-		if !reflect.DeepEqual(got.Claims[g], want.Claims[wg]) {
-			t.Fatalf("FID %v: claims %v vs %v", f, got.Claims[g], want.Claims[wg])
+		if gc, wc := gotClaims[g], wantClaims[wg]; !reflect.DeepEqual(gc, wc) {
+			t.Fatalf("FID %v: claims %v vs %v", f, gc, wc)
 		}
 		if gg, ok := got.GID(f); !ok || gg != uint32(g) {
 			t.Fatalf("FID %v: GID lookup returned (%d,%v), want (%d,true)", f, gg, ok, g)
@@ -159,7 +162,11 @@ func TestDeltaMatchesBatchMergeProperty(t *testing.T) {
 				ref.byIno[srv][ldiskfs.Ino(ino)] = p
 			}
 			mat := db.Materialize()
-			assertFIDEquivalent(t, mat.U, ref.merge())
+			parts := ref.parts()
+			batch := MergeWorkers(parts, 1)
+			assertFIDEquivalent(t, mat.U, batch)
+			assertClaims(t, "delta", mat.U, claimsReference(parts, gidLookup(mat.U), mat.U.N()))
+			assertClaims(t, "batch", batch, claimsReference(parts, gidLookup(batch), batch.N()))
 			if mat.NumIIDs < mat.U.N() {
 				t.Fatalf("interner smaller than live set: %d < %d", mat.NumIIDs, mat.U.N())
 			}

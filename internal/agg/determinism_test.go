@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"faultyrank/internal/graph"
@@ -18,7 +19,8 @@ import (
 // mergeReference is the original single-threaded first-appearance merge,
 // kept as the executable specification MergeWorkers is tested against
 // (and nothing else should call). It indexes with a plain map so the
-// comparison also covers the FID table.
+// comparison also covers the FID table, and its claims are
+// claimsReference's lists.
 func mergeReference(parts []*scanner.Partial) *Unified {
 	var nObj, nEdge int
 	for _, p := range parts {
@@ -36,7 +38,6 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 		u.FIDs = append(u.FIDs, f)
 		u.Present = append(u.Present, false)
 		u.Types = append(u.Types, ldiskfs.TypeFree)
-		u.Claims = append(u.Claims, nil)
 		return g
 	}
 	// Pass 1: physically present objects claim their FIDs.
@@ -48,7 +49,6 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 				u.Present[g] = true
 				u.Types[g] = o.Type
 			}
-			u.Claims[g] = append(u.Claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
 		}
 		for _, is := range p.Issues {
 			u.Issues = append(u.Issues, fmt.Sprintf("%s: %s", p.ServerLabel, is))
@@ -64,7 +64,83 @@ func mergeReference(parts []*scanner.Partial) *Unified {
 			})
 		}
 	}
+	setClaimTable(u, claimsReference(parts, func(f lustre.FID) uint32 { return byFID[f] }, u.N()))
 	return u
+}
+
+// claimsReference builds claims the way Unified held them before its
+// claim table: one []ObjectLoc per GID (gid numbers the n vertices),
+// appended in the canonical order of the parts' objects. Both producers'
+// tables are held to it.
+func claimsReference(parts []*scanner.Partial, gid func(lustre.FID) uint32, n int) [][]ObjectLoc {
+	claims := make([][]ObjectLoc, n)
+	for _, p := range parts {
+		for j := range p.Objects.Len() {
+			o := p.Objects.At(j)
+			g := gid(o.FID)
+			claims[g] = append(claims[g], ObjectLoc{Server: p.ServerLabel, Ino: o.Ino})
+		}
+	}
+	return claims
+}
+
+// setClaimTable gives a reference Unified the claim table of lists.
+func setClaimTable(u *Unified, lists [][]ObjectLoc) {
+	u.claimOff = make([]uint32, len(lists)+1)
+	for g, l := range lists {
+		for _, c := range l {
+			k := slices.Index(u.servers, c.Server)
+			if k < 0 {
+				k = len(u.servers)
+				u.servers = append(u.servers, c.Server)
+			}
+			u.claimSrv = append(u.claimSrv, uint16(k))
+			u.claimIno = append(u.claimIno, c.Ino)
+		}
+		u.claimOff[g+1] = uint32(len(u.claimIno))
+	}
+}
+
+// gidLookup is u's GID index as claimsReference takes it.
+func gidLookup(u *Unified) func(lustre.FID) uint32 {
+	return func(f lustre.FID) uint32 {
+		g, _ := u.GID(f)
+		return g
+	}
+}
+
+// claimLists reads u's claims back, through ClaimCount and Claim, as one
+// list per GID (nil when unclaimed).
+func claimLists(u *Unified) [][]ObjectLoc {
+	lists := make([][]ObjectLoc, u.N())
+	for g := range lists {
+		for i := range u.ClaimCount(uint32(g)) {
+			lists[g] = append(lists[g], u.Claim(uint32(g), i))
+		}
+	}
+	return lists
+}
+
+// assertClaims checks u's claims against want GID by GID, in order, and
+// DuplicateClaims against the lists longer than one.
+func assertClaims(t *testing.T, label string, u *Unified, want [][]ObjectLoc) {
+	t.Helper()
+	got := claimLists(u)
+	if len(got) != len(want) {
+		t.Fatalf("%s: claims for %d vertices, want %d", label, len(got), len(want))
+	}
+	var dups []uint32
+	for g := range want {
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Fatalf("%s: GID %d claims %v, want %v", label, g, got[g], want[g])
+		}
+		if len(want[g]) > 1 {
+			dups = append(dups, uint32(g))
+		}
+	}
+	if d := u.DuplicateClaims(); !slices.Equal(d, dups) {
+		t.Fatalf("%s: DuplicateClaims %v, want %v", label, d, dups)
+	}
 }
 
 // assertUnifiedIdentical compares every externally observable field of
@@ -82,7 +158,7 @@ func assertUnifiedIdentical(t *testing.T, label string, want, got *Unified) {
 		{"edge list", want.Edges, got.Edges},
 		{"Present", want.Present, got.Present},
 		{"Types", want.Types, got.Types},
-		{"Claims", want.Claims, got.Claims},
+		{"Claims", claimLists(want), claimLists(got)},
 		{"Issues", want.Issues, got.Issues},
 	} {
 		bothEmpty := reflect.ValueOf(f.want).Len() == 0 && reflect.ValueOf(f.got).Len() == 0
@@ -194,16 +270,16 @@ func TestMergeMatchesReferenceAllPhantom(t *testing.T) {
 		t.Fatalf("want a graph of phantoms past the minimum table size, got N=%d phantoms=%d", u.N(), len(u.Phantoms()))
 	}
 	for _, g := range u.Phantoms() {
-		if c := u.Claims[g]; c != nil {
-			t.Fatalf("phantom %d has claims %v", g, c)
+		if c := u.ClaimCount(g); c != 0 {
+			t.Fatalf("phantom %d has %d claims", g, c)
 		}
 	}
 }
 
 // TestMergeCrossServerDuplicateClaims: one FID claimed on three servers
-// (twice on one of them) keeps every claim in canonical order, takes the
-// first claimant's type, and no claim list can grow into its
-// neighbour's backing array.
+// (twice on one of them) keeps every claim in canonical order and takes
+// the first claimant's type, and the server with no objects takes no
+// place in the claims.
 func TestMergeCrossServerDuplicateClaims(t *testing.T) {
 	shared, other := lustre.FID{Seq: 9, Oid: 1}, lustre.FID{Seq: 9, Oid: 2}
 	parts := []*scanner.Partial{
@@ -222,14 +298,10 @@ func TestMergeCrossServerDuplicateClaims(t *testing.T) {
 	u := MergeWorkers(parts, 2)
 	g, _ := u.GID(shared)
 	want := []ObjectLoc{{"mdt0", 4}, {"ost1", 7}, {"ost1", 8}, {"ost2", 2}}
-	if !reflect.DeepEqual(u.Claims[g], want) || u.Types[g] != ldiskfs.TypeFile {
-		t.Fatalf("claims %v type %v", u.Claims[g], u.Types[g])
+	if got := claimLists(u)[g]; !reflect.DeepEqual(got, want) || u.Types[g] != ldiskfs.TypeFile {
+		t.Fatalf("claims %v type %v", got, u.Types[g])
 	}
-	for g, c := range u.Claims {
-		if len(c) != cap(c) {
-			t.Fatalf("claims[%d]: len %d cap %d — an append would write into another vertex's claims", g, len(c), cap(c))
-		}
-	}
+	assertClaims(t, "duplicates", u, claimsReference(parts, gidLookup(u), u.N()))
 }
 
 // TestMergeEmpty: no partials, and empty partials between full ones,

@@ -169,10 +169,12 @@ func FuzzMergeSeqIndex(f *testing.F) {
 			u := MergeWorkers(parts, w)
 			assertUnifiedIdentical(t, label, ref, u)
 			assertGIDsMatchMap(t, label, ref, u)
+			assertClaims(t, label, u, claimsReference(parts, gidLookup(u), u.N()))
 		}
 		u := mergeObserved(cutSegments(rand.New(rand.NewSource(seed)), parts), 4, nil)
 		assertUnifiedIdentical(t, "segments", ref, u)
 		assertGIDsMatchMap(t, "segments", ref, u)
+		assertClaims(t, "segments", u, claimsReference(parts, gidLookup(u), u.N()))
 	})
 }
 

@@ -212,15 +212,13 @@ func DecodeDeltaBuilder(blob []byte) (*DeltaBuilder, error) {
 	// Every IID in the arenas is now known to be in range: the derived
 	// per-IID state can index by them.
 	b.refs = make([]uint32, nFIDs)
-	b.claims = make([]iidClaims, nFIDs)
-	b.staleClaims.in = make([]bool, nFIDs)
+	b.claims = make([]uint32, nFIDs)
 	b.dirty.in = make([]bool, nFIDs)
 	for _, iid := range b.dirty.list {
 		b.dirty.in[iid] = true
 	}
 	for _, s := range b.servers {
 		b.account(s.objs, s.edges, 1)
-		b.claimsChanged(s.objs)
 	}
 	return b, nil
 }

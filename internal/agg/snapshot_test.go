@@ -52,7 +52,7 @@ func assertMaterializedEqual(t *testing.T, got, want *Materialized) {
 	}
 	if !reflect.DeepEqual(got.U.Present, want.U.Present) ||
 		!reflect.DeepEqual(got.U.Types, want.U.Types) ||
-		!reflect.DeepEqual(got.U.Claims, want.U.Claims) {
+		!reflect.DeepEqual(claimLists(got.U), claimLists(want.U)) {
 		t.Fatal("object state diverges")
 	}
 	if !reflect.DeepEqual(got.U.Edges, want.U.Edges) {

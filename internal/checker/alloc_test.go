@@ -10,17 +10,18 @@ import (
 )
 
 // tcpCheckBytesPerVertex is TestTCPCheckAllocs' ceiling: the measured
-// cost plus 67 bytes of margin. A check of its cluster allocates 520
-// bytes per vertex (711 under -race, whose scheduling grows more group
-// buffers), 617 if the scanner copies every chunk for the wire stream,
-// and 611 if ten journals preallocate their rings.
-const tcpCheckBytesPerVertex = 587
+// cost plus 32 bytes of margin. A check of its cluster allocates 403
+// bytes per vertex (549 under -race, whose scheduling grows more group
+// buffers), about 37 more if the merge keeps its claims as a slice per
+// vertex, 73 more if the scanner copies every chunk for the wire stream,
+// and 90 more if ten journals preallocate their rings.
+const tcpCheckBytesPerVertex = 435
 
 // TestTCPCheckAllocs: what a TCP cold check allocates, per vertex of a
 // fixed aged cluster (cold_check_tcp's shape at a quarter of its size,
-// two workers), stays under a ceiling that the chunk copies or the
-// preallocated rings alone would break (the second count array is
-// TestNewBidirectedAllocs' to catch).
+// two workers), stays under a ceiling that per-vertex claim slices, the
+// chunk copies or the preallocated rings alone would break (wider or
+// second count arrays are TestNewBidirectedAllocs' to catch).
 func TestTCPCheckAllocs(t *testing.T) {
 	c, err := lustre.NewCluster(lustre.Config{
 		NumOSTs: 8, StripeSize: 64 << 10, StripeCount: -1,

@@ -182,7 +182,7 @@ func classify(res *Result, images map[string]*ldiskfs.Image, opt Options) []Find
 			if !u.Present[src] || explained[[2]uint32{src, p}] {
 				continue
 			}
-			if len(u.Claims[src]) > 1 {
+			if u.ClaimCount(src) > 1 {
 				// The source FID is claimed by multiple inodes; the
 				// duplicate-identity arbitration quarantines the bogus
 				// claimants (including their stale point-backs).
@@ -233,7 +233,7 @@ func classify(res *Result, images map[string]*ldiskfs.Image, opt Options) []Find
 		legit, impostors := arbitrateClaims(res, images, g)
 		f := Finding{
 			Kind: DuplicateIdentity, FID: fid,
-			Detail: fmt.Sprintf("%d inodes claim %v", len(u.Claims[g]), fid),
+			Detail: fmt.Sprintf("%d inodes claim %v", u.ClaimCount(g), fid),
 		}
 		for _, imp := range impostors {
 			f.Repairs = append(f.Repairs, RepairAction{
@@ -509,7 +509,8 @@ func arbitrateClaims(res *Result, images map[string]*ldiskfs.Image, g uint32) (*
 	u := res.Unified
 	var legit *agg.ObjectLoc
 	var impostors []agg.ObjectLoc
-	for _, claim := range u.Claims[g] {
+	for i := range u.ClaimCount(g) {
+		claim := u.Claim(g, i)
 		answered := false
 		if img := images[claim.Server]; img != nil {
 			for _, target := range pointBackTargets(img, claim.Ino) {
@@ -519,11 +520,10 @@ func arbitrateClaims(res *Result, images map[string]*ldiskfs.Image, g uint32) (*
 				}
 			}
 		}
-		c := claim
 		if answered && legit == nil {
-			legit = &c
+			legit = &claim
 		} else {
-			impostors = append(impostors, c)
+			impostors = append(impostors, claim)
 		}
 	}
 	return legit, impostors

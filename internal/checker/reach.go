@@ -96,7 +96,7 @@ func classifyDetachedIslands(res *Result, findings []Finding) []Finding {
 		if u.Types[gi] != ldiskfs.TypeDir && u.Types[gi] != ldiskfs.TypeFile {
 			continue
 		}
-		if len(u.Claims[gi]) == 0 || !strings.HasPrefix(u.Claims[gi][0].Server, "mdt") {
+		if u.ClaimCount(gi) == 0 || !strings.HasPrefix(u.Claim(gi, 0).Server, "mdt") {
 			continue
 		}
 		if implicated[u.FID(gi)] || b.HasUnpairedEdge(gi) {

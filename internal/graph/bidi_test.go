@@ -155,8 +155,8 @@ func TestInCountsMatchRevDegrees(t *testing.T) {
 }
 
 // TestNewBidirectedAllocs: a build allocates the Bidirected's own arrays
-// and one W×n count/cursor array, which the forward build and the
-// transpose share, and next to nothing else. One hub row is longer than
+// and one W×n array of 32-bit count/cursors, which the forward build and
+// the transpose share, and next to nothing else. One hub row is longer than
 // insertionSortMax, so the sort's packed-key buffer is in play too.
 func TestNewBidirectedAllocs(t *testing.T) {
 	const n, workers, hub = 50000, 2, 4000
@@ -172,7 +172,7 @@ func TestNewBidirectedAllocs(t *testing.T) {
 	b := NewBidirected(n, edges, workers)
 	runtime.ReadMemStats(&after)
 	own := uint64(b.MemoryBytes())
-	counts := uint64(csrCountWorkers(n, m, workers) * n * 8)
+	counts := uint64(csrCountWorkers(n, m, workers) * n * 4)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, (own+counts)*21/20+64<<10; got > limit {
 		t.Fatalf("NewBidirected allocated %d bytes, ceiling %d (own arrays %d + one count array %d)", got, limit, own, counts)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -73,7 +74,7 @@ func (c *CSR) MemoryBytes() int64 {
 
 // csrCountBudget bounds the total size of the per-worker count arrays
 // BuildCSR and Transpose allocate (bytes). With very large vertex counts
-// the worker count is reduced so W*n*8 stays under the budget; counting
+// the worker count is reduced so W*n*4 stays under the budget; counting
 // then runs on fewer cores but never touches an atomic.
 const csrCountBudget = 2 << 30
 
@@ -91,7 +92,7 @@ func workerCount(workers, items int) int {
 func csrCountWorkers(n, m, workers int) int {
 	workers = workerCount(workers, m)
 	if n > 0 {
-		workers = max(1, min(workers, csrCountBudget/(8*n)))
+		workers = max(1, min(workers, csrCountBudget/(4*n)))
 	}
 	return workers
 }
@@ -117,9 +118,9 @@ func balancedCuts(n, parts int, prefix func(v int) int64) []int {
 // is large enough: NewBidirected's transpose counts in the forward
 // build's W×n count/cursor array, and a Rebuild in the previous build's,
 // instead of allocating its own.
-func zeroedCounts(buf []int64, size int) []int64 {
+func zeroedCounts(buf []uint32, size int) []uint32 {
 	if cap(buf) == 0 {
-		return make([]int64, size)
+		return make([]uint32, size)
 	}
 	buf = resized(buf, size)
 	clear(buf)
@@ -140,15 +141,15 @@ func resized[T any](s []T, n int) []T {
 // scatterCursors turns W private per-vertex count arrays (counts[w*n+v],
 // worker w's edges landing in row v) into row offsets and private scatter
 // cursors, and returns the edge total: offsets[v] becomes the start of
-// row v, and counts[w*n+v] the first slot worker w writes in it —
-// offsets[v] + Σ_{w'<w} counts[w'][v]. Rows therefore hold worker 0's
-// edges, then worker 1's, ..., each in that worker's own walk order.
-func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
+// row v, and counts[w*n+v] the first slot worker w writes in it, counted
+// from that start — Σ_{w'<w} counts[w'][v]. Rows therefore hold worker
+// 0's edges, then worker 1's, ..., each in that worker's own walk order.
+func scatterCursors(counts []uint32, offsets []int64, n, W, workers int) int64 {
 	par.ForRange(n, workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			var t int64
 			for w := 0; w < W; w++ {
-				t += counts[w*n+v]
+				t += int64(counts[w*n+v])
 			}
 			offsets[v] = t
 		}
@@ -157,7 +158,7 @@ func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
 	offsets[n] = total
 	par.ForRange(n, workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			run := offsets[v]
+			var run uint32
 			for w := 0; w < W; w++ {
 				cw := counts[w*n+v]
 				counts[w*n+v] = run
@@ -177,7 +178,8 @@ func scatterCursors(counts, offsets []int64, n, W, workers int) int64 {
 // (target, kind), so the layout is independent of the worker count and
 // lookups can binary-search. An edge referencing a vertex >= n panics on
 // the calling goroutine, naming the lowest such edge — callers (the
-// aggregator) densify IDs first.
+// aggregator) densify IDs first. So does a list of 2^32 or more edges:
+// the build's row-relative cursors are 32-bit.
 //
 // keepKinds controls whether the per-edge kind array is retained; pure
 // benchmark graphs drop it to save a byte per edge.
@@ -192,7 +194,7 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 // share, and each sort worker's packed-key buffer. A Bidirected keeps it
 // for its next Rebuild.
 type buildScratch struct {
-	counts []int64
+	counts []uint32
 	keys   [][]uint64
 }
 
@@ -213,6 +215,9 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch *b
 	if m == 0 {
 		clear(c.Offsets)
 		return
+	}
+	if uint64(m) > math.MaxUint32 {
+		panic(fmt.Sprintf("graph: %d edges, more than a row-relative cursor counts", m))
 	}
 
 	// Both passes split the edge array into the same W contiguous ranges:
@@ -258,8 +263,8 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch *b
 		cur := counts[w*n : (w+1)*n]
 		for i := lo; i < hi; i++ {
 			e := edges[i]
-			at := cur[e.Src]
-			cur[e.Src] = at + 1
+			at := c.Offsets[e.Src] + int64(cur[e.Src])
+			cur[e.Src]++
 			c.Targets[at] = e.Dst
 			if keepKinds {
 				c.Kinds[at] = e.Kind
@@ -344,8 +349,8 @@ func (c *CSR) transposeInto(t *CSR, workers int, scratch *buildScratch) {
 		for v := cuts[w]; v < cuts[w+1]; v++ {
 			for i := c.Offsets[v]; i < c.Offsets[v+1]; i++ {
 				dst := c.Targets[i]
-				at := cur[dst]
-				cur[dst] = at + 1
+				at := t.Offsets[dst] + int64(cur[dst])
+				cur[dst]++
 				t.Targets[at] = uint32(v)
 				if t.Kinds != nil {
 					t.Kinds[at] = c.Kinds[i]

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"faultyrank/internal/agg"
 	"faultyrank/internal/checker"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
@@ -392,6 +393,25 @@ func deepCopyFindings(fs []checker.Finding) []checker.Finding {
 	return out
 }
 
+// sameClaims compares two graphs' claims GID by GID, in order.
+func sameClaims(a, b *agg.Unified) bool {
+	if a.N() != b.N() {
+		return false
+	}
+	for g := range uint32(a.N()) {
+		n := a.ClaimCount(g)
+		if b.ClaimCount(g) != n {
+			return false
+		}
+		for i := range n {
+			if a.Claim(g, i) != b.Claim(g, i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // assertSameRound compares a resident round with its fresh twin.
 func assertSameRound(t *testing.T, name string, a, b *CheckResult) {
 	t.Helper()
@@ -401,7 +421,7 @@ func assertSameRound(t *testing.T, name string, a, b *CheckResult) {
 	ua, ub := a.Unified, b.Unified
 	if !reflect.DeepEqual(ua.FIDs, ub.FIDs) || !reflect.DeepEqual(ua.Edges, ub.Edges) ||
 		!reflect.DeepEqual(ua.Present, ub.Present) || !reflect.DeepEqual(ua.Types, ub.Types) ||
-		!reflect.DeepEqual(ua.Claims, ub.Claims) || !reflect.DeepEqual(ua.Issues, ub.Issues) {
+		!sameClaims(ua, ub) || !reflect.DeepEqual(ua.Issues, ub.Issues) {
 		t.Fatalf("%s: unified graphs differ", name)
 	}
 	ga, gb := a.Graph, b.Graph

@@ -89,10 +89,10 @@ func (e *Engine) mdt() (*ldiskfs.Image, error) {
 // locate resolves a FID to its first claiming inode.
 func (e *Engine) locate(f lustre.FID) (*ldiskfs.Image, ldiskfs.Ino, error) {
 	g, ok := e.u.GID(f)
-	if !ok || len(e.u.Claims[g]) == 0 {
+	if !ok || e.u.ClaimCount(g) == 0 {
 		return nil, 0, fmt.Errorf("repair: %v has no physical inode", f)
 	}
-	c := e.u.Claims[g][0]
+	c := e.u.Claim(g, 0)
 	img := e.images[c.Server]
 	if img == nil {
 		return nil, 0, fmt.Errorf("repair: unknown server %q", c.Server)

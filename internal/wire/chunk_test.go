@@ -107,8 +107,8 @@ func chunksOf(p *scanner.Partial, n int) []*scanner.Chunk {
 }
 
 // TestChunkStreamsIntoBuilder: several concurrent chunk streams arrive
-// at one collector feeding an agg.Builder; the reassembled per-server
-// partials match the originals exactly.
+// at one collector feeding an agg.Builder; what it merges is the merge
+// of the original partials.
 func TestChunkStreamsIntoBuilder(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	labels := []string{"mdt0", "ost0", "ost1"}
@@ -152,15 +152,35 @@ func TestChunkStreamsIntoBuilder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := builder.Partials()
+	got, err := builder.Finish(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parts {
-		if !reflect.DeepEqual(p, got[i]) {
-			t.Fatalf("server %s: reassembled partial diverges", labels[i])
+	if !sameUnified(got, agg.MergeWorkers(parts, 1)) {
+		t.Fatal("the merge of the received streams diverges from the partials' merge")
+	}
+}
+
+// sameUnified compares every exported field and every claim of two
+// unified graphs.
+func sameUnified(a, b *agg.Unified) bool {
+	if !reflect.DeepEqual(a.FIDs, b.FIDs) || !reflect.DeepEqual(a.Edges, b.Edges) ||
+		!reflect.DeepEqual(a.Present, b.Present) || !reflect.DeepEqual(a.Types, b.Types) ||
+		!reflect.DeepEqual(a.Issues, b.Issues) {
+		return false
+	}
+	for g := range uint32(a.N()) {
+		n := a.ClaimCount(g)
+		if b.ClaimCount(g) != n {
+			return false
+		}
+		for i := range n {
+			if a.Claim(g, i) != b.Claim(g, i) {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // TestCollectChunksSenderKilled: the collector expects two streams but
@@ -208,9 +228,12 @@ func TestCollectChunksSenderKilled(t *testing.T) {
 			if len(res.Completed) != 1 || res.Completed[0] != "mdt0" {
 				t.Fatalf("degraded completed = %v", res.Completed)
 			}
-			parts, missing := builder.CompletedPartials()
-			if len(parts) != 1 || !reflect.DeepEqual(parts[0], p) {
-				t.Fatal("surviving stream's partial diverges")
+			u, missing, err := builder.FinishCompleted(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameUnified(u, agg.MergeWorkers([]*scanner.Partial{p}, 1)) {
+				t.Fatal("surviving stream's merge diverges")
 			}
 			if len(missing) != 1 || missing[0] != "ost0" {
 				t.Fatalf("missing = %v", missing)
