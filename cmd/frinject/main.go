@@ -17,7 +17,6 @@ import (
 
 	"faultyrank/internal/imgdir"
 	"faultyrank/internal/inject"
-	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
 )
 
@@ -60,7 +59,7 @@ func main() {
 	}
 	target := *path
 	if target == "" {
-		target, err = pickTarget(c)
+		target, err = inject.PickTarget(c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,47 +78,4 @@ func main() {
 		fmt.Printf(" (now carrying %v)", inj.NewFID)
 	}
 	fmt.Println()
-}
-
-// pickTarget finds a regular file with at least two stripes.
-func pickTarget(c *lustre.Cluster) (string, error) {
-	var target string
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		if target != "" {
-			return nil
-		}
-		ents, err := c.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, de := range ents {
-			p := dir + "/" + de.Name
-			if dir == "/" {
-				p = "/" + de.Name
-			}
-			switch de.Type {
-			case ldiskfs.TypeDir:
-				if err := walk(p); err != nil {
-					return err
-				}
-			case ldiskfs.TypeFile:
-				if ent, err := c.Stat(p); err == nil && ent.Size > 2*64<<10 {
-					target = p
-					return nil
-				}
-			}
-			if target != "" {
-				return nil
-			}
-		}
-		return nil
-	}
-	if err := walk("/"); err != nil {
-		return "", err
-	}
-	if target == "" {
-		return "", fmt.Errorf("no multi-stripe file found")
-	}
-	return target, nil
 }

@@ -288,26 +288,6 @@ func mergeObserved(segs []segment, workers int, m *Metrics) *Unified {
 	return u
 }
 
-// claimSlots carves one backing array into a cap-limited, empty claim
-// list per vertex, so appending the counted claims neither reallocates
-// nor spills into a neighbour. Unclaimed vertices keep a nil list.
-func claimSlots(counts []uint32) [][]ObjectLoc {
-	var total int
-	for _, c := range counts {
-		total += int(c)
-	}
-	backing := make([]ObjectLoc, total)
-	claims := make([][]ObjectLoc, len(counts))
-	off := 0
-	for g, c := range counts {
-		if c > 0 {
-			claims[g] = backing[off : off : off+int(c)]
-			off += int(c)
-		}
-	}
-	return claims
-}
-
 // Builder accepts the scanners' chunk streams — in any interleaving
 // across servers — and reassembles them into per-server partials so
 // aggregation can overlap transfer. The canonical server order is fixed

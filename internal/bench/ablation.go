@@ -45,7 +45,7 @@ func AblationMatrix(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			target, err := fig7Target(c)
+			target, err := inject.PickTarget(c)
 			if err != nil {
 				return nil, err
 			}

@@ -49,50 +49,6 @@ func fig7Cluster(scale Scale) (*lustre.Cluster, error) {
 	return c, nil
 }
 
-// fig7Target picks a multi-stripe file to corrupt.
-func fig7Target(c *lustre.Cluster) (string, error) {
-	// The populate naming is deterministic; walk for a >=2-stripe file.
-	var target string
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		if target != "" {
-			return nil
-		}
-		ents, err := c.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, de := range ents {
-			p := dir + "/" + de.Name
-			if dir == "/" {
-				p = "/" + de.Name
-			}
-			switch de.Type {
-			case ldiskfs.TypeDir:
-				if err := walk(p); err != nil {
-					return err
-				}
-			case ldiskfs.TypeFile:
-				if ent, err := c.Stat(p); err == nil && ent.Size > 2*64<<10 {
-					target = p
-					return nil
-				}
-			}
-			if target != "" {
-				return nil
-			}
-		}
-		return nil
-	}
-	if err := walk("/"); err != nil {
-		return "", err
-	}
-	if target == "" {
-		return "", fmt.Errorf("bench: no multi-stripe file found")
-	}
-	return target, nil
-}
-
 // Fig7Compare runs every Fig. 7 scenario through both checkers on fresh
 // identically-populated clusters.
 func Fig7Compare(scale Scale) ([]Fig7Row, error) {
@@ -105,7 +61,7 @@ func Fig7Compare(scale Scale) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		target, err := fig7Target(c)
+		target, err := inject.PickTarget(c)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +94,7 @@ func Fig7Compare(scale Scale) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		target2, err := fig7Target(c2)
+		target2, err := inject.PickTarget(c2)
 		if err != nil {
 			return nil, err
 		}

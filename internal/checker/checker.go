@@ -32,7 +32,8 @@ type Options struct {
 	// graph build and the rank kernel (<= 0 = GOMAXPROCS).
 	Workers int
 	// Core configures the FaultyRank iteration and detection. A check
-	// does not read Core.Workers.
+	// does not read Core.Workers. Unset, it is core.DefaultOptions
+	// (WithDefaults).
 	Core core.Options
 	// UseTCP routes chunk streams through localhost TCP (the paper's
 	// deployment shape: scanners on OSS nodes ship graphs to the MDS
@@ -137,6 +138,20 @@ type NetStats struct {
 // DefaultOptions mirrors the paper's configuration.
 func DefaultOptions() Options {
 	return Options{Core: core.DefaultOptions()}
+}
+
+// WithDefaults returns o with an unset Core replaced by the paper's
+// constants (core.DefaultOptions); every other field — Workers,
+// SplitProperties, the transport — is kept. Core is unset when its
+// MaxIterations is zero, which no usable configuration has. This is the
+// one place a check decides what an unset Core means: Run and
+// AnalyzeUnified apply it, and so does the online tracker, which edits
+// Core before each of its analyses.
+func (o Options) WithDefaults() Options {
+	if o.Core.MaxIterations == 0 {
+		o.Core = core.DefaultOptions()
+	}
+	return o
 }
 
 // FindingKind classifies one reported inconsistency.
@@ -393,12 +408,10 @@ func AnalyzeUnified(res *Result, images []*ldiskfs.Image, u *agg.Unified, opt Op
 // analyze is the tail Run and AnalyzeUnified share: under the aggregate
 // span (T_graph) it takes the unified graph from unify and builds the
 // CSR, into res.Graph's storage when it has one; then it ranks and
-// classifies (T_FR) and lands the run's observability fields. Zero
-// opt.Core options mean the paper's defaults.
+// classifies (T_FR) and lands the run's observability fields. An unset
+// opt.Core means the paper's defaults (Options.WithDefaults).
 func analyze(ctx context.Context, root *telemetry.Span, res *Result, images []*ldiskfs.Image, opt Options, obs *runObs, unify func(aggCtx context.Context) (*agg.Unified, error)) error {
-	if opt.Core.MaxIterations == 0 {
-		opt.Core = core.DefaultOptions()
-	}
+	opt = opt.WithDefaults()
 	opt.Core.Workers = opt.Workers
 	t1 := time.Now()
 	aggCtx, aggSpan := telemetry.StartSpan(ctx, "aggregate")

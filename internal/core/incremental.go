@@ -22,8 +22,8 @@ type FrontierStats struct {
 	// Touched is the total number of per-vertex equation evaluations
 	// across all phases of the run (full sweeps included).
 	Touched int64 `json:"touched"`
-	// Saturated reports that the frontier grew past
-	// Options.FrontierSaturation·N and the run fell back to full sweeps.
+	// Saturated reports that the frontier grew past a quarter of N (the
+	// frontier saturation) and the run fell back to full sweeps.
 	Saturated bool `json:"saturated"`
 }
 
@@ -120,8 +120,12 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	// theta is on the raw rank scale: Diffs divide by blend before the
 	// Epsilon comparison, so the comparable per-write bound scales back.
 	theta := opt.Epsilon * frontierSlack * blend
+	f := opt.frontierSaturation
+	if f <= 0 {
+		f = defaultFrontierSaturation
+	}
 	satCap := n
-	if f := opt.frontierSaturation(); f < 1 {
+	if f < 1 {
 		satCap = int(f * float64(n))
 	}
 

@@ -149,7 +149,7 @@ func TestIncrementalWorkerDeterminism(t *testing.T) {
 	edges := randomEdges(r, n, 3*n)
 	g1 := graph.NewBidirected(n, edges, 0)
 	opt := DefaultOptions()
-	opt.FrontierSaturation = 1
+	opt.frontierSaturation = 1
 	prev := Run(g1, opt)
 	edges2, dirty := mutateEdges(r, n, edges, n/8)
 	g2 := graph.NewBidirected(n, edges2, 0)
@@ -184,7 +184,7 @@ func TestIncrementalSaturationFallback(t *testing.T) {
 	g1 := graph.NewBidirected(n, edges, 0)
 	opt := DefaultOptions()
 	opt.Workers = 3
-	opt.FrontierSaturation = 0.05
+	opt.frontierSaturation = 0.05
 	prev := Run(g1, opt)
 	edges2, dirty := mutateEdges(r, n, edges, n/10)
 	g2 := graph.NewBidirected(n, edges2, 0)
@@ -195,7 +195,7 @@ func TestIncrementalSaturationFallback(t *testing.T) {
 	inc := RunIncremental(g2, warmOpt, dirty)
 	if !inc.Frontier.Saturated || inc.Frontier.FullSweeps != 2*inc.Iterations {
 		t.Fatalf("expected full sweeps throughout with %d dirty vertices over cap %g·%d, got %+v",
-			len(dirty), opt.FrontierSaturation, n, inc.Frontier)
+			len(dirty), opt.frontierSaturation, n, inc.Frontier)
 	}
 	assertSameResult(t, inc, Run(g2, warmOpt))
 }

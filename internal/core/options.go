@@ -87,7 +87,7 @@ type Options struct {
 	// AttributionSlack widens root-cause attribution: within one
 	// unpaired relation, fields below Threshold whose score is within
 	// AttributionSlack× of the relation's minimum are co-flagged. 1.0
-	// flags only the strict minimum; <=0 uses the default (2.0).
+	// flags only the strict minimum; <=0 uses defaultAttributionSlack.
 	AttributionSlack float64
 
 	// Workers bounds the goroutines that sweep the rank kernel; <=0 means
@@ -135,12 +135,12 @@ type Options struct {
 	// series.
 	ConvergenceTrace bool
 
-	// FrontierSaturation is the fraction of vertices beyond which
+	// frontierSaturation is the fraction of vertices beyond which
 	// RunIncremental stops maintaining frontiers and iterates full
 	// sweeps for the rest of the run — past that point the bookkeeping
-	// costs more than it skips. <=0 uses DefaultFrontierSaturation;
-	// >=1 never saturates.
-	FrontierSaturation float64
+	// costs more than it skips. <=0 uses defaultFrontierSaturation;
+	// >=1 never saturates. Only this package's tests set it.
+	frontierSaturation float64
 
 	// OnIteration, when set, is called once per completed iteration (or
 	// coordinated superstep) with the 1-based iteration number and the
@@ -159,17 +159,12 @@ type Options struct {
 // criterion exact regardless — rarely has to re-open the frontier.
 const frontierSlack = 0.125
 
-// DefaultFrontierSaturation is the active fraction of N at which
-// RunIncremental falls back to full sweeps when Options.FrontierSaturation
-// is unset.
-const DefaultFrontierSaturation = 0.25
+// defaultFrontierSaturation is the active fraction of N at which
+// RunIncremental falls back to full sweeps.
+const defaultFrontierSaturation = 0.25
 
-func (o Options) frontierSaturation() float64 {
-	if o.FrontierSaturation <= 0 {
-		return DefaultFrontierSaturation
-	}
-	return o.FrontierSaturation
-}
+// defaultAttributionSlack is the paper's evaluation's AttributionSlack.
+const defaultAttributionSlack = 2.0
 
 // DefaultTraceCap bounds Result.Trace when ConvergenceTrace is set.
 // Iterations beyond it still run and still append to Diffs — only the
@@ -189,7 +184,7 @@ func DefaultOptions() Options {
 		SinkPolicy:       SinkToOthers,
 		Smoothing:        0.5,
 		Threshold:        0.4,
-		AttributionSlack: 2.0,
+		AttributionSlack: defaultAttributionSlack,
 		Workers:          par.DefaultWorkers(),
 	}
 }
@@ -202,7 +197,7 @@ func (o Options) skips(b *graph.Bidirected) bool {
 
 func (o Options) attributionSlack() float64 {
 	if o.AttributionSlack <= 0 {
-		return 2.0
+		return defaultAttributionSlack
 	}
 	return o.AttributionSlack
 }

@@ -62,7 +62,8 @@ type Config struct {
 	// Tracker.Watch's default).
 	Interval Duration `json:"interval,omitempty"`
 	// Workers bounds how many clusters run a check round at once on the
-	// shared pool (0 = as many as there are clusters).
+	// shared pool (0 = as many as there are clusters, at most
+	// GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// History is the per-cluster round-history ring size (0 = default).
 	History  int             `json:"history,omitempty"`

@@ -125,7 +125,9 @@ type ClusterSpec struct {
 	// ClusterConfig.Name for the charset).
 	Name   string
 	Images []*ldiskfs.Image
-	// Options configures the cluster's checks (zero value = defaults).
+	// Options configures the cluster's checks, passed to the tracker as
+	// given: an unset Core means the paper's defaults, and every other
+	// field is kept (checker.Options.WithDefaults).
 	Options checker.Options
 	// StateDir, when non-empty, holds the durable tracker snapshot: the
 	// daemon resumes from it when present and saves after every round.
@@ -190,7 +192,6 @@ func NewDaemonFromConfig(cfg *Config) (*Daemon, error) {
 		if err := d.AddCluster(ClusterSpec{
 			Name:        cl.Name,
 			Images:      images,
-			Options:     checker.DefaultOptions(),
 			StateDir:    cl.State,
 			RescanEvery: cl.RescanEvery,
 		}); err != nil {
@@ -215,9 +216,6 @@ func (d *Daemon) AddCluster(spec ClusterSpec) error {
 		return fmt.Errorf("health: duplicate cluster %q", spec.Name)
 	}
 	opt := spec.Options
-	if opt.Core.MaxIterations == 0 {
-		opt = checker.DefaultOptions()
-	}
 	reg := telemetry.NewRegistry()
 	opt.Metrics = reg
 	jr := telemetry.NewJournal(0)

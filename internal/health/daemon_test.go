@@ -428,3 +428,77 @@ func TestAddClusterValidation(t *testing.T) {
 		t.Fatal("empty daemon ran")
 	}
 }
+
+// TestClusterOptionsKeptWithUnsetCore: a cluster whose options set only
+// SplitProperties — Core left unset — keeps that setting; the paper's
+// defaults fill in Core alone. The fixture is checker's stray-LinkEA
+// cluster (TestSplitPlanesJudgedOnTheirOwnPairing): a file's LinkEA
+// gains a parent entry naming its own first stripe object, which pairs
+// on the merged graph and only the split namespace plane can flag.
+func TestClusterOptionsKeptWithUnsetCore(t *testing.T) {
+	c, err := lustre.NewCluster(lustre.Config{
+		NumOSTs: 4, StripeSize: 64 << 10, StripeCount: -1,
+		Geometry: ldiskfs.CompactGeometry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 3; d++ {
+		dir := fmt.Sprintf("/proj%d", d)
+		if err := c.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 4; f++ {
+			if _, err := c.Create(fmt.Sprintf("%s/file%d", dir, f), 3*64<<10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ent, err := c.Stat("/proj1/file2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdt := c.MDT.Img
+	raw, _, err := mdt.GetXattr(ent.Ino, lustre.XattrLOV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := lustre.DecodeLOVEA(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, _, err = mdt.GetXattr(ent.Ino, lustre.XattrLink); err != nil {
+		t.Fatal(err)
+	}
+	links, err := lustre.DecodeLinkEA(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links = append(links, lustre.LinkEntry{Parent: layout.Stripes[0].ObjectFID, Name: "stray"})
+	if raw, err = lustre.EncodeLinkEA(links); err != nil {
+		t.Fatal(err)
+	}
+	if err := mdt.SetXattr(ent.Ino, lustre.XattrLink, raw); err != nil {
+		t.Fatal(err)
+	}
+
+	d := testDaemon(t, DaemonOptions{}, ClusterSpec{
+		Name:    "split",
+		Images:  checker.ClusterImages(c),
+		Options: checker.Options{SplitProperties: true},
+		Rounds:  1,
+	})
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := d.Report("split")
+	if !ok {
+		t.Fatal("no report")
+	}
+	for _, f := range rep.Findings {
+		if strings.Contains(f.Detail, "namespace-plane") {
+			return
+		}
+	}
+	t.Fatalf("no namespace-plane finding: SplitProperties was dropped; findings %+v", rep.Findings)
+}

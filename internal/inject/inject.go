@@ -9,6 +9,7 @@ package inject
 
 import (
 	"fmt"
+	"path"
 
 	"faultyrank/internal/core"
 	"faultyrank/internal/ldiskfs"
@@ -507,6 +508,38 @@ func injectMismatchFileID(c *lustre.Cluster, p string) (*Injection, error) {
 		Field:       core.FieldID,
 		PeerFID:     ent.FID, // the dirent/linkEA peers still name the old FID
 	}, nil
+}
+
+// PickTarget returns a file every scenario can corrupt: the first
+// regular file, walking the namespace depth-first in directory order,
+// larger than two 64 KiB stripes.
+func PickTarget(c *lustre.Cluster) (string, error) {
+	var pick func(dir string) (string, error)
+	pick = func(dir string) (string, error) {
+		ents, err := c.ReadDir(dir)
+		if err != nil {
+			return "", err
+		}
+		for _, de := range ents {
+			p := path.Join(dir, de.Name)
+			switch de.Type {
+			case ldiskfs.TypeDir:
+				if target, err := pick(p); target != "" || err != nil {
+					return target, err
+				}
+			case ldiskfs.TypeFile:
+				if ent, err := c.Stat(p); err == nil && ent.Size > 2*64<<10 {
+					return p, nil
+				}
+			}
+		}
+		return "", nil
+	}
+	target, err := pick("/")
+	if err == nil && target == "" {
+		err = fmt.Errorf("inject: no multi-stripe file found")
+	}
+	return target, err
 }
 
 func parentOf(p string) string {

@@ -213,3 +213,24 @@ func ostImages(c *lustre.Cluster) []*ldiskfs.Image {
 	}
 	return out
 }
+
+func TestPickTarget(t *testing.T) {
+	c := testCluster(t)
+	p, err := PickTarget(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != "/d/f0" {
+		t.Fatalf("picked %q, want the first multi-stripe file /d/f0", p)
+	}
+	if _, err := Inject(c, DanglingObjectID, p); err != nil {
+		t.Fatalf("picked target not injectable: %v", err)
+	}
+	empty, err := lustre.NewCluster(lustre.Config{NumOSTs: 2, Geometry: ldiskfs.CompactGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PickTarget(empty); err == nil {
+		t.Fatal("picked a target on an empty cluster")
+	}
+}

@@ -17,7 +17,6 @@ package lfsck
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -323,12 +322,4 @@ func (r *runner) act(k ActionKind, fid lustre.FID, format string, args ...interf
 func (r *runner) allocFID() lustre.FID {
 	r.nextOid++
 	return lustre.FID{Seq: LostSeq, Oid: r.nextOid}
-}
-
-func ostIndexOf(label string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(label, "ost"))
-	if err != nil {
-		return -1
-	}
-	return n
 }

@@ -37,7 +37,6 @@ import (
 
 	"faultyrank/internal/agg"
 	"faultyrank/internal/checker"
-	"faultyrank/internal/core"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/scanner"
@@ -132,14 +131,13 @@ func newServerState(img *ldiskfs.Image) *serverState {
 }
 
 // NewTracker performs the initial full scan (clearing the change feeds)
-// and returns a tracker ready for incremental updates.
+// and returns a tracker ready for incremental updates. An unset opt.Core
+// means the paper's defaults (checker.Options.WithDefaults).
 func NewTracker(images []*ldiskfs.Image, opt checker.Options) (*Tracker, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("online: no images")
 	}
-	if opt.Core.MaxIterations == 0 {
-		opt.Core = core.DefaultOptions()
-	}
+	opt = opt.WithDefaults()
 	t := &Tracker{images: images, opt: opt, scan: scanner.ScanInode}
 	for _, img := range images {
 		t.servers = append(t.servers, newServerState(img))

@@ -16,6 +16,7 @@ import (
 
 	"faultyrank/internal/agg"
 	"faultyrank/internal/checker"
+	"faultyrank/internal/core"
 	"faultyrank/internal/inject"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/lustre"
@@ -433,6 +434,42 @@ func TestRepairsFlowThroughChangeFeed(t *testing.T) {
 func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(nil, checker.DefaultOptions()); err == nil {
 		t.Fatal("empty tracker accepted")
+	}
+}
+
+// TestTrackerResolvesUnsetCore: NewTracker and RestoreTracker keep a
+// caller's Core as given and fill in an unset one with the paper's
+// defaults; the options beside Core survive either way.
+func TestTrackerResolvesUnsetCore(t *testing.T) {
+	images := checker.ClusterImages(newCluster(t))
+	custom := checker.DefaultOptions()
+	custom.Core.Epsilon = 0.01
+	custom.SplitProperties = true
+	unset := checker.Options{SplitProperties: true}
+	for _, tc := range []struct {
+		name string
+		opt  checker.Options
+		want core.Options
+	}{
+		{"custom", custom, custom.Core},
+		{"unset", unset, core.DefaultOptions()},
+	} {
+		tr, err := NewTracker(images, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreTracker(tr.EncodeSnapshot(), images, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ctor, got := range map[string]*Tracker{"NewTracker": tr, "RestoreTracker": restored} {
+			if !reflect.DeepEqual(got.opt.Core, tc.want) {
+				t.Errorf("%s %s: Core = %+v, want %+v", tc.name, ctor, got.opt.Core, tc.want)
+			}
+			if !got.opt.SplitProperties {
+				t.Errorf("%s %s: SplitProperties dropped", tc.name, ctor)
+			}
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"faultyrank/internal/agg"
 	"faultyrank/internal/bincodec"
 	"faultyrank/internal/checker"
-	"faultyrank/internal/core"
 	"faultyrank/internal/ldiskfs"
 	"faultyrank/internal/scanner"
 )
@@ -176,7 +175,8 @@ func (t *Tracker) EncodeSnapshot() []byte {
 // accumulator come from the blob, and the next Update resumes from
 // whatever the images' change feeds accumulated while the previous
 // process was down. The images must be the same cluster the snapshot
-// was taken from, in the same canonical order (checked by label).
+// was taken from, in the same canonical order (checked by label). opt
+// is resolved as NewTracker resolves it.
 func RestoreTracker(blob []byte, images []*ldiskfs.Image, opt checker.Options) (*Tracker, error) {
 	s, err := decodeTrackerSnapshot(blob)
 	if err != nil {
@@ -193,9 +193,7 @@ func RestoreTracker(blob []byte, images []*ldiskfs.Image, opt checker.Options) (
 				i, labels[i], img.Label(), ErrTrackerSnapshotLabels)
 		}
 	}
-	if opt.Core.MaxIterations == 0 {
-		opt.Core = core.DefaultOptions()
-	}
+	opt = opt.WithDefaults()
 	t := &Tracker{
 		images:        images,
 		opt:           opt,

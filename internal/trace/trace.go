@@ -27,7 +27,6 @@ var hotKinds = map[string]int{
 	"frontier-saturated": 1,
 	"warm-fallback":      2,
 	"degraded":           2,
-	"rank-degraded":      2,
 	"stale":              2,
 	"stream-error":       3,
 	"scan-failed":        3,
