@@ -12,10 +12,11 @@ import (
 )
 
 // DeltaBuilder maintains the unified metadata graph incrementally: the
-// online checker (package online) feeds it one inode's scan result at a
-// time — Apply for a changed inode, Remove for a freed one — and each
-// check materialises a Unified without re-interning or re-merging the
-// unchanged majority.
+// online checker (package online) feeds it scan results — a whole
+// server's sweep, or a round's re-parsed inodes, through ApplyScan; one
+// inode's, through Apply — and tombstones for freed inodes (Remove), and
+// each check materialises a Unified without re-interning or re-merging
+// the unchanged majority.
 //
 // Internally FIDs are interned once, persistently, onto stable internal
 // ids (IIDs) that are never recycled, and the per-inode contributions
@@ -64,13 +65,16 @@ type DeltaBuilder struct {
 	dirty iidSet
 
 	scratch spliceScratch
-	// stage holds the contributions Apply stages, in IID space: each
+	// scans is the storage of the intake's split of a scan result.
+	scans []inodeScan
+	// stage holds the contributions the intake stages, in IID space: each
 	// staged inode's slices are views of it, so staging allocates only
 	// while a round stages more than any before. Materialize splices
 	// every server and empties it; nothing views it after that.
 	stage struct {
-		objs  []contribObj
-		edges []contribEdge
+		objs   []contribObj
+		edges  []contribEdge
+		issues []scanner.Issue
 	}
 
 	// last is what Materialize returned last, rewritten by the next call.
@@ -263,55 +267,143 @@ func (s *deltaServer) current(ino ldiskfs.Ino) (objs []contribObj, edges []contr
 }
 
 // Apply replaces one inode's contribution with a fresh scan result
-// (scanner.ScanInode output for that inode).
+// (scanner.ScanInode output for that inode): the intake's one-inode
+// case. Every record of p is ino's, p.Stats are its stats, and an empty
+// p tracks ino with no contribution.
 func (b *DeltaBuilder) Apply(server int, ino ldiskfs.Ino, p *scanner.Partial) error {
-	if server < 0 || server >= len(b.servers) {
-		return fmt.Errorf("agg: delta apply for unknown server index %d", server)
-	}
 	if p.Edges.SrcBound() > p.Objects.Len() {
 		return fmt.Errorf("agg: delta apply for ino %d: edge source ordinal beyond its %d objects", ino, p.Objects.Len())
 	}
-	s := b.servers[server]
-	if _, staged := s.staged[ino]; !staged && (len(s.inodes) == 0 || ino > s.inodes[len(s.inodes)-1].ino) {
-		// Past the last spliced inode: appending keeps the arrays
-		// canonical, so a full scan's ascending Applies never stage.
-		o, e := len(s.objs), len(s.edges)
-		s.objs, s.edges = b.toIIDs(s.objs, s.edges, p)
-		for _, is := range p.Issues {
-			s.issues = append(s.issues, inodeIssue{ino: ino, issue: is})
+	b.scans = append(b.scans[:0], inodeScan{ino: ino, o1: p.Objects.Len(), e1: p.Edges.Len(), issues: p.Issues, stats: p.Stats})
+	return b.intake(server, p, b.scans)
+}
+
+// ApplyScan replaces the contribution of every inode p holds records of
+// — a server's sweep (scanner.ScanImage) or a batch of re-parsed inodes
+// (scanner.AppendInode) — exactly as Applying each inode's records alone,
+// in ascending inode order, would. The records are split by the inode
+// each names: an object and an issue by its Ino, an edge by its source
+// object's. The scanner emits them in ascending inode order, and every
+// inode it counts yields at least one record; a p that breaks either
+// rule is refused whole. Each inode's Stats are derived from its records
+// (scanner.InodeStats) and must sum to p.Stats.
+func (b *DeltaBuilder) ApplyScan(server int, p *scanner.Partial) error {
+	var err error
+	if b.scans, err = splitScan(b.scans[:0], p); err != nil {
+		return fmt.Errorf("agg: delta intake: %w", err)
+	}
+	return b.intake(server, p, b.scans)
+}
+
+// inodeScan is one inode's records in a scan result: objects [o0, o1)
+// and edges [e0, e1) of the partial, and its issues and stats.
+type inodeScan struct {
+	ino            ldiskfs.Ino
+	o0, o1, e0, e1 int
+	issues         []scanner.Issue
+	stats          scanner.Stats
+}
+
+// splitScan appends p's records, split per inode, to scans.
+func splitScan(scans []inodeScan, p *scanner.Partial) ([]inodeScan, error) {
+	nObj, nEdge := p.Objects.Len(), p.Edges.Len()
+	var sc inodeScan
+	var sum scanner.Stats
+	for i := 0; sc.o1 < nObj || i < len(p.Issues); {
+		ino := ^ldiskfs.Ino(0)
+		if sc.o1 < nObj {
+			ino = p.Objects.Ino(sc.o1)
 		}
-		s.inodes = append(s.inodes, inodeRec{ino: ino, objEnd: uint32(len(s.objs)), edgeEnd: uint32(len(s.edges)), stats: p.Stats})
+		if i < len(p.Issues) {
+			ino = min(ino, p.Issues[i].Ino)
+		}
+		if len(scans) > 0 && ino <= sc.ino {
+			return scans, fmt.Errorf("records out of inode order at ino %d", ino)
+		}
+		sc.ino, sc.o0, sc.e0 = ino, sc.o1, sc.e1
+		for sc.o1 < nObj && p.Objects.Ino(sc.o1) == ino {
+			sc.o1++
+		}
+		for ; sc.e1 < nEdge && int(p.Edges.Src(sc.e1)) < sc.o1; sc.e1++ {
+			if int(p.Edges.Src(sc.e1)) < sc.o0 {
+				return scans, fmt.Errorf("edge %d leaves an earlier inode's object", sc.e1)
+			}
+		}
+		i0 := i
+		for i < len(p.Issues) && p.Issues[i].Ino == ino {
+			i++
+		}
+		sc.issues = p.Issues[i0:i]
+		sc.stats = scanner.InodeStats(scanner.EdgeRecords(p.Edges.Bytes()[sc.e0*scanner.EdgeSize:sc.e1*scanner.EdgeSize]), sc.issues)
+		sum.Add(sc.stats)
+		scans = append(scans, sc)
+	}
+	if sc.e1 < nEdge {
+		return scans, fmt.Errorf("edge %d leaves no object before it", sc.e1)
+	}
+	if sum != p.Stats {
+		return scans, fmt.Errorf("records of %d inodes add up to %+v, the scan counted %+v", len(scans), sum, p.Stats)
+	}
+	return scans, nil
+}
+
+// intake is the one way a contribution enters the builder: it replaces
+// the contribution of every inode in scans with that inode's records in
+// p, in order.
+func (b *DeltaBuilder) intake(server int, p *scanner.Partial, scans []inodeScan) error {
+	if server < 0 || server >= len(b.servers) {
+		return fmt.Errorf("agg: delta apply for unknown server index %d", server)
+	}
+	s := b.servers[server]
+	for _, sc := range scans {
+		b.put(s, p, sc)
+	}
+	return nil
+}
+
+// put replaces one inode's contribution with its records in p.
+func (b *DeltaBuilder) put(s *deltaServer, p *scanner.Partial, sc inodeScan) {
+	if _, staged := s.staged[sc.ino]; !staged && (len(s.inodes) == 0 || sc.ino > s.inodes[len(s.inodes)-1].ino) {
+		// Past the last spliced inode: appending keeps the arrays
+		// canonical, so a sweep's ascending inodes never stage.
+		o, e := len(s.objs), len(s.edges)
+		s.objs, s.edges = b.toIIDs(s.objs, s.edges, p, sc)
+		for _, is := range sc.issues {
+			s.issues = append(s.issues, inodeIssue{ino: sc.ino, issue: is})
+		}
+		s.inodes = append(s.inodes, inodeRec{ino: sc.ino, objEnd: uint32(len(s.objs)), edgeEnd: uint32(len(s.edges)), stats: sc.stats})
 		s.tracked++
 		b.change(s.objs[o:], s.edges[e:], 1)
-		return nil
+		return
 	}
 
-	c := &stagedInode{issues: p.Issues, stats: p.Stats}
-	o, e := len(b.stage.objs), len(b.stage.edges)
-	b.stage.objs, b.stage.edges = b.toIIDs(b.stage.objs, b.stage.edges, p)
-	c.objs, c.edges = slices.Clip(b.stage.objs[o:]), slices.Clip(b.stage.edges[e:])
-	oldObjs, oldEdges, tracked := s.current(ino)
+	// Staged records are copies: p may be a buffer its owner refills.
+	c := &stagedInode{stats: sc.stats}
+	o, e, i := len(b.stage.objs), len(b.stage.edges), len(b.stage.issues)
+	b.stage.objs, b.stage.edges = b.toIIDs(b.stage.objs, b.stage.edges, p, sc)
+	b.stage.issues = append(b.stage.issues, sc.issues...)
+	c.objs, c.edges, c.issues = slices.Clip(b.stage.objs[o:]), slices.Clip(b.stage.edges[e:]), slices.Clip(b.stage.issues[i:])
+	oldObjs, oldEdges, tracked := s.current(sc.ino)
 	if tracked {
 		b.change(oldObjs, oldEdges, ^uint32(0))
 	} else {
 		s.tracked++
 	}
 	b.change(c.objs, c.edges, 1)
-	s.staged[ino] = c
-	return nil
+	s.staged[sc.ino] = c
 }
 
-// toIIDs appends a scan result's objects and edges, translated into IID
+// toIIDs appends one inode's objects and edges in p, translated into IID
 // space, to objs and edges — interning objects first, then each edge's
-// destination, the order that fixes the IIDs. A source is one of p's
-// objects, interned already: it takes that object's IID.
-func (b *DeltaBuilder) toIIDs(objs []contribObj, edges []contribEdge, p *scanner.Partial) ([]contribObj, []contribEdge) {
-	own := len(objs)
-	for i := range p.Objects.Len() {
+// destination, the order that fixes the IIDs. A source is one of the
+// inode's objects, interned already: it takes that object's IID.
+func (b *DeltaBuilder) toIIDs(objs []contribObj, edges []contribEdge, p *scanner.Partial, sc inodeScan) ([]contribObj, []contribEdge) {
+	own := len(objs) - sc.o0
+	for i := sc.o0; i < sc.o1; i++ {
 		o := p.Objects.At(i)
 		objs = append(objs, contribObj{iid: b.intern(o.FID), typ: o.Type})
 	}
-	for i := range p.Edges.Len() {
+	for i := sc.e0; i < sc.e1; i++ {
 		edges = append(edges, contribEdge{src: objs[own+int(p.Edges.Src(i))].iid, dst: b.intern(p.Edges.Dst(i)), kind: p.Edges.Kind(i)})
 	}
 	return objs, edges
@@ -502,7 +594,7 @@ func (b *DeltaBuilder) Materialize() *Materialized {
 	for _, s := range b.servers {
 		s.splice(&b.scratch)
 	}
-	b.stage.objs, b.stage.edges = b.stage.objs[:0], b.stage.edges[:0]
+	b.stage.objs, b.stage.edges, b.stage.issues = b.stage.objs[:0], b.stage.edges[:0], b.stage.issues[:0]
 	m := b.last
 	if m == nil {
 		m = &Materialized{U: &Unified{}}

@@ -41,16 +41,27 @@ func syntheticInode(server, k, ver int) *scanner.Partial {
 	}
 }
 
-// syntheticDelta builds a three-server builder tracking n inodes, applied
-// in ascending order the way a full scan applies them (only even inode
-// numbers, so that a delta has gaps to create into).
+// syntheticDelta builds a three-server builder tracking n inodes, each
+// server's handed to the intake as one sweep in ascending order, the way
+// a tracker's bootstrap hands them (only even inode numbers, so that a
+// delta has gaps to create into).
 func syntheticDelta(tb testing.TB, n int) *DeltaBuilder {
 	db := NewDeltaBuilder([]string{"mdt0", "ost0", "ost1"})
 	for srv := 0; srv < 3; srv++ {
+		var sweep scanner.Partial
 		for k := 2; k <= 2*n/3; k += 2 {
-			if err := db.Apply(srv, ldiskfs.Ino(k), syntheticInode(srv, k, 0)); err != nil {
-				tb.Fatal(err)
+			p := syntheticInode(srv, k, 0)
+			base := uint32(sweep.Objects.Len())
+			sweep.Objects.Append(p.Objects.At(0))
+			for j := range p.Edges.Len() {
+				e := p.Edges.At(j)
+				e.Src += base
+				sweep.Edges.Append(e)
 			}
+			sweep.Stats.Add(p.Stats)
+		}
+		if err := db.ApplyScan(srv, &sweep); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return db
@@ -138,10 +149,15 @@ func TestMaterializeAllocs(t *testing.T) {
 	}
 }
 
-// TestApplyLinearBuild: a full scan's ascending Applies append to the
-// arrays; nothing is spliced per inode, so twice the inodes cost about
-// twice the time.
+// TestApplyLinearBuild: a sweep's ascending inodes, through the intake,
+// append to the arrays; nothing is staged or spliced per inode, so twice
+// the inodes cost about twice the time.
 func TestApplyLinearBuild(t *testing.T) {
+	for _, s := range syntheticDelta(t, 300).servers {
+		if len(s.staged) != 0 || len(s.inodes) != 100 {
+			t.Fatalf("%s: %d inodes staged, %d appended of a 100-inode sweep", s.label, len(s.staged), len(s.inodes))
+		}
+	}
 	build := func(n int) time.Duration {
 		best := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {

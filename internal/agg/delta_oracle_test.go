@@ -40,6 +40,9 @@ type deltaOracle struct {
 	db     *DeltaBuilder
 	ref    *refDelta
 	last   []map[ldiskfs.Ino]*scanner.Partial // last partial applied, per server
+	// batch is the partial a batch op gathers its inodes' scans in,
+	// reused from op to op as the tracker reuses its round's.
+	batch scanner.Partial
 	// prev is what db's last Materialize returned, which the next one must
 	// rewrite rather than replace.
 	prev *Materialized
@@ -101,6 +104,59 @@ func (o *deltaOracle) contribution(s *script, srv, ino int) *scanner.Partial {
 	return p
 }
 
+// scanned is a contribution as the scanner makes it, which the intake's
+// split relies on: every issue names the inode, the inode yields at
+// least one record, and its stats are those its records imply.
+func (o *deltaOracle) scanned(s *script, srv, ino int) *scanner.Partial {
+	p := o.contribution(s, srv, ino)
+	p.Issues = slices.DeleteFunc(p.Issues, func(is scanner.Issue) bool { return is.Ino != ldiskfs.Ino(ino) })
+	if p.Objects.Len() == 0 && len(p.Issues) == 0 {
+		p.Issues = append(p.Issues, scanner.Issue{Ino: ldiskfs.Ino(ino), What: "missing LMA"})
+	}
+	if s.pick(4) == 0 && p.Objects.Len() > 0 {
+		p.Issues = append(p.Issues, scanner.Issue{Ino: ldiskfs.Ino(ino), What: "zero FID in dirent"})
+	}
+	p.Stats = scanner.InodeStats(p.Edges, p.Issues)
+	return p
+}
+
+// applyBatch gathers a few ascending inodes' scans into the reused batch
+// and hands it to the intake whole, as a tracker round does; the
+// reference applies each inode's scan alone. The batch is scribbled over
+// afterwards: what the builder kept must be its own copy.
+func (o *deltaOracle) applyBatch(s *script, srv int) {
+	o.t.Helper()
+	o.batch.Reset()
+	ino := 0
+	for k := 1 + s.pick(4); k > 0; k-- {
+		ino += 1 + s.pick(8)
+		p := o.scanned(s, srv, ino)
+		base := uint32(o.batch.Objects.Len())
+		for j := range p.Objects.Len() {
+			o.batch.Objects.Append(p.Objects.At(j))
+		}
+		for j := range p.Edges.Len() {
+			e := p.Edges.At(j)
+			e.Src += base
+			o.batch.Edges.Append(e)
+		}
+		o.batch.Issues = append(o.batch.Issues, p.Issues...)
+		o.batch.Stats.Add(p.Stats)
+		if err := o.ref.apply(srv, ldiskfs.Ino(ino), p); err != nil {
+			o.t.Fatal(err)
+		}
+		o.last[srv][ldiskfs.Ino(ino)] = p
+	}
+	if err := o.db.ApplyScan(srv, &o.batch); err != nil {
+		o.t.Fatal(err)
+	}
+	for i := range o.batch.Issues {
+		o.batch.Issues[i] = scanner.Issue{What: "scribbled"}
+	}
+	clear(o.batch.Objects.Bytes())
+	clear(o.batch.Edges.Bytes())
+}
+
 func (o *deltaOracle) apply(srv, ino int, p *scanner.Partial) {
 	o.t.Helper()
 	if err := o.db.Apply(srv, ldiskfs.Ino(ino), p); err != nil {
@@ -136,7 +192,7 @@ func (o *deltaOracle) trackedInode(s *script, srv int) int {
 func (o *deltaOracle) mutate(s *script) {
 	o.t.Helper()
 	srv := s.pick(len(o.labels))
-	switch s.pick(9) {
+	switch s.pick(10) {
 	case 0, 1: // apply: a first sighting or a replacement, whichever the inode is
 		ino := 1 + s.pick(oracleInoSpace)
 		o.apply(srv, ino, o.contribution(s, srv, ino))
@@ -173,6 +229,8 @@ func (o *deltaOracle) mutate(s *script) {
 	case 8:
 		o.db.ResetDirty()
 		o.ref.resetDirty()
+	case 9: // a batch of inodes through the intake at once
+		o.applyBatch(s, srv)
 	}
 	o.checkMembership()
 }
@@ -251,7 +309,8 @@ func runDeltaScript(t *testing.T, b []byte) {
 
 // TestDeltaMatchesReferenceProperty: for random scripts of apply /
 // re-apply identical / replace / remove / remove-then-re-add /
-// remove-untracked / reset-dirty / encode-decode-and-continue over one
+// remove-untracked / reset-dirty / a batch through ApplyScan /
+// encode-decode-and-continue over one
 // to four servers, the flat store returns what the map-based
 // implementation it replaced returns — Materialized, partials,
 // membership, snapshot bytes — and rewrites its one result in place.

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -220,6 +221,61 @@ func TestDeltaApplyUnknownServer(t *testing.T) {
 		t.Fatal("unknown server accepted")
 	}
 	db.Remove(3, 1) // must not panic
+}
+
+// TestApplyScanRefusesMalformedBatch: the intake splits a scan result by
+// the inode each record names, so a result whose records break the
+// scanner's order, or whose counted inodes and stats its records do not
+// account for, is refused whole and changes nothing.
+func TestApplyScanRefusesMalformedBatch(t *testing.T) {
+	obj := func(ino int) scanner.Object {
+		return scanner.Object{FID: fidFor(0, ino), Ino: ldiskfs.Ino(ino), Type: ldiskfs.TypeFile}
+	}
+	edge := func(src uint32) scanner.Edge {
+		return scanner.Edge{Src: src, Dst: fidFor(0, 99), Kind: graph.KindLinkEA}
+	}
+	good := func() *scanner.Partial {
+		return &scanner.Partial{
+			Objects: objectsOf(obj(3), obj(5)),
+			Edges:   edgesOf(edge(0), edge(1)),
+			Issues:  []scanner.Issue{{Ino: 4, What: "missing LMA"}},
+			Stats:   scanner.Stats{InodesScanned: 3, EdgesEmitted: 2},
+		}
+	}
+	for name, spoil := range map[string]func(p *scanner.Partial){
+		"objects out of order": func(p *scanner.Partial) { p.Objects = objectsOf(obj(5), obj(3)) },
+		"issue out of order":   func(p *scanner.Partial) { p.Issues = append(p.Issues, scanner.Issue{Ino: 2, What: "missing LMA"}) },
+		"edges out of order":   func(p *scanner.Partial) { p.Edges = edgesOf(edge(1), edge(0)) },
+		"edge past objects":    func(p *scanner.Partial) { p.Edges = edgesOf(edge(0), edge(2)) },
+		"an uncounted inode":   func(p *scanner.Partial) { p.Stats.InodesScanned = 2 },
+		"an inode without records": func(p *scanner.Partial) {
+			p.Issues = nil
+		},
+		"stats its records disagree with": func(p *scanner.Partial) { p.Stats.DirentsRead = 1 },
+	} {
+		db := NewDeltaBuilder([]string{"mdt0"})
+		if err := db.Apply(0, 1, &scanner.Partial{Objects: objectsOf(obj(1))}); err != nil {
+			t.Fatal(err)
+		}
+		before := db.EncodeBinary()
+		p := good()
+		spoil(p)
+		if err := db.ApplyScan(0, p); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !bytes.Equal(db.EncodeBinary(), before) {
+			t.Errorf("%s: the refused batch changed the builder", name)
+		}
+	}
+	db := NewDeltaBuilder([]string{"mdt0"})
+	if err := db.ApplyScan(0, good()); err != nil {
+		t.Fatal(err)
+	}
+	for ino, want := range map[ldiskfs.Ino]bool{3: true, 4: true, 5: true, 2: false, 6: false} {
+		if db.Tracked(0, ino) != want {
+			t.Errorf("ino %d: tracked %v, want %v", ino, !want, want)
+		}
+	}
 }
 
 // TestDeltaGIDLookupSurvivesLaterDeltas: the Unified returned by one

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// ErrScanInjected marks an inode re-parse failure introduced by a
-// ScanFault — the online analogue of ErrScannerCrash on the wire path.
+// ErrScanInjected marks a scan failure introduced by a ScanFault — the
+// online analogue of ErrScannerCrash on the wire path.
 var ErrScanInjected = errors.New("injected scan fault")
 
-// ScanFault injects deterministic failures into an online tracker's
-// inode re-parse seam (online.Tracker.InjectScanFault) — the test and
-// soak hook for the tracker's all-or-nothing feed consumption: a failed
-// scan must leave the failing server's dirty feed intact so the next
-// round retries the same work, while other servers' commits stand.
+// ScanFault injects deterministic failures into an online tracker's scan
+// seams (online.Tracker.InjectScanFault): one attempt per inode a round
+// re-parses, one per image a rescan sweeps. It is the test and soak hook
+// for the tracker's all-or-nothing feed consumption — a failed scan must
+// leave the failing server's dirty feed intact so the next round retries
+// the same work, while other servers' commits stand — and for its
+// all-or-nothing rescan.
 //
 // The fault is deterministic (every FailEvery-th scan attempt fails),
 // so soak runs reproduce, and it is safe for concurrent use.

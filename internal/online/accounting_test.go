@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,14 +13,17 @@ import (
 // round. Materialize, the warm-vector lift and the warm-state save used
 // to fall between TUpdate, TGraph and TRank — most of a round's wall
 // time with no field reporting it. Every stage is timed on every round,
-// and the timers cover the wall time summed over warmRounds rounds: a
-// single ≈ 1 ms round can lose a fifth of itself to one preemption
-// between two timers, which made a per-round bound fail about 2 runs in
-// 100. The cluster stays clean, so it runs twice: with the default
-// options every round skips its rank and none runs warm (TRank still
-// times the classification); with core.Options.AlwaysRank every round
-// after the first runs warm, timing the lift, the warm kernel and the
-// warm-state save.
+// and the timers cover at least 80 % of the median round of warmRounds.
+// A single ≈ 1 ms round can lose a fifth of itself to one preemption
+// between two timers, and so can a sum over rounds when other processes
+// share the processors (a 24-round sum fell to 78 % under a concurrent
+// go test ./...); the median round is the one such stalls do not reach
+// unless they hit most rounds, while a timer left out of the stages
+// lowers every round's share alike. The cluster stays clean, so it runs
+// twice: with the default options every round skips its rank and none
+// runs warm (TRank still times the classification); with
+// core.Options.AlwaysRank every round after the first runs warm, timing
+// the lift, the warm kernel and the warm-state save.
 func TestCheckAccountsForItsTime(t *testing.T) {
 	for _, always := range []bool{false, true} {
 		t.Run(fmt.Sprintf("AlwaysRank=%v", always), func(t *testing.T) { checkAccountsForItsTime(t, always) })
@@ -40,7 +44,7 @@ func checkAccountsForItsTime(t *testing.T, always bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wall, accounted time.Duration
+	var shares []float64
 	for round := 0; round <= warmRounds; round++ { // the first is the initial check
 		if _, err := c.Create(fmt.Sprintf("/w/new%d", round), 2*64<<10); err != nil {
 			t.Fatal(err)
@@ -62,11 +66,11 @@ func checkAccountsForItsTime(t *testing.T, always bool) {
 			t.Fatalf("round %d: a stage went untimed: TUpdate %v TGraph %v TRank %v", round, res.TUpdate, res.TGraph, res.TRank)
 		}
 		if round > 0 {
-			wall += d
-			accounted += res.TUpdate + res.TGraph + res.TRank
+			shares = append(shares, float64(res.TUpdate+res.TGraph+res.TRank)/float64(d))
 		}
 	}
-	if accounted < wall*8/10 {
-		t.Fatalf("%d rounds: the stage timers account for %v of %v", warmRounds, accounted, wall)
+	slices.Sort(shares)
+	if median := shares[len(shares)/2]; median < 0.8 {
+		t.Fatalf("%d rounds: the stage timers account for %.0f %% of the median round (shares %.2f)", warmRounds, 100*median, shares)
 	}
 }

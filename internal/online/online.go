@@ -68,8 +68,17 @@ type Tracker struct {
 	// over (checker.AnalyzeUnified) while each round's result is its own.
 	last *checker.Result
 
-	// scan re-parses one inode; a test seam for injecting scan errors.
-	scan func(*ldiskfs.Image, ldiskfs.Ino) (*scanner.Partial, error)
+	// sweep scans a whole image (scanner.ScanImage) and parse appends one
+	// inode's records to a partial (scanner.AppendInode): the tracker's
+	// two ways of reading an image, and the seams InjectScanFault wraps.
+	sweep func(*ldiskfs.Image, int) (*scanner.Partial, error)
+	parse func(*scanner.Partial, *ldiskfs.Image, ldiskfs.Ino) error
+
+	// batch is the partial a round parses one server's dirty inodes into,
+	// and freed the dirty inodes it found deallocated; both are reused
+	// from server to server and round to round.
+	batch scanner.Partial
+	freed []ldiskfs.Ino
 
 	// lastIters is the most recent converged check's iteration count —
 	// the yardstick for the next warm attempt's budget.
@@ -137,41 +146,50 @@ func NewTracker(images []*ldiskfs.Image, opt checker.Options) (*Tracker, error) 
 	if len(images) == 0 {
 		return nil, fmt.Errorf("online: no images")
 	}
-	opt = opt.WithDefaults()
-	t := &Tracker{images: images, opt: opt, scan: scanner.ScanInode}
-	for _, img := range images {
-		t.servers = append(t.servers, newServerState(img))
-	}
+	t := blankTracker(images, opt)
 	if err := t.fullScan(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// fullScan (re)builds every server's inode store and the incremental
-// aggregator from scratch, then clears the change feeds.
+// blankTracker returns a tracker over images that tracks nothing yet.
+func blankTracker(images []*ldiskfs.Image, opt checker.Options) *Tracker {
+	t := &Tracker{images: images, opt: opt.WithDefaults(), sweep: scanner.ScanImage, parse: scanner.AppendInode}
+	for _, img := range images {
+		t.servers = append(t.servers, newServerState(img))
+	}
+	return t
+}
+
+// fullScan rebuilds the incremental aggregator from scratch: each image,
+// one at a time in canonical order, is swept as a cold check sweeps it
+// (scanner.ScanImage over opt.Workers) into a fresh builder. It is
+// all-or-nothing: only once every server has swept does the new builder
+// replace the old one, are the change feeds cleared and is the warm
+// state dropped, so a failed sweep leaves the tracker as it was.
 func (t *Tracker) fullScan() error {
 	labels := make([]string, len(t.images))
 	for i, img := range t.images {
 		labels[i] = img.Label()
 	}
-	t.delta = agg.NewDeltaBuilder(labels)
-	for si, st := range t.servers {
-		err := st.img.AllocatedInodes(func(ino ldiskfs.Ino, _ ldiskfs.FileType) error {
-			p, err := t.scan(st.img, ino)
-			if err != nil {
-				return err
-			}
-			return t.delta.Apply(si, ino, p)
-		})
+	delta := agg.NewDeltaBuilder(labels)
+	for si, img := range t.images {
+		p, err := t.sweep(img, t.opt.Workers)
 		if err != nil {
 			return err
 		}
-		// A full scan covers every allocated inode, so it may wipe the
-		// whole feed — unlike Update, which must only acknowledge the
-		// inodes it actually consumed. (Full scans run quiesced: initial
-		// construction and the explicit Rescan escape hatch.)
-		st.img.ClearDirty()
+		if err := delta.ApplyScan(si, p); err != nil {
+			return err
+		}
+	}
+	t.delta = delta
+	// A full scan covers every allocated inode, so it may wipe the whole
+	// feed — unlike Update, which must only acknowledge the inodes it
+	// actually consumed. (Full scans run quiesced: initial construction
+	// and the explicit Rescan escape hatch.)
+	for _, img := range t.images {
+		img.ClearDirty()
 	}
 	// The graph may change arbitrarily across a full rescan; stale
 	// warm-start ranks (and the old interner's id space) are dropped.
@@ -187,14 +205,6 @@ type RoundRefresh struct {
 	Refreshed int
 	// Dropped is the subset of Refreshed that were deallocations.
 	Dropped int
-}
-
-// staged is one dirty inode's pending outcome: a fresh scan result, or
-// a tombstone for a deallocated inode.
-type staged struct {
-	ino     ldiskfs.Ino
-	p       *scanner.Partial // nil = deallocated
-	tracked bool             // was in byIno before this round
 }
 
 // Update consumes every server's dirty-inode feed, re-parsing exactly
@@ -230,15 +240,14 @@ func (t *Tracker) update() (int, []RoundRefresh, error) {
 		}
 		_, sp := telemetry.StartSpan(context.Background(), "update:"+st.img.Label())
 		// Stage: parse the whole feed before touching any state.
-		batch := make([]staged, 0, len(dirty))
+		t.batch.Reset()
+		t.freed = t.freed[:0]
 		for _, ino := range dirty {
-			tracked := t.delta.Tracked(si, ino)
 			if !st.img.InodeAllocated(ino) {
-				batch = append(batch, staged{ino: ino, tracked: tracked})
+				t.freed = append(t.freed, ino)
 				continue
 			}
-			p, err := t.scan(st.img, ino)
-			if err != nil {
+			if err := t.parse(&t.batch, st.img, ino); err != nil {
 				sp.End()
 				commit()
 				t.opt.Journal.Record("online", "feed-error",
@@ -248,30 +257,25 @@ func (t *Tracker) update() (int, []RoundRefresh, error) {
 				return refreshed, perServer, fmt.Errorf(
 					"online: %s ino %d: %w (feed left intact)", st.img.Label(), ino, err)
 			}
-			batch = append(batch, staged{ino: ino, p: p, tracked: tracked})
 		}
-		// Commit: apply the batch, clear the feed, count what was done.
-		count, dropped := 0, 0
-		for _, s := range batch {
-			if s.p == nil {
-				if !s.tracked {
-					// Freed before we ever saw it (created and deleted
-					// between updates): nothing to refresh, nothing to
-					// count.
-					continue
-				}
-				t.delta.Remove(si, s.ino)
-				count++
+		// Commit: apply the batch, drop the freed, count what was done.
+		// The intake refuses a batch whole, so an error leaves the server
+		// untouched.
+		if err := t.delta.ApplyScan(si, &t.batch); err != nil {
+			sp.End()
+			commit()
+			return refreshed, perServer, err
+		}
+		count, dropped := len(dirty)-len(t.freed), 0
+		for _, ino := range t.freed {
+			// One freed before we ever saw it (created and deleted between
+			// updates) has nothing to refresh and is not counted.
+			if t.delta.Tracked(si, ino) {
+				t.delta.Remove(si, ino)
 				dropped++
-				continue
 			}
-			if err := t.delta.Apply(si, s.ino, s.p); err != nil {
-				sp.End()
-				commit()
-				return refreshed, perServer, err
-			}
-			count++
 		}
+		count += dropped
 		// Acknowledge exactly the snapshot this round consumed. An inode
 		// dirtied by a mutator between the DirtyInodes() call above and
 		// this commit stays in the feed for the next round — ClearDirty
@@ -303,7 +307,8 @@ func (t *Tracker) update() (int, []RoundRefresh, error) {
 // from the images (the periodic full-scrub escape hatch for silent
 // corruption the change feed cannot see). Warm-start ranks are dropped
 // with it — the next check starts cold, as trust in the old snapshot is
-// exactly what a rescan revokes.
+// exactly what a rescan revokes. A rescan that fails changes nothing:
+// the snapshot, the warm state, the feeds and Stats are as before it.
 func (t *Tracker) Rescan() error {
 	if err := t.fullScan(); err != nil {
 		return err
@@ -567,18 +572,26 @@ func (t *Tracker) Stats() TrackerStats {
 	}
 }
 
-// InjectScanFault wraps the tracker's inode re-parse seam with f: every
-// scan attempt f elects to fail returns inject.ErrScanInjected instead
-// of a partial, exercising the all-or-nothing feed consumption exactly
-// as a real mid-sweep read error would. The test and soak hook; wraps
-// compose, and the faulted seam survives across rounds.
+// InjectScanFault wraps the tracker's scan seams with f: every scan
+// attempt f elects to fail returns inject.ErrScanInjected instead of
+// records, exactly as a real read error would. A round makes one attempt
+// per dirty inode it re-parses, exercising the all-or-nothing feed
+// consumption; a rescan makes one per image it sweeps, exercising the
+// all-or-nothing rescan. The test and soak hook; wraps compose, and the
+// faulted seams survive across rounds.
 func (t *Tracker) InjectScanFault(f *inject.ScanFault) {
-	base := t.scan
-	t.scan = func(img *ldiskfs.Image, ino ldiskfs.Ino) (*scanner.Partial, error) {
+	sweep, parse := t.sweep, t.parse
+	t.sweep = func(img *ldiskfs.Image, workers int) (*scanner.Partial, error) {
 		if f.Tick() {
-			return nil, fmt.Errorf("%s ino %d: %w", img.Label(), ino, inject.ErrScanInjected)
+			return nil, fmt.Errorf("%s: %w", img.Label(), inject.ErrScanInjected)
 		}
-		return base(img, ino)
+		return sweep(img, workers)
+	}
+	t.parse = func(p *scanner.Partial, img *ldiskfs.Image, ino ldiskfs.Ino) error {
+		if f.Tick() {
+			return fmt.Errorf("%s ino %d: %w", img.Label(), ino, inject.ErrScanInjected)
+		}
+		return parse(p, img, ino)
 	}
 }
 

@@ -265,11 +265,11 @@ func TestUpdateScanErrorAllOrNothing(t *testing.T) {
 		t.Fatal("test vector: no allocated dirty inode on any OST")
 	}
 	boom := errors.New("injected scan failure")
-	tr.scan = func(img *ldiskfs.Image, ino ldiskfs.Ino) (*scanner.Partial, error) {
+	tr.parse = func(p *scanner.Partial, img *ldiskfs.Image, ino ldiskfs.Ino) error {
 		if img == failImg && ino == failIno {
-			return nil, boom
+			return boom
 		}
-		return scanner.ScanInode(img, ino)
+		return scanner.AppendInode(p, img, ino)
 	}
 	n, err := tr.Update()
 	if !errors.Is(err, boom) {
@@ -291,7 +291,7 @@ func TestUpdateScanErrorAllOrNothing(t *testing.T) {
 	}
 	// Heal the seam: the retry consumes the same feed and converges to
 	// the full-scan snapshot.
-	tr.scan = scanner.ScanInode
+	tr.parse = scanner.AppendInode
 	n2, err := tr.Update()
 	if err != nil {
 		t.Fatal(err)
@@ -840,14 +840,14 @@ func TestUpdateLostDirtyRegression(t *testing.T) {
 	scanStarted := make(chan struct{})
 	mutated := make(chan struct{})
 	var once sync.Once
-	tr.scan = func(img *ldiskfs.Image, ino ldiskfs.Ino) (*scanner.Partial, error) {
+	tr.parse = func(p *scanner.Partial, img *ldiskfs.Image, ino ldiskfs.Ino) error {
 		// Park the round mid-flight — between its DirtyInodes snapshot
 		// and its commit — while the mutator runs.
 		once.Do(func() {
 			close(scanStarted)
 			<-mutated
 		})
-		return scanner.ScanInode(img, ino)
+		return scanner.AppendInode(p, img, ino)
 	}
 	go func() {
 		defer close(mutated)
@@ -859,7 +859,7 @@ func TestUpdateLostDirtyRegression(t *testing.T) {
 	if _, err := tr.Update(); err != nil {
 		t.Fatal(err)
 	}
-	tr.scan = scanner.ScanInode
+	tr.parse = scanner.AppendInode
 
 	dirty := 0
 	for _, st := range tr.servers {

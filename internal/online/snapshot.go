@@ -13,7 +13,6 @@ import (
 	"faultyrank/internal/bincodec"
 	"faultyrank/internal/checker"
 	"faultyrank/internal/ldiskfs"
-	"faultyrank/internal/scanner"
 )
 
 // This file is the tracker's durable form: a versioned binary snapshot
@@ -193,26 +192,12 @@ func RestoreTracker(blob []byte, images []*ldiskfs.Image, opt checker.Options) (
 				i, labels[i], img.Label(), ErrTrackerSnapshotLabels)
 		}
 	}
-	opt = opt.WithDefaults()
-	t := &Tracker{
-		images:        images,
-		opt:           opt,
-		delta:         s.delta,
-		prevID:        s.prevID,
-		prevProp:      s.prevProp,
-		haveWarm:      s.haveWarm,
-		scan:          scanner.ScanInode,
-		lastIters:     s.lastIters,
-		updates:       s.updates,
-		inodesRescan:  s.inodesRescan,
-		inodesDropped: s.inodesDropped,
-		checks:        s.checks,
-		warmFallbacks: s.warmFallbacks,
-		rescans:       s.rescans,
-	}
-	for _, img := range images {
-		t.servers = append(t.servers, newServerState(img))
-	}
+	t := blankTracker(images, opt)
+	t.delta = s.delta
+	t.prevID, t.prevProp, t.haveWarm = s.prevID, s.prevProp, s.haveWarm
+	t.lastIters = s.lastIters
+	t.updates, t.inodesRescan, t.inodesDropped = s.updates, s.inodesRescan, s.inodesDropped
+	t.checks, t.warmFallbacks, t.rescans = s.checks, s.warmFallbacks, s.rescans
 	return t, nil
 }
 

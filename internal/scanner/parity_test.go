@@ -191,7 +191,8 @@ func (r *recSink) Emit(c *scanner.Chunk) error {
 // assertParity requires the scanner's chunk stream for img to be
 // DeepEqual to the reference stream — objects, edges, issues and their
 // order, chunk boundaries, per-chunk stats — at every worker count and
-// chunk size given, and ScanInode to agree inode by inode.
+// chunk size given, and ScanInode to agree inode by inode, yielding at
+// least one record whose scanner.InodeStats are its Stats.
 func assertParity(t testing.TB, img *ldiskfs.Image, workers, chunkSizes []int) {
 	t.Helper()
 	for _, size := range chunkSizes {
@@ -213,18 +214,24 @@ func assertParity(t testing.TB, img *ldiskfs.Image, workers, chunkSizes []int) {
 				img.Label(), w, size, len(got.chunks), len(want))
 		}
 	}
+	// ScanInode parses an inode as the sweep does, one typed free in its
+	// record included.
 	err := img.AllocatedInodes(func(ino ldiskfs.Ino, ft ldiskfs.FileType) error {
-		want := &scanner.Partial{ServerLabel: img.Label()}
-		if ft != ldiskfs.TypeFree {
-			want.Stats.InodesScanned = 1
-			scanInodeReference(img, ino, ft, want)
-		}
+		want := &scanner.Partial{ServerLabel: img.Label(), Stats: scanner.Stats{InodesScanned: 1}}
+		scanInodeReference(img, ino, ft, want)
 		got, err := scanner.ScanInode(img, ino)
 		if err != nil {
 			return err
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s ino %d: ScanInode diverges from the reference parse:\nwant %+v\n got %+v", img.Label(), ino, want, got)
+		}
+		// What the online intake relies on to split a sweep per inode.
+		if got.Objects.Len()+len(got.Issues) == 0 {
+			t.Fatalf("%s ino %d: an allocated inode yielded no record", img.Label(), ino)
+		}
+		if st := scanner.InodeStats(got.Edges, got.Issues); st != got.Stats {
+			t.Fatalf("%s ino %d: stats derived from the records %+v, counted %+v", img.Label(), ino, st, got.Stats)
 		}
 		return nil
 	})

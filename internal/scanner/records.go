@@ -59,6 +59,9 @@ func (s Objects) rec(i int) *[ObjectSize]byte { return (*[ObjectSize]byte)(s.b[i
 // FID returns record i's FID.
 func (s Objects) FID(i int) lustre.FID { return lustre.FIDFromBytes(s.rec(i)[:16]) }
 
+// Ino returns record i's inode number.
+func (s Objects) Ino(i int) ldiskfs.Ino { return ldiskfs.Ino(le.Uint64(s.rec(i)[16:])) }
+
 // At returns record i as an Object.
 func (s Objects) At(i int) Object {
 	r := s.rec(i)

@@ -81,6 +81,11 @@ type Partial struct {
 	Stats       Stats
 }
 
+// Reset empties p for reuse: its sections keep their storage.
+func (p *Partial) Reset() {
+	*p = Partial{ServerLabel: p.ServerLabel, Objects: Objects{p.Objects.b[:0]}, Edges: Edges{p.Edges.b[:0]}, Issues: p.Issues[:0]}
+}
+
 // FIDEdge returns edge i with its source ordinal resolved against the
 // partial's objects.
 func (p *Partial) FIDEdge(i int) FIDEdge {
@@ -101,21 +106,58 @@ func ScanImage(img *ldiskfs.Image, workers int) (*Partial, error) {
 }
 
 // ScanInode parses one inode's EAs (and dirents, for directories) into
-// a fresh single-inode partial: the incremental entry point the online
-// checker uses to consume a change feed one inode at a time.
+// a fresh single-inode partial: AppendInode into an empty Partial.
 func ScanInode(img *ldiskfs.Image, ino ldiskfs.Ino) (*Partial, error) {
-	n, err := img.Inode(ino)
-	if err != nil {
+	p := &Partial{ServerLabel: img.Label()}
+	if err := AppendInode(p, img, ino); err != nil {
 		return nil, err
 	}
-	p := &Partial{ServerLabel: img.Label()}
-	if n.Type() == ldiskfs.TypeFree {
-		return p, nil // deallocated: contributes nothing
-	}
-	p.Stats.InodesScanned = 1
-	scanInode(n, p)
 	return p, nil
 }
+
+// AppendInode parses one inode as the sweep does and appends its records
+// to p: the incremental entry point the online checker uses to consume a
+// change feed one inode at a time, into a partial it reuses. An inode the
+// bitmap marks free contributes nothing; an allocated one counts as
+// scanned and always yields a record — its object, or an issue saying
+// why it has none — whatever its mode reads. An edge's source ordinal
+// counts p's objects, so p may hold other inodes' records already.
+func AppendInode(p *Partial, img *ldiskfs.Image, ino ldiskfs.Ino) error {
+	n, err := img.Inode(ino)
+	if err != nil {
+		return err
+	}
+	if !img.InodeAllocated(ino) {
+		return nil // deallocated: contributes nothing
+	}
+	p.Stats.InodesScanned++
+	scanInode(n, p)
+	return nil
+}
+
+// InodeStats derives one inode's Stats from the records its parse
+// yielded, edges and issues: one inode, its edges, and one dirent read
+// for every dirent edge and every zero-FID-in-dirent issue — emit makes
+// exactly one of the two per tag the dirent walk yields.
+func InodeStats(edges Edges, issues []Issue) Stats {
+	s := Stats{InodesScanned: 1, EdgesEmitted: int64(edges.Len())}
+	for i := range edges.Len() {
+		if edges.Kind(i) == graph.KindDirent {
+			s.DirentsRead++
+		}
+	}
+	for _, is := range issues {
+		if is.What == zeroDirentFID {
+			s.DirentsRead++
+		}
+	}
+	return s
+}
+
+// zeroFIDIssue is the issue emit records for a zero destination FID.
+func zeroFIDIssue(kind graph.EdgeKind) string { return "zero FID in " + kind.String() }
+
+var zeroDirentFID = zeroFIDIssue(graph.KindDirent)
 
 // zeroFID reports whether a raw 16-byte FID is the zero FID.
 func zeroFID(b []byte) bool { return le.Uint64(b)|le.Uint64(b[8:]) == 0 }
@@ -180,7 +222,7 @@ func scanInode(n ldiskfs.Inode, p *Partial) {
 	reserve := (len(link)/linkEntryMin + len(lov)/lovStripeSize + 1) * EdgeSize
 	emit := func(dst []byte, kind graph.EdgeKind) {
 		if zeroFID(dst) {
-			p.Issues = append(p.Issues, Issue{Ino: ino, What: fmt.Sprintf("zero FID in %v", kind)})
+			p.Issues = append(p.Issues, Issue{Ino: ino, What: zeroFIDIssue(kind)})
 			return
 		}
 		if reserve > 0 {

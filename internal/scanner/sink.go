@@ -295,7 +295,7 @@ func sweep(ctx context.Context, img *ldiskfs.Image, workers int, em *chunkEmitte
 		if err := em.add(&b.Partial); err != nil {
 			return 0, err
 		}
-		b.Partial = Partial{Objects: Objects{b.Objects.b[:0]}, Edges: Edges{b.Edges.b[:0]}, Issues: b.Issues[:0]}
+		b.Reset()
 		free <- b
 	}
 	return 0, em.flush(true)
