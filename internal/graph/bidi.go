@@ -41,8 +41,10 @@ type Bidirected struct {
 // paired or unpaired, all in parallel: the forward CSR from the edge
 // list, its transpose by counting, and the pairing by one merge-join per
 // vertex — each edge is touched a constant number of times. The
-// transpose counts in the forward build's count array. It is Rebuild on
-// a zero Bidirected.
+// forward rows are put in order by a sort, or, when enough edges sit in
+// long rows (longRowed), by transposing the transpose. Every transpose
+// counts in the forward build's count array. It is Rebuild on a zero
+// Bidirected.
 func NewBidirected(n int, edges []Edge, workers int) *Bidirected {
 	b := new(Bidirected)
 	b.Rebuild(n, edges, true, workers)
@@ -70,8 +72,19 @@ func (b *Bidirected) Rebuild(n int, edges []Edge, keepKinds bool, workers int) {
 		b.Fwd, b.Rev = new(CSR), new(CSR)
 	}
 	fwd, rev := b.Fwd, b.Rev
-	fwd.build(n, edges, keepKinds, workers, &b.scratch)
-	fwd.transposeInto(rev, workers, &b.scratch)
+	fwd.scatter(n, edges, keepKinds, workers, &b.scratch)
+	if longRowed(fwd) {
+		// Each transpose writes every row in ascending source order, so
+		// Rev comes out of the unsorted rows sorted by source, and — once
+		// its parallel edges are in kind order — Fwd comes out of Rev's
+		// transpose sorted by (target, kind), in its own arrays.
+		fwd.transposeInto(rev, workers, &b.scratch)
+		rev.orderParallelKinds(workers)
+		rev.transposeInto(fwd, workers, &b.scratch)
+	} else {
+		fwd.sortRows(workers, &b.scratch)
+		fwd.transposeInto(rev, workers, &b.scratch)
+	}
 	m := int(fwd.NumEdges())
 	// The join below marks paired edges only: flags from an earlier build
 	// are cleared first, fresh ones are zero already.
@@ -125,6 +138,34 @@ func (b *Bidirected) Rebuild(n int, edges []Edge, keepKinds bool, workers int) {
 		unpaired.Add(sum)
 	})
 	b.unpaired = unpaired.Load()
+}
+
+// transposeBuildPercent is the share of edges in rows longer than
+// insertionSortMax, in per cent, from which Rebuild orders the rows by
+// two transposes instead of a sort. A sort costs what its rows are long
+// — O(d log d) for a row of d, at most insertionSortMax² for a short
+// one — while a transpose costs one count and one scatter per edge
+// whatever the rows are, so the share of edges in long rows is what
+// decides. It is 67 % on R-MAT-16×8, where the transposes win by a
+// third, and about 10 % on the merged metadata graphs, where
+// insertion-sorting rows of two or three wins. The measured crossover
+// lies between about 25 % (untyped R-MAT) and 44 % (typed R-MAT); the
+// bar sits between the two (EXPERIMENTS, PR 41).
+const transposeBuildPercent = 30
+
+// longRowed reports whether c, laid out and not yet sorted, has at least
+// transposeBuildPercent of its edges in rows longer than insertionSortMax.
+// One serial pass over the offsets costs next to nothing beside the
+// build's passes over the edges, and starts no goroutine.
+func longRowed(c *CSR) bool {
+	var long int64
+	for v := range c.N {
+		if d := c.Offsets[v+1] - c.Offsets[v]; d > insertionSortMax {
+			long += d
+		}
+	}
+	m := c.NumEdges()
+	return m > 0 && long*100 >= m*transposeBuildPercent
 }
 
 // N returns the vertex count.

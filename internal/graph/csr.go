@@ -184,13 +184,14 @@ func scatterCursors(counts []uint32, offsets []int64, n, W, workers int) int64 {
 // keepKinds controls whether the per-edge kind array is retained; pure
 // benchmark graphs drop it to save a byte per edge.
 func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
-	c := new(CSR)
-	c.build(n, edges, keepKinds, workers, &buildScratch{})
+	c, scratch := new(CSR), &buildScratch{}
+	c.scatter(n, edges, keepKinds, workers, scratch)
+	c.sortRows(workers, scratch)
 	return c
 }
 
 // buildScratch is a build's working storage beyond the CSR itself: the
-// W×n count/cursor array, which the forward build and the transpose
+// W×n count/cursor array, which the forward build and every transpose
 // share, and each sort worker's packed-key buffer. A Bidirected keeps it
 // for its next Rebuild.
 type buildScratch struct {
@@ -198,9 +199,11 @@ type buildScratch struct {
 	keys   [][]uint64
 }
 
-// build is BuildCSR writing into c's arrays and working in scratch's
-// storage where it is large enough; what it used stays in scratch.
-func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch *buildScratch) {
+// scatter is BuildCSR's first two passes, writing into c's arrays and
+// working in scratch's storage where it is large enough (what it used
+// stays in scratch): it lays c's rows out unsorted, each row holding its
+// edges in edge-list order.
+func (c *CSR) scatter(n int, edges []Edge, keepKinds bool, workers int, scratch *buildScratch) {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
@@ -271,8 +274,15 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch *b
 			}
 		}
 	})
+}
 
-	// Pass 3: sort each adjacency, vertices split by edge count.
+// sortRows is BuildCSR's third pass: it sorts each adjacency by (target,
+// kind), vertices split by edge count.
+func (c *CSR) sortRows(workers int, scratch *buildScratch) {
+	n := c.N
+	if len(c.Targets) == 0 {
+		return
+	}
 	parts := workerCount(workers, n)
 	cuts := balancedCuts(n, parts, func(v int) int64 { return c.Offsets[v] })
 	if len(scratch.keys) < parts {
@@ -304,6 +314,8 @@ func (c *CSR) build(n int, edges []Edge, keepKinds bool, workers int, scratch *b
 // so every row comes out ascending by source — and, because c's rows are
 // (target, kind)-sorted, by kind among parallel edges. That is exactly
 // what sorting after the scatter would produce, for any worker count.
+// Of unsorted rows (Rebuild's long-row path) it makes rows ascending by
+// source with parallel edges in c's row order.
 func (c *CSR) Transpose(workers int) *CSR {
 	t := new(CSR)
 	c.transposeInto(t, workers, &buildScratch{})
@@ -354,6 +366,28 @@ func (c *CSR) transposeInto(t *CSR, workers int, scratch *buildScratch) {
 				t.Targets[at] = uint32(v)
 				if t.Kinds != nil {
 					t.Kinds[at] = c.Kinds[i]
+				}
+			}
+		}
+	})
+}
+
+// orderParallelKinds puts each run of parallel edges — equal targets
+// next to each other in a row — in ascending kind order. A transpose of
+// unsorted rows leaves each run in edge-list order; every other order in
+// its rows is already right. Kind-less rows have nothing to order.
+func (c *CSR) orderParallelKinds(workers int) {
+	if c.Kinds == nil || len(c.Targets) == 0 {
+		return
+	}
+	parts := workerCount(workers, c.N)
+	cuts := balancedCuts(c.N, parts, func(v int) int64 { return c.Offsets[v] })
+	par.ForEach(parts, parts, func(w int) {
+		for v := cuts[w]; v < cuts[w+1]; v++ {
+			targets, kinds := c.Targets[c.Offsets[v]:c.Offsets[v+1]], c.Kinds[c.Offsets[v]:c.Offsets[v+1]]
+			for i := 1; i < len(targets); i++ {
+				for j := i; j > 0 && targets[j-1] == targets[j] && kinds[j-1] > kinds[j]; j-- {
+					kinds[j-1], kinds[j] = kinds[j], kinds[j-1]
 				}
 			}
 		}

@@ -113,6 +113,19 @@ func BenchmarkTrackerRound(b *testing.B) {
 	b.ReportMetric(float64(vertices), "vertices/op")
 }
 
+// BenchmarkNewTracker times a tracker's bootstrap — every image swept
+// as a cold check sweeps it, into one fresh DeltaBuilder — on the aged
+// 24 000-MDT-inode cluster.
+func BenchmarkNewTracker(b *testing.B) {
+	images := checker.ClusterImages(agedCluster(b, 24000))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewTracker(images, checker.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestTrackerRoundAllocs: a steady-state round writes into the working
 // set the previous round used, so what it allocates follows its delta,
 // not the graph. An idle round and a 12-op round each allocate the same

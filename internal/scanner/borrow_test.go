@@ -12,8 +12,9 @@ import (
 
 // TestWhoBorrows pins which sinks opt into borrowing the scanner's
 // scratch chunk: the wire stream, which has encoded a chunk before Emit
-// returns, and nothing that keeps one. A retaining sink that borrowed
-// would hold slices the next chunk overwrites.
+// returns, the partial sink, which has copied it, and nothing that keeps
+// one. A retaining sink that borrowed would hold slices the next chunk
+// overwrites.
 func TestWhoBorrows(t *testing.T) {
 	for _, s := range []struct {
 		name    string
@@ -22,7 +23,7 @@ func TestWhoBorrows(t *testing.T) {
 	}{
 		{"wire.ChunkStream", &wire.ChunkStream{}, true},
 		{"agg.Builder", agg.NewBuilder(nil), false},
-		{"scanner.PartialSink", &scanner.PartialSink{}, false},
+		{"scanner.PartialSink", &scanner.PartialSink{}, true},
 		{"inject fault stream", (&inject.NetFault{}).WrapStream(context.Background(), nil), false},
 	} {
 		if _, ok := s.sink.(scanner.Borrower); ok != s.borrows {

@@ -65,8 +65,8 @@ type Sink interface {
 // it encodes, counts or copies what it needs and keeps no reference to
 // the chunk or its slices. The scanner lends such a sink its scratch
 // chunk and refills it for the next one, instead of handing over an
-// exact-size copy. wire.ChunkStream is one; a sink that retains chunks
-// (agg.Builder, PartialSink, a recorder) must not be.
+// exact-size copy. wire.ChunkStream and PartialSink are; a sink that
+// retains chunks (agg.Builder, a recorder) must not be.
 type Borrower interface {
 	Sink
 	// BorrowsChunks marks the type; it is never called.
@@ -80,7 +80,11 @@ type PartialSink struct {
 	p Partial
 }
 
-// Emit appends one chunk.
+// BorrowsChunks makes the sink a Borrower: Emit copies a chunk's
+// records into the partial and keeps no reference to the chunk.
+func (*PartialSink) BorrowsChunks() {}
+
+// Emit appends a copy of one chunk.
 func (s *PartialSink) Emit(c *Chunk) error {
 	if s.p.ServerLabel == "" {
 		s.p.ServerLabel = c.ServerLabel

@@ -66,6 +66,15 @@ func TestScanImageToSinkReassemblesPartial(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("chunkSize %d: reassembled partial diverges from bulk scan", chunkSize)
 		}
+		// Streamed straight in, the sink is lent the scratch chunk, which
+		// the next chunk refills: a partial that kept any of it diverges.
+		var lent PartialSink
+		if err := ScanImageToSink(c.MDT.Img, 0, chunkSize, &lent); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, lent.Partial()) {
+			t.Fatalf("chunkSize %d: partial reassembled from lent chunks diverges from bulk scan", chunkSize)
+		}
 	}
 }
 
